@@ -10,7 +10,7 @@ captured into the RunResult instead of escaping the boundary.
 from __future__ import annotations
 
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from importlib import resources
 from typing import Callable
 
@@ -27,10 +27,9 @@ from .register import (
     ContextOverflow,
     Register,
     RegisterError,
-    Tokenizer,
     apply_action,
+    capped_token_length,
     init_register,
-    register_tokens,
     render_context,
     token_length,
 )
@@ -124,15 +123,6 @@ class PromptPack:
         return cls(holistic=holistic, solving=solving)
 
 
-@dataclass(frozen=True)
-class TurnStat:
-    turn: int
-    context_tokens: int
-    register_tokens: int
-    action_kind: str
-    retries: int
-
-
 @dataclass
 class RunResult:
     """Outcome of one run; ``answered`` iff the last action is final_answer."""
@@ -141,14 +131,12 @@ class RunResult:
     answer: str | None
     error: str | None
     trajectory: Trajectory
-    turn_stats: list[TurnStat] = field(default_factory=list)
 
     def to_json_dict(self) -> dict:
         return {
             "outcome": self.outcome,
             "answer": self.answer,
             "error": self.error,
-            "turn_stats": [asdict(stat) for stat in self.turn_stats],
             "trajectory": {
                 "question": self.trajectory.question,
                 "question_id": self.trajectory.question_id,
@@ -341,34 +329,25 @@ def solve(
     register: Register,
     prompts: PromptPack,
     trajectory: Trajectory,
-    tokenizer: Tokenizer | None = None,
     clock: Clock = time.time,
 ) -> RunResult:
-    """The proactive solving loop over an initialized register."""
-    turn_stats: list[TurnStat] = []
+    """The proactive solving loop over an initialized register.
+
+    Each turn renders the model input once and tokenizes it once; that one
+    count is both the context-cap check and the step's ``token_count``.
+    """
 
     def finish(outcome: str, answer: str | None = None, error: str | None = None) -> RunResult:
         trajectory.outcome = outcome
         trajectory.answer = answer
         trajectory.error = error
         trajectory.finished_at = clock()
-        return RunResult(
-            outcome=outcome,
-            answer=answer,
-            error=error,
-            trajectory=trajectory,
-            turn_stats=turn_stats,
-        )
+        return RunResult(outcome=outcome, answer=answer, error=error, trajectory=trajectory)
 
-    for turn in range(1, config.max_turns + 1):
+    for _ in range(config.max_turns):
+        context = render_context(register, question, prompts.solving)
         try:
-            context = render_context(
-                register,
-                question,
-                prompts.solving,
-                tokenizer=tokenizer,
-                max_tokens=config.max_context_tokens,
-            )
+            token_count = capped_token_length(context, config.max_context_tokens)
         except ContextOverflow as exc:
             return finish("context_overflow", error=str(exc))
 
@@ -402,15 +381,6 @@ def solve(
         except _ABORTING as exc:
             return finish("aborted", error=f"{type(exc).__name__}: {exc}")
 
-        turn_stats.append(
-            TurnStat(
-                turn=turn,
-                context_tokens=token_length(context, tokenizer),
-                register_tokens=register_tokens(register, question, prompts.solving, tokenizer),
-                action_kind=action.kind.value,
-                retries=len(diags),
-            )
-        )
         trajectory.steps.append(
             StepRecord(
                 index=len(trajectory.steps) + 1,
@@ -420,7 +390,7 @@ def solve(
                 payload=action.payload,
                 raw_text=action.raw_text,
                 model_text=raw,
-                token_count=token_length(context, tokenizer),
+                token_count=token_count,
                 retries=len(diags),
                 diagnostics=tuple(diags),
                 tool_result=tool_result,
@@ -441,7 +411,6 @@ def run(
     config: RunConfig | None = None,
     prompts: PromptPack | None = None,
     question_id: str = "",
-    tokenizer: Tokenizer | None = None,
     clock: Clock = time.time,
 ) -> RunResult:
     """Programmatic entry point: plan, initialize the register, and solve."""
@@ -475,7 +444,6 @@ def run(
         register=register,
         prompts=prompts,
         trajectory=trajectory,
-        tokenizer=tokenizer,
         clock=clock,
     )
 
@@ -533,7 +501,6 @@ def replay_run(
     trajectory: Trajectory,
     *,
     strict: bool = False,
-    tokenizer: Tokenizer | None = None,
     clock: Clock = time.time,
 ) -> RunResult:
     """Re-execute a recorded run against its own actions and tool results.
@@ -558,6 +525,5 @@ def replay_run(
         config=config,
         prompts=prompts,
         question_id=trajectory.question_id,
-        tokenizer=tokenizer,
         clock=clock,
     )

@@ -372,6 +372,8 @@ def _scan_blocks(text: str) -> list[_Block]:
             raise MalformedPayload(
                 f"<{tag}> payload is not well-formed JSON: {exc.msg} at position {exc.pos}"
             ) from None
+        except RecursionError:
+            raise MalformedPayload(f"<{tag}> payload is nested too deeply to decode") from None
         after = _skip_ws(text, consumed)
         if not text.startswith(close, after):
             raise MalformedPayload(f"<{tag}> block is missing its closing {close} tag")

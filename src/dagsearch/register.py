@@ -19,8 +19,6 @@ from .plan import DagPlan, plan_from_dict, plan_to_dict
 from .protocol import Action, ActionKind, IntentPayload, canonical_json
 from .tools import ToolResult
 
-DEFAULT_MAX_CONTEXT_TOKENS = 32_000
-
 SNAPSHOT_VERSION = 1
 
 
@@ -56,6 +54,18 @@ def default_tokenizer(text: str) -> list[str]:
 
 def token_length(text: str, tokenizer: Tokenizer | None = None) -> int:
     return len((tokenizer or default_tokenizer)(text))
+
+
+def capped_token_length(text: str, max_tokens: int) -> int:
+    """Token count of a model input, raising ContextOverflow over the cap.
+
+    The one tokenization of each solving turn: the same count is the cap
+    check and the step's recorded ``token_count``.
+    """
+    count = token_length(text)
+    if count > max_tokens:
+        raise ContextOverflow(f"rendered context is {count} tokens, over the {max_tokens}-token cap")
+    return count
 
 
 # ---------------------------------------------------------------------------
@@ -266,14 +276,7 @@ def _tool_log_lines(log: Sequence[ToolLogEntry]) -> list[str]:
     return lines
 
 
-def render_context(
-    register: Register,
-    question: str,
-    stage_prompt: str,
-    *,
-    tokenizer: Tokenizer | None = None,
-    max_tokens: int | None = DEFAULT_MAX_CONTEXT_TOKENS,
-) -> str:
+def render_context(register: Register, question: str, stage_prompt: str) -> str:
     """Deterministic model input for one solving step.
 
     Section order is stable-first: prompt, question, intent, archived plans,
@@ -322,14 +325,7 @@ def render_context(
             lines.append("(no documents returned)")
         sections.append("## Latest tool output\n" + "\n".join(lines))
 
-    text = "\n\n".join(sections)
-    if max_tokens is not None:
-        count = token_length(text, tokenizer)
-        if count > max_tokens:
-            raise ContextOverflow(
-                f"rendered context is {count} tokens, over the {max_tokens}-token cap"
-            )
-    return text
+    return "\n\n".join(sections)
 
 
 def register_tokens(
@@ -345,8 +341,7 @@ def register_tokens(
     shrink when that section expires.
     """
     stripped = replace(register, pending_tool_result=None)
-    text = render_context(stripped, question, stage_prompt, tokenizer=tokenizer, max_tokens=None)
-    return token_length(text, tokenizer)
+    return token_length(render_context(stripped, question, stage_prompt), tokenizer)
 
 
 # ---------------------------------------------------------------------------

@@ -298,12 +298,19 @@ def cache_ratio(prev_tokens: Sequence, cur_tokens: Sequence) -> float:
 def step_cache_ratios(
     trajectory: Trajectory, tokenizer: Tokenizer | None = None
 ) -> list[float]:
-    """cache_ratio between consecutive solving-stage inputs (one per step from the second on)."""
+    """cache_ratio between consecutive solving-stage inputs (one per step from the second on).
+
+    Each state is tokenized once, and only the previous state's tokens are
+    kept, so memory stays at two states however long the run.
+    """
     tokenizer = tokenizer or default_tokenizer
-    states = [step.state for step in trajectory.solving_steps()]
     ratios = []
-    for prev, cur in zip(states, states[1:]):
-        ratios.append(cache_ratio(tokenizer(prev), tokenizer(cur)))
+    previous = None
+    for step in trajectory.solving_steps():
+        current = tokenizer(step.state)
+        if previous is not None:
+            ratios.append(cache_ratio(previous, current))
+        previous = current
     return ratios
 
 

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+import dagsearch.register
 from dagsearch.backend import Backend, ScriptedBackend
 from dagsearch.engine import (
     PromptPack,
@@ -14,10 +15,11 @@ from dagsearch.engine import (
     run,
 )
 from dagsearch.protocol import ActionKind
-from dagsearch.register import register_to_dict
+from dagsearch.register import default_tokenizer, register_to_dict, register_tokens, token_length
 from dagsearch.tools import ToolRegistry, ToolResult, ToolTransportError, search_spec
 from dagsearch.trajectory import Trajectory
 from helpers import (
+    DATA_DIR,
     TWO_HOP_QUESTION,
     fixed_clock,
     fixture_registry,
@@ -106,8 +108,9 @@ class TestSolveEndToEnd:
         tool_steps = [s for s in result.trajectory.steps if s.kind == "tool_call"]
         assert all(s.tool_result is not None for s in tool_steps)
         assert all(len(s.tool_result.documents) == 3 for s in tool_steps)
-        assert len(result.turn_stats) == 7
-        assert result.turn_stats[-1].action_kind == "final_answer"
+        solving = result.trajectory.solving_steps()
+        assert len(solving) == 7
+        assert solving[-1].kind == "final_answer"
 
     def test_retrospection_flow_end_to_end(self):
         framing_chain = (
@@ -253,6 +256,30 @@ class TestSolveEndToEnd:
             clock=fixed_clock(),
         )
         assert result.outcome == "context_overflow"
+        assert "over the 50-token cap" in result.error
+
+    @pytest.mark.parametrize(
+        "nested",
+        [
+            '<tool_call>{"a":' + "[" * 100_000 + "]" * 100_000 + "}</tool_call>",
+            '<tool_call>{"task_id": "t1", "tool_name": "search", "arguments": '
+            + '{"a":' * 5_000 + "1" + "}" * 5_000 + "}</tool_call>",
+        ],
+        ids=["deep-array", "deep-arguments"],
+    )
+    def test_deeply_nested_payload_is_reprompted(self, nested):
+        backend = RecordingBackend([INTENT, FRAMING, nested, ANSWER_T1, FINAL])
+        result = run(
+            "q?",
+            backend=backend,
+            tools=empty_registry(),
+            config=RunConfig(max_malformed_retries=1),
+            prompts=PROMPTS,
+            clock=fixed_clock(),
+        )
+        assert result.outcome == "answered"
+        assert result.trajectory.solving_steps()[0].retries == 1
+        assert "nested too deeply" in backend.contexts[3]
 
     def test_tool_transport_failure_aborts(self):
         def failing(args):
@@ -309,10 +336,28 @@ class TestDeterminism:
 
     def test_register_tokens_non_decreasing_within_epoch(self):
         # the two-hop run never replans, so the persistent render only grows
-        result = run_two_hop()
-        counts = [stat.register_tokens for stat in result.turn_stats]
+        trajectory = run_two_hop().trajectory
+        solving = trajectory.solving_steps()
+        # the register each solving step was rendered from
+        registers = rebuild_registers(trajectory)[: len(solving)]
+        counts = [register_tokens(r, TWO_HOP_QUESTION, PROMPTS.solving) for r in registers]
         assert counts == sorted(counts)
-        assert all(stat.context_tokens >= stat.register_tokens for stat in result.turn_stats)
+        assert all(step.token_count >= count for step, count in zip(solving, counts))
+
+    def test_run_tokenizes_each_recorded_step_once(self, monkeypatch):
+        calls = []
+
+        def spy(text):
+            calls.append(text)
+            return default_tokenizer(text)
+
+        monkeypatch.setattr(dagsearch.register, "default_tokenizer", spy)
+        steps = run_two_hop().trajectory.steps
+        assert [step.stage for step in steps].count("planning") == 2
+        assert len(steps) == 9
+        assert calls == [step.state for step in steps]
+        monkeypatch.undo()
+        assert all(step.token_count == token_length(step.state) for step in steps)
 
     def test_rebuilt_registers_are_stable(self):
         result = run_two_hop()
@@ -340,6 +385,13 @@ class TestReplay:
         assert [s.kind for s in replayed.trajectory.steps] == [
             s.kind for s in result.trajectory.steps
         ]
+
+    def test_v1_recording_replays_byte_for_byte(self):
+        # recorded before the tokenize-once engine; rendering must not drift
+        recorded = Trajectory.load(DATA_DIR / "two_hop_trajectory_v1.jsonl")
+        replayed = replay_run(recorded, strict=True, clock=fixed_clock())
+        assert replayed.outcome == "answered"
+        assert [s.to_dict() for s in replayed.trajectory.steps] == [s.to_dict() for s in recorded.steps]
 
     def test_tampered_recording_diverges(self, tmp_path):
         result = run_two_hop()

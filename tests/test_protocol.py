@@ -75,6 +75,21 @@ class TestParse:
         with pytest.raises(MalformedPayload):
             parse_action("<final_answer>[1]</final_answer>")
 
+    def test_deeply_nested_array_is_malformed(self):
+        text = '<tool_call>{"a":' + "[" * 100_000 + "]" * 100_000 + "}</tool_call>"
+        with pytest.raises(MalformedPayload, match="nested too deeply"):
+            parse_action(text)
+
+    def test_deeply_nested_arguments_are_malformed(self):
+        arguments = '{"a":' * 5_000 + "1" + "}" * 5_000
+        text = (
+            '<tool_call>{"task_id": "t1", "tool_name": "search", "arguments": '
+            + arguments
+            + "}</tool_call>"
+        )
+        with pytest.raises(MalformedPayload, match="nested too deeply"):
+            parse_action(text)
+
     def test_missing_close_tag_after_valid_json(self):
         with pytest.raises(MalformedPayload):
             parse_action('<final_answer>{"answer":"x"} trailing')

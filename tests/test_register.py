@@ -9,6 +9,7 @@ from dagsearch.register import (
     IllegalActionInStage,
     Register,
     apply_action,
+    capped_token_length,
     default_tokenizer,
     init_register,
     register_from_dict,
@@ -247,8 +248,10 @@ class TestRender:
         assert "(no facts extracted)" in text
 
     def test_overflow_raises(self):
-        with pytest.raises(ContextOverflow):
-            render_context(fresh(), QUESTION, PROMPT, max_tokens=10)
+        text = render_context(fresh(), QUESTION, PROMPT)
+        with pytest.raises(ContextOverflow, match="over the 10-token cap"):
+            capped_token_length(text, 10)
+        assert capped_token_length(text, token_length(text)) == token_length(text)
 
     def test_render_is_deterministic(self):
         a = render_context(fresh(), QUESTION, PROMPT)

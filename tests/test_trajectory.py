@@ -3,7 +3,9 @@ import json
 
 import pytest
 
+import dagsearch.trajectory
 from dagsearch.protocol import ActionKind
+from dagsearch.register import default_tokenizer
 from dagsearch.trajectory import (
     EmptyCurrent,
     EvalRecord,
@@ -257,6 +259,23 @@ class TestAnalyses:
         ratios = step_cache_ratios(result.trajectory)
         assert len(ratios) == 19
         assert all(0.0 <= r <= 1.0 for r in ratios)
+
+    def test_step_cache_ratios_tokenize_each_state_once(self, monkeypatch):
+        states = [step.state for step in run_twenty_turn().trajectory.solving_steps()]
+        expected = [
+            cache_ratio(default_tokenizer(prev), default_tokenizer(cur))
+            for prev, cur in zip(states, states[1:])
+        ]
+        trajectory = run_twenty_turn().trajectory
+        calls = []
+
+        def spy(text):
+            calls.append(text)
+            return default_tokenizer(text)
+
+        monkeypatch.setattr(dagsearch.trajectory, "default_tokenizer", spy)
+        assert step_cache_ratios(trajectory) == expected
+        assert calls == states
 
 
 class TestEvalRecords:
