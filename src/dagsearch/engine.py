@@ -25,13 +25,13 @@ from .protocol import (
 )
 from .register import (
     ContextOverflow,
+    LineTokenCounter,
     Register,
     RegisterError,
     apply_action,
     capped_token_length,
     init_register,
     render_context,
-    token_length,
 )
 from .tools import (
     ArgumentSchemaViolation,
@@ -248,7 +248,9 @@ def holistic_planning(
     """Intent refinement followed by problem framing, both validated.
 
     The second completion's context includes the refined intent. Each stage
-    re-prompts on protocol or plan errors within the retry budget.
+    re-prompts on protocol or plan errors within the retry budget. Each
+    input is checked against the context cap before it is sent; over the
+    cap, ContextOverflow is raised and no completion is requested.
     """
     config = config or RunConfig()
 
@@ -264,6 +266,7 @@ def holistic_planning(
         return validate
 
     intent_context = render_planning_context(prompts.holistic, question)
+    intent_tokens = capped_token_length(intent_context, config.max_context_tokens)
     intent_action, raw, diags = _complete_validated(
         backend,
         intent_context,
@@ -282,13 +285,14 @@ def holistic_planning(
                 payload=intent_action.payload,
                 raw_text=intent_action.raw_text,
                 model_text=raw,
-                token_count=token_length(intent_context),
+                token_count=intent_tokens,
                 retries=len(diags),
                 diagnostics=tuple(diags),
             )
         )
 
     framing_context = render_planning_context(prompts.holistic, question, intent)
+    framing_tokens = capped_token_length(framing_context, config.max_context_tokens)
 
     def validate_framing(raw_text: str) -> tuple[Action, DagPlan]:
         action = expect(ActionKind.PROBLEM_FRAMING)(raw_text)
@@ -312,12 +316,27 @@ def holistic_planning(
                 payload=framing_action.payload,
                 raw_text=framing_action.raw_text,
                 model_text=raw,
-                token_count=token_length(framing_context),
+                token_count=framing_tokens,
                 retries=len(diags),
                 diagnostics=tuple(diags),
             )
         )
     return intent, plan
+
+
+def _finish(
+    trajectory: Trajectory,
+    clock: Clock,
+    outcome: str,
+    *,
+    answer: str | None = None,
+    error: str | None = None,
+) -> RunResult:
+    trajectory.outcome = outcome
+    trajectory.answer = answer
+    trajectory.error = error
+    trajectory.finished_at = clock()
+    return RunResult(outcome=outcome, answer=answer, error=error, trajectory=trajectory)
 
 
 def solve(
@@ -333,23 +352,19 @@ def solve(
 ) -> RunResult:
     """The proactive solving loop over an initialized register.
 
-    Each turn renders the model input once and tokenizes it once; that one
+    Each turn renders the model input once and counts its tokens once,
+    tokenizing only the lines the previous turn's input lacked; that one
     count is both the context-cap check and the step's ``token_count``.
     """
 
-    def finish(outcome: str, answer: str | None = None, error: str | None = None) -> RunResult:
-        trajectory.outcome = outcome
-        trajectory.answer = answer
-        trajectory.error = error
-        trajectory.finished_at = clock()
-        return RunResult(outcome=outcome, answer=answer, error=error, trajectory=trajectory)
-
+    # Local to this call: parallel evals run solve on several threads.
+    counter = LineTokenCounter()
     for _ in range(config.max_turns):
         context = render_context(register, question, prompts.solving)
         try:
-            token_count = capped_token_length(context, config.max_context_tokens)
+            token_count = capped_token_length(context, config.max_context_tokens, counter)
         except ContextOverflow as exc:
-            return finish("context_overflow", error=str(exc))
+            return _finish(trajectory, clock, "context_overflow", error=str(exc))
 
         def validate(raw: str) -> tuple[Action, ToolResult | None, Register]:
             action = parse_action(raw, strict=config.strict_protocol)
@@ -379,7 +394,7 @@ def solve(
                 backend, context, system=prompts.solving, config=config, validate=validate
             )
         except _ABORTING as exc:
-            return finish("aborted", error=f"{type(exc).__name__}: {exc}")
+            return _finish(trajectory, clock, "aborted", error=f"{type(exc).__name__}: {exc}")
 
         trajectory.steps.append(
             StepRecord(
@@ -398,9 +413,11 @@ def solve(
         )
         register = new_register
         if action.kind is ActionKind.FINAL_ANSWER:
-            return finish("answered", answer=action.payload["answer"])
+            return _finish(trajectory, clock, "answered", answer=action.payload["answer"])
 
-    return finish("budget_exhausted", error=f"no final answer within {config.max_turns} turns")
+    return _finish(
+        trajectory, clock, "budget_exhausted", error=f"no final answer within {config.max_turns} turns"
+    )
 
 
 def run(
@@ -425,16 +442,10 @@ def run(
     )
     try:
         intent, plan = holistic_planning(backend, question, prompts, config, trajectory)
+    except ContextOverflow as exc:
+        return _finish(trajectory, clock, "context_overflow", error=str(exc))
     except _ABORTING as exc:
-        trajectory.outcome = "aborted"
-        trajectory.error = f"{type(exc).__name__}: {exc}"
-        trajectory.finished_at = clock()
-        return RunResult(
-            outcome="aborted",
-            answer=None,
-            error=trajectory.error,
-            trajectory=trajectory,
-        )
+        return _finish(trajectory, clock, "aborted", error=f"{type(exc).__name__}: {exc}")
     register = init_register(intent, plan)
     return solve(
         backend,

@@ -342,6 +342,7 @@ def _scan_blocks(text: str) -> list[_Block]:
     rejected as out-of-grammar. Anything else is free text and skipped.
     """
     blocks: list[_Block] = []
+    last_close: dict[str, int] = {}  # close tag -> its last offset, found once per scan
     pos = 0
     while True:
         match = _TAG_RE.search(text, pos)
@@ -360,7 +361,9 @@ def _scan_blocks(text: str) -> list[_Block]:
             continue
         close = f"</{tag}>"
         if not starts_object:
-            if close in text[match.end():]:
+            if close not in last_close:
+                last_close[close] = text.rfind(close)
+            if last_close[close] >= match.end():
                 raise MalformedPayload(
                     f"payload between <{tag}> and {close} must be a single JSON object"
                 )

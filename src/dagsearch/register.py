@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Callable, Sequence
 
 from . import plan as planmod
@@ -56,13 +57,45 @@ def token_length(text: str, tokenizer: Tokenizer | None = None) -> int:
     return len((tokenizer or default_tokenizer)(text))
 
 
-def capped_token_length(text: str, max_tokens: int) -> int:
+class LineTokenCounter:
+    """Token counts of successive texts, tokenizing only lines not seen last time.
+
+    No ``default_tokenizer`` token spans whitespace, so a text's count is
+    exactly the sum of the counts of its newline-split lines. Only the
+    previous text's ``{line: count}`` is kept, so memory stays bounded by
+    one input. Consecutive model inputs share most lines, so a turn pays
+    for the lines that changed, not for the whole context.
+    """
+
+    def __init__(self) -> None:
+        self._previous: dict[str, int] = {}
+
+    def __call__(self, text: str) -> int:
+        previous = self._previous
+        current: dict[str, int] = {}
+        total = 0
+        for line in text.split("\n"):
+            count = current.get(line)
+            if count is None:
+                count = previous.get(line)
+                if count is None:
+                    count = token_length(line)
+                current[line] = count
+            total += count
+        self._previous = current
+        return total
+
+
+def capped_token_length(
+    text: str, max_tokens: int, counter: Callable[[str], int] = token_length
+) -> int:
     """Token count of a model input, raising ContextOverflow over the cap.
 
-    The one tokenization of each solving turn: the same count is the cap
-    check and the step's recorded ``token_count``.
+    The one count of each model input: the same number is the cap check
+    and the step's recorded ``token_count``. ``counter`` is ``token_length``
+    or a :class:`LineTokenCounter`, which gives the same number.
     """
-    count = token_length(text)
+    count = counter(text)
     if count > max_tokens:
         raise ContextOverflow(f"rendered context is {count} tokens, over the {max_tokens}-token cap")
     return count
@@ -84,6 +117,28 @@ class ToolLogEntry:
     condensed_facts: tuple[str, ...] = ()
     source_ids: tuple[str, ...] = ()
     extracted: bool = False
+
+    @cached_property
+    def rendered_lines(self) -> tuple[str, ...]:
+        """This entry's tool-log lines, rendered once per entry.
+
+        ``replace`` builds a new entry, so an extraction never sees stale
+        lines; equality and snapshots compare fields only. The positional
+        "(no facts extracted)" marker is added by the log renderer.
+        """
+        lines = [
+            f"Step {self.step_index}: {self.tool_name} for {self.task_id} "
+            f"with {canonical_json(self.arguments)}"
+        ]
+        if self.extracted:
+            sources = ", ".join(self.source_ids) if self.source_ids else "(none)"
+            lines.append(f"  sources: {sources}")
+            if self.condensed_facts:
+                lines.append("  facts:")
+                lines.extend(f"  * {fact}" for fact in self.condensed_facts)
+            else:
+                lines.append("  facts: (none)")
+        return tuple(lines)
 
 
 @dataclass(frozen=True)
@@ -257,21 +312,10 @@ def _plan_lines(plan: DagPlan, include_status: bool = True) -> list[str]:
 
 
 def _tool_log_lines(log: Sequence[ToolLogEntry]) -> list[str]:
-    lines = []
+    lines: list[str] = []
     for i, entry in enumerate(log):
-        lines.append(
-            f"Step {entry.step_index}: {entry.tool_name} for {entry.task_id} "
-            f"with {canonical_json(entry.arguments)}"
-        )
-        if entry.extracted:
-            sources = ", ".join(entry.source_ids) if entry.source_ids else "(none)"
-            lines.append(f"  sources: {sources}")
-            if entry.condensed_facts:
-                lines.append("  facts:")
-                lines.extend(f"  * {fact}" for fact in entry.condensed_facts)
-            else:
-                lines.append("  facts: (none)")
-        elif i < len(log) - 1:
+        lines.extend(entry.rendered_lines)
+        if not entry.extracted and i < len(log) - 1:
             lines.append("  (no facts extracted)")
     return lines
 

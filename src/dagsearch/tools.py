@@ -255,6 +255,21 @@ def _dig(payload: Any, path: str) -> Any:
     return current
 
 
+def _result_items(response: requests.Response, path: str, top_k: int) -> list[dict]:
+    """The first ``top_k`` result objects of the array at ``path`` in a JSON body."""
+    try:
+        payload = response.json()
+    except ValueError as exc:
+        raise ToolTransportError(f"response body is not JSON: {exc}") from None
+    items = _dig(payload, path)
+    if not isinstance(items, list):
+        raise ToolTransportError(f'response field "{path}" is not an array')
+    items = items[:top_k]
+    if not all(isinstance(item, dict) for item in items):
+        raise ToolTransportError(f'response field "{path}" holds a result that is not an object')
+    return items
+
+
 @dataclass
 class WebSearchClient:
     """Provider-agnostic "query -> ranked snippets" adapter.
@@ -302,11 +317,8 @@ class WebSearchClient:
             backoff=self.backoff,
             **kwargs,
         )
-        items = _dig(response.json(), self.results_path)
-        if not isinstance(items, list):
-            raise ToolTransportError(f'response field "{self.results_path}" is not an array')
         docs = []
-        for item in items[: self.top_k]:
+        for item in _result_items(response, self.results_path, self.top_k):
             url = str(item.get(self.url_field, ""))
             title = str(item.get(self.title_field, ""))
             docs.append(
@@ -346,11 +358,8 @@ class DenseRetrieverClient:
             json=body,
             timeout=self.timeout,
         )
-        items = _dig(response.json(), self.results_path)
-        if not isinstance(items, list):
-            raise ToolTransportError(f'response field "{self.results_path}" is not an array')
         docs = []
-        for item in items[: self.top_k]:
+        for item in _result_items(response, self.results_path, self.top_k):
             doc_id = str(item.get(self.id_field, ""))
             docs.append(
                 Document(

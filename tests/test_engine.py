@@ -11,10 +11,11 @@ from dagsearch.engine import (
     WrongActionKind,
     holistic_planning,
     rebuild_registers,
+    render_planning_context,
     replay_run,
     run,
 )
-from dagsearch.protocol import ActionKind
+from dagsearch.protocol import ActionKind, IntentPayload
 from dagsearch.register import default_tokenizer, register_to_dict, register_tokens, token_length
 from dagsearch.tools import ToolRegistry, ToolResult, ToolTransportError, search_spec
 from dagsearch.trajectory import Trajectory
@@ -258,6 +259,41 @@ class TestSolveEndToEnd:
         assert result.outcome == "context_overflow"
         assert "over the 50-token cap" in result.error
 
+    def test_planning_input_over_cap_requests_no_completion(self):
+        backend = RecordingBackend([INTENT, FRAMING, FINAL])
+        result = run(
+            "q?",
+            backend=backend,
+            tools=empty_registry(),
+            config=RunConfig(max_context_tokens=50),
+            prompts=PROMPTS,
+            clock=fixed_clock(),
+        )
+        assert result.outcome == "context_overflow"
+        assert "over the 50-token cap" in result.error
+        assert backend.contexts == []
+        assert result.trajectory.steps == []
+
+    def test_cap_above_planning_inputs_overflows_at_first_solving_turn(self):
+        intent = IntentPayload(refined_goal="Find it.", constraints=())
+        largest = max(
+            token_length(render_planning_context(PROMPTS.holistic, "q?")),
+            token_length(render_planning_context(PROMPTS.holistic, "q?", intent)),
+        )
+        backend = RecordingBackend([INTENT, FRAMING, FINAL])
+        result = run(
+            "q?",
+            backend=backend,
+            tools=empty_registry(),
+            config=RunConfig(max_context_tokens=largest + 1),
+            prompts=PROMPTS,
+            clock=fixed_clock(),
+        )
+        assert result.outcome == "context_overflow"
+        assert f"over the {largest + 1}-token cap" in result.error
+        assert len(backend.contexts) == 2
+        assert [step.stage for step in result.trajectory.steps] == ["planning", "planning"]
+
     @pytest.mark.parametrize(
         "nested",
         [
@@ -355,9 +391,22 @@ class TestDeterminism:
         steps = run_two_hop().trajectory.steps
         assert [step.stage for step in steps].count("planning") == 2
         assert len(steps) == 9
-        assert calls == [step.state for step in steps]
+        # each planning input is tokenized whole, once
+        assert calls[:2] == [step.state for step in steps[:2]]
+        # a solving turn tokenizes only the lines its previous input lacked
+        solving_calls = calls[2:]
+        previous: set[str] = set()
+        for step in steps[2:]:
+            lines = step.state.split("\n")
+            new_lines = [line for line in dict.fromkeys(lines) if line not in previous]
+            assert solving_calls[: len(new_lines)] == new_lines
+            solving_calls = solving_calls[len(new_lines) :]
+            previous = set(lines)
+        assert solving_calls == []
         monkeypatch.undo()
         assert all(step.token_count == token_length(step.state) for step in steps)
+        tokenized = sum(token_length(text) for text in calls)
+        assert tokenized < sum(step.token_count for step in steps)
 
     def test_rebuilt_registers_are_stable(self):
         result = run_two_hop()

@@ -1,5 +1,6 @@
 import json
 import random
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -70,6 +71,16 @@ class TestParse:
     def test_known_tag_with_non_json_body_and_close_tag(self):
         with pytest.raises(MalformedPayload):
             parse_action("<final_answer>Paris</final_answer>")
+
+    def test_close_tag_only_before_open_tag_is_free_text(self):
+        with pytest.raises(NoActionBlock):
+            parse_action("</final_answer> then <final_answer> Paris")
+
+    def test_many_unclosed_known_tags_scan_in_linear_time(self):
+        started = time.perf_counter()
+        with pytest.raises(NoActionBlock):
+            parse_action("<tool_call> x" * 20_000)
+        assert time.perf_counter() - started < 1.0
 
     def test_array_payload_rejected(self):
         with pytest.raises(MalformedPayload):

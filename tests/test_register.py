@@ -1,13 +1,19 @@
 import json
+from dataclasses import replace
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+import dagsearch.register
 from dagsearch.plan import ANSWERED, PENDING, build_plan
 from dagsearch.protocol import Action, ActionKind, IntentPayload
 from dagsearch.register import (
     ContextOverflow,
     IllegalActionInStage,
+    LineTokenCounter,
     Register,
+    ToolLogEntry,
     apply_action,
     capped_token_length,
     default_tokenizer,
@@ -249,9 +255,10 @@ class TestRender:
 
     def test_overflow_raises(self):
         text = render_context(fresh(), QUESTION, PROMPT)
-        with pytest.raises(ContextOverflow, match="over the 10-token cap"):
-            capped_token_length(text, 10)
-        assert capped_token_length(text, token_length(text)) == token_length(text)
+        for counter in (token_length, LineTokenCounter()):
+            with pytest.raises(ContextOverflow, match="over the 10-token cap"):
+                capped_token_length(text, 10, counter)
+            assert capped_token_length(text, token_length(text), counter) == token_length(text)
 
     def test_render_is_deterministic(self):
         a = render_context(fresh(), QUESTION, PROMPT)
@@ -271,6 +278,39 @@ class TestTokens:
 
     def test_custom_tokenizer_injectable(self):
         assert token_length("a b c", tokenizer=lambda t: t.split()) == 3
+
+    @given(st.text(), st.text())
+    def test_count_is_additive_over_newline(self, a, b):
+        assert token_length(a + "\n" + b) == token_length(a) + token_length(b)
+
+    @given(
+        st.lists(
+            st.lists(st.sampled_from(["", "a b", "x, y.", " tail ", "ünï code", "\t!?"]) | st.text()),
+            max_size=6,
+        )
+    )
+    def test_line_counter_equals_token_length(self, texts_as_lines):
+        counter = LineTokenCounter()
+        for lines in texts_as_lines:
+            text = "\n".join(lines)
+            assert counter(text) == token_length(text)
+
+    def test_line_counter_tokenizes_only_new_lines(self, monkeypatch):
+        calls = []
+
+        def spy(text):
+            calls.append(text)
+            return default_tokenizer(text)
+
+        monkeypatch.setattr(dagsearch.register, "default_tokenizer", spy)
+        counter = LineTokenCounter()
+        assert counter("a b\nc\na b") == 5
+        assert calls == ["a b", "c"]
+        assert counter("a b\nd e f") == 5
+        assert calls == ["a b", "c", "d e f"]
+        # only the previous text's lines are kept
+        assert counter("c") == 1
+        assert calls[-1] == "c"
 
     def test_register_tokens_excludes_ephemeral(self):
         register = apply_action(fresh(), tool_call(), result())
@@ -304,6 +344,22 @@ class TestSnapshots:
         )
         restored = register_from_dict(register_to_dict(register))
         assert restored == register
+
+    def test_tool_log_entry_lines_follow_replace_and_stay_out_of_equality(self):
+        entry = ToolLogEntry(step_index=1, task_id="t1", tool_name="search", arguments={"query": "q"})
+        assert entry.rendered_lines == ('Step 1: search for t1 with {"query":"q"}',)
+        extracted = replace(entry, condensed_facts=("f",), source_ids=("fix:a",), extracted=True)
+        assert extracted.rendered_lines == (
+            'Step 1: search for t1 with {"query":"q"}',
+            "  sources: fix:a",
+            "  facts:",
+            "  * f",
+        )
+        fresh_entry = ToolLogEntry(step_index=1, task_id="t1", tool_name="search", arguments={"query": "q"})
+        assert entry == fresh_entry  # one has its lines cached, the other not
+        register = replace(fresh(), tool_log=(entry,))
+        assert register_to_dict(register) == register_to_dict(replace(fresh(), tool_log=(fresh_entry,)))
+        assert register_from_dict(register_to_dict(register)) == register
 
     def test_snapshot_is_json_and_versioned(self):
         snapshot = register_to_dict(fresh())

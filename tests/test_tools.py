@@ -36,9 +36,9 @@ def registry():
 
 @pytest.fixture
 def json_stub():
-    """Tiny HTTP stub serving a configurable JSON payload."""
+    """Tiny HTTP stub serving a configurable JSON payload, or raw body bytes."""
 
-    state = {"payload": {}, "fail_next": 0, "requests": []}
+    state = {"payload": {}, "raw": None, "fail_next": 0, "requests": []}
 
     class Handler(BaseHTTPRequestHandler):
         def _serve(self):
@@ -52,7 +52,9 @@ def json_stub():
                 self.send_response(500)
                 self.end_headers()
                 return
-            payload = json.dumps(state["payload"]).encode("utf-8")
+            payload = state["raw"]
+            if payload is None:
+                payload = json.dumps(state["payload"]).encode("utf-8")
             self.send_response(200)
             self.send_header("Content-Type", "application/json")
             self.send_header("Content-Length", str(len(payload)))
@@ -217,6 +219,27 @@ class TestDenseRetrieverClient:
         client = DenseRetrieverClient(tool_name="dense", endpoint=json_stub["url"], backoff=0.01, max_retries=0)
         with pytest.raises(ToolTransportError):
             client({"query": "x"})
+
+
+def web_client(url):
+    return WebSearchClient(tool_name="web", endpoint=url, max_retries=0, backoff=0.01)
+
+
+def dense_client(url):
+    return DenseRetrieverClient(tool_name="dense", endpoint=url, max_retries=0, backoff=0.01)
+
+
+@pytest.mark.parametrize("make_client", [web_client, dense_client], ids=["web", "dense"])
+class TestGarbledResponses:
+    def test_non_json_body_is_transport_error(self, json_stub, make_client):
+        json_stub["raw"] = b"<html>rate limited</html>"
+        with pytest.raises(ToolTransportError, match="not JSON"):
+            make_client(json_stub["url"])({"query": "x"})
+
+    def test_non_object_result_item_is_transport_error(self, json_stub, make_client):
+        json_stub["payload"] = {"results": ["just a string"], "passages": [42]}
+        with pytest.raises(ToolTransportError, match="not an object"):
+            make_client(json_stub["url"])({"query": "x"})
 
 
 class TestBuildRegistry:
