@@ -41,7 +41,6 @@ from .tools import (
     ToolResult,
     UnknownTool,
     search_spec,
-    validate_arguments,
 )
 from .trajectory import StepRecord, Trajectory
 
@@ -131,23 +130,6 @@ class RunResult:
     answer: str | None
     error: str | None
     trajectory: Trajectory
-
-    def to_json_dict(self) -> dict:
-        return {
-            "outcome": self.outcome,
-            "answer": self.answer,
-            "error": self.error,
-            "trajectory": {
-                "question": self.trajectory.question,
-                "question_id": self.trajectory.question_id,
-                "outcome": self.trajectory.outcome,
-                "answer": self.trajectory.answer,
-                "error": self.trajectory.error,
-                "started_at": self.trajectory.started_at,
-                "finished_at": self.trajectory.finished_at,
-                "steps": [step.to_dict() for step in self.trajectory.steps],
-            },
-        }
 
 
 def render_planning_context(
@@ -373,8 +355,6 @@ def solve(
                 task_id = action.payload["task_id"]
                 if task_id not in register.plan.nodes:
                     raise PlanError(f'task "{task_id}" is not in the current plan')
-                spec = tools.get(action.payload["tool_name"])
-                validate_arguments(spec, action.payload["arguments"])
                 tool_result = tools.invoke(action.payload["tool_name"], action.payload["arguments"])
             if action.kind is ActionKind.FINAL_ANSWER and not is_complete(register.plan):
                 pending = [

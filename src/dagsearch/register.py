@@ -68,13 +68,17 @@ class LineTokenCounter:
     """
 
     def __init__(self) -> None:
-        self._previous: dict[str, int] = {}
+        self.counts: dict[str, int] = {}  # the last text's {line: count}
 
     def __call__(self, text: str) -> int:
-        previous = self._previous
+        return self.count_lines(text.split("\n"))
+
+    def count_lines(self, lines: Sequence[str]) -> int:
+        """Token count of a text given as its newline-split ``lines``; ``counts`` then maps them."""
+        previous = self.counts
         current: dict[str, int] = {}
         total = 0
-        for line in text.split("\n"):
+        for line in lines:
             count = current.get(line)
             if count is None:
                 count = previous.get(line)
@@ -82,7 +86,7 @@ class LineTokenCounter:
                     count = token_length(line)
                 current[line] = count
             total += count
-        self._previous = current
+        self.counts = current
         return total
 
 

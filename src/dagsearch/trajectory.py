@@ -11,11 +11,13 @@ import csv
 import json
 import re
 from dataclasses import dataclass, field
+from itertools import chain
+from operator import ne
 from pathlib import Path
 from typing import Iterable, Sequence
 
 from .protocol import ActionKind, subspace_of
-from .register import Tokenizer, default_tokenizer, token_length
+from .register import LineTokenCounter, Tokenizer, default_tokenizer, token_length
 from .tools import ToolResult
 
 TRAJECTORY_VERSION = 1
@@ -295,23 +297,45 @@ def cache_ratio(prev_tokens: Sequence, cur_tokens: Sequence) -> float:
     return shared / len(cur_tokens)
 
 
-def step_cache_ratios(
-    trajectory: Trajectory, tokenizer: Tokenizer | None = None
-) -> list[float]:
+def step_cache_ratios(trajectory: Trajectory) -> list[float]:
     """cache_ratio between consecutive solving-stage inputs (one per step from the second on).
 
-    Each state is tokenized once, and only the previous state's tokens are
-    kept, so memory stays at two states however long the run.
+    Equal to ``cache_ratio(default_tokenizer(prev), default_tokenizer(cur))``,
+    computed from lines: no token spans a newline. A state's length is the
+    sum of its lines' counts, and a :class:`LineTokenCounter` tokenizes only
+    the lines the previous state lacked. The shared prefix is the counts of
+    the leading lines both states have, plus the common token prefix of what
+    follows, tokenized line by line only up to the first differing token.
+    Only the previous state's lines are kept.
     """
-    tokenizer = tokenizer or default_tokenizer
+    counter = LineTokenCounter()
     ratios = []
     previous = None
     for step in trajectory.solving_steps():
-        current = tokenizer(step.state)
+        current = step.state.split("\n")
+        total = counter.count_lines(current)
         if previous is not None:
-            ratios.append(cache_ratio(previous, current))
+            if total == 0:
+                raise EmptyCurrent("current token sequence is empty")
+            ratios.append(_shared_tokens(previous, current, counter.counts) / total)
         previous = current
     return ratios
+
+
+def _shared_tokens(previous: list[str], current: list[str], counts: dict[str, int]) -> int:
+    """Common token-prefix length of two states given as lines; ``counts`` covers ``current``."""
+    differs = list(map(ne, previous, current))  # compared in C, not line by line in Python
+    same = differs.index(True) if True in differs else len(differs)
+    shared = sum(map(counts.__getitem__, current[:same]))
+    rest = zip(
+        chain.from_iterable(map(default_tokenizer, previous[same:])),
+        chain.from_iterable(map(default_tokenizer, current[same:])),
+    )
+    for a, b in rest:
+        if a != b:
+            break
+        shared += 1
+    return shared
 
 
 @dataclass(frozen=True)
@@ -418,14 +442,8 @@ class EvalRecord:
         return sum(self.cache_ratios) / len(self.cache_ratios)
 
     @classmethod
-    def from_trajectory(
-        cls,
-        trajectory: Trajectory,
-        gold_answers: Sequence[str],
-        tokenizer: Tokenizer | None = None,
-    ) -> "EvalRecord":
+    def from_trajectory(cls, trajectory: Trajectory, gold_answers: Sequence[str]) -> "EvalRecord":
         solving = trajectory.solving_steps()
-        ratios = step_cache_ratios(trajectory, tokenizer) if len(solving) > 1 else []
         return cls(
             question_id=trajectory.question_id,
             question=trajectory.question,
@@ -434,7 +452,7 @@ class EvalRecord:
             acc=acc_score(trajectory.answer, gold_answers) if trajectory.answer else 0,
             turns=len(solving),
             context_lengths=tuple(step.token_count for step in solving),
-            cache_ratios=tuple(ratios),
+            cache_ratios=tuple(step_cache_ratios(trajectory)),
             outcome=trajectory.outcome,
         )
 
@@ -465,15 +483,11 @@ def write_context_curve(curve: Sequence[TurnPoint], out_path: str | Path) -> Non
             writer.writerow([point.turn, f"{point.mean_tokens:.2f}", point.n, int(point.flagged)])
 
 
-def write_cache_ratios(
-    trajectories: Sequence[Trajectory],
-    out_path: str | Path,
-    tokenizer: Tokenizer | None = None,
-) -> None:
+def write_cache_ratios(trajectories: Sequence[Trajectory], out_path: str | Path) -> None:
     """Per-turn cache ratios, one row per (run, turn), plot-ready."""
     with open(out_path, "w", encoding="utf-8", newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow(["question_id", "turn", "cache_ratio"])
         for trajectory in trajectories:
-            for turn, ratio in enumerate(step_cache_ratios(trajectory, tokenizer), start=2):
+            for turn, ratio in enumerate(step_cache_ratios(trajectory), start=2):
                 writer.writerow([trajectory.question_id, turn, f"{ratio:.4f}"])

@@ -139,9 +139,11 @@ def test_criterion_2_dag_oracle_equivalence():
     assert elapsed < 30.0
 
 
-def test_criterion_3_register_determinism():
+def test_criterion_3_register_determinism(tmp_path):
     results = [run_two_hop() for _ in range(3)]
-    run_dumps = [json.dumps(r.to_json_dict(), sort_keys=True) for r in results]
+    for i, r in enumerate(results):
+        r.trajectory.save(tmp_path / f"run{i}.jsonl")
+    run_dumps = [(tmp_path / f"run{i}.jsonl").read_bytes() for i in range(3)]
     snapshot_dumps = [
         [json.dumps(register_to_dict(reg), sort_keys=True) for reg in rebuild_registers(r.trajectory)]
         for r in results

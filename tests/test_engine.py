@@ -2,7 +2,9 @@ import json
 
 import pytest
 
+import dagsearch.engine
 import dagsearch.register
+import dagsearch.tools
 from dagsearch.backend import Backend, ScriptedBackend
 from dagsearch.engine import (
     PromptPack,
@@ -17,7 +19,14 @@ from dagsearch.engine import (
 )
 from dagsearch.protocol import ActionKind, IntentPayload
 from dagsearch.register import default_tokenizer, register_to_dict, register_tokens, token_length
-from dagsearch.tools import ToolRegistry, ToolResult, ToolTransportError, search_spec
+from dagsearch.tools import (
+    ArgumentSchemaViolation,
+    ToolRegistry,
+    ToolResult,
+    ToolTransportError,
+    search_spec,
+    validate_arguments,
+)
 from dagsearch.trajectory import Trajectory
 from helpers import (
     DATA_DIR,
@@ -350,6 +359,28 @@ class TestSolveEndToEnd:
         assert result.outcome == "answered"
         assert "unknown tool" in backend.contexts[3]
 
+    @pytest.mark.parametrize("arguments", [{}, {"query": "q", "limit": 3}], ids=["missing", "extra"])
+    def test_bad_arguments_are_reprompted_without_invoking_the_tool(self, arguments):
+        executed = []
+        spec = search_spec("search", "never runs")
+        registry = ToolRegistry().register(spec, executed.append)
+        with pytest.raises(ArgumentSchemaViolation) as expected:
+            validate_arguments(spec, arguments)
+        call = json.dumps({"task_id": "t1", "tool_name": "search", "arguments": arguments})
+        backend = RecordingBackend([INTENT, FRAMING, f"<tool_call>{call}</tool_call>", ANSWER_T1, FINAL])
+        result = run(
+            "q?",
+            backend=backend,
+            tools=registry,
+            config=RunConfig(max_malformed_retries=1),
+            prompts=PROMPTS,
+            clock=fixed_clock(),
+        )
+        assert result.outcome == "answered"
+        assert result.trajectory.solving_steps()[0].diagnostics == (str(expected.value),)
+        assert str(expected.value) in backend.contexts[3]
+        assert executed == []
+
     def test_backend_exhaustion_aborts(self):
         backend = ScriptedBackend(responses=[INTENT, FRAMING])
         result = run(
@@ -365,10 +396,24 @@ class TestSolveEndToEnd:
 
 
 class TestDeterminism:
-    def test_identical_serializations_across_runs(self):
-        a = run_two_hop().to_json_dict()
-        b = run_two_hop().to_json_dict()
-        assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
+    def test_identical_serializations_across_runs(self, tmp_path):
+        run_two_hop().trajectory.save(tmp_path / "a.jsonl")
+        run_two_hop().trajectory.save(tmp_path / "b.jsonl")
+        assert (tmp_path / "a.jsonl").read_bytes() == (tmp_path / "b.jsonl").read_bytes()
+
+    def test_arguments_are_validated_once_per_tool_call(self, monkeypatch):
+        calls = []
+
+        def spy(spec, arguments):
+            calls.append(dict(arguments))
+            validate_arguments(spec, arguments)
+
+        # wherever validate_arguments is bound, so that a second check shows
+        for module in (dagsearch.tools, dagsearch.engine):
+            monkeypatch.setattr(module, "validate_arguments", spy, raising=False)
+        steps = run_two_hop().trajectory.steps
+        assert calls == [step.payload["arguments"] for step in steps if step.kind == "tool_call"]
+        assert len(calls) == 2
 
     def test_register_tokens_non_decreasing_within_epoch(self):
         # the two-hop run never replans, so the persistent render only grows

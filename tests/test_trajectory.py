@@ -1,14 +1,19 @@
 import csv
 import json
+import os
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+import dagsearch.register
 import dagsearch.trajectory
 from dagsearch.protocol import ActionKind
 from dagsearch.register import default_tokenizer
 from dagsearch.trajectory import (
     EmptyCurrent,
     EvalRecord,
+    StepRecord,
     Trajectory,
     UnfilteredInput,
     acc_score,
@@ -27,6 +32,82 @@ from dagsearch.trajectory import (
 from helpers import COMPLIANT_KINDS, make_trajectory, run_two_hop, run_twenty_turn
 
 K = ActionKind
+
+
+def solving_trajectory(states):
+    steps = [
+        StepRecord(
+            index=i,
+            stage="solving",
+            state=state,
+            kind="tool_call",
+            payload={},
+            raw_text="",
+            model_text="",
+            token_count=len(default_tokenizer(state)),
+        )
+        for i, state in enumerate(states, start=1)
+    ]
+    return Trajectory(question="q?", steps=steps)
+
+
+def whole_state_ratios(states):
+    return [
+        cache_ratio(default_tokenizer(prev), default_tokenizer(cur))
+        for prev, cur in zip(states, states[1:])
+    ]
+
+
+_ATOMS = ["foo", "bar", "x", "y", "Ünïcode", "日本語", "α_β", ",", ".", "!?", "-", "", " ", "   ", "\t", "\u00a0"]
+_LINE = st.lists(st.sampled_from(_ATOMS), max_size=6).map(" ".join) | st.text(max_size=8)
+
+
+@st.composite
+def state_sequences(draw):
+    """Multi-line states, each made from the last by line edits or drawn afresh."""
+    lines = draw(st.lists(_LINE, max_size=8))
+    states = [list(lines)]
+    for _ in range(draw(st.integers(1, 5))):
+        for _ in range(draw(st.integers(1, 3))):
+            edit = draw(st.sampled_from(["replace", "insert", "delete", "duplicate", "respace", "join", "split", "fresh"]))
+            i = draw(st.integers(0, max(len(lines) - 1, 0)))
+            if edit == "fresh":
+                lines = draw(st.lists(_LINE, max_size=8))
+            elif edit == "insert" or not lines:
+                lines.insert(i, draw(_LINE))
+            elif edit == "replace":
+                lines[i] = draw(_LINE)
+            elif edit == "delete":
+                del lines[i]
+            elif edit == "duplicate":
+                lines.insert(i, lines[i])
+            elif edit == "respace":
+                lines[i] = draw(st.sampled_from(["  ", " ", "\t"])).join(lines[i].split(" ")) + " "
+            elif edit == "join" and i + 1 < len(lines):
+                lines[i : i + 2] = [lines[i] + " " + lines[i + 1]]
+            else:
+                head, _, tail = lines[i].partition(" ")
+                lines[i : i + 1] = [head, tail]
+        states.append(list(lines))
+    return ["\n".join(state) for state in states]
+
+
+def _spy(calls):
+    def spy(text):
+        calls.append(text)
+        return default_tokenizer(text)
+
+    return spy
+
+
+def _lines_holding_more_than(lines, n):
+    """How many leading ``lines`` it takes to hold more than ``n`` tokens (all, if they never do)."""
+    total = 0
+    for taken, line in enumerate(lines, start=1):
+        total += len(default_tokenizer(line))
+        if total > n:
+            return taken
+    return len(lines)
 
 
 class TestAccScore:
@@ -260,22 +341,62 @@ class TestAnalyses:
         assert len(ratios) == 19
         assert all(0.0 <= r <= 1.0 for r in ratios)
 
-    def test_step_cache_ratios_tokenize_each_state_once(self, monkeypatch):
+    def test_step_cache_ratios_tokenize_new_lines_and_the_divergence_only(self, monkeypatch):
         states = [step.state for step in run_twenty_turn().trajectory.solving_steps()]
-        expected = [
-            cache_ratio(default_tokenizer(prev), default_tokenizer(cur))
-            for prev, cur in zip(states, states[1:])
-        ]
-        trajectory = run_twenty_turn().trajectory
-        calls = []
+        counted, compared = [], []
+        monkeypatch.setattr(dagsearch.register, "default_tokenizer", _spy(counted))
+        monkeypatch.setattr(dagsearch.trajectory, "default_tokenizer", _spy(compared))
+        for prev, cur in zip(states, states[1:]):
+            counted.clear()
+            compared.clear()
+            assert step_cache_ratios(solving_trajectory([prev, cur])) == whole_state_ratios([prev, cur])
+            prev_lines, cur_lines = prev.split("\n"), cur.split("\n")
+            # counting tokenizes the first state's distinct lines, then only
+            # the lines the second state lacked
+            new_lines = [line for line in dict.fromkeys(cur_lines) if line not in prev_lines]
+            assert counted == list(dict.fromkeys(prev_lines)) + new_lines
+            # the compare takes each state's lines in order from the first
+            # line that differs, and stops at the first token that differs
+            same = len(os.path.commonprefix([prev_lines, cur_lines]))
+            rest = {"prev": prev_lines[same:], "cur": cur_lines[same:]}
+            taken = {"prev": 0, "cur": 0}
+            for text in compared:
+                side = "prev" if rest["prev"][taken["prev"] :][:1] == [text] else "cur"
+                assert rest[side][taken[side]] == text
+                taken[side] += 1
+            shared = len(
+                os.path.commonprefix(
+                    [default_tokenizer("\n".join(rest["prev"])), default_tokenizer("\n".join(rest["cur"]))]
+                )
+            )
+            for side in rest:
+                assert taken[side] <= _lines_holding_more_than(rest[side], shared)
+        counted.clear()
+        compared.clear()
+        assert step_cache_ratios(run_twenty_turn().trajectory) == whole_state_ratios(states)
+        tokenized = sum(len(default_tokenizer(text)) for text in counted + compared)
+        assert tokenized < sum(len(default_tokenizer(state)) for state in states) / 2
 
-        def spy(text):
-            calls.append(text)
-            return default_tokenizer(text)
+    def test_step_cache_ratios_across_a_line_boundary(self):
+        states = ["foo\nbar x", "foo bar\ny", "foo bar\ny\n\n z", "  foo  bar\t\ny z"]
+        assert step_cache_ratios(solving_trajectory(states)) == [2 / 3, 0.75, 1.0]
 
-        monkeypatch.setattr(dagsearch.trajectory, "default_tokenizer", spy)
-        assert step_cache_ratios(trajectory) == expected
-        assert calls == states
+    def test_step_cache_ratios_empty_later_state_raises(self):
+        # an empty first state has no ratio; it shares nothing with the next
+        assert step_cache_ratios(solving_trajectory([" \n", "a b"])) == [0.0]
+        with pytest.raises(EmptyCurrent):
+            step_cache_ratios(solving_trajectory(["a b", "a\nb", "\n \t\n"]))
+
+    @given(state_sequences())
+    def test_step_cache_ratios_equal_whole_state_ratios(self, states):
+        trajectory = solving_trajectory(states)
+        try:
+            expected = whole_state_ratios(states)
+        except EmptyCurrent:
+            with pytest.raises(EmptyCurrent):
+                step_cache_ratios(trajectory)
+        else:
+            assert step_cache_ratios(trajectory) == expected
 
 
 class TestEvalRecords:
