@@ -7,18 +7,11 @@ with retries and backoff.
 
 from __future__ import annotations
 
-import json
-import logging
 import os
-import time
 from dataclasses import dataclass, field
 from typing import Sequence
 
-import requests
-
-from .register import Tokenizer, token_length
-
-logger = logging.getLogger(__name__)
+from .tools import _request_with_retries
 
 ENDPOINT_ENV = "DAGSEARCH_LLM_ENDPOINT"
 MODEL_ENV = "DAGSEARCH_LLM_MODEL"
@@ -34,10 +27,6 @@ class TransportError(BackendError):
 
 
 class BackendExhausted(BackendError):
-    pass
-
-
-class OverBudget(BackendError):
     pass
 
 
@@ -123,7 +112,8 @@ class HttpChatBackend(Backend):
 
     Endpoint, model, and key default to the DAGSEARCH_LLM_* environment
     variables (OPENAI_API_KEY is honored as a key fallback). Transient
-    transport failures are retried with exponential backoff.
+    transport failures are retried with exponential backoff; a 200 response
+    whose body is not a chat completion raises TransportError at once.
     """
 
     endpoint: str = ""
@@ -132,8 +122,6 @@ class HttpChatBackend(Backend):
     timeout: float = 120.0
     max_retries: int = 3
     backoff: float = 0.5
-    max_context_tokens: int | None = None
-    tokenizer: Tokenizer | None = None
     extra_headers: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
@@ -154,12 +142,6 @@ class HttpChatBackend(Backend):
         return [{"role": "user", "content": request.context}]
 
     def complete(self, request: CompletionRequest) -> str:
-        if self.max_context_tokens is not None:
-            count = token_length(request.context, self.tokenizer)
-            if count > self.max_context_tokens:
-                raise OverBudget(
-                    f"context is {count} tokens, over the {self.max_context_tokens}-token cap"
-                )
         payload = {
             "model": self.model,
             "messages": self._messages(request),
@@ -171,27 +153,20 @@ class HttpChatBackend(Backend):
         headers = {"Content-Type": "application/json", **self.extra_headers}
         if self.api_key:
             headers["Authorization"] = f"Bearer {self.api_key}"
-        last_error: Exception | None = None
-        for attempt in range(self.max_retries + 1):
-            try:
-                response = requests.post(
-                    self.endpoint, json=payload, headers=headers, timeout=self.timeout
-                )
-                if response.status_code == 429 or response.status_code >= 500:
-                    raise TransportError(f"chat endpoint answered HTTP {response.status_code}")
-                response.raise_for_status()
-                body = response.json()
-                return body["choices"][0]["message"]["content"]
-            except (requests.RequestException, TransportError, KeyError, json.JSONDecodeError) as exc:
-                last_error = exc
-                logger.warning(
-                    "completion attempt %d/%d failed: %s",
-                    attempt + 1,
-                    self.max_retries + 1,
-                    exc,
-                )
-                if attempt < self.max_retries:
-                    time.sleep(self.backoff * (2**attempt))
-        raise TransportError(
-            f"chat completion failed after {self.max_retries + 1} attempts: {last_error}"
+        response = _request_with_retries(
+            "POST",
+            self.endpoint,
+            max_retries=self.max_retries,
+            backoff=self.backoff,
+            error=TransportError,
+            json=payload,
+            headers=headers,
+            timeout=self.timeout,
         )
+        try:
+            content = response.json()["choices"][0]["message"]["content"]
+        except (ValueError, LookupError, TypeError) as exc:
+            raise TransportError(f"chat endpoint answered a malformed body: {exc!r}") from None
+        if not isinstance(content, str):
+            raise TransportError(f"chat endpoint answered non-text content: {content!r}")
+        return content

@@ -46,31 +46,23 @@ def _load_dataset(path: str) -> list[dict]:
     return records
 
 
-def _build_config(args: argparse.Namespace) -> RunConfig:
-    values = {}
-    if getattr(args, "config", None):
-        data = _load_json(args.config)
-        values.update(data.get("run", data))
-        values = {k: v for k, v in values.items() if k in RunConfig.__dataclass_fields__}
-    for name in ("max_turns", "max_context_tokens", "top_k"):
+def _build_config(args: argparse.Namespace) -> tuple[RunConfig, PromptPack]:
+    """The run config and prompt pack, from one read of ``--config`` and the flags."""
+    data = _load_json(args.config) if getattr(args, "config", None) else {}
+    values = dict(data.get("run", data))
+    for name in ("max_turns", "max_context_tokens"):
         override = getattr(args, name, None)
         if override is not None:
             values[name] = override
     if getattr(args, "strict", False):
         values["strict_protocol"] = True
-    return RunConfig(**values)
-
-
-def _build_prompts(args: argparse.Namespace) -> PromptPack:
-    if getattr(args, "config", None):
-        config = _load_json(args.config)
-        prompts = config.get("prompts")
-        if prompts:
-            base = Path(args.config).parent
-            return PromptPack.load(
-                str(base / prompts["holistic"]), str(base / prompts["solving"])
-            )
-    return PromptPack.load_default()
+    prompts = data.get("prompts")
+    if prompts:
+        base = Path(args.config).parent
+        pack = PromptPack.load(str(base / prompts["holistic"]), str(base / prompts["solving"]))
+    else:
+        pack = PromptPack.load_default()
+    return RunConfig.from_dict(values), pack
 
 
 def _build_backend(spec: str, question_id: str = "") -> Backend:
@@ -105,8 +97,7 @@ def _build_tools(args: argparse.Namespace) -> ToolRegistry:
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    config = _build_config(args)
-    prompts = _build_prompts(args)
+    config, prompts = _build_config(args)
     result = run(
         args.question,
         backend=_build_backend(args.backend),
@@ -128,8 +119,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_eval(args: argparse.Namespace) -> int:
-    config = _build_config(args)
-    prompts = _build_prompts(args)
+    config, prompts = _build_config(args)
     dataset = _load_dataset(args.dataset)
     trajectory_dir = Path(args.trajectory_dir) if args.trajectory_dir else None
     if trajectory_dir:

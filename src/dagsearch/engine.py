@@ -12,7 +12,7 @@ from __future__ import annotations
 import time
 from dataclasses import asdict, dataclass
 from importlib import resources
-from typing import Callable
+from typing import Any, Callable, Mapping, TypeVar
 
 from .backend import Backend, BackendError, CompletionRequest, ReplayBackend
 from .plan import DagPlan, PlanError, build_plan, is_complete
@@ -32,6 +32,7 @@ from .register import (
     capped_token_length,
     init_register,
     render_context,
+    token_length,
 )
 from .tools import (
     ArgumentSchemaViolation,
@@ -45,6 +46,7 @@ from .tools import (
 from .trajectory import StepRecord, Trajectory
 
 Clock = Callable[[], float]
+T = TypeVar("T")
 
 
 class EngineError(Exception):
@@ -85,17 +87,24 @@ class RunConfig:
     max_turns: int = 40
     max_context_tokens: int = 32_000
     max_malformed_retries: int = 2
-    top_k: int = 3
     temperature: float = 0.0
     max_output_tokens: int = 1024
     strict_protocol: bool = False
 
     def __post_init__(self) -> None:
-        for name in ("max_turns", "max_context_tokens", "top_k", "max_output_tokens"):
+        for name in ("max_turns", "max_context_tokens", "max_output_tokens"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
         if self.max_malformed_retries < 0:
             raise ValueError("max_malformed_retries must be non-negative")
+
+    @classmethod
+    def from_dict(cls, values: Mapping[str, Any]) -> "RunConfig":
+        """A config from ``values``, ignoring keys that are not fields.
+
+        Version 1 trajectory headers carry a ``top_k`` that tools now own.
+        """
+        return cls(**{k: v for k, v in values.items() if k in cls.__dataclass_fields__})
 
 
 @dataclass(frozen=True)
@@ -150,15 +159,6 @@ def render_planning_context(
     return "\n\n".join(sections)
 
 
-def _request(context: str, system: str, config: RunConfig) -> CompletionRequest:
-    return CompletionRequest(
-        context=context,
-        system=system,
-        max_output_tokens=config.max_output_tokens,
-        temperature=config.temperature,
-    )
-
-
 def _with_correction(base_context: str, diagnostic: str) -> str:
     return (
         f"{base_context}\n\n## Correction\nYour previous response was rejected: "
@@ -166,58 +166,84 @@ def _with_correction(base_context: str, diagnostic: str) -> str:
     )
 
 
-def handle_malformed(
+def _turn(
     backend: Backend,
-    base_context: str,
-    diagnostic: str,
-    retries_left: int,
-    *,
-    system: str,
+    trajectory: Trajectory,
     config: RunConfig,
-    validate: Callable[[str], object],
-):
-    """Re-issue the completion with the diagnostic appended until it validates.
+    *,
+    stage: str,
+    system: str,
+    context: str,
+    check: Callable[[Action], tuple[ToolResult | None, T]],
+    counter: Callable[[str], int] = token_length,
+) -> tuple[Action, T]:
+    """One turn of either stage: cap, complete, parse, check, execute, apply, record.
 
-    Returns (validated result, raw model text, diagnostics consumed); raises
-    RetriesExhausted once the budget is spent.
+    ``context`` is counted through ``counter`` against the context cap
+    before any completion is requested (ContextOverflow over it). ``check``
+    takes the parsed action, runs the stage's checks and its tool call, and
+    returns (tool result, applied update). A re-promptable error re-issues
+    the completion with the diagnostic appended to ``context``. With no
+    retry budget the first error is raised as is; once the budget is spent,
+    RetriesExhausted.
     """
-    diagnostics = [diagnostic]
+    token_count = capped_token_length(context, config.max_context_tokens, counter)
+    diagnostics: list[str] = []
+    prompt = context
     while True:
-        if retries_left <= 0:
+        raw = backend.complete(
+            CompletionRequest(
+                context=prompt,
+                system=system,
+                max_output_tokens=config.max_output_tokens,
+                temperature=config.temperature,
+            )
+        )
+        try:
+            action = parse_action(raw, strict=config.strict_protocol)
+            tool_result, update = check(action)
+            break
+        except _REPROMPTABLE as exc:
+            if config.max_malformed_retries == 0:
+                raise
+            diagnostics.append(str(exc))
+        if len(diagnostics) > config.max_malformed_retries:
             raise RetriesExhausted(
                 f"gave up after {len(diagnostics)} rejected responses; last problem: {diagnostics[-1]}"
             )
-        retries_left -= 1
-        raw = backend.complete(_request(_with_correction(base_context, diagnostics[-1]), system, config))
-        try:
-            return validate(raw), raw, diagnostics
-        except _REPROMPTABLE as exc:
-            diagnostics.append(str(exc))
-
-
-def _complete_validated(
-    backend: Backend,
-    base_context: str,
-    *,
-    system: str,
-    config: RunConfig,
-    validate: Callable[[str], object],
-):
-    raw = backend.complete(_request(base_context, system, config))
-    try:
-        return validate(raw), raw, []
-    except _REPROMPTABLE as exc:
-        if config.max_malformed_retries == 0:
-            raise
-        return handle_malformed(
-            backend,
-            base_context,
-            str(exc),
-            config.max_malformed_retries,
-            system=system,
-            config=config,
-            validate=validate,
+        prompt = _with_correction(context, diagnostics[-1])
+    trajectory.steps.append(
+        StepRecord(
+            index=len(trajectory.steps) + 1,
+            stage=stage,
+            state=context,
+            kind=action.kind.value,
+            payload=action.payload,
+            raw_text=action.raw_text,
+            model_text=raw,
+            token_count=token_count,
+            retries=len(diagnostics),
+            diagnostics=tuple(diagnostics),
+            tool_result=tool_result,
         )
+    )
+    return action, update
+
+
+def _payload_of(kind: ActionKind, action: Action) -> dict:
+    """The payload of ``action``, which must be the one kind the stage allows."""
+    if action.kind is not kind:
+        raise WrongActionKind(f"expected a <{kind.value}> action in this stage, got <{action.kind.value}>")
+    return action.payload
+
+
+def _refined_intent(action: Action) -> tuple[None, IntentPayload]:
+    return None, IntentPayload.from_payload(_payload_of(ActionKind.INTENT_REFINEMENT, action))
+
+
+def _framing(action: Action) -> tuple[None, DagPlan]:
+    payload = _payload_of(ActionKind.PROBLEM_FRAMING, action)
+    return None, build_plan(payload["tasks"], [tuple(e) for e in payload["edges"]], plan_id=0)
 
 
 def holistic_planning(
@@ -235,75 +261,21 @@ def holistic_planning(
     cap, ContextOverflow is raised and no completion is requested.
     """
     config = config or RunConfig()
+    trajectory = trajectory if trajectory is not None else Trajectory(question=question)
 
-    def expect(kind: ActionKind) -> Callable[[str], Action]:
-        def validate(raw: str) -> Action:
-            action = parse_action(raw, strict=config.strict_protocol)
-            if action.kind is not kind:
-                raise WrongActionKind(
-                    f"expected a <{kind.value}> action in this stage, got <{action.kind.value}>"
-                )
-            return action
+    def turn(intent: IntentPayload | None, check: Callable[[Action], tuple[None, T]]) -> T:
+        return _turn(
+            backend,
+            trajectory,
+            config,
+            stage="planning",
+            system=prompts.holistic,
+            context=render_planning_context(prompts.holistic, question, intent),
+            check=check,
+        )[1]
 
-        return validate
-
-    intent_context = render_planning_context(prompts.holistic, question)
-    intent_tokens = capped_token_length(intent_context, config.max_context_tokens)
-    intent_action, raw, diags = _complete_validated(
-        backend,
-        intent_context,
-        system=prompts.holistic,
-        config=config,
-        validate=expect(ActionKind.INTENT_REFINEMENT),
-    )
-    intent = IntentPayload.from_payload(intent_action.payload)
-    if trajectory is not None:
-        trajectory.steps.append(
-            StepRecord(
-                index=len(trajectory.steps) + 1,
-                stage="planning",
-                state=intent_context,
-                kind=intent_action.kind.value,
-                payload=intent_action.payload,
-                raw_text=intent_action.raw_text,
-                model_text=raw,
-                token_count=intent_tokens,
-                retries=len(diags),
-                diagnostics=tuple(diags),
-            )
-        )
-
-    framing_context = render_planning_context(prompts.holistic, question, intent)
-    framing_tokens = capped_token_length(framing_context, config.max_context_tokens)
-
-    def validate_framing(raw_text: str) -> tuple[Action, DagPlan]:
-        action = expect(ActionKind.PROBLEM_FRAMING)(raw_text)
-        plan = build_plan(action.payload["tasks"], [tuple(e) for e in action.payload["edges"]], plan_id=0)
-        return action, plan
-
-    (framing_action, plan), raw, diags = _complete_validated(
-        backend,
-        framing_context,
-        system=prompts.holistic,
-        config=config,
-        validate=validate_framing,
-    )
-    if trajectory is not None:
-        trajectory.steps.append(
-            StepRecord(
-                index=len(trajectory.steps) + 1,
-                stage="planning",
-                state=framing_context,
-                kind=framing_action.kind.value,
-                payload=framing_action.payload,
-                raw_text=framing_action.raw_text,
-                model_text=raw,
-                token_count=framing_tokens,
-                retries=len(diags),
-                diagnostics=tuple(diags),
-            )
-        )
-    return intent, plan
+    intent = turn(None, _refined_intent)
+    return intent, turn(intent, _framing)
 
 
 def _finish(
@@ -339,62 +311,46 @@ def solve(
     count is both the context-cap check and the step's ``token_count``.
     """
 
+    def check(action: Action) -> tuple[ToolResult | None, Register]:
+        # ``register`` is the current turn's: the loop below rebinds it.
+        tool_result: ToolResult | None = None
+        if action.kind is ActionKind.TOOL_CALL:
+            task_id = action.payload["task_id"]
+            if task_id not in register.plan.nodes:
+                raise PlanError(f'task "{task_id}" is not in the current plan')
+            tool_result = tools.invoke(action.payload["tool_name"], action.payload["arguments"])
+        if action.kind is ActionKind.FINAL_ANSWER and not is_complete(register.plan):
+            pending = [
+                tid
+                for tid in sorted(register.plan.nodes)
+                if register.plan.nodes[tid].status != "answered"
+            ]
+            raise FinalBeforeComplete(
+                "final_answer is only legal once every sub-task is answered; "
+                f"still open: {', '.join(pending)}"
+            )
+        return tool_result, apply_action(register, action, tool_result)
+
     # Local to this call: parallel evals run solve on several threads.
     counter = LineTokenCounter()
-    for _ in range(config.max_turns):
-        context = render_context(register, question, prompts.solving)
-        try:
-            token_count = capped_token_length(context, config.max_context_tokens, counter)
-        except ContextOverflow as exc:
-            return _finish(trajectory, clock, "context_overflow", error=str(exc))
-
-        def validate(raw: str) -> tuple[Action, ToolResult | None, Register]:
-            action = parse_action(raw, strict=config.strict_protocol)
-            tool_result: ToolResult | None = None
-            if action.kind is ActionKind.TOOL_CALL:
-                task_id = action.payload["task_id"]
-                if task_id not in register.plan.nodes:
-                    raise PlanError(f'task "{task_id}" is not in the current plan')
-                tool_result = tools.invoke(action.payload["tool_name"], action.payload["arguments"])
-            if action.kind is ActionKind.FINAL_ANSWER and not is_complete(register.plan):
-                pending = [
-                    tid
-                    for tid in sorted(register.plan.nodes)
-                    if register.plan.nodes[tid].status != "answered"
-                ]
-                raise FinalBeforeComplete(
-                    "final_answer is only legal once every sub-task is answered; "
-                    f"still open: {', '.join(pending)}"
-                )
-            new_register = apply_action(register, action, tool_result)
-            return action, tool_result, new_register
-
-        try:
-            (action, tool_result, new_register), raw, diags = _complete_validated(
-                backend, context, system=prompts.solving, config=config, validate=validate
-            )
-        except _ABORTING as exc:
-            return _finish(trajectory, clock, "aborted", error=f"{type(exc).__name__}: {exc}")
-
-        trajectory.steps.append(
-            StepRecord(
-                index=len(trajectory.steps) + 1,
+    try:
+        for _ in range(config.max_turns):
+            action, register = _turn(
+                backend,
+                trajectory,
+                config,
                 stage="solving",
-                state=context,
-                kind=action.kind.value,
-                payload=action.payload,
-                raw_text=action.raw_text,
-                model_text=raw,
-                token_count=token_count,
-                retries=len(diags),
-                diagnostics=tuple(diags),
-                tool_result=tool_result,
+                system=prompts.solving,
+                context=render_context(register, question, prompts.solving),
+                check=check,
+                counter=counter,
             )
-        )
-        register = new_register
-        if action.kind is ActionKind.FINAL_ANSWER:
-            return _finish(trajectory, clock, "answered", answer=action.payload["answer"])
-
+            if action.kind is ActionKind.FINAL_ANSWER:
+                return _finish(trajectory, clock, "answered", answer=action.payload["answer"])
+    except ContextOverflow as exc:
+        return _finish(trajectory, clock, "context_overflow", error=str(exc))
+    except _ABORTING as exc:
+        return _finish(trajectory, clock, "aborted", error=f"{type(exc).__name__}: {exc}")
     return _finish(
         trajectory, clock, "budget_exhausted", error=f"no final answer within {config.max_turns} turns"
     )
@@ -508,7 +464,7 @@ def replay_run(
         holistic=trajectory.prompts.get("holistic", ""),
         solving=trajectory.prompts.get("solving", ""),
     )
-    config = RunConfig(**trajectory.config) if trajectory.config else RunConfig()
+    config = RunConfig.from_dict(trajectory.config)
     return run(
         trajectory.question,
         backend=backend,

@@ -224,23 +224,30 @@ def _request_with_retries(
     *,
     max_retries: int,
     backoff: float,
+    error: type[Exception] = ToolTransportError,
     **kwargs: Any,
 ) -> requests.Response:
+    """Send a request, retrying transport failures with exponential backoff.
+
+    Every failed attempt is logged; once the retries are spent, ``error``
+    is raised.
+    """
     last_error: Exception | None = None
     for attempt in range(max_retries + 1):
         try:
             response = requests.request(method, url, **kwargs)
             if response.status_code in (429,) or response.status_code >= 500:
-                raise ToolTransportError(
+                raise error(
                     f"{url} answered HTTP {response.status_code}"
                 )
             response.raise_for_status()
             return response
-        except (requests.RequestException, ToolTransportError) as exc:
+        except (requests.RequestException, error) as exc:
             last_error = exc
+            logger.warning("request attempt %d/%d failed: %s", attempt + 1, max_retries + 1, exc)
             if attempt < max_retries:
                 time.sleep(backoff * (2**attempt))
-    raise ToolTransportError(f"request to {url} failed after {max_retries + 1} attempts: {last_error}")
+    raise error(f"request to {url} failed after {max_retries + 1} attempts: {last_error}")
 
 
 def _dig(payload: Any, path: str) -> Any:

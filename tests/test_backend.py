@@ -8,19 +8,25 @@ from dagsearch.backend import (
     BackendExhausted,
     CompletionRequest,
     HttpChatBackend,
-    OverBudget,
     ReplayBackend,
     ReplayDivergence,
     ScriptedBackend,
     TransportError,
 )
+from dagsearch.engine import run
+from dagsearch.tools import ToolRegistry
+from helpers import fixed_clock
 
 
 @pytest.fixture
 def chat_stub():
-    """Local OpenAI-compatible stub; scriptable status codes and replies."""
+    """Local OpenAI-compatible stub; scriptable status codes and replies.
 
-    state = {"requests": [], "fail_next": 0, "content": '<final_answer>{"answer":"ok"}</final_answer>'}
+    ``body``, when set, is sent as the 200 response's JSON in place of a
+    chat completion carrying ``content``.
+    """
+
+    state = {"requests": [], "fail_next": 0, "content": '<final_answer>{"answer":"ok"}</final_answer>', "body": None}
 
     class Handler(BaseHTTPRequestHandler):
         def do_POST(self):
@@ -33,6 +39,8 @@ def chat_stub():
                 self.end_headers()
                 return
             reply = {"choices": [{"message": {"role": "assistant", "content": state["content"]}}]}
+            if state["body"] is not None:
+                reply = state["body"]
             payload = json.dumps(reply).encode("utf-8")
             self.send_response(200)
             self.send_header("Content-Type", "application/json")
@@ -121,13 +129,24 @@ class TestHttpChat:
             backend.complete(CompletionRequest(context="x"))
         assert len(chat_stub["requests"]) == 2
 
-    def test_over_budget(self, chat_stub):
-        backend = HttpChatBackend(
-            endpoint=chat_stub["url"], model="m", api_key="k", max_context_tokens=3
-        )
-        with pytest.raises(OverBudget):
-            backend.complete(CompletionRequest(context="one two three four five"))
-        assert chat_stub["requests"] == []
+    @pytest.mark.parametrize(
+        "body",
+        [{"choices": []}, [{"choices": []}], {"choices": [{"message": {"role": "assistant", "content": None}}]}],
+        ids=["no-choices", "array", "null-content"],
+    )
+    def test_malformed_body_is_transport_error_without_retry(self, chat_stub, body):
+        chat_stub["body"] = body
+        backend = HttpChatBackend(endpoint=chat_stub["url"], model="m", api_key="k", backoff=0.01)
+        with pytest.raises(TransportError, match="chat endpoint answered"):
+            backend.complete(CompletionRequest(context="x"))
+        assert len(chat_stub["requests"]) == 1
+
+    def test_malformed_body_aborts_the_run(self, chat_stub):
+        chat_stub["body"] = {"choices": []}
+        backend = HttpChatBackend(endpoint=chat_stub["url"], model="m", api_key="k", backoff=0.01)
+        result = run("q?", backend=backend, tools=ToolRegistry(), clock=fixed_clock())
+        assert result.outcome == "aborted"
+        assert result.error.startswith("TransportError: chat endpoint answered a malformed body")
 
     def test_missing_endpoint_is_configuration_error(self, monkeypatch):
         monkeypatch.delenv("DAGSEARCH_LLM_ENDPOINT", raising=False)

@@ -4,6 +4,7 @@ import shutil
 
 import pytest
 
+import dagsearch.cli
 from dagsearch.cli import main
 from dagsearch.trajectory import Trajectory
 from helpers import DATA_DIR, TWO_HOP_QUESTION
@@ -216,6 +217,49 @@ def test_config_file_and_flag_overrides(workdir, capsys):
     assert code == 0
     # 5 turns is not enough for the 7 solving steps
     assert "budget_exhausted" in capsys.readouterr().out
+
+
+def test_config_file_is_read_once_and_top_k_goes_to_the_tools(workdir, monkeypatch):
+    (workdir / "holistic.txt").write_text("HOLISTIC")
+    (workdir / "solving.txt").write_text("SOLVING")
+    config = workdir / "config.json"
+    config.write_text(
+        json.dumps({"run": {"max_turns": 9, "top_k": 5}, "prompts": {"holistic": "holistic.txt", "solving": "solving.txt"}})
+    )
+    reads = []
+
+    def spy(path):
+        reads.append(str(path))
+        return load_json(path)
+
+    load_json = dagsearch.cli._load_json
+    monkeypatch.setattr(dagsearch.cli, "_load_json", spy)
+    out = workdir / "run.jsonl"
+    code = main(
+        [
+            "run",
+            "-q",
+            TWO_HOP_QUESTION,
+            "--config",
+            str(config),
+            "--top-k",
+            "1",
+            "--backend",
+            f"scripted:{workdir / 'two_hop_responses.json'}",
+            "--tools",
+            str(workdir / "tools.json"),
+            "--out",
+            str(out),
+        ]
+    )
+    assert code == 0
+    assert reads.count(str(config)) == 1
+    trajectory = Trajectory.load(out)
+    assert trajectory.prompts == {"holistic": "HOLISTIC", "solving": "SOLVING"}
+    assert trajectory.config["max_turns"] == 9
+    assert "top_k" not in trajectory.config
+    tool_steps = [step for step in trajectory.steps if step.kind == "tool_call"]
+    assert tool_steps and all(len(step.tool_result.documents) == 1 for step in tool_steps)
 
 
 def test_missing_file_is_actionable_error(workdir, capsys):

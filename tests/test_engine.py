@@ -17,7 +17,7 @@ from dagsearch.engine import (
     replay_run,
     run,
 )
-from dagsearch.protocol import ActionKind, IntentPayload
+from dagsearch.protocol import ActionKind, IntentPayload, ProtocolError, parse_action
 from dagsearch.register import default_tokenizer, register_to_dict, register_tokens, token_length
 from dagsearch.tools import (
     ArgumentSchemaViolation,
@@ -395,6 +395,67 @@ class TestSolveEndToEnd:
         assert "BackendExhausted" in result.error
 
 
+# Rejected replies, each with a different protocol error.
+BAD_REPLIES = ["no block here", '<final_answer>{"answer": </final_answer>', FINAL + FINAL]
+
+
+def protocol_error(reply):
+    with pytest.raises(ProtocolError) as caught:
+        parse_action(reply)
+    return caught.value
+
+
+class TestRetryLoop:
+    """Both stages re-prompt through one loop with the same budget semantics."""
+
+    @pytest.mark.parametrize("bad", [0, 1, 2, 3])
+    @pytest.mark.parametrize("budget", [0, 1, 2])
+    @pytest.mark.parametrize("stage", ["planning", "solving"])
+    def test_budget_and_corrections(self, stage, budget, bad):
+        rejected = BAD_REPLIES[:bad]
+        before, after = ([], [INTENT, FRAMING]) if stage == "planning" else ([INTENT, FRAMING], [ANSWER_T1, FINAL])
+        backend = RecordingBackend(before + rejected + after)
+        config = RunConfig(max_malformed_retries=budget)
+        if stage == "planning":
+            trajectory = Trajectory(question="q?")
+            try:
+                holistic_planning(backend, "q?", PROMPTS, config, trajectory)
+                error = None
+            except (ProtocolError, RetriesExhausted) as exc:
+                error = f"{type(exc).__name__}: {exc}"
+        else:
+            result = run(
+                "q?", backend=backend, tools=empty_registry(), config=config, prompts=PROMPTS, clock=fixed_clock()
+            )
+            error, trajectory = result.error, result.trajectory
+
+        errors = [protocol_error(reply) for reply in rejected]
+        diagnostics = [str(exc) for exc in errors]
+        retried = min(bad, budget)
+        contexts = backend.contexts[len(before) :]
+        # the first input, one per allowed retry, then the next turn's if it passed
+        assert len(contexts) == retried + (2 if bad <= budget else 1)
+        for diagnostic, context in zip(diagnostics, contexts[1 : retried + 1]):
+            assert context == (
+                f"{contexts[0]}\n\n## Correction\nYour previous response was rejected: "
+                f"{diagnostic}\nEmit exactly one corrected action block now."
+            )
+        recorded = [step for step in trajectory.steps if step.stage == stage]
+        if bad <= budget:
+            assert error is None
+            assert recorded[0].retries == bad
+            assert recorded[0].diagnostics == tuple(diagnostics)
+        elif budget == 0:
+            assert recorded == []
+            assert error == f"{type(errors[0]).__name__}: {diagnostics[0]}"
+        else:
+            assert recorded == []
+            assert error == (
+                f"RetriesExhausted: gave up after {budget + 1} rejected responses; "
+                f"last problem: {diagnostics[budget]}"
+            )
+
+
 class TestDeterminism:
     def test_identical_serializations_across_runs(self, tmp_path):
         run_two_hop().trajectory.save(tmp_path / "a.jsonl")
@@ -519,4 +580,10 @@ class TestRunConfig:
         assert config.max_turns == 40
         assert config.max_context_tokens == 32_000
         assert config.max_malformed_retries == 2
-        assert config.top_k == 3
+        # tools own top_k; --top-k overrides it in the tool config
+        assert not hasattr(config, "top_k")
+
+    def test_from_dict_ignores_keys_that_are_not_fields(self):
+        # a version 1 trajectory header carries "top_k": 3
+        config = RunConfig.from_dict({"max_turns": 5, "top_k": 3})
+        assert config == RunConfig(max_turns=5)
