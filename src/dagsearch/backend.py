@@ -46,7 +46,6 @@ class CompletionRequest:
     system: str | None = None
     max_output_tokens: int = 1024
     temperature: float = 0.0
-    stop: tuple[str, ...] = ()
 
 
 class Backend:
@@ -148,8 +147,6 @@ class HttpChatBackend(Backend):
             "temperature": request.temperature,
             "max_tokens": request.max_output_tokens,
         }
-        if request.stop:
-            payload["stop"] = list(request.stop)
         headers = {"Content-Type": "application/json", **self.extra_headers}
         if self.api_key:
             headers["Authorization"] = f"Bearer {self.api_key}"

@@ -31,6 +31,7 @@ from .register import (
     apply_action,
     capped_token_length,
     init_register,
+    intent_section,
     render_context,
     token_length,
 )
@@ -50,9 +51,7 @@ T = TypeVar("T")
 
 
 class EngineError(Exception):
-    @property
-    def diagnostic(self) -> str:
-        return str(self)
+    pass
 
 
 class WrongActionKind(EngineError):
@@ -148,13 +147,7 @@ def render_planning_context(
     if intent is None:
         sections.append("Emit exactly one <intent_refinement> action now.")
     else:
-        lines = [f"Goal: {intent.refined_goal}"]
-        if intent.constraints:
-            lines.append("Constraints:")
-            lines.extend(f"- {c}" for c in intent.constraints)
-        else:
-            lines.append("Constraints: (none)")
-        sections.append("## Refined intent\n" + "\n".join(lines))
+        sections.append(intent_section(intent))
         sections.append("Emit exactly one <problem_framing> action now.")
     return "\n\n".join(sections)
 
@@ -243,7 +236,7 @@ def _refined_intent(action: Action) -> tuple[None, IntentPayload]:
 
 def _framing(action: Action) -> tuple[None, DagPlan]:
     payload = _payload_of(ActionKind.PROBLEM_FRAMING, action)
-    return None, build_plan(payload["tasks"], [tuple(e) for e in payload["edges"]], plan_id=0)
+    return None, build_plan(payload["tasks"], payload["edges"], plan_id=0)
 
 
 def holistic_planning(
@@ -411,11 +404,7 @@ def rebuild_registers(trajectory: Trajectory) -> list[Register]:
     if len(planning) < 2:
         raise ValueError("trajectory lacks the two planning steps")
     intent = IntentPayload.from_payload(planning[0].payload)
-    plan = build_plan(
-        planning[1].payload["tasks"],
-        [tuple(e) for e in planning[1].payload["edges"]],
-        plan_id=0,
-    )
+    plan = build_plan(planning[1].payload["tasks"], planning[1].payload["edges"], plan_id=0)
     register = init_register(intent, plan)
     registers = [register]
     for step in trajectory.steps:

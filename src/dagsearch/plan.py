@@ -9,8 +9,6 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Iterable, Mapping, Sequence
 
-from .protocol import find_cycle
-
 PENDING = "pending"
 ACTIVE = "active"
 ANSWERED = "answered"
@@ -18,10 +16,6 @@ ANSWERED = "answered"
 
 class PlanError(Exception):
     """Base for plan failures; ``str(err)`` is a re-prompt-ready diagnostic."""
-
-    @property
-    def diagnostic(self) -> str:
-        return str(self)
 
 
 class EmptyPlan(PlanError):
@@ -90,8 +84,24 @@ class DagPlan:
                     stack.append(nxt)
         return seen
 
-    def task_ids(self) -> list[str]:
-        return sorted(self.nodes)
+
+def _find_cycle(nodes: Iterable[str], edges: Iterable[tuple[str, str]]) -> list[str]:
+    """Return task ids on unresolved cycles (empty list when acyclic).
+
+    Kahn's algorithm; the returned ids are sorted for stable diagnostics.
+    """
+    indegree = {tid: 0 for tid in nodes}
+    out: dict[str, list[str]] = {tid: [] for tid in indegree}
+    for src, dst in edges:
+        out[src].append(dst)
+        indegree[dst] += 1
+    ready = sorted(tid for tid, deg in indegree.items() if deg == 0)
+    while ready:
+        for nxt in out[ready.pop()]:
+            indegree[nxt] -= 1
+            if indegree[nxt] == 0:
+                ready.append(nxt)
+    return sorted(tid for tid, deg in indegree.items() if deg > 0)
 
 
 def build_plan(
@@ -101,24 +111,20 @@ def build_plan(
 ) -> DagPlan:
     """Validate and build a fresh plan with every node pending.
 
-    ``tasks`` may be ``(task_id, description)`` pairs or framing-payload
-    ``{"task_id", "description"}`` objects; edges are (from, to) pairs
-    meaning "to depends on from".
+    This is the one owner of the graph rules: at least one task, unique
+    task ids, declared edge endpoints and no cycle. ``tasks`` may be
+    ``(task_id, description)`` pairs or framing-payload ``{"task_id",
+    "description"}`` objects; edges are (from, to) pairs meaning "to
+    depends on from".
     """
-    pairs: list[tuple[str, str]] = []
-    for task in tasks:
-        if isinstance(task, dict):
-            pairs.append((task["task_id"], task["description"]))
-        else:
-            tid, description = task
-            pairs.append((tid, description))
-    if not pairs:
-        raise EmptyPlan("a plan needs at least one task")
     nodes: dict[str, TaskNode] = {}
-    for tid, description in pairs:
+    for task in tasks:
+        tid, description = (task["task_id"], task["description"]) if isinstance(task, dict) else task
         if tid in nodes:
             raise DuplicateTaskId(f'task "{tid}" is declared more than once')
         nodes[tid] = TaskNode(task_id=tid, description=description)
+    if not nodes:
+        raise EmptyPlan("a plan needs at least one task")
     edge_set: set[tuple[str, str]] = set()
     for edge in edges:
         src, dst = edge[0], edge[1]
@@ -126,7 +132,7 @@ def build_plan(
             if endpoint not in nodes:
                 raise UnknownEdgeEndpoint(f'edge endpoint "{endpoint}" is not a declared task')
         edge_set.add((src, dst))
-    cyclic = find_cycle(nodes, edge_set)
+    cyclic = _find_cycle(nodes, edge_set)
     if cyclic:
         raise CyclicPlan(f"dependency edges form a cycle through: {', '.join(cyclic)}")
     return DagPlan(plan_id=plan_id, nodes=nodes, edges=tuple(sorted(edge_set)))

@@ -12,7 +12,7 @@ import json
 import re
 from dataclasses import dataclass
 from enum import Enum
-from typing import Any, Iterable, Sequence
+from typing import Any, Sequence
 
 
 class ActionKind(str, Enum):
@@ -53,10 +53,6 @@ def subspace_of(kind: ActionKind) -> str:
 
 class ProtocolError(Exception):
     """Base for grammar failures; ``str(err)`` is a re-prompt-ready diagnostic."""
-
-    @property
-    def diagnostic(self) -> str:
-        return str(self)
 
 
 class NoActionBlock(ProtocolError):
@@ -140,15 +136,19 @@ def _fail(kind: ActionKind, message: str) -> None:
     raise SchemaViolation(f"<{kind.value}> payload invalid: {message}")
 
 
-def _check_fields(kind: ActionKind, payload: dict, fields: Sequence[str]) -> None:
+def _check_fields(
+    kind: ActionKind, payload: dict, fields: Sequence[str], where: str | None = None
+) -> None:
+    """Require exactly ``fields``; ``where`` locates a nested object in diagnostics."""
     if not isinstance(payload, dict):
-        _fail(kind, "payload must be a JSON object")
+        _fail(kind, f"{where} must be an object" if where else "payload must be a JSON object")
+    prefix = f"{where} " if where else ""
     for name in fields:
         if name not in payload:
-            _fail(kind, f'missing required field "{name}"')
+            _fail(kind, f'{prefix}missing required field "{name}"')
     for name in payload:
         if name not in fields:
-            _fail(kind, f'unexpected field "{name}"')
+            _fail(kind, f'{prefix}unexpected field "{name}"')
 
 
 def _check_str(kind: ActionKind, value: Any, where: str, non_empty: bool = False) -> None:
@@ -171,67 +171,23 @@ def _check_task_id(kind: ActionKind, value: Any, where: str) -> None:
         _fail(kind, f"{where} must be a short identifier without whitespace")
 
 
-def find_cycle(task_ids: Iterable[str], edges: Iterable[tuple[str, str]]) -> list[str]:
-    """Return task ids on unresolved cycles (empty list when acyclic).
-
-    Kahn's algorithm; the returned ids are sorted for stable diagnostics.
-    """
-    indegree = {tid: 0 for tid in task_ids}
-    out: dict[str, list[str]] = {tid: [] for tid in indegree}
-    for src, dst in edges:
-        out[src].append(dst)
-        indegree[dst] += 1
-    ready = sorted(tid for tid, deg in indegree.items() if deg == 0)
-    seen = 0
-    while ready:
-        tid = ready.pop()
-        seen += 1
-        for nxt in out[tid]:
-            indegree[nxt] -= 1
-            if indegree[nxt] == 0:
-                ready.append(nxt)
-    return sorted(tid for tid, deg in indegree.items() if deg > 0)
-
-
 def _check_dag(kind: ActionKind, payload: dict) -> None:
-    tasks = payload.get("tasks")
+    """Shape checks only; ``plan.build_plan`` owns the graph rules."""
+    tasks = payload["tasks"]
     if not isinstance(tasks, list):
         _fail(kind, '"tasks" must be an array of {task_id, description} objects')
-    declared: list[str] = []
     for i, task in enumerate(tasks):
-        if not isinstance(task, dict):
-            _fail(kind, f"tasks[{i}] must be an object")
-        for name in ("task_id", "description"):
-            if name not in task:
-                _fail(kind, f'tasks[{i}] missing required field "{name}"')
-        for name in task:
-            if name not in ("task_id", "description"):
-                _fail(kind, f'tasks[{i}] has unexpected field "{name}"')
+        _check_fields(kind, task, ("task_id", "description"), f"tasks[{i}]")
         _check_task_id(kind, task["task_id"], f"tasks[{i}].task_id")
         _check_str(kind, task["description"], f"tasks[{i}].description")
-        declared.append(task["task_id"])
-    if len(set(declared)) != len(declared):
-        dupes = sorted({tid for tid in declared if declared.count(tid) > 1})
-        _fail(kind, f"duplicate task_id: {', '.join(dupes)}")
-    edges = payload.get("edges")
+    edges = payload["edges"]
     if not isinstance(edges, list):
         _fail(kind, '"edges" must be an array of [from_task_id, to_task_id] pairs')
-    known = set(declared)
-    pairs: list[tuple[str, str]] = []
     for i, edge in enumerate(edges):
         if not isinstance(edge, list) or len(edge) != 2:
             _fail(kind, f"edges[{i}] must be a [from_task_id, to_task_id] pair")
-        src, dst = edge
-        _check_task_id(kind, src, f"edges[{i}][0]")
-        _check_task_id(kind, dst, f"edges[{i}][1]")
-        if src not in known:
-            _fail(kind, f'edges[{i}] references undeclared task "{src}"')
-        if dst not in known:
-            _fail(kind, f'edges[{i}] references undeclared task "{dst}"')
-        pairs.append((src, dst))
-    cyclic = find_cycle(declared, pairs)
-    if cyclic:
-        _fail(kind, f"edges form a cycle through: {', '.join(cyclic)}")
+        _check_task_id(kind, edge[0], f"edges[{i}][0]")
+        _check_task_id(kind, edge[1], f"edges[{i}][1]")
 
 
 def _validate_intent(kind: ActionKind, payload: dict) -> None:
@@ -266,14 +222,7 @@ def _validate_task_answer(kind: ActionKind, payload: dict) -> None:
     if not isinstance(answers, list) or not answers:
         _fail(kind, '"answers" must be a non-empty array of {task_id, answer} objects')
     for i, entry in enumerate(answers):
-        if not isinstance(entry, dict):
-            _fail(kind, f"answers[{i}] must be an object")
-        for name in ("task_id", "answer"):
-            if name not in entry:
-                _fail(kind, f'answers[{i}] missing required field "{name}"')
-        for name in entry:
-            if name not in ("task_id", "answer"):
-                _fail(kind, f'answers[{i}] has unexpected field "{name}"')
+        _check_fields(kind, entry, ("task_id", "answer"), f"answers[{i}]")
         _check_task_id(kind, entry["task_id"], f"answers[{i}].task_id")
         _check_str(kind, entry["answer"], f"answers[{i}].answer")
 

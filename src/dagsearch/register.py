@@ -26,10 +26,6 @@ SNAPSHOT_VERSION = 1
 class RegisterError(Exception):
     """Base for register failures; ``str(err)`` is a re-prompt-ready diagnostic."""
 
-    @property
-    def diagnostic(self) -> str:
-        return str(self)
-
 
 class IllegalActionInStage(RegisterError):
     pass
@@ -43,8 +39,6 @@ class ContextOverflow(RegisterError):
 # Tokenization
 # ---------------------------------------------------------------------------
 
-Tokenizer = Callable[[str], list[str]]
-
 _TOKEN_RE = re.compile(r"\w+|[^\w\s]", re.UNICODE)
 
 
@@ -53,8 +47,8 @@ def default_tokenizer(text: str) -> list[str]:
     return _TOKEN_RE.findall(text)
 
 
-def token_length(text: str, tokenizer: Tokenizer | None = None) -> int:
-    return len((tokenizer or default_tokenizer)(text))
+def token_length(text: str) -> int:
+    return len(default_tokenizer(text))
 
 
 class LineTokenCounter:
@@ -276,9 +270,7 @@ def apply_action(
     # Replanning: archive the current plan with its statuses, start a fresh
     # epoch (new revisit history and tool log); answers do not carry over.
     snapshot = PlanSnapshot(plan=register.plan, reason=payload["reason"])
-    new_plan = planmod.build_plan(
-        payload["tasks"], [tuple(e) for e in payload["edges"]], plan_id=register.plan.plan_id + 1
-    )
+    new_plan = planmod.build_plan(payload["tasks"], payload["edges"], plan_id=register.plan.plan_id + 1)
     return replace(
         register,
         plan_history=register.plan_history + (snapshot,),
@@ -324,6 +316,17 @@ def _tool_log_lines(log: Sequence[ToolLogEntry]) -> list[str]:
     return lines
 
 
+def intent_section(intent: IntentPayload) -> str:
+    """The refined-intent section, shared by the planning and solving inputs."""
+    lines = [f"Goal: {intent.refined_goal}"]
+    if intent.constraints:
+        lines.append("Constraints:")
+        lines.extend(f"- {c}" for c in intent.constraints)
+    else:
+        lines.append("Constraints: (none)")
+    return "## Refined intent\n" + "\n".join(lines)
+
+
 def render_context(register: Register, question: str, stage_prompt: str) -> str:
     """Deterministic model input for one solving step.
 
@@ -334,14 +337,7 @@ def render_context(register: Register, question: str, stage_prompt: str) -> str:
     """
     sections: list[str] = [stage_prompt.rstrip()]
     sections.append(f"## Question\n{question}")
-
-    intent_lines = [f"Goal: {register.intent.refined_goal}"]
-    if register.intent.constraints:
-        intent_lines.append("Constraints:")
-        intent_lines.extend(f"- {c}" for c in register.intent.constraints)
-    else:
-        intent_lines.append("Constraints: (none)")
-    sections.append("## Refined intent\n" + "\n".join(intent_lines))
+    sections.append(intent_section(register.intent))
 
     if register.plan_history:
         lines = []
@@ -376,12 +372,7 @@ def render_context(register: Register, question: str, stage_prompt: str) -> str:
     return "\n\n".join(sections)
 
 
-def register_tokens(
-    register: Register,
-    question: str,
-    stage_prompt: str,
-    tokenizer: Tokenizer | None = None,
-) -> int:
+def register_tokens(register: Register, question: str, stage_prompt: str) -> int:
     """Token count of the persistent render (ephemeral tool output excluded).
 
     This is the quantity that is non-decreasing within a plan epoch; the full
@@ -389,7 +380,7 @@ def register_tokens(
     shrink when that section expires.
     """
     stripped = replace(register, pending_tool_result=None)
-    return token_length(render_context(stripped, question, stage_prompt), tokenizer)
+    return token_length(render_context(stripped, question, stage_prompt))
 
 
 # ---------------------------------------------------------------------------

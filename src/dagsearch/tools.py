@@ -25,10 +25,6 @@ DEFAULT_TOP_K = 3
 class ToolError(Exception):
     """Base for tool failures; ``str(err)`` is a re-prompt-ready diagnostic."""
 
-    @property
-    def diagnostic(self) -> str:
-        return str(self)
-
 
 class DuplicateTool(ToolError):
     pass
@@ -227,26 +223,30 @@ def _request_with_retries(
     error: type[Exception] = ToolTransportError,
     **kwargs: Any,
 ) -> requests.Response:
-    """Send a request, retrying transport failures with exponential backoff.
+    """Send a request, retrying transient failures with exponential backoff.
 
-    Every failed attempt is logged; once the retries are spent, ``error``
-    is raised.
+    Only connection errors, timeouts, HTTP 429 and 5xx are transient. Any
+    other failed request or error status raises ``error`` at once. Every
+    failed attempt is logged; once the retries are spent, ``error`` is
+    raised.
     """
     last_error: Exception | None = None
     for attempt in range(max_retries + 1):
         try:
             response = requests.request(method, url, **kwargs)
-            if response.status_code in (429,) or response.status_code >= 500:
-                raise error(
-                    f"{url} answered HTTP {response.status_code}"
-                )
-            response.raise_for_status()
-            return response
-        except (requests.RequestException, error) as exc:
+        except (requests.ConnectionError, requests.Timeout) as exc:
             last_error = exc
-            logger.warning("request attempt %d/%d failed: %s", attempt + 1, max_retries + 1, exc)
-            if attempt < max_retries:
-                time.sleep(backoff * (2**attempt))
+        except requests.RequestException as exc:
+            raise error(f"request to {url} failed: {exc}") from None
+        else:
+            if response.ok:
+                return response
+            last_error = error(f"{url} answered HTTP {response.status_code}")
+            if response.status_code != 429 and response.status_code < 500:
+                raise last_error
+        logger.warning("request attempt %d/%d failed: %s", attempt + 1, max_retries + 1, last_error)
+        if attempt < max_retries:
+            time.sleep(backoff * (2**attempt))
     raise error(f"request to {url} failed after {max_retries + 1} attempts: {last_error}")
 
 

@@ -17,7 +17,7 @@ from pathlib import Path
 from typing import Iterable, Sequence
 
 from .protocol import ActionKind, subspace_of
-from .register import LineTokenCounter, Tokenizer, default_tokenizer, token_length
+from .register import LineTokenCounter, default_tokenizer, token_length
 from .tools import ToolResult
 
 TRAJECTORY_VERSION = 1
@@ -98,9 +98,6 @@ class Trajectory:
 
     def solving_steps(self) -> list[StepRecord]:
         return [step for step in self.steps if step.stage == "solving"]
-
-    def final_answer_text(self) -> str | None:
-        return self.answer
 
     # -- persistence (versioned JSONL: one header line, one line per step) --
 
@@ -225,6 +222,17 @@ def _positional_ok(trajectory: Trajectory) -> bool:
     return True
 
 
+def _structural_fault(trajectory: Trajectory) -> str | None:
+    """The rejection reason that needs no gold answers, or None when clean."""
+    if trajectory.outcome != "answered" or trajectory.answer is None:
+        return "incomplete"
+    if not _positional_ok(trajectory):
+        return "positional"
+    if any(step.retries > 0 for step in trajectory.steps):
+        return "schema"
+    return None
+
+
 def rft_filter(trajectory: Trajectory, gold_answers: Iterable[str]) -> FilterDecision:
     """Keep a trajectory only if it is correct, clean, and well-formed.
 
@@ -233,23 +241,12 @@ def rft_filter(trajectory: Trajectory, gold_answers: Iterable[str]) -> FilterDec
     two planning actions first, a final answer last, and only task-solving
     or retrospection actions in between.
     """
-    if trajectory.outcome != "answered" or trajectory.answer is None:
-        return FilterDecision(False, "incomplete")
-    if not _positional_ok(trajectory):
-        return FilterDecision(False, "positional")
-    if any(step.retries > 0 for step in trajectory.steps):
-        return FilterDecision(False, "schema")
+    fault = _structural_fault(trajectory)
+    if fault is not None:
+        return FilterDecision(False, fault)
     if acc_score(trajectory.answer, gold_answers) != 1:
         return FilterDecision(False, "incorrect")
     return FilterDecision(True, None)
-
-
-def _structurally_clean(trajectory: Trajectory) -> bool:
-    return (
-        trajectory.outcome == "answered"
-        and _positional_ok(trajectory)
-        and all(step.retries == 0 for step in trajectory.steps)
-    )
 
 
 def export_sft(trajectories: Sequence[Trajectory], out_path: str | Path) -> int:
@@ -260,7 +257,7 @@ def export_sft(trajectories: Sequence[Trajectory], out_path: str | Path) -> int:
     and stays the caller's responsibility).
     """
     for trajectory in trajectories:
-        if not _structurally_clean(trajectory):
+        if _structural_fault(trajectory) is not None:
             raise UnfilteredInput(
                 f'trajectory "{trajectory.question_id or trajectory.question}" '
                 "was not accepted by the rejection filter"
@@ -400,17 +397,15 @@ class CompactnessReport:
         return self.register_tokens / self.transcript_tokens
 
 
-def context_compactness(
-    trajectory: Trajectory, tokenizer: Tokenizer | None = None
-) -> CompactnessReport:
+def context_compactness(trajectory: Trajectory) -> CompactnessReport:
     """Compare the final register-rendered input against the naive transcript."""
     solving = trajectory.solving_steps()
     if not solving:
         raise TrajectoryError("trajectory has no solving steps to compare")
     final_state = solving[-1].state
     return CompactnessReport(
-        register_tokens=token_length(final_state, tokenizer),
-        transcript_tokens=token_length(naive_transcript(trajectory), tokenizer),
+        register_tokens=token_length(final_state),
+        transcript_tokens=token_length(naive_transcript(trajectory)),
     )
 
 

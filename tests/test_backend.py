@@ -52,7 +52,8 @@ def chat_stub():
             pass
 
     server = HTTPServer(("127.0.0.1", 0), Handler)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    # A short poll keeps shutdown() from waiting out the default 0.5 s.
+    thread = threading.Thread(target=server.serve_forever, kwargs={"poll_interval": 0.01}, daemon=True)
     thread.start()
     state["url"] = f"http://127.0.0.1:{server.server_port}/v1/chat/completions"
     yield state

@@ -26,6 +26,7 @@ from dagsearch.plan import (
     plan_to_dict,
     reset_for_revisit,
 )
+from dagsearch.protocol import ProtocolError, canonical_json, parse_action
 from helpers import random_dag
 
 
@@ -268,3 +269,54 @@ def test_answered_set_stays_downward_closed(seed):
     for src, dst in edges:
         if plan.nodes[dst].status == ANSWERED:
             assert plan.nodes[src].status == ANSWERED
+
+
+@st.composite
+def framing_payloads(draw):
+    """Framing payloads over a small id alphabet.
+
+    Duplicate ids, undeclared endpoints ("e"), an empty id, self-loops and
+    longer cycles all occur.
+    """
+    ids = draw(st.lists(st.sampled_from("abcd"), max_size=5, unique=draw(st.booleans())))
+    if ids and draw(st.integers(0, 7)) == 7:
+        ids[draw(st.integers(0, len(ids) - 1))] = ""
+    endpoint = st.sampled_from(ids + ["e"]) if draw(st.booleans()) or not ids else st.sampled_from(ids)
+    edges = draw(st.lists(st.lists(endpoint, min_size=2, max_size=2), max_size=6))
+    return {"tasks": [{"task_id": tid, "description": "d"} for tid in ids], "edges": edges}
+
+
+def oracle_graph_ok(payload):
+    """Brute force: non-empty unique ids, declared endpoints, no cycle (DFS)."""
+    ids = [task["task_id"] for task in payload["tasks"]]
+    if not ids or "" in ids or len(set(ids)) != len(ids):
+        return False
+    if any(endpoint not in ids for edge in payload["edges"] for endpoint in edge):
+        return False
+    out = {tid: [dst for src, dst in payload["edges"] if src == tid] for tid in ids}
+    state = {}  # "open" while on the DFS path, "done" once fully explored
+
+    def has_cycle(tid):
+        state[tid] = "open"
+        for nxt in out[tid]:
+            if state.get(nxt) == "open" or (nxt not in state and has_cycle(nxt)):
+                return True
+        state[tid] = "done"
+        return False
+
+    return not any(tid not in state and has_cycle(tid) for tid in ids)
+
+
+@settings(max_examples=400, deadline=None)
+@given(framing_payloads(), st.sampled_from(["problem_framing", "replanning"]))
+def test_graph_rules_accept_exactly_the_oracle_graphs(payload, tag):
+    if tag == "replanning":
+        payload = {"reason": "r", **payload}
+    try:
+        action = parse_action(f"<{tag}>{canonical_json(payload)}</{tag}>")
+        build_plan(action.payload["tasks"], action.payload["edges"])
+    except (ProtocolError, PlanError):
+        accepted = False
+    else:
+        accepted = True
+    assert accepted == oracle_graph_ok(payload)

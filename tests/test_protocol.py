@@ -24,6 +24,7 @@ from dagsearch.protocol import (
     render_action,
     subspace_of,
 )
+from dagsearch.plan import CyclicPlan, DuplicateTaskId, UnknownEdgeEndpoint, build_plan
 from helpers import MUTATION_MODES, mutate_action, random_action
 
 
@@ -148,6 +149,8 @@ class TestSchemas:
         with pytest.raises(SchemaViolation):
             parse_action('<task_answer>{"answers":[]}</task_answer>')
 
+    # The graph rules belong to build_plan: these payloads are shape-valid,
+    # and the plan built from them is rejected with a re-promptable PlanError.
     def test_framing_duplicate_task_ids(self):
         payload = {
             "tasks": [
@@ -156,16 +159,18 @@ class TestSchemas:
             ],
             "edges": [],
         }
-        with pytest.raises(SchemaViolation, match="duplicate"):
-            Action.create(ActionKind.PROBLEM_FRAMING, payload)
+        action = Action.create(ActionKind.PROBLEM_FRAMING, payload)
+        with pytest.raises(DuplicateTaskId, match='^task "t1" is declared more than once$'):
+            build_plan(action.payload["tasks"], action.payload["edges"])
 
     def test_framing_undeclared_edge_endpoint(self):
         payload = {
             "tasks": [{"task_id": "t1", "description": "a"}],
             "edges": [["t1", "t9"]],
         }
-        with pytest.raises(SchemaViolation, match="undeclared"):
-            Action.create(ActionKind.PROBLEM_FRAMING, payload)
+        action = Action.create(ActionKind.PROBLEM_FRAMING, payload)
+        with pytest.raises(UnknownEdgeEndpoint, match='^edge endpoint "t9" is not a declared task$'):
+            build_plan(action.payload["tasks"], action.payload["edges"])
 
     def test_framing_cyclic_edges(self):
         payload = {
@@ -175,8 +180,61 @@ class TestSchemas:
             ],
             "edges": [["t1", "t2"], ["t2", "t1"]],
         }
-        with pytest.raises(SchemaViolation, match="cycle"):
-            Action.create(ActionKind.PROBLEM_FRAMING, payload)
+        action = Action.create(ActionKind.PROBLEM_FRAMING, payload)
+        with pytest.raises(CyclicPlan, match="^dependency edges form a cycle through: t1, t2$"):
+            build_plan(action.payload["tasks"], action.payload["edges"])
+
+    @pytest.mark.parametrize(
+        "text, diagnostic",
+        [
+            (
+                '<problem_framing>{"tasks":[{"task_id":"t1","description":"a","x":1}],"edges":[]}</problem_framing>',
+                '<problem_framing> payload invalid: tasks[0] unexpected field "x"',
+            ),
+            (
+                '<problem_framing>{"tasks":[{"task_id":"t1"}],"edges":[]}</problem_framing>',
+                '<problem_framing> payload invalid: tasks[0] missing required field "description"',
+            ),
+            (
+                '<replanning>{"reason":"r","tasks":["t1"],"edges":[]}</replanning>',
+                "<replanning> payload invalid: tasks[0] must be an object",
+            ),
+            (
+                '<task_answer>{"answers":[{"task_id":"t1","answer":"a","x":1}]}</task_answer>',
+                '<task_answer> payload invalid: answers[0] unexpected field "x"',
+            ),
+            (
+                '<task_answer>{"answers":[{"answer":"a"}]}</task_answer>',
+                '<task_answer> payload invalid: answers[0] missing required field "task_id"',
+            ),
+            (
+                '<task_answer>{"answers":[7]}</task_answer>',
+                "<task_answer> payload invalid: answers[0] must be an object",
+            ),
+            (
+                '<final_answer>{"answer":"a","x":1}</final_answer>',
+                '<final_answer> payload invalid: unexpected field "x"',
+            ),
+            (
+                "<final_answer>{}</final_answer>",
+                '<final_answer> payload invalid: missing required field "answer"',
+            ),
+        ],
+        ids=[
+            "framing-unexpected",
+            "framing-missing",
+            "replanning-not-object",
+            "answers-unexpected",
+            "answers-missing",
+            "answers-not-object",
+            "top-level-unexpected",
+            "top-level-missing",
+        ],
+    )
+    def test_field_diagnostics_carry_their_location(self, text, diagnostic):
+        with pytest.raises(SchemaViolation) as info:
+            parse_action(text)
+        assert str(info.value) == diagnostic
 
     def test_task_id_with_whitespace(self):
         with pytest.raises(SchemaViolation):
@@ -192,7 +250,7 @@ class TestSchemas:
         try:
             parse_action("<final_answer>{}</final_answer>")
         except SchemaViolation as exc:
-            assert "answer" in exc.diagnostic
+            assert "answer" in str(exc)
         else:
             pytest.fail("expected SchemaViolation")
 

@@ -276,9 +276,6 @@ class TestTokens:
     def test_punctuation_counts(self):
         assert token_length("a,b") == 3
 
-    def test_custom_tokenizer_injectable(self):
-        assert token_length("a b c", tokenizer=lambda t: t.split()) == 3
-
     @given(st.text(), st.text())
     def test_count_is_additive_over_newline(self, a, b):
         assert token_length(a + "\n" + b) == token_length(a) + token_length(b)

@@ -5,6 +5,7 @@ from http.server import BaseHTTPRequestHandler, HTTPServer
 
 import pytest
 
+from dagsearch.backend import CompletionRequest, HttpChatBackend, TransportError
 from dagsearch.tools import (
     ArgumentSchemaViolation,
     DenseRetrieverClient,
@@ -36,9 +37,12 @@ def registry():
 
 @pytest.fixture
 def json_stub():
-    """Tiny HTTP stub serving a configurable JSON payload, or raw body bytes."""
+    """Tiny HTTP stub serving a configurable JSON payload, or raw body bytes.
 
-    state = {"payload": {}, "raw": None, "fail_next": 0, "requests": []}
+    The next ``fail_next`` requests are answered with ``fail_status``.
+    """
+
+    state = {"payload": {}, "raw": None, "fail_next": 0, "fail_status": 500, "requests": []}
 
     class Handler(BaseHTTPRequestHandler):
         def _serve(self):
@@ -49,7 +53,7 @@ def json_stub():
             )
             if state["fail_next"] > 0:
                 state["fail_next"] -= 1
-                self.send_response(500)
+                self.send_response(state["fail_status"])
                 self.end_headers()
                 return
             payload = state["raw"]
@@ -68,7 +72,8 @@ def json_stub():
             pass
 
     server = HTTPServer(("127.0.0.1", 0), Handler)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    # A short poll keeps shutdown() from waiting out the default 0.5 s.
+    thread = threading.Thread(target=server.serve_forever, kwargs={"poll_interval": 0.01}, daemon=True)
     thread.start()
     state["url"] = f"http://127.0.0.1:{server.server_port}/search"
     yield state
@@ -240,6 +245,37 @@ class TestGarbledResponses:
         json_stub["payload"] = {"results": ["just a string"], "passages": [42]}
         with pytest.raises(ToolTransportError, match="not an object"):
             make_client(json_stub["url"])({"query": "x"})
+
+
+def _chat_call(url, max_retries):
+    backend = HttpChatBackend(endpoint=url, model="m", api_key="k", max_retries=max_retries, backoff=0)
+    return lambda: backend.complete(CompletionRequest(context="x")), TransportError
+
+
+def _dense_call(url, max_retries):
+    client = DenseRetrieverClient(tool_name="dense", endpoint=url, max_retries=max_retries, backoff=0)
+    return lambda: client({"query": "x"}), ToolTransportError
+
+
+@pytest.mark.parametrize("make_call", [_chat_call, _dense_call], ids=["chat", "dense"])
+@pytest.mark.parametrize("status, transient", [(401, False), (404, False), (429, True), (503, True)])
+def test_only_transient_statuses_are_retried(json_stub, make_call, status, transient):
+    json_stub["fail_next"] = 10
+    json_stub["fail_status"] = status
+    max_retries = 2
+    call, error = make_call(json_stub["url"], max_retries)
+    with pytest.raises(error, match=f"HTTP {status}"):
+        call()
+    assert len(json_stub["requests"]) == (max_retries + 1 if transient else 1)
+
+
+@pytest.mark.parametrize("make_call", [_chat_call, _dense_call], ids=["chat", "dense"])
+def test_invalid_url_fails_at_once(make_call, caplog):
+    # requests rejects a URL with no scheme before opening any connection.
+    call, error = make_call("no-scheme.invalid/search", max_retries=2)
+    with caplog.at_level(logging.WARNING), pytest.raises(error, match="Invalid URL"):
+        call()
+    assert not [rec for rec in caplog.records if "request attempt" in rec.message]
 
 
 class TestBuildRegistry:
