@@ -126,16 +126,31 @@ def _cmd_eval(args: argparse.Namespace) -> int:
         trajectory_dir.mkdir(parents=True, exist_ok=True)
 
     def evaluate(record: dict) -> EvalRecord:
-        result = run(
-            record["question"],
-            backend=_build_backend(args.backend, record["question_id"]),
-            tools=_build_tools(args),
-            config=config,
-            prompts=prompts,
-            question_id=record["question_id"],
-        )
-        if trajectory_dir:
-            result.trajectory.save(trajectory_dir / f"{record['question_id']}.jsonl")
+        """One question's row; a question that cannot be set up or saved becomes an ``error`` row."""
+        try:
+            result = run(
+                record["question"],
+                backend=_build_backend(args.backend, record["question_id"]),
+                tools=_build_tools(args),
+                config=config,
+                prompts=prompts,
+                question_id=record["question_id"],
+            )
+            if trajectory_dir:
+                result.trajectory.save(trajectory_dir / f"{record['question_id']}.jsonl")
+        except (OSError, ValueError) as exc:
+            logger.warning("question %s failed: %s", record["question_id"], exc)
+            return EvalRecord(
+                question_id=record["question_id"],
+                question=record["question"],
+                gold_answers=tuple(record["answers"]),
+                predicted=None,
+                acc=0,
+                turns=0,
+                context_lengths=(),
+                cache_ratios=(),
+                outcome="error",
+            )
         return EvalRecord.from_trajectory(result.trajectory, record["answers"])
 
     if args.parallel > 1:
@@ -147,10 +162,13 @@ def _cmd_eval(args: argparse.Namespace) -> int:
     write_eval_report(records, args.out)
     mean_acc = sum(r.acc for r in records) / len(records) if records else 0.0
     aborted = sum(1 for r in records if r.outcome == "aborted")
+    errored = sum(1 for r in records if r.outcome == "error")
     print(f"evaluated {len(records)} questions: mean ACC = {mean_acc:.4f}")
     if aborted:
         print(f"warning: {aborted} run(s) aborted")
-    if args.strict and aborted:
+    if errored:
+        print(f"warning: {errored} question(s) failed")
+    if args.strict and (aborted or errored):
         return 1
     return 0
 

@@ -44,7 +44,7 @@ from .tools import (
     UnknownTool,
     search_spec,
 )
-from .trajectory import StepRecord, Trajectory
+from .trajectory import TRAJECTORY_VERSION, StepRecord, Trajectory
 
 Clock = Callable[[], float]
 T = TypeVar("T")
@@ -299,18 +299,17 @@ def solve(
 ) -> RunResult:
     """The proactive solving loop over an initialized register.
 
-    Each turn renders the model input once and counts its tokens once,
-    tokenizing only the lines the previous turn's input lacked; that one
-    count is both the context-cap check and the step's ``token_count``.
+    Each turn renders the model input once, in the layout of the
+    trajectory's version, and counts its tokens once, tokenizing only the
+    lines the previous turn's input lacked; that one count is both the
+    context-cap check and the step's ``token_count``.
     """
 
     def check(action: Action) -> tuple[ToolResult | None, Register]:
         # ``register`` is the current turn's: the loop below rebinds it.
         tool_result: ToolResult | None = None
         if action.kind is ActionKind.TOOL_CALL:
-            task_id = action.payload["task_id"]
-            if task_id not in register.plan.nodes:
-                raise PlanError(f'task "{task_id}" is not in the current plan')
+            register.plan.task(action.payload["task_id"])  # UnknownTask before the tool runs
             tool_result = tools.invoke(action.payload["tool_name"], action.payload["arguments"])
         if action.kind is ActionKind.FINAL_ANSWER and not is_complete(register.plan):
             pending = [
@@ -334,7 +333,7 @@ def solve(
                 config,
                 stage="solving",
                 system=prompts.solving,
-                context=render_context(register, question, prompts.solving),
+                context=render_context(register, question, prompts.solving, trajectory.version),
                 check=check,
                 counter=counter,
             )
@@ -358,8 +357,13 @@ def run(
     prompts: PromptPack | None = None,
     question_id: str = "",
     clock: Clock = time.time,
+    version: int = TRAJECTORY_VERSION,
 ) -> RunResult:
-    """Programmatic entry point: plan, initialize the register, and solve."""
+    """Programmatic entry point: plan, initialize the register, and solve.
+
+    ``version`` is the trajectory version the run is recorded in, which
+    also selects the solving-input layout; replay passes the recorded one.
+    """
     config = config or RunConfig()
     prompts = prompts or PromptPack.load_default()
     trajectory = Trajectory(
@@ -368,6 +372,7 @@ def run(
         prompts={"holistic": prompts.holistic, "solving": prompts.solving},
         config=asdict(config),
         started_at=clock(),
+        version=version,
     )
     try:
         intent, plan = holistic_planning(backend, question, prompts, config, trajectory)
@@ -443,7 +448,8 @@ def replay_run(
 
     With ``strict=True`` the re-rendered context at every step must equal
     the recorded one; drift raises ReplayDivergence (captured as an aborted
-    RunResult).
+    RunResult). The run renders under the recorded trajectory version's
+    layout, so a version 1 recording replays as it was recorded.
     """
     backend = ReplayBackend(
         steps=[(step.state, step.model_text) for step in trajectory.steps],
@@ -462,4 +468,5 @@ def replay_run(
         prompts=prompts,
         question_id=trajectory.question_id,
         clock=clock,
+        version=trajectory.version,
     )

@@ -67,6 +67,13 @@ class DagPlan:
     nodes: Mapping[str, TaskNode]
     edges: tuple[tuple[str, str], ...]
 
+    def task(self, task_id: str) -> TaskNode:
+        """The node of ``task_id``; UnknownTask when this plan has none."""
+        node = self.nodes.get(task_id)
+        if node is None:
+            raise UnknownTask(f'task "{task_id}" is not in the current plan')
+        return node
+
     def predecessors(self, task_id: str) -> list[str]:
         return sorted(src for src, dst in self.edges if dst == task_id)
 
@@ -160,27 +167,22 @@ def apply_task_answer(plan: DagPlan, answers: Sequence[tuple[str, str]]) -> DagP
     Entries are applied sequentially, so earlier answers in the same batch
     may satisfy later entries' dependencies.
     """
-    nodes = dict(plan.nodes)
     for task_id, answer in answers:
-        node = nodes.get(task_id)
-        if node is None:
-            raise UnknownTask(f'task "{task_id}" is not in the current plan')
+        node = plan.task(task_id)
         if node.status == ANSWERED:
             raise AlreadyAnswered(f'task "{task_id}" is already answered; use revisit_task to redo it')
-        unmet = [p for p in plan.predecessors(task_id) if nodes[p].status != ANSWERED]
+        unmet = [p for p in plan.predecessors(task_id) if plan.nodes[p].status != ANSWERED]
         if unmet:
             raise DependencyUnmet(
                 f'task "{task_id}" depends on unanswered task(s): {", ".join(unmet)}'
             )
-        nodes[task_id] = replace(node, status=ANSWERED, answer=answer)
-    return replace(plan, nodes=nodes)
+        plan = replace(plan, nodes={**plan.nodes, task_id: replace(node, status=ANSWERED, answer=answer)})
+    return plan
 
 
 def mark_active(plan: DagPlan, task_id: str) -> DagPlan:
     """Flag the task targeted by the latest tool call (rendering only)."""
-    node = plan.nodes.get(task_id)
-    if node is None:
-        raise UnknownTask(f'task "{task_id}" is not in the current plan')
+    node = plan.task(task_id)
     if node.status != PENDING:
         return plan
     nodes = dict(plan.nodes)
@@ -189,9 +191,7 @@ def mark_active(plan: DagPlan, task_id: str) -> DagPlan:
 
 
 def attach_evidence(plan: DagPlan, task_id: str, facts: Sequence[str]) -> DagPlan:
-    node = plan.nodes.get(task_id)
-    if node is None:
-        raise UnknownTask(f'task "{task_id}" is not in the current plan')
+    node = plan.task(task_id)
     nodes = dict(plan.nodes)
     nodes[task_id] = replace(node, evidence=node.evidence + tuple(facts))
     return replace(plan, nodes=nodes)
@@ -205,9 +205,7 @@ def reset_for_revisit(plan: DagPlan, task_id: str) -> tuple[DagPlan, list[dict]]
     the register can archive them. Evidence is cleared on the revisited task
     only: descendants keep their facts, which may still be valid.
     """
-    node = plan.nodes.get(task_id)
-    if node is None:
-        raise UnknownTask(f'task "{task_id}" is not in the current plan')
+    node = plan.task(task_id)
     if node.status != ANSWERED:
         raise NotAnswered(f'task "{task_id}" has no answer to revisit')
     to_reset = [task_id] + sorted(

@@ -4,8 +4,9 @@ The register holds {refined intent, archived plans, current plan state} and
 is updated by pure code from parsed actions, never by another model call.
 Raw tool documents are visible for exactly one turn (the "latest tool
 output" section) and then vanish; only extracted facts persist. Rendering
-puts the most stable sections first so consecutive model inputs share long
-token prefixes.
+puts the most stable sections first and the current plan's task statuses,
+which change on most turns, after the append-only tool log, so consecutive
+model inputs share long token prefixes.
 """
 
 from __future__ import annotations
@@ -287,7 +288,7 @@ def apply_action(
 # ---------------------------------------------------------------------------
 
 
-def _plan_lines(plan: DagPlan, include_status: bool = True) -> list[str]:
+def _plan_lines(plan: DagPlan) -> list[str]:
     lines = ["Tasks:"]
     for tid in sorted(plan.nodes):
         lines.append(f"- {tid}: {plan.nodes[tid].description}")
@@ -296,14 +297,17 @@ def _plan_lines(plan: DagPlan, include_status: bool = True) -> list[str]:
         lines.extend(f"- {src} -> {dst}" for src, dst in plan.edges)
     else:
         lines.append("- (none)")
-    if include_status:
-        lines.append("Status:")
-        for tid in sorted(plan.nodes):
-            node = plan.nodes[tid]
-            if node.status == planmod.ANSWERED:
-                lines.append(f"- {tid}: answered = {node.answer}")
-            else:
-                lines.append(f"- {tid}: {node.status}")
+    return lines
+
+
+def _status_lines(plan: DagPlan) -> list[str]:
+    lines = ["Status:"]
+    for tid in sorted(plan.nodes):
+        node = plan.nodes[tid]
+        if node.status == planmod.ANSWERED:
+            lines.append(f"- {tid}: answered = {node.answer}")
+        else:
+            lines.append(f"- {tid}: {node.status}")
     return lines
 
 
@@ -327,13 +331,18 @@ def intent_section(intent: IntentPayload) -> str:
     return "## Refined intent\n" + "\n".join(lines)
 
 
-def render_context(register: Register, question: str, stage_prompt: str) -> str:
-    """Deterministic model input for one solving step.
+def render_context(register: Register, question: str, stage_prompt: str, version: int = 2) -> str:
+    """Deterministic model input for one solving step, in ``version``'s layout.
 
-    Section order is stable-first: prompt, question, intent, archived plans,
-    current plan (static structure before volatile statuses), revisit
-    history, tool log, and finally the one-turn raw tool output if a call
-    just happened. Empty sections are omitted entirely.
+    ``version`` is the trajectory version the input is recorded under.
+    Section order is stable-first: prompt, question, intent, archived plans
+    (each with its final statuses), current plan (tasks and dependencies),
+    revisit history, tool log, then the current plan's "Status:" paragraph,
+    and finally the one-turn raw tool output if a call just happened. A
+    status flip therefore leaves everything before it a prefix of the next
+    input. Version 1 renders the statuses inside the current plan section,
+    before the revisit history. Empty sections are omitted entirely; no
+    layout changes the token count.
     """
     sections: list[str] = [stage_prompt.rstrip()]
     sections.append(f"## Question\n{question}")
@@ -344,11 +353,14 @@ def render_context(register: Register, question: str, stage_prompt: str) -> str:
         for snapshot in register.plan_history:
             lines.append(f"Plan {snapshot.plan.plan_id} (archived: {snapshot.reason})")
             lines.extend(_plan_lines(snapshot.plan))
+            lines.extend(_status_lines(snapshot.plan))
         sections.append("## Archived plans\n" + "\n".join(lines))
 
-    sections.append(
-        f"## Current plan {register.plan.plan_id}\n" + "\n".join(_plan_lines(register.plan))
-    )
+    plan_lines = _plan_lines(register.plan)
+    status_lines = _status_lines(register.plan)
+    if version == 1:
+        plan_lines += status_lines
+    sections.append(f"## Current plan {register.plan.plan_id}\n" + "\n".join(plan_lines))
 
     if register.revisit_history:
         lines = [
@@ -359,6 +371,9 @@ def render_context(register: Register, question: str, stage_prompt: str) -> str:
 
     if register.tool_log:
         sections.append("## Tool log\n" + "\n".join(_tool_log_lines(register.tool_log)))
+
+    if version != 1:
+        sections.append("\n".join(status_lines))
 
     if register.pending_tool_result is not None:
         lines = []

@@ -20,7 +20,8 @@ from .protocol import ActionKind, subspace_of
 from .register import LineTokenCounter, default_tokenizer, token_length
 from .tools import ToolResult
 
-TRAJECTORY_VERSION = 1
+TRAJECTORY_VERSION = 2
+_READABLE_VERSIONS = (1, 2)
 
 
 class TrajectoryError(Exception):
@@ -95,16 +96,25 @@ class Trajectory:
     finished_at: float = 0.0
     prompts: dict = field(default_factory=dict)
     config: dict = field(default_factory=dict)
+    version: int = TRAJECTORY_VERSION
 
     def solving_steps(self) -> list[StepRecord]:
         return [step for step in self.steps if step.stage == "solving"]
 
     # -- persistence (versioned JSONL: one header line, one line per step) --
+    #
+    # Version 1 stores each step's whole state. Version 2 stores it as a
+    # line delta against the previous step's state: ``state_shared`` leading
+    # lines in common, and ``state`` holding the rest. The shared count
+    # stops one line short of the whole state, so the rest always holds at
+    # least one line and splitting it gives back exactly the lines stored.
 
     def save(self, path: str | Path) -> None:
+        """Write this trajectory in its own ``version``'s encoding."""
+        _check_version(self.version)
         header = {
             "record": "trajectory",
-            "version": TRAJECTORY_VERSION,
+            "version": self.version,
             "question": self.question,
             "question_id": self.question_id,
             "outcome": self.outcome,
@@ -115,10 +125,17 @@ class Trajectory:
             "prompts": self.prompts,
             "config": self.config,
         }
+        previous: list[str] = []
         with open(path, "w", encoding="utf-8") as handle:
             handle.write(json.dumps(header, ensure_ascii=False, sort_keys=True) + "\n")
             for step in self.steps:
                 line = {"record": "step", **step.to_dict()}
+                if self.version >= 2:
+                    lines = step.state.split("\n")
+                    shared = min(_leading_equal(previous, lines), len(lines) - 1)
+                    line["state_shared"] = shared
+                    line["state"] = "\n".join(lines[shared:])
+                    previous = lines
                 handle.write(json.dumps(line, ensure_ascii=False, sort_keys=True) + "\n")
 
     @classmethod
@@ -128,8 +145,8 @@ class Trajectory:
         if not lines or lines[0].get("record") != "trajectory":
             raise TrajectoryError(f"{path} is not a trajectory file")
         header = lines[0]
-        if header.get("version") != TRAJECTORY_VERSION:
-            raise TrajectoryError(f"unsupported trajectory version: {header.get('version')}")
+        version = header.get("version")
+        _check_version(version)
         trajectory = cls(
             question=header["question"],
             question_id=header["question_id"],
@@ -140,12 +157,31 @@ class Trajectory:
             finished_at=header["finished_at"],
             prompts=header["prompts"],
             config=header["config"],
+            version=version,
         )
+        previous: list[str] = []
         for line in lines[1:]:
             if line.get("record") == "step":
                 line.pop("record")
+                if version >= 2:
+                    shared = line.pop("state_shared")
+                    if not isinstance(shared, int) or not 0 <= shared <= len(previous):
+                        raise TrajectoryError(
+                            f"step {line.get('index')} shares {shared} lines with a "
+                            f"{len(previous)}-line previous state"
+                        )
+                    # Joined from lines, not sliced from the previous state's
+                    # characters and concatenated: that variant fragments the
+                    # heap and raises peak RSS on long trajectories.
+                    previous = previous[:shared] + line["state"].split("\n")
+                    line["state"] = "\n".join(previous)
                 trajectory.steps.append(StepRecord.from_dict(line))
         return trajectory
+
+
+def _check_version(version: object) -> None:
+    if version not in _READABLE_VERSIONS:
+        raise TrajectoryError(f"unsupported trajectory version: {version}")
 
 
 def load_trajectories(directory: str | Path) -> list[Trajectory]:
@@ -319,10 +355,15 @@ def step_cache_ratios(trajectory: Trajectory) -> list[float]:
     return ratios
 
 
+def _leading_equal(previous: list[str], current: list[str]) -> int:
+    """How many leading lines two states given as lines have in common."""
+    differs = list(map(ne, previous, current))  # compared in C, not line by line in Python
+    return differs.index(True) if True in differs else len(differs)
+
+
 def _shared_tokens(previous: list[str], current: list[str], counts: dict[str, int]) -> int:
     """Common token-prefix length of two states given as lines; ``counts`` covers ``current``."""
-    differs = list(map(ne, previous, current))  # compared in C, not line by line in Python
-    same = differs.index(True) if True in differs else len(differs)
+    same = _leading_equal(previous, current)
     shared = sum(map(counts.__getitem__, current[:same]))
     rest = zip(
         chain.from_iterable(map(default_tokenizer, previous[same:])),
@@ -456,7 +497,7 @@ def write_eval_report(records: Sequence[EvalRecord], out_path: str | Path) -> No
     with open(out_path, "w", encoding="utf-8", newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow(
-            ["question_id", "acc", "turns", "final_context_tokens", "mean_cache_ratio"]
+            ["question_id", "acc", "turns", "final_context_tokens", "mean_cache_ratio", "outcome"]
         )
         for record in records:
             writer.writerow(
@@ -466,6 +507,7 @@ def write_eval_report(records: Sequence[EvalRecord], out_path: str | Path) -> No
                     record.turns,
                     record.final_context_tokens,
                     f"{record.mean_cache_ratio:.4f}",
+                    record.outcome,
                 ]
             )
 

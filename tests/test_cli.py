@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 import shutil
 
@@ -7,7 +8,7 @@ import pytest
 import dagsearch.cli
 from dagsearch.cli import main
 from dagsearch.trajectory import Trajectory
-from helpers import DATA_DIR, TWO_HOP_QUESTION
+from helpers import DATA_DIR, TWO_HOP_GOLD, TWO_HOP_QUESTION
 
 
 @pytest.fixture
@@ -294,3 +295,54 @@ def test_strict_run_exit_code_on_failure(workdir, capsys):
         ]
     )
     assert code == 1
+
+
+def test_eval_question_without_responses_becomes_an_error_row(workdir, capsys):
+    dataset = workdir / "eval_dataset.jsonl"
+    lines = dataset.read_text().splitlines()
+    missing = {"question_id": "capital-nowhere", "question": "What is the capital of Nowhere?", "answers": ["x"]}
+    lines.insert(1, json.dumps(missing))
+    dataset.write_text("\n".join(lines) + "\n")
+    report = workdir / "report.csv"
+    argv = [
+        "eval",
+        "--dataset",
+        str(dataset),
+        "--backend",
+        f"scripted:{workdir / 'eval_scripted.json'}",
+        "--tools",
+        str(workdir / "tools.json"),
+        "--out",
+        str(report),
+    ]
+    assert main(argv) == 0
+    out = capsys.readouterr().out
+    assert "evaluated 6 questions: mean ACC = 0.5000\n" in out
+    assert "warning: 1 question(s) failed" in out
+    with report.open(encoding="utf-8") as handle:
+        rows = list(csv.DictReader(handle))
+    assert [row["question_id"] for row in rows][:3] == ["capital-france", "capital-nowhere", "capital-italy"]
+    error = rows[1]
+    assert (error["outcome"], error["acc"], error["turns"]) == ("error", "0", "0")
+    assert all(row["outcome"] != "error" for row in rows if row is not error)
+    assert main(argv + ["--strict"]) == 1
+
+
+def test_stats_and_export_over_the_v1_fixture_are_unchanged(tmp_path, capsys):
+    runs = tmp_path / "runs"
+    runs.mkdir()
+    shutil.copy(DATA_DIR / "two_hop_trajectory_v1.jsonl", runs)
+    gold = tmp_path / "gold.jsonl"
+    gold.write_text(json.dumps({"question_id": "two-hop-www", "question": TWO_HOP_QUESTION, "answers": TWO_HOP_GOLD}) + "\n")
+    outputs = {name: tmp_path / name for name in ("curve.csv", "cache.csv", "sft.jsonl")}
+    stats = ["stats", "--trajectories", str(runs), "--min-runs", "1"]
+    stats += ["--curve-out", str(outputs["curve.csv"]), "--cache-out", str(outputs["cache.csv"])]
+    assert main(stats) == 0
+    assert main(["export", "--trajectories", str(runs), "--gold", str(gold), "--out", str(outputs["sft.jsonl"])]) == 0
+    assert "exported 9 state-action pairs from 1 accepted" in capsys.readouterr().out
+    # the outputs as written before version 2 existed
+    assert {name: hashlib.sha256(path.read_bytes()).hexdigest() for name, path in outputs.items()} == {
+        "curve.csv": "de1b40aaf96246b2db6c0a4625cf189e1169eee8ed85bf4e6fc2ef905d06cbfa",
+        "cache.csv": "93644c8b9b737037308b20386ff67cf7944ebe0e1eca93dbc2bad52df162cc8f",
+        "sft.jsonl": "a9e7da457cee81ef1b2fffae333ff908d7895125d433979194e7627245ace69d",
+    }

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -17,6 +18,7 @@ from dagsearch.engine import (
     replay_run,
     run,
 )
+from dagsearch.plan import UnknownTask, build_plan, mark_active
 from dagsearch.protocol import ActionKind, IntentPayload, ProtocolError, parse_action
 from dagsearch.register import default_tokenizer, register_to_dict, register_tokens, token_length
 from dagsearch.tools import (
@@ -381,6 +383,36 @@ class TestSolveEndToEnd:
         assert str(expected.value) in backend.contexts[3]
         assert executed == []
 
+    def test_tool_call_for_unknown_task_is_reprompted_without_invoking_the_tool(self):
+        executed = []
+        registry = ToolRegistry().register(search_spec("search", "never runs"), executed.append)
+        with pytest.raises(UnknownTask) as expected:
+            mark_active(build_plan([("t1", "only task")], []), "t9")
+        call = '<tool_call>{"task_id": "t9", "tool_name": "search", "arguments": {"query": "q"}}</tool_call>'
+        backend = RecordingBackend([INTENT, FRAMING, call, ANSWER_T1, FINAL])
+        result = run(
+            "q?",
+            backend=backend,
+            tools=registry,
+            config=RunConfig(max_malformed_retries=1),
+            prompts=PROMPTS,
+            clock=fixed_clock(),
+        )
+        assert result.outcome == "answered"
+        assert result.trajectory.solving_steps()[0].diagnostics == (str(expected.value),)
+        assert str(expected.value) in backend.contexts[3]
+        # with no retry budget the first error is raised as is
+        aborted = run(
+            "q?",
+            backend=ScriptedBackend(responses=[INTENT, FRAMING, call]),
+            tools=registry,
+            config=RunConfig(max_malformed_retries=0),
+            prompts=PROMPTS,
+            clock=fixed_clock(),
+        )
+        assert aborted.error == f"UnknownTask: {expected.value}"
+        assert executed == []
+
     def test_backend_exhaustion_aborts(self):
         backend = ScriptedBackend(responses=[INTENT, FRAMING])
         result = run(
@@ -547,6 +579,22 @@ class TestReplay:
         replayed = replay_run(recorded, strict=True, clock=fixed_clock())
         assert replayed.outcome == "answered"
         assert [s.to_dict() for s in replayed.trajectory.steps] == [s.to_dict() for s in recorded.steps]
+
+    def test_v1_fixture_is_unchanged(self):
+        # regenerating the fixture would hide a v1 replay regression
+        digest = hashlib.sha256((DATA_DIR / "two_hop_trajectory_v1.jsonl").read_bytes()).hexdigest()
+        assert digest == "05b773110af1c6b5ee6ee385bb4fcda627a43189d33cd52dae736fe7ade47441"
+
+    def test_v2_recording_replays_byte_for_byte(self, tmp_path):
+        fixture = DATA_DIR / "two_hop_trajectory_v2.jsonl"
+        recorded = Trajectory.load(fixture)
+        assert recorded.version == 2
+        replayed = replay_run(recorded, strict=True, clock=fixed_clock())
+        assert replayed.outcome == "answered"
+        assert replayed.trajectory.version == 2
+        path = tmp_path / "replayed.jsonl"
+        replayed.trajectory.save(path)
+        assert path.read_bytes() == fixture.read_bytes()
 
     def test_tampered_recording_diverges(self, tmp_path):
         result = run_two_hop()

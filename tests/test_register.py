@@ -63,6 +63,47 @@ def result(token="oxfordish"):
     )
 
 
+def extraction(task_id="t1"):
+    return act(ActionKind.DOC_EXTRACTION, {"task_id": task_id, "facts": ["f"], "source_ids": []})
+
+
+def answer(task_id, text):
+    return act(ActionKind.TASK_ANSWER, {"answers": [{"task_id": task_id, "answer": text}]})
+
+
+def stable_prefix(text):
+    """Everything before the current plan's Status: paragraph."""
+    return text[: text.index("\n\nStatus:\n")]
+
+
+def assert_stable_prefix_extends(setup, steps):
+    """Render after ``setup``, then after ``steps`` (each an (action, tool output) pair).
+
+    The stable prefix strictly extends, as a string and as tokens, and
+    Status: is the last persistent section. Returns both renders.
+    """
+    register = fresh()
+    for action, tool_output in setup:
+        register = apply_action(register, action, tool_output)
+    before = render_context(register, QUESTION, PROMPT)
+    for action, tool_output in steps:
+        register = apply_action(register, action, tool_output)
+    after = render_context(register, QUESTION, PROMPT)
+    before_stable, after_stable = stable_prefix(before), stable_prefix(after)
+    assert after_stable.startswith(before_stable)
+    assert len(after_stable) > len(before_stable)
+    before_tokens = default_tokenizer(before_stable)
+    after_tokens = default_tokenizer(after_stable)
+    assert after_tokens[: len(before_tokens)] == before_tokens
+    assert len(after_tokens) > len(before_tokens)
+    # only the one-turn raw output follows the Status: paragraph
+    persistent = render_context(replace(register, pending_tool_result=None), QUESTION, PROMPT)
+    status = persistent[len(after_stable) :]
+    assert status.startswith("\n\nStatus:\n") and status.count("\n\n") == 1
+    assert after.startswith(persistent + "\n\n## Latest tool output\n")
+    return before, after
+
+
 class TestInit:
     def test_empty_slots(self):
         register = fresh()
@@ -232,20 +273,19 @@ class TestRender:
         assert "condensed fact" in after
 
     def test_append_only_step_extends_previous_render(self):
-        register = apply_action(fresh(), tool_call(), result())
-        register = apply_action(
-            register,
-            act(ActionKind.DOC_EXTRACTION, {"task_id": "t1", "facts": ["f"], "source_ids": []}),
+        # the same task again: no status flip
+        assert_stable_prefix_extends(
+            [(tool_call(), result()), (extraction(), None)],
+            [(tool_call(query="refined query"), result())],
         )
-        before = render_context(register, QUESTION, PROMPT)
-        # same task again: no status flip, so the render strictly extends
-        register = apply_action(register, tool_call(query="refined query"), result())
-        after = render_context(register, QUESTION, PROMPT)
-        assert after.startswith(before)
-        assert len(after) > len(before)
-        before_tokens = default_tokenizer(before)
-        after_tokens = default_tokenizer(after)
-        assert after_tokens[: len(before_tokens)] == before_tokens
+
+    def test_status_flip_extends_stable_prefix(self):
+        # t2 flips pending -> answered, then a call re-checks it
+        before, after = assert_stable_prefix_extends(
+            [(tool_call(), result()), (extraction(), None), (answer("t1", "Oxford"), None)],
+            [(answer("t2", "1096"), None), (tool_call("t2", "founding year"), result())],
+        )
+        assert "- t2: pending" in before and "- t2: answered = 1096" in after
 
     def test_unextracted_older_entries_are_annotated(self):
         register = apply_action(fresh(), tool_call(), result())

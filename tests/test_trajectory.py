@@ -3,7 +3,7 @@ import json
 import os
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 import dagsearch.register
@@ -15,6 +15,7 @@ from dagsearch.trajectory import (
     EvalRecord,
     StepRecord,
     Trajectory,
+    TrajectoryError,
     UnfilteredInput,
     acc_score,
     cache_ratio,
@@ -302,6 +303,25 @@ class TestContextCurve:
         assert context_curve([]) == []
 
 
+_STATE_LINE = st.sampled_from(["", " ", "\r", "tail\r", "\u2028", "a\u2028b", "Ünïcode 日本語", "Status:"]) | st.text(max_size=6)
+
+
+@st.composite
+def delta_steps(draw):
+    """(stage, state) pairs, each state a line prefix of the last plus new lines.
+
+    Keeping every line and adding none repeats a state; adding none after
+    dropping some gives a line prefix of the previous state.
+    """
+    steps = []
+    lines: list[str] = []
+    for _ in range(draw(st.integers(1, 6))):
+        keep = draw(st.integers(0, len(lines)))
+        lines = lines[:keep] + draw(st.lists(_STATE_LINE, max_size=4))
+        steps.append((draw(st.sampled_from(["planning", "solving"])), "\n".join(lines)))
+    return steps
+
+
 class TestPersistence:
     def test_save_load_round_trip(self, tmp_path):
         result = run_two_hop()
@@ -314,6 +334,59 @@ class TestPersistence:
         assert loaded.steps == result.trajectory.steps
         assert loaded.prompts == result.trajectory.prompts
         assert loaded.config == result.trajectory.config
+
+    @given(steps=delta_steps(), version=st.sampled_from([1, 2]))
+    @example(steps=[("solving", "A\nB\nC"), ("solving", "A\nB")], version=2)
+    @example(steps=[("solving", ""), ("solving", "")], version=2)
+    @example(steps=[("planning", "P\n"), ("solving", "P\n\n"), ("solving", "P\n\n")], version=2)
+    def test_save_load_gives_back_every_state(self, tmp_path_factory, steps, version):
+        trajectory = Trajectory(
+            question="q?",
+            steps=[
+                StepRecord(
+                    index=i,
+                    stage=stage,
+                    state=state,
+                    kind="tool_call",
+                    payload={},
+                    raw_text="",
+                    model_text="",
+                    token_count=0,
+                )
+                for i, (stage, state) in enumerate(steps, start=1)
+            ],
+            version=version,
+        )
+        path = tmp_path_factory.getbasetemp() / "round_trip.jsonl"
+        trajectory.save(path)
+        loaded = Trajectory.load(path)
+        assert [step.state for step in loaded.steps] == [state for _, state in steps]
+        assert loaded.steps == trajectory.steps
+        assert loaded.version == version
+        with open(path, encoding="utf-8") as handle:
+            assert json.loads(handle.readline())["version"] == version
+
+    @pytest.mark.parametrize("version", [0, 3])
+    def test_unknown_version_rejected(self, tmp_path, version):
+        path = tmp_path / "future.jsonl"
+        Trajectory(question="q?").save(path)
+        header = json.loads(path.read_text(encoding="utf-8"))
+        path.write_text(json.dumps({**header, "version": version}) + "\n", encoding="utf-8")
+        with pytest.raises(TrajectoryError, match=f"unsupported trajectory version: {version}$"):
+            Trajectory.load(path)
+        with pytest.raises(TrajectoryError, match=f"unsupported trajectory version: {version}$"):
+            Trajectory(question="q?", version=version).save(tmp_path / "unreadable.jsonl")
+
+    def test_shared_count_beyond_previous_state_rejected(self, tmp_path):
+        path = tmp_path / "two_hop.jsonl"
+        run_two_hop().trajectory.save(path)
+        lines = path.read_text(encoding="utf-8").split("\n")
+        step = json.loads(lines[1])
+        step["state_shared"] = 1
+        lines[1] = json.dumps(step, ensure_ascii=False)
+        path.write_text("\n".join(lines), encoding="utf-8")
+        with pytest.raises(TrajectoryError, match="step 1 shares 1 lines with a 0-line previous state"):
+            Trajectory.load(path)
 
     def test_load_directory(self, tmp_path):
         result = run_two_hop()
