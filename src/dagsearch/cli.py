@@ -15,6 +15,7 @@ from .tools import ToolRegistry, build_registry
 from .trajectory import (
     EvalRecord,
     Trajectory,
+    TrajectoryError,
     context_curve,
     export_sft,
     load_trajectories,
@@ -33,7 +34,11 @@ def _load_json(path: str) -> dict:
 
 
 def _load_dataset(path: str) -> list[dict]:
-    """JSONL of {question, answers: [...], question_id?} records."""
+    """JSONL of {question, answers: [...], question_id?} records.
+
+    A line that is not such an object is a ValueError naming the line, so a
+    batch stops before any question runs.
+    """
     records = []
     with open(path, "r", encoding="utf-8") as handle:
         for i, line in enumerate(handle):
@@ -41,6 +46,14 @@ def _load_dataset(path: str) -> list[dict]:
             if not line:
                 continue
             record = json.loads(line)
+            if (
+                not isinstance(record, dict)
+                or not isinstance(record.get("question"), str)
+                or not isinstance(record.get("answers"), list)
+            ):
+                raise ValueError(
+                    f'{path} line {i + 1}: expected an object with a string "question" and a list "answers"'
+                )
             record.setdefault("question_id", f"q{i + 1:04d}")
             records.append(record)
     return records
@@ -140,17 +153,7 @@ def _cmd_eval(args: argparse.Namespace) -> int:
                 result.trajectory.save(trajectory_dir / f"{record['question_id']}.jsonl")
         except (OSError, ValueError) as exc:
             logger.warning("question %s failed: %s", record["question_id"], exc)
-            return EvalRecord(
-                question_id=record["question_id"],
-                question=record["question"],
-                gold_answers=tuple(record["answers"]),
-                predicted=None,
-                acc=0,
-                turns=0,
-                context_lengths=(),
-                cache_ratios=(),
-                outcome="error",
-            )
+            return EvalRecord(question_id=record["question_id"], outcome="error")
         return EvalRecord.from_trajectory(result.trajectory, record["answers"])
 
     if args.parallel > 1:
@@ -284,7 +287,7 @@ def main(argv: list[str] | None = None) -> int:
     logging.basicConfig(level=logging.DEBUG if args.verbose else logging.WARNING)
     try:
         return args.func(args)
-    except (OSError, ValueError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError, TrajectoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

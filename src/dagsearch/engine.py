@@ -1,16 +1,19 @@
-"""Two-stage agentic loop: holistic planning, then proactive solving.
+"""The run loop: holistic planning, then proactive solving, in one ``run``.
 
-Planning produces the refined intent and the initial DAG; solving renders
-the register, asks the model for one action per turn, executes tool calls,
-and applies each action with deterministic code until a final answer, the
-turn budget, or a context overflow ends the run. Every typed failure is
-captured into the RunResult instead of escaping the boundary.
+Two planning turns produce the refined intent and the initial DAG; solving
+turns render the register, ask the model for one action each, execute tool
+calls, and apply each action with deterministic code until a final answer,
+the turn budget, or a context overflow ends the run. Every turn of either
+stage goes through one pipeline (``_turn``) and one token counter, and
+every typed failure is captured into the RunResult at one boundary instead
+of escaping it. The model-input text itself is built in ``register``.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import asdict, dataclass
+from functools import partial
 from importlib import resources
 from typing import Any, Callable, Mapping, TypeVar
 
@@ -31,9 +34,9 @@ from .register import (
     apply_action,
     capped_token_length,
     init_register,
-    intent_section,
     render_context,
-    token_length,
+    render_correction,
+    render_planning_context,
 )
 from .tools import (
     ArgumentSchemaViolation,
@@ -132,48 +135,39 @@ class PromptPack:
 
 @dataclass
 class RunResult:
-    """Outcome of one run; ``answered`` iff the last action is final_answer."""
+    """Outcome of one run, read from its trajectory; ``answered`` iff the last action is final_answer."""
 
-    outcome: str  # answered | budget_exhausted | context_overflow | aborted
-    answer: str | None
-    error: str | None
     trajectory: Trajectory
 
+    @property
+    def outcome(self) -> str:  # answered | budget_exhausted | context_overflow | aborted
+        return self.trajectory.outcome
 
-def render_planning_context(
-    prompt: str, question: str, intent: IntentPayload | None = None
-) -> str:
-    sections = [prompt.rstrip(), f"## Question\n{question}"]
-    if intent is None:
-        sections.append("Emit exactly one <intent_refinement> action now.")
-    else:
-        sections.append(intent_section(intent))
-        sections.append("Emit exactly one <problem_framing> action now.")
-    return "\n\n".join(sections)
+    @property
+    def answer(self) -> str | None:
+        return self.trajectory.answer
 
-
-def _with_correction(base_context: str, diagnostic: str) -> str:
-    return (
-        f"{base_context}\n\n## Correction\nYour previous response was rejected: "
-        f"{diagnostic}\nEmit exactly one corrected action block now."
-    )
+    @property
+    def error(self) -> str | None:
+        return self.trajectory.error
 
 
 def _turn(
     backend: Backend,
     trajectory: Trajectory,
     config: RunConfig,
-    *,
+    counter: LineTokenCounter,
     stage: str,
     system: str,
     context: str,
     check: Callable[[Action], tuple[ToolResult | None, T]],
-    counter: Callable[[str], int] = token_length,
 ) -> tuple[Action, T]:
     """One turn of either stage: cap, complete, parse, check, execute, apply, record.
 
-    ``context`` is counted through ``counter`` against the context cap
-    before any completion is requested (ContextOverflow over it). ``check``
+    ``context`` is counted once through the run's ``counter``, which
+    tokenizes only the lines the previous input lacked; that one count is
+    both the context-cap check (ContextOverflow over it, before any
+    completion is requested) and the step's ``token_count``. ``check``
     takes the parsed action, runs the stage's checks and its tool call, and
     returns (tool result, applied update). A re-promptable error re-issues
     the completion with the diagnostic appended to ``context``. With no
@@ -204,7 +198,7 @@ def _turn(
             raise RetriesExhausted(
                 f"gave up after {len(diagnostics)} rejected responses; last problem: {diagnostics[-1]}"
             )
-        prompt = _with_correction(context, diagnostics[-1])
+        prompt = render_correction(context, diagnostics[-1])
     trajectory.steps.append(
         StepRecord(
             index=len(trajectory.steps) + 1,
@@ -239,38 +233,6 @@ def _framing(action: Action) -> tuple[None, DagPlan]:
     return None, build_plan(payload["tasks"], payload["edges"], plan_id=0)
 
 
-def holistic_planning(
-    backend: Backend,
-    question: str,
-    prompts: PromptPack,
-    config: RunConfig | None = None,
-    trajectory: Trajectory | None = None,
-) -> tuple[IntentPayload, DagPlan]:
-    """Intent refinement followed by problem framing, both validated.
-
-    The second completion's context includes the refined intent. Each stage
-    re-prompts on protocol or plan errors within the retry budget. Each
-    input is checked against the context cap before it is sent; over the
-    cap, ContextOverflow is raised and no completion is requested.
-    """
-    config = config or RunConfig()
-    trajectory = trajectory if trajectory is not None else Trajectory(question=question)
-
-    def turn(intent: IntentPayload | None, check: Callable[[Action], tuple[None, T]]) -> T:
-        return _turn(
-            backend,
-            trajectory,
-            config,
-            stage="planning",
-            system=prompts.holistic,
-            context=render_planning_context(prompts.holistic, question, intent),
-            check=check,
-        )[1]
-
-    intent = turn(None, _refined_intent)
-    return intent, turn(intent, _framing)
-
-
 def _finish(
     trajectory: Trajectory,
     clock: Clock,
@@ -283,29 +245,43 @@ def _finish(
     trajectory.answer = answer
     trajectory.error = error
     trajectory.finished_at = clock()
-    return RunResult(outcome=outcome, answer=answer, error=error, trajectory=trajectory)
+    return RunResult(trajectory)
 
 
-def solve(
+def run(
+    question: str,
+    *,
     backend: Backend,
     tools: ToolRegistry,
-    question: str,
-    config: RunConfig,
-    *,
-    register: Register,
-    prompts: PromptPack,
-    trajectory: Trajectory,
+    config: RunConfig | None = None,
+    prompts: PromptPack | None = None,
+    question_id: str = "",
     clock: Clock = time.time,
+    version: int = TRAJECTORY_VERSION,
 ) -> RunResult:
-    """The proactive solving loop over an initialized register.
+    """One run: intent refinement, problem framing, then the solving loop.
 
-    Each turn renders the model input once, in the layout of the
-    trajectory's version, and counts its tokens once, tokenizing only the
-    lines the previous turn's input lacked; that one count is both the
-    context-cap check and the step's ``token_count``.
+    Every turn goes through ``_turn`` with one token counter for the run,
+    and every typed failure of either stage ends the run at one boundary.
+    ``version`` is the trajectory version the run is recorded in, which
+    also selects the solving-input layout; replay passes the recorded one.
     """
+    config = config or RunConfig()
+    prompts = prompts or PromptPack.load_default()
+    trajectory = Trajectory(
+        question=question,
+        question_id=question_id,
+        prompts={"holistic": prompts.holistic, "solving": prompts.solving},
+        config=asdict(config),
+        started_at=clock(),
+        version=version,
+    )
+    # Local to this call: parallel evals run on several threads.
+    counter = LineTokenCounter()
 
-    def check(action: Action) -> tuple[ToolResult | None, Register]:
+    turn = partial(_turn, backend, trajectory, config, counter)
+
+    def solving_check(action: Action) -> tuple[ToolResult | None, Register]:
         # ``register`` is the current turn's: the loop below rebinds it.
         tool_result: ToolResult | None = None
         if action.kind is ActionKind.TOOL_CALL:
@@ -323,20 +299,15 @@ def solve(
             )
         return tool_result, apply_action(register, action, tool_result)
 
-    # Local to this call: parallel evals run solve on several threads.
-    counter = LineTokenCounter()
     try:
+        planning = render_planning_context(prompts.holistic, question)
+        _, intent = turn("planning", prompts.holistic, planning, _refined_intent)
+        planning = render_planning_context(prompts.holistic, question, intent)
+        _, plan = turn("planning", prompts.holistic, planning, _framing)
+        register = init_register(intent, plan)
         for _ in range(config.max_turns):
-            action, register = _turn(
-                backend,
-                trajectory,
-                config,
-                stage="solving",
-                system=prompts.solving,
-                context=render_context(register, question, prompts.solving, trajectory.version),
-                check=check,
-                counter=counter,
-            )
+            solving = render_context(register, question, prompts.solving, trajectory.version)
+            action, register = turn("solving", prompts.solving, solving, solving_check)
             if action.kind is ActionKind.FINAL_ANSWER:
                 return _finish(trajectory, clock, "answered", answer=action.payload["answer"])
     except ContextOverflow as exc:
@@ -348,54 +319,14 @@ def solve(
     )
 
 
-def run(
-    question: str,
-    *,
-    backend: Backend,
-    tools: ToolRegistry,
-    config: RunConfig | None = None,
-    prompts: PromptPack | None = None,
-    question_id: str = "",
-    clock: Clock = time.time,
-    version: int = TRAJECTORY_VERSION,
-) -> RunResult:
-    """Programmatic entry point: plan, initialize the register, and solve.
-
-    ``version`` is the trajectory version the run is recorded in, which
-    also selects the solving-input layout; replay passes the recorded one.
-    """
-    config = config or RunConfig()
-    prompts = prompts or PromptPack.load_default()
-    trajectory = Trajectory(
-        question=question,
-        question_id=question_id,
-        prompts={"holistic": prompts.holistic, "solving": prompts.solving},
-        config=asdict(config),
-        started_at=clock(),
-        version=version,
-    )
-    try:
-        intent, plan = holistic_planning(backend, question, prompts, config, trajectory)
-    except ContextOverflow as exc:
-        return _finish(trajectory, clock, "context_overflow", error=str(exc))
-    except _ABORTING as exc:
-        return _finish(trajectory, clock, "aborted", error=f"{type(exc).__name__}: {exc}")
-    register = init_register(intent, plan)
-    return solve(
-        backend,
-        tools,
-        question,
-        config,
-        register=register,
-        prompts=prompts,
-        trajectory=trajectory,
-        clock=clock,
-    )
-
-
 # ---------------------------------------------------------------------------
 # Replay
 # ---------------------------------------------------------------------------
+
+
+def _recorded(step: StepRecord) -> Action:
+    """The action a recorded step took, validated as when it was parsed."""
+    return Action.create(ActionKind(step.kind), step.payload)
 
 
 def rebuild_registers(trajectory: Trajectory) -> list[Register]:
@@ -405,36 +336,28 @@ def rebuild_registers(trajectory: Trajectory) -> list[Register]:
     original run went through; audits and determinism checks compare these
     snapshots byte for byte.
     """
-    planning = [step for step in trajectory.steps if step.stage == "planning"]
+    planning = [_recorded(step) for step in trajectory.steps if step.stage == "planning"]
     if len(planning) < 2:
         raise ValueError("trajectory lacks the two planning steps")
-    intent = IntentPayload.from_payload(planning[0].payload)
-    plan = build_plan(planning[1].payload["tasks"], planning[1].payload["edges"], plan_id=0)
-    register = init_register(intent, plan)
+    register = init_register(_refined_intent(planning[0])[1], _framing(planning[1])[1])
     registers = [register]
     for step in trajectory.steps:
         if step.stage != "solving":
             continue
-        action = Action.create(ActionKind(step.kind), step.payload)
-        register = apply_action(register, action, step.tool_result)
+        register = apply_action(register, _recorded(step), step.tool_result)
         registers.append(register)
     return registers
 
 
 def replay_tools(trajectory: Trajectory) -> ToolRegistry:
     """A registry serving the recorded tool results in recorded order."""
-    queues: dict[str, ScriptedTool] = {}
-    order: list[str] = []
+    queues: dict[str, ScriptedTool] = {}  # in order of first call
     for step in trajectory.steps:
         if step.kind == ActionKind.TOOL_CALL.value and step.tool_result is not None:
-            name = step.payload["tool_name"]
-            if name not in queues:
-                queues[name] = ScriptedTool()
-                order.append(name)
-            queues[name].results.append(step.tool_result)
+            queues.setdefault(step.payload["tool_name"], ScriptedTool()).results.append(step.tool_result)
     registry = ToolRegistry()
-    for name in order:
-        registry.register(search_spec(name, "Replay of recorded tool results."), queues[name])
+    for name, tool in queues.items():
+        registry.register(search_spec(name, "Replay of recorded tool results."), tool)
     return registry
 
 

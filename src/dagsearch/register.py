@@ -6,7 +6,9 @@ Raw tool documents are visible for exactly one turn (the "latest tool
 output" section) and then vanish; only extracted facts persist. Rendering
 puts the most stable sections first and the current plan's task statuses,
 which change on most turns, after the append-only tool log, so consecutive
-model inputs share long token prefixes.
+model inputs share long token prefixes. This module renders every model
+input: the two planning inputs, each solving input, and the correction
+block appended after a rejected reply.
 """
 
 from __future__ import annotations
@@ -85,14 +87,12 @@ class LineTokenCounter:
         return total
 
 
-def capped_token_length(
-    text: str, max_tokens: int, counter: Callable[[str], int] = token_length
-) -> int:
+def capped_token_length(text: str, max_tokens: int, counter: Callable[[str], int]) -> int:
     """Token count of a model input, raising ContextOverflow over the cap.
 
     The one count of each model input: the same number is the cap check
-    and the step's recorded ``token_count``. ``counter`` is ``token_length``
-    or a :class:`LineTokenCounter`, which gives the same number.
+    and the step's recorded ``token_count``. ``counter`` is the run's
+    :class:`LineTokenCounter` (``token_length`` gives the same number).
     """
     count = counter(text)
     if count > max_tokens:
@@ -284,7 +284,7 @@ def apply_action(
 
 
 # ---------------------------------------------------------------------------
-# Rendering
+# Rendering (every model input)
 # ---------------------------------------------------------------------------
 
 
@@ -320,7 +320,7 @@ def _tool_log_lines(log: Sequence[ToolLogEntry]) -> list[str]:
     return lines
 
 
-def intent_section(intent: IntentPayload) -> str:
+def _intent_section(intent: IntentPayload) -> str:
     """The refined-intent section, shared by the planning and solving inputs."""
     lines = [f"Goal: {intent.refined_goal}"]
     if intent.constraints:
@@ -329,6 +329,25 @@ def intent_section(intent: IntentPayload) -> str:
     else:
         lines.append("Constraints: (none)")
     return "## Refined intent\n" + "\n".join(lines)
+
+
+def render_planning_context(prompt: str, question: str, intent: IntentPayload | None = None) -> str:
+    """Model input for a planning turn: intent refinement, or framing once ``intent`` is known."""
+    sections = [prompt.rstrip(), f"## Question\n{question}"]
+    if intent is None:
+        sections.append("Emit exactly one <intent_refinement> action now.")
+    else:
+        sections.append(_intent_section(intent))
+        sections.append("Emit exactly one <problem_framing> action now.")
+    return "\n\n".join(sections)
+
+
+def render_correction(context: str, diagnostic: str) -> str:
+    """``context`` re-sent after a rejected reply, with the ``## Correction`` block appended."""
+    return (
+        f"{context}\n\n## Correction\nYour previous response was rejected: "
+        f"{diagnostic}\nEmit exactly one corrected action block now."
+    )
 
 
 def render_context(register: Register, question: str, stage_prompt: str, version: int = 2) -> str:
@@ -346,7 +365,7 @@ def render_context(register: Register, question: str, stage_prompt: str, version
     """
     sections: list[str] = [stage_prompt.rstrip()]
     sections.append(f"## Question\n{question}")
-    sections.append(intent_section(register.intent))
+    sections.append(_intent_section(register.intent))
 
     if register.plan_history:
         lines = []

@@ -10,6 +10,7 @@ from __future__ import annotations
 import hashlib
 import json
 import logging
+import os
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -393,6 +394,33 @@ def search_spec(tool_name: str, description: str) -> ToolSpec:
     )
 
 
+# Per client kind: the class, the optional config keys passed through to it
+# when an entry sets them (each default lives on the class), and the default
+# description.
+_CLIENTS: dict[str, tuple[type, tuple[str, ...], str]] = {
+    "web_search": (
+        WebSearchClient,
+        (
+            "method",
+            "query_param",
+            "extra_params",
+            "results_path",
+            "title_field",
+            "url_field",
+            "snippet_field",
+            "api_key_param",
+            "api_key_header",
+        ),
+        "Web search returning ranked snippets.",
+    ),
+    "dense_retriever": (
+        DenseRetrieverClient,
+        ("query_field", "top_k_field", "results_path", "id_field", "title_field", "text_field"),
+        "Dense passage retrieval over a local index.",
+    ),
+}
+
+
 def build_registry(config: Sequence[Mapping[str, Any]], base_dir: str | Path = ".") -> ToolRegistry:
     """Build a registry from tool config entries.
 
@@ -400,49 +428,22 @@ def build_registry(config: Sequence[Mapping[str, Any]], base_dir: str | Path = "
     dense_retriever) plus kind-specific fields; see the README for the file
     format.
     """
-    import os
-
     registry = ToolRegistry()
     for entry in config:
         name = entry["name"]
         kind = entry["kind"]
-        top_k = int(entry.get("top_k", DEFAULT_TOP_K))
+        options: dict[str, Any] = {"top_k": int(entry["top_k"])} if "top_k" in entry else {}
         if kind == "fixture":
             corpus_path = Path(base_dir) / entry["corpus"]
-            executor: Executor = FixtureSearchTool(corpus=load_corpus(corpus_path), top_k=top_k)
-            description = entry.get("description", "Keyword search over a fixture corpus.")
-        elif kind == "web_search":
-            api_key = os.environ.get(entry["api_key_env"]) if entry.get("api_key_env") else None
-            executor = WebSearchClient(
-                tool_name=name,
-                endpoint=entry["endpoint"],
-                top_k=top_k,
-                method=entry.get("method", "GET"),
-                query_param=entry.get("query_param", "q"),
-                extra_params=entry.get("extra_params", {}),
-                results_path=entry.get("results_path", "results"),
-                title_field=entry.get("title_field", "title"),
-                url_field=entry.get("url_field", "url"),
-                snippet_field=entry.get("snippet_field", "snippet"),
-                api_key=api_key,
-                api_key_param=entry.get("api_key_param"),
-                api_key_header=entry.get("api_key_header"),
-            )
-            description = entry.get("description", "Web search returning ranked snippets.")
-        elif kind == "dense_retriever":
-            executor = DenseRetrieverClient(
-                tool_name=name,
-                endpoint=entry["endpoint"],
-                top_k=top_k,
-                query_field=entry.get("query_field", "query"),
-                top_k_field=entry.get("top_k_field", "top_k"),
-                results_path=entry.get("results_path", "passages"),
-                id_field=entry.get("id_field", "id"),
-                title_field=entry.get("title_field", "title"),
-                text_field=entry.get("text_field", "text"),
-            )
-            description = entry.get("description", "Dense passage retrieval over a local index.")
+            executor: Executor = FixtureSearchTool(corpus=load_corpus(corpus_path), **options)
+            description = "Keyword search over a fixture corpus."
+        elif kind in _CLIENTS:
+            client, keys, description = _CLIENTS[kind]
+            options.update((key, entry[key]) for key in keys if key in entry)
+            if kind == "web_search" and entry.get("api_key_env"):
+                options["api_key"] = os.environ.get(entry["api_key_env"])
+            executor = client(tool_name=name, endpoint=entry["endpoint"], **options)
         else:
             raise ValueError(f'unknown tool kind "{kind}" for tool "{name}"')
-        registry.register(search_spec(name, description), executor)
+        registry.register(search_spec(name, entry.get("description", description)), executor)
     return registry

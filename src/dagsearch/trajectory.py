@@ -22,6 +22,18 @@ from .tools import ToolResult
 
 TRAJECTORY_VERSION = 2
 _READABLE_VERSIONS = (1, 2)
+# The run-level fields of a trajectory file's header line, besides its version.
+_HEADER_FIELDS = (
+    "question",
+    "question_id",
+    "outcome",
+    "answer",
+    "error",
+    "started_at",
+    "finished_at",
+    "prompts",
+    "config",
+)
 
 
 class TrajectoryError(Exception):
@@ -112,19 +124,8 @@ class Trajectory:
     def save(self, path: str | Path) -> None:
         """Write this trajectory in its own ``version``'s encoding."""
         _check_version(self.version)
-        header = {
-            "record": "trajectory",
-            "version": self.version,
-            "question": self.question,
-            "question_id": self.question_id,
-            "outcome": self.outcome,
-            "answer": self.answer,
-            "error": self.error,
-            "started_at": self.started_at,
-            "finished_at": self.finished_at,
-            "prompts": self.prompts,
-            "config": self.config,
-        }
+        header = {"record": "trajectory", "version": self.version}
+        header.update((name, getattr(self, name)) for name in _HEADER_FIELDS)
         previous: list[str] = []
         with open(path, "w", encoding="utf-8") as handle:
             handle.write(json.dumps(header, ensure_ascii=False, sort_keys=True) + "\n")
@@ -140,28 +141,19 @@ class Trajectory:
 
     @classmethod
     def load(cls, path: str | Path) -> "Trajectory":
-        with open(path, "r", encoding="utf-8") as handle:
-            lines = [json.loads(line) for line in handle if line.strip()]
-        if not lines or lines[0].get("record") != "trajectory":
+        """Read a trajectory file; a structurally bad line is a TrajectoryError naming it."""
+        records = _read_records(path)
+        if not records or records[0][1].get("record") != "trajectory":
             raise TrajectoryError(f"{path} is not a trajectory file")
-        header = lines[0]
-        version = header.get("version")
-        _check_version(version)
-        trajectory = cls(
-            question=header["question"],
-            question_id=header["question_id"],
-            outcome=header["outcome"],
-            answer=header["answer"],
-            error=header["error"],
-            started_at=header["started_at"],
-            finished_at=header["finished_at"],
-            prompts=header["prompts"],
-            config=header["config"],
-            version=version,
-        )
-        previous: list[str] = []
-        for line in lines[1:]:
-            if line.get("record") == "step":
+        number, header = records[0]
+        try:
+            version = header.get("version")
+            _check_version(version)
+            trajectory = cls(version=version, **{name: header[name] for name in _HEADER_FIELDS})
+            previous: list[str] = []
+            for number, line in records[1:]:
+                if line.get("record") != "step":
+                    continue
                 line.pop("record")
                 if version >= 2:
                     shared = line.pop("state_shared")
@@ -176,7 +168,28 @@ class Trajectory:
                     previous = previous[:shared] + line["state"].split("\n")
                     line["state"] = "\n".join(previous)
                 trajectory.steps.append(StepRecord.from_dict(line))
+        except KeyError as exc:
+            raise TrajectoryError(f"{path} line {number}: missing field {exc}") from None
+        except TrajectoryError as exc:
+            raise TrajectoryError(f"{path} line {number}: {exc}") from None
         return trajectory
+
+
+def _read_records(path: str | Path) -> list[tuple[int, dict]]:
+    """The non-blank lines of a trajectory file as (line number, JSON object) pairs."""
+    records = []
+    with open(path, "r", encoding="utf-8") as handle:
+        for number, text in enumerate(handle, start=1):
+            if not text.strip():
+                continue
+            try:
+                record = json.loads(text)
+            except ValueError as exc:
+                raise TrajectoryError(f"{path} line {number}: not JSON: {exc}") from None
+            if not isinstance(record, dict):
+                raise TrajectoryError(f"{path} line {number}: not a JSON object")
+            records.append((number, record))
+    return records
 
 
 def _check_version(version: object) -> None:
@@ -457,38 +470,25 @@ def context_compactness(trajectory: Trajectory) -> CompactnessReport:
 
 @dataclass(frozen=True)
 class EvalRecord:
+    """One row of the eval report."""
+
     question_id: str
-    question: str
-    gold_answers: tuple[str, ...]
-    predicted: str | None
-    acc: int
-    turns: int
-    context_lengths: tuple[int, ...]
-    cache_ratios: tuple[float, ...]
-    outcome: str
-
-    @property
-    def final_context_tokens(self) -> int:
-        return self.context_lengths[-1] if self.context_lengths else 0
-
-    @property
-    def mean_cache_ratio(self) -> float:
-        if not self.cache_ratios:
-            return 0.0
-        return sum(self.cache_ratios) / len(self.cache_ratios)
+    acc: int = 0
+    turns: int = 0
+    final_context_tokens: int = 0
+    mean_cache_ratio: float = 0.0
+    outcome: str = ""
 
     @classmethod
     def from_trajectory(cls, trajectory: Trajectory, gold_answers: Sequence[str]) -> "EvalRecord":
         solving = trajectory.solving_steps()
+        ratios = step_cache_ratios(trajectory)
         return cls(
             question_id=trajectory.question_id,
-            question=trajectory.question,
-            gold_answers=tuple(gold_answers),
-            predicted=trajectory.answer,
             acc=acc_score(trajectory.answer, gold_answers) if trajectory.answer else 0,
             turns=len(solving),
-            context_lengths=tuple(step.token_count for step in solving),
-            cache_ratios=tuple(step_cache_ratios(trajectory)),
+            final_context_tokens=solving[-1].token_count if solving else 0,
+            mean_cache_ratio=sum(ratios) / len(ratios) if ratios else 0.0,
             outcome=trajectory.outcome,
         )
 

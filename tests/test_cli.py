@@ -346,3 +346,78 @@ def test_stats_and_export_over_the_v1_fixture_are_unchanged(tmp_path, capsys):
         "cache.csv": "93644c8b9b737037308b20386ff67cf7944ebe0e1eca93dbc2bad52df162cc8f",
         "sft.jsonl": "a9e7da457cee81ef1b2fffae333ff908d7895125d433979194e7627245ace69d",
     }
+
+
+# Each corrupts the records of a trajectory file in place: the header, then the steps.
+def corrupt_header(records):
+    records[0]["version"] = 9
+
+
+def drop_question_id(records):
+    del records[0]["question_id"]
+
+
+def drop_step_field(records):
+    del records[2]["model_text"]
+
+
+def non_object_step(records):
+    records[2] = ["step", 2]
+
+
+@pytest.mark.parametrize(
+    "corrupt, line, problem",
+    [
+        (corrupt_header, 1, "unsupported trajectory version: 9"),
+        (drop_question_id, 1, "missing field 'question_id'"),
+        (drop_step_field, 3, "missing field 'model_text'"),
+        (non_object_step, 3, "not a JSON object"),
+    ],
+    ids=["version", "header-field", "step-field", "step-not-object"],
+)
+@pytest.mark.parametrize("command", ["replay", "stats", "export"])
+def test_malformed_trajectory_file_exits_2_naming_the_line(tmp_path, capsys, command, corrupt, line, problem):
+    records = [json.loads(text) for text in (DATA_DIR / "two_hop_trajectory_v2.jsonl").read_text().splitlines()]
+    corrupt(records)
+    runs = tmp_path / "runs"
+    runs.mkdir()
+    path = runs / "bad.jsonl"
+    path.write_text("".join(json.dumps(record) + "\n" for record in records))
+    if command == "replay":
+        argv = ["replay", "--trajectory", str(path), "--strict"]
+    elif command == "stats":
+        argv = ["stats", "--trajectories", str(runs), "--curve-out", str(tmp_path / "c.csv")]
+        argv += ["--cache-out", str(tmp_path / "r.csv")]
+    else:
+        argv = ["export", "--trajectories", str(runs), "--gold", str(DATA_DIR / "eval_dataset.jsonl")]
+        argv += ["--out", str(tmp_path / "sft.jsonl")]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"error: {path} line {line}: {problem}\n"
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [
+        {"question_id": "no-answers", "question": "What is the capital of France?"},
+        {"question_id": "answers-not-a-list", "question": "What is the capital of France?", "answers": "Paris"},
+        {"question_id": "no-question", "answers": ["Paris"]},
+        ["not", "an", "object"],
+    ],
+    ids=["no-answers", "answers-not-a-list", "no-question", "not-an-object"],
+)
+def test_eval_rejects_a_malformed_dataset_record_before_any_question_runs(workdir, capsys, monkeypatch, bad):
+    ran = []
+    monkeypatch.setattr(dagsearch.cli, "run", lambda *args, **kwargs: ran.append(args))
+    dataset = workdir / "eval_dataset.jsonl"
+    lines = dataset.read_text().splitlines()
+    lines.insert(1, json.dumps(bad))
+    dataset.write_text("\n".join(lines) + "\n")
+    report = workdir / "report.csv"
+    argv = ["eval", "--dataset", str(dataset), "--backend", f"scripted:{workdir / 'eval_scripted.json'}"]
+    argv += ["--tools", str(workdir / "tools.json"), "--out", str(report)]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == (
+        f'error: {dataset} line 2: expected an object with a string "question" and a list "answers"\n'
+    )
+    assert ran == []
+    assert not report.exists()

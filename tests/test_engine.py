@@ -9,18 +9,20 @@ import dagsearch.tools
 from dagsearch.backend import Backend, ScriptedBackend
 from dagsearch.engine import (
     PromptPack,
-    RetriesExhausted,
     RunConfig,
-    WrongActionKind,
-    holistic_planning,
     rebuild_registers,
-    render_planning_context,
     replay_run,
     run,
 )
 from dagsearch.plan import UnknownTask, build_plan, mark_active
-from dagsearch.protocol import ActionKind, IntentPayload, ProtocolError, parse_action
-from dagsearch.register import default_tokenizer, register_to_dict, register_tokens, token_length
+from dagsearch.protocol import IntentPayload, ProtocolError, parse_action
+from dagsearch.register import (
+    default_tokenizer,
+    register_to_dict,
+    register_tokens,
+    render_planning_context,
+    token_length,
+)
 from dagsearch.tools import (
     ArgumentSchemaViolation,
     ToolRegistry,
@@ -66,38 +68,58 @@ def empty_registry():
     return ToolRegistry()
 
 
+def run_once(responses, config=None):
+    """A run over scripted ``responses`` that records every request context."""
+    backend = RecordingBackend(responses)
+    result = run(
+        "q?",
+        backend=backend,
+        tools=empty_registry(),
+        config=config or RunConfig(),
+        prompts=PROMPTS,
+        clock=fixed_clock(),
+    )
+    return result, backend.contexts
+
+
 class TestHolisticPlanning:
     def test_happy_path(self):
-        backend = ScriptedBackend(responses=[INTENT, FRAMING])
-        intent, plan = holistic_planning(backend, "q?", PROMPTS, RunConfig())
-        assert intent.refined_goal == "Find it."
-        assert plan.plan_id == 0
-        assert set(plan.nodes) == {"t1"}
+        result, _ = run_once([INTENT, FRAMING, ANSWER_T1, FINAL])
+        assert result.outcome == "answered"
+        assert [step.stage for step in result.trajectory.steps[:2]] == ["planning", "planning"]
+        initial = rebuild_registers(result.trajectory)[0]
+        assert initial.intent.refined_goal == "Find it."
+        assert initial.plan.plan_id == 0
+        assert set(initial.plan.nodes) == {"t1"}
 
     def test_wrong_kind_surfaces_without_retries(self):
         tool = '<tool_call>{"task_id": "t1", "tool_name": "search", "arguments": {}}</tool_call>'
-        backend = ScriptedBackend(responses=[tool])
-        with pytest.raises(WrongActionKind):
-            holistic_planning(backend, "q?", PROMPTS, RunConfig(max_malformed_retries=0))
+        result, contexts = run_once([tool], RunConfig(max_malformed_retries=0))
+        assert result.outcome == "aborted"
+        assert result.error.startswith("WrongActionKind: expected a <intent_refinement> action")
+        assert len(contexts) == 1
+        assert result.trajectory.steps == []
 
     def test_recovers_from_cyclic_framing_within_retry_budget(self):
         cyclic = (
             '<problem_framing>{"tasks": [{"task_id": "a", "description": "d"}, '
             '{"task_id": "b", "description": "d"}], "edges": [["a","b"],["b","a"]]}</problem_framing>'
         )
-        backend = RecordingBackend([INTENT, cyclic, FRAMING])
-        intent, plan = holistic_planning(
-            backend, "q?", PROMPTS, RunConfig(max_malformed_retries=1)
-        )
-        assert set(plan.nodes) == {"t1"}
-        assert "## Correction" in backend.contexts[2]
-        assert "cycle" in backend.contexts[2]
+        result, contexts = run_once([INTENT, cyclic, FRAMING, ANSWER_T1, FINAL], RunConfig(max_malformed_retries=1))
+        assert result.outcome == "answered"
+        assert set(rebuild_registers(result.trajectory)[0].plan.nodes) == {"t1"}
+        assert "## Correction" in contexts[2]
+        assert "cycle" in contexts[2]
+        # with no retry budget the planning error ends the run as an aborted result
+        aborted, _ = run_once([INTENT, cyclic], RunConfig(max_malformed_retries=0))
+        assert aborted.outcome == "aborted"
+        assert aborted.error.startswith("CyclicPlan: ")
+        assert [step.kind for step in aborted.trajectory.steps] == ["intent_refinement"]
 
     def test_second_context_includes_refined_intent(self):
-        backend = RecordingBackend([INTENT, FRAMING])
-        holistic_planning(backend, "q?", PROMPTS, RunConfig())
-        assert "Find it." in backend.contexts[1]
-        assert "<problem_framing>" in backend.contexts[1] or "problem_framing" in backend.contexts[1]
+        _, contexts = run_once([INTENT, FRAMING, ANSWER_T1, FINAL])
+        assert "Find it." in contexts[1]
+        assert "<problem_framing>" in contexts[1]
 
 
 class TestSolveEndToEnd:
@@ -445,28 +467,24 @@ class TestRetryLoop:
     @pytest.mark.parametrize("stage", ["planning", "solving"])
     def test_budget_and_corrections(self, stage, budget, bad):
         rejected = BAD_REPLIES[:bad]
-        before, after = ([], [INTENT, FRAMING]) if stage == "planning" else ([INTENT, FRAMING], [ANSWER_T1, FINAL])
+        # both stages go through run(); ``after`` starts with the stage's accepted reply
+        if stage == "planning":
+            before, after = [], [INTENT, FRAMING, ANSWER_T1, FINAL]
+        else:
+            before, after = [INTENT, FRAMING], [ANSWER_T1, FINAL]
         backend = RecordingBackend(before + rejected + after)
         config = RunConfig(max_malformed_retries=budget)
-        if stage == "planning":
-            trajectory = Trajectory(question="q?")
-            try:
-                holistic_planning(backend, "q?", PROMPTS, config, trajectory)
-                error = None
-            except (ProtocolError, RetriesExhausted) as exc:
-                error = f"{type(exc).__name__}: {exc}"
-        else:
-            result = run(
-                "q?", backend=backend, tools=empty_registry(), config=config, prompts=PROMPTS, clock=fixed_clock()
-            )
-            error, trajectory = result.error, result.trajectory
+        result = run(
+            "q?", backend=backend, tools=empty_registry(), config=config, prompts=PROMPTS, clock=fixed_clock()
+        )
+        error, trajectory = result.error, result.trajectory
 
         errors = [protocol_error(reply) for reply in rejected]
         diagnostics = [str(exc) for exc in errors]
         retried = min(bad, budget)
         contexts = backend.contexts[len(before) :]
-        # the first input, one per allowed retry, then the next turn's if it passed
-        assert len(contexts) == retried + (2 if bad <= budget else 1)
+        # the first input, one per allowed retry, then, if it passed, one per later reply
+        assert len(contexts) == retried + (len(after) if bad <= budget else 1)
         for diagnostic, context in zip(diagnostics, contexts[1 : retried + 1]):
             assert context == (
                 f"{contexts[0]}\n\n## Correction\nYour previous response was rejected: "
@@ -529,18 +547,16 @@ class TestDeterminism:
         steps = run_two_hop().trajectory.steps
         assert [step.stage for step in steps].count("planning") == 2
         assert len(steps) == 9
-        # each planning input is tokenized whole, once
-        assert calls[:2] == [step.state for step in steps[:2]]
-        # a solving turn tokenizes only the lines its previous input lacked
-        solving_calls = calls[2:]
+        # every step, planning included, tokenizes only the lines its previous input lacked
+        remaining = calls
         previous: set[str] = set()
-        for step in steps[2:]:
+        for step in steps:
             lines = step.state.split("\n")
             new_lines = [line for line in dict.fromkeys(lines) if line not in previous]
-            assert solving_calls[: len(new_lines)] == new_lines
-            solving_calls = solving_calls[len(new_lines) :]
+            assert remaining[: len(new_lines)] == new_lines
+            remaining = remaining[len(new_lines) :]
             previous = set(lines)
-        assert solving_calls == []
+        assert remaining == []
         monkeypatch.undo()
         assert all(step.token_count == token_length(step.state) for step in steps)
         tokenized = sum(token_length(text) for text in calls)

@@ -1,0 +1,42 @@
+"""Every name a package module imports is read in that module.
+
+``__init__.py`` only re-exports, so it is exempt. A name counts as read if
+it appears as an identifier anywhere in the module, annotations included
+(``from __future__ import annotations`` keeps them in the AST).
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+PACKAGE = Path(__file__).resolve().parent.parent / "src" / "dagsearch"
+MODULES = sorted(path for path in PACKAGE.glob("*.py") if path.name != "__init__.py")
+
+
+def unused_imports(source: str) -> list[str]:
+    tree = ast.parse(source)
+    imported: dict[str, int] = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                imported[alias.asname or alias.name] = node.lineno
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    unread = sorted((line, name) for name, line in imported.items() if name not in read)
+    return [f"line {line}: {name}" for line, name in unread]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)
+def test_module_reads_every_import(path):
+    assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def test_rule_flags_an_unread_import():
+    source = (
+        "import os\nimport json\nfrom typing import Any, Callable\n\n"
+        "def f(x: Any) -> str:\n    return json.dumps(x)\n"
+    )
+    assert unused_imports(source) == ["line 1: os", "line 3: Callable"]

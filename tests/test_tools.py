@@ -289,3 +289,52 @@ class TestBuildRegistry:
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
             build_registry([{"name": "x", "kind": "crawler"}])
+
+    @pytest.mark.parametrize(
+        "kind, client",
+        [("web_search", WebSearchClient), ("dense_retriever", DenseRetrieverClient)],
+    )
+    def test_required_keys_only_build_the_default_client(self, kind, client):
+        endpoint = "http://127.0.0.1:1/search"
+        registry = build_registry([{"name": "s", "kind": kind, "endpoint": endpoint}])
+        assert registry._tools["s"][1] == client(tool_name="s", endpoint=endpoint)
+
+    def test_every_optional_key_reaches_the_client(self, monkeypatch):
+        monkeypatch.setenv("DAGSEARCH_TEST_SEARCH_KEY", "secret")
+        endpoint = "http://127.0.0.1:1/search"
+        web = {
+            "method": "POST",
+            "query_param": "query",
+            "extra_params": {"lang": "en"},
+            "results_path": "data.items",
+            "title_field": "name",
+            "url_field": "link",
+            "snippet_field": "body",
+            "api_key_param": "key",
+            "api_key_header": "X-Key",
+        }
+        dense = {
+            "query_field": "text",
+            "top_k_field": "k",
+            "results_path": "hits",
+            "id_field": "pid",
+            "title_field": "heading",
+            "text_field": "passage",
+        }
+        web_entry = {
+            "name": "w",
+            "kind": "web_search",
+            "endpoint": endpoint,
+            "top_k": "5",
+            "api_key_env": "DAGSEARCH_TEST_SEARCH_KEY",
+            "description": "web",
+            **web,
+        }
+        dense_entry = {"name": "d", "kind": "dense_retriever", "endpoint": endpoint, "top_k": 7, **dense}
+        registry = build_registry([web_entry, dense_entry])
+        assert registry._tools["w"][1] == WebSearchClient(
+            tool_name="w", endpoint=endpoint, top_k=5, api_key="secret", **web
+        )
+        assert registry._tools["d"][1] == DenseRetrieverClient(tool_name="d", endpoint=endpoint, top_k=7, **dense)
+        assert registry.get("w").description == "web"
+        assert registry.get("d").description == "Dense passage retrieval over a local index."

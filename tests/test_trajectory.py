@@ -479,10 +479,13 @@ class TestEvalRecords:
         assert record.acc == 1
         assert record.turns == 7
         assert record.outcome == "answered"
+        solving = result.trajectory.solving_steps()
+        assert len(solving) == record.turns
+        ratios = step_cache_ratios(result.trajectory)
+        assert len(ratios) == record.turns - 1
+        assert record.mean_cache_ratio == sum(ratios) / len(ratios)
         assert 0 < record.mean_cache_ratio <= 1
-        assert len(record.context_lengths) == 7
-        assert len(record.cache_ratios) == 6
-        assert record.final_context_tokens == record.context_lengths[-1]
+        assert record.final_context_tokens == solving[-1].token_count
 
     def test_csv_writers(self, tmp_path):
         result = run_two_hop()
