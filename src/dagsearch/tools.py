@@ -8,15 +8,20 @@ Fixture tools make the whole engine runnable offline.
 from __future__ import annotations
 
 import hashlib
+import heapq
 import json
 import logging
 import os
 import time
+from array import array
+from collections import Counter
 from dataclasses import dataclass, field
+from itertools import islice
 from pathlib import Path
-from typing import Any, Callable, Mapping, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Mapping, Sequence
 
-import requests
+if TYPE_CHECKING:
+    import requests
 
 logger = logging.getLogger(__name__)
 
@@ -178,21 +183,43 @@ def load_corpus(path: str | Path) -> list[Document]:
 class FixtureSearchTool:
     """Deterministic keyword search over an in-memory corpus.
 
-    Scores by case-insensitive query-token overlap; ties break on source_id
-    so identical queries always return identical rankings.
+    A document scores the number of distinct query tokens among its own
+    (``f"{title} {text}".lower().split()``). Higher scores rank first; ties
+    break on source_id, then on corpus order, so identical queries always
+    return identical rankings. Documents that share no token with the query
+    fill any places left, in the same tie order.
+
+    The corpus is indexed once, at construction: each token maps to the
+    ordinals of the documents holding it, so a query reads only the
+    postings of its own tokens.
     """
 
     corpus: Sequence[Document]
     top_k: int = DEFAULT_TOP_K
+    _postings: dict[str, array] = field(init=False, repr=False, compare=False)
+    _by_source: list[int] = field(init=False, repr=False, compare=False)  # ordinals in tie order
+
+    def __post_init__(self) -> None:
+        postings: dict[str, array] = {}
+        for ordinal, doc in enumerate(self.corpus):
+            for token in set(f"{doc.title} {doc.text}".lower().split()):
+                ordinals = postings.get(token)
+                if ordinals is None:
+                    ordinals = postings[token] = array("I")
+                ordinals.append(ordinal)
+        self._postings = postings
+        self._by_source = sorted(range(len(self.corpus)), key=lambda i: self.corpus[i].source_id)
 
     def __call__(self, arguments: Mapping[str, Any]) -> ToolResult:
-        query_tokens = {tok for tok in str(arguments["query"]).lower().split() if tok}
-        scored = []
-        for doc in self.corpus:
-            doc_tokens = set(f"{doc.title} {doc.text}".lower().split())
-            scored.append((-len(query_tokens & doc_tokens), doc.source_id, doc))
-        scored.sort(key=lambda item: (item[0], item[1]))
-        return ToolResult(documents=tuple(doc for _, _, doc in scored[: self.top_k]))
+        overlap: Counter[int] = Counter()
+        for token in set(str(arguments["query"]).lower().split()):
+            overlap.update(self._postings.get(token, ()))
+        corpus = self.corpus
+        best = heapq.nsmallest(self.top_k, overlap, key=lambda i: (-overlap[i], corpus[i].source_id, i))
+        if len(best) < self.top_k:
+            unmatched = (i for i in self._by_source if i not in overlap)
+            best.extend(islice(unmatched, self.top_k - len(best)))
+        return ToolResult(documents=tuple(corpus[i] for i in best))
 
 
 @dataclass
@@ -230,7 +257,12 @@ def _request_with_retries(
     other failed request or error status raises ``error`` at once. Every
     failed attempt is logged; once the retries are spent, ``error`` is
     raised.
+
+    This is the one place that sends HTTP, so ``requests`` is imported
+    here: runs that never send a request never load it.
     """
+    import requests
+
     last_error: Exception | None = None
     for attempt in range(max_retries + 1):
         try:
@@ -426,13 +458,17 @@ def build_registry(config: Sequence[Mapping[str, Any]], base_dir: str | Path = "
 
     Each entry needs ``name`` and ``kind`` (fixture | web_search |
     dense_retriever) plus kind-specific fields; see the README for the file
-    format.
+    format. A ``top_k`` below 1 is a ValueError naming the tool.
     """
     registry = ToolRegistry()
     for entry in config:
         name = entry["name"]
         kind = entry["kind"]
-        options: dict[str, Any] = {"top_k": int(entry["top_k"])} if "top_k" in entry else {}
+        options: dict[str, Any] = {}
+        if "top_k" in entry:
+            options["top_k"] = int(entry["top_k"])
+            if options["top_k"] < 1:
+                raise ValueError(f'tool "{name}" needs a top_k of at least 1, not {options["top_k"]}')
         if kind == "fixture":
             corpus_path = Path(base_dir) / entry["corpus"]
             executor: Executor = FixtureSearchTool(corpus=load_corpus(corpus_path), **options)

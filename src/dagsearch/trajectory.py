@@ -34,6 +34,23 @@ _HEADER_FIELDS = (
     "prompts",
     "config",
 )
+# The JSON type every step line's field must have, by field name.
+_STEP_FIELD_TYPES = {
+    "index": int,
+    "stage": str,
+    "state": str,
+    "kind": str,
+    "payload": dict,
+    "raw_text": str,
+    "model_text": str,
+    "token_count": int,
+    "retries": int,
+    "diagnostics": list,
+}
+_TYPE_NAMES = {int: "an integer", str: "a string", dict: "an object", list: "a list"}
+_STAGES = ("planning", "solving")
+_KINDS = frozenset(kind.value for kind in ActionKind)
+_DOCUMENT_FIELDS = {"source_id", "title", "text"}
 
 
 class TrajectoryError(Exception):
@@ -155,6 +172,7 @@ class Trajectory:
                 if line.get("record") != "step":
                     continue
                 line.pop("record")
+                _check_step_fields(line)
                 if version >= 2:
                     shared = line.pop("state_shared")
                     if not isinstance(shared, int) or not 0 <= shared <= len(previous):
@@ -190,6 +208,30 @@ def _read_records(path: str | Path) -> list[tuple[int, dict]]:
                 raise TrajectoryError(f"{path} line {number}: not a JSON object")
             records.append((number, record))
     return records
+
+
+def _check_step_fields(line: dict) -> None:
+    """Raise a TrajectoryError unless every field of a step line has its type."""
+    for name, expected in _STEP_FIELD_TYPES.items():
+        # ``type(...) is``, not isinstance: JSON true and false are not integers.
+        if type(line[name]) is not expected:
+            raise TrajectoryError(f'field "{name}" is not {_TYPE_NAMES[expected]}')
+    if not all(type(text) is str for text in line["diagnostics"]):
+        raise TrajectoryError('field "diagnostics" holds an entry that is not a string')
+    if line["tool_result"] is not None and not _is_tool_result(line["tool_result"]):
+        raise TrajectoryError('field "tool_result" is neither null nor an object with a list of documents')
+    if line["stage"] not in _STAGES:
+        raise TrajectoryError(f'field "stage" is not planning or solving: {line["stage"]!r}')
+    if line["kind"] not in _KINDS:
+        raise TrajectoryError(f'field "kind" is not an action kind: {line["kind"]!r}')
+
+
+def _is_tool_result(value: object) -> bool:
+    documents = value.get("documents") if type(value) is dict else None
+    return type(documents) is list and all(
+        type(doc) is dict and doc.keys() == _DOCUMENT_FIELDS and all(type(text) is str for text in doc.values())
+        for doc in documents
+    )
 
 
 def _check_version(version: object) -> None:

@@ -365,6 +365,43 @@ def non_object_step(records):
     records[2] = ["step", 2]
 
 
+def v1_state_not_a_string(records):
+    records[:] = fixture_records("two_hop_trajectory_v1.jsonl")
+    records[2]["state"] = 5
+
+
+def state_not_a_string(records):
+    records[2]["state"] = 5
+
+
+def unknown_kind(records):
+    records[3]["kind"] = "bogus"
+
+
+def unknown_stage(records):
+    records[3]["stage"] = "acting"
+
+
+def boolean_token_count(records):
+    records[2]["token_count"] = True
+
+
+def non_string_diagnostic(records):
+    records[2]["diagnostics"] = [5]
+
+
+def non_object_tool_result(records):
+    records[3]["tool_result"] = ["doc"]
+
+
+def non_object_document(records):
+    records[3]["tool_result"]["documents"][0] = 5
+
+
+def fixture_records(name):
+    return [json.loads(text) for text in (DATA_DIR / name).read_text().splitlines()]
+
+
 @pytest.mark.parametrize(
     "corrupt, line, problem",
     [
@@ -372,12 +409,33 @@ def non_object_step(records):
         (drop_question_id, 1, "missing field 'question_id'"),
         (drop_step_field, 3, "missing field 'model_text'"),
         (non_object_step, 3, "not a JSON object"),
+        (v1_state_not_a_string, 3, 'field "state" is not a string'),
+        (state_not_a_string, 3, 'field "state" is not a string'),
+        (unknown_kind, 4, "field \"kind\" is not an action kind: 'bogus'"),
+        (unknown_stage, 4, "field \"stage\" is not planning or solving: 'acting'"),
+        (boolean_token_count, 3, 'field "token_count" is not an integer'),
+        (non_string_diagnostic, 3, 'field "diagnostics" holds an entry that is not a string'),
+        (non_object_tool_result, 4, 'field "tool_result" is neither null nor an object with a list of documents'),
+        (non_object_document, 4, 'field "tool_result" is neither null nor an object with a list of documents'),
     ],
-    ids=["version", "header-field", "step-field", "step-not-object"],
+    ids=[
+        "version",
+        "header-field",
+        "step-field",
+        "step-not-object",
+        "v1-state-type",
+        "v2-state-type",
+        "kind",
+        "stage",
+        "token-count-type",
+        "diagnostics-type",
+        "tool-result-type",
+        "document-type",
+    ],
 )
 @pytest.mark.parametrize("command", ["replay", "stats", "export"])
 def test_malformed_trajectory_file_exits_2_naming_the_line(tmp_path, capsys, command, corrupt, line, problem):
-    records = [json.loads(text) for text in (DATA_DIR / "two_hop_trajectory_v2.jsonl").read_text().splitlines()]
+    records = fixture_records("two_hop_trajectory_v2.jsonl")
     corrupt(records)
     runs = tmp_path / "runs"
     runs.mkdir()

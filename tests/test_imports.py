@@ -6,11 +6,15 @@ it appears as an identifier anywhere in the module, annotations included
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "dagsearch"
+V2_FIXTURE = Path(__file__).resolve().parent / "data" / "two_hop_trajectory_v2.jsonl"
 MODULES = sorted(path for path in PACKAGE.glob("*.py") if path.name != "__init__.py")
 
 
@@ -40,3 +44,27 @@ def test_rule_flags_an_unread_import():
         "def f(x: Any) -> str:\n    return json.dumps(x)\n"
     )
     assert unused_imports(source) == ["line 1: os", "line 3: Callable"]
+
+
+def test_offline_commands_never_load_the_http_stack():
+    # Only a request sent over HTTP needs ``requests``; importing the package
+    # and replaying a recording offline must leave it unloaded.
+    script = (
+        "import sys\n"
+        "import dagsearch\n"
+        "from dagsearch.cli import main\n"
+        "print('requests' in sys.modules)\n"
+        f"code = main(['replay', '--strict', '--trajectory', {str(V2_FIXTURE)!r}])\n"
+        "print(code, 'requests' in sys.modules)\n"
+    )
+    path = os.pathsep.join(filter(None, [str(PACKAGE.parent), os.environ.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-c", script],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    lines = done.stdout.splitlines()
+    assert lines[0] == "False"
+    assert lines[-1] == "0 False"

@@ -4,6 +4,8 @@ import threading
 from http.server import BaseHTTPRequestHandler, HTTPServer
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from dagsearch.backend import CompletionRequest, HttpChatBackend, TransportError
 from dagsearch.tools import (
@@ -130,6 +132,47 @@ class TestFixtureSearch:
         docs = load_corpus(DATA_DIR / "corpus.jsonl")
         assert len(docs) == 6
         assert all(isinstance(doc, Document) for doc in docs)
+
+
+def brute_force_search(corpus, query, top_k):
+    """Score every document against the query, then sort: the reference ranking."""
+    query_tokens = set(query.lower().split())
+    scored = []
+    for doc in corpus:
+        doc_tokens = set(f"{doc.title} {doc.text}".lower().split())
+        scored.append((-len(query_tokens & doc_tokens), doc.source_id, doc))
+    scored.sort(key=lambda item: (item[0], item[1]))
+    return [doc for _, _, doc in scored[:top_k]]
+
+
+# Words that collide or change length under lower(), and whitespace that
+# str.split() breaks on, joined with no separator so runs and glued words occur.
+_WORDS = ["a", "A", "b", "ab", "İ", "i̇", "i", "Σ", "σ", "ς", "ß", "SS", "ss"]
+_SPACES = [" ", "\t", "\n", "\u3000"]
+_texts = st.lists(st.sampled_from(_WORDS + _SPACES), max_size=8).map("".join)
+_documents = st.builds(Document, source_id=st.sampled_from(["s0", "s1", "s2", "S1"]), title=_texts, text=_texts)
+
+
+@st.composite
+def _searches(draw):
+    corpus = draw(st.lists(_documents, max_size=15))
+    top_k = draw(st.integers(min_value=1, max_value=len(corpus) + 2))
+    query = draw(st.one_of(_texts, _texts.map(lambda text: f"{text} {text}")))
+    return corpus, query, top_k
+
+
+@settings(max_examples=400, deadline=None)
+@given(_searches())
+@example(([], "", 1))
+@example(([Document("s1", "a", "b"), Document("s0", "", ""), Document("s1", "b", "a")], "a a\tb", 2))
+@example(([Document("s1", "Σ", ""), Document("s0", "ß", "")], "σ SS", 4))
+@example(([Document("s0", "b", ""), Document("s1", "a", "")], "a a b", 1))
+def test_index_ranks_like_the_brute_force_scorer(search):
+    corpus, query, top_k = search
+    found = FixtureSearchTool(corpus=corpus, top_k=top_k)({"query": query}).documents
+    expected = brute_force_search(corpus, query, top_k)
+    assert len(found) == len(expected)
+    assert all(got is want for got, want in zip(found, expected))
 
 
 class TestStableSourceIds:
@@ -289,6 +332,20 @@ class TestBuildRegistry:
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
             build_registry([{"name": "x", "kind": "crawler"}])
+
+    @pytest.mark.parametrize("top_k", [0, -1])
+    @pytest.mark.parametrize(
+        "entry",
+        [
+            {"kind": "fixture", "corpus": "corpus.jsonl"},
+            {"kind": "web_search", "endpoint": "http://127.0.0.1:1/search"},
+            {"kind": "dense_retriever", "endpoint": "http://127.0.0.1:1/search"},
+        ],
+        ids=["fixture", "web_search", "dense_retriever"],
+    )
+    def test_top_k_below_one_is_rejected(self, entry, top_k):
+        with pytest.raises(ValueError, match=f'tool "s" needs a top_k of at least 1, not {top_k}'):
+            build_registry([{"name": "s", "top_k": top_k, **entry}], base_dir=DATA_DIR)
 
     @pytest.mark.parametrize(
         "kind, client",
