@@ -1,102 +1,6 @@
-"""Structured-protocol agentic search with a DAG plan and a context register."""
+"""Structured-protocol agentic search with a DAG plan and a context register.
 
-from .backend import (
-    Backend,
-    BackendError,
-    BackendExhausted,
-    CompletionRequest,
-    HttpChatBackend,
-    ReplayBackend,
-    ReplayDivergence,
-    ScriptedBackend,
-    TransportError,
-)
-from .engine import (
-    EngineError,
-    FinalBeforeComplete,
-    PromptPack,
-    RetriesExhausted,
-    RunConfig,
-    RunResult,
-    WrongActionKind,
-    replay_run,
-    run,
-)
-from .plan import (
-    AlreadyAnswered,
-    CyclicPlan,
-    DagPlan,
-    DependencyUnmet,
-    DuplicateTaskId,
-    EmptyPlan,
-    NotAnswered,
-    PlanError,
-    TaskNode,
-    UnknownEdgeEndpoint,
-    UnknownTask,
-    apply_task_answer,
-    build_plan,
-    frontier,
-    is_complete,
-    reset_for_revisit,
-)
-from .protocol import (
-    Action,
-    ActionKind,
-    IntentPayload,
-    MalformedPayload,
-    MultipleActionBlocks,
-    NoActionBlock,
-    PLANNING_KINDS,
-    ProtocolError,
-    RETROSPECTION_KINDS,
-    SOLVING_KINDS,
-    SchemaViolation,
-    UnknownActionKind,
-    parse_action,
-    render_action,
-    subspace_of,
-)
-from .register import (
-    ContextOverflow,
-    IllegalActionInStage,
-    Register,
-    RegisterError,
-    ToolLogEntry,
-    apply_action,
-    default_tokenizer,
-    init_register,
-    register_from_dict,
-    register_to_dict,
-    render_context,
-    token_length,
-)
-from .tools import (
-    ArgumentSchemaViolation,
-    DenseRetrieverClient,
-    Document,
-    DuplicateTool,
-    FixtureSearchTool,
-    ToolError,
-    ToolRegistry,
-    ToolResult,
-    ToolSpec,
-    UnknownTool,
-    WebSearchClient,
-    build_registry,
-    load_corpus,
-)
-from .trajectory import (
-    EvalRecord,
-    FilterDecision,
-    Trajectory,
-    UnfilteredInput,
-    acc_score,
-    cache_ratio,
-    context_compactness,
-    context_curve,
-    export_sft,
-    rft_filter,
-)
+Names are imported from their modules, e.g. ``from dagsearch.engine import run``.
+"""
 
 __version__ = "0.1.0"

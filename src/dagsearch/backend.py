@@ -7,6 +7,7 @@ with retries and backoff.
 
 from __future__ import annotations
 
+import json
 import os
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -147,7 +148,7 @@ class HttpChatBackend(Backend):
             "temperature": request.temperature,
             "max_tokens": request.max_output_tokens,
         }
-        headers = {"Content-Type": "application/json", **self.extra_headers}
+        headers = dict(self.extra_headers)
         if self.api_key:
             headers["Authorization"] = f"Bearer {self.api_key}"
         response = _request_with_retries(
@@ -155,13 +156,13 @@ class HttpChatBackend(Backend):
             self.endpoint,
             max_retries=self.max_retries,
             backoff=self.backoff,
-            error=TransportError,
-            json=payload,
-            headers=headers,
             timeout=self.timeout,
+            error=TransportError,
+            body=payload,
+            headers=headers,
         )
         try:
-            content = response.json()["choices"][0]["message"]["content"]
+            content = json.loads(response)["choices"][0]["message"]["content"]
         except (ValueError, LookupError, TypeError) as exc:
             raise TransportError(f"chat endpoint answered a malformed body: {exc!r}") from None
         if not isinstance(content, str):

@@ -140,11 +140,12 @@ def _cmd_eval(args: argparse.Namespace) -> int:
 
     def evaluate(record: dict) -> EvalRecord:
         """One question's row; a question that cannot be set up or saved becomes an ``error`` row."""
+        tools = _build_tools(args)  # a bad tool config ends the whole call
         try:
             result = run(
                 record["question"],
                 backend=_build_backend(args.backend, record["question_id"]),
-                tools=_build_tools(args),
+                tools=tools,
                 config=config,
                 prompts=prompts,
                 question_id=record["question_id"],

@@ -246,20 +246,3 @@ def plan_to_dict(plan: DagPlan) -> dict:
         "edges": [list(edge) for edge in plan.edges],
     }
 
-
-def plan_from_dict(data: dict) -> DagPlan:
-    nodes = {
-        task["task_id"]: TaskNode(
-            task_id=task["task_id"],
-            description=task["description"],
-            status=task["status"],
-            answer=task["answer"],
-            evidence=tuple(task["evidence"]),
-        )
-        for task in data["tasks"]
-    }
-    return DagPlan(
-        plan_id=data["plan_id"],
-        nodes=nodes,
-        edges=tuple((edge[0], edge[1]) for edge in data["edges"]),
-    )

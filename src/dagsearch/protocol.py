@@ -267,6 +267,9 @@ def validate_payload(kind: ActionKind, payload: dict) -> None:
 
 _TAG_RE = re.compile(r"<([a-z][a-z0-9_]*)>")
 _DECODER = json.JSONDecoder()
+# A lone surrogate is not valid Unicode: a run holding one could not be saved.
+_SURROGATE_RE = re.compile("[\ud800-\udfff]")
+_SURROGATE_DIAGNOSTIC = "the reply holds a lone surrogate (U+D800-U+DFFF); emit valid Unicode text"
 
 
 def _skip_ws(text: str, pos: int) -> int:
@@ -340,8 +343,10 @@ def parse_action(text: str, strict: bool = False) -> Action:
 
     Free text outside the block is discarded (the trajectory keeps the full
     model output for audit); with ``strict=True`` any non-whitespace text
-    outside the block is an error.
+    outside the block is an error. A lone surrogate anywhere is malformed.
     """
+    if not text.isascii() and _SURROGATE_RE.search(text):  # isascii is O(1)
+        raise MalformedPayload(_SURROGATE_DIAGNOSTIC)
     blocks = _scan_blocks(text)
     if not blocks:
         raise NoActionBlock(
@@ -359,6 +364,9 @@ def parse_action(text: str, strict: bool = False) -> Action:
             raise ExtraTextOutsideBlock(
                 "strict mode: no text is allowed outside the action block"
             )
+    raw_text = text[block.start:block.end]
+    if "\\u" in raw_text and _SURROGATE_RE.search(json.dumps(block.payload, ensure_ascii=False)):
+        raise MalformedPayload(_SURROGATE_DIAGNOSTIC)
     kind = _KIND_BY_TAG[block.tag]
     validate_payload(kind, block.payload)
-    return Action(kind=kind, payload=block.payload, raw_text=text[block.start:block.end])
+    return Action(kind=kind, payload=block.payload, raw_text=raw_text)

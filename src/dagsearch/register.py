@@ -19,7 +19,7 @@ from functools import cached_property
 from typing import Callable, Sequence
 
 from . import plan as planmod
-from .plan import DagPlan, plan_from_dict, plan_to_dict
+from .plan import DagPlan, plan_to_dict
 from .protocol import Action, ActionKind, IntentPayload, canonical_json
 from .tools import ToolResult
 
@@ -460,39 +460,3 @@ def register_to_dict(register: Register) -> dict:
         ),
     }
 
-
-def register_from_dict(data: dict) -> Register:
-    if data.get("version") != SNAPSHOT_VERSION:
-        raise ValueError(f"unsupported register snapshot version: {data.get('version')}")
-    current = data["current"]
-    pending = data.get("pending_tool_result")
-    return Register(
-        intent=IntentPayload.from_payload(data["intent"]),
-        plan_history=tuple(
-            PlanSnapshot(plan=plan_from_dict(s["plan"]), reason=s["reason"])
-            for s in data["plan_history"]
-        ),
-        plan=plan_from_dict(current["plan"]),
-        revisit_history=tuple(
-            RevisitRecord(
-                task_id=r["task_id"],
-                discarded_answer=r["discarded_answer"],
-                reason=r["reason"],
-            )
-            for r in current["revisit_history"]
-        ),
-        tool_log=tuple(
-            ToolLogEntry(
-                step_index=e["step_index"],
-                task_id=e["task_id"],
-                tool_name=e["tool_name"],
-                arguments=e["arguments"],
-                condensed_facts=tuple(e["condensed_facts"]),
-                source_ids=tuple(e["source_ids"]),
-                extracted=e["extracted"],
-            )
-            for e in current["tool_log"]
-        ),
-        step=data["step"],
-        pending_tool_result=ToolResult.from_dict(pending) if pending is not None else None,
-    )

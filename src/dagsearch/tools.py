@@ -18,10 +18,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from itertools import islice
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, Callable, Mapping, Sequence
-
-if TYPE_CHECKING:
-    import requests
+from typing import Any, Callable, Mapping, Sequence
 
 logger = logging.getLogger(__name__)
 
@@ -248,35 +245,50 @@ def _request_with_retries(
     *,
     max_retries: int,
     backoff: float,
+    timeout: float,
     error: type[Exception] = ToolTransportError,
-    **kwargs: Any,
-) -> requests.Response:
-    """Send a request, retrying transient failures with exponential backoff.
+    params: Mapping[str, Any] | None = None,
+    body: Any = None,
+    headers: Mapping[str, str] | None = None,
+) -> bytes:
+    """Send a request and return the response body, retrying transient failures.
 
-    Only connection errors, timeouts, HTTP 429 and 5xx are transient. Any
-    other failed request or error status raises ``error`` at once. Every
-    failed attempt is logged; once the retries are spent, ``error`` is
-    raised.
+    ``params`` go in the query string; ``body`` is sent as JSON. Connection
+    errors, timeouts, HTTP 429 and 5xx are logged and retried with
+    exponential backoff until the retries are spent; any other failure, a
+    bad URL included, raises ``error`` at once.
 
-    This is the one place that sends HTTP, so ``requests`` is imported
+    This is the one place that sends HTTP, so the HTTP stack is imported
     here: runs that never send a request never load it.
     """
-    import requests
+    import http.client
+    import urllib.error
+    import urllib.parse
+    import urllib.request
 
+    if params:
+        url = f"{url}{'&' if '?' in url else '?'}{urllib.parse.urlencode(params)}"
+    headers = dict(headers or {})
+    data = None
+    if body is not None:
+        data = json.dumps(body).encode("utf-8")
+        headers.setdefault("Content-Type", "application/json")
     last_error: Exception | None = None
     for attempt in range(max_retries + 1):
         try:
-            response = requests.request(method, url, **kwargs)
-        except (requests.ConnectionError, requests.Timeout) as exc:
+            request = urllib.request.Request(url, data=data, headers=headers, method=method)
+            with urllib.request.urlopen(request, timeout=timeout) as response:
+                return response.read()
+        except urllib.error.HTTPError as exc:
+            exc.close()
+            last_error = error(f"{url} answered HTTP {exc.code}")
+            if exc.code != 429 and exc.code < 500:
+                raise last_error from None
+        except (ValueError, http.client.InvalidURL) as exc:
+            raise error(f"Invalid URL or header for {url}: {exc}") from None
+        except (http.client.HTTPException, OSError) as exc:
+            # OSError covers URLError, timeouts and connection resets.
             last_error = exc
-        except requests.RequestException as exc:
-            raise error(f"request to {url} failed: {exc}") from None
-        else:
-            if response.ok:
-                return response
-            last_error = error(f"{url} answered HTTP {response.status_code}")
-            if response.status_code != 429 and response.status_code < 500:
-                raise last_error
         logger.warning("request attempt %d/%d failed: %s", attempt + 1, max_retries + 1, last_error)
         if attempt < max_retries:
             time.sleep(backoff * (2**attempt))
@@ -295,10 +307,10 @@ def _dig(payload: Any, path: str) -> Any:
     return current
 
 
-def _result_items(response: requests.Response, path: str, top_k: int) -> list[dict]:
+def _result_items(body: bytes, path: str, top_k: int) -> list[dict]:
     """The first ``top_k`` result objects of the array at ``path`` in a JSON body."""
     try:
-        payload = response.json()
+        payload = json.loads(body)
     except ValueError as exc:
         raise ToolTransportError(f"response body is not JSON: {exc}") from None
     items = _dig(payload, path)
@@ -345,17 +357,16 @@ class WebSearchClient:
                 headers[self.api_key_header] = self.api_key
             else:
                 params[self.api_key_param or "api_key"] = self.api_key
-        kwargs: dict[str, Any] = {"timeout": self.timeout, "headers": headers}
-        if self.method.upper() == "POST":
-            kwargs["json"] = params
-        else:
-            kwargs["params"] = params
+        post = self.method.upper() == "POST"
         response = _request_with_retries(
             self.method.upper(),
             self.endpoint,
             max_retries=self.max_retries,
             backoff=self.backoff,
-            **kwargs,
+            timeout=self.timeout,
+            params=None if post else params,
+            body=params if post else None,
+            headers=headers,
         )
         docs = []
         for item in _result_items(response, self.results_path, self.top_k):
@@ -395,8 +406,8 @@ class DenseRetrieverClient:
             self.endpoint,
             max_retries=self.max_retries,
             backoff=self.backoff,
-            json=body,
             timeout=self.timeout,
+            body=body,
         )
         docs = []
         for item in _result_items(response, self.results_path, self.top_k):

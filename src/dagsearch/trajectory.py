@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import csv
 import json
+import os
 import re
 from dataclasses import dataclass, field
 from itertools import chain
@@ -139,22 +140,32 @@ class Trajectory:
     # least one line and splitting it gives back exactly the lines stored.
 
     def save(self, path: str | Path) -> None:
-        """Write this trajectory in its own ``version``'s encoding."""
+        """Write this trajectory in its own ``version``'s encoding, atomically.
+
+        It is written under a temporary name that ``load_trajectories`` never
+        reads, then renamed onto ``path``, so a failed save changes no file.
+        """
         _check_version(self.version)
         header = {"record": "trajectory", "version": self.version}
         header.update((name, getattr(self, name)) for name in _HEADER_FIELDS)
         previous: list[str] = []
-        with open(path, "w", encoding="utf-8") as handle:
-            handle.write(json.dumps(header, ensure_ascii=False, sort_keys=True) + "\n")
-            for step in self.steps:
-                line = {"record": "step", **step.to_dict()}
-                if self.version >= 2:
-                    lines = step.state.split("\n")
-                    shared = min(_leading_equal(previous, lines), len(lines) - 1)
-                    line["state_shared"] = shared
-                    line["state"] = "\n".join(lines[shared:])
-                    previous = lines
-                handle.write(json.dumps(line, ensure_ascii=False, sort_keys=True) + "\n")
+        temporary = Path(f"{path}.{os.getpid()}.tmp")
+        try:
+            with open(temporary, "w", encoding="utf-8") as handle:
+                handle.write(json.dumps(header, ensure_ascii=False, sort_keys=True) + "\n")
+                for step in self.steps:
+                    line = {"record": "step", **step.to_dict()}
+                    if self.version >= 2:
+                        lines = step.state.split("\n")
+                        shared = min(_leading_equal(previous, lines), len(lines) - 1)
+                        line["state_shared"] = shared
+                        line["state"] = "\n".join(lines[shared:])
+                        previous = lines
+                    handle.write(json.dumps(line, ensure_ascii=False, sort_keys=True) + "\n")
+            os.replace(temporary, path)
+        except BaseException:
+            temporary.unlink(missing_ok=True)
+            raise
 
     @classmethod
     def load(cls, path: str | Path) -> "Trajectory":

@@ -453,6 +453,16 @@ def test_malformed_trajectory_file_exits_2_naming_the_line(tmp_path, capsys, com
     assert capsys.readouterr().err == f"error: {path} line {line}: {problem}\n"
 
 
+def test_eval_tool_config_error_exits_2_before_any_report(workdir, capsys):
+    report = workdir / "report.csv"
+    argv = ["eval", "--dataset", str(workdir / "eval_dataset.jsonl"), "--top-k", "0"]
+    argv += ["--backend", f"scripted:{workdir / 'eval_scripted.json'}"]
+    argv += ["--tools", str(workdir / "tools.json"), "--out", str(report)]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == 'error: tool "search" needs a top_k of at least 1, not 0\n'
+    assert not report.exists()
+
+
 @pytest.mark.parametrize(
     "bad",
     [

@@ -1,7 +1,10 @@
 import hashlib
 import json
+import re
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import dagsearch.engine
 import dagsearch.register
@@ -37,6 +40,8 @@ from helpers import (
     TWO_HOP_QUESTION,
     fixed_clock,
     fixture_registry,
+    mutate_action,
+    random_action,
     run_two_hop,
     two_hop_responses,
 )
@@ -628,6 +633,122 @@ class TestReplay:
         object.__setattr__(steps[3], "state", steps[3].state + " TAMPERED")
         replayed = replay_run(result.trajectory, strict=False, clock=fixed_clock())
         assert replayed.outcome == "answered"
+
+
+# A lone surrogate is not valid Unicode, so no trajectory file could hold it.
+SURROGATE = re.compile("[\ud800-\udfff]")
+SURROGATE_REPLIES = {
+    "escape-in-payload": '<final_answer>{"answer": "x\\ud800y"}</final_answer>',
+    "raw-in-free-text": 'note \ud800 <final_answer>{"answer": "x"}</final_answer>',
+    "raw-in-payload": '<final_answer>{"answer": "x\udfffy"}</final_answer>',
+}
+
+
+@pytest.mark.parametrize("reply", SURROGATE_REPLIES.values(), ids=SURROGATE_REPLIES.keys())
+def test_lone_surrogate_reply_is_reprompted_and_the_run_saves(tmp_path, reply):
+    responses = two_hop_responses()
+    responses.insert(len(responses) - 1, reply)
+    result = run(
+        TWO_HOP_QUESTION,
+        backend=ScriptedBackend(responses=responses),
+        tools=fixture_registry(),
+        prompts=PROMPTS,
+        question_id="two-hop-www",
+        clock=fixed_clock(),
+    )
+    assert (result.outcome, result.answer) == ("answered", "1096")
+    final = result.trajectory.steps[-1]
+    assert final.retries == 1
+    assert "lone surrogate" in final.diagnostics[0]
+    assert not SURROGATE.search(final.diagnostics[0])
+    path = tmp_path / "run.jsonl"
+    result.trajectory.save(path)
+    replayed = replay_run(Trajectory.load(path), strict=True, clock=fixed_clock())
+    assert (replayed.outcome, replayed.answer) == ("answered", "1096")
+
+
+# ---------------------------------------------------------------------------
+# Run-level closure: any reply sequence runs, saves, loads and replays
+# ---------------------------------------------------------------------------
+
+OUTCOMES = {"answered", "budget_exhausted", "context_overflow", "aborted"}
+
+randoms = st.randoms(use_true_random=False)
+any_text = st.text(st.one_of(st.characters(), st.integers(0xD800, 0xDFFF).map(chr)), max_size=20)
+replies = st.one_of(
+    randoms.map(lambda rng: random_action(rng).raw_text),
+    randoms.map(lambda rng: mutate_action(rng, random_action(rng))[0]),
+    st.sampled_from(two_hop_responses()),
+    any_text,
+)
+# JSON \u escapes, weighted towards U+D800-U+DFFF.
+escapes = st.lists(st.one_of(st.integers(0, 0xFFFF), st.integers(0xD800, 0xDFFF)), max_size=3).map(
+    lambda points: "".join(f"\\u{point:04x}" for point in points)
+)
+
+
+def into_last_string(reply, text):
+    """``reply`` with ``text`` at the start of its last ``"key": "value"`` string."""
+    head, sep, tail = reply.rpartition('": "')
+    return head + sep + text + tail if sep else reply
+
+
+def record_and_replay(directory, responses, config):
+    """Run ``responses``; save, load, strictly replay and save again. Both trajectories."""
+    result = run(
+        TWO_HOP_QUESTION,
+        backend=ScriptedBackend(responses=responses),
+        tools=fixture_registry(),
+        config=config,
+        prompts=PROMPTS,
+        question_id="closure",
+        clock=fixed_clock(),
+    )
+    assert result.outcome in OUTCOMES
+    path = directory / "closure.jsonl"
+    result.trajectory.save(path)
+    replayed = replay_run(Trajectory.load(path), strict=True, clock=fixed_clock())
+    replayed.trajectory.save(path)
+    return result.trajectory, Trajectory.load(path)
+
+
+def run_facts(trajectory):
+    steps = [(s.stage, s.state, s.kind, s.payload, s.raw_text) for s in trajectory.steps]
+    return steps, trajectory.answer, trajectory.outcome
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    cut=st.integers(0, len(two_hop_responses()) - 1),
+    noise=st.lists(replies, max_size=4),
+    lead=any_text,
+    escape=escapes,
+    retries=st.integers(0, 2),
+    strict=st.booleans(),
+)
+def test_any_reply_sequence_runs_saves_and_replays(tmp_path_factory, cut, noise, lead, escape, retries, strict):
+    script = two_hop_responses()
+    if strict:  # strict mode allows no text outside the block
+        script = [reply[reply.index("<"):] for reply in script]
+    # Garbage before the next scripted reply, which is itself edited.
+    edited = lead + into_last_string(script[cut], escape)
+    responses = script[:cut] + noise + [edited] + script[cut + 1:]
+    config = RunConfig(max_malformed_retries=retries, strict_protocol=strict)
+    original, again = record_and_replay(tmp_path_factory.getbasetemp(), responses, config)
+    assert run_facts(again) == run_facts(original)
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="replay re-serves only accepted replies; trajectory v3 (ROADMAP item 4) records rejected ones",
+)
+def test_replay_keeps_retries_and_diagnostics(tmp_path):
+    responses = two_hop_responses()
+    responses.insert(3, "no action block here")
+    original, again = record_and_replay(tmp_path, responses, RunConfig())
+    assert [(s.retries, s.diagnostics) for s in again.steps] == [
+        (s.retries, s.diagnostics) for s in original.steps
+    ]
 
 
 class TestRunConfig:

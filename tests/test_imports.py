@@ -1,8 +1,9 @@
-"""Every name a package module imports is read in that module.
+"""Every name a package module imports is read in that module, and the HTTP
+stack loads only when a request is sent.
 
-``__init__.py`` only re-exports, so it is exempt. A name counts as read if
-it appears as an identifier anywhere in the module, annotations included
-(``from __future__ import annotations`` keeps them in the AST).
+A name counts as read if it appears as an identifier anywhere in the
+module, annotations included (``from __future__ import annotations`` keeps
+them in the AST).
 """
 
 import ast
@@ -15,7 +16,8 @@ import pytest
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "dagsearch"
 V2_FIXTURE = Path(__file__).resolve().parent / "data" / "two_hop_trajectory_v2.jsonl"
-MODULES = sorted(path for path in PACKAGE.glob("*.py") if path.name != "__init__.py")
+MODULES = sorted(PACKAGE.glob("*.py"))
+HTTP_MODULES = ("urllib.request", "http.client")
 
 
 def unused_imports(source: str) -> list[str]:
@@ -46,17 +48,8 @@ def test_rule_flags_an_unread_import():
     assert unused_imports(source) == ["line 1: os", "line 3: Callable"]
 
 
-def test_offline_commands_never_load_the_http_stack():
-    # Only a request sent over HTTP needs ``requests``; importing the package
-    # and replaying a recording offline must leave it unloaded.
-    script = (
-        "import sys\n"
-        "import dagsearch\n"
-        "from dagsearch.cli import main\n"
-        "print('requests' in sys.modules)\n"
-        f"code = main(['replay', '--strict', '--trajectory', {str(V2_FIXTURE)!r}])\n"
-        "print(code, 'requests' in sys.modules)\n"
-    )
+def run_python(script: str) -> list[str]:
+    """Run ``script`` in a fresh interpreter on the package sources; its stdout lines."""
     path = os.pathsep.join(filter(None, [str(PACKAGE.parent), os.environ.get("PYTHONPATH")]))
     done = subprocess.run(
         [sys.executable, "-c", script],
@@ -65,6 +58,60 @@ def test_offline_commands_never_load_the_http_stack():
         text=True,
         check=True,
     )
-    lines = done.stdout.splitlines()
-    assert lines[0] == "False"
-    assert lines[-1] == "0 False"
+    return done.stdout.splitlines()
+
+
+def test_offline_commands_never_load_the_http_stack():
+    # Only a request sent over HTTP needs the HTTP stack; importing the
+    # package and replaying a recording offline must leave it unloaded.
+    script = (
+        "import sys\n"
+        "import dagsearch\n"
+        "from dagsearch.cli import main\n"
+        f"loaded = lambda: [name for name in {HTTP_MODULES!r} if name in sys.modules]\n"
+        "print(loaded())\n"
+        f"code = main(['replay', '--strict', '--trajectory', {str(V2_FIXTURE)!r}])\n"
+        "print(code, loaded())\n"
+    )
+    lines = run_python(script)
+    assert lines[0] == "[]"
+    assert lines[-1] == "0 []"
+
+
+def test_http_clients_need_no_third_party_package():
+    # With ``requests`` unimportable, a search and a chat call still go
+    # through a local stub.
+    script = """
+import json, sys, threading
+from http.server import BaseHTTPRequestHandler, HTTPServer
+sys.modules["requests"] = None
+
+class Handler(BaseHTTPRequestHandler):
+    def do_GET(self):
+        self.reply({"results": [{"title": "T", "url": "https://example.org/", "snippet": "S"}]})
+
+    def do_POST(self):
+        self.rfile.read(int(self.headers["Content-Length"]))
+        self.reply({"choices": [{"message": {"content": "<final_answer>{}</final_answer>"}}]})
+
+    def reply(self, payload):
+        body = json.dumps(payload).encode()
+        self.send_response(200)
+        self.send_header("Content-Length", str(len(body)))
+        self.end_headers()
+        self.wfile.write(body)
+
+    def log_message(self, *args):
+        pass
+
+server = HTTPServer(("127.0.0.1", 0), Handler)
+threading.Thread(target=server.serve_forever, kwargs={"poll_interval": 0.01}, daemon=True).start()
+url = f"http://127.0.0.1:{server.server_port}/"
+from dagsearch.backend import CompletionRequest, HttpChatBackend
+from dagsearch.tools import WebSearchClient
+print(WebSearchClient(tool_name="web", endpoint=url)({"query": "q"}).documents[0].title)
+print(HttpChatBackend(endpoint=url, model="m", api_key="k").complete(CompletionRequest(context="x")))
+server.shutdown()
+server.server_close()
+"""
+    assert run_python(script) == ["T", "<final_answer>{}</final_answer>"]

@@ -22,8 +22,6 @@ from dagsearch.plan import (
     frontier,
     is_complete,
     mark_active,
-    plan_from_dict,
-    plan_to_dict,
     reset_for_revisit,
 )
 from dagsearch.protocol import ProtocolError, canonical_json, parse_action
@@ -182,14 +180,6 @@ class TestComplete:
         plan = build_plan([(f"t{i}", "d") for i in range(1, 6)], [])
         plan = apply_task_answer(plan, [(f"t{i}", "a") for i in range(1, 5)])
         assert not is_complete(plan)
-
-
-class TestSerialization:
-    def test_round_trip(self):
-        plan = apply_task_answer(diamond(), [("t1", "a")])
-        plan = attach_evidence(plan, "t2", ["fact"])
-        restored = plan_from_dict(plan_to_dict(plan))
-        assert restored == plan
 
 
 def oracle_reachable(edges, start):

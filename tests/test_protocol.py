@@ -127,6 +127,26 @@ class TestParse:
         action = parse_action('<final_answer> {"answer": "x"} </final_answer>')
         assert action.payload["answer"] == "x"
 
+    @pytest.mark.parametrize(
+        "text",
+        [
+            '<final_answer>{"answer": "x\\ud800y"}</final_answer>',
+            '<final_answer>{"answer": "\\udfff"}</final_answer>',
+            'note \ud800 <final_answer>{"answer": "x"}</final_answer>',
+            '<final_answer>{"answer": "x\udc00"}</final_answer>',
+            '<final_answer>{"x\\ud800": 1}</final_answer>',
+        ],
+        ids=["escape", "low-escape", "free-text", "raw-in-payload", "escape-in-key"],
+    )
+    def test_lone_surrogate_is_malformed_and_not_echoed(self, text):
+        with pytest.raises(MalformedPayload, match="lone surrogate") as info:
+            parse_action(text)
+        assert not any("\ud800" <= ch <= "\udfff" for ch in str(info.value))
+
+    def test_escaped_surrogate_pair_is_one_character(self):
+        action = parse_action('<final_answer>{"answer": "\\ud83d\\ude00"}</final_answer>')
+        assert action.payload["answer"] == "\U0001F600"
+
 
 class TestSchemas:
     def test_empty_final_answer_is_legal(self):

@@ -314,7 +314,7 @@ def test_only_transient_statuses_are_retried(json_stub, make_call, status, trans
 
 @pytest.mark.parametrize("make_call", [_chat_call, _dense_call], ids=["chat", "dense"])
 def test_invalid_url_fails_at_once(make_call, caplog):
-    # requests rejects a URL with no scheme before opening any connection.
+    # A URL with no scheme is rejected before any connection is opened.
     call, error = make_call("no-scheme.invalid/search", max_retries=2)
     with caplog.at_level(logging.WARNING), pytest.raises(error, match="Invalid URL"):
         call()

@@ -1,6 +1,7 @@
 import csv
 import json
 import os
+from dataclasses import replace
 
 import pytest
 from hypothesis import example, given
@@ -376,6 +377,20 @@ class TestPersistence:
             Trajectory.load(path)
         with pytest.raises(TrajectoryError, match=f"unsupported trajectory version: {version}$"):
             Trajectory(question="q?", version=version).save(tmp_path / "unreadable.jsonl")
+
+    @pytest.mark.parametrize("existing", [False, True], ids=["new-file", "existing-file"])
+    def test_failed_save_changes_no_file(self, tmp_path, existing):
+        # A lone surrogate, from argv bytes or a dataset escape, cannot be encoded.
+        trajectory = run_two_hop().trajectory
+        path = tmp_path / "run.jsonl"
+        if existing:
+            trajectory.save(path)
+            before = path.read_bytes()
+        with pytest.raises(UnicodeEncodeError):
+            replace(trajectory, question="x\ud800y").save(path)
+        assert [p.name for p in tmp_path.iterdir()] == (["run.jsonl"] if existing else [])
+        if existing:
+            assert path.read_bytes() == before
 
     def test_shared_count_beyond_previous_state_rejected(self, tmp_path):
         path = tmp_path / "two_hop.jsonl"
