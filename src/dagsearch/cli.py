@@ -8,6 +8,7 @@ import logging
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
+from typing import Callable
 
 from .backend import Backend, HttpChatBackend, ScriptedBackend
 from .engine import PromptPack, RunConfig, replay_run, run
@@ -78,22 +79,32 @@ def _build_config(args: argparse.Namespace) -> tuple[RunConfig, PromptPack]:
     return RunConfig.from_dict(values), pack
 
 
-def _build_backend(spec: str, question_id: str = "") -> Backend:
-    """Backend spec: ``http`` or ``scripted:<path.json>``.
+def _backend_factory(spec: str) -> Callable[[str], Backend]:
+    """A fresh backend per question id, from a ``--backend`` spec read once.
 
-    Scripted files hold either {"responses": [...]} or
-    {"by_question": {question_id: [...]}} for batch eval fixtures.
+    The spec is ``http`` or ``scripted:<path.json>``. Scripted files hold
+    either {"responses": [...]} or {"by_question": {question_id: [...]}} for
+    batch eval fixtures. An unknown spec, or a scripted file that cannot be
+    read or is not such an object, raises here, before any question runs; a
+    question missing from ``by_question`` raises when its backend is built.
     """
     if spec == "http":
-        return HttpChatBackend()
+        return lambda question_id: HttpChatBackend()
     if spec.startswith("scripted:"):
-        data = _load_json(spec.split(":", 1)[1])
-        if "by_question" in data:
+        path = spec.split(":", 1)[1]
+        data = _load_json(path)
+        if not isinstance(data, dict) or not ("by_question" in data or "responses" in data):
+            raise ValueError(f'{path}: expected an object with "responses" or "by_question"')
+        if "by_question" not in data:
+            return lambda question_id: ScriptedBackend(responses=data["responses"])
+
+        def scripted(question_id: str) -> Backend:
             responses = data["by_question"].get(question_id)
             if responses is None:
                 raise ValueError(f'scripted backend has no responses for "{question_id}"')
             return ScriptedBackend(responses=responses)
-        return ScriptedBackend(responses=data["responses"])
+
+        return scripted
     raise ValueError(f'unknown backend spec "{spec}" (use "http" or "scripted:<path>")')
 
 
@@ -113,7 +124,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     config, prompts = _build_config(args)
     result = run(
         args.question,
-        backend=_build_backend(args.backend),
+        backend=_backend_factory(args.backend)(args.question_id),
         tools=_build_tools(args),
         config=config,
         prompts=prompts,
@@ -134,6 +145,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
 def _cmd_eval(args: argparse.Namespace) -> int:
     config, prompts = _build_config(args)
     dataset = _load_dataset(args.dataset)
+    backend = _backend_factory(args.backend)  # a bad spec or scripted file ends the whole call
     trajectory_dir = Path(args.trajectory_dir) if args.trajectory_dir else None
     if trajectory_dir:
         trajectory_dir.mkdir(parents=True, exist_ok=True)
@@ -144,7 +156,7 @@ def _cmd_eval(args: argparse.Namespace) -> int:
         try:
             result = run(
                 record["question"],
-                backend=_build_backend(args.backend, record["question_id"]),
+                backend=backend(record["question_id"]),
                 tools=tools,
                 config=config,
                 prompts=prompts,

@@ -165,9 +165,10 @@ def _turn(
     """One turn of either stage: cap, complete, parse, check, execute, apply, record.
 
     ``context`` is counted once through the run's ``counter``, which
-    tokenizes only the lines the previous input lacked; that one count is
-    both the context-cap check (ContextOverflow over it, before any
-    completion is requested) and the step's ``token_count``. ``check``
+    tokenizes only lines from the first change on that the previous input
+    lacked there; that one count is both the context-cap check
+    (ContextOverflow over it, before any completion is requested) and the
+    step's ``token_count``. ``check``
     takes the parsed action, runs the stage's checks and its tool call, and
     returns (tool result, applied update). A re-promptable error re-issues
     the completion with the diagnostic appended to ``context``. With no
@@ -265,7 +266,11 @@ def run(
     and every typed failure of either stage ends the run at one boundary.
     ``version`` is the trajectory version the run is recorded in, which
     also selects the solving-input layout; replay passes the recorded one.
+    A question or question id that no trajectory file could hold (a lone
+    surrogate) raises UnicodeEncodeError, a ValueError, before any turn.
     """
+    question.encode("utf-8")
+    question_id.encode("utf-8")
     config = config or RunConfig()
     prompts = prompts or PromptPack.load_default()
     trajectory = Trajectory(

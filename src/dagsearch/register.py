@@ -16,6 +16,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, replace
 from functools import cached_property
+from operator import sub
 from typing import Callable, Sequence
 
 from . import plan as planmod
@@ -54,36 +55,77 @@ def token_length(text: str) -> int:
     return len(default_tokenizer(text))
 
 
+_BLOCK = 2048
+
+
+def common_prefix_length(a: str, b: str) -> int:
+    """Length of the longest common prefix of ``a`` and ``b``.
+
+    Compares ``_BLOCK``-character slices until one differs, then bisects
+    inside that block with slice compares: every character is compared in
+    C, none in a Python loop.
+    """
+    end = min(len(a), len(b))
+    low = 0
+    while low < end:
+        high = min(low + _BLOCK, end)
+        if a[low:high] != b[low:high]:
+            break
+        low = high
+    else:
+        return end
+    # a[:low] == b[:low] and a[:high] != b[:high]
+    while high - low > 1:
+        middle = (low + high) // 2
+        if a[low:middle] == b[low:middle]:
+            low = middle
+        else:
+            high = middle
+    return low
+
+
 class LineTokenCounter:
-    """Token counts of successive texts, tokenizing only lines not seen last time.
+    """Token counts of successive texts, paying only for the suffix that changed.
 
     No ``default_tokenizer`` token spans whitespace, so a text's count is
-    exactly the sum of the counts of its newline-split lines. Only the
-    previous text's ``{line: count}`` is kept, so memory stays bounded by
-    one input. Consecutive model inputs share most lines, so a turn pays
-    for the lines that changed, not for the whole context.
+    the sum of its newline-split lines' counts. The counter keeps the
+    previous text and its running ``totals`` (``totals[i]``: tokens in its
+    first ``i`` lines). The whole lines before a new text's first differing
+    character cost nothing: their count, ``head``, is a running total. Each
+    line from there on takes the count of an equal line in the previous
+    text's lines from there on, and only the lines missing there are
+    tokenized. ``tails`` keeps both texts' lines from the first changed one
+    on, so that ``head`` and ``tails`` give the common token prefix without
+    a second compare.
     """
 
     def __init__(self) -> None:
-        self.counts: dict[str, int] = {}  # the last text's {line: count}
+        self.text: str | None = None  # the last text counted
+        self.totals: list[int] = [0]
+        self.head = 0
+        self.tails: tuple[list[str], list[str]] = ([], [])
 
     def __call__(self, text: str) -> int:
-        return self.count_lines(text.split("\n"))
-
-    def count_lines(self, lines: Sequence[str]) -> int:
-        """Token count of a text given as its newline-split ``lines``; ``counts`` then maps them."""
-        previous = self.counts
-        current: dict[str, int] = {}
-        total = 0
+        previous = self.text
+        if previous is None:
+            start = 0
+            old: list[str] = []
+        else:
+            start = previous.rfind("\n", 0, common_prefix_length(previous, text)) + 1
+            old = previous[start:].split("\n")
+        totals = self.totals
+        same = len(totals) - 1 - len(old)  # whole lines before the first change
+        known = dict(zip(old, map(sub, totals[same + 1 :], totals[same:])))
+        lines = text[start:].split("\n")
+        totals = totals[: same + 1]
+        total = self.head = totals[same]
         for line in lines:
-            count = current.get(line)
+            count = known.get(line)
             if count is None:
-                count = previous.get(line)
-                if count is None:
-                    count = token_length(line)
-                current[line] = count
+                count = known[line] = token_length(line)
             total += count
-        self.counts = current
+            totals.append(total)
+        self.text, self.totals, self.tails = text, totals, (old, lines)
         return total
 
 

@@ -13,12 +13,11 @@ import os
 import re
 from dataclasses import dataclass, field
 from itertools import chain
-from operator import ne
 from pathlib import Path
 from typing import Iterable, Sequence
 
 from .protocol import ActionKind, subspace_of
-from .register import LineTokenCounter, default_tokenizer, token_length
+from .register import LineTokenCounter, common_prefix_length, default_tokenizer, token_length
 from .tools import ToolResult
 
 TRAJECTORY_VERSION = 2
@@ -148,7 +147,7 @@ class Trajectory:
         _check_version(self.version)
         header = {"record": "trajectory", "version": self.version}
         header.update((name, getattr(self, name)) for name in _HEADER_FIELDS)
-        previous: list[str] = []
+        previous: str | None = None  # the first step has no previous state
         temporary = Path(f"{path}.{os.getpid()}.tmp")
         try:
             with open(temporary, "w", encoding="utf-8") as handle:
@@ -156,11 +155,9 @@ class Trajectory:
                 for step in self.steps:
                     line = {"record": "step", **step.to_dict()}
                     if self.version >= 2:
-                        lines = step.state.split("\n")
-                        shared = min(_leading_equal(previous, lines), len(lines) - 1)
-                        line["state_shared"] = shared
-                        line["state"] = "\n".join(lines[shared:])
-                        previous = lines
+                        line["state_shared"], offset = _line_delta(previous, step.state)
+                        line["state"] = step.state[offset:]
+                        previous = step.state
                     handle.write(json.dumps(line, ensure_ascii=False, sort_keys=True) + "\n")
             os.replace(temporary, path)
         except BaseException:
@@ -202,6 +199,21 @@ class Trajectory:
         except TrajectoryError as exc:
             raise TrajectoryError(f"{path} line {number}: {exc}") from None
         return trajectory
+
+
+def _line_delta(previous: str | None, current: str) -> tuple[int, int]:
+    """``current``'s version 2 delta against ``previous``: (shared lines, offset of the rest).
+
+    The rest starts at a line start of ``current``, so it holds at least
+    one line, even when ``current`` is a line-aligned prefix of ``previous``.
+    """
+    if previous is None:
+        return 0, 0
+    end = common_prefix_length(previous, current)
+    if end == len(previous) and current[end : end + 1] == "\n":
+        # previous's last line is a whole line of current too
+        return previous.count("\n") + 1, end + 1
+    return previous.count("\n", 0, end), previous.rfind("\n", 0, end) + 1
 
 
 def _read_records(path: str | Path) -> list[tuple[int, dict]]:
@@ -400,40 +412,32 @@ def step_cache_ratios(trajectory: Trajectory) -> list[float]:
     """cache_ratio between consecutive solving-stage inputs (one per step from the second on).
 
     Equal to ``cache_ratio(default_tokenizer(prev), default_tokenizer(cur))``,
-    computed from lines: no token spans a newline. A state's length is the
-    sum of its lines' counts, and a :class:`LineTokenCounter` tokenizes only
-    the lines the previous state lacked. The shared prefix is the counts of
-    the leading lines both states have, plus the common token prefix of what
-    follows, tokenized line by line only up to the first differing token.
-    Only the previous state's lines are kept.
+    computed from lines: no token spans a newline. A :class:`LineTokenCounter`
+    gives each state's length, tokenizing only lines from the first changed
+    one on that the previous state lacked there, and leaves the token count
+    of the whole lines before that change (``head``) and both states' lines
+    from it on (``tails``). The shared prefix is the head plus the common
+    token prefix of the tails, tokenized line by line only up to the first
+    differing token.
     """
     counter = LineTokenCounter()
     ratios = []
-    previous = None
-    for step in trajectory.solving_steps():
-        current = step.state.split("\n")
-        total = counter.count_lines(current)
-        if previous is not None:
+    for turn, step in enumerate(trajectory.solving_steps()):
+        total = counter(step.state)
+        if turn:
             if total == 0:
                 raise EmptyCurrent("current token sequence is empty")
-            ratios.append(_shared_tokens(previous, current, counter.counts) / total)
-        previous = current
+            ratios.append(_shared_tokens(counter) / total)
     return ratios
 
 
-def _leading_equal(previous: list[str], current: list[str]) -> int:
-    """How many leading lines two states given as lines have in common."""
-    differs = list(map(ne, previous, current))  # compared in C, not line by line in Python
-    return differs.index(True) if True in differs else len(differs)
-
-
-def _shared_tokens(previous: list[str], current: list[str], counts: dict[str, int]) -> int:
-    """Common token-prefix length of two states given as lines; ``counts`` covers ``current``."""
-    same = _leading_equal(previous, current)
-    shared = sum(map(counts.__getitem__, current[:same]))
+def _shared_tokens(counter: LineTokenCounter) -> int:
+    """Common token-prefix length of the last two texts ``counter`` counted."""
+    shared = counter.head
+    previous, current = counter.tails
     rest = zip(
-        chain.from_iterable(map(default_tokenizer, previous[same:])),
-        chain.from_iterable(map(default_tokenizer, current[same:])),
+        chain.from_iterable(map(default_tokenizer, previous)),
+        chain.from_iterable(map(default_tokenizer, current)),
     )
     for a, b in rest:
         if a != b:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import os
 import random
 from pathlib import Path
 
@@ -30,6 +31,28 @@ WORDS = (
 
 def words(rng: random.Random, n: int) -> str:
     return " ".join(rng.choice(WORDS) for _ in range(n))
+
+
+def changed_tails(previous: str | None, current: str) -> tuple[list[str], list[str]]:
+    """Both states' lines from the line holding their first differing character on.
+
+    With no previous state, the previous tail is empty and the current tail
+    is every line.
+    """
+    if previous is None:
+        return [], current.split("\n")
+    same = os.path.commonprefix([previous, current]).count("\n")
+    return previous.split("\n")[same:], current.split("\n")[same:]
+
+
+def lines_to_tokenize(previous: str | None, current: str) -> list[str]:
+    """The lines a LineTokenCounter tokenizes for ``current`` after ``previous``, in order.
+
+    The distinct lines of ``current`` from its first changed line on that
+    ``previous`` lacks from that line on.
+    """
+    old, new = changed_tails(previous, current)
+    return [line for line in dict.fromkeys(new) if line not in old]
 
 
 def fixed_clock():

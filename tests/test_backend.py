@@ -58,6 +58,7 @@ def chat_stub():
     state["url"] = f"http://127.0.0.1:{server.server_port}/v1/chat/completions"
     yield state
     server.shutdown()
+    server.server_close()
     thread.join(timeout=2)
 
 

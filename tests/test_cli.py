@@ -6,6 +6,7 @@ import shutil
 import pytest
 
 import dagsearch.cli
+from dagsearch.backend import ScriptedBackend
 from dagsearch.cli import main
 from dagsearch.trajectory import Trajectory
 from helpers import DATA_DIR, TWO_HOP_GOLD, TWO_HOP_QUESTION
@@ -489,3 +490,58 @@ def test_eval_rejects_a_malformed_dataset_record_before_any_question_runs(workdi
     )
     assert ran == []
     assert not report.exists()
+
+
+@pytest.mark.parametrize(
+    "spec, problem",
+    [
+        ("bogus", 'unknown backend spec "bogus" (use "http" or "scripted:<path>")'),
+        ("scripted:{workdir}/nonexistent.json", "No such file or directory"),
+        ("scripted:{workdir}/corpus.jsonl", "Extra data"),
+        ("scripted:{workdir}/list.json", 'expected an object with "responses" or "by_question"'),
+    ],
+    ids=["unknown-spec", "missing-file", "not-json", "not-an-object"],
+)
+def test_eval_backend_error_exits_2_before_any_question_runs(workdir, capsys, monkeypatch, spec, problem):
+    ran = []
+    monkeypatch.setattr(dagsearch.cli, "run", lambda *args, **kwargs: ran.append(args))
+    (workdir / "list.json").write_text('["<final_answer>{}</final_answer>"]')
+    report = workdir / "report.csv"
+    argv = ["eval", "--dataset", str(workdir / "eval_dataset.jsonl"), "--backend", spec.format(workdir=workdir)]
+    argv += ["--tools", str(workdir / "tools.json"), "--out", str(report)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and problem in err and err.count("\n") == 1
+    assert ran == []
+    assert not report.exists()
+
+
+def test_unsaveable_question_spends_no_turn(workdir, capsys, monkeypatch):
+    contexts = []
+    complete = ScriptedBackend.complete
+    monkeypatch.setattr(
+        ScriptedBackend, "complete", lambda self, request: contexts.append(request.context) or complete(self, request)
+    )
+    argv = ["run", "--question", "In which year \udcff", "--tools", str(workdir / "tools.json")]
+    argv += ["--backend", f"scripted:{workdir / 'two_hop_responses.json'}", "--out", str(workdir / "run.jsonl")]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: 'utf-8' codec can't encode character")
+    assert not (workdir / "run.jsonl").exists()
+    assert contexts == []
+
+    # The first question keeps its scripted replies, but its text cannot be saved.
+    dataset = workdir / "eval_dataset.jsonl"
+    lines = dataset.read_text().splitlines()
+    first = json.loads(lines[0])
+    lines[0] = json.dumps({**first, "question": first["question"] + " \ud800"})
+    dataset.write_text("\n".join(lines) + "\n")
+    report = workdir / "report.csv"
+    argv = ["eval", "--dataset", str(dataset), "--backend", f"scripted:{workdir / 'eval_scripted.json'}"]
+    argv += ["--tools", str(workdir / "tools.json"), "--out", str(report)]
+    assert main(argv) == 0
+    with report.open(encoding="utf-8") as handle:
+        rows = {row["question_id"]: row for row in csv.DictReader(handle)}
+    assert (rows[first["question_id"]]["outcome"], rows[first["question_id"]]["turns"]) == ("error", "0")
+    assert "warning: 1 question(s) failed" in capsys.readouterr().out
+    assert contexts and not any(first["question"] in context for context in contexts)

@@ -40,6 +40,7 @@ from helpers import (
     TWO_HOP_QUESTION,
     fixed_clock,
     fixture_registry,
+    lines_to_tokenize,
     mutate_action,
     random_action,
     run_two_hop,
@@ -552,15 +553,15 @@ class TestDeterminism:
         steps = run_two_hop().trajectory.steps
         assert [step.stage for step in steps].count("planning") == 2
         assert len(steps) == 9
-        # every step, planning included, tokenizes only the lines its previous input lacked
+        # every step, planning included, tokenizes only the lines from its
+        # first changed line on that its previous input lacked from there on
         remaining = calls
-        previous: set[str] = set()
+        previous = None
         for step in steps:
-            lines = step.state.split("\n")
-            new_lines = [line for line in dict.fromkeys(lines) if line not in previous]
+            new_lines = lines_to_tokenize(previous, step.state)
             assert remaining[: len(new_lines)] == new_lines
             remaining = remaining[len(new_lines) :]
-            previous = set(lines)
+            previous = step.state
         assert remaining == []
         monkeypatch.undo()
         assert all(step.token_count == token_length(step.state) for step in steps)
@@ -665,6 +666,18 @@ def test_lone_surrogate_reply_is_reprompted_and_the_run_saves(tmp_path, reply):
     result.trajectory.save(path)
     replayed = replay_run(Trajectory.load(path), strict=True, clock=fixed_clock())
     assert (replayed.outcome, replayed.answer) == ("answered", "1096")
+
+
+@pytest.mark.parametrize(
+    "question, question_id",
+    [("In which year \udcff", "q1"), (TWO_HOP_QUESTION, "q\ud800")],
+    ids=["question", "question-id"],
+)
+def test_unsaveable_question_is_rejected_before_any_completion(question, question_id):
+    backend = ScriptedBackend(responses=[])
+    with pytest.raises(UnicodeEncodeError):
+        run(question, backend=backend, tools=fixture_registry(), prompts=PROMPTS, question_id=question_id)
+    assert backend.served == 0
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import json
+import os
 from dataclasses import replace
 
 import pytest
@@ -16,6 +17,7 @@ from dagsearch.register import (
     ToolLogEntry,
     apply_action,
     capped_token_length,
+    common_prefix_length,
     default_tokenizer,
     init_register,
     register_to_dict,
@@ -330,6 +332,19 @@ class TestTokens:
         for lines in texts_as_lines:
             text = "\n".join(lines)
             assert counter(text) == token_length(text)
+
+    @given(
+        st.text(st.sampled_from("ab\nü"), max_size=12),
+        st.sampled_from([0, 2046, 2047, 2048, 2049, 4095, 4096, 4097]),
+        st.text(st.sampled_from("ab\nü"), max_size=4),
+        st.text(st.sampled_from("ab\nü"), max_size=4),
+    )
+    def test_common_prefix_length_is_the_common_prefix(self, base, at, left, right):
+        # long texts that first differ around the 2,048-character block edges
+        text = (base or "a") * (4200 // len(base or "a") + 1)
+        a, b = text[:at] + left, text[:at] + right
+        for x, y in ((a, b), (b, a), (a, a + right), ("", a)):
+            assert common_prefix_length(x, y) == len(os.path.commonprefix([x, y]))
 
     def test_line_counter_tokenizes_only_new_lines(self, monkeypatch):
         calls = []

@@ -80,6 +80,7 @@ def json_stub():
     state["url"] = f"http://127.0.0.1:{server.server_port}/search"
     yield state
     server.shutdown()
+    server.server_close()
     thread.join(timeout=2)
 
 

@@ -1,7 +1,9 @@
 import csv
 import json
 import os
+import tempfile
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given
@@ -10,7 +12,7 @@ from hypothesis import strategies as st
 import dagsearch.register
 import dagsearch.trajectory
 from dagsearch.protocol import ActionKind
-from dagsearch.register import default_tokenizer
+from dagsearch.register import LineTokenCounter, default_tokenizer, token_length
 from dagsearch.trajectory import (
     EmptyCurrent,
     EvalRecord,
@@ -31,7 +33,14 @@ from dagsearch.trajectory import (
     write_context_curve,
     write_eval_report,
 )
-from helpers import COMPLIANT_KINDS, make_trajectory, run_two_hop, run_twenty_turn
+from helpers import (
+    COMPLIANT_KINDS,
+    changed_tails,
+    lines_to_tokenize,
+    make_trajectory,
+    run_two_hop,
+    run_twenty_turn,
+)
 
 K = ActionKind
 
@@ -92,6 +101,51 @@ def state_sequences(draw):
                 lines[i : i + 1] = [head, tail]
         states.append(list(lines))
     return ["\n".join(state) for state in states]
+
+
+@st.composite
+def _long_state_sequences(draw):
+    """States over 4,096 characters that first differ just before, at or after a 2,048-character block edge."""
+    unit = draw(st.sampled_from(["foo bar\n", "x, y.\n", "日本語 α_β\n", "Ünïcode\t!?\n"]))
+    base = unit * (4200 // len(unit) + 1)
+    at = draw(st.sampled_from([2048, 4096])) + draw(st.integers(-2, 2))
+    edit = draw(st.sampled_from(["insert", "replace", "truncate"]))
+    piece = draw(_LINE | st.sampled_from(["\n", "\n\n", " "]))
+    if edit == "insert":
+        changed = base[:at] + piece + base[at:]
+    elif edit == "replace":
+        changed = base[:at] + piece + base[at + 1 :]
+    else:
+        changed = base[:at]
+    return draw(st.permutations([base, changed])) + [base]
+
+
+@st.composite
+def _prefix_state_sequences(draw):
+    """Empty states and states that are line-aligned prefixes of each other."""
+    lines = draw(st.lists(_LINE, max_size=6))
+    cuts = draw(st.lists(st.integers(0, len(lines)), min_size=1, max_size=5))
+    return ["\n".join(lines[:cut]) for cut in cuts] + [""]
+
+
+delta_state_sequences = st.one_of(state_sequences(), _prefix_state_sequences(), _long_state_sequences())
+
+
+def _line_deltas(states):
+    """Version 2's ``(state_shared, state)`` for each state, by the line rule.
+
+    The shared count is the number of leading lines a state has in common
+    with the one before (none for the first), stopping one line short of
+    the whole state.
+    """
+    deltas = []
+    previous: list[str] = []
+    for state in states:
+        lines = state.split("\n")
+        shared = min(len(os.path.commonprefix([previous, lines])), len(lines) - 1)
+        deltas.append((shared, "\n".join(lines[shared:])))
+        previous = lines
+    return deltas
 
 
 def _spy(calls):
@@ -392,6 +446,17 @@ class TestPersistence:
         if existing:
             assert path.read_bytes() == before
 
+    @given(delta_state_sequences)
+    @example(["", "\nx"])
+    @example(["a\nb", "a\nb\nc", "a", "a\n"])
+    def test_saved_delta_follows_the_line_rule(self, states):
+        with tempfile.TemporaryDirectory() as directory:
+            path = Path(directory) / "run.jsonl"
+            solving_trajectory(states).save(path)
+            steps = [json.loads(line) for line in path.read_text(encoding="utf-8").split("\n")[1:-1]]
+            assert [(step["state_shared"], step["state"]) for step in steps] == _line_deltas(states)
+            assert [step.state for step in Trajectory.load(path).steps] == states
+
     def test_shared_count_beyond_previous_state_rejected(self, tmp_path):
         path = tmp_path / "two_hop.jsonl"
         run_two_hop().trajectory.save(path)
@@ -438,15 +503,15 @@ class TestAnalyses:
             counted.clear()
             compared.clear()
             assert step_cache_ratios(solving_trajectory([prev, cur])) == whole_state_ratios([prev, cur])
-            prev_lines, cur_lines = prev.split("\n"), cur.split("\n")
             # counting tokenizes the first state's distinct lines, then only
-            # the lines the second state lacked
-            new_lines = [line for line in dict.fromkeys(cur_lines) if line not in prev_lines]
-            assert counted == list(dict.fromkeys(prev_lines)) + new_lines
-            # the compare takes each state's lines in order from the first
-            # line that differs, and stops at the first token that differs
-            same = len(os.path.commonprefix([prev_lines, cur_lines]))
-            rest = {"prev": prev_lines[same:], "cur": cur_lines[same:]}
+            # the lines from the first changed line on that the first state
+            # lacked from there on
+            assert counted == lines_to_tokenize(None, prev) + lines_to_tokenize(prev, cur)
+            # the compare takes each state's lines in order from the line
+            # holding the first differing character, and stops at the first
+            # token that differs
+            prev_tail, cur_tail = changed_tails(prev, cur)
+            rest = {"prev": prev_tail, "cur": cur_tail}
             taken = {"prev": 0, "cur": 0}
             for text in compared:
                 side = "prev" if rest["prev"][taken["prev"] :][:1] == [text] else "cur"
@@ -475,7 +540,12 @@ class TestAnalyses:
         with pytest.raises(EmptyCurrent):
             step_cache_ratios(solving_trajectory(["a b", "a\nb", "\n \t\n"]))
 
-    @given(state_sequences())
+    @given(delta_state_sequences)
+    def test_line_counter_equals_token_length(self, states):
+        counter = LineTokenCounter()
+        assert [counter(state) for state in states] == [token_length(state) for state in states]
+
+    @given(delta_state_sequences)
     def test_step_cache_ratios_equal_whole_state_ratios(self, states):
         trajectory = solving_trajectory(states)
         try:
