@@ -31,10 +31,6 @@ class BackendExhausted(BackendError):
     pass
 
 
-class ReplayDivergence(BackendError):
-    pass
-
-
 @dataclass(frozen=True)
 class CompletionRequest:
     """One completion call: the full context plus decoding parameters.
@@ -75,35 +71,20 @@ class ScriptedBackend(Backend):
 
 @dataclass
 class ReplayBackend(Backend):
-    """Re-serves recorded model outputs for the replay harness.
+    """Re-serves a recording's model outputs in order, whatever the request.
 
-    In strict mode the re-rendered context at each step must equal the
-    recorded one; any drift raises ReplayDivergence instead of continuing.
+    Whether the replay matches its recording is ``engine.replay_divergence``'s
+    to decide, after the run.
     """
 
-    steps: Sequence[tuple[str, str]]  # (recorded context, recorded model output)
-    strict: bool = False
+    outputs: Sequence[str]
     served: int = 0
 
     def complete(self, request: CompletionRequest) -> str:
-        if self.served >= len(self.steps):
+        if self.served >= len(self.outputs):
             raise BackendExhausted(f"replay exhausted after {self.served} recorded steps")
-        recorded_context, recorded_output = self.steps[self.served]
-        if self.strict and request.context != recorded_context:
-            diff_at = next(
-                (
-                    i
-                    for i, (a, b) in enumerate(zip(recorded_context, request.context))
-                    if a != b
-                ),
-                min(len(recorded_context), len(request.context)),
-            )
-            raise ReplayDivergence(
-                f"context diverges from the recording at step {self.served + 1}, "
-                f"character {diff_at}"
-            )
         self.served += 1
-        return recorded_output
+        return self.outputs[self.served - 1]
 
 
 @dataclass

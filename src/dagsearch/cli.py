@@ -11,7 +11,7 @@ from pathlib import Path
 from typing import Callable
 
 from .backend import Backend, HttpChatBackend, ScriptedBackend
-from .engine import PromptPack, RunConfig, replay_run, run
+from .engine import PromptPack, RunConfig, replay_divergence, replay_run, run
 from .tools import ToolRegistry, build_registry
 from .trajectory import (
     EvalRecord,
@@ -191,17 +191,10 @@ def _cmd_eval(args: argparse.Namespace) -> int:
 
 def _cmd_replay(args: argparse.Namespace) -> int:
     trajectory = Trajectory.load(args.trajectory)
-    result = replay_run(trajectory, strict=args.strict)
-    divergences = []
-    if result.outcome != trajectory.outcome:
-        divergences.append(f"outcome: recorded {trajectory.outcome}, replayed {result.outcome}")
-    if result.answer != trajectory.answer:
-        divergences.append(f"answer: recorded {trajectory.answer!r}, replayed {result.answer!r}")
-    if result.error and "ReplayDivergence" in result.error:
-        divergences.append(result.error)
-    if divergences:
-        for line in divergences:
-            print(f"DIVERGED {line}")
+    result = replay_run(trajectory)
+    divergence = replay_divergence(trajectory, result.trajectory, strict=args.strict)
+    if divergence:
+        print(f"DIVERGED {divergence}")
         return 1
     print(f"replay ok: {len(result.trajectory.steps)} steps, outcome {result.outcome}")
     return 0
@@ -276,7 +269,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_replay = sub.add_parser("replay", help="re-execute a recorded trajectory")
     p_replay.add_argument("--trajectory", required=True)
-    p_replay.add_argument("--strict", action="store_true", help="fail on any context drift")
+    p_replay.add_argument("--strict", action="store_true", help="also compare every step, not only outcome and answer")
     p_replay.set_defaults(func=_cmd_replay)
 
     p_export = sub.add_parser("export", help="export filtered trajectories as an SFT corpus")

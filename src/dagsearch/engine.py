@@ -12,7 +12,7 @@ of escaping it. The model-input text itself is built in ``register``.
 from __future__ import annotations
 
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from functools import partial
 from importlib import resources
 from typing import Any, Callable, Mapping, TypeVar
@@ -33,6 +33,7 @@ from .register import (
     RegisterError,
     apply_action,
     capped_token_length,
+    common_prefix_length,
     init_register,
     render_context,
     render_correction,
@@ -95,10 +96,10 @@ class RunConfig:
 
     def __post_init__(self) -> None:
         for name in ("max_turns", "max_context_tokens", "max_output_tokens"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
-        if self.max_malformed_retries < 0:
-            raise ValueError("max_malformed_retries must be non-negative")
+            if type(getattr(self, name)) is not int or getattr(self, name) <= 0:
+                raise ValueError(f"{name} must be a positive integer")
+        if type(self.max_malformed_retries) is not int or self.max_malformed_retries < 0:
+            raise ValueError("max_malformed_retries must be a non-negative integer")
 
     @classmethod
     def from_dict(cls, values: Mapping[str, Any]) -> "RunConfig":
@@ -358,12 +359,44 @@ def replay_tools(trajectory: Trajectory) -> ToolRegistry:
     """A registry serving the recorded tool results in recorded order."""
     queues: dict[str, ScriptedTool] = {}  # in order of first call
     for step in trajectory.steps:
-        if step.kind == ActionKind.TOOL_CALL.value and step.tool_result is not None:
+        if step.kind == ActionKind.TOOL_CALL.value:  # load checked it has a tool result
             queues.setdefault(step.payload["tool_name"], ScriptedTool()).results.append(step.tool_result)
     registry = ToolRegistry()
     for name, tool in queues.items():
         registry.register(search_spec(name, "Replay of recorded tool results."), tool)
     return registry
+
+
+# Step fields a replay cannot reproduce yet: it re-serves only each step's
+# accepted reply, so every replayed step has no retries. Trajectory v3
+# (ROADMAP item 4) records the rejected replies and deletes this tuple.
+UNREPLAYED_FIELDS = ("retries", "diagnostics")
+_REPLAYED_FIELDS = tuple(f.name for f in fields(StepRecord) if f.name not in UNREPLAYED_FIELDS)
+
+
+def replay_divergence(recorded: Trajectory, replayed: Trajectory, strict: bool) -> str | None:
+    """The first way ``replayed`` departs from ``recorded``, or None if it does not.
+
+    With ``strict``, every step field but UNREPLAYED_FIELDS, step by step,
+    then the step count; a text field also gives the character where it
+    first differs. Always, the outcome and the answer.
+    """
+    if strict:
+        for number, (old, new) in enumerate(zip(recorded.steps, replayed.steps), start=1):
+            for name in _REPLAYED_FIELDS:
+                was, now = getattr(old, name), getattr(new, name)
+                if was != now:
+                    where = ""
+                    if isinstance(was, str) and isinstance(now, str):
+                        where = f", character {common_prefix_length(was, now)}"
+                    return f"step {number}: {name} diverges from the recording{where}"
+        if len(recorded.steps) != len(replayed.steps):
+            return f"steps: recorded {len(recorded.steps)}, replayed {len(replayed.steps)}"
+    if recorded.outcome != replayed.outcome:
+        return f"outcome: recorded {recorded.outcome}, replayed {replayed.outcome}"
+    if recorded.answer != replayed.answer:
+        return f"answer: recorded {recorded.answer!r}, replayed {replayed.answer!r}"
+    return None
 
 
 def replay_run(
@@ -372,29 +405,23 @@ def replay_run(
     strict: bool = False,
     clock: Clock = time.time,
 ) -> RunResult:
-    """Re-execute a recorded run against its own actions and tool results.
+    """Re-execute a recorded run against its own model outputs and tool results.
 
-    With ``strict=True`` the re-rendered context at every step must equal
-    the recorded one; drift raises ReplayDivergence (captured as an aborted
-    RunResult). The run renders under the recorded trajectory version's
-    layout, so a version 1 recording replays as it was recorded.
+    With ``strict=True`` a replay that ``replay_divergence`` finds departing
+    from the recording ends ``aborted``, its error starting
+    ``ReplayDivergence:``. The run renders under the recorded trajectory
+    version's layout, so a version 1 recording replays as it was recorded.
     """
-    backend = ReplayBackend(
-        steps=[(step.state, step.model_text) for step in trajectory.steps],
-        strict=strict,
-    )
-    prompts = PromptPack(
-        holistic=trajectory.prompts.get("holistic", ""),
-        solving=trajectory.prompts.get("solving", ""),
-    )
-    config = RunConfig.from_dict(trajectory.config)
-    return run(
+    result = run(
         trajectory.question,
-        backend=backend,
+        backend=ReplayBackend(outputs=[step.model_text for step in trajectory.steps]),
         tools=replay_tools(trajectory),
-        config=config,
-        prompts=prompts,
+        config=RunConfig.from_dict(trajectory.config),
+        prompts=PromptPack(**{stage: trajectory.prompts.get(stage, "") for stage in ("holistic", "solving")}),
         question_id=trajectory.question_id,
         clock=clock,
         version=trajectory.version,
     )
+    if strict and (divergence := replay_divergence(trajectory, result.trajectory, strict=True)):
+        return _finish(result.trajectory, clock, "aborted", error=f"ReplayDivergence: {divergence}")
+    return result

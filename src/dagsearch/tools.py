@@ -75,39 +75,21 @@ class ToolResult:
 
 @dataclass(frozen=True)
 class ToolSpec:
+    """A search tool's name and description; every tool takes one string ``query``."""
+
     tool_name: str
     description: str
-    argument_schema: Mapping[str, dict]
-
-
-_SCHEMA_TYPES = {
-    "string": str,
-    "integer": int,
-    "number": (int, float),
-    "boolean": bool,
-    "array": list,
-    "object": dict,
-}
 
 
 def validate_arguments(spec: ToolSpec, arguments: Mapping[str, Any]) -> None:
-    """Check required keys and primitive types against the spec schema."""
-    for name, rule in spec.argument_schema.items():
-        if rule.get("required", False) and name not in arguments:
-            raise ArgumentSchemaViolation(
-                f'tool "{spec.tool_name}" requires argument "{name}"'
-            )
+    """Check the one search argument schema: a required string ``query`` and nothing else."""
+    if "query" not in arguments:
+        raise ArgumentSchemaViolation(f'tool "{spec.tool_name}" requires argument "query"')
     for name, value in arguments.items():
-        rule = spec.argument_schema.get(name)
-        if rule is None:
-            raise ArgumentSchemaViolation(
-                f'tool "{spec.tool_name}" does not accept argument "{name}"'
-            )
-        expected = _SCHEMA_TYPES.get(rule.get("type", "string"))
-        if expected is not None and not isinstance(value, expected):
-            raise ArgumentSchemaViolation(
-                f'tool "{spec.tool_name}" argument "{name}" must be of type {rule.get("type")}'
-            )
+        if name != "query":
+            raise ArgumentSchemaViolation(f'tool "{spec.tool_name}" does not accept argument "{name}"')
+        if not isinstance(value, str):
+            raise ArgumentSchemaViolation(f'tool "{spec.tool_name}" argument "query" must be of type string')
 
 
 def stable_source_id(tool_name: str, key: str) -> str:
@@ -426,15 +408,8 @@ class DenseRetrieverClient:
 # Registry construction from config
 # ---------------------------------------------------------------------------
 
-SEARCH_ARGUMENT_SCHEMA = {"query": {"type": "string", "required": True}}
-
-
 def search_spec(tool_name: str, description: str) -> ToolSpec:
-    return ToolSpec(
-        tool_name=tool_name,
-        description=description,
-        argument_schema=SEARCH_ARGUMENT_SCHEMA,
-    )
+    return ToolSpec(tool_name=tool_name, description=description)
 
 
 # Per client kind: the class, the optional config keys passed through to it

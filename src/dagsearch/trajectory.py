@@ -22,18 +22,19 @@ from .tools import ToolResult
 
 TRAJECTORY_VERSION = 2
 _READABLE_VERSIONS = (1, 2)
-# The run-level fields of a trajectory file's header line, besides its version.
-_HEADER_FIELDS = (
-    "question",
-    "question_id",
-    "outcome",
-    "answer",
-    "error",
-    "started_at",
-    "finished_at",
-    "prompts",
-    "config",
-)
+# The run-level fields of a trajectory file's header line, besides its
+# version, with the JSON types each may have.
+_HEADER_FIELDS = {
+    "question": (str,),
+    "question_id": (str,),
+    "outcome": (str,),
+    "answer": (str, type(None)),
+    "error": (str, type(None)),
+    "started_at": (float, int),
+    "finished_at": (float, int),
+    "prompts": (dict,),
+    "config": (dict,),
+}
 # The JSON type every step line's field must have, by field name.
 _STEP_FIELD_TYPES = {
     "index": int,
@@ -47,7 +48,14 @@ _STEP_FIELD_TYPES = {
     "retries": int,
     "diagnostics": list,
 }
-_TYPE_NAMES = {int: "an integer", str: "a string", dict: "an object", list: "a list"}
+_TYPE_NAMES = {
+    int: "an integer",
+    float: "a number",
+    str: "a string",
+    dict: "an object",
+    list: "a list",
+    type(None): "null",
+}
 _STAGES = ("planning", "solving")
 _KINDS = frozenset(kind.value for kind in ActionKind)
 _DOCUMENT_FIELDS = {"source_id", "title", "text"}
@@ -174,6 +182,11 @@ class Trajectory:
         try:
             version = header.get("version")
             _check_version(version)
+            for name, expected in _HEADER_FIELDS.items():
+                if type(header[name]) not in expected:
+                    raise TrajectoryError(f'field "{name}" is not {" or ".join(map(_TYPE_NAMES.get, expected))}')
+            if not all(type(text) is str for text in header["prompts"].values()):
+                raise TrajectoryError('field "prompts" holds an entry that is not a string')
             trajectory = cls(version=version, **{name: header[name] for name in _HEADER_FIELDS})
             previous: list[str] = []
             for number, line in records[1:]:
@@ -234,7 +247,11 @@ def _read_records(path: str | Path) -> list[tuple[int, dict]]:
 
 
 def _check_step_fields(line: dict) -> None:
-    """Raise a TrajectoryError unless every field of a step line has its type."""
+    """Raise a TrajectoryError unless every field of a step line has its type.
+
+    A tool_call step, and only a tool_call step, holds a tool result, and
+    its payload names its tool with a string.
+    """
     for name, expected in _STEP_FIELD_TYPES.items():
         # ``type(...) is``, not isinstance: JSON true and false are not integers.
         if type(line[name]) is not expected:
@@ -247,6 +264,11 @@ def _check_step_fields(line: dict) -> None:
         raise TrajectoryError(f'field "stage" is not planning or solving: {line["stage"]!r}')
     if line["kind"] not in _KINDS:
         raise TrajectoryError(f'field "kind" is not an action kind: {line["kind"]!r}')
+    is_tool_call = line["kind"] == ActionKind.TOOL_CALL.value
+    if (line["tool_result"] is None) == is_tool_call:
+        raise TrajectoryError(f'field "tool_result" is {"null" if is_tool_call else "set"} on a {line["kind"]} step')
+    if is_tool_call and type(line["payload"].get("tool_name")) is not str:
+        raise TrajectoryError('field "payload" of a tool_call step has no string "tool_name"')
 
 
 def _is_tool_result(value: object) -> bool:

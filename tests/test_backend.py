@@ -9,7 +9,6 @@ from dagsearch.backend import (
     CompletionRequest,
     HttpChatBackend,
     ReplayBackend,
-    ReplayDivergence,
     ScriptedBackend,
     TransportError,
 )
@@ -74,20 +73,14 @@ class TestScripted:
 
 class TestReplay:
     def test_returns_recorded_output(self):
-        backend = ReplayBackend(steps=[("ctx1", "out1"), ("ctx2", "out2")])
+        # Outputs come in recorded order whatever the request holds; whether
+        # the replay matches its recording is engine.replay_divergence's call.
+        backend = ReplayBackend(outputs=["out1", "out2"])
         assert backend.complete(CompletionRequest(context="anything")) == "out1"
         assert backend.complete(CompletionRequest(context="ctx2")) == "out2"
-        with pytest.raises(BackendExhausted):
+        with pytest.raises(BackendExhausted, match="after 2 recorded steps"):
             backend.complete(CompletionRequest(context="ctx3"))
-
-    def test_strict_mode_raises_on_drift(self):
-        backend = ReplayBackend(steps=[("recorded context", "out")], strict=True)
-        with pytest.raises(ReplayDivergence, match="step 1"):
-            backend.complete(CompletionRequest(context="recorded context DRIFT"))
-
-    def test_strict_mode_passes_on_exact_context(self):
-        backend = ReplayBackend(steps=[("recorded context", "out")], strict=True)
-        assert backend.complete(CompletionRequest(context="recorded context")) == "out"
+        assert backend.served == 2
 
 
 class TestHttpChat:

@@ -124,6 +124,77 @@ def test_replay_strict_detects_tampering(workdir, capsys):
     assert "DIVERGED" in capsys.readouterr().out
 
 
+def replace_in(field, old, new):
+    def corrupt(record):
+        assert old in record[field]
+        record[field] = record[field].replace(old, new)
+
+    return corrupt
+
+
+def add_to(field, amount):
+    def corrupt(record):
+        record[field] += amount
+
+    return corrupt
+
+
+def set_payload(record):
+    record["payload"] = {}
+
+
+def set_arguments(record):
+    record["payload"]["arguments"] = [1]
+
+
+def edit_document_text(record):
+    record["tool_result"]["documents"][0]["text"] += " Edited."
+
+
+# One field of one step line of the v2 fixture (line = step + 1) -> the DIVERGED line.
+DIVERGENCES = {
+    "payload": (1, set_payload, "step 1: payload diverges from the recording"),
+    "arguments": (3, set_arguments, "step 3: payload diverges from the recording"),
+    "final-raw-text": (
+        9,
+        replace_in("raw_text", "1096", "1097"),
+        "step 9: raw_text diverges from the recording, character 29",
+    ),
+    "token-count": (5, add_to("token_count", 7), "step 5: token_count diverges from the recording"),
+    # The tool result replays as recorded; the next state renders the edit.
+    "document-text": (3, edit_document_text, "step 4: state diverges from the recording, character 5097"),
+    "state": (4, add_to("state", " TAMPERED"), "step 4: state diverges from the recording, character 5408"),
+    "model-text-action": (
+        5,
+        replace_in("model_text", '"answer": "Tim', '"answer": "Sir Tim'),
+        "step 5: payload diverges from the recording",
+    ),
+}
+
+
+@pytest.mark.parametrize("step, corrupt, divergence", DIVERGENCES.values(), ids=DIVERGENCES.keys())
+def test_replay_strict_names_the_step_and_field_that_diverge(tmp_path, capsys, step, corrupt, divergence):
+    records = fixture_records("two_hop_trajectory_v2.jsonl")
+    corrupt(records[step])
+    path = tmp_path / "corrupted.jsonl"
+    path.write_text("".join(json.dumps(record) + "\n" for record in records))
+    assert main(["replay", "--trajectory", str(path), "--strict"]) == 1
+    out = capsys.readouterr().out
+    assert out == f"DIVERGED {divergence}\n"
+
+
+def test_replay_without_strict_compares_outcome_and_answer_only(tmp_path, capsys):
+    records = fixture_records("two_hop_trajectory_v2.jsonl")
+    records[5]["token_count"] += 7
+    path = tmp_path / "corrupted.jsonl"
+    path.write_text("".join(json.dumps(record) + "\n" for record in records))
+    assert main(["replay", "--trajectory", str(path)]) == 0
+    records[0]["answer"] = "1097"
+    path.write_text("".join(json.dumps(record) + "\n" for record in records))
+    assert main(["replay", "--trajectory", str(path)]) == 1
+    assert capsys.readouterr().out.splitlines()[-1] == "DIVERGED answer: recorded '1097', replayed '1096'"
+
+
 def test_export_and_stats(workdir, capsys):
     trajectory_dir = workdir / "trajectories"
     main(
@@ -358,6 +429,18 @@ def drop_question_id(records):
     del records[0]["question_id"]
 
 
+def config_not_an_object(records):
+    records[0]["config"] = []
+
+
+def numeric_answer(records):
+    records[0]["answer"] = 1096
+
+
+def non_string_prompt(records):
+    records[0]["prompts"]["solving"] = 5
+
+
 def drop_step_field(records):
     del records[2]["model_text"]
 
@@ -399,6 +482,18 @@ def non_object_document(records):
     records[3]["tool_result"]["documents"][0] = 5
 
 
+def tool_call_without_tool_name(records):
+    del records[3]["payload"]["tool_name"]
+
+
+def tool_call_without_tool_result(records):
+    records[3]["tool_result"] = None
+
+
+def task_answer_with_tool_result(records):
+    records[5]["tool_result"] = {"documents": [], "raw": None}
+
+
 def fixture_records(name):
     return [json.loads(text) for text in (DATA_DIR / name).read_text().splitlines()]
 
@@ -408,6 +503,9 @@ def fixture_records(name):
     [
         (corrupt_header, 1, "unsupported trajectory version: 9"),
         (drop_question_id, 1, "missing field 'question_id'"),
+        (config_not_an_object, 1, 'field "config" is not an object'),
+        (numeric_answer, 1, 'field "answer" is not a string or null'),
+        (non_string_prompt, 1, 'field "prompts" holds an entry that is not a string'),
         (drop_step_field, 3, "missing field 'model_text'"),
         (non_object_step, 3, "not a JSON object"),
         (v1_state_not_a_string, 3, 'field "state" is not a string'),
@@ -418,10 +516,16 @@ def fixture_records(name):
         (non_string_diagnostic, 3, 'field "diagnostics" holds an entry that is not a string'),
         (non_object_tool_result, 4, 'field "tool_result" is neither null nor an object with a list of documents'),
         (non_object_document, 4, 'field "tool_result" is neither null nor an object with a list of documents'),
+        (tool_call_without_tool_name, 4, 'field "payload" of a tool_call step has no string "tool_name"'),
+        (tool_call_without_tool_result, 4, 'field "tool_result" is null on a tool_call step'),
+        (task_answer_with_tool_result, 6, 'field "tool_result" is set on a task_answer step'),
     ],
     ids=[
         "version",
         "header-field",
+        "header-config-type",
+        "header-answer-type",
+        "header-prompt-type",
         "step-field",
         "step-not-object",
         "v1-state-type",
@@ -432,6 +536,9 @@ def fixture_records(name):
         "diagnostics-type",
         "tool-result-type",
         "document-type",
+        "tool-call-without-tool-name",
+        "tool-call-without-tool-result",
+        "task-answer-with-tool-result",
     ],
 )
 @pytest.mark.parametrize("command", ["replay", "stats", "export"])
@@ -452,6 +559,16 @@ def test_malformed_trajectory_file_exits_2_naming_the_line(tmp_path, capsys, com
         argv += ["--out", str(tmp_path / "sft.jsonl")]
     assert main(argv) == 2
     assert capsys.readouterr().err == f"error: {path} line {line}: {problem}\n"
+
+
+@pytest.mark.parametrize("value", ["9", True, 0], ids=["string", "boolean", "zero"])
+def test_replay_of_a_bad_recorded_run_config_exits_2(tmp_path, capsys, value):
+    records = fixture_records("two_hop_trajectory_v2.jsonl")
+    records[0]["config"]["max_turns"] = value
+    path = tmp_path / "bad.jsonl"
+    path.write_text("".join(json.dumps(record) + "\n" for record in records))
+    assert main(["replay", "--trajectory", str(path), "--strict"]) == 2
+    assert capsys.readouterr().err == "error: max_turns must be a positive integer\n"
 
 
 def test_eval_tool_config_error_exits_2_before_any_report(workdir, capsys):

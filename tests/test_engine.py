@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import re
@@ -11,9 +12,11 @@ import dagsearch.register
 import dagsearch.tools
 from dagsearch.backend import Backend, ScriptedBackend
 from dagsearch.engine import (
+    UNREPLAYED_FIELDS,
     PromptPack,
     RunConfig,
     rebuild_registers,
+    replay_divergence,
     replay_run,
     run,
 )
@@ -623,10 +626,29 @@ class TestReplay:
         trajectory = result.trajectory
         steps = trajectory.steps
         tampered = steps[3]
+        end = len(tampered.state)
         object.__setattr__(tampered, "state", tampered.state + " TAMPERED")
         replayed = replay_run(trajectory, strict=True, clock=fixed_clock())
         assert replayed.outcome == "aborted"
-        assert "ReplayDivergence" in replayed.error
+        assert replayed.error == f"ReplayDivergence: step 4: state diverges from the recording, character {end}"
+
+    def test_strict_divergence_skips_only_the_unreplayed_fields(self):
+        recorded = run_two_hop().trajectory
+        steps = recorded.steps
+        edited = dataclasses.replace(recorded, steps=list(steps))
+        edited.steps[2] = dataclasses.replace(steps[2], retries=1, diagnostics=("rejected",))
+        assert replay_divergence(recorded, edited, strict=True) is None
+        for field in dataclasses.fields(steps[2]):
+            if field.name in UNREPLAYED_FIELDS:
+                continue
+            edited.steps[2] = dataclasses.replace(steps[2], **{field.name: getattr(steps[0], field.name)})
+            assert replay_divergence(recorded, edited, strict=True).startswith(f"step 3: {field.name} diverges")
+        edited.steps[2] = steps[2]
+        edited.steps.pop()
+        assert replay_divergence(recorded, edited, strict=True) == "steps: recorded 9, replayed 8"
+        assert replay_divergence(recorded, edited, strict=False) is None
+        edited.answer = "1097"
+        assert replay_divergence(recorded, edited, strict=False) == "answer: recorded '1096', replayed '1097'"
 
     def test_non_strict_replay_ignores_drift(self):
         result = run_two_hop()
@@ -720,7 +742,9 @@ def record_and_replay(directory, responses, config):
     assert result.outcome in OUTCOMES
     path = directory / "closure.jsonl"
     result.trajectory.save(path)
-    replayed = replay_run(Trajectory.load(path), strict=True, clock=fixed_clock())
+    recorded = Trajectory.load(path)
+    replayed = replay_run(recorded, strict=True, clock=fixed_clock())
+    assert replay_divergence(recorded, replayed.trajectory, strict=True) is None
     replayed.trajectory.save(path)
     return result.trajectory, Trajectory.load(path)
 

@@ -51,7 +51,7 @@ def solving_trajectory(states):
             index=i,
             stage="solving",
             state=state,
-            kind="tool_call",
+            kind="doc_extraction",
             payload={},
             raw_text="",
             model_text="",
@@ -402,7 +402,7 @@ class TestPersistence:
                     index=i,
                     stage=stage,
                     state=state,
-                    kind="tool_call",
+                    kind="doc_extraction",
                     payload={},
                     raw_text="",
                     model_text="",
