@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import argparse
-import json
 import logging
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -12,11 +11,10 @@ from typing import Callable
 
 from .backend import Backend, HttpChatBackend, ScriptedBackend
 from .engine import PromptPack, RunConfig, replay_divergence, replay_run, run
-from .tools import ToolRegistry, build_registry
+from .tools import InputError, ToolRegistry, build_registry, check_fields, check_strings, located, read_json
 from .trajectory import (
     EvalRecord,
     Trajectory,
-    TrajectoryError,
     context_curve,
     export_sft,
     load_trajectories,
@@ -30,94 +28,82 @@ logger = logging.getLogger(__name__)
 
 
 def _load_json(path: str) -> dict:
-    with open(path, "r", encoding="utf-8") as handle:
-        return json.load(handle)
+    """The object a JSON file holds; see ``read_json``."""
+    return next(read_json(path, lines=False))[1]
+
+
+def _check_question(record: dict) -> None:
+    check_fields(record, {"question": (str,), "answers": (list,)})
+    check_fields(record, {"question_id": (str,)}, optional=True)
+    check_strings(record, "answers")
 
 
 def _load_dataset(path: str) -> list[dict]:
-    """JSONL of {question, answers: [...], question_id?} records.
-
-    A line that is not such an object is a ValueError naming the line, so a
-    batch stops before any question runs.
-    """
-    records = []
-    with open(path, "r", encoding="utf-8") as handle:
-        for i, line in enumerate(handle):
-            line = line.strip()
-            if not line:
-                continue
-            record = json.loads(line)
-            if (
-                not isinstance(record, dict)
-                or not isinstance(record.get("question"), str)
-                or not isinstance(record.get("answers"), list)
-            ):
-                raise ValueError(
-                    f'{path} line {i + 1}: expected an object with a string "question" and a list "answers"'
-                )
-            record.setdefault("question_id", f"q{i + 1:04d}")
-            records.append(record)
-    return records
+    """JSONL of {question, answers: [...], question_id?} records; a malformed one stops a batch before it runs."""
+    return [{"question_id": f"q{number:04d}", **record} for number, record in read_json(path, _check_question)]
 
 
 def _build_config(args: argparse.Namespace) -> tuple[RunConfig, PromptPack]:
-    """The run config and prompt pack, from one read of ``--config`` and the flags."""
-    data = _load_json(args.config) if getattr(args, "config", None) else {}
-    values = dict(data.get("run", data))
-    for name in ("max_turns", "max_context_tokens"):
-        override = getattr(args, name, None)
-        if override is not None:
-            values[name] = override
-    if getattr(args, "strict", False):
-        values["strict_protocol"] = True
-    prompts = data.get("prompts")
+    """The run config and prompt pack, from one read of ``--config``; a flag that is given overrides the file."""
+    data = _load_json(args.config) if args.config else {}
+    flags = {name: getattr(args, name) for name in ("max_turns", "max_context_tokens")}
+    flags["strict_protocol"] = args.strict or None
+    with located(args.config):
+        unknown = sorted(data.keys() - {"run", "prompts"})
+        if unknown:
+            raise InputError(f'unknown key "{unknown[0]}": a run config holds only "run" and "prompts"')
+        check_fields(data, {"run": (dict,), "prompts": (dict,)}, optional=True)
+        prompts = data.get("prompts")
+        if prompts:
+            check_fields(prompts, {"holistic": (str,), "solving": (str,)})
+        values = {**data.get("run", {}), **{name: value for name, value in flags.items() if value is not None}}
+        config = RunConfig.from_dict(values)
     if prompts:
         base = Path(args.config).parent
         pack = PromptPack.load(str(base / prompts["holistic"]), str(base / prompts["solving"]))
     else:
         pack = PromptPack.load_default()
-    return RunConfig.from_dict(values), pack
+    return config, pack
 
 
 def _backend_factory(spec: str) -> Callable[[str], Backend]:
     """A fresh backend per question id, from a ``--backend`` spec read once.
 
-    The spec is ``http`` or ``scripted:<path.json>``. Scripted files hold
-    either {"responses": [...]} or {"by_question": {question_id: [...]}} for
-    batch eval fixtures. An unknown spec, or a scripted file that cannot be
-    read or is not such an object, raises here, before any question runs; a
-    question missing from ``by_question`` raises when its backend is built.
+    The spec is ``http`` or ``scripted:<path.json>``. A scripted file holds
+    either {"responses": [...]}, for any question, or {"by_question":
+    {question_id: [...]}} for batch eval fixtures, each reply a string. An
+    unknown spec or a malformed scripted file raises here, before any
+    question runs; a question missing from ``by_question`` raises when its
+    backend is built.
     """
     if spec == "http":
         return lambda question_id: HttpChatBackend()
-    if spec.startswith("scripted:"):
-        path = spec.split(":", 1)[1]
-        data = _load_json(path)
-        if not isinstance(data, dict) or not ("by_question" in data or "responses" in data):
-            raise ValueError(f'{path}: expected an object with "responses" or "by_question"')
-        if "by_question" not in data:
-            return lambda question_id: ScriptedBackend(responses=data["responses"])
+    if not spec.startswith("scripted:"):
+        raise ValueError(f'unknown backend spec "{spec}" (use "http" or "scripted:<path>")')
+    path = spec.split(":", 1)[1]
+    data = _load_json(path)
+    shared = "by_question" not in data
+    with located(path):
+        check_fields(data, {"responses": (list,)} if shared else {"by_question": (dict,)})
+        replies = {"responses": data["responses"]} if shared else data["by_question"]
+        check_fields(replies, dict.fromkeys(replies, (list,)))
+        for key in replies:
+            check_strings(replies, key)
 
-        def scripted(question_id: str) -> Backend:
-            responses = data["by_question"].get(question_id)
-            if responses is None:
-                raise ValueError(f'scripted backend has no responses for "{question_id}"')
-            return ScriptedBackend(responses=responses)
+    def scripted(question_id: str) -> Backend:
+        responses = replies.get("responses" if shared else question_id)
+        if responses is None:
+            raise ValueError(f'scripted backend has no responses for "{question_id}"')
+        return ScriptedBackend(responses=responses)
 
-        return scripted
-    raise ValueError(f'unknown backend spec "{spec}" (use "http" or "scripted:<path>")')
+    return scripted
 
 
 def _build_tools(args: argparse.Namespace) -> ToolRegistry:
-    path = getattr(args, "tools", None)
-    if not path:
-        raise ValueError("a tool config file is required (--tools)")
-    config = _load_json(path)
-    entries = config["tools"] if isinstance(config, dict) else config
-    top_k = getattr(args, "top_k", None)
-    if top_k is not None:
-        entries = [{**entry, "top_k": top_k} for entry in entries]
-    return build_registry(entries, base_dir=Path(path).parent)
+    config = _load_json(args.tools)
+    with located(args.tools):
+        check_fields(config, {"tools": (list,)})
+        return build_registry(config["tools"], base_dir=Path(args.tools).parent, top_k=args.top_k)
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
@@ -293,7 +279,7 @@ def main(argv: list[str] | None = None) -> int:
     logging.basicConfig(level=logging.DEBUG if args.verbose else logging.WARNING)
     try:
         return args.func(args)
-    except (OSError, ValueError, TrajectoryError) as exc:
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

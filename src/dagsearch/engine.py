@@ -15,6 +15,7 @@ import time
 from dataclasses import asdict, dataclass, fields
 from functools import partial
 from importlib import resources
+from pathlib import Path
 from typing import Any, Callable, Mapping, TypeVar
 
 from .backend import Backend, BackendError, CompletionRequest, ReplayBackend
@@ -41,6 +42,7 @@ from .register import (
 )
 from .tools import (
     ArgumentSchemaViolation,
+    InputError,
     ScriptedTool,
     ToolError,
     ToolRegistry,
@@ -103,11 +105,14 @@ class RunConfig:
 
     @classmethod
     def from_dict(cls, values: Mapping[str, Any]) -> "RunConfig":
-        """A config from ``values``, ignoring keys that are not fields.
+        """A config from ``values``; a key that is not a field is a ValueError naming it.
 
-        Version 1 trajectory headers carry a ``top_k`` that tools now own.
+        Version 1 trajectory headers carry a ``top_k`` that tools now own; it is ignored.
         """
-        return cls(**{k: v for k, v in values.items() if k in cls.__dataclass_fields__})
+        unknown = sorted(values.keys() - cls.__dataclass_fields__.keys() - {"top_k"})
+        if unknown:
+            raise InputError(f'unknown run setting "{unknown[0]}"')
+        return cls(**{k: v for k, v in values.items() if k != "top_k"})
 
 
 @dataclass(frozen=True)
@@ -127,11 +132,7 @@ class PromptPack:
 
     @classmethod
     def load(cls, holistic_path: str, solving_path: str) -> "PromptPack":
-        with open(holistic_path, "r", encoding="utf-8") as handle:
-            holistic = handle.read()
-        with open(solving_path, "r", encoding="utf-8") as handle:
-            solving = handle.read()
-        return cls(holistic=holistic, solving=solving)
+        return cls(*(Path(path).read_text(encoding="utf-8") for path in (holistic_path, solving_path)))
 
 
 @dataclass

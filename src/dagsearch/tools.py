@@ -18,19 +18,92 @@ from collections import Counter
 from dataclasses import dataclass, field
 from itertools import islice
 from pathlib import Path
-from typing import Any, Callable, Mapping, Sequence
+from typing import Any, Callable, Iterator, Mapping, Sequence
 
 logger = logging.getLogger(__name__)
 
 DEFAULT_TOP_K = 3
 
 
+class InputError(ValueError):
+    """A malformed input file; ``where`` is set once the message names the file (and line)."""
+
+    where = ""
+
+
+@dataclass
+class located:
+    """Put ``path``, and ``line`` when set, before the message of an InputError raised inside."""
+
+    path: str | Path | None
+    line: int = 0
+
+    def __enter__(self) -> "located":
+        return self
+
+    def __exit__(self, kind: object, exc: BaseException | None, traceback: object) -> None:
+        if isinstance(exc, InputError) and not exc.where:
+            error = type(exc)(f"{self.path}{f' line {self.line}' if self.line else ''}: {exc}")
+            error.where = str(self.path)
+            raise error from None
+
+
+def read_json(
+    path: str | Path, check: Callable[[dict], None] | None = None, *, lines: bool = True
+) -> Iterator[tuple[int, dict]]:
+    """The objects of a JSON Lines file, or of a JSON file's one document (line 0), as (line, object) pairs.
+
+    Blank lines are skipped. Text that is not JSON, not a JSON object, or
+    that ``check`` rejects is an InputError naming the file and line.
+    """
+    with open(path, "r", encoding="utf-8") as handle, located(path) as place:
+        for number, text in enumerate(handle, start=1) if lines else [(0, handle.read())]:
+            if lines and not text.strip():
+                continue
+            place.line = number
+            try:
+                record = json.loads(text)
+            except ValueError as exc:
+                raise InputError(f"not JSON: {exc}") from None
+            if type(record) is not dict:
+                raise InputError("not a JSON object")
+            if check:
+                check(record)
+            yield number, record
+
+
+_TYPE_NAMES = {
+    int: "an integer", float: "a number", str: "a string", dict: "an object", list: "a list", type(None): "null"
+}
+
+
+def check_fields(record: Mapping[str, Any], fields: Mapping[str, tuple[type, ...]], *, optional: bool = False) -> None:
+    """Raise an InputError unless each of ``fields`` (required unless ``optional``) has one of its JSON types.
+
+    ``type(...) in``, not isinstance: JSON true and false are not integers.
+    """
+    for name, expected in fields.items():
+        if name not in record:
+            if optional:
+                continue
+            raise InputError(f"missing field {name!r}")
+        if type(record[name]) not in expected:
+            raise InputError(f'field "{name}" is not {" or ".join(map(_TYPE_NAMES.get, expected))}')
+
+
+def check_strings(record: Mapping[str, Any], name: str) -> None:
+    """Raise an InputError unless every entry of the list or object field ``name`` is a string."""
+    values = record[name].values() if type(record[name]) is dict else record[name]
+    if not all(type(value) is str for value in values):
+        raise InputError(f'field "{name}" holds an entry that is not a string')
+
+
 class ToolError(Exception):
     """Base for tool failures; ``str(err)`` is a re-prompt-ready diagnostic."""
 
 
-class DuplicateTool(ToolError):
-    pass
+class DuplicateTool(ToolError, ValueError):
+    """A tool name registered twice: a bad tool config, so a ValueError too."""
 
 
 class UnknownTool(ToolError):
@@ -43,6 +116,10 @@ class ArgumentSchemaViolation(ToolError):
 
 class ToolTransportError(ToolError):
     pass
+
+
+# A corpus record's fields and JSON types, which a recorded tool document has exactly.
+DOCUMENT_FIELDS = {"source_id": (str,), "title": (str,), "text": (str,)}
 
 
 @dataclass(frozen=True)
@@ -67,10 +144,7 @@ class ToolResult:
 
     @classmethod
     def from_dict(cls, data: dict) -> "ToolResult":
-        return cls(
-            documents=tuple(Document(**doc) for doc in data["documents"]),
-            raw=data.get("raw"),
-        )
+        return cls(documents=tuple(Document(**doc) for doc in data["documents"]), raw=data.get("raw"))
 
 
 @dataclass(frozen=True)
@@ -140,22 +214,9 @@ class ToolRegistry:
 
 
 def load_corpus(path: str | Path) -> list[Document]:
-    """Read a JSONL corpus of {source_id, title, text} records."""
-    docs = []
-    with open(path, "r", encoding="utf-8") as handle:
-        for line in handle:
-            line = line.strip()
-            if not line:
-                continue
-            record = json.loads(line)
-            docs.append(
-                Document(
-                    source_id=record["source_id"],
-                    title=record["title"],
-                    text=record["text"],
-                )
-            )
-    return docs
+    """Read a JSONL corpus of {source_id, title, text} string records."""
+    records = read_json(path, lambda record: check_fields(record, DOCUMENT_FIELDS))
+    return [Document(record["source_id"], record["title"], record["text"]) for _, record in records]
 
 
 @dataclass
@@ -413,59 +474,63 @@ def search_spec(tool_name: str, description: str) -> ToolSpec:
 
 
 # Per client kind: the class, the optional config keys passed through to it
-# when an entry sets them (each default lives on the class), and the default
-# description.
-_CLIENTS: dict[str, tuple[type, tuple[str, ...], str]] = {
+# when an entry sets them, with their JSON types (each default lives on the
+# class), and the default description.
+_CLIENTS: dict[str, tuple[type, dict[str, tuple[type, ...]], str]] = {
     "web_search": (
         WebSearchClient,
-        (
-            "method",
-            "query_param",
-            "extra_params",
-            "results_path",
-            "title_field",
-            "url_field",
-            "snippet_field",
-            "api_key_param",
-            "api_key_header",
-        ),
+        {
+            **dict.fromkeys(("method", "query_param", "results_path", "title_field", "url_field"), (str,)),
+            **dict.fromkeys(("snippet_field", "api_key_param", "api_key_header"), (str,)),
+            "extra_params": (dict,),
+        },
         "Web search returning ranked snippets.",
     ),
     "dense_retriever": (
         DenseRetrieverClient,
-        ("query_field", "top_k_field", "results_path", "id_field", "title_field", "text_field"),
+        dict.fromkeys(("query_field", "top_k_field", "results_path", "id_field", "title_field", "text_field"), (str,)),
         "Dense passage retrieval over a local index.",
     ),
 }
+# The optional keys of every entry, with their JSON types.
+_ENTRY_OPTIONS = {"top_k": (int, str), "description": (str,), "api_key_env": (str,)}
 
 
-def build_registry(config: Sequence[Mapping[str, Any]], base_dir: str | Path = ".") -> ToolRegistry:
-    """Build a registry from tool config entries.
+def build_registry(
+    config: Sequence[Mapping[str, Any]], base_dir: str | Path = ".", top_k: int | None = None
+) -> ToolRegistry:
+    """Build a registry from tool config entries; ``top_k``, when given, overrides every entry's.
 
-    Each entry needs ``name`` and ``kind`` (fixture | web_search |
-    dense_retriever) plus kind-specific fields; see the README for the file
-    format. A ``top_k`` below 1 is a ValueError naming the tool.
+    Each entry is an object with a string ``name`` and ``kind`` (fixture |
+    web_search | dense_retriever), plus a string ``corpus`` or ``endpoint``
+    by kind; see the README. A malformed entry is an InputError, and a
+    ``top_k`` below 1 a ValueError naming the tool.
     """
     registry = ToolRegistry()
     for entry in config:
-        name = entry["name"]
-        kind = entry["kind"]
+        if type(entry) is not dict:
+            raise InputError("a tool entry is not a JSON object")
+        check_fields(entry, {"name": (str,), "kind": (str,)})
+        check_fields(entry, _ENTRY_OPTIONS, optional=True)
+        name, kind = entry["name"], entry["kind"]
         options: dict[str, Any] = {}
-        if "top_k" in entry:
-            options["top_k"] = int(entry["top_k"])
+        if top_k is not None or "top_k" in entry:
+            options["top_k"] = int(entry["top_k"] if top_k is None else top_k)
             if options["top_k"] < 1:
                 raise ValueError(f'tool "{name}" needs a top_k of at least 1, not {options["top_k"]}')
         if kind == "fixture":
-            corpus_path = Path(base_dir) / entry["corpus"]
-            executor: Executor = FixtureSearchTool(corpus=load_corpus(corpus_path), **options)
+            check_fields(entry, {"corpus": (str,)})
+            executor: Executor = FixtureSearchTool(corpus=load_corpus(Path(base_dir) / entry["corpus"]), **options)
             description = "Keyword search over a fixture corpus."
         elif kind in _CLIENTS:
             client, keys, description = _CLIENTS[kind]
+            check_fields(entry, {"endpoint": (str,)})
+            check_fields(entry, keys, optional=True)
             options.update((key, entry[key]) for key in keys if key in entry)
             if kind == "web_search" and entry.get("api_key_env"):
                 options["api_key"] = os.environ.get(entry["api_key_env"])
             executor = client(tool_name=name, endpoint=entry["endpoint"], **options)
         else:
-            raise ValueError(f'unknown tool kind "{kind}" for tool "{name}"')
+            raise InputError(f'unknown tool kind "{kind}" for tool "{name}"')
         registry.register(search_spec(name, entry.get("description", description)), executor)
     return registry

@@ -18,7 +18,7 @@ from typing import Iterable, Sequence
 
 from .protocol import ActionKind, subspace_of
 from .register import LineTokenCounter, common_prefix_length, default_tokenizer, token_length
-from .tools import ToolResult
+from .tools import DOCUMENT_FIELDS, InputError, ToolResult, check_fields, check_strings, located, read_json
 
 TRAJECTORY_VERSION = 2
 _READABLE_VERSIONS = (1, 2)
@@ -35,33 +35,26 @@ _HEADER_FIELDS = {
     "prompts": (dict,),
     "config": (dict,),
 }
-# The JSON type every step line's field must have, by field name.
-_STEP_FIELD_TYPES = {
-    "index": int,
-    "stage": str,
-    "state": str,
-    "kind": str,
-    "payload": dict,
-    "raw_text": str,
-    "model_text": str,
-    "token_count": int,
-    "retries": int,
-    "diagnostics": list,
-}
-_TYPE_NAMES = {
-    int: "an integer",
-    float: "a number",
-    str: "a string",
-    dict: "an object",
-    list: "a list",
-    type(None): "null",
+# Every field of a step, with the JSON types of its step line's value. A
+# record holds ``diagnostics`` as a tuple and ``tool_result`` as a ToolResult.
+_STEP_FIELDS = {
+    "index": (int,),
+    "stage": (str,),
+    "state": (str,),
+    "kind": (str,),
+    "payload": (dict,),
+    "raw_text": (str,),
+    "model_text": (str,),
+    "token_count": (int,),
+    "retries": (int,),
+    "diagnostics": (list,),
+    "tool_result": (dict, type(None)),
 }
 _STAGES = ("planning", "solving")
 _KINDS = frozenset(kind.value for kind in ActionKind)
-_DOCUMENT_FIELDS = {"source_id", "title", "text"}
 
 
-class TrajectoryError(Exception):
+class TrajectoryError(InputError):
     pass
 
 
@@ -90,35 +83,17 @@ class StepRecord:
     tool_result: ToolResult | None = None
 
     def to_dict(self) -> dict:
-        return {
-            "index": self.index,
-            "stage": self.stage,
-            "state": self.state,
-            "kind": self.kind,
-            "payload": self.payload,
-            "raw_text": self.raw_text,
-            "model_text": self.model_text,
-            "token_count": self.token_count,
-            "retries": self.retries,
-            "diagnostics": list(self.diagnostics),
-            "tool_result": self.tool_result.to_dict() if self.tool_result else None,
-        }
+        fields = {name: getattr(self, name) for name in _STEP_FIELDS}
+        fields["diagnostics"] = list(self.diagnostics)
+        fields["tool_result"] = self.tool_result.to_dict() if self.tool_result else None
+        return fields
 
     @classmethod
     def from_dict(cls, data: dict) -> "StepRecord":
-        return cls(
-            index=data["index"],
-            stage=data["stage"],
-            state=data["state"],
-            kind=data["kind"],
-            payload=data["payload"],
-            raw_text=data["raw_text"],
-            model_text=data["model_text"],
-            token_count=data["token_count"],
-            retries=data["retries"],
-            diagnostics=tuple(data["diagnostics"]),
-            tool_result=ToolResult.from_dict(data["tool_result"]) if data["tool_result"] else None,
-        )
+        fields = {name: data[name] for name in _STEP_FIELDS}
+        fields["diagnostics"] = tuple(fields["diagnostics"])
+        fields["tool_result"] = ToolResult.from_dict(fields["tool_result"]) if fields["tool_result"] else None
+        return cls(**fields)
 
 
 @dataclass
@@ -174,43 +149,30 @@ class Trajectory:
 
     @classmethod
     def load(cls, path: str | Path) -> "Trajectory":
-        """Read a trajectory file; a structurally bad line is a TrajectoryError naming it."""
-        records = _read_records(path)
-        if not records or records[0][1].get("record") != "trajectory":
+        """Read a trajectory file; a structurally bad line is an InputError naming it."""
+        records = read_json(path, _check_record)
+        _, header = next(records, (0, {}))
+        if header.get("record") != "trajectory":
             raise TrajectoryError(f"{path} is not a trajectory file")
-        number, header = records[0]
-        try:
-            version = header.get("version")
-            _check_version(version)
-            for name, expected in _HEADER_FIELDS.items():
-                if type(header[name]) not in expected:
-                    raise TrajectoryError(f'field "{name}" is not {" or ".join(map(_TYPE_NAMES.get, expected))}')
-            if not all(type(text) is str for text in header["prompts"].values()):
-                raise TrajectoryError('field "prompts" holds an entry that is not a string')
-            trajectory = cls(version=version, **{name: header[name] for name in _HEADER_FIELDS})
-            previous: list[str] = []
-            for number, line in records[1:]:
-                if line.get("record") != "step":
-                    continue
-                line.pop("record")
-                _check_step_fields(line)
-                if version >= 2:
-                    shared = line.pop("state_shared")
-                    if not isinstance(shared, int) or not 0 <= shared <= len(previous):
+        trajectory = cls(version=header["version"], **{name: header[name] for name in _HEADER_FIELDS})
+        previous: list[str] = []
+        for number, line in records:
+            if line.get("record") != "step":
+                continue
+            if trajectory.version >= 2:
+                with located(path, number):
+                    check_fields(line, {"state_shared": (int,)})
+                    shared = line["state_shared"]
+                    if not 0 <= shared <= len(previous):
                         raise TrajectoryError(
-                            f"step {line.get('index')} shares {shared} lines with a "
-                            f"{len(previous)}-line previous state"
+                            f"step {line['index']} shares {shared} lines with a {len(previous)}-line previous state"
                         )
-                    # Joined from lines, not sliced from the previous state's
-                    # characters and concatenated: that variant fragments the
-                    # heap and raises peak RSS on long trajectories.
-                    previous = previous[:shared] + line["state"].split("\n")
-                    line["state"] = "\n".join(previous)
-                trajectory.steps.append(StepRecord.from_dict(line))
-        except KeyError as exc:
-            raise TrajectoryError(f"{path} line {number}: missing field {exc}") from None
-        except TrajectoryError as exc:
-            raise TrajectoryError(f"{path} line {number}: {exc}") from None
+                # Joined from lines, not sliced from the previous state's
+                # characters and concatenated: that variant fragments the
+                # heap and raises peak RSS on long trajectories.
+                previous = previous[:shared] + line["state"].split("\n")
+                line["state"] = "\n".join(previous)
+            trajectory.steps.append(StepRecord.from_dict(line))
         return trajectory
 
 
@@ -229,37 +191,22 @@ def _line_delta(previous: str | None, current: str) -> tuple[int, int]:
     return previous.count("\n", 0, end), previous.rfind("\n", 0, end) + 1
 
 
-def _read_records(path: str | Path) -> list[tuple[int, dict]]:
-    """The non-blank lines of a trajectory file as (line number, JSON object) pairs."""
-    records = []
-    with open(path, "r", encoding="utf-8") as handle:
-        for number, text in enumerate(handle, start=1):
-            if not text.strip():
-                continue
-            try:
-                record = json.loads(text)
-            except ValueError as exc:
-                raise TrajectoryError(f"{path} line {number}: not JSON: {exc}") from None
-            if not isinstance(record, dict):
-                raise TrajectoryError(f"{path} line {number}: not a JSON object")
-            records.append((number, record))
-    return records
-
-
-def _check_step_fields(line: dict) -> None:
-    """Raise a TrajectoryError unless every field of a step line has its type.
+def _check_record(line: dict) -> None:
+    """Raise an InputError unless a header or step line holds its fields with their types.
 
     A tool_call step, and only a tool_call step, holds a tool result, and
     its payload names its tool with a string.
     """
-    for name, expected in _STEP_FIELD_TYPES.items():
-        # ``type(...) is``, not isinstance: JSON true and false are not integers.
-        if type(line[name]) is not expected:
-            raise TrajectoryError(f'field "{name}" is not {_TYPE_NAMES[expected]}')
-    if not all(type(text) is str for text in line["diagnostics"]):
-        raise TrajectoryError('field "diagnostics" holds an entry that is not a string')
-    if line["tool_result"] is not None and not _is_tool_result(line["tool_result"]):
+    if line.get("record") == "trajectory":
+        _check_version(line.get("version"))
+        check_fields(line, _HEADER_FIELDS)
+        check_strings(line, "prompts")
+    if line.get("record") != "step":
+        return
+    if line.get("tool_result") is not None and not _is_tool_result(line["tool_result"]):
         raise TrajectoryError('field "tool_result" is neither null nor an object with a list of documents')
+    check_fields(line, _STEP_FIELDS)
+    check_strings(line, "diagnostics")
     if line["stage"] not in _STAGES:
         raise TrajectoryError(f'field "stage" is not planning or solving: {line["stage"]!r}')
     if line["kind"] not in _KINDS:
@@ -274,7 +221,7 @@ def _check_step_fields(line: dict) -> None:
 def _is_tool_result(value: object) -> bool:
     documents = value.get("documents") if type(value) is dict else None
     return type(documents) is list and all(
-        type(doc) is dict and doc.keys() == _DOCUMENT_FIELDS and all(type(text) is str for text in doc.values())
+        type(doc) is dict and doc.keys() == DOCUMENT_FIELDS.keys() and all(type(text) is str for text in doc.values())
         for doc in documents
     )
 

@@ -1,9 +1,15 @@
+import contextlib
 import csv
 import hashlib
+import io
 import json
 import shutil
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import dagsearch.cli
 from dagsearch.backend import ScriptedBackend
@@ -582,16 +588,19 @@ def test_eval_tool_config_error_exits_2_before_any_report(workdir, capsys):
 
 
 @pytest.mark.parametrize(
-    "bad",
+    "bad, problem",
     [
-        {"question_id": "no-answers", "question": "What is the capital of France?"},
-        {"question_id": "answers-not-a-list", "question": "What is the capital of France?", "answers": "Paris"},
-        {"question_id": "no-question", "answers": ["Paris"]},
-        ["not", "an", "object"],
+        ({"question_id": "no-answers", "question": "What is the capital of France?"}, "missing field 'answers'"),
+        (
+            {"question_id": "answers-not-a-list", "question": "What is the capital of France?", "answers": "Paris"},
+            'field "answers" is not a list',
+        ),
+        ({"question_id": "no-question", "answers": ["Paris"]}, "missing field 'question'"),
+        (["not", "an", "object"], "not a JSON object"),
     ],
     ids=["no-answers", "answers-not-a-list", "no-question", "not-an-object"],
 )
-def test_eval_rejects_a_malformed_dataset_record_before_any_question_runs(workdir, capsys, monkeypatch, bad):
+def test_eval_rejects_a_malformed_dataset_record_before_any_question_runs(workdir, capsys, monkeypatch, bad, problem):
     ran = []
     monkeypatch.setattr(dagsearch.cli, "run", lambda *args, **kwargs: ran.append(args))
     dataset = workdir / "eval_dataset.jsonl"
@@ -602,9 +611,7 @@ def test_eval_rejects_a_malformed_dataset_record_before_any_question_runs(workdi
     argv = ["eval", "--dataset", str(dataset), "--backend", f"scripted:{workdir / 'eval_scripted.json'}"]
     argv += ["--tools", str(workdir / "tools.json"), "--out", str(report)]
     assert main(argv) == 2
-    assert capsys.readouterr().err == (
-        f'error: {dataset} line 2: expected an object with a string "question" and a list "answers"\n'
-    )
+    assert capsys.readouterr().err == f"error: {dataset} line 2: {problem}\n"
     assert ran == []
     assert not report.exists()
 
@@ -615,7 +622,7 @@ def test_eval_rejects_a_malformed_dataset_record_before_any_question_runs(workdi
         ("bogus", 'unknown backend spec "bogus" (use "http" or "scripted:<path>")'),
         ("scripted:{workdir}/nonexistent.json", "No such file or directory"),
         ("scripted:{workdir}/corpus.jsonl", "Extra data"),
-        ("scripted:{workdir}/list.json", 'expected an object with "responses" or "by_question"'),
+        ("scripted:{workdir}/list.json", "list.json: not a JSON object"),
     ],
     ids=["unknown-spec", "missing-file", "not-json", "not-an-object"],
 )
@@ -662,3 +669,196 @@ def test_unsaveable_question_spends_no_turn(workdir, capsys, monkeypatch):
     assert (rows[first["question_id"]]["outcome"], rows[first["question_id"]]["turns"]) == ("error", "0")
     assert "warning: 1 question(s) failed" in capsys.readouterr().out
     assert contexts and not any(first["question"] in context for context in contexts)
+
+
+def corpus_with(bad):
+    """The fixture corpus with ``bad`` inserted as line 3."""
+    records = [json.loads(text) for text in (DATA_DIR / "corpus.jsonl").read_text().splitlines()]
+    return records[:2] + [bad] + records[2:]
+
+
+FIXTURE_TOOL = {"name": "search", "kind": "fixture", "corpus": "corpus.jsonl"}
+TITLED = {"source_id": "fix:x", "title": "X", "text": "x"}
+
+# Each case: the input file it writes (a JSON value, or a list of records
+# for a .jsonl file), the line the error names (0: none), and the problem.
+MALFORMED_INPUTS = {
+    "config-not-an-object": ("config.json", [], 0, "not a JSON object"),
+    "prompt-path-not-a-string": ("config.json", {"prompts": {"holistic": 5}}, 0, 'field "holistic" is not a string'),
+    "unknown-run-setting": ("config.json", {"run": {"max_turn": 5}}, 0, 'unknown run setting "max_turn"'),
+    "config-without-run-object": (
+        "config.json",
+        {"max_turns": 5},
+        0,
+        'unknown key "max_turns": a run config holds only "run" and "prompts"',
+    ),
+    "tool-entry-not-an-object": ("tools.json", {"tools": [5]}, 0, "a tool entry is not a JSON object"),
+    "tools-not-a-list": ("tools.json", {"tools": 5}, 0, 'field "tools" is not a list'),
+    "bare-tool-list": ("tools.json", [FIXTURE_TOOL], 0, "not a JSON object"),
+    "tool-without-name": (
+        "tools.json",
+        {"tools": [{"kind": "fixture", "corpus": "corpus.jsonl"}]},
+        0,
+        "missing field 'name'",
+    ),
+    "web-search-without-endpoint": (
+        "tools.json",
+        {"tools": [{"name": "web", "kind": "web_search"}]},
+        0,
+        "missing field 'endpoint'",
+    ),
+    "corpus-record-without-title": (
+        "corpus.jsonl",
+        corpus_with({"source_id": "fix:x", "text": "x"}),
+        3,
+        "missing field 'title'",
+    ),
+    "corpus-record-not-an-object": ("corpus.jsonl", corpus_with([1, 2]), 3, "not a JSON object"),
+    "corpus-source-id-not-a-string": (
+        "corpus.jsonl",
+        corpus_with({**TITLED, "source_id": 7}),
+        3,
+        'field "source_id" is not a string',
+    ),
+    "reply-not-a-string": (
+        "replies.json",
+        {"responses": [5]},
+        0,
+        'field "responses" holds an entry that is not a string',
+    ),
+    "replies-not-a-list": ("replies.json", {"responses": "abc"}, 0, 'field "responses" is not a list'),
+    "by-question-not-an-object": ("replies.json", {"by_question": []}, 0, 'field "by_question" is not an object'),
+    "dataset-line-not-json": ("dataset.jsonl", ["nope"], 1, "not JSON: Expecting value: line 1 column 1 (char 0)"),
+}
+
+
+def write_inputs(directory, command):
+    """The valid inputs of ``command`` under the names MALFORMED_INPUTS uses; returns its argv."""
+    shutil.copy(DATA_DIR / "corpus.jsonl", directory)
+    shutil.copy(DATA_DIR / "tools.json", directory)
+    shutil.copy(DATA_DIR / "eval_dataset.jsonl", directory / "dataset.jsonl")
+    replies = "eval_scripted.json" if command == "eval" else "two_hop_responses.json"
+    shutil.copy(DATA_DIR / replies, directory / "replies.json")
+    (directory / "config.json").write_text(json.dumps({"run": {"max_turns": 40}}))
+    (directory / "runs").mkdir()
+    argv = [command, "--config", str(directory / "config.json"), "--tools", str(directory / "tools.json")]
+    argv += ["--backend", f"scripted:{directory / 'replies.json'}"]
+    if command == "eval":
+        argv += ["--dataset", str(directory / "dataset.jsonl"), "--out", str(directory / "report.csv")]
+        return argv + ["--trajectory-dir", str(directory / "runs")]
+    return argv + ["--question", TWO_HOP_QUESTION, "--out", str(directory / "runs" / "run.jsonl")]
+
+
+def write_input(path, content):
+    """Write ``content`` as JSON, or for a .jsonl file as one line per record (a string is a raw line)."""
+    if path.suffix == ".jsonl":
+        path.write_text("".join((r if isinstance(r, str) else json.dumps(r)) + "\n" for r in content))
+    else:
+        path.write_text(json.dumps(content))
+
+
+@pytest.mark.parametrize(
+    "command, name, content, line, problem",
+    [
+        pytest.param(command, *case, id=f"{command}-{case_id}")
+        for case_id, case in MALFORMED_INPUTS.items()
+        for command in ("run", "eval")
+        if command == "eval" or case[0] != "dataset.jsonl"
+    ],
+)
+def test_malformed_input_exits_2_naming_the_file(tmp_path, capsys, command, name, content, line, problem):
+    argv = write_inputs(tmp_path, command)
+    write_input(tmp_path / name, content)
+    assert main(argv) == 2
+    where = f"{tmp_path / name} line {line}" if line else f"{tmp_path / name}"
+    assert capsys.readouterr().err == f"error: {where}: {problem}\n"
+    assert not (tmp_path / "report.csv").exists()
+    assert not list(tmp_path.glob("runs/*"))
+
+
+# One value of each JSON type, for swapping a field's type.
+JSON_VALUES = [None, True, 7, 1.5, "text", [1], {"key": "value"}]
+
+
+def members(value, path=()):
+    """The path of every object member inside a JSON value."""
+    if isinstance(value, dict):
+        for key, item in value.items():
+            yield path + (key,)
+            yield from members(item, path + (key,))
+    elif isinstance(value, list):
+        for index, item in enumerate(value):
+            yield from members(item, path + (index,))
+
+
+@st.composite
+def corruptions(draw, document):
+    """``document`` with one member dropped or of another JSON type, or wrapped in a list."""
+    paths = list(members(document))
+    operation = draw(st.sampled_from(["drop", "swap", "wrap"] if paths else ["wrap"]))
+    if operation == "wrap":
+        return [document]
+    *parents, key = draw(st.sampled_from(paths))
+    corrupted = json.loads(json.dumps(document))
+    parent = corrupted
+    for step in parents:
+        parent = parent[step]
+    if operation == "drop":
+        del parent[key]
+    else:
+        parent[key] = draw(st.sampled_from([v for v in JSON_VALUES if type(v) is not type(parent[key])]))
+    return corrupted
+
+
+def fixture_inputs():
+    """Each input file of ``eval`` and ``replay`` by name, as JSON values (a list of records for .jsonl)."""
+    inputs = {
+        "config.json": {"run": {"max_turns": 40}, "prompts": {"holistic": "holistic.txt", "solving": "solving.txt"}},
+        "tools.json": json.loads((DATA_DIR / "tools.json").read_text()),
+        "replies.json": json.loads((DATA_DIR / "eval_scripted.json").read_text()),
+        "responses.json": json.loads((DATA_DIR / "two_hop_responses.json").read_text()),
+    }
+    for name, source in [("corpus.jsonl", "corpus.jsonl"), ("dataset.jsonl", "eval_dataset.jsonl")]:
+        inputs[name] = fixture_records(source)
+    inputs["trajectory.jsonl"] = fixture_records("two_hop_trajectory_v2.jsonl")
+    return inputs
+
+
+FIXTURE_INPUTS = fixture_inputs()
+
+
+@st.composite
+def corrupted_inputs(draw):
+    """The fixture inputs with one field of one file corrupted (one record, in a .jsonl file)."""
+    name = draw(st.sampled_from(sorted(FIXTURE_INPUTS)))
+    inputs = dict(FIXTURE_INPUTS)
+    if name.endswith(".jsonl"):
+        records = list(inputs[name])
+        line = draw(st.integers(0, len(records) - 1))
+        records[line] = draw(corruptions(records[line]))
+        inputs[name] = records
+    else:
+        inputs[name] = draw(corruptions(inputs[name]))
+    return name, inputs
+
+
+@settings(max_examples=150, deadline=None)
+@given(corrupted_inputs())
+def test_a_corrupted_input_file_never_raises(corrupted):
+    name, inputs = corrupted
+    with tempfile.TemporaryDirectory() as directory:
+        directory = Path(directory)
+        for file_name, content in inputs.items():
+            write_input(directory / file_name, content)
+        (directory / "holistic.txt").write_text("HOLISTIC")
+        (directory / "solving.txt").write_text("SOLVING")
+        (directory / "runs").mkdir()
+        if name == "trajectory.jsonl":
+            argv = ["replay", "--strict", "--trajectory", str(directory / name)]
+        else:
+            backend = "responses.json" if name == "responses.json" else "replies.json"
+            argv = ["eval", "--config", str(directory / "config.json"), "--tools", str(directory / "tools.json")]
+            argv += ["--backend", f"scripted:{directory / backend}", "--dataset", str(directory / "dataset.jsonl")]
+            argv += ["--out", str(directory / "report.csv"), "--trajectory-dir", str(directory / "runs")]
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            assert main(argv) in (0, 1, 2)

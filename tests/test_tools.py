@@ -334,6 +334,11 @@ class TestBuildRegistry:
         with pytest.raises(ValueError):
             build_registry([{"name": "x", "kind": "crawler"}])
 
+    def test_a_name_used_twice_is_a_value_error(self):
+        entry = {"name": "s", "kind": "fixture", "corpus": "corpus.jsonl"}
+        with pytest.raises(ValueError, match='tool "s" is already registered'):
+            build_registry([entry, entry], base_dir=DATA_DIR)
+
     @pytest.mark.parametrize("top_k", [0, -1])
     @pytest.mark.parametrize(
         "entry",
