@@ -39,8 +39,20 @@ def _check_question(record: dict) -> None:
 
 
 def _load_dataset(path: str) -> list[dict]:
-    """JSONL of {question, answers: [...], question_id?} records; a malformed one stops a batch before it runs."""
-    return [{"question_id": f"q{number:04d}", **record} for number, record in read_json(path, _check_question)]
+    """JSONL of {question, answers: [...], question_id?} records; a malformed one stops a batch before it runs.
+
+    A record without a ``question_id`` gets ``q<line>``; an id that repeats
+    an earlier record's is an InputError, so no trajectory overwrites another.
+    """
+    dataset, lines = [], {}
+    for number, record in read_json(path, _check_question):
+        record = {"question_id": f"q{number:04d}", **record}
+        first = lines.setdefault(record["question_id"], number)
+        if first != number:
+            with located(path, number):
+                raise InputError(f'question_id "{record["question_id"]}" repeats line {first}')
+        dataset.append(record)
+    return dataset
 
 
 def _build_config(args: argparse.Namespace) -> tuple[RunConfig, PromptPack]:
@@ -99,11 +111,11 @@ def _backend_factory(spec: str) -> Callable[[str], Backend]:
     return scripted
 
 
-def _build_tools(args: argparse.Namespace) -> ToolRegistry:
+def _build_tools(args: argparse.Namespace, fixtures: dict | None = None) -> ToolRegistry:
     config = _load_json(args.tools)
     with located(args.tools):
         check_fields(config, {"tools": (list,)})
-        return build_registry(config["tools"], base_dir=Path(args.tools).parent, top_k=args.top_k)
+        return build_registry(config["tools"], base_dir=Path(args.tools).parent, top_k=args.top_k, fixtures=fixtures)
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
@@ -135,10 +147,14 @@ def _cmd_eval(args: argparse.Namespace) -> int:
     trajectory_dir = Path(args.trajectory_dir) if args.trajectory_dir else None
     if trajectory_dir:
         trajectory_dir.mkdir(parents=True, exist_ok=True)
+    # This call's fixture tools: each corpus is read and indexed once, and
+    # freed when the call returns. The tools keep no per-query state, so
+    # --parallel threads share them.
+    fixtures: dict = {}
 
     def evaluate(record: dict) -> EvalRecord:
         """One question's row; a question that cannot be set up or saved becomes an ``error`` row."""
-        tools = _build_tools(args)  # a bad tool config ends the whole call
+        tools = _build_tools(args, fixtures)  # a bad tool config ends the whole call
         try:
             result = run(
                 record["question"],

@@ -53,14 +53,19 @@ def read_json(
 ) -> Iterator[tuple[int, dict]]:
     """The objects of a JSON Lines file, or of a JSON file's one document (line 0), as (line, object) pairs.
 
-    Blank lines are skipped. Text that is not JSON, not a JSON object, or
-    that ``check`` rejects is an InputError naming the file and line.
+    Blank lines are skipped. Bytes that are not UTF-8, and text that is not
+    JSON, not a JSON object, or that ``check`` rejects, are an InputError
+    naming the file and line.
     """
-    with open(path, "r", encoding="utf-8") as handle, located(path) as place:
-        for number, text in enumerate(handle, start=1) if lines else [(0, handle.read())]:
+    with open(path, "rb") as handle, located(path) as place:
+        for number, data in enumerate(handle, start=1) if lines else [(0, handle.read())]:
+            place.line = number
+            try:
+                text = data.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise InputError(f"not UTF-8: {exc}") from None
             if lines and not text.strip():
                 continue
-            place.line = number
             try:
                 record = json.loads(text)
             except ValueError as exc:
@@ -497,15 +502,24 @@ _ENTRY_OPTIONS = {"top_k": (int, str), "description": (str,), "api_key_env": (st
 
 
 def build_registry(
-    config: Sequence[Mapping[str, Any]], base_dir: str | Path = ".", top_k: int | None = None
+    config: Sequence[Mapping[str, Any]],
+    base_dir: str | Path = ".",
+    top_k: int | None = None,
+    fixtures: dict[tuple[Path, int], FixtureSearchTool] | None = None,
 ) -> ToolRegistry:
     """Build a registry from tool config entries; ``top_k``, when given, overrides every entry's.
 
     Each entry is an object with a string ``name`` and ``kind`` (fixture |
     web_search | dense_retriever), plus a string ``corpus`` or ``endpoint``
-    by kind; see the README. A malformed entry is an InputError, and a
-    ``top_k`` below 1 a ValueError naming the tool.
+    by kind; see the README. A malformed entry, or a ``top_k`` that is not
+    an integer of at least 1, is an InputError naming the tool.
+
+    ``fixtures`` maps a (corpus path, top_k) pair to the fixture tool built
+    over it. A build reuses a tool found there and adds any it makes, so
+    builds that share one map read and index each corpus once; a build
+    given none uses a map of its own.
     """
+    fixtures = {} if fixtures is None else fixtures
     registry = ToolRegistry()
     for entry in config:
         if type(entry) is not dict:
@@ -515,12 +529,20 @@ def build_registry(
         name, kind = entry["name"], entry["kind"]
         options: dict[str, Any] = {}
         if top_k is not None or "top_k" in entry:
-            options["top_k"] = int(entry["top_k"] if top_k is None else top_k)
+            value = entry["top_k"] if top_k is None else top_k
+            try:
+                options["top_k"] = int(value)
+            except ValueError:
+                raise InputError(f'tool "{name}" has a top_k that is not an integer: {value!r}') from None
             if options["top_k"] < 1:
-                raise ValueError(f'tool "{name}" needs a top_k of at least 1, not {options["top_k"]}')
+                raise InputError(f'tool "{name}" needs a top_k of at least 1, not {options["top_k"]}')
         if kind == "fixture":
             check_fields(entry, {"corpus": (str,)})
-            executor: Executor = FixtureSearchTool(corpus=load_corpus(Path(base_dir) / entry["corpus"]), **options)
+            path = Path(base_dir) / entry["corpus"]
+            key = (path, options.get("top_k", DEFAULT_TOP_K))
+            if key not in fixtures:
+                fixtures[key] = FixtureSearchTool(corpus=load_corpus(path), **options)
+            executor: Executor = fixtures[key]
             description = "Keyword search over a fixture corpus."
         elif kind in _CLIENTS:
             client, keys, description = _CLIENTS[kind]

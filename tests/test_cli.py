@@ -5,6 +5,7 @@ import io
 import json
 import shutil
 import tempfile
+import weakref
 from pathlib import Path
 
 import pytest
@@ -12,8 +13,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import dagsearch.cli
+import dagsearch.tools
 from dagsearch.backend import ScriptedBackend
 from dagsearch.cli import main
+from dagsearch.tools import FixtureSearchTool
 from dagsearch.trajectory import Trajectory
 from helpers import DATA_DIR, TWO_HOP_GOLD, TWO_HOP_QUESTION
 
@@ -81,6 +84,45 @@ def test_eval_summary_matches_hand_computed_acc(workdir, capsys):
     assert len(rows) == 5
     assert sum(int(r["acc"]) for r in rows) == 3
     assert len(list(trajectory_dir.glob("*.jsonl"))) == 5
+
+
+def eval_argv(workdir, report, *options):
+    argv = ["eval", "--dataset", str(workdir / "eval_dataset.jsonl"), "--tools", str(workdir / "tools.json")]
+    return argv + ["--backend", f"scripted:{workdir / 'eval_scripted.json'}", "--out", str(report), *options]
+
+
+@pytest.mark.parametrize("parallel", ["1", "2"])
+def test_eval_reads_each_corpus_once_per_call(workdir, capsys, monkeypatch, parallel):
+    loads, builds = [], []
+    load_corpus, build_registry = dagsearch.tools.load_corpus, dagsearch.cli.build_registry
+    monkeypatch.setattr(dagsearch.tools, "load_corpus", lambda path: loads.append(path) or load_corpus(path))
+    monkeypatch.setattr(
+        dagsearch.cli, "build_registry", lambda *args, **kwargs: builds.append(1) or build_registry(*args, **kwargs)
+    )
+    reports = []
+    for call in range(2):
+        report = workdir / f"report{call}.csv"
+        assert main(eval_argv(workdir, report, "--parallel", parallel)) == 0
+        reports.append(report.read_bytes())
+        # Each call reads the corpus afresh, once per thread at most.
+        assert 1 <= len(loads) <= int(parallel) and len(builds) == 5
+        del loads[:], builds[:]
+    serial = workdir / "serial.csv"
+    monkeypatch.undo()
+    assert main(eval_argv(workdir, serial)) == 0
+    assert reports == [serial.read_bytes()] * 2
+
+
+@pytest.mark.parametrize("parallel", ["1", "2"])
+def test_eval_frees_its_fixture_tools_when_it_returns(workdir, capsys, monkeypatch, parallel):
+    tools = []
+    post_init = FixtureSearchTool.__post_init__
+    monkeypatch.setattr(
+        FixtureSearchTool, "__post_init__", lambda self: tools.append(weakref.ref(self)) or post_init(self)
+    )
+    assert main(eval_argv(workdir, workdir / "report.csv", "--parallel", parallel)) == 0
+    assert 1 <= len(tools) <= int(parallel)
+    assert [tool() for tool in tools] == [None] * len(tools)
 
 
 def test_replay_strict_on_fresh_recording(workdir, capsys):
@@ -583,7 +625,8 @@ def test_eval_tool_config_error_exits_2_before_any_report(workdir, capsys):
     argv += ["--backend", f"scripted:{workdir / 'eval_scripted.json'}"]
     argv += ["--tools", str(workdir / "tools.json"), "--out", str(report)]
     assert main(argv) == 2
-    assert capsys.readouterr().err == 'error: tool "search" needs a top_k of at least 1, not 0\n'
+    problem = 'tool "search" needs a top_k of at least 1, not 0'
+    assert capsys.readouterr().err == f'error: {workdir / "tools.json"}: {problem}\n'
     assert not report.exists()
 
 
@@ -678,6 +721,7 @@ def corpus_with(bad):
 
 
 FIXTURE_TOOL = {"name": "search", "kind": "fixture", "corpus": "corpus.jsonl"}
+EVAL_RECORDS = fixture_records("eval_dataset.jsonl")
 TITLED = {"source_id": "fix:x", "title": "X", "text": "x"}
 
 # Each case: the input file it writes (a JSON value, or a list of records
@@ -729,6 +773,31 @@ MALFORMED_INPUTS = {
     "replies-not-a-list": ("replies.json", {"responses": "abc"}, 0, 'field "responses" is not a list'),
     "by-question-not-an-object": ("replies.json", {"by_question": []}, 0, 'field "by_question" is not an object'),
     "dataset-line-not-json": ("dataset.jsonl", ["nope"], 1, "not JSON: Expecting value: line 1 column 1 (char 0)"),
+    "top-k-not-digits": (
+        "tools.json",
+        {"tools": [{**FIXTURE_TOOL, "top_k": "abc"}]},
+        0,
+        "tool \"search\" has a top_k that is not an integer: 'abc'",
+    ),
+    "top-k-below-one": (
+        "tools.json",
+        {"tools": [{**FIXTURE_TOOL, "top_k": 0}]},
+        0,
+        'tool "search" needs a top_k of at least 1, not 0',
+    ),
+    "question-id-repeats": (
+        "dataset.jsonl",
+        EVAL_RECORDS + EVAL_RECORDS[:1],
+        6,
+        'question_id "capital-france" repeats line 1',
+    ),
+    "defaulted-question-id-repeats": (
+        "dataset.jsonl",
+        [EVAL_RECORDS[0], {"question": "What is 2 + 2?", "answers": ["4"]}]
+        + [{**EVAL_RECORDS[1], "question_id": "q0002"}],
+        3,
+        'question_id "q0002" repeats line 2',
+    ),
 }
 
 
@@ -771,6 +840,29 @@ def test_malformed_input_exits_2_naming_the_file(tmp_path, capsys, command, name
     write_input(tmp_path / name, content)
     assert main(argv) == 2
     where = f"{tmp_path / name} line {line}" if line else f"{tmp_path / name}"
+    assert capsys.readouterr().err == f"error: {where}: {problem}\n"
+    assert not (tmp_path / "report.csv").exists()
+    assert not list(tmp_path.glob("runs/*"))
+
+
+@pytest.mark.parametrize(
+    "name, line",
+    [("config.json", 0), ("tools.json", 0), ("replies.json", 0), ("corpus.jsonl", 3), ("dataset.jsonl", 3)]
+    + [("trajectory.jsonl", 3)],
+)
+def test_input_that_is_not_utf8_exits_2_naming_the_line(tmp_path, capsys, name, line):
+    argv = write_inputs(tmp_path, "eval")
+    if name == "trajectory.jsonl":
+        shutil.copy(DATA_DIR / "two_hop_trajectory_v2.jsonl", tmp_path / name)
+        argv = ["replay", "--strict", "--trajectory", str(tmp_path / name)]
+    path = tmp_path / name
+    lines = path.read_bytes().splitlines(keepends=True)
+    head, rest = b"".join(lines[: max(line - 1, 0)]), b"".join(lines[max(line - 1, 0) :])
+    position = rest.index(b'"') + 1  # inside the first string of the line, or of the file
+    path.write_bytes(head + rest[:position] + b"\xff" + rest[position:])
+    assert main(argv) == 2
+    where = f"{path} line {line}" if line else f"{path}"
+    problem = f"not UTF-8: 'utf-8' codec can't decode byte 0xff in position {position}: invalid start byte"
     assert capsys.readouterr().err == f"error: {where}: {problem}\n"
     assert not (tmp_path / "report.csv").exists()
     assert not list(tmp_path.glob("runs/*"))

@@ -339,6 +339,26 @@ class TestBuildRegistry:
         with pytest.raises(ValueError, match='tool "s" is already registered'):
             build_registry([entry, entry], base_dir=DATA_DIR)
 
+    def test_builds_sharing_a_fixture_map_share_one_tool_per_corpus_and_top_k(self):
+        config = [
+            {"name": "one", "kind": "fixture", "corpus": "corpus.jsonl", "top_k": 1},
+            {"name": "two", "kind": "fixture", "corpus": "corpus.jsonl", "top_k": "2"},
+        ]
+        fixtures = {}
+        first = build_registry(config, base_dir=DATA_DIR, fixtures=fixtures)
+        second = build_registry(config, base_dir=DATA_DIR, fixtures=fixtures)
+        assert sorted(fixtures) == [(DATA_DIR / "corpus.jsonl", 1), (DATA_DIR / "corpus.jsonl", 2)]
+        assert first._tools["one"][1] is not first._tools["two"][1]
+        for name, top_k in [("one", 1), ("two", 2)]:
+            assert second._tools[name][1] is first._tools[name][1] is fixtures[(DATA_DIR / "corpus.jsonl", top_k)]
+            assert len(second.invoke(name, {"query": "oxford"}).documents) == top_k
+
+    def test_builds_without_a_fixture_map_build_their_own_tools(self):
+        config = [{"name": "search", "kind": "fixture", "corpus": "corpus.jsonl"}]
+        first, second = (build_registry(config, base_dir=DATA_DIR) for _ in range(2))
+        assert first._tools["search"][1] is not second._tools["search"][1]
+        assert first._tools["search"][1] == second._tools["search"][1]
+
     @pytest.mark.parametrize("top_k", [0, -1])
     @pytest.mark.parametrize(
         "entry",
