@@ -3,7 +3,9 @@
 The register holds {refined intent, archived plans, current plan state} and
 is updated by pure code from parsed actions, never by another model call.
 Raw tool documents are visible for exactly one turn (the "latest tool
-output" section) and then vanish; only extracted facts persist. Rendering
+output" section) and then vanish; only extracted facts persist, until they
+are folded: from trajectory version 3 on, the tool-log entries of answered
+tasks leave the model input in batches (see ``FOLD_CHARS``). Rendering
 puts the most stable sections first and the current plan's task statuses,
 which change on most turns, after the append-only tool log, so consecutive
 model inputs share long token prefixes. This module renders every model
@@ -24,7 +26,16 @@ from .plan import DagPlan, plan_to_dict
 from .protocol import Action, ActionKind, IntentPayload, canonical_json
 from .tools import ToolResult
 
-SNAPSHOT_VERSION = 1
+SNAPSHOT_VERSION = 2
+
+# A task_answer folds the answered tasks' tool-log entries out of the
+# version 3 render once their lines still shown pass this many characters
+# (about 2,000 tokens) and a task is still open. Batches keep most turns
+# append-only, so the cached prefix holds. With no task open, a fold would
+# break the prefix of the final answer's input, which no later turn reuses.
+# Characters, not tokens: the decision must not tokenize. The trajectory
+# version pins the value: a new value needs a new version.
+FOLD_CHARS = 12_000
 
 
 class RegisterError(Exception):
@@ -204,6 +215,9 @@ class Register:
     tool_log: tuple[ToolLogEntry, ...]
     step: int = 0
     pending_tool_result: ToolResult | None = None
+    # Entries up to this step index whose task is answered are left out of
+    # the version 3 render; the log keeps them.
+    folded_through: int = 0
 
 
 def init_register(intent: IntentPayload, plan: DagPlan) -> Register:
@@ -284,7 +298,12 @@ def apply_action(
     if kind is ActionKind.TASK_ANSWER:
         pairs = [(entry["task_id"], entry["answer"]) for entry in payload["answers"]]
         new_plan = planmod.apply_task_answer(register.plan, pairs)
-        return replace(register, plan=new_plan, step=step, pending_tool_result=None)
+        folded_through = register.folded_through
+        if _fold_due(register.tool_log, new_plan, folded_through):
+            folded_through = step
+        return replace(
+            register, plan=new_plan, step=step, pending_tool_result=None, folded_through=folded_through
+        )
 
     if kind is ActionKind.REVISIT_TASK:
         target = payload["task_id"]
@@ -323,6 +342,26 @@ def apply_action(
         step=step,
         pending_tool_result=None,
     )
+
+
+def _fold_due(log: Sequence[ToolLogEntry], plan: DagPlan, folded_through: int) -> bool:
+    """Whether a task_answer that leaves ``plan`` folds the answered tasks' entries.
+
+    True when a task is still open and the answered tasks' entries still
+    shown (after ``folded_through``) render to more than FOLD_CHARS
+    characters. Entries are in step order, so the walk stops at the last
+    fold.
+    """
+    if planmod.is_complete(plan):
+        return False
+    nodes = plan.nodes
+    shown = 0
+    for entry in reversed(log):
+        if entry.step_index <= folded_through:
+            break
+        if nodes[entry.task_id].status == planmod.ANSWERED:
+            shown += sum(map(len, entry.rendered_lines))
+    return shown > FOLD_CHARS
 
 
 # ---------------------------------------------------------------------------
@@ -392,7 +431,7 @@ def render_correction(context: str, diagnostic: str) -> str:
     )
 
 
-def render_context(register: Register, question: str, stage_prompt: str, version: int = 2) -> str:
+def render_context(register: Register, question: str, stage_prompt: str, version: int = 3) -> str:
     """Deterministic model input for one solving step, in ``version``'s layout.
 
     ``version`` is the trajectory version the input is recorded under.
@@ -402,8 +441,9 @@ def render_context(register: Register, question: str, stage_prompt: str, version
     and finally the one-turn raw tool output if a call just happened. A
     status flip therefore leaves everything before it a prefix of the next
     input. Version 1 renders the statuses inside the current plan section,
-    before the revisit history. Empty sections are omitted entirely; no
-    layout changes the token count.
+    before the revisit history. Version 3 is version 2 without the tool-log
+    entries up to ``folded_through`` whose task is answered: the Status
+    line states their answers. Empty sections are omitted entirely.
     """
     sections: list[str] = [stage_prompt.rstrip()]
     sections.append(f"## Question\n{question}")
@@ -430,8 +470,16 @@ def render_context(register: Register, question: str, stage_prompt: str, version
         ]
         sections.append("## Revisited tasks\n" + "\n".join(lines))
 
-    if register.tool_log:
-        sections.append("## Tool log\n" + "\n".join(_tool_log_lines(register.tool_log)))
+    log = register.tool_log
+    if version >= 3 and register.folded_through:
+        nodes, folded_through = register.plan.nodes, register.folded_through
+        log = [
+            entry
+            for entry in log
+            if entry.step_index > folded_through or nodes[entry.task_id].status != planmod.ANSWERED
+        ]
+    if log:
+        sections.append("## Tool log\n" + "\n".join(_tool_log_lines(log)))
 
     if version != 1:
         sections.append("\n".join(status_lines))
@@ -448,15 +496,16 @@ def render_context(register: Register, question: str, stage_prompt: str, version
     return "\n\n".join(sections)
 
 
-def register_tokens(register: Register, question: str, stage_prompt: str) -> int:
+def register_tokens(register: Register, question: str, stage_prompt: str, version: int = 3) -> int:
     """Token count of the persistent render (ephemeral tool output excluded).
 
-    This is the quantity that is non-decreasing within a plan epoch; the full
-    model input additionally carries the one-turn raw tool output and may
-    shrink when that section expires.
+    In the version 1 and 2 layouts this quantity is non-decreasing within a
+    plan epoch; the version 3 render also shrinks when answered tasks' entries
+    are folded out. The full model input additionally carries the one-turn
+    raw tool output and may shrink when that section expires.
     """
     stripped = replace(register, pending_tool_result=None)
-    return token_length(render_context(stripped, question, stage_prompt))
+    return token_length(render_context(stripped, question, stage_prompt, version))
 
 
 # ---------------------------------------------------------------------------
@@ -495,6 +544,7 @@ def register_to_dict(register: Register) -> dict:
             ],
         },
         "step": register.step,
+        "folded_through": register.folded_through,
         "pending_tool_result": (
             register.pending_tool_result.to_dict()
             if register.pending_tool_result is not None

@@ -20,8 +20,8 @@ from .protocol import ActionKind, subspace_of
 from .register import LineTokenCounter, common_prefix_length, default_tokenizer, token_length
 from .tools import DOCUMENT_FIELDS, InputError, ToolResult, check_fields, check_strings, located, read_json
 
-TRAJECTORY_VERSION = 2
-_READABLE_VERSIONS = (1, 2)
+TRAJECTORY_VERSION = 3
+_READABLE_VERSIONS = (1, 2, 3)
 # The run-level fields of a trajectory file's header line, besides its
 # version, with the JSON types each may have.
 _HEADER_FIELDS = {
@@ -115,11 +115,12 @@ class Trajectory:
 
     # -- persistence (versioned JSONL: one header line, one line per step) --
     #
-    # Version 1 stores each step's whole state. Version 2 stores it as a
-    # line delta against the previous step's state: ``state_shared`` leading
-    # lines in common, and ``state`` holding the rest. The shared count
-    # stops one line short of the whole state, so the rest always holds at
-    # least one line and splitting it gives back exactly the lines stored.
+    # Version 1 stores each step's whole state. Versions 2 and 3 store it as
+    # a line delta against the previous step's state: ``state_shared``
+    # leading lines in common, and ``state`` holding the rest. The shared
+    # count stops one line short of the whole state, so the rest always
+    # holds at least one line and splitting it gives back exactly the lines
+    # stored. Version 3 differs from 2 only in the solving input's layout.
 
     def save(self, path: str | Path) -> None:
         """Write this trajectory in its own ``version``'s encoding, atomically.

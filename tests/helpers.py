@@ -382,3 +382,57 @@ def run_twenty_turn() -> RunResult:
         question_id="twenty-turn-synthetic",
         clock=fixed_clock(),
     )
+
+
+# ---------------------------------------------------------------------------
+# Fold fixture: three chained tasks whose facts pass FOLD_CHARS by the second
+# answer, so that the version 3 render folds before the last answer
+# ---------------------------------------------------------------------------
+
+FOLD_QUESTION = "Which year closes the chain of three synthetic records?"
+
+
+def fold_script() -> tuple[list[str], list[ToolResult]]:
+    """Responses and tool results: per task one call, one extraction, one answer."""
+    rng = random.Random(16)
+    tasks = [{"task_id": f"t{i}", "description": f"Resolve synthetic record {i}"} for i in (1, 2, 3)]
+    responses = [
+        '<intent_refinement>{"refined_goal": "Find the year that closes the chain of records.", '
+        '"constraints": ["the answer is a year"]}</intent_refinement>',
+        "<problem_framing>"
+        + json.dumps({"tasks": tasks, "edges": [["t1", "t2"], ["t2", "t3"]]})
+        + "</problem_framing>",
+    ]
+    tool_results = []
+    for number, task in enumerate(tasks, start=1):
+        task_id = task["task_id"]
+        docs = tuple(_synthetic_document(rng, f"fold:{number}{suffix}", 40) for suffix in "ab")
+        tool_results.append(ToolResult(documents=docs))
+        call = {"task_id": task_id, "tool_name": "search", "arguments": {"query": words(rng, 4)}}
+        # t1's facts alone stay under FOLD_CHARS, t1's and t2's together pass it
+        facts = [words(rng, 20)] if task_id == "t3" else [words(rng, 270) for _ in range(4)]
+        extraction = {"task_id": task_id, "facts": facts, "source_ids": [doc.source_id for doc in docs]}
+        answer = "1877" if task_id == "t3" else words(rng, 3)
+        responses += [
+            f"<tool_call>{json.dumps(call)}</tool_call>",
+            f"<doc_extraction>{json.dumps(extraction, ensure_ascii=False)}</doc_extraction>",
+            f'<task_answer>{{"answers": [{{"task_id": "{task_id}", "answer": "{answer}"}}]}}</task_answer>',
+        ]
+    responses.append('<final_answer>{"answer": "1877"}</final_answer>')
+    return responses, tool_results
+
+
+def run_fold() -> RunResult:
+    """The scripted run that ``data/fold_trajectory_v3.jsonl`` records."""
+    responses, tool_results = fold_script()
+    registry = ToolRegistry()
+    registry.register(search_spec("search", "Synthetic scripted retrieval."), ScriptedTool(results=tool_results))
+    return run(
+        FOLD_QUESTION,
+        backend=ScriptedBackend(responses=responses),
+        tools=registry,
+        prompts=PromptPack.load_default(),
+        question_id="fold-synthetic",
+        clock=fixed_clock(),
+        version=3,
+    )

@@ -80,7 +80,8 @@ def test_eval_summary_matches_hand_computed_acc(workdir, capsys):
     )
     assert code == 0
     assert "mean ACC = 0.6000" in capsys.readouterr().out
-    rows = list(csv.DictReader(report.open()))
+    with report.open(encoding="utf-8") as handle:
+        rows = list(csv.DictReader(handle))
     assert len(rows) == 5
     assert sum(int(r["acc"]) for r in rows) == 3
     assert len(list(trajectory_dir.glob("*.jsonl"))) == 5
@@ -294,7 +295,8 @@ def test_export_and_stats(workdir, capsys):
     )
     assert code == 0
     assert curve.exists() and cache.exists()
-    curve_rows = list(csv.DictReader(curve.open()))
+    with curve.open(encoding="utf-8") as handle:
+        curve_rows = list(csv.DictReader(handle))
     assert curve_rows[0]["n"] == "5"
 
 

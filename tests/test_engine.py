@@ -621,6 +621,28 @@ class TestReplay:
         replayed.trajectory.save(path)
         assert path.read_bytes() == fixture.read_bytes()
 
+    def test_v3_fold_recording_replays_byte_for_byte(self, tmp_path):
+        # recorded by helpers.run_fold: t2's answer folds t1's and t2's
+        # entries out of the input while t3 is still open
+        fixture = DATA_DIR / "fold_trajectory_v3.jsonl"
+        recorded = Trajectory.load(fixture)
+        assert recorded.version == 3
+        folds = [register.folded_through for register in rebuild_registers(recorded)]
+        assert folds == [0] * 6 + [6] * (len(folds) - 6)  # registers[6] follows step 6
+        solving = recorded.solving_steps()
+        assert "Step 1: " in solving[5].state and "Step 4: " in solving[5].state
+        assert "Step 1: " not in solving[6].state and "Step 4: " not in solving[6].state
+        assert solving[6].token_count < solving[5].token_count / 2
+        replayed = replay_run(recorded, strict=True, clock=fixed_clock())
+        assert replayed.outcome == "answered"
+        path = tmp_path / "replayed.jsonl"
+        replayed.trajectory.save(path)
+        assert path.read_bytes() == fixture.read_bytes()
+
+    def test_v3_fold_fixture_is_unchanged(self):
+        digest = hashlib.sha256((DATA_DIR / "fold_trajectory_v3.jsonl").read_bytes()).hexdigest()
+        assert digest == "e0a333031cc0c6081fbf0f6f7f1456c54611fef57f1dff6bca0fafd4ab250596"
+
     def test_tampered_recording_diverges(self, tmp_path):
         result = run_two_hop()
         trajectory = result.trajectory

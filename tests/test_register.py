@@ -3,17 +3,19 @@ import os
 from dataclasses import replace
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import dagsearch.register
-from dagsearch.plan import ANSWERED, PENDING, build_plan
+from dagsearch.plan import ANSWERED, PENDING, PlanError, build_plan, is_complete
 from dagsearch.protocol import Action, ActionKind, IntentPayload
 from dagsearch.register import (
+    FOLD_CHARS,
     ContextOverflow,
     IllegalActionInStage,
     LineTokenCounter,
     Register,
+    RegisterError,
     ToolLogEntry,
     apply_action,
     capped_token_length,
@@ -386,6 +388,125 @@ class TestTokens:
         assert counts == sorted(counts)
 
 
+# Fold property: three tasks, t1 -> t2, driven by generated solving actions.
+# Each op is (kind, task, fact sizes); calls and answers are drawn twice as
+# often as the rest, and a fact of 13,000 characters passes FOLD_CHARS alone,
+# so that a fifth to a third of the examples fold.
+FOLD_TASKS = ("t1", "t2", "t3")
+FOLD_EDGES = (("t1", "t2"),)
+fold_ops = st.lists(
+    st.tuples(
+        st.sampled_from(("call", "answer", "call", "answer", "extract", "revisit", "replan")),
+        st.sampled_from(FOLD_TASKS),
+        st.lists(st.sampled_from((10, 5_000, 13_000)), max_size=2),
+    ),
+    min_size=8,
+    max_size=40,
+)
+
+
+def fold_actions(op, number):
+    """The (action, tool output) pairs of a generated op; ``number`` keeps facts distinct.
+
+    A call is followed by the extraction of its facts unless there are none.
+    """
+    kind, task_id, sizes = op
+    if kind in ("call", "extract"):
+        facts = [f"fact{number}.{i} " + "x" * size for i, size in enumerate(sizes)]
+        extraction = act(ActionKind.DOC_EXTRACTION, {"task_id": task_id, "facts": facts, "source_ids": []})
+        if kind == "extract":
+            return [(extraction, None)]
+        return [(tool_call(task_id, query=f"q{number}"), result())] + ([(extraction, None)] if facts else [])
+    if kind == "answer":
+        return [(answer(task_id, f"a{number}"), None)]
+    if kind == "revisit":
+        return [(act(ActionKind.REVISIT_TASK, {"task_id": task_id, "reason": f"r{number}"}), None)]
+    tasks = [{"task_id": tid, "description": f"redo {tid}"} for tid in FOLD_TASKS]
+    edges = [list(edge) for edge in FOLD_EDGES]
+    return [(act(ActionKind.REPLANNING, {"reason": f"r{number}", "tasks": tasks, "edges": edges}), None)]
+
+
+def hidden_steps(register):
+    """Step indices of the entries the version 3 render leaves out."""
+    answered = {tid for tid, node in register.plan.nodes.items() if node.status == ANSWERED}
+    return {e.step_index for e in register.tool_log if e.step_index <= register.folded_through and e.task_id in answered}
+
+
+BIG = 5_000  # two facts of one task stay under FOLD_CHARS, four pass it
+
+
+class TestFold:
+    @settings(max_examples=150, deadline=None)
+    @given(ops=fold_ops)
+    # t1 and t3 cross FOLD_CHARS and fold while t2 is open; a revisit shows
+    # t1's entries again and its answer hides them again.
+    @example(
+        ops=[
+            ("call", "t1", [BIG, BIG]), ("answer", "t1", []), ("call", "t3", [BIG, BIG]), ("call", "t2", []),
+            ("answer", "t3", []), ("revisit", "t1", []), ("answer", "t1", []), ("replan", "t1", []),
+        ]
+    )
+    def test_v3_render_is_v2_without_folded_entries(self, ops):
+        register = init_register(intent(), build_plan([(t, f"do {t}") for t in FOLD_TASKS], FOLD_EDGES))
+        tokens = {version: register_tokens(register, QUESTION, PROMPT, version) for version in (2, 3)}
+        pairs = (pair for number, op in enumerate(ops) for pair in fold_actions(op, number))
+        for action, output in pairs:
+            previous = register
+            try:
+                register = apply_action(previous, action, output)
+            except (RegisterError, PlanError):
+                continue
+            kind = action.kind
+            # folded_through moves only on a task_answer that leaves a task
+            # open, to that step, once the answered entries still shown
+            # render to more than FOLD_CHARS characters
+            answered = {tid for tid, node in register.plan.nodes.items() if node.status == ANSWERED}
+            shown_chars = sum(
+                len(line)
+                for e in register.tool_log
+                if e.step_index > previous.folded_through and e.task_id in answered
+                for line in e.rendered_lines
+            )
+            folds = kind is ActionKind.TASK_ANSWER and not is_complete(register.plan) and shown_chars > FOLD_CHARS
+            assert register.folded_through == (register.step if folds else previous.folded_through)
+            # the register keeps every entry; v3 leaves out exactly the hidden
+            # ones and recomputes the markers over the entries it shows
+            hidden_at = hidden_steps(register)
+            hidden = [e for e in register.tool_log if e.step_index in hidden_at]
+            shown = tuple(e for e in register.tool_log if e.step_index not in hidden_at)
+            v2 = render_context(register, QUESTION, PROMPT, version=2)
+            v3 = render_context(register, QUESTION, PROMPT, version=3)
+            assert v3 == render_context(replace(register, tool_log=shown), QUESTION, PROMPT, version=2)
+            hidden_lines = {line for e in hidden for line in e.rendered_lines} | {"  (no facts extracted)"}
+            if not shown:
+                hidden_lines.add("## Tool log")
+            assert set(v2.split("\n")) - set(v3.split("\n")) <= hidden_lines
+            assert not any(f"Step {e.step_index}: " in v3 for e in hidden)
+            assert ("## Tool log" in v3) == bool(shown)
+            # only v3 shrinks within a plan epoch: after a fold, or when an
+            # answer hides a task's entries made up to the last fold
+            now = {version: register_tokens(register, QUESTION, PROMPT, version) for version in (2, 3)}
+            if kind is not ActionKind.REPLANNING:
+                assert now[2] >= tokens[2]
+                if now[3] < tokens[3]:
+                    assert folds or (kind is ActionKind.TASK_ANSWER and hidden_at - hidden_steps(previous))
+            tokens = now
+
+    def test_no_fold_without_an_open_task(self):
+        register = init_register(intent(), build_plan([("t1", "a"), ("t2", "b")], []))
+        for task_id in ("t1", "t2"):
+            register = apply_action(register, tool_call(task_id), result())
+            facts = ["x" * FOLD_CHARS]
+            register = apply_action(
+                register, act(ActionKind.DOC_EXTRACTION, {"task_id": task_id, "facts": facts, "source_ids": []})
+            )
+            register = apply_action(register, answer(task_id, "done"))
+        # t1's answer folded its entry while t2 was open; t2's did not fold
+        assert register.folded_through == 3
+        text = render_context(register, QUESTION, PROMPT)
+        assert "Step 1: " not in text and "Step 4: " in text
+
+
 class TestSnapshots:
     def test_tool_log_entry_lines_follow_replace_and_stay_out_of_equality(self):
         entry = ToolLogEntry(step_index=1, task_id="t1", tool_name="search", arguments={"query": "q"})
@@ -404,5 +525,5 @@ class TestSnapshots:
 
     def test_snapshot_is_json_and_versioned(self):
         snapshot = register_to_dict(fresh())
-        assert snapshot["version"] == 1
+        assert snapshot["version"] == 2
         json.dumps(snapshot)

@@ -390,7 +390,7 @@ class TestPersistence:
         assert loaded.prompts == result.trajectory.prompts
         assert loaded.config == result.trajectory.config
 
-    @given(steps=delta_steps(), version=st.sampled_from([1, 2]))
+    @given(steps=delta_steps(), version=st.sampled_from([1, 2, 3]))
     @example(steps=[("solving", "A\nB\nC"), ("solving", "A\nB")], version=2)
     @example(steps=[("solving", ""), ("solving", "")], version=2)
     @example(steps=[("planning", "P\n"), ("solving", "P\n\n"), ("solving", "P\n\n")], version=2)
@@ -421,7 +421,7 @@ class TestPersistence:
         with open(path, encoding="utf-8") as handle:
             assert json.loads(handle.readline())["version"] == version
 
-    @pytest.mark.parametrize("version", [0, 3])
+    @pytest.mark.parametrize("version", [0, 4])
     def test_unknown_version_rejected(self, tmp_path, version):
         path = tmp_path / "future.jsonl"
         Trajectory(question="q?").save(path)
@@ -577,11 +577,14 @@ class TestEvalRecords:
         record = EvalRecord.from_trajectory(result.trajectory, ["1096"])
         report = tmp_path / "report.csv"
         write_eval_report([record], report)
-        rows = list(csv.DictReader(report.open()))
+        with report.open(encoding="utf-8") as handle:
+            rows = list(csv.DictReader(handle))
         assert rows[0]["acc"] == "1"
         curve_path = tmp_path / "curve.csv"
         write_context_curve(context_curve([result.trajectory], min_runs=1), curve_path)
-        assert len(list(csv.DictReader(curve_path.open()))) == 7
+        with curve_path.open(encoding="utf-8") as handle:
+            assert len(list(csv.DictReader(handle))) == 7
         cache_path = tmp_path / "cache.csv"
         write_cache_ratios([result.trajectory], cache_path)
-        assert len(list(csv.DictReader(cache_path.open()))) == 6
+        with cache_path.open(encoding="utf-8") as handle:
+            assert len(list(csv.DictReader(handle))) == 6
