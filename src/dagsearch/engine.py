@@ -170,7 +170,8 @@ def _turn(
     tokenizes only lines from the first change on that the previous input
     lacked there; that one count is both the context-cap check
     (ContextOverflow over it, before any completion is requested) and the
-    step's ``token_count``. ``check``
+    step's ``token_count``, and the step records the counter's ``lines``,
+    whose unchanged head is the previous step's own strings. ``check``
     takes the parsed action, runs the stage's checks and its tool call, and
     returns (tool result, applied update). A re-promptable error re-issues
     the completion with the diagnostic appended to ``context``. With no
@@ -206,7 +207,7 @@ def _turn(
         StepRecord(
             index=len(trajectory.steps) + 1,
             stage=stage,
-            state=context,
+            lines=counter.lines,
             kind=action.kind.value,
             payload=action.payload,
             raw_text=action.raw_text,
@@ -387,6 +388,8 @@ def replay_divergence(recorded: Trajectory, replayed: Trajectory, strict: bool) 
             for name in _REPLAYED_FIELDS:
                 was, now = getattr(old, name), getattr(new, name)
                 if was != now:
+                    if name == "lines":  # the recorded field is the input text
+                        name, was, now = "state", old.state, new.state
                     where = ""
                     if isinstance(was, str) and isinstance(now, str):
                         where = f", character {common_prefix_length(was, now)}"

@@ -69,12 +69,13 @@ def token_length(text: str) -> int:
 _BLOCK = 2048
 
 
-def common_prefix_length(a: str, b: str) -> int:
-    """Length of the longest common prefix of ``a`` and ``b``.
+def common_prefix_length(a: Sequence, b: Sequence) -> int:
+    """Length of the longest common prefix of ``a`` and ``b``: two strings, or two tuples of lines.
 
-    Compares ``_BLOCK``-character slices until one differs, then bisects
-    inside that block with slice compares: every character is compared in
-    C, none in a Python loop.
+    Compares ``_BLOCK``-item slices until one differs, then bisects inside
+    that block with slice compares: every item is compared in C, none in a
+    Python loop. A line that is the same object in both compares equal
+    without reading its characters.
     """
     end = min(len(a), len(b))
     low = 0
@@ -99,44 +100,44 @@ class LineTokenCounter:
     """Token counts of successive texts, paying only for the suffix that changed.
 
     No ``default_tokenizer`` token spans whitespace, so a text's count is
-    the sum of its newline-split lines' counts. The counter keeps the
-    previous text and its running ``totals`` (``totals[i]``: tokens in its
-    first ``i`` lines). The whole lines before a new text's first differing
-    character cost nothing: their count, ``head``, is a running total. Each
-    line from there on takes the count of an equal line in the previous
-    text's lines from there on, and only the lines missing there are
-    tokenized. ``tails`` keeps both texts' lines from the first changed one
-    on, so that ``head`` and ``tails`` give the common token prefix without
-    a second compare.
+    the sum of its newline-split lines' counts. The counter keeps the last
+    text it counted, its ``lines``, and their running ``totals``
+    (``totals[i]``: tokens in the first ``i`` lines). A new text is split
+    only from the line holding its first differing character on; the whole
+    lines before that are the previous ``lines``' own strings, and their
+    count, ``head``, is a running total. Each line from there on takes the
+    count of an equal line in the previous text's lines from there on, and
+    only the lines missing there are tokenized. ``tails`` keeps both texts'
+    lines from the first changed one on, so that ``head`` and ``tails``
+    give the common token prefix without a second compare.
     """
 
     def __init__(self) -> None:
         self.text: str | None = None  # the last text counted
+        self.lines: tuple[str, ...] = ()
         self.totals: list[int] = [0]
         self.head = 0
-        self.tails: tuple[list[str], list[str]] = ([], [])
+        self.tails: tuple[Sequence[str], Sequence[str]] = ((), ())
 
     def __call__(self, text: str) -> int:
         previous = self.text
-        if previous is None:
-            start = 0
-            old: list[str] = []
-        else:
+        start = same = 0  # where the first changed line starts, and the whole lines before it
+        if previous is not None:
             start = previous.rfind("\n", 0, common_prefix_length(previous, text)) + 1
-            old = previous[start:].split("\n")
+            same = len(self.lines) - 1 - previous.count("\n", start)
+        old = self.lines[same:]
         totals = self.totals
-        same = len(totals) - 1 - len(old)  # whole lines before the first change
         known = dict(zip(old, map(sub, totals[same + 1 :], totals[same:])))
-        lines = text[start:].split("\n")
+        tail = text[start:].split("\n")
         totals = totals[: same + 1]
         total = self.head = totals[same]
-        for line in lines:
+        for line in tail:
             count = known.get(line)
             if count is None:
                 count = known[line] = token_length(line)
             total += count
             totals.append(total)
-        self.text, self.totals, self.tails = text, totals, (old, lines)
+        self.text, self.lines, self.totals, self.tails = text, self.lines[:same] + tuple(tail), totals, (old, tail)
         return total
 
 

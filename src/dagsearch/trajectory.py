@@ -36,7 +36,8 @@ _HEADER_FIELDS = {
     "config": (dict,),
 }
 # Every field of a step, with the JSON types of its step line's value. A
-# record holds ``diagnostics`` as a tuple and ``tool_result`` as a ToolResult.
+# record holds ``state`` as its ``lines``, ``diagnostics`` as a tuple and
+# ``tool_result`` as a ToolResult.
 _STEP_FIELDS = {
     "index": (int,),
     "stage": (str,),
@@ -68,11 +69,17 @@ class EmptyCurrent(TrajectoryError):
 
 @dataclass(frozen=True)
 class StepRecord:
-    """One state-action pair plus audit metadata."""
+    """One state-action pair plus audit metadata.
+
+    ``lines`` is the model input split on ``"\\n"``. The leading lines it
+    shares with the previous step's input are that step's own string
+    objects, so a trajectory holds each unchanged line once. ``state``
+    joins the lines on every read.
+    """
 
     index: int
     stage: str  # "planning" | "solving"
-    state: str
+    lines: tuple[str, ...]
     kind: str
     payload: dict
     raw_text: str
@@ -82,18 +89,25 @@ class StepRecord:
     diagnostics: tuple[str, ...] = ()
     tool_result: ToolResult | None = None
 
-    def to_dict(self) -> dict:
-        fields = {name: getattr(self, name) for name in _STEP_FIELDS}
+    @property
+    def state(self) -> str:
+        return "\n".join(self.lines)
+
+    def to_dict(self, shared: int = 0) -> dict:
+        """The step line's fields, its ``state`` holding the input's lines from line ``shared`` on."""
+        fields = {name: getattr(self, name) for name in _STEP_FIELDS if name != "state"}
+        fields["state"] = "\n".join(self.lines[shared:])
         fields["diagnostics"] = list(self.diagnostics)
         fields["tool_result"] = self.tool_result.to_dict() if self.tool_result else None
         return fields
 
     @classmethod
-    def from_dict(cls, data: dict) -> "StepRecord":
-        fields = {name: data[name] for name in _STEP_FIELDS}
+    def from_dict(cls, data: dict, lines: tuple[str, ...]) -> "StepRecord":
+        """A record of a step line's fields, holding ``lines`` as its input in place of the line's ``state``."""
+        fields = {name: data[name] for name in _STEP_FIELDS if name != "state"}
         fields["diagnostics"] = tuple(fields["diagnostics"])
         fields["tool_result"] = ToolResult.from_dict(fields["tool_result"]) if fields["tool_result"] else None
-        return cls(**fields)
+        return cls(lines=lines, **fields)
 
 
 @dataclass
@@ -121,6 +135,7 @@ class Trajectory:
     # count stops one line short of the whole state, so the rest always
     # holds at least one line and splitting it gives back exactly the lines
     # stored. Version 3 differs from 2 only in the solving input's layout.
+    # A loaded step's shared lines are the previous step's own strings.
 
     def save(self, path: str | Path) -> None:
         """Write this trajectory in its own ``version``'s encoding, atomically.
@@ -131,17 +146,18 @@ class Trajectory:
         _check_version(self.version)
         header = {"record": "trajectory", "version": self.version}
         header.update((name, getattr(self, name)) for name in _HEADER_FIELDS)
-        previous: str | None = None  # the first step has no previous state
+        previous: tuple[str, ...] = ()  # the first step shares no line
         temporary = Path(f"{path}.{os.getpid()}.tmp")
         try:
             with open(temporary, "w", encoding="utf-8") as handle:
                 handle.write(json.dumps(header, ensure_ascii=False, sort_keys=True) + "\n")
                 for step in self.steps:
-                    line = {"record": "step", **step.to_dict()}
+                    line = {"record": "step"}
+                    shared = 0
                     if self.version >= 2:
-                        line["state_shared"], offset = _line_delta(previous, step.state)
-                        line["state"] = step.state[offset:]
-                        previous = step.state
+                        shared = min(common_prefix_length(previous, step.lines), len(step.lines) - 1)
+                        line["state_shared"], previous = shared, step.lines
+                    line.update(step.to_dict(shared))
                     handle.write(json.dumps(line, ensure_ascii=False, sort_keys=True) + "\n")
             os.replace(temporary, path)
         except BaseException:
@@ -156,10 +172,11 @@ class Trajectory:
         if header.get("record") != "trajectory":
             raise TrajectoryError(f"{path} is not a trajectory file")
         trajectory = cls(version=header["version"], **{name: header[name] for name in _HEADER_FIELDS})
-        previous: list[str] = []
+        previous: tuple[str, ...] = ()
         for number, line in records:
             if line.get("record") != "step":
                 continue
+            shared = 0
             if trajectory.version >= 2:
                 with located(path, number):
                     check_fields(line, {"state_shared": (int,)})
@@ -168,28 +185,9 @@ class Trajectory:
                         raise TrajectoryError(
                             f"step {line['index']} shares {shared} lines with a {len(previous)}-line previous state"
                         )
-                # Joined from lines, not sliced from the previous state's
-                # characters and concatenated: that variant fragments the
-                # heap and raises peak RSS on long trajectories.
-                previous = previous[:shared] + line["state"].split("\n")
-                line["state"] = "\n".join(previous)
-            trajectory.steps.append(StepRecord.from_dict(line))
+            previous = previous[:shared] + tuple(line["state"].split("\n"))
+            trajectory.steps.append(StepRecord.from_dict(line, previous))
         return trajectory
-
-
-def _line_delta(previous: str | None, current: str) -> tuple[int, int]:
-    """``current``'s version 2 delta against ``previous``: (shared lines, offset of the rest).
-
-    The rest starts at a line start of ``current``, so it holds at least
-    one line, even when ``current`` is a line-aligned prefix of ``previous``.
-    """
-    if previous is None:
-        return 0, 0
-    end = common_prefix_length(previous, current)
-    if end == len(previous) and current[end : end + 1] == "\n":
-        # previous's last line is a whole line of current too
-        return previous.count("\n") + 1, end + 1
-    return previous.count("\n", 0, end), previous.rfind("\n", 0, end) + 1
 
 
 def _check_record(line: dict) -> None:
@@ -228,7 +226,8 @@ def _is_tool_result(value: object) -> bool:
 
 
 def _check_version(version: object) -> None:
-    if version not in _READABLE_VERSIONS:
+    # type(): JSON true and 1.0 compare equal to 1, but are not versions.
+    if type(version) is not int or version not in _READABLE_VERSIONS:
         raise TrajectoryError(f"unsupported trajectory version: {version}")
 
 
@@ -396,7 +395,9 @@ def step_cache_ratios(trajectory: Trajectory) -> list[float]:
         total = counter(step.state)
         if turn:
             if total == 0:
-                raise EmptyCurrent("current token sequence is empty")
+                raise EmptyCurrent(
+                    f'trajectory "{trajectory.question_id}" step {step.index}: current token sequence is empty'
+                )
             ratios.append(_shared_tokens(counter) / total)
     return ratios
 

@@ -338,7 +338,7 @@ def make_trajectory(kinds, *, answer="x", outcome="answered", retries_at=()):
             StepRecord(
                 index=i,
                 stage="planning" if i <= 2 and kind.value.startswith(("intent", "problem")) else "solving",
-                state=f"state for step {i}",
+                lines=(f"state for step {i}",),
                 kind=kind.value,
                 payload=action.payload,
                 raw_text=action.raw_text,

@@ -475,6 +475,18 @@ def corrupt_header(records):
     records[0]["version"] = 9
 
 
+def boolean_version(records):
+    records[0]["version"] = True
+
+
+def float_version_1(records):
+    records[0]["version"] = 1.0
+
+
+def float_version_3(records):
+    records[0]["version"] = 3.0
+
+
 def drop_question_id(records):
     del records[0]["question_id"]
 
@@ -552,6 +564,9 @@ def fixture_records(name):
     "corrupt, line, problem",
     [
         (corrupt_header, 1, "unsupported trajectory version: 9"),
+        (boolean_version, 1, "unsupported trajectory version: True"),
+        (float_version_1, 1, "unsupported trajectory version: 1.0"),
+        (float_version_3, 1, "unsupported trajectory version: 3.0"),
         (drop_question_id, 1, "missing field 'question_id'"),
         (config_not_an_object, 1, 'field "config" is not an object'),
         (numeric_answer, 1, 'field "answer" is not a string or null'),
@@ -572,6 +587,9 @@ def fixture_records(name):
     ],
     ids=[
         "version",
+        "version-true",
+        "version-1.0",
+        "version-3.0",
         "header-field",
         "header-config-type",
         "header-answer-type",
@@ -609,6 +627,19 @@ def test_malformed_trajectory_file_exits_2_naming_the_line(tmp_path, capsys, com
         argv += ["--out", str(tmp_path / "sft.jsonl")]
     assert main(argv) == 2
     assert capsys.readouterr().err == f"error: {path} line {line}: {problem}\n"
+
+
+def test_stats_names_the_run_and_step_of_an_input_with_no_tokens(tmp_path, capsys):
+    records = fixture_records("two_hop_trajectory_v1.jsonl")
+    solving = [record for record in records if record.get("stage") == "solving"]
+    solving[2]["state"] = "  "
+    runs = tmp_path / "runs"
+    runs.mkdir()
+    (runs / "blank.jsonl").write_text("".join(json.dumps(record) + "\n" for record in records))
+    argv = ["stats", "--trajectories", str(runs), "--curve-out", str(tmp_path / "c.csv")]
+    assert main(argv + ["--cache-out", str(tmp_path / "r.csv")]) == 2
+    step = solving[2]["index"]
+    assert capsys.readouterr().err == f'error: trajectory "two-hop-www" step {step}: current token sequence is empty\n'
 
 
 @pytest.mark.parametrize("value", ["9", True, 0], ids=["string", "boolean", "zero"])

@@ -649,7 +649,7 @@ class TestReplay:
         steps = trajectory.steps
         tampered = steps[3]
         end = len(tampered.state)
-        object.__setattr__(tampered, "state", tampered.state + " TAMPERED")
+        object.__setattr__(tampered, "lines", (*tampered.lines[:-1], tampered.lines[-1] + " TAMPERED"))
         replayed = replay_run(trajectory, strict=True, clock=fixed_clock())
         assert replayed.outcome == "aborted"
         assert replayed.error == f"ReplayDivergence: step 4: state diverges from the recording, character {end}"
@@ -664,7 +664,8 @@ class TestReplay:
             if field.name in UNREPLAYED_FIELDS:
                 continue
             edited.steps[2] = dataclasses.replace(steps[2], **{field.name: getattr(steps[0], field.name)})
-            assert replay_divergence(recorded, edited, strict=True).startswith(f"step 3: {field.name} diverges")
+            name = "state" if field.name == "lines" else field.name  # the input is recorded as text
+            assert replay_divergence(recorded, edited, strict=True).startswith(f"step 3: {name} diverges")
         edited.steps[2] = steps[2]
         edited.steps.pop()
         assert replay_divergence(recorded, edited, strict=True) == "steps: recorded 9, replayed 8"
@@ -675,7 +676,7 @@ class TestReplay:
     def test_non_strict_replay_ignores_drift(self):
         result = run_two_hop()
         steps = result.trajectory.steps
-        object.__setattr__(steps[3], "state", steps[3].state + " TAMPERED")
+        object.__setattr__(steps[3], "lines", (*steps[3].lines[:-1], steps[3].lines[-1] + " TAMPERED"))
         replayed = replay_run(result.trajectory, strict=False, clock=fixed_clock())
         assert replayed.outcome == "answered"
 

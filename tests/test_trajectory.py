@@ -1,7 +1,10 @@
 import csv
+import gc
 import json
 import os
+import sys
 import tempfile
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
@@ -13,6 +16,7 @@ import dagsearch.register
 import dagsearch.trajectory
 from dagsearch.protocol import ActionKind
 from dagsearch.register import LineTokenCounter, default_tokenizer, token_length
+from dagsearch.tools import Document, ToolResult
 from dagsearch.trajectory import (
     EmptyCurrent,
     EvalRecord,
@@ -50,7 +54,7 @@ def solving_trajectory(states):
         StepRecord(
             index=i,
             stage="solving",
-            state=state,
+            lines=tuple(state.split("\n")),
             kind="doc_extraction",
             payload={},
             raw_text="",
@@ -401,7 +405,7 @@ class TestPersistence:
                 StepRecord(
                     index=i,
                     stage=stage,
-                    state=state,
+                    lines=tuple(state.split("\n")),
                     kind="doc_extraction",
                     payload={},
                     raw_text="",
@@ -456,6 +460,68 @@ class TestPersistence:
             steps = [json.loads(line) for line in path.read_text(encoding="utf-8").split("\n")[1:-1]]
             assert [(step["state_shared"], step["state"]) for step in steps] == _line_deltas(states)
             assert [step.state for step in Trajectory.load(path).steps] == states
+
+    @given(delta_state_sequences, st.sampled_from([2, 3]))
+    @example(["a\nb", "a\nb\nc", "a\nb\nc", "a"], 2)
+    def test_inputs_share_the_lines_before_their_first_change(self, states, version):
+        # Counted as a run counts them, then saved and loaded: each input's
+        # lines before the line holding its first differing character are
+        # the previous input's own strings.
+        def shared_heads(steps):
+            for (previous, before), (current, lines) in zip(steps, steps[1:]):
+                head = os.path.commonprefix([previous, current]).count("\n")
+                assert all(line is old for line, old in zip(lines[:head], before[:head]))
+
+        counter = LineTokenCounter()
+        recorded = []
+        for state in states:
+            counter(state)
+            assert counter.lines == tuple(state.split("\n"))
+            recorded.append(counter.lines)
+        shared_heads(list(zip(states, recorded)))
+        trajectory = solving_trajectory(states)
+        trajectory.steps = [replace(step, lines=lines) for step, lines in zip(trajectory.steps, recorded)]
+        trajectory.version = version
+        with tempfile.TemporaryDirectory() as directory:
+            path = Path(directory) / "run.jsonl"
+            trajectory.save(path)
+            loaded = [step.lines for step in Trajectory.load(path).steps]
+        assert loaded == recorded
+        shared_heads(list(zip(states, loaded)))
+
+    def test_a_loaded_run_holds_each_unchanged_line_once(self, tmp_path):
+        # A register-like input: the same head, one more tool-log line a
+        # step, and the newest tool document, whose 北京 makes each whole
+        # input string take 2 bytes a character.
+        log, steps = [], []
+        for index in range(1, 201):
+            document = Document(source_id=f"doc:{index}", title=f"Record {index}", text=f"北京 record {index} " * 8)
+            log.append(f"Step {index}: search for record {index} -> doc:{index}")
+            state = "\n".join(["## Task", "Answer the question.", *log, "## Observation", document.text])
+            steps.append(
+                StepRecord(
+                    index=index,
+                    stage="solving",
+                    lines=tuple(state.split("\n")),
+                    kind="tool_call",
+                    payload={"task_id": "t1", "tool_name": "search", "arguments": {"query": f"record {index}"}},
+                    raw_text="",
+                    model_text="",
+                    token_count=token_length(state),
+                    tool_result=ToolResult(documents=(document,)),
+                )
+            )
+        path = tmp_path / "long.jsonl"
+        Trajectory(question="q?", steps=steps).save(path)
+        gc.collect()
+        tracemalloc.start()
+        try:
+            loaded = Trajectory.load(path)
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert loaded.steps == steps
+        assert held < sum(sys.getsizeof(step.state) for step in loaded.steps) / 2
 
     def test_shared_count_beyond_previous_state_rejected(self, tmp_path):
         path = tmp_path / "two_hop.jsonl"
