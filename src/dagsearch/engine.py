@@ -370,8 +370,8 @@ def replay_tools(trajectory: Trajectory) -> ToolRegistry:
 
 
 # Step fields a replay cannot reproduce yet: it re-serves only each step's
-# accepted reply, so every replayed step has no retries. Trajectory v3
-# (ROADMAP item 4) records the rejected replies and deletes this tuple.
+# accepted reply, so every replayed step has no retries. Trajectory v4
+# (ROADMAP item 2) records the rejected replies and deletes this tuple.
 UNREPLAYED_FIELDS = ("retries", "diagnostics")
 _REPLAYED_FIELDS = tuple(f.name for f in fields(StepRecord) if f.name not in UNREPLAYED_FIELDS)
 

@@ -8,15 +8,12 @@ Fixture tools make the whole engine runnable offline.
 from __future__ import annotations
 
 import hashlib
-import heapq
 import json
 import logging
 import os
 import time
 from array import array
-from collections import Counter
 from dataclasses import dataclass, field
-from itertools import islice
 from pathlib import Path
 from typing import Any, Callable, Iterator, Mapping, Sequence
 
@@ -224,6 +221,14 @@ def load_corpus(path: str | Path) -> list[Document]:
     return [Document(record["source_id"], record["title"], record["text"]) for _, record in records]
 
 
+def _mask(ranks: array, size: int) -> int:
+    """The ``size``-bit integer with bit ``r`` set for each ``r`` in ``ranks``."""
+    digits = bytearray(b"0") * size  # digit r is bit r, so the digits are read reversed
+    for rank in ranks:
+        digits[rank] = 49  # "1"
+    return int(digits[::-1], 2)
+
+
 @dataclass
 class FixtureSearchTool:
     """Deterministic keyword search over an in-memory corpus.
@@ -234,37 +239,63 @@ class FixtureSearchTool:
     return identical rankings. Documents that share no token with the query
     fill any places left, in the same tie order.
 
-    The corpus is indexed once, at construction: each token maps to the
-    ordinals of the documents holding it, so a query reads only the
-    postings of its own tokens.
+    The corpus is indexed once, at construction. Each document is numbered
+    by its rank in that tie order, and each token maps to the documents
+    holding it in whichever form is smaller: an ``array("I")`` of their
+    ranks, or, when more than 1/32 of the documents hold the token, one
+    ``int`` with bit ``r`` set for each rank ``r``. So the index never holds
+    more than the arrays would. A query turns each of its tokens into a
+    mask (a sparse token's at query time, in time linear in the corpus
+    size), folds them into ``at_least[s]``, the documents holding at least
+    ``s`` query tokens, and reads the ranks of each score level,
+    ``at_least[s] & ~at_least[s + 1]``, highest level first and lowest bit
+    first. Level 0 holds the unmatched documents. A query costs a few
+    big-integer operations per query token and score level, and reads only
+    the ``top_k`` documents it returns from the corpus.
     """
 
     corpus: Sequence[Document]
     top_k: int = DEFAULT_TOP_K
-    _postings: dict[str, array] = field(init=False, repr=False, compare=False)
-    _by_source: list[int] = field(init=False, repr=False, compare=False)  # ordinals in tie order
+    _postings: dict[str, array | int] = field(init=False, repr=False, compare=False)
+    _order: array = field(init=False, repr=False, compare=False)  # corpus ordinal of each rank
 
     def __post_init__(self) -> None:
-        postings: dict[str, array] = {}
-        for ordinal, doc in enumerate(self.corpus):
+        self._order = array("I", sorted(range(len(self.corpus)), key=lambda i: self.corpus[i].source_id))
+        size = len(self._order)
+        postings: dict[str, array | int] = {}
+        for rank, ordinal in enumerate(self._order):
+            doc = self.corpus[ordinal]
             for token in set(f"{doc.title} {doc.text}".lower().split()):
-                ordinals = postings.get(token)
-                if ordinals is None:
-                    ordinals = postings[token] = array("I")
-                ordinals.append(ordinal)
+                ranks = postings.get(token)
+                if ranks is None:
+                    ranks = postings[token] = array("I")
+                ranks.append(rank)
+        for token, ranks in postings.items():
+            if len(ranks) * 32 > size:
+                postings[token] = _mask(ranks, size)
         self._postings = postings
-        self._by_source = sorted(range(len(self.corpus)), key=lambda i: self.corpus[i].source_id)
 
     def __call__(self, arguments: Mapping[str, Any]) -> ToolResult:
-        overlap: Counter[int] = Counter()
+        size = len(self._order)
+        at_least = [(1 << size) - 1]
         for token in set(str(arguments["query"]).lower().split()):
-            overlap.update(self._postings.get(token, ()))
-        corpus = self.corpus
-        best = heapq.nsmallest(self.top_k, overlap, key=lambda i: (-overlap[i], corpus[i].source_id, i))
-        if len(best) < self.top_k:
-            unmatched = (i for i in self._by_source if i not in overlap)
-            best.extend(islice(unmatched, self.top_k - len(best)))
-        return ToolResult(documents=tuple(corpus[i] for i in best))
+            mask = self._postings.get(token, 0)
+            if type(mask) is array:
+                mask = _mask(mask, size)
+            carried = at_least[-1] & mask
+            for score in range(len(at_least) - 1, 0, -1):
+                at_least[score] |= at_least[score - 1] & mask
+            if carried:
+                at_least.append(carried)
+        ranks: list[int] = []
+        above = 0
+        for documents in reversed(at_least):
+            level, above = documents ^ above, documents  # at_least[s + 1] is a subset of at_least[s]
+            while level and len(ranks) < self.top_k:
+                lowest = level & -level
+                ranks.append(lowest.bit_length() - 1)
+                level ^= lowest
+        return ToolResult(documents=tuple(self.corpus[self._order[rank]] for rank in ranks))
 
 
 @dataclass

@@ -1,6 +1,8 @@
 import json
 import logging
 import threading
+import tracemalloc
+from collections.abc import Sequence
 from http.server import BaseHTTPRequestHandler, HTTPServer
 
 import pytest
@@ -151,14 +153,25 @@ def brute_force_search(corpus, query, top_k):
 _WORDS = ["a", "A", "b", "ab", "İ", "i̇", "i", "Σ", "σ", "ς", "ß", "SS", "ss"]
 _SPACES = [" ", "\t", "\n", "\u3000"]
 _texts = st.lists(st.sampled_from(_WORDS + _SPACES), max_size=8).map("".join)
-_documents = st.builds(Document, source_id=st.sampled_from(["s0", "s1", "s2", "S1"]), title=_texts, text=_texts)
+_source_ids = st.sampled_from(["s0", "s1", "s2", "S1"])
+_documents = st.builds(Document, source_id=_source_ids, title=_texts, text=_texts)
 
 
 @st.composite
 def _searches(draw):
     corpus = draw(st.lists(_documents, max_size=15))
+    # Up to 100 filler documents sharing one word, which the query may hold:
+    # in a corpus of more than 32 documents, the index keeps a token held by
+    # few of them as an array of ranks and the filler word as a bitmask, so
+    # both forms are searched.
+    word = draw(st.sampled_from(_WORDS))
+    filler = st.builds(Document, source_id=_source_ids, title=st.just(word), text=st.just(""))
+    count = draw(st.integers(min_value=0, max_value=100))
+    corpus = draw(st.permutations(corpus + draw(st.lists(filler, min_size=count, max_size=count))))
     top_k = draw(st.integers(min_value=1, max_value=len(corpus) + 2))
-    query = draw(st.one_of(_texts, _texts.map(lambda text: f"{text} {text}")))
+    query = draw(
+        st.one_of(_texts, _texts.map(lambda text: f"{text} {text}"), _texts.map(lambda text: f"{text} {word}"))
+    )
     return corpus, query, top_k
 
 
@@ -168,12 +181,59 @@ def _searches(draw):
 @example(([Document("s1", "a", "b"), Document("s0", "", ""), Document("s1", "b", "a")], "a a\tb", 2))
 @example(([Document("s1", "Σ", ""), Document("s0", "ß", "")], "σ SS", 4))
 @example(([Document("s0", "b", ""), Document("s1", "a", "")], "a a b", 1))
+@example(([Document("s1", "a", ""), Document("s0", "b", "")], "", 2))  # an empty query
+@example(([Document("s1", "a", ""), Document("s0", "b", "a")], "a", 5))  # top_k beyond the corpus
+# One source_id on score levels 2 and 1, another on levels 1 and 0.
+@example(
+    ([Document("s1", "a", ""), Document("s0", "", ""), Document("s1", "a b", ""), Document("s0", "b", "")], "a b", 3)
+)
+# "a" is held by 1 document in 41, an array of ranks; "ab" by 40, a bitmask.
+@example(([Document("s1", "a", "b")] + [Document(f"s{i % 3}", "ab", "") for i in range(40)], "a ab b", 4))
 def test_index_ranks_like_the_brute_force_scorer(search):
     corpus, query, top_k = search
     found = FixtureSearchTool(corpus=corpus, top_k=top_k)({"query": query}).documents
     expected = brute_force_search(corpus, query, top_k)
     assert len(found) == len(expected)
     assert all(got is want for got, want in zip(found, expected))
+
+
+class CountingCorpus(Sequence):
+    """A corpus that counts the documents read from it by index."""
+
+    def __init__(self, documents):
+        self.documents = documents
+        self.reads = 0
+
+    def __len__(self):
+        return len(self.documents)
+
+    def __getitem__(self, index):
+        self.reads += 1
+        return self.documents[index]
+
+
+def test_a_search_reads_only_the_documents_it_returns():
+    corpus = CountingCorpus([Document(f"s{i % 7}", "shared", f"w{i}") for i in range(200)])
+    tool = FixtureSearchTool(corpus=corpus, top_k=3)
+    for query in ("shared", "shared w5 w17", "w9", "absent", ""):
+        corpus.reads = 0
+        found = tool({"query": query}).documents
+        assert found == tuple(brute_force_search(corpus.documents, query, 3))
+        assert corpus.reads <= 3, query
+
+
+def test_the_index_holds_a_bitmask_only_where_it_is_smaller_than_the_ranks():
+    # Each document holds a token of its own and one word they all share. The
+    # index holds about 3.5 MB; with a bitmask for every token, about 55 MB.
+    corpus = [Document(f"s{i}", f"t{i}", "shared") for i in range(20_000)]
+    tracemalloc.start()
+    try:
+        tool = FixtureSearchTool(corpus=corpus)
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert held < 6_000_000
+    assert tool({"query": "shared t7"}).documents[0] is corpus[7]
 
 
 class TestStableSourceIds:
