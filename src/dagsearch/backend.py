@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 from .tools import _request_with_retries
@@ -35,8 +35,9 @@ class BackendExhausted(BackendError):
 class CompletionRequest:
     """One completion call: the full context plus decoding parameters.
 
-    ``system`` optionally names a prefix of ``context`` (the stage prompt) so
-    chat backends can send a proper system/user message pair.
+    ``system`` optionally names the stage prompt that ``context`` begins
+    with, as rendered there (trailing whitespace stripped), so chat backends
+    can send a proper system/user message pair.
     """
 
     context: str
@@ -103,7 +104,6 @@ class HttpChatBackend(Backend):
     timeout: float = 120.0
     max_retries: int = 3
     backoff: float = 0.5
-    extra_headers: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         self.endpoint = self.endpoint or os.environ.get(ENDPOINT_ENV, "")
@@ -114,10 +114,11 @@ class HttpChatBackend(Backend):
             raise ValueError(f"no chat endpoint configured (set {ENDPOINT_ENV})")
 
     def _messages(self, request: CompletionRequest) -> list[dict]:
-        if request.system and request.context.startswith(request.system):
-            user = request.context[len(request.system):].lstrip("\n")
+        system = (request.system or "").rstrip()
+        if system and request.context.startswith(system):
+            user = request.context[len(system):].lstrip("\n")
             return [
-                {"role": "system", "content": request.system},
+                {"role": "system", "content": system},
                 {"role": "user", "content": user},
             ]
         return [{"role": "user", "content": request.context}]
@@ -129,7 +130,7 @@ class HttpChatBackend(Backend):
             "temperature": request.temperature,
             "max_tokens": request.max_output_tokens,
         }
-        headers = dict(self.extra_headers)
+        headers = {}
         if self.api_key:
             headers["Authorization"] = f"Bearer {self.api_key}"
         response = _request_with_retries(

@@ -341,8 +341,9 @@ def rebuild_registers(trajectory: Trajectory) -> list[Register]:
     """Recompute the register after every solving step, from the record alone.
 
     The register update is pure, so this is exactly the state sequence the
-    original run went through; audits and determinism checks compare these
-    snapshots byte for byte.
+    original run went through. Registers are frozen values that compare
+    field by field, so audits and determinism checks compare these lists
+    with ``==``.
     """
     planning = [_recorded(step) for step in trajectory.steps if step.stage == "planning"]
     if len(planning) < 2:

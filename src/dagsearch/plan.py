@@ -224,25 +224,3 @@ def reset_for_revisit(plan: DagPlan, task_id: str) -> tuple[DagPlan, list[dict]]
 def is_complete(plan: DagPlan) -> bool:
     return all(node.status == ANSWERED for node in plan.nodes.values())
 
-
-# ---------------------------------------------------------------------------
-# Serialization (framing-payload shape plus status/answer annotations)
-# ---------------------------------------------------------------------------
-
-
-def plan_to_dict(plan: DagPlan) -> dict:
-    return {
-        "plan_id": plan.plan_id,
-        "tasks": [
-            {
-                "task_id": node.task_id,
-                "description": node.description,
-                "status": node.status,
-                "answer": node.answer,
-                "evidence": list(node.evidence),
-            }
-            for node in (plan.nodes[tid] for tid in sorted(plan.nodes))
-        ],
-        "edges": [list(edge) for edge in plan.edges],
-    }
-

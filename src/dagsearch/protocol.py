@@ -108,9 +108,6 @@ class IntentPayload:
             constraints=tuple(payload["constraints"]),
         )
 
-    def to_payload(self) -> dict:
-        return {"refined_goal": self.refined_goal, "constraints": list(self.constraints)}
-
 
 def canonical_json(payload: Any) -> str:
     """Canonical payload encoding: sorted keys, no padding, raw UTF-8."""

@@ -22,11 +22,9 @@ from operator import sub
 from typing import Callable, Sequence
 
 from . import plan as planmod
-from .plan import DagPlan, plan_to_dict
+from .plan import DagPlan
 from .protocol import Action, ActionKind, IntentPayload, canonical_json
 from .tools import ToolResult
-
-SNAPSHOT_VERSION = 2
 
 # A task_answer folds the answered tasks' tool-log entries out of the
 # version 3 render once their lines still shown pass this many characters
@@ -176,7 +174,7 @@ class ToolLogEntry:
         """This entry's tool-log lines, rendered once per entry.
 
         ``replace`` builds a new entry, so an extraction never sees stale
-        lines; equality and snapshots compare fields only. The positional
+        lines; equality compares fields only. The positional
         "(no facts extracted)" marker is added by the log renderer.
         """
         lines = [
@@ -507,49 +505,4 @@ def register_tokens(register: Register, question: str, stage_prompt: str, versio
     """
     stripped = replace(register, pending_tool_result=None)
     return token_length(render_context(stripped, question, stage_prompt, version))
-
-
-# ---------------------------------------------------------------------------
-# Snapshots (versioned JSON documents)
-# ---------------------------------------------------------------------------
-
-
-def register_to_dict(register: Register) -> dict:
-    return {
-        "version": SNAPSHOT_VERSION,
-        "intent": register.intent.to_payload(),
-        "plan_history": [
-            {"plan": plan_to_dict(s.plan), "reason": s.reason} for s in register.plan_history
-        ],
-        "current": {
-            "plan": plan_to_dict(register.plan),
-            "revisit_history": [
-                {
-                    "task_id": r.task_id,
-                    "discarded_answer": r.discarded_answer,
-                    "reason": r.reason,
-                }
-                for r in register.revisit_history
-            ],
-            "tool_log": [
-                {
-                    "step_index": e.step_index,
-                    "task_id": e.task_id,
-                    "tool_name": e.tool_name,
-                    "arguments": e.arguments,
-                    "condensed_facts": list(e.condensed_facts),
-                    "source_ids": list(e.source_ids),
-                    "extracted": e.extracted,
-                }
-                for e in register.tool_log
-            ],
-        },
-        "step": register.step,
-        "folded_through": register.folded_through,
-        "pending_tool_result": (
-            register.pending_tool_result.to_dict()
-            if register.pending_tool_result is not None
-            else None
-        ),
-    }
 

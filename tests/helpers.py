@@ -55,6 +55,17 @@ def lines_to_tokenize(previous: str | None, current: str) -> list[str]:
     return [line for line in dict.fromkeys(new) if line not in old]
 
 
+def brute_force_search(corpus, query, top_k):
+    """Score every document against the query, then sort: the reference ranking."""
+    query_tokens = set(query.lower().split())
+    scored = []
+    for doc in corpus:
+        doc_tokens = set(f"{doc.title} {doc.text}".lower().split())
+        scored.append((-len(query_tokens & doc_tokens), doc.source_id, doc))
+    scored.sort(key=lambda item: (item[0], item[1]))
+    return [doc for _, _, doc in scored[:top_k]]
+
+
 def fixed_clock():
     """A deterministic clock: 0.0, 1.0, 2.0, ... per call."""
     state = {"t": -1.0}

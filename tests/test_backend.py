@@ -95,11 +95,14 @@ class TestHttpChat:
 
     def test_system_user_split(self, chat_stub):
         backend = HttpChatBackend(endpoint=chat_stub["url"], model="m", api_key="k")
-        backend.complete(CompletionRequest(context="SYSTEM PROMPT\n\nuser part", system="SYSTEM PROMPT"))
-        messages = chat_stub["requests"][0]["body"]["messages"]
-        assert [m["role"] for m in messages] == ["system", "user"]
-        assert messages[0]["content"] == "SYSTEM PROMPT"
-        assert messages[1]["content"] == "user part"
+        # the register renders a stage prompt without its trailing whitespace
+        for system in ("SYSTEM PROMPT", "SYSTEM PROMPT \n", "SYSTEM PROMPT\n\n\n"):
+            backend.complete(CompletionRequest(context="SYSTEM PROMPT\n\nuser part", system=system))
+        for request in chat_stub["requests"]:
+            messages = request["body"]["messages"]
+            assert [m["role"] for m in messages] == ["system", "user"]
+            assert messages[0]["content"] == "SYSTEM PROMPT"
+            assert messages[1]["content"] == "user part"
 
     def test_single_user_message_without_system(self, chat_stub):
         backend = HttpChatBackend(endpoint=chat_stub["url"], model="m", api_key="k")

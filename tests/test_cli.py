@@ -16,9 +16,9 @@ import dagsearch.cli
 import dagsearch.tools
 from dagsearch.backend import ScriptedBackend
 from dagsearch.cli import main
-from dagsearch.tools import FixtureSearchTool
+from dagsearch.tools import FixtureSearchTool, load_corpus
 from dagsearch.trajectory import Trajectory
-from helpers import DATA_DIR, TWO_HOP_GOLD, TWO_HOP_QUESTION
+from helpers import DATA_DIR, TWO_HOP_GOLD, TWO_HOP_QUESTION, brute_force_search
 
 
 @pytest.fixture
@@ -90,6 +90,25 @@ def test_eval_summary_matches_hand_computed_acc(workdir, capsys):
 def eval_argv(workdir, report, *options):
     argv = ["eval", "--dataset", str(workdir / "eval_dataset.jsonl"), "--tools", str(workdir / "tools.json")]
     return argv + ["--backend", f"scripted:{workdir / 'eval_scripted.json'}", "--out", str(report), *options]
+
+
+@pytest.mark.parametrize("parallel", ["1", "2"])
+def test_eval_searches_return_the_oracle_ranking(workdir, capsys, parallel):
+    # The report reads which documents a search returned, not their order,
+    # so the order is checked in the trajectories.
+    trajectory_dir = workdir / "trajectories"
+    argv = eval_argv(workdir, workdir / "report.csv", "--parallel", parallel, "--trajectory-dir", str(trajectory_dir))
+    assert main(argv) == 0
+    (tool,) = json.loads((workdir / "tools.json").read_text(encoding="utf-8"))["tools"]
+    corpus = load_corpus(workdir / tool["corpus"])
+    searches = 0
+    for path in sorted(trajectory_dir.glob("*.jsonl")):
+        for step in Trajectory.load(path).steps:
+            if step.kind == "tool_call":
+                expected = brute_force_search(corpus, step.payload["arguments"]["query"], tool["top_k"])
+                assert step.tool_result.documents == tuple(expected), (path.name, step.index)
+                searches += 1
+    assert searches >= 2
 
 
 @pytest.mark.parametrize("parallel", ["1", "2"])

@@ -20,11 +20,10 @@ from dagsearch.engine import (
     replay_run,
     run,
 )
-from dagsearch.plan import UnknownTask, build_plan, mark_active
+from dagsearch.plan import ACTIVE, ANSWERED, PENDING, UnknownTask, build_plan, mark_active
 from dagsearch.protocol import IntentPayload, ProtocolError, parse_action
 from dagsearch.register import (
     default_tokenizer,
-    register_to_dict,
     register_tokens,
     render_planning_context,
     token_length,
@@ -46,6 +45,8 @@ from helpers import (
     lines_to_tokenize,
     mutate_action,
     random_action,
+    run_fold,
+    run_twenty_turn,
     run_two_hop,
     two_hop_responses,
 )
@@ -577,12 +578,19 @@ class TestDeterminism:
         # 6 solving updates before final, plus the initial state and the final no-op
         assert len(registers) == 8
         assert registers[-1] == registers[-2]
-        snapshots = [json.dumps(register_to_dict(r), sort_keys=True) for r in registers]
-        again = [
-            json.dumps(register_to_dict(r), sort_keys=True)
-            for r in rebuild_registers(run_two_hop().trajectory)
-        ]
-        assert snapshots == again
+        assert registers == rebuild_registers(run_two_hop().trajectory)
+
+    @pytest.mark.parametrize("make_run", [run_two_hop, run_twenty_turn, run_fold])
+    def test_rebuilt_registers_keep_their_invariants(self, make_run):
+        for register in rebuild_registers(make_run().trajectory):
+            for plan in [snapshot.plan for snapshot in register.plan_history] + [register.plan]:
+                for node in plan.nodes.values():
+                    assert node.status in (PENDING, ACTIVE, ANSWERED)
+                    if node.status == ANSWERED:
+                        assert isinstance(node.answer, str)
+            steps = [entry.step_index for entry in register.tool_log]
+            assert all(step >= 1 for step in steps)
+            assert steps == sorted(set(steps))
 
 
 class TestReplay:

@@ -346,8 +346,8 @@ class TestSubspaces:
 
 class TestIntentPayload:
     def test_round_trip(self):
-        intent = IntentPayload(refined_goal="find x", constraints=("a", "b"))
-        assert IntentPayload.from_payload(intent.to_payload()) == intent
+        payload = {"refined_goal": "find x", "constraints": ["a", "b"]}
+        assert IntentPayload.from_payload(payload) == IntentPayload(refined_goal="find x", constraints=("a", "b"))
 
 
 @settings(max_examples=300, deadline=None)

@@ -1,4 +1,3 @@
-import json
 import os
 from dataclasses import replace
 
@@ -22,7 +21,6 @@ from dagsearch.register import (
     common_prefix_length,
     default_tokenizer,
     init_register,
-    register_to_dict,
     register_tokens,
     render_context,
     token_length,
@@ -492,6 +490,36 @@ class TestFold:
                     assert folds or (kind is ActionKind.TASK_ANSWER and hidden_at - hidden_steps(previous))
             tokens = now
 
+    @pytest.mark.xfail(
+        strict=True,
+        reason="ROADMAP item 2: the v3 render hides entries up to folded_through whose task is answered "
+        "after the fold; the v4 fold hides only the entries answered when the fold happened",
+    )
+    @settings(max_examples=150, deadline=None)
+    @given(ops=fold_ops)
+    # t1's entries fold while t2 is open; the revisit shows them again, and
+    # answering t1 again hides them on a turn that is not a fold.
+    @example(
+        ops=[
+            ("call", "t1", [BIG, BIG]), ("answer", "t1", []), ("call", "t3", [BIG, BIG]), ("call", "t2", []),
+            ("answer", "t3", []), ("revisit", "t1", []), ("answer", "t1", []),
+        ]
+    )
+    def test_entries_leave_the_render_only_on_a_fold_or_a_replan(self, ops):
+        register = init_register(intent(), build_plan([(t, f"do {t}") for t in FOLD_TASKS], FOLD_EDGES))
+        pairs = (pair for number, op in enumerate(ops) for pair in fold_actions(op, number))
+        for action, output in pairs:
+            previous = register
+            try:
+                register = apply_action(previous, action, output)
+            except (RegisterError, PlanError):
+                continue
+            if action.kind is ActionKind.REPLANNING or register.folded_through != previous.folded_through:
+                continue
+            shown_before = {e.step_index for e in previous.tool_log} - hidden_steps(previous)
+            shown_now = {e.step_index for e in register.tool_log} - hidden_steps(register)
+            assert shown_before <= shown_now, (action.kind, sorted(shown_before - shown_now))
+
     def test_no_fold_without_an_open_task(self):
         register = init_register(intent(), build_plan([("t1", "a"), ("t2", "b")], []))
         for task_id in ("t1", "t2"):
@@ -521,9 +549,4 @@ class TestSnapshots:
         fresh_entry = ToolLogEntry(step_index=1, task_id="t1", tool_name="search", arguments={"query": "q"})
         assert entry == fresh_entry  # one has its lines cached, the other not
         register = replace(fresh(), tool_log=(entry,))
-        assert register_to_dict(register) == register_to_dict(replace(fresh(), tool_log=(fresh_entry,)))
-
-    def test_snapshot_is_json_and_versioned(self):
-        snapshot = register_to_dict(fresh())
-        assert snapshot["version"] == 2
-        json.dumps(snapshot)
+        assert register == replace(fresh(), tool_log=(fresh_entry,))

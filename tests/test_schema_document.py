@@ -61,14 +61,3 @@ def test_structural_mutations_fail_shipped_schemas_too(schema_doc):
             broken = {k: v for k, v in payload.items() if k not in (missing, "unexpected_extra")}
             assert not validator.is_valid(broken), (kind, missing)
 
-
-def test_register_snapshots_satisfy_shipped_schema():
-    from dagsearch.register import register_to_dict
-    from helpers import run_fold, run_two_hop, run_twenty_turn
-    from dagsearch.engine import rebuild_registers
-
-    path = resources.files("dagsearch") / "schemas" / "register_snapshot.json"
-    validator = jsonschema.Draft202012Validator(json.loads(path.read_text(encoding="utf-8")))
-    for result in (run_two_hop(), run_twenty_turn(), run_fold()):
-        for register in rebuild_registers(result.trajectory):
-            validator.validate(register_to_dict(register))

@@ -26,7 +26,7 @@ from dagsearch.tools import (
     search_spec,
     stable_source_id,
 )
-from helpers import DATA_DIR
+from helpers import DATA_DIR, brute_force_search
 
 
 @pytest.fixture
@@ -135,17 +135,6 @@ class TestFixtureSearch:
         docs = load_corpus(DATA_DIR / "corpus.jsonl")
         assert len(docs) == 6
         assert all(isinstance(doc, Document) for doc in docs)
-
-
-def brute_force_search(corpus, query, top_k):
-    """Score every document against the query, then sort: the reference ranking."""
-    query_tokens = set(query.lower().split())
-    scored = []
-    for doc in corpus:
-        doc_tokens = set(f"{doc.title} {doc.text}".lower().split())
-        scored.append((-len(query_tokens & doc_tokens), doc.source_id, doc))
-    scored.sort(key=lambda item: (item[0], item[1]))
-    return [doc for _, _, doc in scored[:top_k]]
 
 
 # Words that collide or change length under lower(), and whitespace that
