@@ -138,6 +138,85 @@ def random_action(rng: random.Random, kind: ActionKind | None = None) -> Action:
 
 
 # ---------------------------------------------------------------------------
+# Payload cases for the golden diagnostics
+# ---------------------------------------------------------------------------
+
+_DAG = {
+    "tasks": [{"task_id": "t1", "description": "first"}, {"task_id": "t2", "description": ""}],
+    "edges": [["t1", "t2"]],
+}
+# One small valid payload per kind; every case below mutates one of them.
+BASE_PAYLOADS = {
+    ActionKind.INTENT_REFINEMENT: {"refined_goal": "find x", "constraints": ["a", "b c"]},
+    ActionKind.PROBLEM_FRAMING: _DAG,
+    ActionKind.TOOL_CALL: {"task_id": "t1", "tool_name": "search", "arguments": {"query": "x"}},
+    ActionKind.DOC_EXTRACTION: {"task_id": "t1", "facts": ["f"], "source_ids": ["s:1"]},
+    ActionKind.TASK_ANSWER: {"answers": [{"task_id": "t1", "answer": "a"}, {"task_id": "t2", "answer": ""}]},
+    ActionKind.FINAL_ANSWER: {"answer": "Paris"},
+    ActionKind.REVISIT_TASK: {"task_id": "t2", "reason": "r"},
+    ActionKind.REPLANNING: {"reason": "r", **_DAG},
+}
+# One value of each JSON type, and strings that are empty or hold whitespace.
+_SWAPS = [None, True, 7, 1.5, "text", [1], {"key": "value"}, [], {}]
+_STRINGS = ["", " ", "\t", "a b", " t1", "t1\n", "\u3000"]
+
+
+def _json_paths(value, path=()):
+    """The path of every object member and array item inside a JSON value."""
+    items = value.items() if isinstance(value, dict) else enumerate(value) if isinstance(value, list) else ()
+    for key, item in items:
+        yield path + (key,)
+        yield from _json_paths(item, path + (key,))
+
+
+def _at(value, path):
+    for key in path:
+        value = value[key]
+    return value
+
+
+def _replaced(value, path, new):
+    """A copy of ``value`` that holds ``new`` at ``path``."""
+    if not path:
+        return new
+    copy = dict(value) if isinstance(value, dict) else list(value)
+    copy[path[0]] = _replaced(value[path[0]], path[1:], new)
+    return copy
+
+
+def _without(value, key):
+    return {k: v for k, v in value.items() if k != key} if isinstance(value, dict) else value[:key] + value[key + 1 :]
+
+
+def payload_cases() -> list[tuple[ActionKind, object]]:
+    """A fixed set of (kind, payload) pairs, valid and invalid, for every kind.
+
+    Per kind: seeded random valid payloads; payloads that are not objects;
+    every kind's base payload; the base with its fields reversed; and, at
+    every member and item of the base payload, a drop, a swap to a value of
+    each JSON type, strings that are empty or hold whitespace, and, in each
+    object, extra fields, also beside a missing one.
+    ``data/payload_diagnostics.jsonl`` records each case's diagnostic.
+    """
+    rng = random.Random(2020)
+    cases: list[tuple[ActionKind, object]] = []
+    for kind, base in BASE_PAYLOADS.items():
+        cases += [(kind, random_payload(rng, kind)) for _ in range(3)]
+        cases += [(kind, value) for value in (None, "text", 7, [], [base], {}, dict(reversed(base.items())))]
+        cases += [(kind, other) for other in BASE_PAYLOADS.values()]
+        for path in [(), *_json_paths(base)]:
+            node = _at(base, path)
+            if path:
+                cases.append((kind, _replaced(base, path[:-1], _without(_at(base, path[:-1]), path[-1]))))
+                cases += [(kind, _replaced(base, path, value)) for value in _SWAPS + _STRINGS]
+            if isinstance(node, dict):
+                extras = [{**node, "unexpected_extra": True}, {"unexpected_extra": True, "zz_extra": 1, **node}]
+                extras.append({**_without(node, next(iter(node))), "unexpected_extra": True})
+                cases += [(kind, _replaced(base, path, extra)) for extra in extras]
+    return cases
+
+
+# ---------------------------------------------------------------------------
 # Guaranteed-invalid mutations
 # ---------------------------------------------------------------------------
 

@@ -23,9 +23,10 @@ from dagsearch.protocol import (
     parse_action,
     render_action,
     subspace_of,
+    validate_payload,
 )
 from dagsearch.plan import CyclicPlan, DuplicateTaskId, UnknownEdgeEndpoint, build_plan
-from helpers import MUTATION_MODES, mutate_action, random_action
+from helpers import DATA_DIR, MUTATION_MODES, mutate_action, payload_cases, random_action
 
 
 class TestParse:
@@ -273,6 +274,23 @@ class TestSchemas:
             assert "answer" in str(exc)
         else:
             pytest.fail("expected SchemaViolation")
+
+
+def test_payload_diagnostics_match_the_golden_file():
+    """Every case keeps the verdict and diagnostic that ``data/payload_diagnostics.jsonl`` records."""
+    with open(DATA_DIR / "payload_diagnostics.jsonl", encoding="utf-8") as handle:
+        records = [json.loads(line) for line in handle]
+    assert [(ActionKind(record["kind"]), record["payload"]) for record in records] == payload_cases()
+    changed = []
+    for record in records:
+        try:
+            validate_payload(ActionKind(record["kind"]), record["payload"])
+            diagnostic = None
+        except SchemaViolation as exc:
+            diagnostic = str(exc)
+        if diagnostic != record["diagnostic"]:
+            changed.append((record, diagnostic))
+    assert not changed
 
 
 class TestRender:
