@@ -6,6 +6,7 @@ import argparse
 import logging
 import sys
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import replace
 from pathlib import Path
 from typing import Callable
 
@@ -56,7 +57,10 @@ def _load_dataset(path: str) -> list[dict]:
 
 
 def _build_config(args: argparse.Namespace) -> tuple[RunConfig, PromptPack]:
-    """The run config and prompt pack, from one read of ``--config``; a flag that is given overrides the file."""
+    """The run config and prompt pack, from one read of ``--config``; a flag that is given overrides the file.
+
+    The file's run settings must be valid even where a flag overrides them.
+    """
     data = _load_json(args.config) if args.config else {}
     flags = {name: getattr(args, name) for name in ("max_turns", "max_context_tokens")}
     flags["strict_protocol"] = args.strict or None
@@ -68,8 +72,8 @@ def _build_config(args: argparse.Namespace) -> tuple[RunConfig, PromptPack]:
         prompts = data.get("prompts")
         if prompts:
             check_fields(prompts, {"holistic": (str,), "solving": (str,)})
-        values = {**data.get("run", {}), **{name: value for name, value in flags.items() if value is not None}}
-        config = RunConfig.from_dict(values)
+        config = RunConfig.from_dict(data.get("run", {}))
+    config = replace(config, **{name: value for name, value in flags.items() if value is not None})
     if prompts:
         base = Path(args.config).parent
         pack = PromptPack.load(str(base / prompts["holistic"]), str(base / prompts["solving"]))
@@ -193,7 +197,8 @@ def _cmd_eval(args: argparse.Namespace) -> int:
 
 def _cmd_replay(args: argparse.Namespace) -> int:
     trajectory = Trajectory.load(args.trajectory)
-    result = replay_run(trajectory)
+    with located(args.trajectory, 1):  # a bad run setting in the header, which save writes on line 1
+        result = replay_run(trajectory)
     divergence = replay_divergence(trajectory, result.trajectory, strict=args.strict)
     if divergence:
         print(f"DIVERGED {divergence}")
@@ -210,11 +215,11 @@ def _cmd_export(args: argparse.Namespace) -> int:
     accepted, rejected = [], []
     for trajectory in trajectories:
         answers = gold.get(trajectory.question_id, [])
-        decision = rft_filter(trajectory, answers)
-        if decision.accepted:
+        reason = rft_filter(trajectory, answers)
+        if reason is None:
             accepted.append(trajectory)
         else:
-            rejected.append((trajectory.question_id, decision.reason))
+            rejected.append((trajectory.question_id, reason))
     count = export_sft(accepted, args.out)
     print(
         f"exported {count} state-action pairs from {len(accepted)} accepted "

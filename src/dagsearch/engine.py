@@ -11,6 +11,7 @@ of escaping it. The model-input text itself is built in ``register``.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import asdict, dataclass, fields
 from functools import partial
@@ -97,15 +98,23 @@ class RunConfig:
     strict_protocol: bool = False
 
     def __post_init__(self) -> None:
+        """Raise an InputError naming the first setting of the wrong type or range.
+
+        ``type()``, not isinstance: JSON true and false are not numbers.
+        """
         for name in ("max_turns", "max_context_tokens", "max_output_tokens"):
             if type(getattr(self, name)) is not int or getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be a positive integer")
+                raise InputError(f"{name} must be a positive integer")
         if type(self.max_malformed_retries) is not int or self.max_malformed_retries < 0:
-            raise ValueError("max_malformed_retries must be a non-negative integer")
+            raise InputError("max_malformed_retries must be a non-negative integer")
+        if type(self.temperature) not in (int, float) or not math.isfinite(self.temperature):
+            raise InputError("temperature must be a finite number")
+        if type(self.strict_protocol) is not bool:
+            raise InputError("strict_protocol must be true or false")
 
     @classmethod
     def from_dict(cls, values: Mapping[str, Any]) -> "RunConfig":
-        """A config from ``values``; a key that is not a field is a ValueError naming it.
+        """A config from ``values``; a key that is not a field is an InputError naming it.
 
         Version 1 trajectory headers carry a ``top_k`` that tools now own; it is ignored.
         """

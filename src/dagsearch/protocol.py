@@ -2,8 +2,8 @@
 
 Every model response must carry exactly one action block of the form
 ``<kind>{payload-json}</kind>``. The set of kinds is closed; payloads are
-single JSON objects validated against a fixed per-kind schema. Parsing and
-rendering are pure functions: identical inputs yield byte-identical outputs.
+single JSON objects validated against one table of fields per kind. Parsing
+and rendering are pure functions: identical inputs yield byte-identical outputs.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ import json
 import re
 from dataclasses import dataclass
 from enum import Enum
-from typing import Any, Sequence
+from typing import Any, Callable, NoReturn
 
 
 class ActionKind(str, Enum):
@@ -89,9 +89,9 @@ class Action:
 
     @classmethod
     def create(cls, kind: ActionKind, payload: dict) -> "Action":
-        """Build a validated action with the canonical surface form."""
+        """Build a validated action whose surface form is the canonical block."""
         validate_payload(kind, payload)
-        return cls(kind=kind, payload=payload, raw_text=_render(kind, payload))
+        return cls(kind=kind, payload=payload, raw_text=f"<{kind.value}>{canonical_json(payload)}</{kind.value}>")
 
 
 @dataclass(frozen=True)
@@ -114,148 +114,111 @@ def canonical_json(payload: Any) -> str:
     return json.dumps(payload, sort_keys=True, ensure_ascii=False, separators=(",", ":"))
 
 
-def _render(kind: ActionKind, payload: dict) -> str:
-    return f"<{kind.value}>{canonical_json(payload)}</{kind.value}>"
-
-
-def render_action(action: Action) -> str:
-    """Emit the canonical block for a schema-valid action."""
-    validate_payload(action.kind, action.payload)
-    return _render(action.kind, action.payload)
-
-
 # ---------------------------------------------------------------------------
 # Payload validation
 # ---------------------------------------------------------------------------
+# A field check takes (kind, value, where); ``where`` names the value in the
+# diagnostic: '"task_id"' for a payload field, 'tasks[0].task_id' inside an
+# array entry.
+
+Check = Callable[[ActionKind, Any, str], None]
 
 
-def _fail(kind: ActionKind, message: str) -> None:
+def _fail(kind: ActionKind, message: str) -> NoReturn:
     raise SchemaViolation(f"<{kind.value}> payload invalid: {message}")
 
 
-def _check_fields(
-    kind: ActionKind, payload: dict, fields: Sequence[str], where: str | None = None
-) -> None:
-    """Require exactly ``fields``; ``where`` locates a nested object in diagnostics."""
-    if not isinstance(payload, dict):
-        _fail(kind, f"{where} must be an object" if where else "payload must be a JSON object")
-    prefix = f"{where} " if where else ""
-    for name in fields:
-        if name not in payload:
-            _fail(kind, f'{prefix}missing required field "{name}"')
-    for name in payload:
-        if name not in fields:
-            _fail(kind, f'{prefix}unexpected field "{name}"')
-
-
-def _check_str(kind: ActionKind, value: Any, where: str, non_empty: bool = False) -> None:
+def _text(kind: ActionKind, value: Any, where: str) -> None:
     if not isinstance(value, str):
         _fail(kind, f"{where} must be a string")
-    if non_empty and not value.strip():
+
+
+def _non_empty_text(kind: ActionKind, value: Any, where: str) -> None:
+    _text(kind, value, where)
+    if not value.strip():
         _fail(kind, f"{where} must be non-empty")
 
 
-def _check_str_list(kind: ActionKind, value: Any, where: str) -> None:
-    if not isinstance(value, list):
-        _fail(kind, f"{where} must be an array of strings")
-    for i, item in enumerate(value):
-        _check_str(kind, item, f"{where}[{i}]")
-
-
-def _check_task_id(kind: ActionKind, value: Any, where: str) -> None:
-    _check_str(kind, value, where, non_empty=True)
-    if value != value.strip() or any(ch.isspace() for ch in value):
+def _task_id(kind: ActionKind, value: Any, where: str) -> None:
+    _non_empty_text(kind, value, where)
+    if any(ch.isspace() for ch in value):
         _fail(kind, f"{where} must be a short identifier without whitespace")
 
 
-def _check_dag(kind: ActionKind, payload: dict) -> None:
+def _texts(kind: ActionKind, value: Any, where: str) -> None:
+    if not isinstance(value, list):
+        _fail(kind, f"{where} must be an array of strings")
+    for i, item in enumerate(value):
+        _text(kind, item, f"{where}[{i}]")
+
+
+def _arguments(kind: ActionKind, value: Any, where: str) -> None:
+    if not isinstance(value, dict):
+        _fail(kind, f"{where} must be an object")
+
+
+def _tasks(kind: ActionKind, value: Any, where: str) -> None:
+    if not isinstance(value, list):
+        _fail(kind, f"{where} must be an array of {{task_id, description}} objects")
+    for i, task in enumerate(value):
+        _object(kind, task, _TASK_FIELDS, f"tasks[{i}]")
+
+
+def _edges(kind: ActionKind, value: Any, where: str) -> None:
     """Shape checks only; ``plan.build_plan`` owns the graph rules."""
-    tasks = payload["tasks"]
-    if not isinstance(tasks, list):
-        _fail(kind, '"tasks" must be an array of {task_id, description} objects')
-    for i, task in enumerate(tasks):
-        _check_fields(kind, task, ("task_id", "description"), f"tasks[{i}]")
-        _check_task_id(kind, task["task_id"], f"tasks[{i}].task_id")
-        _check_str(kind, task["description"], f"tasks[{i}].description")
-    edges = payload["edges"]
-    if not isinstance(edges, list):
-        _fail(kind, '"edges" must be an array of [from_task_id, to_task_id] pairs')
-    for i, edge in enumerate(edges):
+    if not isinstance(value, list):
+        _fail(kind, f"{where} must be an array of [from_task_id, to_task_id] pairs")
+    for i, edge in enumerate(value):
         if not isinstance(edge, list) or len(edge) != 2:
             _fail(kind, f"edges[{i}] must be a [from_task_id, to_task_id] pair")
-        _check_task_id(kind, edge[0], f"edges[{i}][0]")
-        _check_task_id(kind, edge[1], f"edges[{i}][1]")
+        _task_id(kind, edge[0], f"edges[{i}][0]")
+        _task_id(kind, edge[1], f"edges[{i}][1]")
 
 
-def _validate_intent(kind: ActionKind, payload: dict) -> None:
-    _check_fields(kind, payload, ("refined_goal", "constraints"))
-    _check_str(kind, payload["refined_goal"], '"refined_goal"', non_empty=True)
-    _check_str_list(kind, payload["constraints"], '"constraints"')
+def _answers(kind: ActionKind, value: Any, where: str) -> None:
+    if not isinstance(value, list) or not value:
+        _fail(kind, f"{where} must be a non-empty array of {{task_id, answer}} objects")
+    for i, entry in enumerate(value):
+        _object(kind, entry, _ANSWER_FIELDS, f"answers[{i}]")
 
 
-def _validate_framing(kind: ActionKind, payload: dict) -> None:
-    _check_fields(kind, payload, ("tasks", "edges"))
-    _check_dag(kind, payload)
-
-
-def _validate_tool_call(kind: ActionKind, payload: dict) -> None:
-    _check_fields(kind, payload, ("task_id", "tool_name", "arguments"))
-    _check_task_id(kind, payload["task_id"], '"task_id"')
-    _check_str(kind, payload["tool_name"], '"tool_name"', non_empty=True)
-    if not isinstance(payload["arguments"], dict):
-        _fail(kind, '"arguments" must be an object')
-
-
-def _validate_doc_extraction(kind: ActionKind, payload: dict) -> None:
-    _check_fields(kind, payload, ("task_id", "facts", "source_ids"))
-    _check_task_id(kind, payload["task_id"], '"task_id"')
-    _check_str_list(kind, payload["facts"], '"facts"')
-    _check_str_list(kind, payload["source_ids"], '"source_ids"')
-
-
-def _validate_task_answer(kind: ActionKind, payload: dict) -> None:
-    _check_fields(kind, payload, ("answers",))
-    answers = payload["answers"]
-    if not isinstance(answers, list) or not answers:
-        _fail(kind, '"answers" must be a non-empty array of {task_id, answer} objects')
-    for i, entry in enumerate(answers):
-        _check_fields(kind, entry, ("task_id", "answer"), f"answers[{i}]")
-        _check_task_id(kind, entry["task_id"], f"answers[{i}].task_id")
-        _check_str(kind, entry["answer"], f"answers[{i}].answer")
-
-
-def _validate_final_answer(kind: ActionKind, payload: dict) -> None:
-    _check_fields(kind, payload, ("answer",))
-    _check_str(kind, payload["answer"], '"answer"')
-
-
-def _validate_revisit(kind: ActionKind, payload: dict) -> None:
-    _check_fields(kind, payload, ("task_id", "reason"))
-    _check_task_id(kind, payload["task_id"], '"task_id"')
-    _check_str(kind, payload["reason"], '"reason"')
-
-
-def _validate_replanning(kind: ActionKind, payload: dict) -> None:
-    _check_fields(kind, payload, ("reason", "tasks", "edges"))
-    _check_str(kind, payload["reason"], '"reason"')
-    _check_dag(kind, payload)
-
-
-_VALIDATORS = {
-    ActionKind.INTENT_REFINEMENT: _validate_intent,
-    ActionKind.PROBLEM_FRAMING: _validate_framing,
-    ActionKind.TOOL_CALL: _validate_tool_call,
-    ActionKind.DOC_EXTRACTION: _validate_doc_extraction,
-    ActionKind.TASK_ANSWER: _validate_task_answer,
-    ActionKind.FINAL_ANSWER: _validate_final_answer,
-    ActionKind.REVISIT_TASK: _validate_revisit,
-    ActionKind.REPLANNING: _validate_replanning,
+_TASK_FIELDS: dict[str, Check] = {"task_id": _task_id, "description": _text}
+_ANSWER_FIELDS: dict[str, Check] = {"task_id": _task_id, "answer": _text}
+# Each kind's payload fields, in the order their checks run.
+PAYLOAD_FIELDS: dict[ActionKind, dict[str, Check]] = {
+    ActionKind.INTENT_REFINEMENT: {"refined_goal": _non_empty_text, "constraints": _texts},
+    ActionKind.PROBLEM_FRAMING: {"tasks": _tasks, "edges": _edges},
+    ActionKind.TOOL_CALL: {"task_id": _task_id, "tool_name": _non_empty_text, "arguments": _arguments},
+    ActionKind.DOC_EXTRACTION: {"task_id": _task_id, "facts": _texts, "source_ids": _texts},
+    ActionKind.TASK_ANSWER: {"answers": _answers},
+    ActionKind.FINAL_ANSWER: {"answer": _text},
+    ActionKind.REVISIT_TASK: {"task_id": _task_id, "reason": _text},
+    ActionKind.REPLANNING: {"reason": _text, "tasks": _tasks, "edges": _edges},
 }
+
+
+def _object(kind: ActionKind, value: Any, fields: dict[str, Check], where: str = "") -> None:
+    """Require exactly ``fields``, a missing one before an unexpected one, then run each field's check in order.
+
+    ``where`` locates an array entry; the payload itself has none.
+    """
+    if not isinstance(value, dict):
+        _fail(kind, f"{where} must be an object" if where else "payload must be a JSON object")
+    if value.keys() != fields.keys():
+        prefix = f"{where} " if where else ""
+        for name in fields:
+            if name not in value:
+                _fail(kind, f'{prefix}missing required field "{name}"')
+        for name in value:
+            if name not in fields:
+                _fail(kind, f'{prefix}unexpected field "{name}"')
+    for name, check in fields.items():
+        check(kind, value[name], f"{where}.{name}" if where else f'"{name}"')
 
 
 def validate_payload(kind: ActionKind, payload: dict) -> None:
     """Raise SchemaViolation unless ``payload`` is valid for ``kind``."""
-    _VALIDATORS[kind](kind, payload)
+    _object(kind, payload, PAYLOAD_FIELDS[kind])
 
 
 # ---------------------------------------------------------------------------

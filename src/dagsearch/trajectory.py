@@ -251,43 +251,20 @@ def normalize_answer(text: str) -> str:
     return " ".join(tokens)
 
 
-def _contains_sublist(haystack: Sequence[str], needle: Sequence[str]) -> bool:
-    if not needle:
-        return False
-    for start in range(len(haystack) - len(needle) + 1):
-        if list(haystack[start : start + len(needle)]) == list(needle):
-            return True
-    return False
-
-
 def acc_score(predicted: str, gold_set: Iterable[str]) -> int:
-    """1 iff any normalized gold answer exact-matches or is covered.
+    """1 iff some normalized gold answer is a run of whole tokens of the normalized prediction.
 
-    Cover match: the gold answer appears in the prediction on token
-    boundaries after normalization.
+    Normalized text holds no whitespace but the single spaces between its
+    tokens, so with a space on each side the substring test matches on token
+    boundaries only; an exact match is the run of every token.
     """
-    pred_norm = normalize_answer(predicted)
-    pred_tokens = pred_norm.split()
-    for gold in gold_set:
-        gold_norm = normalize_answer(gold)
-        if not gold_norm:
-            continue
-        if pred_norm == gold_norm:
-            return 1
-        if _contains_sublist(pred_tokens, gold_norm.split()):
-            return 1
-    return 0
+    padded = f" {normalize_answer(predicted)} "
+    return int(any(gold and f" {gold} " in padded for gold in map(normalize_answer, gold_set)))
 
 
 # ---------------------------------------------------------------------------
 # Rejection filter and SFT export
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class FilterDecision:
-    accepted: bool
-    reason: str | None = None
 
 
 def _positional_ok(trajectory: Trajectory) -> bool:
@@ -316,8 +293,8 @@ def _structural_fault(trajectory: Trajectory) -> str | None:
     return None
 
 
-def rft_filter(trajectory: Trajectory, gold_answers: Iterable[str]) -> FilterDecision:
-    """Keep a trajectory only if it is correct, clean, and well-formed.
+def rft_filter(trajectory: Trajectory, gold_answers: Iterable[str]) -> str | None:
+    """The reason to reject a trajectory, or None to keep it: it is correct, clean, and well-formed.
 
     Clean means every action parsed and validated on its first attempt (no
     retries consumed); well-formed means the positional constraints hold:
@@ -325,11 +302,9 @@ def rft_filter(trajectory: Trajectory, gold_answers: Iterable[str]) -> FilterDec
     or retrospection actions in between.
     """
     fault = _structural_fault(trajectory)
-    if fault is not None:
-        return FilterDecision(False, fault)
-    if acc_score(trajectory.answer, gold_answers) != 1:
-        return FilterDecision(False, "incorrect")
-    return FilterDecision(True, None)
+    if fault is None and not acc_score(trajectory.answer, gold_answers):
+        return "incorrect"
+    return fault
 
 
 def export_sft(trajectories: Sequence[Trajectory], out_path: str | Path) -> int:

@@ -66,6 +66,18 @@ def brute_force_search(corpus, query, top_k):
     return [doc for _, _, doc in scored[:top_k]]
 
 
+def acc_oracle(predicted, gold_set):
+    """The reference ACC: 1 iff some normalized gold answer's tokens are a contiguous run of the prediction's."""
+    from dagsearch.trajectory import normalize_answer
+
+    tokens = normalize_answer(predicted).split()
+    for gold in gold_set:
+        run = normalize_answer(gold).split()
+        if run and any(tokens[start : start + len(run)] == run for start in range(len(tokens) - len(run) + 1)):
+            return 1
+    return 0
+
+
 def fixed_clock():
     """A deterministic clock: 0.0, 1.0, 2.0, ... per call."""
     state = {"t": -1.0}

@@ -11,7 +11,7 @@ import pytest
 
 from dagsearch.engine import rebuild_registers
 from dagsearch.plan import PlanError, apply_task_answer, build_plan, reset_for_revisit
-from dagsearch.protocol import ActionKind, ProtocolError, parse_action, render_action
+from dagsearch.protocol import Action, ActionKind, ProtocolError, parse_action
 from dagsearch.trajectory import (
     cache_ratio,
     context_compactness,
@@ -49,7 +49,7 @@ def test_criterion_1_protocol_round_trip_and_mutations():
     rng = random.Random(1001)
     for _ in range(1000):
         action = random_action(rng)
-        assert parse_action(render_action(action)) == action
+        assert parse_action(Action.create(action.kind, action.payload).raw_text) == action
     typed = 0
     for _ in range(200):
         action = random_action(rng)
@@ -190,13 +190,13 @@ def test_criterion_4_positional_constraint_enforcement():
         violating.append(kinds)
 
     for kinds in violating:
-        if not rft_filter(make_trajectory(kinds), ["x"]).accepted:
+        if rft_filter(make_trajectory(kinds), ["x"]) is not None:
             rejected += 1
 
     compliant_count = 60
     for _ in range(compliant_count):
         kinds = compliant(rng.randint(4, 12))
-        if rft_filter(make_trajectory(kinds), ["x"]).accepted:
+        if rft_filter(make_trajectory(kinds), ["x"]) is None:
             accepted += 1
 
     ok = rejected == len(violating) and accepted == compliant_count
@@ -301,7 +301,7 @@ def test_criterion_8_export_arithmetic(tmp_path):
     mixed.append(make_trajectory(COMPLIANT_KINDS))
     assert len(mixed) == 10
 
-    accepted = [t for t in mixed if rft_filter(t, ["x"]).accepted]
+    accepted = [t for t in mixed if rft_filter(t, ["x"]) is None]
     rejected = len(mixed) - len(accepted)
     out2 = tmp_path / "mixed.jsonl"
     count2 = export_sft(accepted, out2)

@@ -668,7 +668,7 @@ def test_replay_of_a_bad_recorded_run_config_exits_2(tmp_path, capsys, value):
     path = tmp_path / "bad.jsonl"
     path.write_text("".join(json.dumps(record) + "\n" for record in records))
     assert main(["replay", "--trajectory", str(path), "--strict"]) == 2
-    assert capsys.readouterr().err == "error: max_turns must be a positive integer\n"
+    assert capsys.readouterr().err == f"error: {path} line 1: max_turns must be a positive integer\n"
 
 
 def test_eval_tool_config_error_exits_2_before_any_report(workdir, capsys):
@@ -776,8 +776,17 @@ FIXTURE_TOOL = {"name": "search", "kind": "fixture", "corpus": "corpus.jsonl"}
 EVAL_RECORDS = fixture_records("eval_dataset.jsonl")
 TITLED = {"source_id": "fix:x", "title": "X", "text": "x"}
 
+
+def with_header_config(**settings):
+    """The records of the v2 trajectory fixture, its header's run config updated with ``settings``."""
+    header, *steps = fixture_records("two_hop_trajectory_v2.jsonl")
+    return [{**header, "config": {**header["config"], **settings}}, *steps]
+
+
 # Each case: the input file it writes (a JSON value, or a list of records
 # for a .jsonl file), the line the error names (0: none), and the problem.
+# A trajectory.jsonl case runs replay; every other case runs run and eval,
+# a dataset.jsonl case eval only.
 MALFORMED_INPUTS = {
     "config-not-an-object": ("config.json", [], 0, "not a JSON object"),
     "prompt-path-not-a-string": ("config.json", {"prompts": {"holistic": 5}}, 0, 'field "holistic" is not a string'),
@@ -843,6 +852,27 @@ MALFORMED_INPUTS = {
         6,
         'question_id "capital-france" repeats line 1',
     ),
+    "strict-setting-not-a-boolean": (
+        "config.json",
+        {"run": {"strict_protocol": "no"}},
+        0,
+        "strict_protocol must be true or false",
+    ),
+    "temperature-not-a-number": ("config.json", {"run": {"temperature": "hot"}}, 0, "temperature must be a finite number"),
+    "max-turns-zero": ("config.json", {"run": {"max_turns": 0}}, 0, "max_turns must be a positive integer"),
+    "header-unknown-run-setting": ("trajectory.jsonl", with_header_config(foo=1), 1, 'unknown run setting "foo"'),
+    "header-strict-setting-not-a-boolean": (
+        "trajectory.jsonl",
+        with_header_config(strict_protocol="no"),
+        1,
+        "strict_protocol must be true or false",
+    ),
+    "header-temperature-not-a-number": (
+        "trajectory.jsonl",
+        with_header_config(temperature="hot"),
+        1,
+        "temperature must be a finite number",
+    ),
     "defaulted-question-id-repeats": (
         "dataset.jsonl",
         [EVAL_RECORDS[0], {"question": "What is 2 + 2?", "answers": ["4"]}]
@@ -855,6 +885,9 @@ MALFORMED_INPUTS = {
 
 def write_inputs(directory, command):
     """The valid inputs of ``command`` under the names MALFORMED_INPUTS uses; returns its argv."""
+    if command == "replay":
+        shutil.copy(DATA_DIR / "two_hop_trajectory_v2.jsonl", directory / "trajectory.jsonl")
+        return ["replay", "--strict", "--trajectory", str(directory / "trajectory.jsonl")]
     shutil.copy(DATA_DIR / "corpus.jsonl", directory)
     shutil.copy(DATA_DIR / "tools.json", directory)
     shutil.copy(DATA_DIR / "eval_dataset.jsonl", directory / "dataset.jsonl")
@@ -883,8 +916,8 @@ def write_input(path, content):
     [
         pytest.param(command, *case, id=f"{command}-{case_id}")
         for case_id, case in MALFORMED_INPUTS.items()
-        for command in ("run", "eval")
-        if command == "eval" or case[0] != "dataset.jsonl"
+        for command in ("run", "eval", "replay")
+        if (command == "replay") == (case[0] == "trajectory.jsonl") and (command == "eval" or case[0] != "dataset.jsonl")
     ],
 )
 def test_malformed_input_exits_2_naming_the_file(tmp_path, capsys, command, name, content, line, problem):

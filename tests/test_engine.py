@@ -30,6 +30,7 @@ from dagsearch.register import (
 )
 from dagsearch.tools import (
     ArgumentSchemaViolation,
+    InputError,
     ToolRegistry,
     ToolResult,
     ToolTransportError,
@@ -827,6 +828,15 @@ class TestRunConfig:
             RunConfig(max_context_tokens=-1)
         with pytest.raises(ValueError):
             RunConfig(max_malformed_retries=-1)
+
+    @pytest.mark.parametrize(
+        "settings",
+        [{"strict_protocol": "no"}, {"strict_protocol": 1}, {"temperature": "hot"}, {"temperature": True}]
+        + [{"temperature": float("nan")}, {"temperature": float("inf")}, {"max_output_tokens": 1.0}],
+    )
+    def test_rejects_a_setting_of_the_wrong_type(self, settings):
+        with pytest.raises(InputError):
+            RunConfig(**settings)
 
     def test_defaults_match_contract(self):
         config = RunConfig()

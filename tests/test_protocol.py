@@ -21,7 +21,6 @@ from dagsearch.protocol import (
     SchemaViolation,
     UnknownActionKind,
     parse_action,
-    render_action,
     subspace_of,
     validate_payload,
 )
@@ -152,7 +151,7 @@ class TestParse:
 class TestSchemas:
     def test_empty_final_answer_is_legal(self):
         action = Action.create(ActionKind.FINAL_ANSWER, {"answer": ""})
-        assert render_action(action) == '<final_answer>{"answer":""}</final_answer>'
+        assert Action.create(action.kind, action.payload).raw_text == '<final_answer>{"answer":""}</final_answer>'
 
     def test_missing_field(self):
         with pytest.raises(SchemaViolation):
@@ -299,40 +298,42 @@ class TestRender:
             ActionKind.REVISIT_TASK, {"task_id": "t2", "reason": "contradiction"}
         )
         assert (
-            render_action(action)
+            Action.create(action.kind, action.payload).raw_text
             == '<revisit_task>{"reason":"contradiction","task_id":"t2"}</revisit_task>'
         )
 
     def test_render_validates(self):
         bogus = Action(kind=ActionKind.FINAL_ANSWER, payload={}, raw_text="")
         with pytest.raises(SchemaViolation):
-            render_action(bogus)
+            Action.create(bogus.kind, bogus.payload).raw_text
 
     def test_round_trip_seeded_sample(self):
         rng = random.Random(7)
         for _ in range(300):
             action = random_action(rng)
-            assert parse_action(render_action(action)) == action
+            assert parse_action(Action.create(action.kind, action.payload).raw_text) == action
 
     def test_parse_then_render_canonicalizes(self):
         loose = '<revisit_task> {"task_id": "t2",  "reason": "contradiction"} </revisit_task>'
         action = parse_action(loose)
         assert (
-            render_action(action)
+            Action.create(action.kind, action.payload).raw_text
             == '<revisit_task>{"reason":"contradiction","task_id":"t2"}</revisit_task>'
         )
         # idempotent once canonical
-        assert render_action(parse_action(render_action(action))) == render_action(action)
+        canonical = Action.create(action.kind, action.payload).raw_text
+        reparsed = parse_action(canonical)
+        assert Action.create(reparsed.kind, reparsed.payload).raw_text == canonical
 
     def test_unicode_payload_round_trip(self):
         action = Action.create(ActionKind.FINAL_ANSWER, {"answer": "北京 café"})
-        parsed = parse_action(render_action(action))
+        parsed = parse_action(Action.create(action.kind, action.payload).raw_text)
         assert parsed.payload["answer"] == "北京 café"
 
     def test_render_is_deterministic(self):
         rng = random.Random(11)
         action = random_action(rng)
-        assert render_action(action) == render_action(action)
+        assert Action.create(action.kind, action.payload).raw_text == Action.create(action.kind, action.payload).raw_text
 
 
 class TestMutations:
@@ -384,7 +385,7 @@ def test_closure_arbitrary_text_never_escapes_typed_errors(text):
 def test_round_trip_property(seed):
     rng = random.Random(seed)
     action = random_action(rng)
-    rendered = render_action(action)
+    rendered = Action.create(action.kind, action.payload).raw_text
     assert parse_action(rendered) == action
     # canonical payload text embeds as valid JSON between the tags
     body = rendered[rendered.index(">") + 1 : rendered.rindex("<")]

@@ -13,8 +13,8 @@ from importlib import resources
 import jsonschema
 import pytest
 
-from dagsearch.protocol import ActionKind, subspace_of
-from helpers import random_action, random_payload
+from dagsearch.protocol import PAYLOAD_FIELDS, ActionKind, subspace_of
+from helpers import DATA_DIR, random_action, random_payload
 
 
 @pytest.fixture(scope="module")
@@ -37,6 +37,23 @@ def test_document_covers_all_eight_kinds(schema_doc):
 def test_subspace_labels_match_runtime_partition(schema_doc):
     for kind in ActionKind:
         assert schema_doc["actions"][kind.value]["subspace"] == subspace_of(kind)
+
+
+def test_document_requires_exactly_each_kinds_fields_in_table_order(schema_doc):
+    for kind, fields in PAYLOAD_FIELDS.items():
+        payload = schema_doc["actions"][kind.value]["payload"]
+        assert list(payload["properties"]) == payload["required"] == list(fields), kind
+        assert payload["additionalProperties"] is False, kind
+
+
+def test_golden_payloads_the_validators_accept_satisfy_shipped_schemas(schema_doc):
+    with open(DATA_DIR / "payload_diagnostics.jsonl", encoding="utf-8") as handle:
+        records = [json.loads(line) for line in handle]
+    validators = {kind.value: _validator(schema_doc, kind) for kind in ActionKind}
+    accepted = [record for record in records if record["diagnostic"] is None]
+    assert accepted
+    for record in accepted:
+        validators[record["kind"]].validate(record["payload"])
 
 
 def test_generated_payloads_satisfy_shipped_schemas(schema_doc):
