@@ -11,10 +11,11 @@ from pathlib import Path
 from typing import Callable
 
 from .backend import Backend, HttpChatBackend, ScriptedBackend
-from .engine import PromptPack, RunConfig, replay_divergence, replay_run, run
+from .engine import PromptPack, replay_divergence, replay_run, run
 from .tools import InputError, ToolRegistry, build_registry, check_fields, check_strings, located, read_json
 from .trajectory import (
     EvalRecord,
+    RunConfig,
     Trajectory,
     context_curve,
     export_sft,
@@ -197,8 +198,7 @@ def _cmd_eval(args: argparse.Namespace) -> int:
 
 def _cmd_replay(args: argparse.Namespace) -> int:
     trajectory = Trajectory.load(args.trajectory)
-    with located(args.trajectory, 1):  # a bad run setting in the header, which save writes on line 1
-        result = replay_run(trajectory)
+    result = replay_run(trajectory)
     divergence = replay_divergence(trajectory, result.trajectory, strict=args.strict)
     if divergence:
         print(f"DIVERGED {divergence}")

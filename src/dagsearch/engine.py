@@ -11,13 +11,12 @@ of escaping it. The model-input text itself is built in ``register``.
 
 from __future__ import annotations
 
-import math
 import time
-from dataclasses import asdict, dataclass, fields
+from dataclasses import dataclass, fields
 from functools import partial
 from importlib import resources
 from pathlib import Path
-from typing import Any, Callable, Mapping, TypeVar
+from typing import Callable, TypeVar
 
 from .backend import Backend, BackendError, CompletionRequest, ReplayBackend
 from .plan import DagPlan, PlanError, build_plan, is_complete
@@ -43,7 +42,6 @@ from .register import (
 )
 from .tools import (
     ArgumentSchemaViolation,
-    InputError,
     ScriptedTool,
     ToolError,
     ToolRegistry,
@@ -51,7 +49,8 @@ from .tools import (
     UnknownTool,
     search_spec,
 )
-from .trajectory import TRAJECTORY_VERSION, StepRecord, Trajectory
+# RunConfig is re-exported: it describes the header of the trajectory it is recorded in.
+from .trajectory import TRAJECTORY_VERSION, RunConfig, StepRecord, Trajectory
 
 Clock = Callable[[], float]
 T = TypeVar("T")
@@ -86,42 +85,6 @@ _REPROMPTABLE = (
 
 # Typed failures captured into an aborted RunResult at the loop boundary.
 _ABORTING = (EngineError, BackendError, ToolError, ProtocolError, PlanError, RegisterError)
-
-
-@dataclass
-class RunConfig:
-    max_turns: int = 40
-    max_context_tokens: int = 32_000
-    max_malformed_retries: int = 2
-    temperature: float = 0.0
-    max_output_tokens: int = 1024
-    strict_protocol: bool = False
-
-    def __post_init__(self) -> None:
-        """Raise an InputError naming the first setting of the wrong type or range.
-
-        ``type()``, not isinstance: JSON true and false are not numbers.
-        """
-        for name in ("max_turns", "max_context_tokens", "max_output_tokens"):
-            if type(getattr(self, name)) is not int or getattr(self, name) <= 0:
-                raise InputError(f"{name} must be a positive integer")
-        if type(self.max_malformed_retries) is not int or self.max_malformed_retries < 0:
-            raise InputError("max_malformed_retries must be a non-negative integer")
-        if type(self.temperature) not in (int, float) or not math.isfinite(self.temperature):
-            raise InputError("temperature must be a finite number")
-        if type(self.strict_protocol) is not bool:
-            raise InputError("strict_protocol must be true or false")
-
-    @classmethod
-    def from_dict(cls, values: Mapping[str, Any]) -> "RunConfig":
-        """A config from ``values``; a key that is not a field is an InputError naming it.
-
-        Version 1 trajectory headers carry a ``top_k`` that tools now own; it is ignored.
-        """
-        unknown = sorted(values.keys() - cls.__dataclass_fields__.keys() - {"top_k"})
-        if unknown:
-            raise InputError(f'unknown run setting "{unknown[0]}"')
-        return cls(**{k: v for k, v in values.items() if k != "top_k"})
 
 
 @dataclass(frozen=True)
@@ -289,7 +252,7 @@ def run(
         question=question,
         question_id=question_id,
         prompts={"holistic": prompts.holistic, "solving": prompts.solving},
-        config=asdict(config),
+        config=config,
         started_at=clock(),
         version=version,
     )
@@ -321,9 +284,9 @@ def run(
         _, intent = turn("planning", prompts.holistic, planning, _refined_intent)
         planning = render_planning_context(prompts.holistic, question, intent)
         _, plan = turn("planning", prompts.holistic, planning, _framing)
-        register = init_register(intent, plan)
+        register = init_register(intent, plan, trajectory.version)
         for _ in range(config.max_turns):
-            solving = render_context(register, question, prompts.solving, trajectory.version)
+            solving = render_context(register, question, prompts.solving)
             action, register = turn("solving", prompts.solving, solving, solving_check)
             if action.kind is ActionKind.FINAL_ANSWER:
                 return _finish(trajectory, clock, "answered", answer=action.payload["answer"])
@@ -341,32 +304,6 @@ def run(
 # ---------------------------------------------------------------------------
 
 
-def _recorded(step: StepRecord) -> Action:
-    """The action a recorded step took, validated as when it was parsed."""
-    return Action.create(ActionKind(step.kind), step.payload)
-
-
-def rebuild_registers(trajectory: Trajectory) -> list[Register]:
-    """Recompute the register after every solving step, from the record alone.
-
-    The register update is pure, so this is exactly the state sequence the
-    original run went through. Registers are frozen values that compare
-    field by field, so audits and determinism checks compare these lists
-    with ``==``.
-    """
-    planning = [_recorded(step) for step in trajectory.steps if step.stage == "planning"]
-    if len(planning) < 2:
-        raise ValueError("trajectory lacks the two planning steps")
-    register = init_register(_refined_intent(planning[0])[1], _framing(planning[1])[1])
-    registers = [register]
-    for step in trajectory.steps:
-        if step.stage != "solving":
-            continue
-        register = apply_action(register, _recorded(step), step.tool_result)
-        registers.append(register)
-    return registers
-
-
 def replay_tools(trajectory: Trajectory) -> ToolRegistry:
     """A registry serving the recorded tool results in recorded order."""
     queues: dict[str, ScriptedTool] = {}  # in order of first call
@@ -380,8 +317,9 @@ def replay_tools(trajectory: Trajectory) -> ToolRegistry:
 
 
 # Step fields a replay cannot reproduce yet: it re-serves only each step's
-# accepted reply, so every replayed step has no retries. Trajectory v4
-# (ROADMAP item 2) records the rejected replies and deletes this tuple.
+# accepted reply, so every replayed step has no retries. A trajectory
+# version that records the rejected replies (ROADMAP item 2, planned for
+# version 5) deletes this tuple.
 UNREPLAYED_FIELDS = ("retries", "diagnostics")
 _REPLAYED_FIELDS = tuple(f.name for f in fields(StepRecord) if f.name not in UNREPLAYED_FIELDS)
 
@@ -430,7 +368,7 @@ def replay_run(
         trajectory.question,
         backend=ReplayBackend(outputs=[step.model_text for step in trajectory.steps]),
         tools=replay_tools(trajectory),
-        config=RunConfig.from_dict(trajectory.config),
+        config=trajectory.config,
         prompts=PromptPack(**{stage: trajectory.prompts.get(stage, "") for stage in ("holistic", "solving")}),
         question_id=trajectory.question_id,
         clock=clock,

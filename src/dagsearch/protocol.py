@@ -37,7 +37,6 @@ SOLVING_KINDS = frozenset(
         ActionKind.FINAL_ANSWER,
     }
 )
-RETROSPECTION_KINDS = frozenset({ActionKind.REVISIT_TASK, ActionKind.REPLANNING})
 
 _KIND_BY_TAG = {kind.value: kind for kind in ActionKind}
 

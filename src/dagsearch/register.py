@@ -5,7 +5,9 @@ is updated by pure code from parsed actions, never by another model call.
 Raw tool documents are visible for exactly one turn (the "latest tool
 output" section) and then vanish; only extracted facts persist, until they
 are folded: from trajectory version 3 on, the tool-log entries of answered
-tasks leave the model input in batches (see ``FOLD_CHARS``). Rendering
+tasks leave the model input in batches (see ``FOLD_CHARS``). The register
+knows the trajectory version it is recorded under, which selects both the
+fold rule and the layout of the solving input. Rendering
 puts the most stable sections first and the current plan's task statuses,
 which change on most turns, after the append-only tool log, so consecutive
 model inputs share long token prefixes. This module renders every model
@@ -26,14 +28,34 @@ from .plan import DagPlan
 from .protocol import Action, ActionKind, IntentPayload, canonical_json
 from .tools import ToolResult
 
-# A task_answer folds the answered tasks' tool-log entries out of the
-# version 3 render once their lines still shown pass this many characters
-# (about 2,000 tokens) and a task is still open. Batches keep most turns
-# append-only, so the cached prefix holds. With no task open, a fold would
-# break the prefix of the final answer's input, which no later turn reuses.
-# Characters, not tokens: the decision must not tokenize. The trajectory
-# version pins the value: a new value needs a new version.
-FOLD_CHARS = 12_000
+# A task_answer folds the answered tasks' tool-log entries that are still
+# shown out of the model input, once they render to more than the
+# version's threshold and a task is still open. With no task open, a fold
+# would break the prefix of the final answer's input, which no later turn
+# reuses. Versions 1 and 2 never fold.
+#
+# The cost model. A fold re-sends once, uncached, the S characters after
+# its first hidden line, which that turn would otherwise have read from
+# the cache. In return, each of the R later turns leaves out the H hidden
+# characters, which it would have read at the cached price: a fraction c
+# of the uncached one. The fold pays when H * c * R > S * (1 - c). S is at
+# most H plus the rest T of the input: the open tasks' entries and the
+# Status paragraph. So the fold has paid for itself after
+# (1 + T / H) * (1 - c) / c later turns: 18 at c = 0.1 and 2 at c = 0.5
+# when T <= H. The threshold is a floor on H that keeps T / H small, and
+# keeps each break of the prefix worth its price at a cache that reuses
+# whole blocks, which also loses the partial block at the break (up to
+# 128 tokens, about 640 characters at 5 characters a token).
+#
+# Version 4's 4,000 characters (about 800 tokens) lie in the plateau
+# measured on the benchmark's workloads: from 3,000 to 6,000, long_horizon
+# folds at every answer turn with a task open (each task's entries render
+# to about 9,500 characters and T is the Status paragraph), while
+# revise_churn and eval_batch never fold. Version 3's 12,000 folds two
+# tasks at a time. Characters, not tokens: the decision must not
+# tokenize. The trajectory version pins each value: a new value needs a
+# new version.
+FOLD_CHARS = {3: 12_000, 4: 4_000}
 
 
 class RegisterError(Exception):
@@ -212,21 +234,26 @@ class Register:
     plan: DagPlan
     revisit_history: tuple[RevisitRecord, ...]
     tool_log: tuple[ToolLogEntry, ...]
+    version: int  # the trajectory version: fold rule and solving-input layout
     step: int = 0
     pending_tool_result: ToolResult | None = None
-    # Entries up to this step index whose task is answered are left out of
-    # the version 3 render; the log keeps them.
+    # The log keeps every entry; the render leaves the folded ones out. In
+    # version 3 they are the entries up to the last fold's step whose task
+    # is answered now; in version 4, the step indices in ``folded``, which
+    # were answered when a fold happened.
     folded_through: int = 0
+    folded: frozenset[int] = frozenset()
 
 
-def init_register(intent: IntentPayload, plan: DagPlan) -> Register:
-    """The initial register: given intent, fresh plan, empty history slots."""
+def init_register(intent: IntentPayload, plan: DagPlan, version: int) -> Register:
+    """The initial register of a run recorded in trajectory ``version``: intent, plan, empty histories."""
     return Register(
         intent=intent,
         plan_history=(),
         plan=plan,
         revisit_history=(),
         tool_log=(),
+        version=version,
     )
 
 
@@ -297,12 +324,7 @@ def apply_action(
     if kind is ActionKind.TASK_ANSWER:
         pairs = [(entry["task_id"], entry["answer"]) for entry in payload["answers"]]
         new_plan = planmod.apply_task_answer(register.plan, pairs)
-        folded_through = register.folded_through
-        if _fold_due(register.tool_log, new_plan, folded_through):
-            folded_through = step
-        return replace(
-            register, plan=new_plan, step=step, pending_tool_result=None, folded_through=folded_through
-        )
+        return _fold(replace(register, plan=new_plan, step=step, pending_tool_result=None))
 
     if kind is ActionKind.REVISIT_TASK:
         target = payload["task_id"]
@@ -340,27 +362,46 @@ def apply_action(
         tool_log=(),
         step=step,
         pending_tool_result=None,
+        folded=frozenset(),
     )
 
 
-def _fold_due(log: Sequence[ToolLogEntry], plan: DagPlan, folded_through: int) -> bool:
-    """Whether a task_answer that leaves ``plan`` folds the answered tasks' entries.
+def _fold(register: Register) -> Register:
+    """``register`` after a task_answer, folded when its version's FOLD_CHARS says so.
 
-    True when a task is still open and the answered tasks' entries still
-    shown (after ``folded_through``) render to more than FOLD_CHARS
-    characters. Entries are in step order, so the walk stops at the last
-    fold.
+    The fold is due when a task is still open and the answered tasks'
+    entries still shown render to more than the threshold. Version 3 then
+    moves ``folded_through`` to this step; version 4 adds exactly those
+    entries to ``folded``.
     """
-    if planmod.is_complete(plan):
-        return False
-    nodes = plan.nodes
-    shown = 0
-    for entry in reversed(log):
-        if entry.step_index <= folded_through:
-            break
-        if nodes[entry.task_id].status == planmod.ANSWERED:
-            shown += sum(map(len, entry.rendered_lines))
-    return shown > FOLD_CHARS
+    threshold = FOLD_CHARS.get(register.version)
+    if threshold is None or planmod.is_complete(register.plan):
+        return register
+    nodes, hidden = register.plan.nodes, _folded_steps(register)
+    answered = [
+        entry
+        for entry in register.tool_log
+        if entry.step_index not in hidden and nodes[entry.task_id].status == planmod.ANSWERED
+    ]
+    if sum(len(line) for entry in answered for line in entry.rendered_lines) <= threshold:
+        return register
+    if register.version == 3:
+        return replace(register, folded_through=register.step)
+    return replace(register, folded=register.folded.union(entry.step_index for entry in answered))
+
+
+def _folded_steps(register: Register) -> frozenset[int]:
+    """Step indices of the tool-log entries that the render leaves out."""
+    if register.version >= 4:
+        return register.folded
+    if register.version < 3:
+        return frozenset()
+    nodes, through = register.plan.nodes, register.folded_through
+    return frozenset(
+        entry.step_index
+        for entry in register.tool_log
+        if entry.step_index <= through and nodes[entry.task_id].status == planmod.ANSWERED
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -430,20 +471,20 @@ def render_correction(context: str, diagnostic: str) -> str:
     )
 
 
-def render_context(register: Register, question: str, stage_prompt: str, version: int = 3) -> str:
-    """Deterministic model input for one solving step, in ``version``'s layout.
+def render_context(register: Register, question: str, stage_prompt: str) -> str:
+    """Deterministic model input for one solving step, in the layout of the register's version.
 
-    ``version`` is the trajectory version the input is recorded under.
     Section order is stable-first: prompt, question, intent, archived plans
     (each with its final statuses), current plan (tasks and dependencies),
     revisit history, tool log, then the current plan's "Status:" paragraph,
     and finally the one-turn raw tool output if a call just happened. A
     status flip therefore leaves everything before it a prefix of the next
     input. Version 1 renders the statuses inside the current plan section,
-    before the revisit history. Version 3 is version 2 without the tool-log
-    entries up to ``folded_through`` whose task is answered: the Status
-    line states their answers. Empty sections are omitted entirely.
+    before the revisit history. Versions 3 and 4 are version 2 without the
+    folded tool-log entries (``_folded_steps``): the Status line states
+    their answers. Empty sections are omitted entirely.
     """
+    version = register.version
     sections: list[str] = [stage_prompt.rstrip()]
     sections.append(f"## Question\n{question}")
     sections.append(_intent_section(register.intent))
@@ -469,14 +510,8 @@ def render_context(register: Register, question: str, stage_prompt: str, version
         ]
         sections.append("## Revisited tasks\n" + "\n".join(lines))
 
-    log = register.tool_log
-    if version >= 3 and register.folded_through:
-        nodes, folded_through = register.plan.nodes, register.folded_through
-        log = [
-            entry
-            for entry in log
-            if entry.step_index > folded_through or nodes[entry.task_id].status != planmod.ANSWERED
-        ]
+    hidden = _folded_steps(register)
+    log = [entry for entry in register.tool_log if entry.step_index not in hidden]
     if log:
         sections.append("## Tool log\n" + "\n".join(_tool_log_lines(log)))
 
@@ -493,16 +528,3 @@ def render_context(register: Register, question: str, stage_prompt: str, version
         sections.append("## Latest tool output\n" + "\n".join(lines))
 
     return "\n\n".join(sections)
-
-
-def register_tokens(register: Register, question: str, stage_prompt: str, version: int = 3) -> int:
-    """Token count of the persistent render (ephemeral tool output excluded).
-
-    In the version 1 and 2 layouts this quantity is non-decreasing within a
-    plan epoch; the version 3 render also shrinks when answered tasks' entries
-    are folded out. The full model input additionally carries the one-turn
-    raw tool output and may shrink when that section expires.
-    """
-    stripped = replace(register, pending_tool_result=None)
-    return token_length(render_context(stripped, question, stage_prompt, version))
-

@@ -9,19 +9,20 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import os
 import re
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from itertools import chain
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Any, Iterable, Mapping, Sequence
 
 from .protocol import ActionKind, subspace_of
-from .register import LineTokenCounter, common_prefix_length, default_tokenizer, token_length
+from .register import LineTokenCounter, common_prefix_length, default_tokenizer
 from .tools import DOCUMENT_FIELDS, InputError, ToolResult, check_fields, check_strings, located, read_json
 
-TRAJECTORY_VERSION = 3
-_READABLE_VERSIONS = (1, 2, 3)
+TRAJECTORY_VERSION = 4
+_READABLE_VERSIONS = (1, 2, 3, 4)
 # The run-level fields of a trajectory file's header line, besides its
 # version, with the JSON types each may have.
 _HEADER_FIELDS = {
@@ -65,6 +66,44 @@ class UnfilteredInput(TrajectoryError):
 
 class EmptyCurrent(TrajectoryError):
     pass
+
+
+@dataclass(frozen=True)
+class RunConfig:
+    """A run's settings, recorded in its trajectory's header; frozen, since the trajectory holds the run's own."""
+
+    max_turns: int = 40
+    max_context_tokens: int = 32_000
+    max_malformed_retries: int = 2
+    temperature: float = 0.0
+    max_output_tokens: int = 1024
+    strict_protocol: bool = False
+
+    def __post_init__(self) -> None:
+        """Raise an InputError naming the first setting of the wrong type or range.
+
+        ``type()``, not isinstance: JSON true and false are not numbers.
+        """
+        for name in ("max_turns", "max_context_tokens", "max_output_tokens"):
+            if type(getattr(self, name)) is not int or getattr(self, name) <= 0:
+                raise InputError(f"{name} must be a positive integer")
+        if type(self.max_malformed_retries) is not int or self.max_malformed_retries < 0:
+            raise InputError("max_malformed_retries must be a non-negative integer")
+        if type(self.temperature) not in (int, float) or not math.isfinite(self.temperature):
+            raise InputError("temperature must be a finite number")
+        if type(self.strict_protocol) is not bool:
+            raise InputError("strict_protocol must be true or false")
+
+    @classmethod
+    def from_dict(cls, values: Mapping[str, Any]) -> "RunConfig":
+        """A config from ``values``; a key that is not a field is an InputError naming it.
+
+        Version 1 trajectory headers carry a ``top_k`` that tools now own; it is ignored.
+        """
+        unknown = sorted(values.keys() - cls.__dataclass_fields__.keys() - {"top_k"})
+        if unknown:
+            raise InputError(f'unknown run setting "{unknown[0]}"')
+        return cls(**{k: v for k, v in values.items() if k != "top_k"})
 
 
 @dataclass(frozen=True)
@@ -121,7 +160,7 @@ class Trajectory:
     started_at: float = 0.0
     finished_at: float = 0.0
     prompts: dict = field(default_factory=dict)
-    config: dict = field(default_factory=dict)
+    config: RunConfig = field(default_factory=RunConfig)
     version: int = TRAJECTORY_VERSION
 
     def solving_steps(self) -> list[StepRecord]:
@@ -134,7 +173,8 @@ class Trajectory:
     # leading lines in common, and ``state`` holding the rest. The shared
     # count stops one line short of the whole state, so the rest always
     # holds at least one line and splitting it gives back exactly the lines
-    # stored. Version 3 differs from 2 only in the solving input's layout.
+    # stored. Versions 3 and 4 differ from 2 only in the solving input's
+    # layout: each folds answered tasks' tool-log entries out by its own rule.
     # A loaded step's shared lines are the previous step's own strings.
 
     def save(self, path: str | Path) -> None:
@@ -146,6 +186,7 @@ class Trajectory:
         _check_version(self.version)
         header = {"record": "trajectory", "version": self.version}
         header.update((name, getattr(self, name)) for name in _HEADER_FIELDS)
+        header["config"] = asdict(self.config)
         previous: tuple[str, ...] = ()  # the first step shares no line
         temporary = Path(f"{path}.{os.getpid()}.tmp")
         try:
@@ -166,12 +207,15 @@ class Trajectory:
 
     @classmethod
     def load(cls, path: str | Path) -> "Trajectory":
-        """Read a trajectory file; a structurally bad line is an InputError naming it."""
+        """Read a trajectory file; a structurally bad line, or a bad run setting, is an InputError naming it."""
         records = read_json(path, _check_record)
-        _, header = next(records, (0, {}))
+        number, header = next(records, (0, {}))
         if header.get("record") != "trajectory":
             raise TrajectoryError(f"{path} is not a trajectory file")
-        trajectory = cls(version=header["version"], **{name: header[name] for name in _HEADER_FIELDS})
+        fields = {name: header[name] for name in _HEADER_FIELDS}
+        with located(path, number):
+            fields["config"] = RunConfig.from_dict(fields["config"])
+        trajectory = cls(version=header["version"], **fields)
         previous: tuple[str, ...] = ()
         for number, line in records:
             if line.get("record") != "step":
@@ -340,29 +384,18 @@ def export_sft(trajectories: Sequence[Trajectory], out_path: str | Path) -> int:
 # ---------------------------------------------------------------------------
 
 
-def cache_ratio(prev_tokens: Sequence, cur_tokens: Sequence) -> float:
-    """Longest-common-prefix length over the current sequence length."""
-    if len(cur_tokens) == 0:
-        raise EmptyCurrent("current token sequence is empty")
-    shared = 0
-    for a, b in zip(prev_tokens, cur_tokens):
-        if a != b:
-            break
-        shared += 1
-    return shared / len(cur_tokens)
-
-
 def step_cache_ratios(trajectory: Trajectory) -> list[float]:
-    """cache_ratio between consecutive solving-stage inputs (one per step from the second on).
+    """Prefix-cache ratios between consecutive solving-stage inputs (one per step from the second on).
 
-    Equal to ``cache_ratio(default_tokenizer(prev), default_tokenizer(cur))``,
-    computed from lines: no token spans a newline. A :class:`LineTokenCounter`
-    gives each state's length, tokenizing only lines from the first changed
-    one on that the previous state lacked there, and leaves the token count
-    of the whole lines before that change (``head``) and both states' lines
-    from it on (``tails``). The shared prefix is the head plus the common
-    token prefix of the tails, tokenized line by line only up to the first
-    differing token.
+    Each is the length of the two inputs' common token prefix over the
+    current input's token count, computed from lines: no token spans a
+    newline. A :class:`LineTokenCounter` gives each state's length,
+    tokenizing only lines from the first changed one on that the previous
+    state lacked there, and leaves the token count of the whole lines
+    before that change (``head``) and both states' lines from it on
+    (``tails``). The shared prefix is the head plus the common token prefix
+    of the tails, tokenized line by line only up to the first differing
+    token.
     """
     counter = LineTokenCounter()
     ratios = []
@@ -424,46 +457,6 @@ def context_curve(
             )
         )
     return curve
-
-
-def naive_transcript(trajectory: Trajectory) -> str:
-    """The full-history rendering a transcript-accumulating agent would carry.
-
-    Prompt, question, then every raw model output and every raw tool document
-    appended in order: the baseline the register rendering is compared to.
-    """
-    parts = [trajectory.prompts.get("solving", ""), f"## Question\n{trajectory.question}"]
-    for step in trajectory.steps:
-        parts.append(f"### Step {step.index}\n{step.model_text}")
-        if step.tool_result is not None:
-            lines = ["Observation:"]
-            for doc in step.tool_result.documents:
-                lines.append(f"[{doc.source_id}] {doc.title}")
-                lines.append(doc.text)
-            parts.append("\n".join(lines))
-    return "\n\n".join(parts)
-
-
-@dataclass(frozen=True)
-class CompactnessReport:
-    register_tokens: int
-    transcript_tokens: int
-
-    @property
-    def ratio(self) -> float:
-        return self.register_tokens / self.transcript_tokens
-
-
-def context_compactness(trajectory: Trajectory) -> CompactnessReport:
-    """Compare the final register-rendered input against the naive transcript."""
-    solving = trajectory.solving_steps()
-    if not solving:
-        raise TrajectoryError("trajectory has no solving steps to compare")
-    final_state = solving[-1].state
-    return CompactnessReport(
-        register_tokens=token_length(final_state),
-        transcript_tokens=token_length(naive_transcript(trajectory)),
-    )
 
 
 # ---------------------------------------------------------------------------

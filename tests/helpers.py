@@ -487,8 +487,9 @@ def run_twenty_turn() -> RunResult:
 
 
 # ---------------------------------------------------------------------------
-# Fold fixture: three chained tasks whose facts pass FOLD_CHARS by the second
-# answer, so that the version 3 render folds before the last answer
+# Fold fixtures: three chained tasks whose facts pass version 3's FOLD_CHARS
+# by the second answer, and version 4's at each of the first two, so that
+# both renders fold before the last answer
 # ---------------------------------------------------------------------------
 
 FOLD_QUESTION = "Which year closes the chain of three synthetic records?"
@@ -511,7 +512,8 @@ def fold_script() -> tuple[list[str], list[ToolResult]]:
         docs = tuple(_synthetic_document(rng, f"fold:{number}{suffix}", 40) for suffix in "ab")
         tool_results.append(ToolResult(documents=docs))
         call = {"task_id": task_id, "tool_name": "search", "arguments": {"query": words(rng, 4)}}
-        # t1's facts alone stay under FOLD_CHARS, t1's and t2's together pass it
+        # t1's facts alone stay under version 3's FOLD_CHARS, t1's and t2's
+        # together pass it; each task's alone pass version 4's
         facts = [words(rng, 20)] if task_id == "t3" else [words(rng, 270) for _ in range(4)]
         extraction = {"task_id": task_id, "facts": facts, "source_ids": [doc.source_id for doc in docs]}
         answer = "1877" if task_id == "t3" else words(rng, 3)
@@ -524,8 +526,8 @@ def fold_script() -> tuple[list[str], list[ToolResult]]:
     return responses, tool_results
 
 
-def run_fold() -> RunResult:
-    """The scripted run that ``data/fold_trajectory_v3.jsonl`` records."""
+def run_fold(version: int = 3) -> RunResult:
+    """The scripted run that ``data/fold_trajectory_v<version>.jsonl`` records, for version 3 or 4."""
     responses, tool_results = fold_script()
     registry = ToolRegistry()
     registry.register(search_spec("search", "Synthetic scripted retrieval."), ScriptedTool(results=tool_results))
@@ -536,5 +538,5 @@ def run_fold() -> RunResult:
         prompts=PromptPack.load_default(),
         question_id="fold-synthetic",
         clock=fixed_clock(),
-        version=3,
+        version=version,
     )

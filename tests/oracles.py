@@ -1,0 +1,113 @@
+"""Test-only oracles: plain restatements of quantities the program computes another way.
+
+Nothing in ``dagsearch`` reads these; the tests check the program against
+them, and the acceptance criteria are stated in their terms.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass, replace
+from typing import Sequence
+
+from dagsearch.plan import build_plan
+from dagsearch.protocol import Action, ActionKind, IntentPayload
+from dagsearch.register import Register, apply_action, init_register, render_context, token_length
+from dagsearch.trajectory import EmptyCurrent, StepRecord, Trajectory, TrajectoryError
+
+# The retrospection subspace: every kind that is neither planning nor solving.
+RETROSPECTION_KINDS = frozenset({ActionKind.REVISIT_TASK, ActionKind.REPLANNING})
+
+
+def register_tokens(register: Register, question: str, stage_prompt: str) -> int:
+    """Token count of the persistent render (ephemeral tool output excluded).
+
+    In the version 1 and 2 layouts this quantity is non-decreasing within a
+    plan epoch; the version 3 and 4 renders also shrink when answered tasks'
+    entries are folded out. The full model input additionally carries the
+    one-turn raw tool output and may shrink when that section expires.
+    """
+    stripped = replace(register, pending_tool_result=None)
+    return token_length(render_context(stripped, question, stage_prompt))
+
+
+def _recorded(step: StepRecord) -> Action:
+    """The action a recorded step took, validated as when it was parsed."""
+    return Action.create(ActionKind(step.kind), step.payload)
+
+
+def rebuild_registers(trajectory: Trajectory) -> list[Register]:
+    """Recompute the register after every solving step, from the record alone.
+
+    The register update is pure, so this is exactly the state sequence the
+    original run went through. Registers are frozen values that compare
+    field by field, so audits and determinism checks compare these lists
+    with ``==``.
+    """
+    planning = [_recorded(step) for step in trajectory.steps if step.stage == "planning"]
+    if len(planning) < 2:
+        raise ValueError("trajectory lacks the two planning steps")
+    framing = planning[1].payload
+    register = init_register(
+        IntentPayload.from_payload(planning[0].payload),
+        build_plan(framing["tasks"], framing["edges"], plan_id=0),
+        trajectory.version,
+    )
+    registers = [register]
+    for step in trajectory.steps:
+        if step.stage != "solving":
+            continue
+        register = apply_action(register, _recorded(step), step.tool_result)
+        registers.append(register)
+    return registers
+
+
+def cache_ratio(prev_tokens: Sequence, cur_tokens: Sequence) -> float:
+    """Longest-common-prefix length over the current sequence length."""
+    if len(cur_tokens) == 0:
+        raise EmptyCurrent("current token sequence is empty")
+    shared = 0
+    for a, b in zip(prev_tokens, cur_tokens):
+        if a != b:
+            break
+        shared += 1
+    return shared / len(cur_tokens)
+
+
+def naive_transcript(trajectory: Trajectory) -> str:
+    """The full-history rendering a transcript-accumulating agent would carry.
+
+    Prompt, question, then every raw model output and every raw tool document
+    appended in order: the baseline the register rendering is compared to.
+    """
+    parts = [trajectory.prompts.get("solving", ""), f"## Question\n{trajectory.question}"]
+    for step in trajectory.steps:
+        parts.append(f"### Step {step.index}\n{step.model_text}")
+        if step.tool_result is not None:
+            lines = ["Observation:"]
+            for doc in step.tool_result.documents:
+                lines.append(f"[{doc.source_id}] {doc.title}")
+                lines.append(doc.text)
+            parts.append("\n".join(lines))
+    return "\n\n".join(parts)
+
+
+@dataclass(frozen=True)
+class CompactnessReport:
+    register_tokens: int
+    transcript_tokens: int
+
+    @property
+    def ratio(self) -> float:
+        return self.register_tokens / self.transcript_tokens
+
+
+def context_compactness(trajectory: Trajectory) -> CompactnessReport:
+    """Compare the final register-rendered input against the naive transcript."""
+    solving = trajectory.solving_steps()
+    if not solving:
+        raise TrajectoryError("trajectory has no solving steps to compare")
+    final_state = solving[-1].state
+    return CompactnessReport(
+        register_tokens=token_length(final_state),
+        transcript_tokens=token_length(naive_transcript(trajectory)),
+    )

@@ -9,16 +9,9 @@ import time
 
 import pytest
 
-from dagsearch.engine import rebuild_registers
 from dagsearch.plan import PlanError, apply_task_answer, build_plan, reset_for_revisit
 from dagsearch.protocol import Action, ActionKind, ProtocolError, parse_action
-from dagsearch.trajectory import (
-    cache_ratio,
-    context_compactness,
-    export_sft,
-    rft_filter,
-    step_cache_ratios,
-)
+from dagsearch.trajectory import export_sft, rft_filter, step_cache_ratios
 from helpers import (
     COMPLIANT_KINDS,
     fixture_registry,
@@ -29,6 +22,7 @@ from helpers import (
     run_twenty_turn,
     run_two_hop,
 )
+from oracles import cache_ratio, context_compactness, rebuild_registers
 
 K = ActionKind
 

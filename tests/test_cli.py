@@ -398,8 +398,8 @@ def test_config_file_is_read_once_and_top_k_goes_to_the_tools(workdir, monkeypat
     assert reads.count(str(config)) == 1
     trajectory = Trajectory.load(out)
     assert trajectory.prompts == {"holistic": "HOLISTIC", "solving": "SOLVING"}
-    assert trajectory.config["max_turns"] == 9
-    assert "top_k" not in trajectory.config
+    assert trajectory.config.max_turns == 9
+    assert not hasattr(trajectory.config, "top_k")
     tool_steps = [step for step in trajectory.steps if step.kind == "tool_call"]
     assert tool_steps and all(len(step.tool_result.documents) == 1 for step in tool_steps)
 
@@ -785,8 +785,8 @@ def with_header_config(**settings):
 
 # Each case: the input file it writes (a JSON value, or a list of records
 # for a .jsonl file), the line the error names (0: none), and the problem.
-# A trajectory.jsonl case runs replay; every other case runs run and eval,
-# a dataset.jsonl case eval only.
+# A trajectory.jsonl case runs replay, stats and export; every other case
+# runs run and eval, a dataset.jsonl case eval only.
 MALFORMED_INPUTS = {
     "config-not-an-object": ("config.json", [], 0, "not a JSON object"),
     "prompt-path-not-a-string": ("config.json", {"prompts": {"holistic": 5}}, 0, 'field "holistic" is not a string'),
@@ -885,16 +885,27 @@ MALFORMED_INPUTS = {
 
 def write_inputs(directory, command):
     """The valid inputs of ``command`` under the names MALFORMED_INPUTS uses; returns its argv."""
-    if command == "replay":
+    (directory / "runs").mkdir()
+    if command in ("replay", "stats", "export"):
         shutil.copy(DATA_DIR / "two_hop_trajectory_v2.jsonl", directory / "trajectory.jsonl")
+    if command == "replay":
         return ["replay", "--strict", "--trajectory", str(directory / "trajectory.jsonl")]
+    if command == "stats":
+        outputs = ["--curve-out", str(directory / "runs" / "curve.csv")]
+        outputs += ["--cache-out", str(directory / "runs" / "cache.csv")]
+        return ["stats", "--trajectories", str(directory)] + outputs
+    if command == "export":
+        (directory / "gold").mkdir()  # not beside the trajectory, which is every .jsonl file there
+        gold = directory / "gold" / "gold.jsonl"
+        gold.write_text(json.dumps({"question_id": "two-hop-www", "question": "?", "answers": ["1096"]}) + "\n")
+        argv = ["export", "--trajectories", str(directory), "--gold", str(gold)]
+        return argv + ["--out", str(directory / "runs" / "sft.jsonl")]
     shutil.copy(DATA_DIR / "corpus.jsonl", directory)
     shutil.copy(DATA_DIR / "tools.json", directory)
     shutil.copy(DATA_DIR / "eval_dataset.jsonl", directory / "dataset.jsonl")
     replies = "eval_scripted.json" if command == "eval" else "two_hop_responses.json"
     shutil.copy(DATA_DIR / replies, directory / "replies.json")
     (directory / "config.json").write_text(json.dumps({"run": {"max_turns": 40}}))
-    (directory / "runs").mkdir()
     argv = [command, "--config", str(directory / "config.json"), "--tools", str(directory / "tools.json")]
     argv += ["--backend", f"scripted:{directory / 'replies.json'}"]
     if command == "eval":
@@ -916,8 +927,9 @@ def write_input(path, content):
     [
         pytest.param(command, *case, id=f"{command}-{case_id}")
         for case_id, case in MALFORMED_INPUTS.items()
-        for command in ("run", "eval", "replay")
-        if (command == "replay") == (case[0] == "trajectory.jsonl") and (command == "eval" or case[0] != "dataset.jsonl")
+        for command in ("run", "eval", "replay", "stats", "export")
+        if (command in ("replay", "stats", "export")) == (case[0] == "trajectory.jsonl")
+        and (command == "eval" or case[0] != "dataset.jsonl")
     ],
 )
 def test_malformed_input_exits_2_naming_the_file(tmp_path, capsys, command, name, content, line, problem):

@@ -15,19 +15,13 @@ from dagsearch.engine import (
     UNREPLAYED_FIELDS,
     PromptPack,
     RunConfig,
-    rebuild_registers,
     replay_divergence,
     replay_run,
     run,
 )
 from dagsearch.plan import ACTIVE, ANSWERED, PENDING, UnknownTask, build_plan, mark_active
 from dagsearch.protocol import IntentPayload, ProtocolError, parse_action
-from dagsearch.register import (
-    default_tokenizer,
-    register_tokens,
-    render_planning_context,
-    token_length,
-)
+from dagsearch.register import default_tokenizer, render_planning_context, token_length
 from dagsearch.tools import (
     ArgumentSchemaViolation,
     InputError,
@@ -51,6 +45,7 @@ from helpers import (
     run_two_hop,
     two_hop_responses,
 )
+from oracles import rebuild_registers, register_tokens
 
 PROMPTS = PromptPack.load_default()
 
@@ -652,6 +647,32 @@ class TestReplay:
         digest = hashlib.sha256((DATA_DIR / "fold_trajectory_v3.jsonl").read_bytes()).hexdigest()
         assert digest == "e0a333031cc0c6081fbf0f6f7f1456c54611fef57f1dff6bca0fafd4ab250596"
 
+    def test_v4_fold_recording_replays_byte_for_byte(self, tmp_path):
+        # recorded by helpers.run_fold(4): t1's answer folds t1's entry
+        # while t2 and t3 are open, then t2's answer folds t2's
+        fixture = DATA_DIR / "fold_trajectory_v4.jsonl"
+        recorded = Trajectory.load(fixture)
+        assert recorded.version == 4
+        folds = [register.folded for register in rebuild_registers(recorded)]
+        assert folds == [set()] * 3 + [{1}] * 3 + [{1, 4}] * (len(folds) - 6)  # registers[3] follows step 3
+        solving = recorded.solving_steps()
+        assert "Step 1: " in solving[2].state and "Step 1: " not in solving[3].state
+        assert "Step 4: " in solving[5].state and "Step 4: " not in solving[6].state
+        assert solving[3].token_count < solving[2].token_count / 1.5
+        assert solving[6].token_count < solving[5].token_count / 1.5
+        replayed = replay_run(recorded, strict=True, clock=fixed_clock())
+        assert replayed.outcome == "answered"
+        path = tmp_path / "replayed.jsonl"
+        replayed.trajectory.save(path)
+        assert path.read_bytes() == fixture.read_bytes()
+        # a fresh run records the same bytes
+        run_fold(4).trajectory.save(path)
+        assert path.read_bytes() == fixture.read_bytes()
+
+    def test_v4_fold_fixture_is_unchanged(self):
+        digest = hashlib.sha256((DATA_DIR / "fold_trajectory_v4.jsonl").read_bytes()).hexdigest()
+        assert digest == "d5f26e3c168fee8c27653ad8787382b6a54f007ee4686b8ec9bb6e0bc9401c4b"
+
     def test_tampered_recording_diverges(self, tmp_path):
         result = run_two_hop()
         trajectory = result.trajectory
@@ -809,7 +830,8 @@ def test_any_reply_sequence_runs_saves_and_replays(tmp_path_factory, cut, noise,
 
 @pytest.mark.xfail(
     strict=True,
-    reason="replay re-serves only accepted replies; trajectory v3 (ROADMAP item 4) records rejected ones",
+    reason="replay re-serves only accepted replies; recording rejected ones is ROADMAP item 2, planned for "
+    "trajectory v5 because re-serving them breaks the benchmark's one-cut-per-completion replay test",
 )
 def test_replay_keeps_retries_and_diagnostics(tmp_path):
     responses = two_hop_responses()

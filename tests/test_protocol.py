@@ -16,7 +16,6 @@ from dagsearch.protocol import (
     NoActionBlock,
     PLANNING_KINDS,
     ProtocolError,
-    RETROSPECTION_KINDS,
     SOLVING_KINDS,
     SchemaViolation,
     UnknownActionKind,
@@ -26,6 +25,7 @@ from dagsearch.protocol import (
 )
 from dagsearch.plan import CyclicPlan, DuplicateTaskId, UnknownEdgeEndpoint, build_plan
 from helpers import DATA_DIR, MUTATION_MODES, mutate_action, payload_cases, random_action
+from oracles import RETROSPECTION_KINDS
 
 
 class TestParse:

@@ -21,11 +21,12 @@ from dagsearch.register import (
     common_prefix_length,
     default_tokenizer,
     init_register,
-    register_tokens,
     render_context,
     token_length,
 )
 from dagsearch.tools import Document, ToolResult
+from dagsearch.trajectory import TRAJECTORY_VERSION
+from oracles import register_tokens
 
 QUESTION = "What year was the university founded?"
 PROMPT = "You are a search agent. Emit one action per turn."
@@ -40,7 +41,7 @@ def chain_plan():
 
 
 def fresh():
-    return init_register(intent(), chain_plan())
+    return init_register(intent(), chain_plan(), TRAJECTORY_VERSION)
 
 
 def act(kind, payload):
@@ -388,8 +389,9 @@ class TestTokens:
 
 # Fold property: three tasks, t1 -> t2, driven by generated solving actions.
 # Each op is (kind, task, fact sizes); calls and answers are drawn twice as
-# often as the rest, and a fact of 13,000 characters passes FOLD_CHARS alone,
-# so that a fifth to a third of the examples fold.
+# often as the rest. A fact of 13,000 characters passes either version's
+# FOLD_CHARS alone, one of 5,000 passes version 4's, so that a fifth to a
+# third of the examples fold in version 3, and more in version 4.
 FOLD_TASKS = ("t1", "t2", "t3")
 FOLD_EDGES = (("t1", "t2"),)
 fold_ops = st.lists(
@@ -424,16 +426,105 @@ def fold_actions(op, number):
     return [(act(ActionKind.REPLANNING, {"reason": f"r{number}", "tasks": tasks, "edges": edges}), None)]
 
 
+def applied(version, ops):
+    """(action, register before, register after) for each op's pair that the register accepts."""
+    register = init_register(intent(), build_plan([(t, f"do {t}") for t in FOLD_TASKS], FOLD_EDGES), version)
+    for number, op in enumerate(ops):
+        for action, output in fold_actions(op, number):
+            try:
+                after = apply_action(register, action, output)
+            except (RegisterError, PlanError):
+                continue
+            yield action, register, after
+            register = after
+
+
 def hidden_steps(register):
-    """Step indices of the entries the version 3 render leaves out."""
+    """Step indices of the entries the version 3 or 4 render leaves out."""
+    if register.version == 4:
+        return set(register.folded)
     answered = {tid for tid, node in register.plan.nodes.items() if node.status == ANSWERED}
-    return {e.step_index for e in register.tool_log if e.step_index <= register.folded_through and e.task_id in answered}
+    through = register.folded_through
+    return {e.step_index for e in register.tool_log if e.step_index <= through and e.task_id in answered}
 
 
-BIG = 5_000  # two facts of one task stay under FOLD_CHARS, four pass it
+def shown_steps(register):
+    """Step indices of the tool-log entries that the render shows."""
+    text = render_context(register, QUESTION, PROMPT)
+    return {e.step_index for e in register.tool_log if f"Step {e.step_index}: " in text}
+
+
+def persistent_tokens(register, version=None):
+    """``register_tokens`` of ``register``, rendered in ``version``'s layout if given."""
+    return register_tokens(replace(register, version=version or register.version), QUESTION, PROMPT)
+
+
+def check_render_is_v2_without_folded_entries(version, ops):
+    """The fold property of ``version`` over the generated ``ops``."""
+    tokens = None
+    for action, previous, register in applied(version, ops):
+        if tokens is None:
+            tokens = {v: persistent_tokens(previous, v) for v in (2, version)}
+        kind = action.kind
+        # a fold happens only on a task_answer that leaves a task open,
+        # once the answered entries still shown render to more than the
+        # version's FOLD_CHARS characters
+        answered = {tid for tid, node in register.plan.nodes.items() if node.status == ANSWERED}
+        if version == 3:  # entries up to the last fold count as shown no more
+            newly = [e for e in register.tool_log if e.step_index > previous.folded_through and e.task_id in answered]
+        else:
+            newly = [e for e in register.tool_log if e.step_index not in previous.folded and e.task_id in answered]
+        shown_chars = sum(len(line) for e in newly for line in e.rendered_lines)
+        folds = kind is ActionKind.TASK_ANSWER and not is_complete(register.plan) and shown_chars > FOLD_CHARS[version]
+        if version == 3:  # folded_through moves to the folding step
+            assert register.folded_through == (register.step if folds else previous.folded_through)
+            assert register.folded == frozenset()
+        else:  # the fold adds exactly the entries answered at it; a replan empties the log
+            steps = {e.step_index for e in newly} if folds else set()
+            old = set() if kind is ActionKind.REPLANNING else previous.folded
+            assert register.folded == old | steps
+            assert register.folded_through == 0
+        # the register keeps every entry; the render leaves out exactly the
+        # hidden ones and recomputes the markers over the entries it shows
+        hidden_at = hidden_steps(register)
+        hidden = [e for e in register.tool_log if e.step_index in hidden_at]
+        shown = tuple(e for e in register.tool_log if e.step_index not in hidden_at)
+        v2 = render_context(replace(register, version=2), QUESTION, PROMPT)
+        folded = render_context(register, QUESTION, PROMPT)
+        assert folded == render_context(replace(register, tool_log=shown, version=2), QUESTION, PROMPT)
+        hidden_lines = {line for e in hidden for line in e.rendered_lines} | {"  (no facts extracted)"}
+        if not shown:
+            hidden_lines.add("## Tool log")
+        assert set(v2.split("\n")) - set(folded.split("\n")) <= hidden_lines
+        assert not any(f"Step {e.step_index}: " in folded for e in hidden)
+        assert ("## Tool log" in folded) == bool(shown)
+        # only the folding versions shrink within a plan epoch: version 4
+        # after a fold; version 3 also when an answer hides a task's
+        # entries made up to the last fold
+        now = {v: persistent_tokens(register, v) for v in (2, version)}
+        if kind is not ActionKind.REPLANNING:
+            assert now[2] >= tokens[2]
+            if now[version] < tokens[version]:
+                again = version == 3 and kind is ActionKind.TASK_ANSWER and hidden_at - hidden_steps(previous)
+                assert folds or again
+        tokens = now
+
+
+BIG = 5_000  # two facts of one task stay under version 3's FOLD_CHARS, four pass it
+# A revisit across a fold and a re-answer, then the answer of a task open
+# at the fold. Version 3 folds t1 and shows its entry again after the
+# revisit; both later answers hide entries on a turn that is not a fold.
+REVISIT_ACROSS_A_FOLD = [
+    ("call", "t3", [10]), ("call", "t1", [13_000]), ("answer", "t1", []), ("revisit", "t1", []),
+    ("call", "t1", [10]), ("answer", "t1", []), ("answer", "t3", []),
+]
 
 
 class TestFold:
+    def test_thresholds_by_version(self):
+        # the trajectory version pins each threshold; versions 1 and 2 never fold
+        assert FOLD_CHARS == {3: 12_000, 4: 4_000}
+
     @settings(max_examples=150, deadline=None)
     @given(ops=fold_ops)
     # t1 and t3 cross FOLD_CHARS and fold while t2 is open; a revisit shows
@@ -445,94 +536,90 @@ class TestFold:
         ]
     )
     def test_v3_render_is_v2_without_folded_entries(self, ops):
-        register = init_register(intent(), build_plan([(t, f"do {t}") for t in FOLD_TASKS], FOLD_EDGES))
-        tokens = {version: register_tokens(register, QUESTION, PROMPT, version) for version in (2, 3)}
-        pairs = (pair for number, op in enumerate(ops) for pair in fold_actions(op, number))
-        for action, output in pairs:
-            previous = register
-            try:
-                register = apply_action(previous, action, output)
-            except (RegisterError, PlanError):
-                continue
-            kind = action.kind
-            # folded_through moves only on a task_answer that leaves a task
-            # open, to that step, once the answered entries still shown
-            # render to more than FOLD_CHARS characters
-            answered = {tid for tid, node in register.plan.nodes.items() if node.status == ANSWERED}
-            shown_chars = sum(
-                len(line)
-                for e in register.tool_log
-                if e.step_index > previous.folded_through and e.task_id in answered
-                for line in e.rendered_lines
-            )
-            folds = kind is ActionKind.TASK_ANSWER and not is_complete(register.plan) and shown_chars > FOLD_CHARS
-            assert register.folded_through == (register.step if folds else previous.folded_through)
-            # the register keeps every entry; v3 leaves out exactly the hidden
-            # ones and recomputes the markers over the entries it shows
-            hidden_at = hidden_steps(register)
-            hidden = [e for e in register.tool_log if e.step_index in hidden_at]
-            shown = tuple(e for e in register.tool_log if e.step_index not in hidden_at)
-            v2 = render_context(register, QUESTION, PROMPT, version=2)
-            v3 = render_context(register, QUESTION, PROMPT, version=3)
-            assert v3 == render_context(replace(register, tool_log=shown), QUESTION, PROMPT, version=2)
-            hidden_lines = {line for e in hidden for line in e.rendered_lines} | {"  (no facts extracted)"}
-            if not shown:
-                hidden_lines.add("## Tool log")
-            assert set(v2.split("\n")) - set(v3.split("\n")) <= hidden_lines
-            assert not any(f"Step {e.step_index}: " in v3 for e in hidden)
-            assert ("## Tool log" in v3) == bool(shown)
-            # only v3 shrinks within a plan epoch: after a fold, or when an
-            # answer hides a task's entries made up to the last fold
-            now = {version: register_tokens(register, QUESTION, PROMPT, version) for version in (2, 3)}
-            if kind is not ActionKind.REPLANNING:
-                assert now[2] >= tokens[2]
-                if now[3] < tokens[3]:
-                    assert folds or (kind is ActionKind.TASK_ANSWER and hidden_at - hidden_steps(previous))
-            tokens = now
+        check_render_is_v2_without_folded_entries(3, ops)
 
-    @pytest.mark.xfail(
-        strict=True,
-        reason="ROADMAP item 2: the v3 render hides entries up to folded_through whose task is answered "
-        "after the fold; the v4 fold hides only the entries answered when the fold happened",
+    @settings(max_examples=150, deadline=None)
+    @given(ops=fold_ops)
+    @example(ops=REVISIT_ACROSS_A_FOLD)
+    def test_v4_render_is_v2_without_folded_entries(self, ops):
+        check_render_is_v2_without_folded_entries(4, ops)
+
+    @pytest.mark.parametrize(
+        "version",
+        [
+            pytest.param(
+                3,
+                marks=pytest.mark.xfail(
+                    strict=True,
+                    reason="the v3 render hides entries up to folded_through whose task is answered "
+                    "after the fold; v3 recordings must replay as recorded, so only v4 has the fix",
+                ),
+            ),
+            4,
+        ],
     )
     @settings(max_examples=150, deadline=None)
     @given(ops=fold_ops)
-    # t1's entries fold while t2 is open; the revisit shows them again, and
-    # answering t1 again hides them on a turn that is not a fold.
+    # t1's entries fold while t2 is open; the revisit shows them again in
+    # v3, and answering t1 again hides them on a turn that is not a fold.
     @example(
         ops=[
             ("call", "t1", [BIG, BIG]), ("answer", "t1", []), ("call", "t3", [BIG, BIG]), ("call", "t2", []),
             ("answer", "t3", []), ("revisit", "t1", []), ("answer", "t1", []),
         ]
     )
-    def test_entries_leave_the_render_only_on_a_fold_or_a_replan(self, ops):
-        register = init_register(intent(), build_plan([(t, f"do {t}") for t in FOLD_TASKS], FOLD_EDGES))
-        pairs = (pair for number, op in enumerate(ops) for pair in fold_actions(op, number))
-        for action, output in pairs:
-            previous = register
-            try:
-                register = apply_action(previous, action, output)
-            except (RegisterError, PlanError):
+    @example(ops=REVISIT_ACROSS_A_FOLD)
+    def test_entries_leave_the_render_only_on_a_fold_or_a_replan(self, version, ops):
+        for action, previous, register in applied(version, ops):
+            fold = (register.folded_through, register.folded) != (previous.folded_through, previous.folded)
+            if action.kind is ActionKind.REPLANNING or fold:
                 continue
-            if action.kind is ActionKind.REPLANNING or register.folded_through != previous.folded_through:
-                continue
-            shown_before = {e.step_index for e in previous.tool_log} - hidden_steps(previous)
-            shown_now = {e.step_index for e in register.tool_log} - hidden_steps(register)
+            shown_before, shown_now = shown_steps(previous), shown_steps(register)
             assert shown_before <= shown_now, (action.kind, sorted(shown_before - shown_now))
 
+    def test_v4_answers_after_a_revisit_across_a_fold_hide_nothing(self):
+        turns = {version: list(applied(version, REVISIT_ACROSS_A_FOLD)) for version in (3, 4)}
+        kinds = [action.kind.value for action, _, _ in turns[4]]
+        assert kinds == ["tool_call", "doc_extraction"] * 2 + ["task_answer", "revisit_task"] + [
+            "tool_call", "doc_extraction", "task_answer", "task_answer"
+        ]
+        fold, revisit, reanswer, last = (turns[4][i][2] for i in (4, 5, 8, 9))
+        # both versions fold t1's entry (step 3) at step 5, while t3 is open
+        assert hidden_steps(fold) == {3} == hidden_steps(turns[3][4][2])
+        assert fold.folded == {3} and turns[3][4][2].folded_through == 5
+        # version 4 keeps it folded through the revisit; neither later
+        # answer hides an entry, so the input does not shrink on those turns
+        assert hidden_steps(revisit) == hidden_steps(reanswer) == hidden_steps(last) == {3}
+        for before, after in zip(turns[4][4:], turns[4][5:]):
+            assert persistent_tokens(after[2]) >= persistent_tokens(before[2])
+        # version 3 shows it again after the revisit, then hides it on the
+        # re-answer and t3's entry on the last answer, neither a fold
+        v3 = [after for _, _, after in turns[3]]
+        assert hidden_steps(v3[5]) == set() and hidden_steps(v3[8]) == {3} and hidden_steps(v3[9]) == {1, 3}
+        assert persistent_tokens(v3[8]) < persistent_tokens(v3[7])
+        assert persistent_tokens(v3[9]) < persistent_tokens(v3[8])
+
     def test_no_fold_without_an_open_task(self):
-        register = init_register(intent(), build_plan([("t1", "a"), ("t2", "b")], []))
-        for task_id in ("t1", "t2"):
-            register = apply_action(register, tool_call(task_id), result())
-            facts = ["x" * FOLD_CHARS]
-            register = apply_action(
-                register, act(ActionKind.DOC_EXTRACTION, {"task_id": task_id, "facts": facts, "source_ids": []})
-            )
-            register = apply_action(register, answer(task_id, "done"))
-        # t1's answer folded its entry while t2 was open; t2's did not fold
-        assert register.folded_through == 3
-        text = render_context(register, QUESTION, PROMPT)
-        assert "Step 1: " not in text and "Step 4: " in text
+        for version in (3, 4):
+            register = init_register(intent(), build_plan([("t1", "a"), ("t2", "b")], []), version)
+            for task_id in ("t1", "t2"):
+                register = apply_action(register, tool_call(task_id), result())
+                facts = ["x" * FOLD_CHARS[version]]
+                register = apply_action(
+                    register, act(ActionKind.DOC_EXTRACTION, {"task_id": task_id, "facts": facts, "source_ids": []})
+                )
+                register = apply_action(register, answer(task_id, "done"))
+            # t1's answer folded its entry while t2 was open; t2's did not fold
+            assert hidden_steps(register) == {1}, version
+            text = render_context(register, QUESTION, PROMPT)
+            assert "Step 1: " not in text and "Step 4: " in text
+
+    @pytest.mark.parametrize("version", (1, 2))
+    def test_versions_1_and_2_never_fold(self, version):
+        ops = [("call", "t1", [13_000, 13_000]), ("answer", "t1", []), ("call", "t3", [10])]
+        *_, (_, _, register) = applied(version, ops)
+        assert (register.folded_through, register.folded) == (0, frozenset())
+        assert "Step 1: " in render_context(register, QUESTION, PROMPT)
 
 
 class TestSnapshots:

@@ -25,8 +25,6 @@ from dagsearch.trajectory import (
     TrajectoryError,
     UnfilteredInput,
     acc_score,
-    cache_ratio,
-    context_compactness,
     context_curve,
     export_sft,
     load_trajectories,
@@ -46,6 +44,7 @@ from helpers import (
     run_two_hop,
     run_twenty_turn,
 )
+from oracles import cache_ratio, context_compactness
 
 K = ActionKind
 
@@ -395,7 +394,7 @@ class TestPersistence:
         assert loaded.prompts == result.trajectory.prompts
         assert loaded.config == result.trajectory.config
 
-    @given(steps=delta_steps(), version=st.sampled_from([1, 2, 3]))
+    @given(steps=delta_steps(), version=st.sampled_from([1, 2, 3, 4]))
     @example(steps=[("solving", "A\nB\nC"), ("solving", "A\nB")], version=2)
     @example(steps=[("solving", ""), ("solving", "")], version=2)
     @example(steps=[("planning", "P\n"), ("solving", "P\n\n"), ("solving", "P\n\n")], version=2)
@@ -426,7 +425,7 @@ class TestPersistence:
         with open(path, encoding="utf-8") as handle:
             assert json.loads(handle.readline())["version"] == version
 
-    @pytest.mark.parametrize("version", [0, 4])
+    @pytest.mark.parametrize("version", [0, 5])
     def test_unknown_version_rejected(self, tmp_path, version):
         path = tmp_path / "future.jsonl"
         Trajectory(question="q?").save(path)
@@ -462,7 +461,7 @@ class TestPersistence:
             assert [(step["state_shared"], step["state"]) for step in steps] == _line_deltas(states)
             assert [step.state for step in Trajectory.load(path).steps] == states
 
-    @given(delta_state_sequences, st.sampled_from([2, 3]))
+    @given(delta_state_sequences, st.sampled_from([2, 3, 4]))
     @example(["a\nb", "a\nb\nc", "a\nb\nc", "a"], 2)
     def test_inputs_share_the_lines_before_their_first_change(self, states, version):
         # Counted as a run counts them, then saved and loaded: each input's
