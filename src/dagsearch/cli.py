@@ -17,13 +17,11 @@ from .trajectory import (
     EvalRecord,
     RunConfig,
     Trajectory,
-    context_curve,
     export_sft,
     load_trajectories,
     rft_filter,
-    write_cache_ratios,
-    write_context_curve,
     write_eval_report,
+    write_stats,
 )
 
 logger = logging.getLogger(__name__)
@@ -211,21 +209,21 @@ def _cmd_export(args: argparse.Namespace) -> int:
     gold = {
         record["question_id"]: record["answers"] for record in _load_dataset(args.gold)
     }
-    trajectories = load_trajectories(args.trajectories)
-    accepted, rejected = [], []
-    for trajectory in trajectories:
-        answers = gold.get(trajectory.question_id, [])
-        reason = rft_filter(trajectory, answers)
-        if reason is None:
-            accepted.append(trajectory)
-        else:
-            rejected.append((trajectory.question_id, reason))
-    count = export_sft(accepted, args.out)
+    reasons = []  # (question_id, rejection reason or None), one per trajectory
+
+    def accepted(trajectory: Trajectory) -> bool:
+        reason = rft_filter(trajectory, gold.get(trajectory.question_id, []))
+        reasons.append((trajectory.question_id, reason))
+        return reason is None
+
+    count = export_sft(filter(accepted, load_trajectories(args.trajectories)), args.out)
+    rejected = [(question_id, reason) for question_id, reason in reasons if reason]
+    kept = len(reasons) - len(rejected)
     print(
-        f"exported {count} state-action pairs from {len(accepted)} accepted "
+        f"exported {count} state-action pairs from {kept} accepted "
         f"trajectories ({len(rejected)} rejected)"
     )
-    if not accepted:
+    if not kept:
         print("warning: no trajectories passed the rejection filter")
     for question_id, reason in rejected:
         logger.info("rejected %s: %s", question_id, reason)
@@ -233,12 +231,10 @@ def _cmd_export(args: argparse.Namespace) -> int:
 
 
 def _cmd_stats(args: argparse.Namespace) -> int:
-    trajectories = load_trajectories(args.trajectories)
-    if not trajectories:
+    runs = write_stats(load_trajectories(args.trajectories), args.curve_out, args.cache_out, args.min_runs)
+    if not runs:
         print("warning: no trajectories found")
-    write_context_curve(context_curve(trajectories, min_runs=args.min_runs), args.curve_out)
-    write_cache_ratios(trajectories, args.cache_out)
-    print(f"wrote {args.curve_out} and {args.cache_out} for {len(trajectories)} run(s)")
+    print(f"wrote {args.curve_out} and {args.cache_out} for {runs} run(s)")
     return 0
 
 

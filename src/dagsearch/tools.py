@@ -11,6 +11,7 @@ import hashlib
 import json
 import logging
 import os
+import re
 import time
 from array import array
 from dataclasses import dataclass, field
@@ -45,14 +46,21 @@ class located:
             raise error from None
 
 
+# A lone surrogate: JSON can escape one, but it is not Unicode, so UTF-8
+# cannot encode it. Only a line holding a surrogate's escape can hold one.
+_SURROGATE_RE = re.compile("[\ud800-\udfff]")
+_SURROGATE_ESCAPE_RE = re.compile(rb"\\u[dD][89a-fA-F]")
+
+
 def read_json(
-    path: str | Path, check: Callable[[dict], None] | None = None, *, lines: bool = True
+    path: str | Path, check: Callable[[dict], None] | None = None, *, lines: bool = True, surrogates: bool = True
 ) -> Iterator[tuple[int, dict]]:
     """The objects of a JSON Lines file, or of a JSON file's one document (line 0), as (line, object) pairs.
 
     Blank lines are skipped. Bytes that are not UTF-8, and text that is not
     JSON, not a JSON object, or that ``check`` rejects, are an InputError
-    naming the file and line.
+    naming the file and line. Without ``surrogates``, so is a string holding
+    a lone surrogate.
     """
     with open(path, "rb") as handle, located(path) as place:
         for number, data in enumerate(handle, start=1) if lines else [(0, handle.read())]:
@@ -61,7 +69,7 @@ def read_json(
                 text = data.decode("utf-8")
             except UnicodeDecodeError as exc:
                 raise InputError(f"not UTF-8: {exc}") from None
-            if lines and not text.strip():
+            if lines and text.isspace():  # a line read from a file is never empty
                 continue
             try:
                 record = json.loads(text)
@@ -69,6 +77,12 @@ def read_json(
                 raise InputError(f"not JSON: {exc}") from None
             if type(record) is not dict:
                 raise InputError("not a JSON object")
+            if (
+                not surrogates
+                and _SURROGATE_ESCAPE_RE.search(data)
+                and _SURROGATE_RE.search(json.dumps(record, ensure_ascii=False))
+            ):
+                raise InputError("holds a lone surrogate (U+D800-U+DFFF), which is not Unicode")
             if check:
                 check(record)
             yield number, record

@@ -12,10 +12,13 @@ import json
 import math
 import os
 import re
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field
-from itertools import chain
+from functools import partial
+from itertools import chain, count
+from json.encoder import encode_basestring
 from pathlib import Path
-from typing import Any, Iterable, Mapping, Sequence
+from typing import IO, Any, Iterable, Iterator, Mapping, Sequence
 
 from .protocol import ActionKind, subspace_of
 from .register import LineTokenCounter, common_prefix_length, default_tokenizer
@@ -178,37 +181,30 @@ class Trajectory:
     # A loaded step's shared lines are the previous step's own strings.
 
     def save(self, path: str | Path) -> None:
-        """Write this trajectory in its own ``version``'s encoding, atomically.
-
-        It is written under a temporary name that ``load_trajectories`` never
-        reads, then renamed onto ``path``, so a failed save changes no file.
-        """
+        """Write this trajectory in its own ``version``'s encoding, atomically (see ``atomic_write``)."""
         _check_version(self.version)
         header = {"record": "trajectory", "version": self.version}
         header.update((name, getattr(self, name)) for name in _HEADER_FIELDS)
         header["config"] = asdict(self.config)
         previous: tuple[str, ...] = ()  # the first step shares no line
-        temporary = Path(f"{path}.{os.getpid()}.tmp")
-        try:
-            with open(temporary, "w", encoding="utf-8") as handle:
-                handle.write(json.dumps(header, ensure_ascii=False, sort_keys=True) + "\n")
-                for step in self.steps:
-                    line = {"record": "step"}
-                    shared = 0
-                    if self.version >= 2:
-                        shared = min(common_prefix_length(previous, step.lines), len(step.lines) - 1)
-                        line["state_shared"], previous = shared, step.lines
-                    line.update(step.to_dict(shared))
-                    handle.write(json.dumps(line, ensure_ascii=False, sort_keys=True) + "\n")
-            os.replace(temporary, path)
-        except BaseException:
-            temporary.unlink(missing_ok=True)
-            raise
+        with atomic_write(path) as handle:
+            handle.write(json.dumps(header, ensure_ascii=False, sort_keys=True) + "\n")
+            for step in self.steps:
+                line = {"record": "step"}
+                shared = 0
+                if self.version >= 2:
+                    shared = min(common_prefix_length(previous, step.lines), len(step.lines) - 1)
+                    line["state_shared"], previous = shared, step.lines
+                line.update(step.to_dict(shared))
+                handle.write(json.dumps(line, ensure_ascii=False, sort_keys=True) + "\n")
 
     @classmethod
     def load(cls, path: str | Path) -> "Trajectory":
-        """Read a trajectory file; a structurally bad line, or a bad run setting, is an InputError naming it."""
-        records = read_json(path, _check_record)
+        """Read a trajectory file; a structurally bad line, or a bad run setting, is an InputError naming it.
+
+        So is a string holding a lone surrogate, which no UTF-8 output could hold.
+        """
+        records = read_json(path, _check_record, surrogates=False)
         number, header = next(records, (0, {}))
         if header.get("record") != "trajectory":
             raise TrajectoryError(f"{path} is not a trajectory file")
@@ -275,9 +271,37 @@ def _check_version(version: object) -> None:
         raise TrajectoryError(f"unsupported trajectory version: {version}")
 
 
-def load_trajectories(directory: str | Path) -> list[Trajectory]:
-    paths = sorted(Path(directory).glob("*.jsonl"))
-    return [Trajectory.load(path) for path in paths]
+def load_trajectories(directory: str | Path) -> Iterator[Trajectory]:
+    """The trajectories of a directory's ``*.jsonl`` files, read one at a time in path order."""
+    for path in sorted(Path(directory).glob("*.jsonl")):
+        yield Trajectory.load(path)
+
+
+# Each write's own temporary name: two outputs of one command may be given one path.
+_TEMPORARY_NAMES = count()
+
+
+@contextmanager
+def atomic_write(path: str | Path, binary: bool = False) -> Iterator[IO]:
+    """A new file to write ``path``'s content to; it replaces ``path`` only if the block succeeds.
+
+    The file is written under a temporary name of its own, which
+    ``load_trajectories`` never reads, then renamed onto ``path``, so a
+    failed write changes no file and leaves no temporary one. Text is UTF-8,
+    with newlines written as given.
+    """
+    temporary = Path(f"{path}.{os.getpid()}.{next(_TEMPORARY_NAMES)}.tmp")
+    try:
+        handle = open(temporary, "wb") if binary else open(temporary, "w", encoding="utf-8", newline="")
+    except OSError as exc:  # name the output, not the temporary file
+        raise OSError(exc.errno, exc.strerror, str(path)) from None
+    try:
+        with handle:
+            yield handle
+        os.replace(temporary, path)
+    except BaseException:
+        temporary.unlink(missing_ok=True)
+        raise
 
 
 # ---------------------------------------------------------------------------
@@ -351,32 +375,50 @@ def rft_filter(trajectory: Trajectory, gold_answers: Iterable[str]) -> str | Non
     return fault
 
 
-def export_sft(trajectories: Sequence[Trajectory], out_path: str | Path) -> int:
+def export_sft(trajectories: Iterable[Trajectory], out_path: str | Path) -> int:
     """Write one JSONL record per state-action pair; returns the pair count.
 
     Callers must pass trajectories already accepted by rft_filter. Structural
-    cleanliness is re-verified here (answer correctness needs the gold set
-    and stays the caller's responsibility).
+    cleanliness is re-verified here, for each trajectory before its first
+    record (answer correctness needs the gold set and stays the caller's
+    responsibility). Trajectories are read one at a time, and the corpus
+    replaces ``out_path`` only once all are written (``atomic_write``).
     """
-    for trajectory in trajectories:
-        if _structural_fault(trajectory) is not None:
-            raise UnfilteredInput(
-                f'trajectory "{trajectory.question_id or trajectory.question}" '
-                "was not accepted by the rejection filter"
-            )
-    count = 0
-    with open(out_path, "w", encoding="utf-8") as handle:
-        for trajectory in trajectories:
-            for step in trajectory.steps:
-                record = {
-                    "question_id": trajectory.question_id,
-                    "step_index": step.index,
-                    "state": step.state,
-                    "action_raw_text": step.raw_text,
-                }
-                handle.write(json.dumps(record, ensure_ascii=False, sort_keys=True) + "\n")
-                count += 1
-    return count
+    with atomic_write(out_path, binary=True) as handle:
+        # map, not a for loop: a loop variable would hold each trajectory
+        # while the next one is read.
+        return sum(map(partial(_write_pairs, handle), trajectories))
+
+
+def _write_pairs(handle: IO[bytes], trajectory: Trajectory) -> int:
+    """Write a trajectory's records; returns how many.
+
+    Each is ``json.dumps(record, ensure_ascii=False, sort_keys=True)`` to the
+    byte, built from UTF-8 JSON escapes. A state's leading lines that are
+    the previous step's reuse that step's escapes, so only the lines after
+    them are escaped.
+    """
+    if _structural_fault(trajectory) is not None:
+        raise UnfilteredInput(
+            f'trajectory "{trajectory.question_id or trajectory.question}" was not accepted by the rejection filter'
+        )
+    question_id = _json_string(trajectory.question_id)
+    lines: tuple[str, ...] = ()
+    escaped: list[bytes] = []  # each of ``lines``, escaped, without its quotes
+    for step in trajectory.steps:
+        shared = common_prefix_length(lines, step.lines)
+        escaped[shared:] = [_json_string(line)[1:-1] for line in step.lines[shared:]]
+        lines = step.lines
+        raw_text = _json_string(step.raw_text)
+        handle.write(b'{"action_raw_text": %b, "question_id": %b, "state": "' % (raw_text, question_id))
+        handle.write(b"\\n".join(escaped))
+        handle.write(b'", "step_index": %d}\n' % step.index)
+    return len(trajectory.steps)
+
+
+def _json_string(text: str) -> bytes:
+    """``text`` as ``json.dumps(text, ensure_ascii=False)`` writes it, in UTF-8."""
+    return encode_basestring(text).encode("utf-8")
 
 
 # ---------------------------------------------------------------------------
@@ -433,30 +475,31 @@ class TurnPoint:
     flagged: bool
 
 
-def context_curve(
-    trajectories: Sequence[Trajectory], min_runs: int = 3
-) -> list[TurnPoint]:
+def context_curve(trajectories: Iterable[Trajectory], min_runs: int = 3) -> list[TurnPoint]:
     """Per-turn mean context length over solving steps, with sample sizes.
 
-    Turns contributed by fewer than ``min_runs`` runs are flagged: tail means
-    over few runs are outlier-dominated and should be read with care.
+    One pass, keeping per-turn sums and counts, so the trajectories may be
+    read one at a time. Turns contributed by fewer than ``min_runs`` runs are
+    flagged: tail means over few runs are outlier-dominated and should be
+    read with care.
     """
-    by_turn: dict[int, list[int]] = {}
-    for trajectory in trajectories:
-        for turn, step in enumerate(trajectory.solving_steps(), start=1):
-            by_turn.setdefault(turn, []).append(step.token_count)
-    curve = []
-    for turn in sorted(by_turn):
-        counts = by_turn[turn]
-        curve.append(
-            TurnPoint(
-                turn=turn,
-                mean_tokens=sum(counts) / len(counts),
-                n=len(counts),
-                flagged=len(counts) < min_runs,
-            )
-        )
-    return curve
+    sums: list[int] = []
+    counts: list[int] = []
+
+    def add(trajectory: Trajectory) -> None:
+        for turn, step in enumerate(trajectory.solving_steps()):
+            if turn == len(sums):
+                sums.append(0)
+                counts.append(0)
+            sums[turn] += step.token_count
+            counts[turn] += 1
+
+    for _ in map(add, trajectories):  # map: see export_sft
+        pass
+    return [
+        TurnPoint(turn=turn, mean_tokens=total / n, n=n, flagged=n < min_runs)
+        for turn, (total, n) in enumerate(zip(sums, counts), start=1)
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -490,7 +533,7 @@ class EvalRecord:
 
 
 def write_eval_report(records: Sequence[EvalRecord], out_path: str | Path) -> None:
-    with open(out_path, "w", encoding="utf-8", newline="") as handle:
+    with atomic_write(out_path) as handle:
         writer = csv.writer(handle)
         writer.writerow(
             ["question_id", "acc", "turns", "final_context_tokens", "mean_cache_ratio", "outcome"]
@@ -508,19 +551,30 @@ def write_eval_report(records: Sequence[EvalRecord], out_path: str | Path) -> No
             )
 
 
-def write_context_curve(curve: Sequence[TurnPoint], out_path: str | Path) -> None:
-    with open(out_path, "w", encoding="utf-8", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["turn", "mean_tokens", "n", "low_sample"])
-        for point in curve:
-            writer.writerow([point.turn, f"{point.mean_tokens:.2f}", point.n, int(point.flagged)])
+def write_stats(
+    trajectories: Iterable[Trajectory], curve_path: str | Path, cache_path: str | Path, min_runs: int = 3
+) -> int:
+    """Write the context-curve and cache-ratio CSVs in one pass; returns the number of runs read.
 
+    The curve has one row per solving turn (see ``context_curve``); the
+    cache ratios one row per (run, turn) from turn 2 on, written as each run
+    is read. Neither file is replaced unless every run is read
+    (``atomic_write``).
+    """
+    runs = 0
+    with atomic_write(cache_path) as cache_file, atomic_write(curve_path) as curve_file:
+        cache = csv.writer(cache_file)
+        cache.writerow(["question_id", "turn", "cache_ratio"])
 
-def write_cache_ratios(trajectories: Sequence[Trajectory], out_path: str | Path) -> None:
-    """Per-turn cache ratios, one row per (run, turn), plot-ready."""
-    with open(out_path, "w", encoding="utf-8", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["question_id", "turn", "cache_ratio"])
-        for trajectory in trajectories:
+        def with_cache_rows(trajectory: Trajectory) -> Trajectory:
+            nonlocal runs
+            runs += 1
             for turn, ratio in enumerate(step_cache_ratios(trajectory), start=2):
-                writer.writerow([trajectory.question_id, turn, f"{ratio:.4f}"])
+                cache.writerow([trajectory.question_id, turn, f"{ratio:.4f}"])
+            return trajectory
+
+        curve = csv.writer(curve_file)
+        curve.writerow(["turn", "mean_tokens", "n", "low_sample"])
+        for point in context_curve(map(with_cache_rows, trajectories), min_runs):
+            curve.writerow([point.turn, f"{point.mean_tokens:.2f}", point.n, int(point.flagged)])
+    return runs

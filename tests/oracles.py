@@ -6,8 +6,9 @@ them, and the acceptance criteria are stated in their terms.
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass, replace
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from dagsearch.plan import build_plan
 from dagsearch.protocol import Action, ActionKind, IntentPayload
@@ -71,6 +72,20 @@ def cache_ratio(prev_tokens: Sequence, cur_tokens: Sequence) -> float:
             break
         shared += 1
     return shared / len(cur_tokens)
+
+
+def sft_corpus(trajectories: Iterable[Trajectory]) -> bytes:
+    """The SFT corpus as ``json.dumps`` writes it: one record per step, each state joined whole."""
+    return "".join(
+        json.dumps(
+            {"question_id": t.question_id, "step_index": s.index, "state": s.state, "action_raw_text": s.raw_text},
+            ensure_ascii=False,
+            sort_keys=True,
+        )
+        + "\n"
+        for t in trajectories
+        for s in t.steps
+    ).encode("utf-8")
 
 
 def naive_transcript(trajectory: Trajectory) -> str:

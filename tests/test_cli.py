@@ -1,10 +1,12 @@
 import contextlib
 import csv
+import gc
 import hashlib
 import io
 import json
 import shutil
 import tempfile
+import tracemalloc
 import weakref
 from pathlib import Path
 
@@ -18,7 +20,7 @@ from dagsearch.backend import ScriptedBackend
 from dagsearch.cli import main
 from dagsearch.tools import FixtureSearchTool, load_corpus
 from dagsearch.trajectory import Trajectory
-from helpers import DATA_DIR, TWO_HOP_GOLD, TWO_HOP_QUESTION, brute_force_search
+from helpers import DATA_DIR, TWENTY_TURN_GOLD, TWO_HOP_GOLD, TWO_HOP_QUESTION, brute_force_search, run_twenty_turn
 
 
 @pytest.fixture
@@ -575,6 +577,10 @@ def task_answer_with_tool_result(records):
     records[5]["tool_result"] = {"documents": [], "raw": None}
 
 
+def lone_surrogate(records):
+    records[2]["state"] += "\ud800"
+
+
 def fixture_records(name):
     return [json.loads(text) for text in (DATA_DIR / name).read_text().splitlines()]
 
@@ -603,6 +609,7 @@ def fixture_records(name):
         (tool_call_without_tool_name, 4, 'field "payload" of a tool_call step has no string "tool_name"'),
         (tool_call_without_tool_result, 4, 'field "tool_result" is null on a tool_call step'),
         (task_answer_with_tool_result, 6, 'field "tool_result" is set on a task_answer step'),
+        (lone_surrogate, 3, "holds a lone surrogate (U+D800-U+DFFF), which is not Unicode"),
     ],
     ids=[
         "version",
@@ -626,6 +633,7 @@ def fixture_records(name):
         "tool-call-without-tool-name",
         "tool-call-without-tool-result",
         "task-answer-with-tool-result",
+        "lone-surrogate",
     ],
 )
 @pytest.mark.parametrize("command", ["replay", "stats", "export"])
@@ -634,6 +642,8 @@ def test_malformed_trajectory_file_exits_2_naming_the_line(tmp_path, capsys, com
     corrupt(records)
     runs = tmp_path / "runs"
     runs.mkdir()
+    # a good run, read and written out before the bad one
+    shutil.copy(DATA_DIR / "two_hop_trajectory_v2.jsonl", runs / "a.jsonl")
     path = runs / "bad.jsonl"
     path.write_text("".join(json.dumps(record) + "\n" for record in records))
     if command == "replay":
@@ -642,10 +652,27 @@ def test_malformed_trajectory_file_exits_2_naming_the_line(tmp_path, capsys, com
         argv = ["stats", "--trajectories", str(runs), "--curve-out", str(tmp_path / "c.csv")]
         argv += ["--cache-out", str(tmp_path / "r.csv")]
     else:
-        argv = ["export", "--trajectories", str(runs), "--gold", str(DATA_DIR / "eval_dataset.jsonl")]
-        argv += ["--out", str(tmp_path / "sft.jsonl")]
+        gold = tmp_path / "gold.jsonl"
+        gold.write_text(json.dumps({"question_id": "two-hop-www", "question": "q", "answers": TWO_HOP_GOLD}))
+        argv = ["export", "--trajectories", str(runs), "--gold", str(gold), "--out", str(tmp_path / "sft.jsonl")]
+    outputs = write_old_outputs(tmp_path, "c.csv", "r.csv", "sft.jsonl")
     assert main(argv) == 2
     assert capsys.readouterr().err == f"error: {path} line {line}: {problem}\n"
+    assert_unchanged(tmp_path, outputs)
+
+
+def write_old_outputs(directory, *names):
+    """Give each output a previous content; returns it by path."""
+    outputs = {directory / name: f"previous {name}\n".encode() for name in names}
+    for path, content in outputs.items():
+        path.write_bytes(content)
+    return outputs
+
+
+def assert_unchanged(directory, outputs):
+    """A failed command changed no output and left no temporary file."""
+    assert {path: path.read_bytes() for path in outputs} == outputs
+    assert list(directory.rglob("*.tmp")) == []
 
 
 def test_stats_names_the_run_and_step_of_an_input_with_no_tokens(tmp_path, capsys):
@@ -655,10 +682,66 @@ def test_stats_names_the_run_and_step_of_an_input_with_no_tokens(tmp_path, capsy
     runs = tmp_path / "runs"
     runs.mkdir()
     (runs / "blank.jsonl").write_text("".join(json.dumps(record) + "\n" for record in records))
+    outputs = write_old_outputs(tmp_path, "c.csv", "r.csv")
     argv = ["stats", "--trajectories", str(runs), "--curve-out", str(tmp_path / "c.csv")]
     assert main(argv + ["--cache-out", str(tmp_path / "r.csv")]) == 2
     step = solving[2]["index"]
     assert capsys.readouterr().err == f'error: trajectory "two-hop-www" step {step}: current token sequence is empty\n'
+    assert_unchanged(tmp_path, outputs)
+
+
+def test_stats_into_one_path_for_both_outputs_leaves_the_cache_ratios(tmp_path, capsys):
+    runs = tmp_path / "runs"
+    runs.mkdir()
+    shutil.copy(DATA_DIR / "two_hop_trajectory_v1.jsonl", runs)
+    both = tmp_path / "both.csv"
+    assert main(["stats", "--trajectories", str(runs), "--curve-out", str(both), "--cache-out", str(both)]) == 0
+    # the curve is renamed into place first, then the cache ratios replace it
+    assert both.read_bytes().startswith(b"question_id,turn,cache_ratio\r\n")
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["both.csv", "runs"]
+
+
+def test_stats_into_a_missing_directory_names_the_output(tmp_path, capsys):
+    runs = tmp_path / "runs"
+    runs.mkdir()
+    shutil.copy(DATA_DIR / "two_hop_trajectory_v1.jsonl", runs)
+    outputs = write_old_outputs(tmp_path, "r.csv")
+    curve = tmp_path / "missing" / "c.csv"
+    argv = ["stats", "--trajectories", str(runs), "--curve-out", str(curve), "--cache-out", str(tmp_path / "r.csv")]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"error: [Errno 2] No such file or directory: '{curve}'\n"
+    assert_unchanged(tmp_path, outputs)
+
+
+def test_stats_and_export_hold_one_trajectory_at_a_time(tmp_path, capsys):
+    trajectory = run_twenty_turn().trajectory
+    gold = tmp_path / "gold.jsonl"
+    gold.write_text(json.dumps({"question_id": trajectory.question_id, "question": "q", "answers": TWENTY_TURN_GOLD}))
+
+    def peaks(copies, name):
+        runs = tmp_path / name
+        runs.mkdir()
+        for copy in range(copies):
+            trajectory.save(runs / f"{copy:02d}.jsonl")
+        stats = ["stats", "--trajectories", str(runs), "--curve-out", str(tmp_path / "c.csv")]
+        stats += ["--cache-out", str(tmp_path / "r.csv")]
+        export = ["export", "--trajectories", str(runs), "--gold", str(gold), "--out", str(tmp_path / "sft.jsonl")]
+        measured = []
+        for argv in (stats, export):
+            gc.collect()
+            tracemalloc.start()
+            try:
+                assert main(argv) == 0
+                measured.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert f"from {copies} accepted" in capsys.readouterr().out
+        return measured
+
+    peaks(1, "warm-up")  # the first calls also fill caches that later calls reuse
+    one = peaks(1, "one")
+    twenty = peaks(20, "twenty")
+    assert all(many < 2 * single for single, many in zip(one, twenty)), (one, twenty)
 
 
 @pytest.mark.parametrize("value", ["9", True, 0], ids=["string", "boolean", "zero"])

@@ -31,12 +31,12 @@ from dagsearch.trajectory import (
     normalize_answer,
     rft_filter,
     step_cache_ratios,
-    write_cache_ratios,
-    write_context_curve,
     write_eval_report,
+    write_stats,
 )
 from helpers import (
     COMPLIANT_KINDS,
+    DATA_DIR,
     acc_oracle,
     changed_tails,
     lines_to_tokenize,
@@ -44,7 +44,7 @@ from helpers import (
     run_two_hop,
     run_twenty_turn,
 )
-from oracles import cache_ratio, context_compactness
+from oracles import cache_ratio, context_compactness, sft_corpus
 
 K = ActionKind
 
@@ -302,6 +302,35 @@ class TestRftFilter:
         assert rft_filter(result.trajectory, ["1096"]) is None
 
 
+# Every character JSON escapes, the line separators it does not, non-BMP
+# characters and plain text; an empty line is an empty list of pieces.
+_EXPORT_TEXT = st.lists(
+    st.sampled_from(['"', "\\", "\x7f", "\u2028", "\u2029", "\U0001f600", "\U0010ffff", "é", "abc", " "])
+    | st.characters(max_codepoint=0x1F),
+    max_size=5,
+).map("".join)
+
+
+@st.composite
+def exported_trajectories(draw):
+    """Accepted trajectories whose steps share leading lines, as loaded, or hold equal copies, as in version 1."""
+    trajectories = []
+    for number in range(draw(st.integers(1, 3))):
+        trajectory = make_trajectory(COMPLIANT_KINDS)
+        lines: tuple[str, ...] = ()
+        steps = []
+        for step in trajectory.steps:
+            shared = draw(st.integers(0, len(lines)))
+            head = lines[:shared]
+            if draw(st.booleans()):  # equal lines that are other objects
+                head = tuple("".join(list(line)) for line in head)
+            lines = head + tuple(draw(st.lists(_EXPORT_TEXT, max_size=3)))
+            steps.append(replace(step, lines=lines, raw_text=draw(_EXPORT_TEXT)))
+        question_id = draw(_EXPORT_TEXT) + str(number)
+        trajectories.append(replace(trajectory, question_id=question_id, steps=steps))
+    return trajectories
+
+
 class TestExport:
     def test_record_count_matches_steps(self, tmp_path):
         trajectory = make_trajectory(COMPLIANT_KINDS)
@@ -323,6 +352,7 @@ class TestExport:
         bad = make_trajectory(COMPLIANT_KINDS, retries_at=(4,))
         with pytest.raises(UnfilteredInput):
             export_sft([good, bad], tmp_path / "corpus.jsonl")
+        assert list(tmp_path.iterdir()) == []  # not even the good run's records
 
     def test_count_is_sum_over_trajectories(self, tmp_path):
         long_kinds = [
@@ -338,6 +368,19 @@ class TestExport:
         trajectories = [make_trajectory(COMPLIANT_KINDS), make_trajectory(long_kinds)]
         count = export_sft(trajectories, tmp_path / "corpus.jsonl")
         assert count == len(COMPLIANT_KINDS) + len(long_kinds)
+
+    @settings(max_examples=200, deadline=None)
+    @given(exported_trajectories())
+    def test_export_equals_json_dumps_of_each_record(self, trajectories):
+        with tempfile.TemporaryDirectory() as directory:
+            out = Path(directory) / "corpus.jsonl"
+            assert export_sft(iter(trajectories), out) == sum(len(t.steps) for t in trajectories)
+            assert out.read_bytes() == sft_corpus(trajectories)
+
+    def test_export_of_the_fixtures_equals_json_dumps(self, tmp_path):
+        trajectories = [Trajectory.load(path) for path in sorted(DATA_DIR.glob("*trajectory*.jsonl"))]
+        export_sft(trajectories, tmp_path / "corpus.jsonl")
+        assert (tmp_path / "corpus.jsonl").read_bytes() == sft_corpus(trajectories)
 
 
 class TestContextCurve:
@@ -535,10 +578,20 @@ class TestPersistence:
             Trajectory.load(path)
 
     def test_load_directory(self, tmp_path):
-        result = run_two_hop()
-        result.trajectory.save(tmp_path / "a.jsonl")
-        result.trajectory.save(tmp_path / "b.jsonl")
-        assert len(load_trajectories(tmp_path)) == 2
+        trajectory = run_two_hop().trajectory
+        for name in ("b", "a", "c"):
+            replace(trajectory, question_id=name).save(tmp_path / f"{name}.jsonl")
+        (tmp_path / "notes.txt").write_text("not a trajectory")
+        assert [loaded.question_id for loaded in load_trajectories(tmp_path)] == ["a", "b", "c"]
+
+    def test_load_directory_reads_one_file_at_a_time(self, tmp_path):
+        trajectory = run_two_hop().trajectory
+        trajectory.save(tmp_path / "a.jsonl")
+        (tmp_path / "b.jsonl").write_text('{"record": "other"}\n')
+        loaded = load_trajectories(tmp_path)
+        assert next(loaded).steps == trajectory.steps
+        with pytest.raises(TrajectoryError, match="b.jsonl is not a trajectory file"):
+            next(loaded)
 
     def test_non_trajectory_file_rejected(self, tmp_path):
         path = tmp_path / "bogus.jsonl"
@@ -647,10 +700,10 @@ class TestEvalRecords:
             rows = list(csv.DictReader(handle))
         assert rows[0]["acc"] == "1"
         curve_path = tmp_path / "curve.csv"
-        write_context_curve(context_curve([result.trajectory], min_runs=1), curve_path)
+        cache_path = tmp_path / "cache.csv"
+        assert write_stats(iter([result.trajectory]), curve_path, cache_path, min_runs=1) == 1
         with curve_path.open(encoding="utf-8") as handle:
             assert len(list(csv.DictReader(handle))) == 7
-        cache_path = tmp_path / "cache.csv"
-        write_cache_ratios([result.trajectory], cache_path)
         with cache_path.open(encoding="utf-8") as handle:
             assert len(list(csv.DictReader(handle))) == 6
+        assert sorted(path.name for path in tmp_path.iterdir()) == ["cache.csv", "curve.csv", "report.csv"]
