@@ -125,19 +125,15 @@ class LineTokenCounter:
     (``totals[i]``: tokens in the first ``i`` lines). A new text is split
     only from the line holding its first differing character on; the whole
     lines before that are the previous ``lines``' own strings, and their
-    count, ``head``, is a running total. Each line from there on takes the
-    count of an equal line in the previous text's lines from there on, and
-    only the lines missing there are tokenized. ``tails`` keeps both texts'
-    lines from the first changed one on, so that ``head`` and ``tails``
-    give the common token prefix without a second compare.
+    count is a running total. Each line from there on takes the count of an
+    equal line in the previous text's lines from there on, and only the
+    lines missing there are tokenized.
     """
 
     def __init__(self) -> None:
         self.text: str | None = None  # the last text counted
         self.lines: tuple[str, ...] = ()
         self.totals: list[int] = [0]
-        self.head = 0
-        self.tails: tuple[Sequence[str], Sequence[str]] = ((), ())
 
     def __call__(self, text: str) -> int:
         previous = self.text
@@ -150,14 +146,14 @@ class LineTokenCounter:
         known = dict(zip(old, map(sub, totals[same + 1 :], totals[same:])))
         tail = text[start:].split("\n")
         totals = totals[: same + 1]
-        total = self.head = totals[same]
+        total = totals[same]
         for line in tail:
             count = known.get(line)
             if count is None:
                 count = known[line] = token_length(line)
             total += count
             totals.append(total)
-        self.text, self.lines, self.totals, self.tails = text, self.lines[:same] + tuple(tail), totals, (old, tail)
+        self.text, self.lines, self.totals = text, self.lines[:same] + tuple(tail), totals
         return total
 
 

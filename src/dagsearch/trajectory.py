@@ -21,7 +21,7 @@ from pathlib import Path
 from typing import IO, Any, Iterable, Iterator, Mapping, Sequence
 
 from .protocol import ActionKind, subspace_of
-from .register import LineTokenCounter, common_prefix_length, default_tokenizer
+from .register import _TOKEN_RE, common_prefix_length, default_tokenizer, token_length
 from .tools import DOCUMENT_FIELDS, InputError, ToolResult, check_fields, check_strings, located, read_json
 
 TRAJECTORY_VERSION = 4
@@ -430,37 +430,55 @@ def step_cache_ratios(trajectory: Trajectory) -> list[float]:
     """Prefix-cache ratios between consecutive solving-stage inputs (one per step from the second on).
 
     Each is the length of the two inputs' common token prefix over the
-    current input's token count, computed from lines: no token spans a
-    newline. A :class:`LineTokenCounter` gives each state's length,
-    tokenizing only lines from the first changed one on that the previous
-    state lacked there, and leaves the token count of the whole lines
-    before that change (``head``) and both states' lines from it on
-    (``tails``). The shared prefix is the head plus the common token prefix
-    of the tails, tokenized line by line only up to the first differing
-    token.
+    current input's recorded ``token_count``, computed from lines: no token
+    spans a newline. The leading lines the two inputs share are found with
+    ``common_prefix_length`` (a loaded or freshly run step's shared lines
+    are the previous step's own strings), and their token count, the head,
+    comes from running totals over the previous input's lines. The totals
+    are extended only as far as a head reaches, so a line is tokenized only
+    when it enters some later input's shared head. The shared prefix is the
+    head plus the common token prefix of the two inputs' lines after it,
+    tokenized line by line only up to the first differing token.
+
+    Whether an input is empty is decided from its own text. A recorded
+    ``token_count`` below the shared prefix, or 0, is a TrajectoryError;
+    any other wrong count shows only in strict replay, which counts each
+    input again.
     """
-    counter = LineTokenCounter()
     ratios = []
+    lines: tuple[str, ...] = ()  # the previous solving input's
+    totals = [0]  # totals[i]: tokens in lines[:i], for as many lines as a head has reached
     for turn, step in enumerate(trajectory.solving_steps()):
-        total = counter(step.state)
         if turn:
-            if total == 0:
-                raise EmptyCurrent(
-                    f'trajectory "{trajectory.question_id}" step {step.index}: current token sequence is empty'
+            where = f'trajectory "{trajectory.question_id}" step {step.index}'
+            if not any(map(_TOKEN_RE.search, step.lines)):
+                raise EmptyCurrent(f"{where}: current token sequence is empty")
+            same = common_prefix_length(lines, step.lines)
+            del totals[same + 1 :]
+            for line in lines[len(totals) - 1 : same]:
+                totals.append(totals[-1] + token_length(line))
+            shared = totals[same] + _common_tokens(lines[same:], step.lines[same:])
+            least = max(shared, 1)
+            if step.token_count < least:
+                raise TrajectoryError(
+                    f"{where}: token_count is {step.token_count}, but the input holds {least} tokens or more"
                 )
-            ratios.append(_shared_tokens(counter) / total)
+            ratios.append(shared / step.token_count)
+        lines = step.lines
     return ratios
 
 
-def _shared_tokens(counter: LineTokenCounter) -> int:
-    """Common token-prefix length of the last two texts ``counter`` counted."""
-    shared = counter.head
-    previous, current = counter.tails
-    rest = zip(
-        chain.from_iterable(map(default_tokenizer, previous)),
-        chain.from_iterable(map(default_tokenizer, current)),
+def _common_tokens(previous: Sequence[str], current: Sequence[str]) -> int:
+    """Common token-prefix length of two texts' lines, tokenized only up to the first differing token.
+
+    An empty line holds no token, so it is not tokenized.
+    """
+    shared = 0
+    pairs = zip(
+        chain.from_iterable(map(default_tokenizer, filter(None, previous))),
+        chain.from_iterable(map(default_tokenizer, filter(None, current))),
     )
-    for a, b in rest:
+    for a, b in pairs:
         if a != b:
             break
         shared += 1

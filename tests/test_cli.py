@@ -4,6 +4,7 @@ import gc
 import hashlib
 import io
 import json
+import os
 import shutil
 import tempfile
 import tracemalloc
@@ -18,6 +19,7 @@ import dagsearch.cli
 import dagsearch.tools
 from dagsearch.backend import ScriptedBackend
 from dagsearch.cli import main
+from dagsearch.register import default_tokenizer
 from dagsearch.tools import FixtureSearchTool, load_corpus
 from dagsearch.trajectory import Trajectory
 from helpers import DATA_DIR, TWENTY_TURN_GOLD, TWO_HOP_GOLD, TWO_HOP_QUESTION, brute_force_search, run_twenty_turn
@@ -687,6 +689,31 @@ def test_stats_names_the_run_and_step_of_an_input_with_no_tokens(tmp_path, capsy
     assert main(argv + ["--cache-out", str(tmp_path / "r.csv")]) == 2
     step = solving[2]["index"]
     assert capsys.readouterr().err == f'error: trajectory "two-hop-www" step {step}: current token sequence is empty\n'
+    assert_unchanged(tmp_path, outputs)
+
+
+@pytest.mark.parametrize("fixture", ["two_hop_trajectory_v1.jsonl", "two_hop_trajectory_v2.jsonl"])
+@pytest.mark.parametrize("recorded", ["zero", "below_shared"])
+def test_stats_names_the_run_and_step_of_a_token_count_below_the_shared_prefix(tmp_path, capsys, fixture, recorded):
+    # The ratio divides by the recorded token_count, so one below what the
+    # input shares with the previous one, or 0, is an input error.
+    records = fixture_records(fixture)
+    solving = [record for record in records if record.get("stage") == "solving"]
+    states = [step.state for step in Trajectory.load(DATA_DIR / fixture).solving_steps()]
+    shared = len(os.path.commonprefix([default_tokenizer(states[2]), default_tokenizer(states[3])]))
+    assert shared > 1
+    solving[3]["token_count"] = 0 if recorded == "zero" else shared - 1
+    runs = tmp_path / "runs"
+    runs.mkdir()
+    (runs / "low.jsonl").write_text("".join(json.dumps(record) + "\n" for record in records))
+    outputs = write_old_outputs(tmp_path, "c.csv", "r.csv")
+    argv = ["stats", "--trajectories", str(runs), "--curve-out", str(tmp_path / "c.csv")]
+    assert main(argv + ["--cache-out", str(tmp_path / "r.csv")]) == 2
+    step, count = solving[3]["index"], solving[3]["token_count"]
+    assert capsys.readouterr().err == (
+        f'error: trajectory "two-hop-www" step {step}: '
+        f"token_count is {count}, but the input holds {shared} tokens or more\n"
+    )
     assert_unchanged(tmp_path, outputs)
 
 

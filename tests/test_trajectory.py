@@ -38,8 +38,6 @@ from helpers import (
     COMPLIANT_KINDS,
     DATA_DIR,
     acc_oracle,
-    changed_tails,
-    lines_to_tokenize,
     make_trajectory,
     run_two_hop,
     run_twenty_turn,
@@ -158,6 +156,15 @@ def _spy(calls):
         return default_tokenizer(text)
 
     return spy
+
+
+def _latest_tool_output(lines):
+    """An input's "## Latest tool output" section: its heading and the lines up to the next heading."""
+    if "## Latest tool output" not in lines:
+        return []
+    start = lines.index("## Latest tool output")
+    end = next((i for i in range(start + 1, len(lines)) if lines[i].startswith("## ")), len(lines))
+    return lines[start:end]
 
 
 def _lines_holding_more_than(lines, n):
@@ -613,8 +620,10 @@ class TestAnalyses:
         assert len(ratios) == 19
         assert all(0.0 <= r <= 1.0 for r in ratios)
 
-    def test_step_cache_ratios_tokenize_new_lines_and_the_divergence_only(self, monkeypatch):
-        states = [step.state for step in run_twenty_turn().trajectory.solving_steps()]
+    def test_step_cache_ratios_tokenize_shared_heads_and_the_divergence(self, monkeypatch):
+        trajectory = run_twenty_turn().trajectory
+        solving = trajectory.solving_steps()
+        states = [step.state for step in solving]
         counted, compared = [], []
         monkeypatch.setattr(dagsearch.register, "default_tokenizer", _spy(counted))
         monkeypatch.setattr(dagsearch.trajectory, "default_tokenizer", _spy(compared))
@@ -622,15 +631,15 @@ class TestAnalyses:
             counted.clear()
             compared.clear()
             assert step_cache_ratios(solving_trajectory([prev, cur])) == whole_state_ratios([prev, cur])
-            # counting tokenizes the first state's distinct lines, then only
-            # the lines from the first changed line on that the first state
-            # lacked from there on
-            assert counted == lines_to_tokenize(None, prev) + lines_to_tokenize(prev, cur)
-            # the compare takes each state's lines in order from the line
-            # holding the first differing character, and stops at the first
+            # counting tokenizes the lines the two inputs share, once each,
+            # and nothing after them
+            prev_lines, cur_lines = prev.split("\n"), cur.split("\n")
+            same = len(os.path.commonprefix([prev_lines, cur_lines]))
+            assert counted == cur_lines[:same]
+            # the compare takes each input's non-empty lines in order from
+            # the first line after the shared ones, and stops at the first
             # token that differs
-            prev_tail, cur_tail = changed_tails(prev, cur)
-            rest = {"prev": prev_tail, "cur": cur_tail}
+            rest = {"prev": list(filter(None, prev_lines[same:])), "cur": list(filter(None, cur_lines[same:]))}
             taken = {"prev": 0, "cur": 0}
             for text in compared:
                 side = "prev" if rest["prev"][taken["prev"] :][:1] == [text] else "cur"
@@ -645,7 +654,16 @@ class TestAnalyses:
                 assert taken[side] <= _lines_holding_more_than(rest[side], shared)
         counted.clear()
         compared.clear()
-        assert step_cache_ratios(run_twenty_turn().trajectory) == whole_state_ratios(states)
+        assert step_cache_ratios(trajectory) == whole_state_ratios(states)
+        # Over the run, a line is counted when it enters a shared head: when
+        # an input shares it with the one before, and that one did not share
+        # it with its own predecessor. So a tool document, which the next
+        # input no longer shows, is never counted.
+        lines = [step.lines for step in solving]
+        heads = [0] + [len(os.path.commonprefix(pair)) for pair in zip(lines, lines[1:])]
+        assert counted == [line for cur, low, high in zip(lines[1:], heads, heads[1:]) for line in cur[low:high]]
+        documents = {line for step in solving for line in _latest_tool_output(step.lines) if line.strip()}
+        assert documents and not documents & set(counted)
         tokenized = sum(len(default_tokenizer(text)) for text in counted + compared)
         assert tokenized < sum(len(default_tokenizer(state)) for state in states) / 2
 
@@ -664,16 +682,24 @@ class TestAnalyses:
         counter = LineTokenCounter()
         assert [counter(state) for state in states] == [token_length(state) for state in states]
 
-    @given(delta_state_sequences)
-    def test_step_cache_ratios_equal_whole_state_ratios(self, states):
-        trajectory = solving_trajectory(states)
+    @given(delta_state_sequences, st.sampled_from([1, 2, 3, 4]))
+    def test_step_cache_ratios_equal_whole_state_ratios(self, states, version):
+        # In memory, and after a save and load round trip: loaded from
+        # version 2 on, an input's leading lines are the previous input's own
+        # strings; version 1 holds every input's lines apart.
+        trajectory = replace(solving_trajectory(states), version=version)
+        with tempfile.TemporaryDirectory() as directory:
+            path = Path(directory) / "run.jsonl"
+            trajectory.save(path)
+            loaded = Trajectory.load(path)
         try:
             expected = whole_state_ratios(states)
         except EmptyCurrent:
-            with pytest.raises(EmptyCurrent):
-                step_cache_ratios(trajectory)
+            for run in (trajectory, loaded):
+                with pytest.raises(EmptyCurrent):
+                    step_cache_ratios(run)
         else:
-            assert step_cache_ratios(trajectory) == expected
+            assert step_cache_ratios(trajectory) == step_cache_ratios(loaded) == expected
 
 
 class TestEvalRecords:
