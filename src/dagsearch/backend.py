@@ -23,14 +23,6 @@ class BackendError(Exception):
     pass
 
 
-class TransportError(BackendError):
-    pass
-
-
-class BackendExhausted(BackendError):
-    pass
-
-
 @dataclass(frozen=True)
 class CompletionRequest:
     """One completion call: the full context plus decoding parameters.
@@ -62,9 +54,7 @@ class ScriptedBackend(Backend):
 
     def complete(self, request: CompletionRequest) -> str:
         if self.served >= len(self.responses):
-            raise BackendExhausted(
-                f"scripted backend exhausted after {self.served} responses"
-            )
+            raise BackendError(f"scripted backend exhausted after {self.served} responses")
         response = self.responses[self.served]
         self.served += 1
         return response
@@ -83,7 +73,7 @@ class ReplayBackend(Backend):
 
     def complete(self, request: CompletionRequest) -> str:
         if self.served >= len(self.outputs):
-            raise BackendExhausted(f"replay exhausted after {self.served} recorded steps")
+            raise BackendError(f"replay exhausted after {self.served} recorded steps")
         self.served += 1
         return self.outputs[self.served - 1]
 
@@ -95,7 +85,7 @@ class HttpChatBackend(Backend):
     Endpoint, model, and key default to the DAGSEARCH_LLM_* environment
     variables (OPENAI_API_KEY is honored as a key fallback). Transient
     transport failures are retried with exponential backoff; a 200 response
-    whose body is not a chat completion raises TransportError at once.
+    whose body is not a chat completion raises BackendError at once.
     """
 
     endpoint: str = ""
@@ -139,14 +129,14 @@ class HttpChatBackend(Backend):
             max_retries=self.max_retries,
             backoff=self.backoff,
             timeout=self.timeout,
-            error=TransportError,
+            error=BackendError,
             body=payload,
             headers=headers,
         )
         try:
             content = json.loads(response)["choices"][0]["message"]["content"]
         except (ValueError, LookupError, TypeError) as exc:
-            raise TransportError(f"chat endpoint answered a malformed body: {exc!r}") from None
+            raise BackendError(f"chat endpoint answered a malformed body: {exc!r}") from None
         if not isinstance(content, str):
-            raise TransportError(f"chat endpoint answered non-text content: {content!r}")
+            raise BackendError(f"chat endpoint answered non-text content: {content!r}")
         return content

@@ -33,7 +33,6 @@ from .register import (
     Register,
     RegisterError,
     apply_action,
-    capped_token_length,
     common_prefix_length,
     init_register,
     render_context,
@@ -65,10 +64,6 @@ class WrongActionKind(EngineError):
 
 
 class FinalBeforeComplete(EngineError):
-    pass
-
-
-class RetriesExhausted(EngineError):
     pass
 
 
@@ -148,9 +143,13 @@ def _turn(
     returns (tool result, applied update). A re-promptable error re-issues
     the completion with the diagnostic appended to ``context``. With no
     retry budget the first error is raised as is; once the budget is spent,
-    RetriesExhausted.
+    EngineError.
     """
-    token_count = capped_token_length(context, config.max_context_tokens, counter)
+    token_count = counter(context)
+    if token_count > config.max_context_tokens:
+        raise ContextOverflow(
+            f"rendered context is {token_count} tokens, over the {config.max_context_tokens}-token cap"
+        )
     diagnostics: list[str] = []
     prompt = context
     while True:
@@ -171,7 +170,7 @@ def _turn(
                 raise
             diagnostics.append(str(exc))
         if len(diagnostics) > config.max_malformed_retries:
-            raise RetriesExhausted(
+            raise EngineError(
                 f"gave up after {len(diagnostics)} rejected responses; last problem: {diagnostics[-1]}"
             )
         prompt = render_correction(context, diagnostics[-1])
@@ -265,7 +264,7 @@ def run(
         # ``register`` is the current turn's: the loop below rebinds it.
         tool_result: ToolResult | None = None
         if action.kind is ActionKind.TOOL_CALL:
-            register.plan.task(action.payload["task_id"])  # UnknownTask before the tool runs
+            register.plan.task(action.payload["task_id"])  # an unknown task fails before the tool runs
             tool_result = tools.invoke(action.payload["tool_name"], action.payload["arguments"])
         if action.kind is ActionKind.FINAL_ANSWER and not is_complete(register.plan):
             pending = [

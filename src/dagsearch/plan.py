@@ -18,38 +18,6 @@ class PlanError(Exception):
     """Base for plan failures; ``str(err)`` is a re-prompt-ready diagnostic."""
 
 
-class EmptyPlan(PlanError):
-    pass
-
-
-class DuplicateTaskId(PlanError):
-    pass
-
-
-class UnknownEdgeEndpoint(PlanError):
-    pass
-
-
-class CyclicPlan(PlanError):
-    pass
-
-
-class UnknownTask(PlanError):
-    pass
-
-
-class DependencyUnmet(PlanError):
-    pass
-
-
-class AlreadyAnswered(PlanError):
-    pass
-
-
-class NotAnswered(PlanError):
-    pass
-
-
 @dataclass(frozen=True)
 class TaskNode:
     """One sub-task: answered nodes always carry their answer text."""
@@ -68,10 +36,10 @@ class DagPlan:
     edges: tuple[tuple[str, str], ...]
 
     def task(self, task_id: str) -> TaskNode:
-        """The node of ``task_id``; UnknownTask when this plan has none."""
+        """The node of ``task_id``; PlanError when this plan has none."""
         node = self.nodes.get(task_id)
         if node is None:
-            raise UnknownTask(f'task "{task_id}" is not in the current plan')
+            raise PlanError(f'task "{task_id}" is not in the current plan')
         return node
 
     def predecessors(self, task_id: str) -> list[str]:
@@ -128,20 +96,20 @@ def build_plan(
     for task in tasks:
         tid, description = (task["task_id"], task["description"]) if isinstance(task, dict) else task
         if tid in nodes:
-            raise DuplicateTaskId(f'task "{tid}" is declared more than once')
+            raise PlanError(f'task "{tid}" is declared more than once')
         nodes[tid] = TaskNode(task_id=tid, description=description)
     if not nodes:
-        raise EmptyPlan("a plan needs at least one task")
+        raise PlanError("a plan needs at least one task")
     edge_set: set[tuple[str, str]] = set()
     for edge in edges:
         src, dst = edge[0], edge[1]
         for endpoint in (src, dst):
             if endpoint not in nodes:
-                raise UnknownEdgeEndpoint(f'edge endpoint "{endpoint}" is not a declared task')
+                raise PlanError(f'edge endpoint "{endpoint}" is not a declared task')
         edge_set.add((src, dst))
     cyclic = _find_cycle(nodes, edge_set)
     if cyclic:
-        raise CyclicPlan(f"dependency edges form a cycle through: {', '.join(cyclic)}")
+        raise PlanError(f"dependency edges form a cycle through: {', '.join(cyclic)}")
     return DagPlan(plan_id=plan_id, nodes=nodes, edges=tuple(sorted(edge_set)))
 
 
@@ -170,12 +138,10 @@ def apply_task_answer(plan: DagPlan, answers: Sequence[tuple[str, str]]) -> DagP
     for task_id, answer in answers:
         node = plan.task(task_id)
         if node.status == ANSWERED:
-            raise AlreadyAnswered(f'task "{task_id}" is already answered; use revisit_task to redo it')
+            raise PlanError(f'task "{task_id}" is already answered; use revisit_task to redo it')
         unmet = [p for p in plan.predecessors(task_id) if plan.nodes[p].status != ANSWERED]
         if unmet:
-            raise DependencyUnmet(
-                f'task "{task_id}" depends on unanswered task(s): {", ".join(unmet)}'
-            )
+            raise PlanError(f'task "{task_id}" depends on unanswered task(s): {", ".join(unmet)}')
         plan = replace(plan, nodes={**plan.nodes, task_id: replace(node, status=ANSWERED, answer=answer)})
     return plan
 
@@ -207,7 +173,7 @@ def reset_for_revisit(plan: DagPlan, task_id: str) -> tuple[DagPlan, list[dict]]
     """
     node = plan.task(task_id)
     if node.status != ANSWERED:
-        raise NotAnswered(f'task "{task_id}" has no answer to revisit')
+        raise PlanError(f'task "{task_id}" has no answer to revisit')
     to_reset = [task_id] + sorted(
         tid for tid in plan.descendants(task_id) if plan.nodes[tid].status == ANSWERED
     )

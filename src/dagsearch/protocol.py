@@ -54,30 +54,6 @@ class ProtocolError(Exception):
     """Base for grammar failures; ``str(err)`` is a re-prompt-ready diagnostic."""
 
 
-class NoActionBlock(ProtocolError):
-    pass
-
-
-class MultipleActionBlocks(ProtocolError):
-    pass
-
-
-class UnknownActionKind(ProtocolError):
-    pass
-
-
-class MalformedPayload(ProtocolError):
-    pass
-
-
-class SchemaViolation(ProtocolError):
-    pass
-
-
-class ExtraTextOutsideBlock(ProtocolError):
-    """Raised only in strict mode when non-whitespace text surrounds the block."""
-
-
 @dataclass(frozen=True)
 class Action:
     """One parsed protocol unit: kind, validated payload, and surface form."""
@@ -124,7 +100,7 @@ Check = Callable[[ActionKind, Any, str], None]
 
 
 def _fail(kind: ActionKind, message: str) -> NoReturn:
-    raise SchemaViolation(f"<{kind.value}> payload invalid: {message}")
+    raise ProtocolError(f"<{kind.value}> payload invalid: {message}")
 
 
 def _text(kind: ActionKind, value: Any, where: str) -> None:
@@ -216,7 +192,7 @@ def _object(kind: ActionKind, value: Any, fields: dict[str, Check], where: str =
 
 
 def validate_payload(kind: ActionKind, payload: dict) -> None:
-    """Raise SchemaViolation unless ``payload`` is valid for ``kind``."""
+    """Raise ProtocolError unless ``payload`` is valid for ``kind``."""
     _object(kind, payload, PAYLOAD_FIELDS[kind])
 
 
@@ -264,7 +240,7 @@ def _scan_blocks(text: str) -> list[_Block]:
         starts_object = body_start < len(text) and text[body_start] == "{"
         if tag not in _KIND_BY_TAG:
             if starts_object:
-                raise UnknownActionKind(
+                raise ProtocolError(
                     f"<{tag}> is not a legal action; legal actions are: "
                     + ", ".join(sorted(_KIND_BY_TAG))
                 )
@@ -275,24 +251,20 @@ def _scan_blocks(text: str) -> list[_Block]:
             if close not in last_close:
                 last_close[close] = text.rfind(close)
             if last_close[close] >= match.end():
-                raise MalformedPayload(
-                    f"payload between <{tag}> and {close} must be a single JSON object"
-                )
+                raise ProtocolError(f"payload between <{tag}> and {close} must be a single JSON object")
             pos = match.end()
             continue
         try:
             payload, consumed = _DECODER.raw_decode(text, body_start)
         except json.JSONDecodeError as exc:
-            raise MalformedPayload(
-                f"<{tag}> payload is not well-formed JSON: {exc.msg} at position {exc.pos}"
-            ) from None
+            raise ProtocolError(f"<{tag}> payload is not well-formed JSON: {exc.msg} at position {exc.pos}") from None
         except RecursionError:
-            raise MalformedPayload(f"<{tag}> payload is nested too deeply to decode") from None
+            raise ProtocolError(f"<{tag}> payload is nested too deeply to decode") from None
         after = _skip_ws(text, consumed)
         if not text.startswith(close, after):
-            raise MalformedPayload(f"<{tag}> block is missing its closing {close} tag")
+            raise ProtocolError(f"<{tag}> block is missing its closing {close} tag")
         if not isinstance(payload, dict):
-            raise MalformedPayload(f"<{tag}> payload must be a single JSON object")
+            raise ProtocolError(f"<{tag}> payload must be a single JSON object")
         blocks.append(_Block(tag=tag, payload=payload, start=match.start(), end=after + len(close)))
         pos = after + len(close)
 
@@ -305,27 +277,21 @@ def parse_action(text: str, strict: bool = False) -> Action:
     outside the block is an error. A lone surrogate anywhere is malformed.
     """
     if not text.isascii() and _SURROGATE_RE.search(text):  # isascii is O(1)
-        raise MalformedPayload(_SURROGATE_DIAGNOSTIC)
+        raise ProtocolError(_SURROGATE_DIAGNOSTIC)
     blocks = _scan_blocks(text)
     if not blocks:
-        raise NoActionBlock(
-            "no action block found; emit exactly one <kind>{...}</kind> block"
-        )
+        raise ProtocolError("no action block found; emit exactly one <kind>{...}</kind> block")
     if len(blocks) > 1:
         tags = ", ".join(f"<{b.tag}>" for b in blocks)
-        raise MultipleActionBlocks(
-            f"found {len(blocks)} action blocks ({tags}); emit exactly one per step"
-        )
+        raise ProtocolError(f"found {len(blocks)} action blocks ({tags}); emit exactly one per step")
     block = blocks[0]
     if strict:
         outside = text[: block.start] + text[block.end:]
         if outside.strip():
-            raise ExtraTextOutsideBlock(
-                "strict mode: no text is allowed outside the action block"
-            )
+            raise ProtocolError("strict mode: no text is allowed outside the action block")
     raw_text = text[block.start:block.end]
     if "\\u" in raw_text and _SURROGATE_RE.search(json.dumps(block.payload, ensure_ascii=False)):
-        raise MalformedPayload(_SURROGATE_DIAGNOSTIC)
+        raise ProtocolError(_SURROGATE_DIAGNOSTIC)
     kind = _KIND_BY_TAG[block.tag]
     validate_payload(kind, block.payload)
     return Action(kind=kind, payload=block.payload, raw_text=raw_text)

@@ -21,7 +21,7 @@ import re
 from dataclasses import dataclass, replace
 from functools import cached_property
 from operator import sub
-from typing import Callable, Sequence
+from typing import Sequence
 
 from . import plan as planmod
 from .plan import DagPlan
@@ -60,10 +60,6 @@ FOLD_CHARS = {3: 12_000, 4: 4_000}
 
 class RegisterError(Exception):
     """Base for register failures; ``str(err)`` is a re-prompt-ready diagnostic."""
-
-
-class IllegalActionInStage(RegisterError):
-    pass
 
 
 class ContextOverflow(RegisterError):
@@ -157,19 +153,6 @@ class LineTokenCounter:
         return total
 
 
-def capped_token_length(text: str, max_tokens: int, counter: Callable[[str], int]) -> int:
-    """Token count of a model input, raising ContextOverflow over the cap.
-
-    The one count of each model input: the same number is the cap check
-    and the step's recorded ``token_count``. ``counter`` is the run's
-    :class:`LineTokenCounter` (``token_length`` gives the same number).
-    """
-    count = counter(text)
-    if count > max_tokens:
-        raise ContextOverflow(f"rendered context is {count} tokens, over the {max_tokens}-token cap")
-    return count
-
-
 # ---------------------------------------------------------------------------
 # Register state
 # ---------------------------------------------------------------------------
@@ -233,11 +216,10 @@ class Register:
     version: int  # the trajectory version: fold rule and solving-input layout
     step: int = 0
     pending_tool_result: ToolResult | None = None
-    # The log keeps every entry; the render leaves the folded ones out. In
-    # version 3 they are the entries up to the last fold's step whose task
-    # is answered now; in version 4, the step indices in ``folded``, which
-    # were answered when a fold happened.
-    folded_through: int = 0
+    # The log keeps every entry; the render leaves out folded ones, by step
+    # index. Version 3 folds every entry logged by its last fold and hides
+    # those whose task is answered now; version 4 folds and hides the
+    # entries answered at some fold. A replan empties both log and ``folded``.
     folded: frozenset[int] = frozenset()
 
 
@@ -266,7 +248,7 @@ def apply_action(
     """
     kind = action.kind
     if kind in (ActionKind.INTENT_REFINEMENT, ActionKind.PROBLEM_FRAMING):
-        raise IllegalActionInStage(
+        raise RegisterError(
             f"<{kind.value}> is a planning action; only task-solving and "
             "retrospection actions are legal while solving"
         )
@@ -367,8 +349,8 @@ def _fold(register: Register) -> Register:
 
     The fold is due when a task is still open and the answered tasks'
     entries still shown render to more than the threshold. Version 3 then
-    moves ``folded_through`` to this step; version 4 adds exactly those
-    entries to ``folded``.
+    adds every entry logged so far to ``folded``; version 4 adds exactly
+    those answered entries.
     """
     threshold = FOLD_CHARS.get(register.version)
     if threshold is None or planmod.is_complete(register.plan):
@@ -381,9 +363,8 @@ def _fold(register: Register) -> Register:
     ]
     if sum(len(line) for entry in answered for line in entry.rendered_lines) <= threshold:
         return register
-    if register.version == 3:
-        return replace(register, folded_through=register.step)
-    return replace(register, folded=register.folded.union(entry.step_index for entry in answered))
+    folding = register.tool_log if register.version == 3 else answered
+    return replace(register, folded=register.folded.union(entry.step_index for entry in folding))
 
 
 def _folded_steps(register: Register) -> frozenset[int]:
@@ -392,11 +373,11 @@ def _folded_steps(register: Register) -> frozenset[int]:
         return register.folded
     if register.version < 3:
         return frozenset()
-    nodes, through = register.plan.nodes, register.folded_through
+    nodes = register.plan.nodes
     return frozenset(
         entry.step_index
         for entry in register.tool_log
-        if entry.step_index <= through and nodes[entry.task_id].status == planmod.ANSWERED
+        if entry.step_index in register.folded and nodes[entry.task_id].status == planmod.ANSWERED
     )
 
 

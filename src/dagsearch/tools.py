@@ -150,17 +150,21 @@ class Document:
 
 @dataclass(frozen=True)
 class ToolResult:
-    """Normalized tool output: ranked documents plus optional raw payload."""
+    """Normalized tool output: ranked documents.
+
+    Trajectory files up to version 4 write a ``"raw": null`` beside the
+    documents; ``to_dict`` keeps it so that files keep their bytes, and
+    ``from_dict`` ignores it.
+    """
 
     documents: tuple[Document, ...] = ()
-    raw: Any = None
 
     def to_dict(self) -> dict:
-        return {"documents": [doc.to_dict() for doc in self.documents], "raw": self.raw}
+        return {"documents": [doc.to_dict() for doc in self.documents], "raw": None}
 
     @classmethod
     def from_dict(cls, data: dict) -> "ToolResult":
-        return cls(documents=tuple(Document(**doc) for doc in data["documents"]), raw=data.get("raw"))
+        return cls(documents=tuple(Document(**doc) for doc in data["documents"]))
 
 
 @dataclass(frozen=True)

@@ -63,14 +63,6 @@ class TrajectoryError(InputError):
     pass
 
 
-class UnfilteredInput(TrajectoryError):
-    pass
-
-
-class EmptyCurrent(TrajectoryError):
-    pass
-
-
 @dataclass(frozen=True)
 class RunConfig:
     """A run's settings, recorded in its trajectory's header; frozen, since the trajectory holds the run's own."""
@@ -202,7 +194,9 @@ class Trajectory:
     def load(cls, path: str | Path) -> "Trajectory":
         """Read a trajectory file; a structurally bad line, or a bad run setting, is an InputError naming it.
 
-        So is a string holding a lone surrogate, which no UTF-8 output could hold.
+        So is a string holding a lone surrogate, which no UTF-8 output could
+        hold, and a line after the header that is not a step line whose
+        ``index`` is its position.
         """
         records = read_json(path, _check_record, surrogates=False)
         number, header = next(records, (0, {}))
@@ -214,11 +208,14 @@ class Trajectory:
         trajectory = cls(version=header["version"], **fields)
         previous: tuple[str, ...] = ()
         for number, line in records:
-            if line.get("record") != "step":
-                continue
             shared = 0
-            if trajectory.version >= 2:
-                with located(path, number):
+            with located(path, number):
+                if line.get("record") != "step":
+                    raise TrajectoryError("not a step line; every line after the header is one")
+                position = len(trajectory.steps) + 1
+                if line["index"] != position:
+                    raise TrajectoryError(f'field "index" is {line["index"]}, but this is step {position}')
+                if trajectory.version >= 2:
                     check_fields(line, {"state_shared": (int,)})
                     shared = line["state_shared"]
                     if not 0 <= shared <= len(previous):
@@ -399,7 +396,7 @@ def _write_pairs(handle: IO[bytes], trajectory: Trajectory) -> int:
     them are escaped.
     """
     if _structural_fault(trajectory) is not None:
-        raise UnfilteredInput(
+        raise TrajectoryError(
             f'trajectory "{trajectory.question_id or trajectory.question}" was not accepted by the rejection filter'
         )
     question_id = _json_string(trajectory.question_id)
@@ -452,7 +449,7 @@ def step_cache_ratios(trajectory: Trajectory) -> list[float]:
         if turn:
             where = f'trajectory "{trajectory.question_id}" step {step.index}'
             if not any(map(_TOKEN_RE.search, step.lines)):
-                raise EmptyCurrent(f"{where}: current token sequence is empty")
+                raise TrajectoryError(f"{where}: current token sequence is empty")
             same = common_prefix_length(lines, step.lines)
             del totals[same + 1 :]
             for line in lines[len(totals) - 1 : same]:

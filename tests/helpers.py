@@ -9,15 +9,7 @@ from pathlib import Path
 
 from dagsearch.backend import ScriptedBackend
 from dagsearch.engine import PromptPack, RunConfig, RunResult, run
-from dagsearch.protocol import (
-    Action,
-    ActionKind,
-    MalformedPayload,
-    MultipleActionBlocks,
-    NoActionBlock,
-    SchemaViolation,
-    UnknownActionKind,
-)
+from dagsearch.protocol import Action, ActionKind
 from dagsearch.tools import Document, ScriptedTool, ToolRegistry, ToolResult, search_spec
 
 DATA_DIR = Path(__file__).parent / "data"
@@ -243,7 +235,10 @@ MUTATION_MODES = (
 
 
 def mutate_action(rng: random.Random, action: Action, mode: str | None = None):
-    """Return (text, expected error class) for a corrupted action block."""
+    """Return (text, a fragment of its expected diagnostic) for a corrupted action block.
+
+    Every mode raises a ProtocolError; the fragment tells the modes apart.
+    """
     mode = mode or rng.choice(MUTATION_MODES)
     text = action.raw_text
     tag = action.kind.value
@@ -251,23 +246,23 @@ def mutate_action(rng: random.Random, action: Action, mode: str | None = None):
         first = text.index("{")
         last = text.rindex("}")
         cut = rng.randrange(first + 1, last + 1)
-        return text[:cut], MalformedPayload
+        return text[:cut], "payload is not well-formed JSON"
     if mode == "unknown_tag":
         mutated = text.replace(f"<{tag}>", "<conjecture>").replace(f"</{tag}>", "</conjecture>")
-        return mutated, UnknownActionKind
+        return mutated, "is not a legal action"
     if mode == "extra_field":
         payload = dict(action.payload)
         payload["unexpected_extra"] = True
         body = json.dumps(payload, sort_keys=True, ensure_ascii=False, separators=(",", ":"))
-        return f"<{tag}>{body}</{tag}>", SchemaViolation
+        return f"<{tag}>{body}</{tag}>", 'payload invalid: unexpected field "unexpected_extra"'
     if mode == "duplicate":
-        return f"{text}\n{text}", MultipleActionBlocks
+        return f"{text}\n{text}", "found 2 action blocks"
     if mode == "strip_tags":
         first = text.index("{")
         last = text.rindex("}")
-        return text[first : last + 1], NoActionBlock
+        return text[first : last + 1], "no action block found"
     if mode == "array_payload":
-        return f"<{tag}>[1,2,3]</{tag}>", MalformedPayload
+        return f"<{tag}>[1,2,3]</{tag}>", f"payload between <{tag}> and </{tag}> must be a single JSON object"
     raise AssertionError(mode)
 
 

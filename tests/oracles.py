@@ -13,7 +13,7 @@ from typing import Iterable, Sequence
 from dagsearch.plan import build_plan
 from dagsearch.protocol import Action, ActionKind, IntentPayload
 from dagsearch.register import Register, apply_action, init_register, render_context, token_length
-from dagsearch.trajectory import EmptyCurrent, StepRecord, Trajectory, TrajectoryError
+from dagsearch.trajectory import StepRecord, Trajectory, TrajectoryError
 
 # The retrospection subspace: every kind that is neither planning nor solving.
 RETROSPECTION_KINDS = frozenset({ActionKind.REVISIT_TASK, ActionKind.REPLANNING})
@@ -65,7 +65,7 @@ def rebuild_registers(trajectory: Trajectory) -> list[Register]:
 def cache_ratio(prev_tokens: Sequence, cur_tokens: Sequence) -> float:
     """Longest-common-prefix length over the current sequence length."""
     if len(cur_tokens) == 0:
-        raise EmptyCurrent("current token sequence is empty")
+        raise TrajectoryError("current token sequence is empty")
     shared = 0
     for a, b in zip(prev_tokens, cur_tokens):
         if a != b:

@@ -4,14 +4,7 @@ from http.server import BaseHTTPRequestHandler, HTTPServer
 
 import pytest
 
-from dagsearch.backend import (
-    BackendExhausted,
-    CompletionRequest,
-    HttpChatBackend,
-    ReplayBackend,
-    ScriptedBackend,
-    TransportError,
-)
+from dagsearch.backend import BackendError, CompletionRequest, HttpChatBackend, ReplayBackend, ScriptedBackend
 from dagsearch.engine import run
 from dagsearch.tools import ToolRegistry
 from helpers import fixed_clock
@@ -67,7 +60,7 @@ class TestScripted:
         request = CompletionRequest(context="ctx")
         assert backend.complete(request) == "r1"
         assert backend.complete(request) == "r2"
-        with pytest.raises(BackendExhausted):
+        with pytest.raises(BackendError, match="^scripted backend exhausted after 2 responses$"):
             backend.complete(request)
 
 
@@ -78,7 +71,7 @@ class TestReplay:
         backend = ReplayBackend(outputs=["out1", "out2"])
         assert backend.complete(CompletionRequest(context="anything")) == "out1"
         assert backend.complete(CompletionRequest(context="ctx2")) == "out2"
-        with pytest.raises(BackendExhausted, match="after 2 recorded steps"):
+        with pytest.raises(BackendError, match="^replay exhausted after 2 recorded steps$"):
             backend.complete(CompletionRequest(context="ctx3"))
         assert backend.served == 2
 
@@ -123,7 +116,7 @@ class TestHttpChat:
         backend = HttpChatBackend(
             endpoint=chat_stub["url"], model="m", api_key="k", max_retries=1, backoff=0.01
         )
-        with pytest.raises(TransportError):
+        with pytest.raises(BackendError, match=r"^request to http://\S+ failed after 2 attempts: "):
             backend.complete(CompletionRequest(context="x"))
         assert len(chat_stub["requests"]) == 2
 
@@ -135,7 +128,7 @@ class TestHttpChat:
     def test_malformed_body_is_transport_error_without_retry(self, chat_stub, body):
         chat_stub["body"] = body
         backend = HttpChatBackend(endpoint=chat_stub["url"], model="m", api_key="k", backoff=0.01)
-        with pytest.raises(TransportError, match="chat endpoint answered"):
+        with pytest.raises(BackendError, match="^chat endpoint answered (a malformed body|non-text content): "):
             backend.complete(CompletionRequest(context="x"))
         assert len(chat_stub["requests"]) == 1
 
@@ -144,7 +137,7 @@ class TestHttpChat:
         backend = HttpChatBackend(endpoint=chat_stub["url"], model="m", api_key="k", backoff=0.01)
         result = run("q?", backend=backend, tools=ToolRegistry(), clock=fixed_clock())
         assert result.outcome == "aborted"
-        assert result.error.startswith("TransportError: chat endpoint answered a malformed body")
+        assert result.error.startswith("BackendError: chat endpoint answered a malformed body")
 
     def test_missing_endpoint_is_configuration_error(self, monkeypatch):
         monkeypatch.delenv("DAGSEARCH_LLM_ENDPOINT", raising=False)

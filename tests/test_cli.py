@@ -583,6 +583,14 @@ def lone_surrogate(records):
     records[2]["state"] += "\ud800"
 
 
+def step_without_record(records):
+    del records[4]["record"]
+
+
+def step_index_out_of_place(records):
+    records[4]["index"] = 5
+
+
 def fixture_records(name):
     return [json.loads(text) for text in (DATA_DIR / name).read_text().splitlines()]
 
@@ -612,6 +620,8 @@ def fixture_records(name):
         (tool_call_without_tool_result, 4, 'field "tool_result" is null on a tool_call step'),
         (task_answer_with_tool_result, 6, 'field "tool_result" is set on a task_answer step'),
         (lone_surrogate, 3, "holds a lone surrogate (U+D800-U+DFFF), which is not Unicode"),
+        (step_without_record, 5, "not a step line; every line after the header is one"),
+        (step_index_out_of_place, 5, 'field "index" is 5, but this is step 4'),
     ],
     ids=[
         "version",
@@ -636,6 +646,8 @@ def fixture_records(name):
         "tool-call-without-tool-result",
         "task-answer-with-tool-result",
         "lone-surrogate",
+        "step-without-record",
+        "step-index",
     ],
 )
 @pytest.mark.parametrize("command", ["replay", "stats", "export"])

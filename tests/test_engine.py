@@ -19,7 +19,7 @@ from dagsearch.engine import (
     replay_run,
     run,
 )
-from dagsearch.plan import ACTIVE, ANSWERED, PENDING, UnknownTask, build_plan, mark_active
+from dagsearch.plan import ACTIVE, ANSWERED, PENDING, PlanError, build_plan, mark_active
 from dagsearch.protocol import IntentPayload, ProtocolError, parse_action
 from dagsearch.register import default_tokenizer, render_planning_context, token_length
 from dagsearch.tools import (
@@ -119,7 +119,7 @@ class TestHolisticPlanning:
         # with no retry budget the planning error ends the run as an aborted result
         aborted, _ = run_once([INTENT, cyclic], RunConfig(max_malformed_retries=0))
         assert aborted.outcome == "aborted"
-        assert aborted.error.startswith("CyclicPlan: ")
+        assert aborted.error == "PlanError: dependency edges form a cycle through: a, b"
         assert [step.kind for step in aborted.trajectory.steps] == ["intent_refinement"]
 
     def test_second_context_includes_refined_intent(self):
@@ -223,8 +223,9 @@ class TestSolveEndToEnd:
             clock=fixed_clock(),
         )
         assert result.outcome == "aborted"
-        assert "RetriesExhausted" in result.error
-        assert "final_answer" in result.error
+        assert result.error.startswith(
+            "EngineError: gave up after 2 rejected responses; last problem: final_answer is only legal once"
+        )
         # exactly one re-prompt happened
         assert len(backend.contexts) == 4
         assert "## Correction" in backend.contexts[3]
@@ -283,7 +284,7 @@ class TestSolveEndToEnd:
             clock=fixed_clock(),
         )
         assert result.outcome == "aborted"
-        assert "RetriesExhausted" in result.error
+        assert result.error.startswith("EngineError: gave up after 3 rejected responses; last problem: no action block")
 
     def test_context_overflow_outcome(self):
         backend = ScriptedBackend(responses=[INTENT, FRAMING, FINAL])
@@ -312,6 +313,26 @@ class TestSolveEndToEnd:
         assert "over the 50-token cap" in result.error
         assert backend.contexts == []
         assert result.trajectory.steps == []
+
+    def test_cap_one_below_an_input_overflows_and_a_cap_equal_to_it_runs_the_turn(self):
+        count = token_length(render_planning_context(PROMPTS.holistic, "q?"))
+        below, at = (
+            run(
+                "q?",
+                backend=ScriptedBackend(responses=[INTENT, FRAMING, FINAL]),
+                tools=empty_registry(),
+                config=RunConfig(max_context_tokens=cap),
+                prompts=PROMPTS,
+                clock=fixed_clock(),
+            )
+            for cap in (count - 1, count)
+        )
+        assert below.outcome == "context_overflow"
+        assert below.error == f"rendered context is {count} tokens, over the {count - 1}-token cap"
+        assert below.trajectory.steps == []
+        # the first turn runs; the second planning input is longer and overflows
+        assert at.outcome == "context_overflow"
+        assert [step.token_count for step in at.trajectory.steps] == [count]
 
     def test_cap_above_planning_inputs_overflows_at_first_solving_turn(self):
         intent = IntentPayload(refined_goal="Find it.", constraints=())
@@ -414,7 +435,7 @@ class TestSolveEndToEnd:
     def test_tool_call_for_unknown_task_is_reprompted_without_invoking_the_tool(self):
         executed = []
         registry = ToolRegistry().register(search_spec("search", "never runs"), executed.append)
-        with pytest.raises(UnknownTask) as expected:
+        with pytest.raises(PlanError, match='^task "t9" is not in the current plan$') as expected:
             mark_active(build_plan([("t1", "only task")], []), "t9")
         call = '<tool_call>{"task_id": "t9", "tool_name": "search", "arguments": {"query": "q"}}</tool_call>'
         backend = RecordingBackend([INTENT, FRAMING, call, ANSWER_T1, FINAL])
@@ -438,7 +459,7 @@ class TestSolveEndToEnd:
             prompts=PROMPTS,
             clock=fixed_clock(),
         )
-        assert aborted.error == f"UnknownTask: {expected.value}"
+        assert aborted.error == f"PlanError: {expected.value}"
         assert executed == []
 
     def test_backend_exhaustion_aborts(self):
@@ -452,7 +473,7 @@ class TestSolveEndToEnd:
             clock=fixed_clock(),
         )
         assert result.outcome == "aborted"
-        assert "BackendExhausted" in result.error
+        assert result.error == "BackendError: scripted backend exhausted after 2 responses"
 
 
 # Rejected replies, each with a different protocol error.
@@ -507,7 +528,7 @@ class TestRetryLoop:
         else:
             assert recorded == []
             assert error == (
-                f"RetriesExhausted: gave up after {budget + 1} rejected responses; "
+                f"EngineError: gave up after {budget + 1} rejected responses; "
                 f"last problem: {diagnostics[budget]}"
             )
 
@@ -631,8 +652,8 @@ class TestReplay:
         fixture = DATA_DIR / "fold_trajectory_v3.jsonl"
         recorded = Trajectory.load(fixture)
         assert recorded.version == 3
-        folds = [register.folded_through for register in rebuild_registers(recorded)]
-        assert folds == [0] * 6 + [6] * (len(folds) - 6)  # registers[6] follows step 6
+        folds = [register.folded for register in rebuild_registers(recorded)]
+        assert folds == [set()] * 6 + [{1, 4}] * (len(folds) - 6)  # registers[6] follows step 6
         solving = recorded.solving_steps()
         assert "Step 1: " in solving[5].state and "Step 4: " in solving[5].state
         assert "Step 1: " not in solving[6].state and "Step 4: " not in solving[6].state

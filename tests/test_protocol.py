@@ -1,5 +1,6 @@
 import json
 import random
+import re
 import time
 
 import pytest
@@ -9,21 +10,15 @@ from hypothesis import strategies as st
 from dagsearch.protocol import (
     Action,
     ActionKind,
-    ExtraTextOutsideBlock,
     IntentPayload,
-    MalformedPayload,
-    MultipleActionBlocks,
-    NoActionBlock,
     PLANNING_KINDS,
     ProtocolError,
     SOLVING_KINDS,
-    SchemaViolation,
-    UnknownActionKind,
     parse_action,
     subspace_of,
     validate_payload,
 )
-from dagsearch.plan import CyclicPlan, DuplicateTaskId, UnknownEdgeEndpoint, build_plan
+from dagsearch.plan import PlanError, build_plan
 from helpers import DATA_DIR, MUTATION_MODES, mutate_action, payload_cases, random_action
 from oracles import RETROSPECTION_KINDS
 
@@ -36,15 +31,15 @@ class TestParse:
 
     def test_unterminated_payload(self):
         text = 'I think we need more info. <tool_call>{"task_id":"t1","tool_name":"search"'
-        with pytest.raises(MalformedPayload):
+        with pytest.raises(ProtocolError, match="^<tool_call> payload is not well-formed JSON: Expecting ','"):
             parse_action(text)
 
     def test_unknown_tag(self):
-        with pytest.raises(UnknownActionKind):
+        with pytest.raises(ProtocolError, match="^<guess> is not a legal action; legal actions are: doc_extraction, "):
             parse_action('<guess>{"answer":"x"}</guess>')
 
     def test_no_block(self):
-        with pytest.raises(NoActionBlock):
+        with pytest.raises(ProtocolError, match="^no action block found; "):
             parse_action("I will answer Paris.")
 
     def test_multiple_blocks(self):
@@ -52,7 +47,7 @@ class TestParse:
             '<final_answer>{"answer":"a"}</final_answer>'
             '<final_answer>{"answer":"b"}</final_answer>'
         )
-        with pytest.raises(MultipleActionBlocks):
+        with pytest.raises(ProtocolError, match=re.escape("found 2 action blocks (<final_answer>, <final_answer>);")):
             parse_action(text)
 
     def test_free_text_around_block_is_discarded(self):
@@ -70,26 +65,26 @@ class TestParse:
         assert parse_action(text).kind is ActionKind.FINAL_ANSWER
 
     def test_known_tag_with_non_json_body_and_close_tag(self):
-        with pytest.raises(MalformedPayload):
+        with pytest.raises(ProtocolError, match="^payload between <final_answer> and </final_answer> must be"):
             parse_action("<final_answer>Paris</final_answer>")
 
     def test_close_tag_only_before_open_tag_is_free_text(self):
-        with pytest.raises(NoActionBlock):
+        with pytest.raises(ProtocolError, match="^no action block found; "):
             parse_action("</final_answer> then <final_answer> Paris")
 
     def test_many_unclosed_known_tags_scan_in_linear_time(self):
         started = time.perf_counter()
-        with pytest.raises(NoActionBlock):
+        with pytest.raises(ProtocolError, match="^no action block found; "):
             parse_action("<tool_call> x" * 20_000)
         assert time.perf_counter() - started < 1.0
 
     def test_array_payload_rejected(self):
-        with pytest.raises(MalformedPayload):
+        with pytest.raises(ProtocolError, match="^payload between <final_answer> and </final_answer> must be"):
             parse_action("<final_answer>[1]</final_answer>")
 
     def test_deeply_nested_array_is_malformed(self):
         text = '<tool_call>{"a":' + "[" * 100_000 + "]" * 100_000 + "}</tool_call>"
-        with pytest.raises(MalformedPayload, match="nested too deeply"):
+        with pytest.raises(ProtocolError, match="^<tool_call> payload is nested too deeply to decode$"):
             parse_action(text)
 
     def test_deeply_nested_arguments_are_malformed(self):
@@ -99,11 +94,11 @@ class TestParse:
             + arguments
             + "}</tool_call>"
         )
-        with pytest.raises(MalformedPayload, match="nested too deeply"):
+        with pytest.raises(ProtocolError, match="^<tool_call> payload is nested too deeply to decode$"):
             parse_action(text)
 
     def test_missing_close_tag_after_valid_json(self):
-        with pytest.raises(MalformedPayload):
+        with pytest.raises(ProtocolError, match="^<final_answer> block is missing its closing </final_answer> tag$"):
             parse_action('<final_answer>{"answer":"x"} trailing')
 
     def test_tag_inside_consumed_payload_is_not_a_second_block(self):
@@ -117,7 +112,7 @@ class TestParse:
     def test_strict_mode_rejects_surrounding_text(self):
         text = 'thinking... <final_answer>{"answer":"x"}</final_answer>'
         assert parse_action(text).kind is ActionKind.FINAL_ANSWER
-        with pytest.raises(ExtraTextOutsideBlock):
+        with pytest.raises(ProtocolError, match="^strict mode: no text is allowed outside the action block$"):
             parse_action(text, strict=True)
 
     def test_strict_mode_accepts_whitespace(self):
@@ -139,7 +134,7 @@ class TestParse:
         ids=["escape", "low-escape", "free-text", "raw-in-payload", "escape-in-key"],
     )
     def test_lone_surrogate_is_malformed_and_not_echoed(self, text):
-        with pytest.raises(MalformedPayload, match="lone surrogate") as info:
+        with pytest.raises(ProtocolError, match=r"^the reply holds a lone surrogate \(U\+D800-U\+DFFF\)") as info:
             parse_action(text)
         assert not any("\ud800" <= ch <= "\udfff" for ch in str(info.value))
 
@@ -154,19 +149,19 @@ class TestSchemas:
         assert Action.create(action.kind, action.payload).raw_text == '<final_answer>{"answer":""}</final_answer>'
 
     def test_missing_field(self):
-        with pytest.raises(SchemaViolation):
+        with pytest.raises(ProtocolError, match='^<final_answer> payload invalid: missing required field "answer"$'):
             parse_action("<final_answer>{}</final_answer>")
 
     def test_unexpected_field(self):
-        with pytest.raises(SchemaViolation):
+        with pytest.raises(ProtocolError, match='^<final_answer> payload invalid: unexpected field "note"$'):
             parse_action('<final_answer>{"answer":"x","note":"y"}</final_answer>')
 
     def test_empty_refined_goal(self):
-        with pytest.raises(SchemaViolation):
+        with pytest.raises(ProtocolError, match='^<intent_refinement> payload invalid: "refined_goal" must be non-'):
             parse_action('<intent_refinement>{"refined_goal":"  ","constraints":[]}</intent_refinement>')
 
     def test_empty_answers_list(self):
-        with pytest.raises(SchemaViolation):
+        with pytest.raises(ProtocolError, match='^<task_answer> payload invalid: "answers" must be a non-empty '):
             parse_action('<task_answer>{"answers":[]}</task_answer>')
 
     # The graph rules belong to build_plan: these payloads are shape-valid,
@@ -180,7 +175,7 @@ class TestSchemas:
             "edges": [],
         }
         action = Action.create(ActionKind.PROBLEM_FRAMING, payload)
-        with pytest.raises(DuplicateTaskId, match='^task "t1" is declared more than once$'):
+        with pytest.raises(PlanError, match='^task "t1" is declared more than once$'):
             build_plan(action.payload["tasks"], action.payload["edges"])
 
     def test_framing_undeclared_edge_endpoint(self):
@@ -189,7 +184,7 @@ class TestSchemas:
             "edges": [["t1", "t9"]],
         }
         action = Action.create(ActionKind.PROBLEM_FRAMING, payload)
-        with pytest.raises(UnknownEdgeEndpoint, match='^edge endpoint "t9" is not a declared task$'):
+        with pytest.raises(PlanError, match='^edge endpoint "t9" is not a declared task$'):
             build_plan(action.payload["tasks"], action.payload["edges"])
 
     def test_framing_cyclic_edges(self):
@@ -201,7 +196,7 @@ class TestSchemas:
             "edges": [["t1", "t2"], ["t2", "t1"]],
         }
         action = Action.create(ActionKind.PROBLEM_FRAMING, payload)
-        with pytest.raises(CyclicPlan, match="^dependency edges form a cycle through: t1, t2$"):
+        with pytest.raises(PlanError, match="^dependency edges form a cycle through: t1, t2$"):
             build_plan(action.payload["tasks"], action.payload["edges"])
 
     @pytest.mark.parametrize(
@@ -252,16 +247,15 @@ class TestSchemas:
         ],
     )
     def test_field_diagnostics_carry_their_location(self, text, diagnostic):
-        with pytest.raises(SchemaViolation) as info:
+        with pytest.raises(ProtocolError, match=f"^{re.escape(diagnostic)}$"):
             parse_action(text)
-        assert str(info.value) == diagnostic
 
     def test_task_id_with_whitespace(self):
-        with pytest.raises(SchemaViolation):
+        with pytest.raises(ProtocolError, match='^<revisit_task> payload invalid: "task_id" must be a short'):
             parse_action('<revisit_task>{"task_id":"t 1","reason":"r"}</revisit_task>')
 
     def test_arguments_must_be_object(self):
-        with pytest.raises(SchemaViolation):
+        with pytest.raises(ProtocolError, match='^<tool_call> payload invalid: "arguments" must be an object$'):
             parse_action(
                 '<tool_call>{"task_id":"t1","tool_name":"search","arguments":"q"}</tool_call>'
             )
@@ -269,10 +263,10 @@ class TestSchemas:
     def test_diagnostics_are_reprompt_ready(self):
         try:
             parse_action("<final_answer>{}</final_answer>")
-        except SchemaViolation as exc:
+        except ProtocolError as exc:
             assert "answer" in str(exc)
         else:
-            pytest.fail("expected SchemaViolation")
+            pytest.fail("expected ProtocolError")
 
 
 def test_payload_diagnostics_match_the_golden_file():
@@ -285,7 +279,7 @@ def test_payload_diagnostics_match_the_golden_file():
         try:
             validate_payload(ActionKind(record["kind"]), record["payload"])
             diagnostic = None
-        except SchemaViolation as exc:
+        except ProtocolError as exc:
             diagnostic = str(exc)
         if diagnostic != record["diagnostic"]:
             changed.append((record, diagnostic))
@@ -304,7 +298,7 @@ class TestRender:
 
     def test_render_validates(self):
         bogus = Action(kind=ActionKind.FINAL_ANSWER, payload={}, raw_text="")
-        with pytest.raises(SchemaViolation):
+        with pytest.raises(ProtocolError, match='^<final_answer> payload invalid: missing required field "answer"$'):
             Action.create(bogus.kind, bogus.payload).raw_text
 
     def test_round_trip_seeded_sample(self):
@@ -343,7 +337,7 @@ class TestMutations:
         for _ in range(20):
             action = random_action(rng)
             text, expected = mutate_action(rng, action, mode)
-            with pytest.raises(expected):
+            with pytest.raises(ProtocolError, match=re.escape(expected)):
                 parse_action(text)
 
 

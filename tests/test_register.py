@@ -10,14 +10,11 @@ from dagsearch.plan import ANSWERED, PENDING, PlanError, build_plan, is_complete
 from dagsearch.protocol import Action, ActionKind, IntentPayload
 from dagsearch.register import (
     FOLD_CHARS,
-    ContextOverflow,
-    IllegalActionInStage,
     LineTokenCounter,
     Register,
     RegisterError,
     ToolLogEntry,
     apply_action,
-    capped_token_length,
     common_prefix_length,
     default_tokenizer,
     init_register,
@@ -126,7 +123,7 @@ class TestApply:
         action = act(
             ActionKind.INTENT_REFINEMENT, {"refined_goal": "again", "constraints": []}
         )
-        with pytest.raises(IllegalActionInStage):
+        with pytest.raises(RegisterError, match="^<intent_refinement> is a planning action; only task-solving and "):
             apply_action(fresh(), action)
 
     def test_tool_call_appends_provisional_entry(self):
@@ -295,13 +292,6 @@ class TestRender:
         text = render_context(register, QUESTION, PROMPT)
         assert "(no facts extracted)" in text
 
-    def test_overflow_raises(self):
-        text = render_context(fresh(), QUESTION, PROMPT)
-        for counter in (token_length, LineTokenCounter()):
-            with pytest.raises(ContextOverflow, match="over the 10-token cap"):
-                capped_token_length(text, 10, counter)
-            assert capped_token_length(text, token_length(text), counter) == token_length(text)
-
     def test_render_is_deterministic(self):
         a = render_context(fresh(), QUESTION, PROMPT)
         b = render_context(fresh(), QUESTION, PROMPT)
@@ -443,8 +433,9 @@ def hidden_steps(register):
     """Step indices of the entries the version 3 or 4 render leaves out."""
     if register.version == 4:
         return set(register.folded)
+    # version 3 hides the answered entries up to the newest one its last fold logged
     answered = {tid for tid, node in register.plan.nodes.items() if node.status == ANSWERED}
-    through = register.folded_through
+    through = max(register.folded, default=0)
     return {e.step_index for e in register.tool_log if e.step_index <= through and e.task_id in answered}
 
 
@@ -471,19 +462,17 @@ def check_render_is_v2_without_folded_entries(version, ops):
         # version's FOLD_CHARS characters
         answered = {tid for tid, node in register.plan.nodes.items() if node.status == ANSWERED}
         if version == 3:  # entries up to the last fold count as shown no more
-            newly = [e for e in register.tool_log if e.step_index > previous.folded_through and e.task_id in answered]
+            through = max(previous.folded, default=0)
+            newly = [e for e in register.tool_log if e.step_index > through and e.task_id in answered]
         else:
             newly = [e for e in register.tool_log if e.step_index not in previous.folded and e.task_id in answered]
         shown_chars = sum(len(line) for e in newly for line in e.rendered_lines)
         folds = kind is ActionKind.TASK_ANSWER and not is_complete(register.plan) and shown_chars > FOLD_CHARS[version]
-        if version == 3:  # folded_through moves to the folding step
-            assert register.folded_through == (register.step if folds else previous.folded_through)
-            assert register.folded == frozenset()
-        else:  # the fold adds exactly the entries answered at it; a replan empties the log
-            steps = {e.step_index for e in newly} if folds else set()
-            old = set() if kind is ActionKind.REPLANNING else previous.folded
-            assert register.folded == old | steps
-            assert register.folded_through == 0
+        # a version 3 fold adds every entry logged so far, a version 4 fold
+        # exactly the entries answered at it; a replan empties the log
+        steps = {e.step_index for e in (register.tool_log if version == 3 else newly)} if folds else set()
+        old = set() if kind is ActionKind.REPLANNING else previous.folded
+        assert register.folded == old | steps
         # the register keeps every entry; the render leaves out exactly the
         # hidden ones and recomputes the markers over the entries it shows
         hidden_at = hidden_steps(register)
@@ -551,8 +540,8 @@ class TestFold:
                 3,
                 marks=pytest.mark.xfail(
                     strict=True,
-                    reason="the v3 render hides entries up to folded_through whose task is answered "
-                    "after the fold; v3 recordings must replay as recorded, so only v4 has the fix",
+                    reason="the v3 render hides folded entries whose task is answered after the "
+                    "fold; v3 recordings must replay as recorded, so only v4 has the fix",
                 ),
             ),
             4,
@@ -571,7 +560,7 @@ class TestFold:
     @example(ops=REVISIT_ACROSS_A_FOLD)
     def test_entries_leave_the_render_only_on_a_fold_or_a_replan(self, version, ops):
         for action, previous, register in applied(version, ops):
-            fold = (register.folded_through, register.folded) != (previous.folded_through, previous.folded)
+            fold = register.folded != previous.folded
             if action.kind is ActionKind.REPLANNING or fold:
                 continue
             shown_before, shown_now = shown_steps(previous), shown_steps(register)
@@ -586,7 +575,7 @@ class TestFold:
         fold, revisit, reanswer, last = (turns[4][i][2] for i in (4, 5, 8, 9))
         # both versions fold t1's entry (step 3) at step 5, while t3 is open
         assert hidden_steps(fold) == {3} == hidden_steps(turns[3][4][2])
-        assert fold.folded == {3} and turns[3][4][2].folded_through == 5
+        assert fold.folded == {3} and turns[3][4][2].folded == {1, 3}
         # version 4 keeps it folded through the revisit; neither later
         # answer hides an entry, so the input does not shrink on those turns
         assert hidden_steps(revisit) == hidden_steps(reanswer) == hidden_steps(last) == {3}
@@ -618,7 +607,7 @@ class TestFold:
     def test_versions_1_and_2_never_fold(self, version):
         ops = [("call", "t1", [13_000, 13_000]), ("answer", "t1", []), ("call", "t3", [10])]
         *_, (_, _, register) = applied(version, ops)
-        assert (register.folded_through, register.folded) == (0, frozenset())
+        assert register.folded == frozenset()
         assert "Step 1: " in render_context(register, QUESTION, PROMPT)
 
 

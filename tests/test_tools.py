@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from dagsearch.backend import CompletionRequest, HttpChatBackend, TransportError
+from dagsearch.backend import BackendError, CompletionRequest, HttpChatBackend
 from dagsearch.tools import (
     ArgumentSchemaViolation,
     DenseRetrieverClient,
@@ -342,7 +342,7 @@ class TestGarbledResponses:
 
 def _chat_call(url, max_retries):
     backend = HttpChatBackend(endpoint=url, model="m", api_key="k", max_retries=max_retries, backoff=0)
-    return lambda: backend.complete(CompletionRequest(context="x")), TransportError
+    return lambda: backend.complete(CompletionRequest(context="x")), BackendError
 
 
 def _dense_call(url, max_retries):

@@ -2,6 +2,7 @@ import csv
 import gc
 import json
 import os
+import re
 import sys
 import tempfile
 import tracemalloc
@@ -18,12 +19,10 @@ from dagsearch.protocol import ActionKind
 from dagsearch.register import LineTokenCounter, default_tokenizer, token_length
 from dagsearch.tools import Document, ToolResult
 from dagsearch.trajectory import (
-    EmptyCurrent,
     EvalRecord,
     StepRecord,
     Trajectory,
     TrajectoryError,
-    UnfilteredInput,
     acc_score,
     context_curve,
     export_sft,
@@ -227,7 +226,7 @@ class TestCacheRatio:
         assert cache_ratio([9, 2], [1, 2]) == 0.0
 
     def test_empty_current(self):
-        with pytest.raises(EmptyCurrent):
+        with pytest.raises(TrajectoryError, match="^current token sequence is empty$"):
             cache_ratio([1], [])
 
     def test_shrinking_current(self):
@@ -357,7 +356,7 @@ class TestExport:
     def test_mixed_input_rejected(self, tmp_path):
         good = make_trajectory(COMPLIANT_KINDS)
         bad = make_trajectory(COMPLIANT_KINDS, retries_at=(4,))
-        with pytest.raises(UnfilteredInput):
+        with pytest.raises(TrajectoryError, match='^trajectory "[^"]+" was not accepted by the rejection filter$'):
             export_sft([good, bad], tmp_path / "corpus.jsonl")
         assert list(tmp_path.iterdir()) == []  # not even the good run's records
 
@@ -584,6 +583,37 @@ class TestPersistence:
         with pytest.raises(TrajectoryError, match="step 1 shares 1 lines with a 0-line previous state"):
             Trajectory.load(path)
 
+    @pytest.mark.parametrize("fixture", ["two_hop_trajectory_v1.jsonl", "fold_trajectory_v4.jsonl"])
+    @pytest.mark.parametrize(
+        "case, message",
+        [
+            ("no-record", "not a step line; every line after the header is one"),
+            ("header-copy", "not a step line; every line after the header is one"),
+            ("note", "not a step line; every line after the header is one"),
+            ("index-skips", 'field "index" is 5, but this is step 4'),
+            ("index-repeats", 'field "index" is 3, but this is step 4'),
+        ],
+    )
+    def test_every_line_after_the_header_is_the_next_step(self, tmp_path, fixture, case, message):
+        # each case spoils file line 5, which holds step 4; the load names the file and line
+        lines = (DATA_DIR / fixture).read_text(encoding="utf-8").split("\n")
+        step = json.loads(lines[4])
+        assert step["index"] == 4
+        if case == "no-record":
+            del step["record"]
+            lines[4] = json.dumps(step)
+        elif case == "header-copy":
+            lines.insert(4, lines[0])
+        elif case == "note":
+            lines.insert(4, '{"record": "note"}')
+        else:
+            step["index"] = 5 if case == "index-skips" else 3
+            lines[4] = json.dumps(step)
+        path = tmp_path / fixture
+        path.write_text("\n".join(lines), encoding="utf-8")
+        with pytest.raises(TrajectoryError, match=f"^{re.escape(f'{path} line 5: {message}')}$"):
+            Trajectory.load(path)
+
     def test_load_directory(self, tmp_path):
         trajectory = run_two_hop().trajectory
         for name in ("b", "a", "c"):
@@ -674,7 +704,7 @@ class TestAnalyses:
     def test_step_cache_ratios_empty_later_state_raises(self):
         # an empty first state has no ratio; it shares nothing with the next
         assert step_cache_ratios(solving_trajectory([" \n", "a b"])) == [0.0]
-        with pytest.raises(EmptyCurrent):
+        with pytest.raises(TrajectoryError, match='^trajectory "" step 3: current token sequence is empty$'):
             step_cache_ratios(solving_trajectory(["a b", "a\nb", "\n \t\n"]))
 
     @given(delta_state_sequences)
@@ -694,9 +724,9 @@ class TestAnalyses:
             loaded = Trajectory.load(path)
         try:
             expected = whole_state_ratios(states)
-        except EmptyCurrent:
+        except TrajectoryError:
             for run in (trajectory, loaded):
-                with pytest.raises(EmptyCurrent):
+                with pytest.raises(TrajectoryError, match=": current token sequence is empty$"):
                     step_cache_ratios(run)
         else:
             assert step_cache_ratios(trajectory) == step_cache_ratios(loaded) == expected
