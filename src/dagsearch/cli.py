@@ -5,12 +5,11 @@ from __future__ import annotations
 import argparse
 import logging
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 from pathlib import Path
 from typing import Callable
 
-from .backend import Backend, HttpChatBackend, ScriptedBackend
+from .backend import Backend, ScriptedBackend
 from .engine import PromptPack, replay_divergence, replay_run, run
 from .tools import InputError, ToolRegistry, build_registry, check_fields, check_strings, located, read_json
 from .trajectory import (
@@ -92,6 +91,8 @@ def _backend_factory(spec: str) -> Callable[[str], Backend]:
     backend is built.
     """
     if spec == "http":
+        from .remote import HttpChatBackend  # only --backend http loads the HTTP clients
+
         return lambda question_id: HttpChatBackend()
     if not spec.startswith("scripted:"):
         raise ValueError(f'unknown backend spec "{spec}" (use "http" or "scripted:<path>")')
@@ -175,6 +176,8 @@ def _cmd_eval(args: argparse.Namespace) -> int:
         return EvalRecord.from_trajectory(result.trajectory, record["answers"])
 
     if args.parallel > 1:
+        from concurrent.futures import ThreadPoolExecutor
+
         with ThreadPoolExecutor(max_workers=args.parallel) as pool:
             records = list(pool.map(evaluate, dataset))
     else:

@@ -254,7 +254,7 @@ def _scan_blocks(text: str) -> list[_Block]:
                 raise ProtocolError(f"payload between <{tag}> and {close} must be a single JSON object")
             pos = match.end()
             continue
-        try:
+        try:  # the body starts with "{", so a payload that decodes is an object
             payload, consumed = _DECODER.raw_decode(text, body_start)
         except json.JSONDecodeError as exc:
             raise ProtocolError(f"<{tag}> payload is not well-formed JSON: {exc.msg} at position {exc.pos}") from None
@@ -263,8 +263,6 @@ def _scan_blocks(text: str) -> list[_Block]:
         after = _skip_ws(text, consumed)
         if not text.startswith(close, after):
             raise ProtocolError(f"<{tag}> block is missing its closing {close} tag")
-        if not isinstance(payload, dict):
-            raise ProtocolError(f"<{tag}> payload must be a single JSON object")
         blocks.append(_Block(tag=tag, payload=payload, start=match.start(), end=after + len(close)))
         pos = after + len(close)
 

@@ -1,18 +1,17 @@
-"""Tool registry and clients: fixture search, web search, and dense retrieval.
+"""Input files, the tool registry, fixture search, and registry construction from a tool config.
 
 Every executor returns a normalized ToolResult regardless of the upstream
 wire shape, so the engine and register never see provider-specific payloads.
-Fixture tools make the whole engine runnable offline.
+Fixture tools make the whole engine runnable offline; the HTTP search
+clients live in ``remote``, which a registry build imports only for a
+config entry that names one.
 """
 
 from __future__ import annotations
 
-import hashlib
 import json
 import logging
-import os
 import re
-import time
 from array import array
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -186,12 +185,6 @@ def validate_arguments(spec: ToolSpec, arguments: Mapping[str, Any]) -> None:
             raise ArgumentSchemaViolation(f'tool "{spec.tool_name}" argument "query" must be of type string')
 
 
-def stable_source_id(tool_name: str, key: str) -> str:
-    """``<tool>:<stable-hash>`` id for doc_extraction back-references."""
-    digest = hashlib.sha1(key.encode("utf-8")).hexdigest()[:12]
-    return f"{tool_name}:{digest}"
-
-
 Executor = Callable[[Mapping[str, Any]], ToolResult]
 
 
@@ -332,194 +325,6 @@ class ScriptedTool:
 
 
 # ---------------------------------------------------------------------------
-# HTTP clients
-# ---------------------------------------------------------------------------
-
-
-def _request_with_retries(
-    method: str,
-    url: str,
-    *,
-    max_retries: int,
-    backoff: float,
-    timeout: float,
-    error: type[Exception] = ToolTransportError,
-    params: Mapping[str, Any] | None = None,
-    body: Any = None,
-    headers: Mapping[str, str] | None = None,
-) -> bytes:
-    """Send a request and return the response body, retrying transient failures.
-
-    ``params`` go in the query string; ``body`` is sent as JSON. Connection
-    errors, timeouts, HTTP 429 and 5xx are logged and retried with
-    exponential backoff until the retries are spent; any other failure, a
-    bad URL included, raises ``error`` at once.
-
-    This is the one place that sends HTTP, so the HTTP stack is imported
-    here: runs that never send a request never load it.
-    """
-    import http.client
-    import urllib.error
-    import urllib.parse
-    import urllib.request
-
-    if params:
-        url = f"{url}{'&' if '?' in url else '?'}{urllib.parse.urlencode(params)}"
-    headers = dict(headers or {})
-    data = None
-    if body is not None:
-        data = json.dumps(body).encode("utf-8")
-        headers.setdefault("Content-Type", "application/json")
-    last_error: Exception | None = None
-    for attempt in range(max_retries + 1):
-        try:
-            request = urllib.request.Request(url, data=data, headers=headers, method=method)
-            with urllib.request.urlopen(request, timeout=timeout) as response:
-                return response.read()
-        except urllib.error.HTTPError as exc:
-            exc.close()
-            last_error = error(f"{url} answered HTTP {exc.code}")
-            if exc.code != 429 and exc.code < 500:
-                raise last_error from None
-        except (ValueError, http.client.InvalidURL) as exc:
-            raise error(f"Invalid URL or header for {url}: {exc}") from None
-        except (http.client.HTTPException, OSError) as exc:
-            # OSError covers URLError, timeouts and connection resets.
-            last_error = exc
-        logger.warning("request attempt %d/%d failed: %s", attempt + 1, max_retries + 1, last_error)
-        if attempt < max_retries:
-            time.sleep(backoff * (2**attempt))
-    raise error(f"request to {url} failed after {max_retries + 1} attempts: {last_error}")
-
-
-def _dig(payload: Any, path: str) -> Any:
-    """Follow a dotted path through nested dicts; '' returns the payload."""
-    current = payload
-    if not path:
-        return current
-    for part in path.split("."):
-        if not isinstance(current, dict) or part not in current:
-            raise ToolTransportError(f'response is missing field "{path}"')
-        current = current[part]
-    return current
-
-
-def _result_items(body: bytes, path: str, top_k: int) -> list[dict]:
-    """The first ``top_k`` result objects of the array at ``path`` in a JSON body."""
-    try:
-        payload = json.loads(body)
-    except ValueError as exc:
-        raise ToolTransportError(f"response body is not JSON: {exc}") from None
-    items = _dig(payload, path)
-    if not isinstance(items, list):
-        raise ToolTransportError(f'response field "{path}" is not an array')
-    items = items[:top_k]
-    if not all(isinstance(item, dict) for item in items):
-        raise ToolTransportError(f'response field "{path}" holds a result that is not an object')
-    return items
-
-
-@dataclass
-class WebSearchClient:
-    """Provider-agnostic "query -> ranked snippets" adapter.
-
-    The wire format is config-mapped (param names and response field paths),
-    so any commercial search API with a JSON results array fits without code
-    changes.
-    """
-
-    tool_name: str
-    endpoint: str
-    top_k: int = DEFAULT_TOP_K
-    method: str = "GET"
-    query_param: str = "q"
-    extra_params: Mapping[str, str] = field(default_factory=dict)
-    results_path: str = "results"
-    title_field: str = "title"
-    url_field: str = "url"
-    snippet_field: str = "snippet"
-    api_key: str | None = None
-    api_key_param: str | None = None
-    api_key_header: str | None = None
-    timeout: float = 15.0
-    max_retries: int = 3
-    backoff: float = 0.5
-
-    def __call__(self, arguments: Mapping[str, Any]) -> ToolResult:
-        params = dict(self.extra_params)
-        params[self.query_param] = str(arguments["query"])
-        headers = {}
-        if self.api_key:
-            if self.api_key_header:
-                headers[self.api_key_header] = self.api_key
-            else:
-                params[self.api_key_param or "api_key"] = self.api_key
-        post = self.method.upper() == "POST"
-        response = _request_with_retries(
-            self.method.upper(),
-            self.endpoint,
-            max_retries=self.max_retries,
-            backoff=self.backoff,
-            timeout=self.timeout,
-            params=None if post else params,
-            body=params if post else None,
-            headers=headers,
-        )
-        docs = []
-        for item in _result_items(response, self.results_path, self.top_k):
-            url = str(item.get(self.url_field, ""))
-            title = str(item.get(self.title_field, ""))
-            docs.append(
-                Document(
-                    source_id=stable_source_id(self.tool_name, url or title),
-                    title=title,
-                    text=str(item.get(self.snippet_field, "")),
-                )
-            )
-        return ToolResult(documents=tuple(docs))
-
-
-@dataclass
-class DenseRetrieverClient:
-    """Client for a local "query -> top-k scored passages" retrieval service."""
-
-    tool_name: str
-    endpoint: str
-    top_k: int = DEFAULT_TOP_K
-    query_field: str = "query"
-    top_k_field: str = "top_k"
-    results_path: str = "passages"
-    id_field: str = "id"
-    title_field: str = "title"
-    text_field: str = "text"
-    timeout: float = 15.0
-    max_retries: int = 3
-    backoff: float = 0.5
-
-    def __call__(self, arguments: Mapping[str, Any]) -> ToolResult:
-        body = {self.query_field: str(arguments["query"]), self.top_k_field: self.top_k}
-        response = _request_with_retries(
-            "POST",
-            self.endpoint,
-            max_retries=self.max_retries,
-            backoff=self.backoff,
-            timeout=self.timeout,
-            body=body,
-        )
-        docs = []
-        for item in _result_items(response, self.results_path, self.top_k):
-            doc_id = str(item.get(self.id_field, ""))
-            docs.append(
-                Document(
-                    source_id=stable_source_id(self.tool_name, doc_id),
-                    title=str(item.get(self.title_field, "")),
-                    text=str(item.get(self.text_field, "")),
-                )
-            )
-        return ToolResult(documents=tuple(docs))
-
-
-# ---------------------------------------------------------------------------
 # Registry construction from config
 # ---------------------------------------------------------------------------
 
@@ -527,25 +332,6 @@ def search_spec(tool_name: str, description: str) -> ToolSpec:
     return ToolSpec(tool_name=tool_name, description=description)
 
 
-# Per client kind: the class, the optional config keys passed through to it
-# when an entry sets them, with their JSON types (each default lives on the
-# class), and the default description.
-_CLIENTS: dict[str, tuple[type, dict[str, tuple[type, ...]], str]] = {
-    "web_search": (
-        WebSearchClient,
-        {
-            **dict.fromkeys(("method", "query_param", "results_path", "title_field", "url_field"), (str,)),
-            **dict.fromkeys(("snippet_field", "api_key_param", "api_key_header"), (str,)),
-            "extra_params": (dict,),
-        },
-        "Web search returning ranked snippets.",
-    ),
-    "dense_retriever": (
-        DenseRetrieverClient,
-        dict.fromkeys(("query_field", "top_k_field", "results_path", "id_field", "title_field", "text_field"), (str,)),
-        "Dense passage retrieval over a local index.",
-    ),
-}
 # The optional keys of every entry, with their JSON types.
 _ENTRY_OPTIONS = {"top_k": (int, str), "description": (str,), "api_key_env": (str,)}
 
@@ -593,14 +379,10 @@ def build_registry(
                 fixtures[key] = FixtureSearchTool(corpus=load_corpus(path), **options)
             executor: Executor = fixtures[key]
             description = "Keyword search over a fixture corpus."
-        elif kind in _CLIENTS:
-            client, keys, description = _CLIENTS[kind]
-            check_fields(entry, {"endpoint": (str,)})
-            check_fields(entry, keys, optional=True)
-            options.update((key, entry[key]) for key in keys if key in entry)
-            if kind == "web_search" and entry.get("api_key_env"):
-                options["api_key"] = os.environ.get(entry["api_key_env"])
-            executor = client(tool_name=name, endpoint=entry["endpoint"], **options)
+        elif kind in ("web_search", "dense_retriever"):
+            from .remote import search_client  # only a config that names an HTTP client loads one
+
+            executor, description = search_client(entry, options)
         else:
             raise InputError(f'unknown tool kind "{kind}" for tool "{name}"')
         registry.register(search_spec(name, entry.get("description", description)), executor)

@@ -432,10 +432,12 @@ def step_cache_ratios(trajectory: Trajectory) -> list[float]:
     ``common_prefix_length`` (a loaded or freshly run step's shared lines
     are the previous step's own strings), and their token count, the head,
     comes from running totals over the previous input's lines. The totals
-    are extended only as far as a head reaches, so a line is tokenized only
-    when it enters some later input's shared head. The shared prefix is the
-    head plus the common token prefix of the two inputs' lines after it,
-    tokenized line by line only up to the first differing token.
+    are extended only as far as a head reaches, and each line's count is
+    kept for the pass, so a line is tokenized only when it first enters
+    some later input's shared head, however often heads are cut back above
+    it and grow over it again. The shared prefix is the head plus the
+    common token prefix of the two inputs' lines after it, tokenized line
+    by line only up to the first differing token.
 
     Whether an input is empty is decided from its own text. A recorded
     ``token_count`` below the shared prefix, or 0, is a TrajectoryError;
@@ -445,6 +447,7 @@ def step_cache_ratios(trajectory: Trajectory) -> list[float]:
     ratios = []
     lines: tuple[str, ...] = ()  # the previous solving input's
     totals = [0]  # totals[i]: tokens in lines[:i], for as many lines as a head has reached
+    known: dict[str, int] = {}  # the token count of each line a head has reached, for the whole pass
     for turn, step in enumerate(trajectory.solving_steps()):
         if turn:
             where = f'trajectory "{trajectory.question_id}" step {step.index}'
@@ -453,7 +456,10 @@ def step_cache_ratios(trajectory: Trajectory) -> list[float]:
             same = common_prefix_length(lines, step.lines)
             del totals[same + 1 :]
             for line in lines[len(totals) - 1 : same]:
-                totals.append(totals[-1] + token_length(line))
+                count = known.get(line)
+                if count is None:
+                    count = known[line] = token_length(line)
+                totals.append(totals[-1] + count)
             shared = totals[same] + _common_tokens(lines[same:], step.lines[same:])
             least = max(shared, 1)
             if step.token_count < least:

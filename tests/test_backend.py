@@ -4,8 +4,9 @@ from http.server import BaseHTTPRequestHandler, HTTPServer
 
 import pytest
 
-from dagsearch.backend import BackendError, CompletionRequest, HttpChatBackend, ReplayBackend, ScriptedBackend
+from dagsearch.backend import BackendError, CompletionRequest, ReplayBackend, ScriptedBackend
 from dagsearch.engine import run
+from dagsearch.remote import HttpChatBackend
 from dagsearch.tools import ToolRegistry
 from helpers import fixed_clock
 

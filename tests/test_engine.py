@@ -24,7 +24,9 @@ from dagsearch.protocol import IntentPayload, ProtocolError, parse_action
 from dagsearch.register import default_tokenizer, render_planning_context, token_length
 from dagsearch.tools import (
     ArgumentSchemaViolation,
+    Document,
     InputError,
+    ScriptedTool,
     ToolRegistry,
     ToolResult,
     ToolTransportError,
@@ -667,6 +669,41 @@ class TestReplay:
     def test_v3_fold_fixture_is_unchanged(self):
         digest = hashlib.sha256((DATA_DIR / "fold_trajectory_v3.jsonl").read_bytes()).hexdigest()
         assert digest == "e0a333031cc0c6081fbf0f6f7f1456c54611fef57f1dff6bca0fafd4ab250596"
+
+    def test_v3_fold_hides_an_open_tasks_entry_once_that_task_is_answered(self):
+        # Version 3's fold takes every entry logged so far, not only the
+        # answered ones: t1's answer folds while t2, still open, has an entry
+        # logged, so t2's answer hides that entry from the next input
+        # although no fold follows it (the plan is then complete).
+        framing = {"tasks": [{"task_id": t, "description": f"Resolve {t}"} for t in ("t1", "t2")], "edges": []}
+        facts = [f"fact {i}: " + "word " * 500 for i in range(6)]  # past version 3's FOLD_CHARS
+        responses = [
+            INTENT,
+            f"<problem_framing>{json.dumps(framing)}</problem_framing>",
+            '<tool_call>{"task_id": "t1", "tool_name": "search", "arguments": {"query": "one"}}</tool_call>',
+            f'<doc_extraction>{json.dumps({"task_id": "t1", "facts": facts, "source_ids": ["s:1"]})}</doc_extraction>',
+            '<tool_call>{"task_id": "t2", "tool_name": "search", "arguments": {"query": "two"}}</tool_call>',
+            ANSWER_T1,
+            '<task_answer>{"answers": [{"task_id": "t2", "answer": "y"}]}</task_answer>',
+            FINAL,
+        ]
+        results = [ToolResult(documents=(Document(f"s:{n}", "Record", "text"),)) for n in (1, 2)]
+        registry = ToolRegistry().register(search_spec("search", "scripted"), ScriptedTool(results=results))
+        result = run(
+            "q?",
+            backend=ScriptedBackend(responses=responses),
+            tools=registry,
+            prompts=PROMPTS,
+            clock=fixed_clock(),
+            version=3,
+        )
+        assert result.outcome == "answered"
+        solving = result.trajectory.solving_steps()
+        assert [step.kind for step in solving][3:] == ["task_answer", "task_answer", "final_answer"]
+        t1_entry, t2_entry = 'search for t1 with {"query":"one"}', 'search for t2 with {"query":"two"}'
+        assert t1_entry in solving[3].state and t2_entry in solving[3].state
+        assert t1_entry not in solving[4].state and t2_entry in solving[4].state  # t1's answer folded
+        assert t2_entry not in solving[5].state
 
     def test_v4_fold_recording_replays_byte_for_byte(self, tmp_path):
         # recorded by helpers.run_fold(4): t1's answer folds t1's entry

@@ -1,5 +1,5 @@
 """Every name a package module imports is read in that module, and the HTTP
-stack loads only when a request is sent.
+clients load only when a config or ``--backend http`` names one.
 
 A name counts as read if it appears as an identifier anywhere in the
 module, annotations included (``from __future__ import annotations`` keeps
@@ -15,9 +15,12 @@ from pathlib import Path
 import pytest
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "dagsearch"
-V2_FIXTURE = Path(__file__).resolve().parent / "data" / "two_hop_trajectory_v2.jsonl"
+DATA_DIR = Path(__file__).resolve().parent / "data"
+V2_FIXTURE = DATA_DIR / "two_hop_trajectory_v2.jsonl"
 MODULES = sorted(PACKAGE.glob("*.py"))
-HTTP_MODULES = ("urllib.request", "http.client")
+# What an offline command must not load: the module that sends HTTP, the
+# HTTP stack, the hash behind web source ids, and eval's --parallel pool.
+OFFLINE_UNLOADED = ("dagsearch.remote", "urllib.request", "http.client", "hashlib", "concurrent.futures")
 
 
 def unused_imports(source: str) -> list[str]:
@@ -61,21 +64,51 @@ def run_python(script: str) -> list[str]:
     return done.stdout.splitlines()
 
 
-def test_offline_commands_never_load_the_http_stack():
-    # Only a request sent over HTTP needs the HTTP stack; importing the
-    # package and replaying a recording offline must leave it unloaded.
+def test_offline_commands_never_load_the_http_stack(tmp_path):
+    # Importing the package and running every offline command (replay,
+    # stats, export, a scripted fixture eval) loads none of OFFLINE_UNLOADED.
+    runs = tmp_path / "runs"
+    runs.mkdir()
+    for fixture in DATA_DIR.glob("*trajectory*.jsonl"):
+        (runs / fixture.name).write_bytes(fixture.read_bytes())
+    gold = tmp_path / "gold.jsonl"
+    gold.write_text('{"question_id": "two-hop-www", "question": "q", "answers": ["1096"]}\n')
+    commands = [
+        ["replay", "--strict", "--trajectory", str(V2_FIXTURE)],
+        ["stats", "--trajectories", str(runs), "--curve-out", str(tmp_path / "curve.csv"),
+         "--cache-out", str(tmp_path / "cache.csv")],
+        ["export", "--trajectories", str(runs), "--gold", str(gold), "--out", str(tmp_path / "sft.jsonl")],
+        ["eval", "--strict", "--dataset", str(DATA_DIR / "eval_dataset.jsonl"),
+         "--backend", f"scripted:{DATA_DIR / 'eval_scripted.json'}", "--tools", str(DATA_DIR / "tools.json"),
+         "--out", str(tmp_path / "eval.csv")],
+    ]
     script = (
         "import sys\n"
-        "import dagsearch\n"
-        "from dagsearch.cli import main\n"
-        f"loaded = lambda: [name for name in {HTTP_MODULES!r} if name in sys.modules]\n"
-        "print(loaded())\n"
-        f"code = main(['replay', '--strict', '--trajectory', {str(V2_FIXTURE)!r}])\n"
-        "print(code, loaded())\n"
+        "import dagsearch.engine, dagsearch.tools, dagsearch.cli\n"
+        f"loaded = lambda: [name for name in {OFFLINE_UNLOADED!r} if name in sys.modules]\n"
+        "print('loaded', loaded())\n"
+        f"for argv in {commands!r}:\n"
+        "    code = dagsearch.cli.main(argv)\n"
+        "    print('loaded', argv[0], code, loaded())\n"
     )
-    lines = run_python(script)
-    assert lines[0] == "[]"
-    assert lines[-1] == "0 []"
+    lines = [line for line in run_python(script) if line.startswith("loaded")]
+    assert lines == ["loaded []"] + [f"loaded {argv[0]} 0 []" for argv in commands]
+
+
+def test_only_an_http_tool_entry_loads_remote():
+    # An unknown tool kind is rejected, with its message, before ``remote``
+    # loads; a web_search entry loads it.
+    script = """
+import sys
+from dagsearch.tools import InputError, build_registry
+try:
+    build_registry([{"name": "x", "kind": "bogus", "endpoint": "http://127.0.0.1:1/"}])
+except InputError as exc:
+    print(exc, "dagsearch.remote" in sys.modules)
+build_registry([{"name": "web", "kind": "web_search", "endpoint": "http://127.0.0.1:1/"}])
+print("dagsearch.remote" in sys.modules)
+"""
+    assert run_python(script) == ['unknown tool kind "bogus" for tool "x" False', "True"]
 
 
 def test_http_clients_need_no_third_party_package():
@@ -107,8 +140,8 @@ class Handler(BaseHTTPRequestHandler):
 server = HTTPServer(("127.0.0.1", 0), Handler)
 threading.Thread(target=server.serve_forever, kwargs={"poll_interval": 0.01}, daemon=True).start()
 url = f"http://127.0.0.1:{server.server_port}/"
-from dagsearch.backend import CompletionRequest, HttpChatBackend
-from dagsearch.tools import WebSearchClient
+from dagsearch.backend import CompletionRequest
+from dagsearch.remote import HttpChatBackend, WebSearchClient
 print(WebSearchClient(tool_name="web", endpoint=url)({"query": "q"}).documents[0].title)
 print(HttpChatBackend(endpoint=url, model="m", api_key="k").complete(CompletionRequest(context="x")))
 server.shutdown()

@@ -9,10 +9,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from dagsearch.backend import BackendError, CompletionRequest, HttpChatBackend
+from dagsearch.backend import BackendError, CompletionRequest
+from dagsearch.remote import DenseRetrieverClient, HttpChatBackend, WebSearchClient, stable_source_id
 from dagsearch.tools import (
     ArgumentSchemaViolation,
-    DenseRetrieverClient,
     Document,
     DuplicateTool,
     FixtureSearchTool,
@@ -20,11 +20,9 @@ from dagsearch.tools import (
     ToolResult,
     ToolTransportError,
     UnknownTool,
-    WebSearchClient,
     build_registry,
     load_corpus,
     search_spec,
-    stable_source_id,
 )
 from helpers import DATA_DIR, brute_force_search
 

@@ -661,11 +661,11 @@ class TestAnalyses:
             counted.clear()
             compared.clear()
             assert step_cache_ratios(solving_trajectory([prev, cur])) == whole_state_ratios([prev, cur])
-            # counting tokenizes the lines the two inputs share, once each,
-            # and nothing after them
+            # counting tokenizes the distinct lines the two inputs share,
+            # once each, and nothing after them
             prev_lines, cur_lines = prev.split("\n"), cur.split("\n")
             same = len(os.path.commonprefix([prev_lines, cur_lines]))
-            assert counted == cur_lines[:same]
+            assert counted == list(dict.fromkeys(cur_lines[:same]))
             # the compare takes each input's non-empty lines in order from
             # the first line after the shared ones, and stops at the first
             # token that differs
@@ -685,17 +685,34 @@ class TestAnalyses:
         counted.clear()
         compared.clear()
         assert step_cache_ratios(trajectory) == whole_state_ratios(states)
-        # Over the run, a line is counted when it enters a shared head: when
-        # an input shares it with the one before, and that one did not share
-        # it with its own predecessor. So a tool document, which the next
-        # input no longer shows, is never counted.
+        # Over the run, a line is counted the first time it enters a shared
+        # head: when an input shares it with the one before, and that one did
+        # not share it with its own predecessor. So a tool document, which the
+        # next input no longer shows, is never counted.
         lines = [step.lines for step in solving]
         heads = [0] + [len(os.path.commonprefix(pair)) for pair in zip(lines, lines[1:])]
-        assert counted == [line for cur, low, high in zip(lines[1:], heads, heads[1:]) for line in cur[low:high]]
+        entering = [line for cur, low, high in zip(lines[1:], heads, heads[1:]) for line in cur[low:high]]
+        assert counted == list(dict.fromkeys(entering))
         documents = {line for step in solving for line in _latest_tool_output(step.lines) if line.strip()}
         assert documents and not documents & set(counted)
         tokenized = sum(len(default_tokenizer(text)) for text in counted + compared)
         assert tokenized < sum(len(default_tokenizer(state)) for state in states) / 2
+
+    def test_step_cache_ratios_tokenize_each_line_once_when_a_mid_prefix_line_keeps_changing(self, monkeypatch):
+        # Revise-shaped inputs: a Status line above a growing tool log
+        # changes every other turn, so each head is cut back above the log
+        # and the next one grows over it again.
+        header = ["You are a search agent.", "Tasks:", "- t1: find the year", ""]
+        log = [f"Step {i}: search {i} found fact {i}." for i in range(1, 13)]
+        states = [
+            "\n".join(header + [f"Status: t1 {'revisited' if turn // 2 % 2 else 'open'}"] + log[:turn])
+            for turn in range(1, 13)
+        ]
+        calls = []
+        monkeypatch.setattr(dagsearch.trajectory, "token_length", lambda line: len(_spy(calls)(line)))
+        assert step_cache_ratios(solving_trajectory(states)) == whole_state_ratios(states)
+        assert sorted(set(calls)) == sorted(calls)
+        assert len(calls) <= len({line for state in states for line in state.split("\n")})
 
     def test_step_cache_ratios_across_a_line_boundary(self):
         states = ["foo\nbar x", "foo bar\ny", "foo bar\ny\n\n z", "  foo  bar\t\ny z"]
