@@ -35,21 +35,29 @@ def _check_question(record: dict) -> None:
     check_fields(record, {"question": (str,), "answers": (list,)})
     check_fields(record, {"question_id": (str,)}, optional=True)
     check_strings(record, "answers")
+    question_id = record.get("question_id")
+    if question_id is not None and (question_id in ("", ".", "..") or not {"/", "\\", "\0"}.isdisjoint(question_id)):
+        problem = "it is '', '.' or '..', or holds '/', '\\' or NUL"
+        raise InputError(f"question_id {question_id!r} cannot name a file: {problem}")
 
 
 def _load_dataset(path: str) -> list[dict]:
     """JSONL of {question, answers: [...], question_id?} records; a malformed one stops a batch before it runs.
 
-    A record without a ``question_id`` gets ``q<line>``; an id that repeats
-    an earlier record's is an InputError, so no trajectory overwrites another.
+    A record without a ``question_id`` gets ``q<line>``. The id names the
+    question's trajectory file, so it must be one path component, and an id
+    equal to an earlier record's up to case is an InputError: no trajectory
+    overwrites another, on a case-insensitive file system too.
     """
-    dataset, lines = [], {}
+    dataset, seen = [], {}
     for number, record in read_json(path, _check_question):
         record = {"question_id": f"q{number:04d}", **record}
-        first = lines.setdefault(record["question_id"], number)
+        question_id = record["question_id"]
+        first, earlier = seen.setdefault(question_id.casefold(), (number, question_id))
         if first != number:
+            case = "" if earlier == question_id else f' ("{earlier}") up to case'
             with located(path, number):
-                raise InputError(f'question_id "{record["question_id"]}" repeats line {first}')
+                raise InputError(f'question_id "{question_id}" repeats line {first}{case}')
         dataset.append(record)
     return dataset
 

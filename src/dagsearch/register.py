@@ -25,7 +25,7 @@ from typing import Sequence
 
 from . import plan as planmod
 from .plan import DagPlan
-from .protocol import Action, ActionKind, IntentPayload, canonical_json
+from .protocol import PLANNING_KINDS, Action, ActionKind, IntentPayload, canonical_json
 from .tools import ToolResult
 
 # A task_answer folds the answered tasks' tool-log entries that are still
@@ -247,7 +247,7 @@ def apply_action(
     the one-turn "latest tool output" section.
     """
     kind = action.kind
-    if kind in (ActionKind.INTENT_REFINEMENT, ActionKind.PROBLEM_FRAMING):
+    if kind in PLANNING_KINDS:
         raise RegisterError(
             f"<{kind.value}> is a planning action; only task-solving and "
             "retrospection actions are legal while solving"

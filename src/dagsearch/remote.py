@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 from typing import Any, Mapping
 
 from .backend import Backend, BackendError, CompletionRequest
-from .tools import DEFAULT_TOP_K, Document, Executor, ToolResult, ToolTransportError, check_fields
+from .tools import DEFAULT_TOP_K, SURROGATE_RE, Document, Executor, ToolResult, ToolTransportError, check_fields
 
 logger = logging.getLogger(__name__)
 
@@ -101,8 +101,12 @@ def _dig(payload: Any, path: str) -> Any:
     return current
 
 
-def _result_items(body: bytes, path: str, top_k: int) -> list[dict]:
-    """The first ``top_k`` result objects of the array at ``path`` in a JSON body."""
+def _result_items(body: bytes, path: str, top_k: int, fields: tuple[str, ...]) -> list[list[str]]:
+    """The ``fields`` of the first ``top_k`` result objects of the array at ``path`` in a JSON body, as strings.
+
+    A field a result lacks reads as "". JSON can escape a lone surrogate,
+    which no trajectory could save, so each one reads as U+FFFD.
+    """
     try:
         payload = json.loads(body)
     except ValueError as exc:
@@ -113,7 +117,7 @@ def _result_items(body: bytes, path: str, top_k: int) -> list[dict]:
     items = items[:top_k]
     if not all(isinstance(item, dict) for item in items):
         raise ToolTransportError(f'response field "{path}" holds a result that is not an object')
-    return items
+    return [[SURROGATE_RE.sub("\ufffd", str(item.get(name, ""))) for name in fields] for item in items]
 
 
 @dataclass
@@ -162,18 +166,13 @@ class WebSearchClient:
             body=params if post else None,
             headers=headers,
         )
-        docs = []
-        for item in _result_items(response, self.results_path, self.top_k):
-            url = str(item.get(self.url_field, ""))
-            title = str(item.get(self.title_field, ""))
-            docs.append(
-                Document(
-                    source_id=stable_source_id(self.tool_name, url or title),
-                    title=title,
-                    text=str(item.get(self.snippet_field, "")),
-                )
+        fields = (self.url_field, self.title_field, self.snippet_field)
+        return ToolResult(
+            documents=tuple(
+                Document(source_id=stable_source_id(self.tool_name, url or title), title=title, text=text)
+                for url, title, text in _result_items(response, self.results_path, self.top_k, fields)
             )
-        return ToolResult(documents=tuple(docs))
+        )
 
 
 @dataclass
@@ -203,17 +202,13 @@ class DenseRetrieverClient:
             timeout=self.timeout,
             body=body,
         )
-        docs = []
-        for item in _result_items(response, self.results_path, self.top_k):
-            doc_id = str(item.get(self.id_field, ""))
-            docs.append(
-                Document(
-                    source_id=stable_source_id(self.tool_name, doc_id),
-                    title=str(item.get(self.title_field, "")),
-                    text=str(item.get(self.text_field, "")),
-                )
+        fields = (self.id_field, self.title_field, self.text_field)
+        return ToolResult(
+            documents=tuple(
+                Document(source_id=stable_source_id(self.tool_name, doc_id), title=title, text=text)
+                for doc_id, title, text in _result_items(response, self.results_path, self.top_k, fields)
             )
-        return ToolResult(documents=tuple(docs))
+        )
 
 
 # Per client kind: the class, the optional config keys passed through to it

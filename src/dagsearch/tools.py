@@ -47,7 +47,7 @@ class located:
 
 # A lone surrogate: JSON can escape one, but it is not Unicode, so UTF-8
 # cannot encode it. Only a line holding a surrogate's escape can hold one.
-_SURROGATE_RE = re.compile("[\ud800-\udfff]")
+SURROGATE_RE = re.compile("[\ud800-\udfff]")
 _SURROGATE_ESCAPE_RE = re.compile(rb"\\u[dD][89a-fA-F]")
 
 
@@ -79,7 +79,7 @@ def read_json(
             if (
                 not surrogates
                 and _SURROGATE_ESCAPE_RE.search(data)
-                and _SURROGATE_RE.search(json.dumps(record, ensure_ascii=False))
+                and SURROGATE_RE.search(json.dumps(record, ensure_ascii=False))
             ):
                 raise InputError("holds a lone surrogate (U+D800-U+DFFF), which is not Unicode")
             if check:

@@ -899,6 +899,23 @@ EVAL_RECORDS = fixture_records("eval_dataset.jsonl")
 TITLED = {"source_id": "fix:x", "title": "X", "text": "x"}
 
 
+def with_question_id(question_id):
+    """The records of the eval dataset, the second one's question_id set to ``question_id``."""
+    return [EVAL_RECORDS[0], {**EVAL_RECORDS[1], "question_id": question_id}, *EVAL_RECORDS[2:]]
+
+
+# Question ids that cannot name a file in --trajectory-dir.
+UNSAFE_IDS = {
+    "leaves-the-directory": "../escaped",
+    "in-a-subdirectory": "sub/fr",
+    "backslash": "sub\\fr",
+    "nul": "fr\0",
+    "empty": "",
+    "dot": ".",
+    "dot-dot": "..",
+}
+
+
 def with_header_config(**settings):
     """The records of the v2 trajectory fixture, its header's run config updated with ``settings``."""
     header, *steps = fixture_records("two_hop_trajectory_v2.jsonl")
@@ -994,6 +1011,21 @@ MALFORMED_INPUTS = {
         with_header_config(temperature="hot"),
         1,
         "temperature must be a finite number",
+    ),
+    **{
+        f"question-id-{case}": (
+            "dataset.jsonl",
+            with_question_id(question_id),
+            2,
+            f"question_id {question_id!r} cannot name a file: it is '', '.' or '..', or holds '/', '\\' or NUL",
+        )
+        for case, question_id in UNSAFE_IDS.items()
+    },
+    "question-id-repeats-up-to-case": (
+        "dataset.jsonl",
+        EVAL_RECORDS + [{**EVAL_RECORDS[0], "question_id": "Capital-France"}],
+        6,
+        'question_id "Capital-France" repeats line 1 ("capital-france") up to case',
     ),
     "defaulted-question-id-repeats": (
         "dataset.jsonl",

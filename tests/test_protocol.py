@@ -7,7 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dagsearch.engine import PromptPack
 from dagsearch.protocol import (
+    _ANSWER_FIELDS,
+    _TASK_FIELDS,
+    PAYLOAD_FIELDS,
     Action,
     ActionKind,
     IntentPayload,
@@ -284,6 +288,30 @@ def test_payload_diagnostics_match_the_golden_file():
         if diagnostic != record["diagnostic"]:
             changed.append((record, diagnostic))
     assert not changed
+
+
+def test_shipped_prompt_examples_match_the_payload_table():
+    """Each stage prompt shows exactly its stage's kinds, each example with the table's fields in its order.
+
+    The examples are the only copy of the grammar the model reads. An
+    ``{...}`` arguments placeholder holds no grammar field and reads as {}.
+    """
+    prompts = PromptPack.load_default()
+    nested = {"tasks": _TASK_FIELDS, "answers": _ANSWER_FIELDS}
+    stages = [(prompts.holistic, PLANNING_KINDS), (prompts.solving, frozenset(ActionKind) - PLANNING_KINDS)]
+    for prompt, kinds in stages:
+        text = prompt.replace("{...}", "{}")
+        examples = [
+            (ActionKind(match.group(1)), json.JSONDecoder().raw_decode(text, match.end())[0])
+            for match in re.finditer(r"<([a-z_]+)>", text)
+        ]
+        assert {kind for kind, _ in examples} == kinds
+        for kind, payload in examples:
+            assert list(payload) == list(PAYLOAD_FIELDS[kind]), kind
+            for name, fields in nested.items():
+                for entry in payload.get(name, ()):
+                    assert list(entry) == list(fields), (kind, name)
+            validate_payload(kind, payload)
 
 
 class TestRender:

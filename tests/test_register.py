@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 import dagsearch.register
 from dagsearch.plan import ANSWERED, PENDING, PlanError, build_plan, is_complete
-from dagsearch.protocol import Action, ActionKind, IntentPayload
+from dagsearch.protocol import PLANNING_KINDS, Action, ActionKind, IntentPayload
 from dagsearch.register import (
     FOLD_CHARS,
     LineTokenCounter,
@@ -119,12 +119,17 @@ class TestInit:
 
 
 class TestApply:
-    def test_planning_actions_are_illegal(self):
-        action = act(
-            ActionKind.INTENT_REFINEMENT, {"refined_goal": "again", "constraints": []}
+    @pytest.mark.parametrize("kind", sorted(PLANNING_KINDS), ids=lambda kind: kind.value)
+    def test_planning_actions_are_illegal(self, kind):
+        payloads = {
+            ActionKind.INTENT_REFINEMENT: {"refined_goal": "again", "constraints": []},
+            ActionKind.PROBLEM_FRAMING: {"tasks": [{"task_id": "t1", "description": "again"}], "edges": []},
+        }
+        with pytest.raises(RegisterError) as info:
+            apply_action(fresh(), act(kind, payloads[kind]))
+        assert str(info.value) == (
+            f"<{kind.value}> is a planning action; only task-solving and retrospection actions are legal while solving"
         )
-        with pytest.raises(RegisterError, match="^<intent_refinement> is a planning action; only task-solving and "):
-            apply_action(fresh(), action)
 
     def test_tool_call_appends_provisional_entry(self):
         register = apply_action(fresh(), tool_call(), result())

@@ -9,7 +9,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from dagsearch.backend import BackendError, CompletionRequest
+from dagsearch.backend import BackendError, CompletionRequest, ScriptedBackend
+from dagsearch.engine import PromptPack, replay_run, run
 from dagsearch.remote import DenseRetrieverClient, HttpChatBackend, WebSearchClient, stable_source_id
 from dagsearch.tools import (
     ArgumentSchemaViolation,
@@ -24,7 +25,8 @@ from dagsearch.tools import (
     load_corpus,
     search_spec,
 )
-from helpers import DATA_DIR, brute_force_search
+from dagsearch.trajectory import Trajectory
+from helpers import DATA_DIR, TWO_HOP_QUESTION, brute_force_search, fixed_clock, two_hop_responses
 
 
 @pytest.fixture
@@ -336,6 +338,40 @@ class TestGarbledResponses:
         json_stub["payload"] = {"results": ["just a string"], "passages": [42]}
         with pytest.raises(ToolTransportError, match="not an object"):
             make_client(json_stub["url"])({"query": "x"})
+
+
+@pytest.mark.parametrize(
+    "make_client, field, document",
+    [
+        (web_client, "url", Document(stable_source_id("web", "https://example.org/a\ufffd"), "T", "s")),
+        (web_client, "snippet", Document(stable_source_id("web", "https://example.org/a"), "T", "s\ufffd")),
+        (dense_client, "id", Document(stable_source_id("dense", "p1\ufffd"), "T", "t")),
+        (dense_client, "text", Document(stable_source_id("dense", "p1"), "T", "t\ufffd")),
+    ],
+    ids=["web-url", "web-snippet", "dense-id", "dense-text"],
+)
+def test_a_lone_surrogate_in_a_result_reads_as_u_fffd(tmp_path, json_stub, make_client, field, document):
+    """JSON can escape a lone surrogate, which no trajectory could save: the run answers, saves and replays."""
+    item = {"title": "T", "url": "https://example.org/a", "snippet": "s", "id": "p1", "text": "t"}
+    item[field] += "\ud800"  # json.dumps escapes it as \ud800
+    json_stub["payload"] = {"results": [item], "passages": [item]}
+    tools = ToolRegistry()
+    tools.register(search_spec("search", "search over HTTP"), make_client(json_stub["url"]))
+    result = run(
+        TWO_HOP_QUESTION,
+        backend=ScriptedBackend(responses=two_hop_responses()),
+        tools=tools,
+        prompts=PromptPack.load_default(),
+        question_id="two-hop-www",
+        clock=fixed_clock(),
+    )
+    assert (result.outcome, result.answer) == ("answered", "1096")
+    results = [step.tool_result for step in result.trajectory.steps if step.tool_result]
+    assert len(results) == 2 and all(tool_result.documents == (document,) for tool_result in results)
+    path = tmp_path / "run.jsonl"
+    result.trajectory.save(path)
+    replayed = replay_run(Trajectory.load(path), strict=True, clock=fixed_clock())
+    assert (replayed.outcome, replayed.answer) == ("answered", "1096")
 
 
 def _chat_call(url, max_retries):
