@@ -2,6 +2,7 @@ import json
 import logging
 import threading
 import tracemalloc
+import urllib.parse
 from collections.abc import Sequence
 from http.server import BaseHTTPRequestHandler, HTTPServer
 
@@ -53,7 +54,12 @@ def json_stub():
             length = int(self.headers.get("Content-Length", 0) or 0)
             raw = self.rfile.read(length) if length else b""
             state["requests"].append(
-                {"path": self.path, "body": json.loads(raw) if raw else None}
+                {
+                    "method": self.command,
+                    "path": self.path,
+                    "body": json.loads(raw) if raw else None,
+                    "headers": self.headers,
+                }
             )
             if state["fail_next"] > 0:
                 state["fail_next"] -= 1
@@ -504,3 +510,121 @@ class TestBuildRegistry:
         assert registry._tools["d"][1] == DenseRetrieverClient(tool_name="d", endpoint=endpoint, top_k=7, **dense)
         assert registry.get("w").description == "web"
         assert registry.get("d").description == "Dense passage retrieval over a local index."
+
+
+KEY_ENV = "DAGSEARCH_TEST_SEARCH_KEY"
+
+
+def served(id_field, title_field, text_field, ids):
+    """``len(ids)`` result objects of the endpoint, with their fields under the given names."""
+    return [{id_field: doc_id, title_field: f"Title {i}", text_field: f"text {i}"} for i, doc_id in enumerate(ids)]
+
+
+def read(ids):
+    """The documents of tool "s" for results ``served`` with these ids."""
+    return tuple(Document(stable_source_id("s", doc_id), f"Title {i}", f"text {i}") for i, doc_id in enumerate(ids))
+
+
+URLS = [f"https://example.org/{i}" for i in range(8)]
+PASSAGES = [f"p{i}" for i in range(8)]
+EVERY_WEB_KEY = {
+    "kind": "web_search",
+    "method": "POST",
+    "query_param": "query",
+    "extra_params": {"lang": "en"},
+    "results_path": "data.items",
+    "title_field": "name",
+    "url_field": "link",
+    "snippet_field": "body",
+    "api_key_param": "key",
+    "api_key_header": "X-Key",
+    "api_key_env": KEY_ENV,
+    "top_k": "5",
+    "description": "web",
+}
+EVERY_DENSE_KEY = {
+    "kind": "dense_retriever",
+    "query_field": "text",
+    "top_k_field": "k",
+    "results_path": "hits",
+    "id_field": "pid",
+    "title_field": "heading",
+    "text_field": "passage",
+    "top_k": 7,
+    "description": "dense",
+}
+
+
+# Each case: a tool entry's keys besides its name and endpoint, the payload
+# its endpoint serves, the request a search for "who invented" sends (method,
+# path, query string, JSON body, X-Key header) and the documents it returns.
+@pytest.mark.parametrize(
+    "entry, payload, request_, documents",
+    [
+        pytest.param(
+            {"kind": "web_search"},
+            {"results": served("url", "title", "snippet", URLS)},
+            ("GET", "/search", "q=who+invented", None, None),
+            read(URLS[:3]),
+            id="web-defaults",
+        ),
+        pytest.param(
+            {
+                "kind": "web_search",
+                "method": "GET",
+                "extra_params": {"lang": "en", "safe": "off"},
+                "api_key_param": "key",
+                "api_key_env": KEY_ENV,
+            },
+            {"results": served("url", "title", "snippet", URLS)},
+            ("GET", "/search", "lang=en&safe=off&q=who+invented&key=secret", None, None),
+            read(URLS[:3]),
+            id="web-get-key-param",
+        ),
+        pytest.param(
+            {"kind": "web_search", "api_key_header": "X-Key", "api_key_env": KEY_ENV},
+            {"results": served("url", "title", "snippet", URLS)},
+            ("GET", "/search", "q=who+invented", None, "secret"),
+            read(URLS[:3]),
+            id="web-get-key-header",
+        ),
+        pytest.param(
+            {"kind": "web_search", "method": "post", "api_key_env": KEY_ENV, "top_k": 2},
+            {"results": served("url", "title", "snippet", URLS)},
+            ("POST", "/search", "", {"q": "who invented", "api_key": "secret"}, None),
+            read(URLS[:2]),
+            id="web-post-key-param",
+        ),
+        pytest.param(
+            EVERY_WEB_KEY,
+            {"data": {"items": served("link", "name", "body", URLS)}},
+            ("POST", "/search", "", {"lang": "en", "query": "who invented"}, "secret"),
+            read(URLS[:5]),
+            id="web-every-key",
+        ),
+        pytest.param(
+            {"kind": "dense_retriever"},
+            {"passages": served("id", "title", "text", PASSAGES)},
+            ("POST", "/search", "", {"query": "who invented", "top_k": 3}, None),
+            read(PASSAGES[:3]),
+            id="dense-defaults",
+        ),
+        pytest.param(
+            EVERY_DENSE_KEY,
+            {"hits": served("pid", "heading", "passage", PASSAGES)},
+            ("POST", "/search", "", {"text": "who invented", "k": 7}, None),
+            read(PASSAGES[:7]),
+            id="dense-every-key",
+        ),
+    ],
+)
+def test_a_tool_entry_sets_the_request_and_how_results_are_read(
+    json_stub, monkeypatch, entry, payload, request_, documents
+):
+    monkeypatch.setenv(KEY_ENV, "secret")
+    json_stub["payload"] = payload
+    registry = build_registry([{"name": "s", "endpoint": json_stub["url"], **entry}])
+    assert registry.invoke("s", {"query": "who invented"}).documents == documents
+    [sent] = json_stub["requests"]
+    url = urllib.parse.urlsplit(sent["path"])
+    assert (sent["method"], url.path, url.query, sent["body"], sent["headers"].get("X-Key")) == request_
