@@ -1,4 +1,4 @@
-"""Everything that sends HTTP: the retrying transport, both search adapters and the chat backend.
+"""Everything that sends HTTP: the retrying transport, the search client and the chat backend.
 
 Nothing imports this module at package import time: ``tools.build_registry``
 imports it for a ``web_search`` or ``dense_retriever`` entry, and the CLI
@@ -21,7 +21,8 @@ from dataclasses import dataclass, field
 from typing import Any, Mapping
 
 from .backend import Backend, BackendError, CompletionRequest
-from .tools import DEFAULT_TOP_K, SURROGATE_RE, Document, Executor, ToolResult, ToolTransportError, check_fields
+from .tools import DEFAULT_TOP_K, SURROGATE_RE, Document, Executor, ToolResult, ToolTransportError
+from .tools import check_fields, check_tool_keys
 
 logger = logging.getLogger(__name__)
 
@@ -91,22 +92,26 @@ def stable_source_id(tool_name: str, key: str) -> str:
 
 def _dig(payload: Any, path: str) -> Any:
     """Follow a dotted path through nested dicts; '' returns the payload."""
-    current = payload
-    if not path:
-        return current
-    for part in path.split("."):
-        if not isinstance(current, dict) or part not in current:
+    for part in path.split(".") if path else ():
+        if not isinstance(payload, dict) or part not in payload:
             raise ToolTransportError(f'response is missing field "{path}"')
-        current = current[part]
-    return current
+        payload = payload[part]
+    return payload
+
+
+def _text(value: Any) -> str:
+    """A result field as text: a string as itself, a number (not true/false) as ``str()`` of it, anything else as "".
+
+    JSON can escape a lone surrogate, which no trajectory could save, so
+    each one in a string reads as U+FFFD.
+    """
+    if type(value) is str:
+        return SURROGATE_RE.sub("\ufffd", value)
+    return str(value) if type(value) in (int, float) else ""
 
 
 def _result_items(body: bytes, path: str, top_k: int, fields: tuple[str, ...]) -> list[list[str]]:
-    """The ``fields`` of the first ``top_k`` result objects of the array at ``path`` in a JSON body, as strings.
-
-    A field a result lacks reads as "". JSON can escape a lone surrogate,
-    which no trajectory could save, so each one reads as U+FFFD.
-    """
+    """The ``fields``, read by ``_text``, of the first ``top_k`` objects of the array at ``path`` in a JSON body."""
     try:
         payload = json.loads(body)
     except ValueError as exc:
@@ -117,28 +122,30 @@ def _result_items(body: bytes, path: str, top_k: int, fields: tuple[str, ...]) -
     items = items[:top_k]
     if not all(isinstance(item, dict) for item in items):
         raise ToolTransportError(f'response field "{path}" holds a result that is not an object')
-    return [[SURROGATE_RE.sub("\ufffd", str(item.get(name, ""))) for name in fields] for item in items]
+    return [[_text(item.get(name)) for name in fields] for item in items]
 
 
-@dataclass
-class WebSearchClient:
-    """Provider-agnostic "query -> ranked snippets" adapter.
+@dataclass(kw_only=True)
+class SearchClient:
+    """A "query -> ranked documents" client for a JSON search API, its wire format set by a ``_KINDS`` entry.
 
-    The wire format is config-mapped (param names and response field paths),
-    so any commercial search API with a JSON results array fits without code
-    changes.
+    It sends ``extra_params``, the query, ``top_k`` when ``top_k_key`` is
+    set, and the api key unless a header carries it: as URL parameters for
+    a GET, as a JSON body for a POST. Each document's id hashes the first
+    non-empty one of its id, title and text.
     """
 
     tool_name: str
     endpoint: str
     top_k: int = DEFAULT_TOP_K
-    method: str = "GET"
-    query_param: str = "q"
+    method: str
+    query_key: str
+    top_k_key: str | None
     extra_params: Mapping[str, str] = field(default_factory=dict)
-    results_path: str = "results"
-    title_field: str = "title"
-    url_field: str = "url"
-    snippet_field: str = "snippet"
+    results_path: str
+    id_field: str
+    title_field: str
+    text_field: str
     api_key: str | None = None
     api_key_param: str | None = None
     api_key_header: str | None = None
@@ -147,8 +154,9 @@ class WebSearchClient:
     backoff: float = 0.5
 
     def __call__(self, arguments: Mapping[str, Any]) -> ToolResult:
-        params = dict(self.extra_params)
-        params[self.query_param] = str(arguments["query"])
+        params: dict[str, Any] = {**self.extra_params, self.query_key: str(arguments["query"])}
+        if self.top_k_key is not None:
+            params[self.top_k_key] = self.top_k
         headers = {}
         if self.api_key:
             if self.api_key_header:
@@ -166,67 +174,48 @@ class WebSearchClient:
             body=params if post else None,
             headers=headers,
         )
-        fields = (self.url_field, self.title_field, self.snippet_field)
-        return ToolResult(
-            documents=tuple(
-                Document(source_id=stable_source_id(self.tool_name, url or title), title=title, text=text)
-                for url, title, text in _result_items(response, self.results_path, self.top_k, fields)
-            )
-        )
-
-
-@dataclass
-class DenseRetrieverClient:
-    """Client for a local "query -> top-k scored passages" retrieval service."""
-
-    tool_name: str
-    endpoint: str
-    top_k: int = DEFAULT_TOP_K
-    query_field: str = "query"
-    top_k_field: str = "top_k"
-    results_path: str = "passages"
-    id_field: str = "id"
-    title_field: str = "title"
-    text_field: str = "text"
-    timeout: float = 15.0
-    max_retries: int = 3
-    backoff: float = 0.5
-
-    def __call__(self, arguments: Mapping[str, Any]) -> ToolResult:
-        body = {self.query_field: str(arguments["query"]), self.top_k_field: self.top_k}
-        response = _request_with_retries(
-            "POST",
-            self.endpoint,
-            max_retries=self.max_retries,
-            backoff=self.backoff,
-            timeout=self.timeout,
-            body=body,
-        )
         fields = (self.id_field, self.title_field, self.text_field)
         return ToolResult(
             documents=tuple(
-                Document(source_id=stable_source_id(self.tool_name, doc_id), title=title, text=text)
+                Document(source_id=stable_source_id(self.tool_name, doc_id or title or text), title=title, text=text)
                 for doc_id, title, text in _result_items(response, self.results_path, self.top_k, fields)
             )
         )
 
 
-# Per client kind: the class, the optional config keys passed through to it
-# when an entry sets them, with their JSON types (each default lives on the
-# class), and the default description.
-_CLIENTS: dict[str, tuple[type, dict[str, tuple[type, ...]], str]] = {
+# Per HTTP tool kind: each config key an entry may set, with its JSON types
+# and the client field it sets (``api_key_env`` names the environment
+# variable that holds ``api_key``); the kind's default for each wire field;
+# and its default description.
+_KINDS: dict[str, tuple[dict[str, tuple[tuple[type, ...], str]], dict[str, Any], str]] = {
     "web_search": (
-        WebSearchClient,
         {
-            **dict.fromkeys(("method", "query_param", "results_path", "title_field", "url_field"), (str,)),
-            **dict.fromkeys(("snippet_field", "api_key_param", "api_key_header"), (str,)),
-            "extra_params": (dict,),
+            "method": ((str,), "method"),
+            "query_param": ((str,), "query_key"),
+            "extra_params": ((dict,), "extra_params"),
+            "results_path": ((str,), "results_path"),
+            "url_field": ((str,), "id_field"),
+            "title_field": ((str,), "title_field"),
+            "snippet_field": ((str,), "text_field"),
+            "api_key_param": ((str,), "api_key_param"),
+            "api_key_header": ((str,), "api_key_header"),
+            "api_key_env": ((str,), "api_key"),
         },
+        dict(method="GET", query_key="q", top_k_key=None, results_path="results", id_field="url")
+        | dict(title_field="title", text_field="snippet"),
         "Web search returning ranked snippets.",
     ),
     "dense_retriever": (
-        DenseRetrieverClient,
-        dict.fromkeys(("query_field", "top_k_field", "results_path", "id_field", "title_field", "text_field"), (str,)),
+        {
+            "query_field": ((str,), "query_key"),
+            "top_k_field": ((str,), "top_k_key"),
+            "results_path": ((str,), "results_path"),
+            "id_field": ((str,), "id_field"),
+            "title_field": ((str,), "title_field"),
+            "text_field": ((str,), "text_field"),
+        },
+        dict(method="POST", query_key="query", top_k_key="top_k", results_path="passages", id_field="id")
+        | dict(title_field="title", text_field="text"),
         "Dense passage retrieval over a local index.",
     ),
 }
@@ -236,16 +225,17 @@ def search_client(entry: Mapping[str, Any], options: dict[str, Any]) -> tuple[Ex
     """The client a ``web_search`` or ``dense_retriever`` tool entry configures, and its default description.
 
     ``options`` holds the settings ``build_registry`` has already read from
-    the entry (``top_k``). A malformed entry is an InputError.
+    the entry (``top_k``). A malformed entry, or an unknown key, is an InputError.
     """
-    name, kind = entry["name"], entry["kind"]
-    client, keys, description = _CLIENTS[kind]
+    keys, defaults, description = _KINDS[entry["kind"]]
+    check_tool_keys(entry, {"endpoint", *keys})
     check_fields(entry, {"endpoint": (str,)})
-    check_fields(entry, keys, optional=True)
-    options.update((key, entry[key]) for key in keys if key in entry)
-    if kind == "web_search" and entry.get("api_key_env"):
-        options["api_key"] = os.environ.get(entry["api_key_env"])
-    return client(tool_name=name, endpoint=entry["endpoint"], **options), description
+    check_fields(entry, {key: types for key, (types, _) in keys.items()}, optional=True)
+    options.update(defaults)
+    for key, (_, name) in keys.items():
+        if key in entry:
+            options[name] = os.environ.get(entry[key]) if key == "api_key_env" else entry[key]
+    return SearchClient(tool_name=entry["name"], endpoint=entry["endpoint"], **options), description
 
 
 # ---------------------------------------------------------------------------

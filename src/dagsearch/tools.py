@@ -227,8 +227,8 @@ class ToolRegistry:
 
 
 def load_corpus(path: str | Path) -> list[Document]:
-    """Read a JSONL corpus of {source_id, title, text} string records."""
-    records = read_json(path, lambda record: check_fields(record, DOCUMENT_FIELDS))
+    """Read a JSONL corpus of {source_id, title, text} string records; a lone surrogate in one is an InputError."""
+    records = read_json(path, lambda record: check_fields(record, DOCUMENT_FIELDS), surrogates=False)
     return [Document(record["source_id"], record["title"], record["text"]) for _, record in records]
 
 
@@ -333,7 +333,14 @@ def search_spec(tool_name: str, description: str) -> ToolSpec:
 
 
 # The optional keys of every entry, with their JSON types.
-_ENTRY_OPTIONS = {"top_k": (int, str), "description": (str,), "api_key_env": (str,)}
+_ENTRY_OPTIONS = {"top_k": (int, str), "description": (str,)}
+
+
+def check_tool_keys(entry: Mapping[str, Any], own: set[str]) -> None:
+    """Raise an InputError naming the first key of a tool entry that is neither every kind's nor in ``own``."""
+    unknown = sorted(entry.keys() - {"name", "kind", *_ENTRY_OPTIONS, *own})
+    if unknown:
+        raise InputError(f'tool "{entry["name"]}" has an unknown key "{unknown[0]}"')
 
 
 def build_registry(
@@ -346,8 +353,9 @@ def build_registry(
 
     Each entry is an object with a string ``name`` and ``kind`` (fixture |
     web_search | dense_retriever), plus a string ``corpus`` or ``endpoint``
-    by kind; see the README. A malformed entry, or a ``top_k`` that is not
-    an integer of at least 1, is an InputError naming the tool.
+    by kind; see the README. A malformed entry, a key its kind does not
+    accept, or a ``top_k`` that is not an integer of at least 1, is an
+    InputError naming the tool.
 
     ``fixtures`` maps a (corpus path, top_k) pair to the fixture tool built
     over it. A build reuses a tool found there and adds any it makes, so
@@ -372,6 +380,7 @@ def build_registry(
             if options["top_k"] < 1:
                 raise InputError(f'tool "{name}" needs a top_k of at least 1, not {options["top_k"]}')
         if kind == "fixture":
+            check_tool_keys(entry, {"corpus"})
             check_fields(entry, {"corpus": (str,)})
             path = Path(base_dir) / entry["corpus"]
             key = (path, options.get("top_k", DEFAULT_TOP_K))

@@ -888,6 +888,30 @@ def test_unsaveable_question_spends_no_turn(workdir, capsys, monkeypatch):
     assert contexts and not any(first["question"] in context for context in contexts)
 
 
+def test_a_corpus_holding_a_lone_surrogate_spends_no_turn(workdir, capsys, monkeypatch):
+    contexts = []
+    complete = ScriptedBackend.complete
+    monkeypatch.setattr(
+        ScriptedBackend, "complete", lambda self, request: contexts.append(request.context) or complete(self, request)
+    )
+    corpus = workdir / "corpus.jsonl"
+    records = [json.loads(line) for line in corpus.read_text().splitlines()]
+    records = [{**record, "text": record["text"] + " \ud800"} for record in records]
+    corpus.write_text("".join(json.dumps(record) + "\n" for record in records))
+    problem = f"error: {corpus} line 1: holds a lone surrogate (U+D800-U+DFFF), which is not Unicode\n"
+    argv = ["run", "--question", TWO_HOP_QUESTION, "--tools", str(workdir / "tools.json")]
+    argv += ["--backend", f"scripted:{workdir / 'two_hop_responses.json'}", "--out", str(workdir / "run.jsonl")]
+    assert main(argv) == 2
+    assert capsys.readouterr() == ("", problem)
+    assert not (workdir / "run.jsonl").exists()
+    argv = ["eval", "--dataset", str(workdir / "eval_dataset.jsonl"), "--tools", str(workdir / "tools.json")]
+    argv += ["--backend", f"scripted:{workdir / 'eval_scripted.json'}", "--out", str(workdir / "report.csv")]
+    assert main(argv + ["--trajectory-dir", str(workdir / "runs")]) == 2
+    assert capsys.readouterr() == ("", problem)
+    assert not (workdir / "report.csv").exists() and not list(workdir.glob("runs/*"))
+    assert contexts == []
+
+
 def corpus_with(bad):
     """The fixture corpus with ``bad`` inserted as line 3."""
     records = [json.loads(text) for text in (DATA_DIR / "corpus.jsonl").read_text().splitlines()]
@@ -958,6 +982,24 @@ MALFORMED_INPUTS = {
         "missing field 'title'",
     ),
     "corpus-record-not-an-object": ("corpus.jsonl", corpus_with([1, 2]), 3, "not a JSON object"),
+    "corpus-lone-surrogate": (
+        "corpus.jsonl",
+        corpus_with({**TITLED, "text": "x \ud800"}),
+        3,
+        "holds a lone surrogate (U+D800-U+DFFF), which is not Unicode",
+    ),
+    "fixture-tool-unknown-key": (
+        "tools.json",
+        {"tools": [{**FIXTURE_TOOL, "snipet_field": "body"}]},
+        0,
+        'tool "search" has an unknown key "snipet_field"',
+    ),
+    "web-search-unknown-key": (
+        "tools.json",
+        {"tools": [{"name": "w", "kind": "web_search", "endpoint": "http://127.0.0.1:9/", "snipet_field": "body"}]},
+        0,
+        'tool "w" has an unknown key "snipet_field"',
+    ),
     "corpus-source-id-not-a-string": (
         "corpus.jsonl",
         corpus_with({**TITLED, "source_id": 7}),

@@ -141,8 +141,10 @@ server = HTTPServer(("127.0.0.1", 0), Handler)
 threading.Thread(target=server.serve_forever, kwargs={"poll_interval": 0.01}, daemon=True).start()
 url = f"http://127.0.0.1:{server.server_port}/"
 from dagsearch.backend import CompletionRequest
-from dagsearch.remote import HttpChatBackend, WebSearchClient
-print(WebSearchClient(tool_name="web", endpoint=url)({"query": "q"}).documents[0].title)
+from dagsearch.remote import HttpChatBackend
+from dagsearch.tools import build_registry
+search = build_registry([{"name": "web", "kind": "web_search", "endpoint": url}])
+print(search.invoke("web", {"query": "q"}).documents[0].title)
 print(HttpChatBackend(endpoint=url, model="m", api_key="k").complete(CompletionRequest(context="x")))
 server.shutdown()
 server.server_close()

@@ -4,6 +4,7 @@ import threading
 import tracemalloc
 import urllib.parse
 from collections.abc import Sequence
+from dataclasses import replace
 from http.server import BaseHTTPRequestHandler, HTTPServer
 
 import pytest
@@ -12,12 +13,13 @@ from hypothesis import strategies as st
 
 from dagsearch.backend import BackendError, CompletionRequest, ScriptedBackend
 from dagsearch.engine import PromptPack, replay_run, run
-from dagsearch.remote import DenseRetrieverClient, HttpChatBackend, WebSearchClient, stable_source_id
+from dagsearch.remote import HttpChatBackend, SearchClient, stable_source_id
 from dagsearch.tools import (
     ArgumentSchemaViolation,
     Document,
     DuplicateTool,
     FixtureSearchTool,
+    InputError,
     ToolRegistry,
     ToolResult,
     ToolTransportError,
@@ -243,6 +245,11 @@ class TestStableSourceIds:
         assert stable_source_id("web", "u1") != stable_source_id("web", "u2")
 
 
+def built(entry, **settings):
+    """The client that tool config ``entry`` builds, with ``settings`` in place of its fields."""
+    return replace(build_registry([entry])._tools[entry["name"]][1], **settings)
+
+
 class TestWebSearchClient:
     def test_config_mapped_fields(self, json_stub):
         json_stub["payload"] = {
@@ -251,50 +258,32 @@ class TestWebSearchClient:
                 for i in range(5)
             ]
         }
-        client = WebSearchClient(
-            tool_name="web",
-            endpoint=json_stub["url"],
-            top_k=3,
-            results_path="organic",
-            title_field="name",
-            url_field="link",
-            snippet_field="blurb",
-            backoff=0.01,
-        )
-        result = client({"query": "anything"})
+        entry = {"name": "web", "kind": "web_search", "endpoint": json_stub["url"], "top_k": 3}
+        entry |= {"results_path": "organic", "title_field": "name", "url_field": "link", "snippet_field": "blurb"}
+        result = built(entry, backoff=0.01)({"query": "anything"})
         assert len(result.documents) == 3
         assert result.documents[0].title == "Result 0"
         assert result.documents[0].text == "snippet 0"
         assert result.documents[0].source_id == stable_source_id("web", "https://example.org/0")
 
     def test_missing_query_argument_rejected_by_registry(self, json_stub):
-        reg = ToolRegistry()
-        reg.register(
-            search_spec("web", "web search"),
-            WebSearchClient(tool_name="web", endpoint=json_stub["url"], backoff=0.01),
-        )
+        reg = build_registry([{"name": "web", "kind": "web_search", "endpoint": json_stub["url"]}])
         with pytest.raises(ArgumentSchemaViolation):
             reg.invoke("web", {})
 
     def test_transport_error_after_retries(self, json_stub):
         json_stub["fail_next"] = 10
-        client = WebSearchClient(
-            tool_name="web", endpoint=json_stub["url"], max_retries=1, backoff=0.01
-        )
+        client = web_client(json_stub["url"], max_retries=1)
         with pytest.raises(ToolTransportError):
             client({"query": "x"})
         assert len(json_stub["requests"]) == 2
 
-    def test_api_key_in_header(self, json_stub):
+    def test_api_key_in_header(self, json_stub, monkeypatch):
+        monkeypatch.setenv(KEY_ENV, "secret")
         json_stub["payload"] = {"results": []}
-        client = WebSearchClient(
-            tool_name="web",
-            endpoint=json_stub["url"],
-            api_key="secret",
-            api_key_header="X-API-Key",
-            backoff=0.01,
-        )
-        client({"query": "x"})
+        entry = {"name": "web", "kind": "web_search", "endpoint": json_stub["url"]}
+        built(entry | {"api_key_env": KEY_ENV, "api_key_header": "X-API-Key"}, backoff=0.01)({"query": "x"})
+        assert json_stub["requests"][0]["headers"]["X-API-Key"] == "secret"
 
 
 class TestDenseRetrieverClient:
@@ -307,8 +296,8 @@ class TestDenseRetrieverClient:
                 {"id": "p4", "title": "P4", "text": "fourth passage", "score": 0.2},
             ]
         }
-        client = DenseRetrieverClient(tool_name="dense", endpoint=json_stub["url"], top_k=3, backoff=0.01)
-        result = client({"query": "passage"})
+        entry = {"name": "dense", "kind": "dense_retriever", "endpoint": json_stub["url"], "top_k": 3}
+        result = built(entry, backoff=0.01)({"query": "passage"})
         assert len(result.documents) == 3
         # the client preserves the service's own ranking
         served = json_stub["payload"]["passages"]
@@ -320,17 +309,19 @@ class TestDenseRetrieverClient:
 
     def test_missing_results_field(self, json_stub):
         json_stub["payload"] = {"unexpected": []}
-        client = DenseRetrieverClient(tool_name="dense", endpoint=json_stub["url"], backoff=0.01, max_retries=0)
+        client = dense_client(json_stub["url"])
         with pytest.raises(ToolTransportError):
             client({"query": "x"})
 
 
-def web_client(url):
-    return WebSearchClient(tool_name="web", endpoint=url, max_retries=0, backoff=0.01)
+def web_client(url, **settings):
+    entry = {"name": "web", "kind": "web_search", "endpoint": url}
+    return built(entry, **{"max_retries": 0, "backoff": 0.01, **settings})
 
 
-def dense_client(url):
-    return DenseRetrieverClient(tool_name="dense", endpoint=url, max_retries=0, backoff=0.01)
+def dense_client(url, **settings):
+    entry = {"name": "dense", "kind": "dense_retriever", "endpoint": url}
+    return built(entry, **{"max_retries": 0, "backoff": 0.01, **settings})
 
 
 @pytest.mark.parametrize("make_client", [web_client, dense_client], ids=["web", "dense"])
@@ -380,13 +371,58 @@ def test_a_lone_surrogate_in_a_result_reads_as_u_fffd(tmp_path, json_stub, make_
     assert (replayed.outcome, replayed.answer) == ("answered", "1096")
 
 
+KIND_FIELDS = {"web_search": ("url", "title", "snippet"), "dense_retriever": ("id", "title", "text")}
+
+
+@pytest.mark.parametrize("kind", KIND_FIELDS)
+@pytest.mark.parametrize(
+    "value, text",
+    [
+        ("T", "T"),
+        ("T\ud800", "T\ufffd"),
+        (7, "7"),
+        (-2.5, "-2.5"),
+        (None, ""),
+        (True, ""),
+        (False, ""),
+        ({"a": [1]}, ""),
+        ([1], ""),
+    ],
+    ids=["string", "lone-surrogate", "integer", "float", "null", "true", "false", "object", "array"],
+)
+def test_a_result_field_reads_as_its_string_its_number_or_empty(json_stub, kind, value, text):
+    # The second result has none of the fields.
+    items = [dict.fromkeys(KIND_FIELDS[kind], value), {}]
+    json_stub["payload"] = {"results": items, "passages": items}
+    result = built({"name": "s", "kind": kind, "endpoint": json_stub["url"]}, max_retries=0)({"query": "x"})
+    empty = Document(stable_source_id("s", ""), "", "")
+    assert result.documents == (Document(stable_source_id("s", text), text, text), empty)
+
+
+@pytest.mark.parametrize("kind", KIND_FIELDS)
+def test_a_result_without_an_id_is_identified_by_its_title_or_else_its_text(json_stub, kind):
+    id_field, title_field, text_field = KIND_FIELDS[kind]
+    items = [
+        {title_field: "A", text_field: "same"},
+        {title_field: "B", text_field: "same"},
+        {text_field: "one"},
+        {id_field: "", title_field: None, text_field: "two"},
+        {id_field: "p", title_field: "A", text_field: "one"},
+    ]
+    json_stub["payload"] = {"results": items, "passages": items}
+    entry = {"name": "s", "kind": kind, "endpoint": json_stub["url"], "top_k": 5}
+    documents = built(entry, max_retries=0)({"query": "x"}).documents
+    assert [doc.source_id for doc in documents] == [stable_source_id("s", key) for key in ("A", "B", "one", "two", "p")]
+    assert len({doc.source_id for doc in documents}) == 5
+
+
 def _chat_call(url, max_retries):
     backend = HttpChatBackend(endpoint=url, model="m", api_key="k", max_retries=max_retries, backoff=0)
     return lambda: backend.complete(CompletionRequest(context="x")), BackendError
 
 
 def _dense_call(url, max_retries):
-    client = DenseRetrieverClient(tool_name="dense", endpoint=url, max_retries=max_retries, backoff=0)
+    client = dense_client(url, max_retries=max_retries, backoff=0)
     return lambda: client({"query": "x"}), ToolTransportError
 
 
@@ -463,13 +499,25 @@ class TestBuildRegistry:
             build_registry([{"name": "s", "top_k": top_k, **entry}], base_dir=DATA_DIR)
 
     @pytest.mark.parametrize(
-        "kind, client",
-        [("web_search", WebSearchClient), ("dense_retriever", DenseRetrieverClient)],
+        "kind, wire",
+        [
+            (
+                "web_search",
+                dict(method="GET", query_key="q", top_k_key=None, results_path="results")
+                | dict(id_field="url", title_field="title", text_field="snippet"),
+            ),
+            (
+                "dense_retriever",
+                dict(method="POST", query_key="query", top_k_key="top_k", results_path="passages")
+                | dict(id_field="id", title_field="title", text_field="text"),
+            ),
+        ],
+        ids=["web_search", "dense_retriever"],
     )
-    def test_required_keys_only_build_the_default_client(self, kind, client):
+    def test_required_keys_only_build_the_default_client(self, kind, wire):
         endpoint = "http://127.0.0.1:1/search"
         registry = build_registry([{"name": "s", "kind": kind, "endpoint": endpoint}])
-        assert registry._tools["s"][1] == client(tool_name="s", endpoint=endpoint)
+        assert registry._tools["s"][1] == SearchClient(tool_name="s", endpoint=endpoint, **wire)
 
     def test_every_optional_key_reaches_the_client(self, monkeypatch):
         monkeypatch.setenv("DAGSEARCH_TEST_SEARCH_KEY", "secret")
@@ -504,12 +552,59 @@ class TestBuildRegistry:
         }
         dense_entry = {"name": "d", "kind": "dense_retriever", "endpoint": endpoint, "top_k": 7, **dense}
         registry = build_registry([web_entry, dense_entry])
-        assert registry._tools["w"][1] == WebSearchClient(
-            tool_name="w", endpoint=endpoint, top_k=5, api_key="secret", **web
+        assert registry._tools["w"][1] == SearchClient(
+            tool_name="w",
+            endpoint=endpoint,
+            top_k=5,
+            api_key="secret",
+            method="POST",
+            query_key="query",
+            top_k_key=None,
+            extra_params={"lang": "en"},
+            results_path="data.items",
+            id_field="link",
+            title_field="name",
+            text_field="body",
+            api_key_param="key",
+            api_key_header="X-Key",
         )
-        assert registry._tools["d"][1] == DenseRetrieverClient(tool_name="d", endpoint=endpoint, top_k=7, **dense)
+        assert registry._tools["d"][1] == SearchClient(
+            tool_name="d",
+            endpoint=endpoint,
+            top_k=7,
+            method="POST",
+            query_key="text",
+            top_k_key="k",
+            results_path="hits",
+            id_field="pid",
+            title_field="heading",
+            text_field="passage",
+        )
         assert registry.get("w").description == "web"
         assert registry.get("d").description == "Dense passage retrieval over a local index."
+
+    @pytest.mark.parametrize(
+        "entry, key",
+        [
+            ({"kind": "web_search", "endpoint": "http://127.0.0.1:1/", "snipet_field": "body"}, "snipet_field"),
+            ({"kind": "web_search", "endpoint": "http://127.0.0.1:1/", "query_field": "text"}, "query_field"),
+            ({"kind": "dense_retriever", "endpoint": "http://127.0.0.1:1/", "api_key_env": "MY_KEY"}, "api_key_env"),
+            ({"kind": "dense_retriever", "endpoint": "http://127.0.0.1:1/", "url_field": "link"}, "url_field"),
+            ({"kind": "fixture", "corpus": "corpus.jsonl", "api_key_env": "MY_KEY"}, "api_key_env"),
+            ({"kind": "fixture", "corpus": "corpus.jsonl", "endpoint": "http://127.0.0.1:1/"}, "endpoint"),
+        ],
+        ids=[
+            "web-misspelled",
+            "web-dense-key",
+            "dense-api-key-env",
+            "dense-web-key",
+            "fixture-api-key-env",
+            "fixture-endpoint",
+        ],
+    )
+    def test_a_key_its_kind_does_not_accept_is_rejected(self, entry, key):
+        with pytest.raises(InputError, match=f'^tool "w" has an unknown key "{key}"$'):
+            build_registry([{"name": "w", **entry}], base_dir=DATA_DIR)
 
 
 KEY_ENV = "DAGSEARCH_TEST_SEARCH_KEY"
