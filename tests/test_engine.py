@@ -535,6 +535,135 @@ class TestRetryLoop:
             )
 
 
+def failing_search(arguments):
+    raise ToolTransportError("retriever is down")
+
+
+def call_reply(task_id="t1", tool_name="search", arguments=None):
+    arguments = {"query": "q"} if arguments is None else arguments
+    payload = {"task_id": task_id, "tool_name": tool_name, "arguments": arguments}
+    return f"<tool_call>{json.dumps(payload)}</tool_call>"
+
+
+CYCLIC = (
+    '<problem_framing>{"tasks": [{"task_id": "a", "description": "d"}, '
+    '{"task_id": "b", "description": "d"}], "edges": [["a","b"],["b","a"]]}</problem_framing>'
+)
+PLANNED = [("intent_refinement", 0), ("problem_framing", 0)]
+SOLVED = [("task_answer", 0), ("final_answer", 0)]
+# A solving turn that one retry recovers.
+RECOVERED = ("answered", None, PLANNED + [("task_answer", 1), ("final_answer", 0)])
+
+
+def _largest_planning_input():
+    intent = IntentPayload(refined_goal="Find it.", constraints=())
+    return max(
+        token_length(render_planning_context(PROMPTS.holistic, "q?", *given)) for given in ((), (intent,))
+    )
+
+
+def _either_budget(expected):
+    return {0: expected, 1: expected}
+
+
+# Each failure source: its replies, the context cap (None: the default), and
+# the (outcome, error prefix, recorded (kind, retries) steps) at retry
+# budgets 0 and 1. A re-promptable source's bad reply is followed by the
+# replies that finish the run, so one retry recovers. The one registered
+# tool, "search", fails with ToolTransportError: a row that names it and
+# does not abort shows the tool never ran.
+FAILURE_SOURCES = {
+    "malformed-reply": (
+        [INTENT, FRAMING, "no block here", ANSWER_T1, FINAL],
+        None,
+        {0: ("aborted", "ProtocolError: no action block found", PLANNED), 1: RECOVERED},
+    ),
+    "wrong-planning-kind": (
+        [call_reply(), INTENT, FRAMING, ANSWER_T1, FINAL],
+        None,
+        {
+            0: ("aborted", "WrongActionKind: expected a <intent_refinement> action in this stage, got <tool_call>", []),
+            1: ("answered", None, [("intent_refinement", 1), ("problem_framing", 0)] + SOLVED),
+        },
+    ),
+    "cyclic-framing": (
+        [INTENT, CYCLIC, FRAMING, ANSWER_T1, FINAL],
+        None,
+        {
+            0: ("aborted", "PlanError: dependency edges form a cycle through: a, b", PLANNED[:1]),
+            1: ("answered", None, [("intent_refinement", 0), ("problem_framing", 1)] + SOLVED),
+        },
+    ),
+    "tool-call-for-unknown-task": (
+        [INTENT, FRAMING, call_reply(task_id="t9"), ANSWER_T1, FINAL],
+        None,
+        {0: ("aborted", 'PlanError: task "t9" is not in the current plan', PLANNED), 1: RECOVERED},
+    ),
+    "unknown-tool": (
+        [INTENT, FRAMING, call_reply(tool_name="crawler"), ANSWER_T1, FINAL],
+        None,
+        {0: ("aborted", 'UnknownTool: unknown tool "crawler"; registered tools: search', PLANNED), 1: RECOVERED},
+    ),
+    "bad-arguments": (
+        [INTENT, FRAMING, call_reply(arguments={}), ANSWER_T1, FINAL],
+        None,
+        {0: ("aborted", 'ArgumentSchemaViolation: tool "search" requires argument "query"', PLANNED), 1: RECOVERED},
+    ),
+    "final-before-complete": (
+        [INTENT, FRAMING, FINAL, ANSWER_T1, FINAL],
+        None,
+        {
+            0: (
+                "aborted",
+                "FinalBeforeComplete: final_answer is only legal once every sub-task is answered; still open: t1",
+                PLANNED,
+            ),
+            1: RECOVERED,
+        },
+    ),
+    "backend-exhausted": (
+        [INTENT, FRAMING],
+        None,
+        _either_budget(("aborted", "BackendError: scripted backend exhausted after 2 responses", PLANNED)),
+    ),
+    "tool-transport-failure": (
+        [INTENT, FRAMING, call_reply(), ANSWER_T1, FINAL],
+        None,
+        _either_budget(("aborted", "ToolTransportError: retriever is down", PLANNED)),
+    ),
+    "context-cap": (
+        [INTENT, FRAMING, ANSWER_T1, FINAL],
+        _largest_planning_input() + 1,
+        _either_budget(("context_overflow", "rendered context is ", PLANNED)),
+    ),
+}
+
+
+class TestFailureSources:
+    """Each failure source ends a run, or is re-prompted, the same way whatever its stage."""
+
+    @pytest.mark.parametrize("budget", [0, 1])
+    @pytest.mark.parametrize("source", FAILURE_SOURCES)
+    def test_outcome_error_and_steps(self, source, budget):
+        replies, cap, expected = FAILURE_SOURCES[source]
+        outcome, prefix, steps = expected[budget]
+        config = RunConfig(max_malformed_retries=budget, **({} if cap is None else {"max_context_tokens": cap}))
+        result = run(
+            "q?",
+            backend=ScriptedBackend(responses=replies),
+            tools=ToolRegistry().register(search_spec("search", "always down"), failing_search),
+            config=config,
+            prompts=PROMPTS,
+            clock=fixed_clock(),
+        )
+        assert result.outcome == outcome
+        if prefix is None:
+            assert result.error is None
+        else:
+            assert result.error.startswith(prefix), result.error
+        assert [(step.kind, step.retries) for step in result.trajectory.steps] == steps
+
+
 class TestDeterminism:
     def test_identical_serializations_across_runs(self, tmp_path):
         run_two_hop().trajectory.save(tmp_path / "a.jsonl")
