@@ -153,6 +153,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_eval(args: argparse.Namespace) -> int:
+    if args.parallel < 1:
+        raise ValueError(f"--parallel must be at least 1, not {args.parallel}")
     config, prompts = _build_config(args)
     dataset = _load_dataset(args.dataset)
     backend = _backend_factory(args.backend)  # a bad spec or scripted file ends the whole call

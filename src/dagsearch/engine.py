@@ -28,7 +28,6 @@ from .protocol import (
     parse_action,
 )
 from .register import (
-    ContextOverflow,
     LineTokenCounter,
     Register,
     RegisterError,
@@ -39,15 +38,7 @@ from .register import (
     render_correction,
     render_planning_context,
 )
-from .tools import (
-    ArgumentSchemaViolation,
-    ScriptedTool,
-    ToolError,
-    ToolRegistry,
-    ToolResult,
-    UnknownTool,
-    search_spec,
-)
+from .tools import ScriptedTool, ToolCallError, ToolRegistry, ToolResult, ToolTransportError, search_spec
 # RunConfig is re-exported: it describes the header of the trajectory it is recorded in.
 from .trajectory import TRAJECTORY_VERSION, RunConfig, StepRecord, Trajectory
 
@@ -56,30 +47,18 @@ T = TypeVar("T")
 
 
 class EngineError(Exception):
-    pass
+    """A run that gave up: its retry budget is spent."""
 
 
-class WrongActionKind(EngineError):
-    pass
-
-
-class FinalBeforeComplete(EngineError):
-    pass
+class ContextOverflow(Exception):
+    """A rendered input over the context cap: the run ends ``context_overflow``."""
 
 
 # Failures the model can plausibly fix when shown the diagnostic.
-_REPROMPTABLE = (
-    ProtocolError,
-    PlanError,
-    RegisterError,
-    UnknownTool,
-    ArgumentSchemaViolation,
-    WrongActionKind,
-    FinalBeforeComplete,
-)
+_REPROMPTABLE = (ProtocolError, PlanError, RegisterError, ToolCallError)
 
 # Typed failures captured into an aborted RunResult at the loop boundary.
-_ABORTING = (EngineError, BackendError, ToolError, ProtocolError, PlanError, RegisterError)
+_ABORTING = (EngineError, BackendError, ToolTransportError)
 
 
 @dataclass(frozen=True)
@@ -141,9 +120,8 @@ def _turn(
     whose unchanged head is the previous step's own strings. ``check``
     takes the parsed action, runs the stage's checks and its tool call, and
     returns (tool result, applied update). A re-promptable error re-issues
-    the completion with the diagnostic appended to ``context``. With no
-    retry budget the first error is raised as is; once the budget is spent,
-    EngineError.
+    the completion with the diagnostic appended to ``context``; once the
+    budget is spent, 0 included, EngineError.
     """
     token_count = counter(context)
     if token_count > config.max_context_tokens:
@@ -166,8 +144,6 @@ def _turn(
             tool_result, update = check(action)
             break
         except _REPROMPTABLE as exc:
-            if config.max_malformed_retries == 0:
-                raise
             diagnostics.append(str(exc))
         if len(diagnostics) > config.max_malformed_retries:
             raise EngineError(
@@ -195,7 +171,7 @@ def _turn(
 def _payload_of(kind: ActionKind, action: Action) -> dict:
     """The payload of ``action``, which must be the one kind the stage allows."""
     if action.kind is not kind:
-        raise WrongActionKind(f"expected a <{kind.value}> action in this stage, got <{action.kind.value}>")
+        raise RegisterError(f"expected a <{kind.value}> action in this stage, got <{action.kind.value}>")
     return action.payload
 
 
@@ -272,7 +248,7 @@ def run(
                 for tid in sorted(register.plan.nodes)
                 if register.plan.nodes[tid].status != "answered"
             ]
-            raise FinalBeforeComplete(
+            raise RegisterError(
                 "final_answer is only legal once every sub-task is answered; "
                 f"still open: {', '.join(pending)}"
             )

@@ -59,11 +59,7 @@ FOLD_CHARS = {3: 12_000, 4: 4_000}
 
 
 class RegisterError(Exception):
-    """Base for register failures; ``str(err)`` is a re-prompt-ready diagnostic."""
-
-
-class ContextOverflow(RegisterError):
-    pass
+    """An action the register or the stage does not allow; ``str(err)`` is a re-prompt-ready diagnostic."""
 
 
 # ---------------------------------------------------------------------------

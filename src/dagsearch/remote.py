@@ -22,7 +22,7 @@ from typing import Any, Mapping
 
 from .backend import Backend, BackendError, CompletionRequest
 from .tools import DEFAULT_TOP_K, SURROGATE_RE, Document, Executor, ToolResult, ToolTransportError
-from .tools import check_fields, check_tool_keys
+from .tools import InputError, check_fields, check_tool_keys
 
 logger = logging.getLogger(__name__)
 
@@ -225,7 +225,8 @@ def search_client(entry: Mapping[str, Any], options: dict[str, Any]) -> tuple[Ex
     """The client a ``web_search`` or ``dense_retriever`` tool entry configures, and its default description.
 
     ``options`` holds the settings ``build_registry`` has already read from
-    the entry (``top_k``). A malformed entry, or an unknown key, is an InputError.
+    the entry (``top_k``). A malformed entry, an unknown key, or an
+    ``api_key_env`` naming an unset or empty variable, is an InputError.
     """
     keys, defaults, description = _KINDS[entry["kind"]]
     check_tool_keys(entry, {"endpoint", *keys})
@@ -235,6 +236,9 @@ def search_client(entry: Mapping[str, Any], options: dict[str, Any]) -> tuple[Ex
     for key, (_, name) in keys.items():
         if key in entry:
             options[name] = os.environ.get(entry[key]) if key == "api_key_env" else entry[key]
+    if "api_key_env" in entry and not options["api_key"]:
+        variable = entry["api_key_env"]
+        raise InputError(f'tool "{entry["name"]}" reads its API key from {variable}, which is unset or empty')
     return SearchClient(tool_name=entry["name"], endpoint=entry["endpoint"], **options), description
 
 

@@ -113,24 +113,12 @@ def check_strings(record: Mapping[str, Any], name: str) -> None:
         raise InputError(f'field "{name}" holds an entry that is not a string')
 
 
-class ToolError(Exception):
-    """Base for tool failures; ``str(err)`` is a re-prompt-ready diagnostic."""
+class ToolCallError(Exception):
+    """A tool call naming an unregistered tool or with bad arguments; ``str(err)`` is a re-prompt-ready diagnostic."""
 
 
-class DuplicateTool(ToolError, ValueError):
-    """A tool name registered twice: a bad tool config, so a ValueError too."""
-
-
-class UnknownTool(ToolError):
-    pass
-
-
-class ArgumentSchemaViolation(ToolError):
-    pass
-
-
-class ToolTransportError(ToolError):
-    pass
+class ToolTransportError(Exception):
+    """A tool that failed to answer: the run aborts."""
 
 
 # A corpus record's fields and JSON types, which a recorded tool document has exactly.
@@ -177,12 +165,12 @@ class ToolSpec:
 def validate_arguments(spec: ToolSpec, arguments: Mapping[str, Any]) -> None:
     """Check the one search argument schema: a required string ``query`` and nothing else."""
     if "query" not in arguments:
-        raise ArgumentSchemaViolation(f'tool "{spec.tool_name}" requires argument "query"')
+        raise ToolCallError(f'tool "{spec.tool_name}" requires argument "query"')
     for name, value in arguments.items():
         if name != "query":
-            raise ArgumentSchemaViolation(f'tool "{spec.tool_name}" does not accept argument "{name}"')
+            raise ToolCallError(f'tool "{spec.tool_name}" does not accept argument "{name}"')
         if not isinstance(value, str):
-            raise ArgumentSchemaViolation(f'tool "{spec.tool_name}" argument "query" must be of type string')
+            raise ToolCallError(f'tool "{spec.tool_name}" argument "query" must be of type string')
 
 
 Executor = Callable[[Mapping[str, Any]], ToolResult]
@@ -196,13 +184,13 @@ class ToolRegistry:
 
     def register(self, spec: ToolSpec, executor: Executor) -> "ToolRegistry":
         if spec.tool_name in self._tools:
-            raise DuplicateTool(f'tool "{spec.tool_name}" is already registered')
+            raise InputError(f'tool "{spec.tool_name}" is already registered')
         self._tools[spec.tool_name] = (spec, executor)
         return self
 
     def get(self, tool_name: str) -> ToolSpec:
         if tool_name not in self._tools:
-            raise UnknownTool(
+            raise ToolCallError(
                 f'unknown tool "{tool_name}"; registered tools: '
                 + (", ".join(sorted(self._tools)) or "(none)")
             )

@@ -269,9 +269,13 @@ def _check_version(version: object) -> None:
 
 
 def load_trajectories(directory: str | Path) -> Iterator[Trajectory]:
-    """The trajectories of a directory's ``*.jsonl`` files, read one at a time in path order."""
-    for path in sorted(Path(directory).glob("*.jsonl")):
-        yield Trajectory.load(path)
+    """The trajectories of a directory's ``*.jsonl`` files, read one at a time in path order.
+
+    A ``directory`` that is not one is an InputError, raised by this call, before any file is read.
+    """
+    if not Path(directory).is_dir():
+        raise InputError(f"{directory} is not a directory")
+    return (Trajectory.load(path) for path in sorted(Path(directory).glob("*.jsonl")))
 
 
 # Each write's own temporary name: two outputs of one command may be given one path.

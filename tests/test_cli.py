@@ -675,6 +675,24 @@ def test_malformed_trajectory_file_exits_2_naming_the_line(tmp_path, capsys, com
     assert_unchanged(tmp_path, outputs)
 
 
+@pytest.mark.parametrize("target", ["missing", "file"])
+@pytest.mark.parametrize("command", ["stats", "export"])
+def test_trajectories_that_are_not_a_directory_exit_2_naming_the_path(tmp_path, capsys, command, target):
+    runs = tmp_path / "runs"
+    if target == "file":
+        shutil.copy(DATA_DIR / "two_hop_trajectory_v2.jsonl", runs)
+    if command == "stats":
+        argv = ["stats", "--trajectories", str(runs), "--curve-out", str(tmp_path / "c.csv")]
+        argv += ["--cache-out", str(tmp_path / "r.csv")]
+    else:
+        gold = tmp_path / "gold.jsonl"
+        gold.write_text(json.dumps({"question_id": "two-hop-www", "question": "q", "answers": TWO_HOP_GOLD}))
+        argv = ["export", "--trajectories", str(runs), "--gold", str(gold), "--out", str(tmp_path / "sft.jsonl")]
+    assert main(argv) == 2
+    assert capsys.readouterr() == ("", f"error: {runs} is not a directory\n")
+    assert not any((tmp_path / name).exists() for name in ("c.csv", "r.csv", "sft.jsonl"))
+
+
 def write_old_outputs(directory, *names):
     """Give each output a previous content; returns it by path."""
     outputs = {directory / name: f"previous {name}\n".encode() for name in names}
@@ -833,6 +851,17 @@ def test_eval_rejects_a_malformed_dataset_record_before_any_question_runs(workdi
     assert not report.exists()
 
 
+@pytest.mark.parametrize("parallel", ["0", "-2"])
+def test_eval_parallel_below_one_exits_2_before_any_question_runs(workdir, capsys, monkeypatch, parallel):
+    ran = []
+    monkeypatch.setattr(dagsearch.cli, "run", lambda *args, **kwargs: ran.append(args))
+    report = workdir / "report.csv"
+    assert main(eval_argv(workdir, report, "--parallel", parallel)) == 2
+    assert capsys.readouterr().err == f"error: --parallel must be at least 1, not {parallel}\n"
+    assert ran == []
+    assert not report.exists()
+
+
 @pytest.mark.parametrize(
     "spec, problem",
     [
@@ -963,6 +992,12 @@ MALFORMED_INPUTS = {
     "tool-entry-not-an-object": ("tools.json", {"tools": [5]}, 0, "a tool entry is not a JSON object"),
     "tools-not-a-list": ("tools.json", {"tools": 5}, 0, 'field "tools" is not a list'),
     "bare-tool-list": ("tools.json", [FIXTURE_TOOL], 0, "not a JSON object"),
+    "tool-registered-twice": (
+        "tools.json",
+        {"tools": [FIXTURE_TOOL, FIXTURE_TOOL]},
+        0,
+        'tool "search" is already registered',
+    ),
     "tool-without-name": (
         "tools.json",
         {"tools": [{"kind": "fixture", "corpus": "corpus.jsonl"}]},

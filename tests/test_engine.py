@@ -23,10 +23,10 @@ from dagsearch.plan import ACTIVE, ANSWERED, PENDING, PlanError, build_plan, mar
 from dagsearch.protocol import IntentPayload, ProtocolError, parse_action
 from dagsearch.register import default_tokenizer, render_planning_context, token_length
 from dagsearch.tools import (
-    ArgumentSchemaViolation,
     Document,
     InputError,
     ScriptedTool,
+    ToolCallError,
     ToolRegistry,
     ToolResult,
     ToolTransportError,
@@ -56,8 +56,14 @@ FRAMING = (
     '<problem_framing>{"tasks": [{"task_id": "t1", "description": "only task"}], '
     '"edges": []}</problem_framing>'
 )
+CYCLIC = (
+    '<problem_framing>{"tasks": [{"task_id": "a", "description": "d"}, '
+    '{"task_id": "b", "description": "d"}], "edges": [["a","b"],["b","a"]]}</problem_framing>'
+)
 ANSWER_T1 = '<task_answer>{"answers": [{"task_id": "t1", "answer": "x"}]}</task_answer>'
 FINAL = '<final_answer>{"answer": "x"}</final_answer>'
+# The error of a run whose one rejected reply spent a retry budget of 0.
+GAVE_UP = "EngineError: gave up after 1 rejected responses; last problem: "
 
 
 class RecordingBackend(Backend):
@@ -104,24 +110,20 @@ class TestHolisticPlanning:
         tool = '<tool_call>{"task_id": "t1", "tool_name": "search", "arguments": {}}</tool_call>'
         result, contexts = run_once([tool], RunConfig(max_malformed_retries=0))
         assert result.outcome == "aborted"
-        assert result.error.startswith("WrongActionKind: expected a <intent_refinement> action")
+        assert result.error.startswith(f"{GAVE_UP}expected a <intent_refinement> action")
         assert len(contexts) == 1
         assert result.trajectory.steps == []
 
     def test_recovers_from_cyclic_framing_within_retry_budget(self):
-        cyclic = (
-            '<problem_framing>{"tasks": [{"task_id": "a", "description": "d"}, '
-            '{"task_id": "b", "description": "d"}], "edges": [["a","b"],["b","a"]]}</problem_framing>'
-        )
-        result, contexts = run_once([INTENT, cyclic, FRAMING, ANSWER_T1, FINAL], RunConfig(max_malformed_retries=1))
+        result, contexts = run_once([INTENT, CYCLIC, FRAMING, ANSWER_T1, FINAL], RunConfig(max_malformed_retries=1))
         assert result.outcome == "answered"
         assert set(rebuild_registers(result.trajectory)[0].plan.nodes) == {"t1"}
         assert "## Correction" in contexts[2]
         assert "cycle" in contexts[2]
-        # with no retry budget the planning error ends the run as an aborted result
-        aborted, _ = run_once([INTENT, cyclic], RunConfig(max_malformed_retries=0))
+        # with no retry budget the first rejected framing spends it: the run gives up
+        aborted, _ = run_once([INTENT, CYCLIC], RunConfig(max_malformed_retries=0))
         assert aborted.outcome == "aborted"
-        assert aborted.error == "PlanError: dependency edges form a cycle through: a, b"
+        assert aborted.error == f"{GAVE_UP}dependency edges form a cycle through: a, b"
         assert [step.kind for step in aborted.trajectory.steps] == ["intent_refinement"]
 
     def test_second_context_includes_refined_intent(self):
@@ -337,11 +339,7 @@ class TestSolveEndToEnd:
         assert [step.token_count for step in at.trajectory.steps] == [count]
 
     def test_cap_above_planning_inputs_overflows_at_first_solving_turn(self):
-        intent = IntentPayload(refined_goal="Find it.", constraints=())
-        largest = max(
-            token_length(render_planning_context(PROMPTS.holistic, "q?")),
-            token_length(render_planning_context(PROMPTS.holistic, "q?", intent)),
-        )
+        largest = largest_planning_input()
         backend = RecordingBackend([INTENT, FRAMING, FINAL])
         result = run(
             "q?",
@@ -380,11 +378,8 @@ class TestSolveEndToEnd:
         assert "nested too deeply" in backend.contexts[3]
 
     def test_tool_transport_failure_aborts(self):
-        def failing(args):
-            raise ToolTransportError("retriever is down")
-
         registry = ToolRegistry()
-        registry.register(search_spec("search", "broken"), failing)
+        registry.register(search_spec("search", "broken"), failing_search)
         call = '<tool_call>{"task_id": "t1", "tool_name": "search", "arguments": {"query": "q"}}</tool_call>'
         backend = ScriptedBackend(responses=[INTENT, FRAMING, call])
         result = run(
@@ -417,7 +412,7 @@ class TestSolveEndToEnd:
         executed = []
         spec = search_spec("search", "never runs")
         registry = ToolRegistry().register(spec, executed.append)
-        with pytest.raises(ArgumentSchemaViolation) as expected:
+        with pytest.raises(ToolCallError) as expected:
             validate_arguments(spec, arguments)
         call = json.dumps({"task_id": "t1", "tool_name": "search", "arguments": arguments})
         backend = RecordingBackend([INTENT, FRAMING, f"<tool_call>{call}</tool_call>", ANSWER_T1, FINAL])
@@ -452,7 +447,7 @@ class TestSolveEndToEnd:
         assert result.outcome == "answered"
         assert result.trajectory.solving_steps()[0].diagnostics == (str(expected.value),)
         assert str(expected.value) in backend.contexts[3]
-        # with no retry budget the first error is raised as is
+        # with no retry budget the first rejected reply spends it: the run gives up
         aborted = run(
             "q?",
             backend=ScriptedBackend(responses=[INTENT, FRAMING, call]),
@@ -461,7 +456,7 @@ class TestSolveEndToEnd:
             prompts=PROMPTS,
             clock=fixed_clock(),
         )
-        assert aborted.error == f"PlanError: {expected.value}"
+        assert aborted.error == f"{GAVE_UP}{expected.value}"
         assert executed == []
 
     def test_backend_exhaustion_aborts(self):
@@ -508,8 +503,7 @@ class TestRetryLoop:
         )
         error, trajectory = result.error, result.trajectory
 
-        errors = [protocol_error(reply) for reply in rejected]
-        diagnostics = [str(exc) for exc in errors]
+        diagnostics = [str(protocol_error(reply)) for reply in rejected]
         retried = min(bad, budget)
         contexts = backend.contexts[len(before) :]
         # the first input, one per allowed retry, then, if it passed, one per later reply
@@ -524,9 +518,6 @@ class TestRetryLoop:
             assert error is None
             assert recorded[0].retries == bad
             assert recorded[0].diagnostics == tuple(diagnostics)
-        elif budget == 0:
-            assert recorded == []
-            assert error == f"{type(errors[0]).__name__}: {diagnostics[0]}"
         else:
             assert recorded == []
             assert error == (
@@ -545,17 +536,14 @@ def call_reply(task_id="t1", tool_name="search", arguments=None):
     return f"<tool_call>{json.dumps(payload)}</tool_call>"
 
 
-CYCLIC = (
-    '<problem_framing>{"tasks": [{"task_id": "a", "description": "d"}, '
-    '{"task_id": "b", "description": "d"}], "edges": [["a","b"],["b","a"]]}</problem_framing>'
-)
 PLANNED = [("intent_refinement", 0), ("problem_framing", 0)]
 SOLVED = [("task_answer", 0), ("final_answer", 0)]
 # A solving turn that one retry recovers.
 RECOVERED = ("answered", None, PLANNED + [("task_answer", 1), ("final_answer", 0)])
 
 
-def _largest_planning_input():
+def largest_planning_input():
+    """The token count of the longer of the two planning inputs."""
     intent = IntentPayload(refined_goal="Find it.", constraints=())
     return max(
         token_length(render_planning_context(PROMPTS.holistic, "q?", *given)) for given in ((), (intent,))
@@ -566,56 +554,57 @@ def _either_budget(expected):
     return {0: expected, 1: expected}
 
 
-# Each failure source: its replies, the context cap (None: the default), and
-# the (outcome, error prefix, recorded (kind, retries) steps) at retry
-# budgets 0 and 1. A re-promptable source's bad reply is followed by the
-# replies that finish the run, so one retry recovers. The one registered
+DEFAULT_CAP = RunConfig().max_context_tokens
+# Each failure source: its replies, the context cap, and the (outcome,
+# error prefix, recorded (kind, retries) steps) at retry budgets 0 and 1.
+# A re-promptable source's bad reply is followed by the replies that
+# finish the run, so one retry recovers. The one registered
 # tool, "search", fails with ToolTransportError: a row that names it and
 # does not abort shows the tool never ran.
 FAILURE_SOURCES = {
     "malformed-reply": (
         [INTENT, FRAMING, "no block here", ANSWER_T1, FINAL],
-        None,
-        {0: ("aborted", "ProtocolError: no action block found", PLANNED), 1: RECOVERED},
+        DEFAULT_CAP,
+        {0: ("aborted", f"{GAVE_UP}no action block found", PLANNED), 1: RECOVERED},
     ),
     "wrong-planning-kind": (
         [call_reply(), INTENT, FRAMING, ANSWER_T1, FINAL],
-        None,
+        DEFAULT_CAP,
         {
-            0: ("aborted", "WrongActionKind: expected a <intent_refinement> action in this stage, got <tool_call>", []),
+            0: ("aborted", f"{GAVE_UP}expected a <intent_refinement> action in this stage, got <tool_call>", []),
             1: ("answered", None, [("intent_refinement", 1), ("problem_framing", 0)] + SOLVED),
         },
     ),
     "cyclic-framing": (
         [INTENT, CYCLIC, FRAMING, ANSWER_T1, FINAL],
-        None,
+        DEFAULT_CAP,
         {
-            0: ("aborted", "PlanError: dependency edges form a cycle through: a, b", PLANNED[:1]),
+            0: ("aborted", f"{GAVE_UP}dependency edges form a cycle through: a, b", PLANNED[:1]),
             1: ("answered", None, [("intent_refinement", 0), ("problem_framing", 1)] + SOLVED),
         },
     ),
     "tool-call-for-unknown-task": (
         [INTENT, FRAMING, call_reply(task_id="t9"), ANSWER_T1, FINAL],
-        None,
-        {0: ("aborted", 'PlanError: task "t9" is not in the current plan', PLANNED), 1: RECOVERED},
+        DEFAULT_CAP,
+        {0: ("aborted", f'{GAVE_UP}task "t9" is not in the current plan', PLANNED), 1: RECOVERED},
     ),
     "unknown-tool": (
         [INTENT, FRAMING, call_reply(tool_name="crawler"), ANSWER_T1, FINAL],
-        None,
-        {0: ("aborted", 'UnknownTool: unknown tool "crawler"; registered tools: search', PLANNED), 1: RECOVERED},
+        DEFAULT_CAP,
+        {0: ("aborted", f'{GAVE_UP}unknown tool "crawler"; registered tools: search', PLANNED), 1: RECOVERED},
     ),
     "bad-arguments": (
         [INTENT, FRAMING, call_reply(arguments={}), ANSWER_T1, FINAL],
-        None,
-        {0: ("aborted", 'ArgumentSchemaViolation: tool "search" requires argument "query"', PLANNED), 1: RECOVERED},
+        DEFAULT_CAP,
+        {0: ("aborted", f'{GAVE_UP}tool "search" requires argument "query"', PLANNED), 1: RECOVERED},
     ),
     "final-before-complete": (
         [INTENT, FRAMING, FINAL, ANSWER_T1, FINAL],
-        None,
+        DEFAULT_CAP,
         {
             0: (
                 "aborted",
-                "FinalBeforeComplete: final_answer is only legal once every sub-task is answered; still open: t1",
+                f"{GAVE_UP}final_answer is only legal once every sub-task is answered; still open: t1",
                 PLANNED,
             ),
             1: RECOVERED,
@@ -623,17 +612,17 @@ FAILURE_SOURCES = {
     ),
     "backend-exhausted": (
         [INTENT, FRAMING],
-        None,
+        DEFAULT_CAP,
         _either_budget(("aborted", "BackendError: scripted backend exhausted after 2 responses", PLANNED)),
     ),
     "tool-transport-failure": (
         [INTENT, FRAMING, call_reply(), ANSWER_T1, FINAL],
-        None,
+        DEFAULT_CAP,
         _either_budget(("aborted", "ToolTransportError: retriever is down", PLANNED)),
     ),
     "context-cap": (
         [INTENT, FRAMING, ANSWER_T1, FINAL],
-        _largest_planning_input() + 1,
+        largest_planning_input() + 1,
         _either_budget(("context_overflow", "rendered context is ", PLANNED)),
     ),
 }
@@ -647,7 +636,7 @@ class TestFailureSources:
     def test_outcome_error_and_steps(self, source, budget):
         replies, cap, expected = FAILURE_SOURCES[source]
         outcome, prefix, steps = expected[budget]
-        config = RunConfig(max_malformed_retries=budget, **({} if cap is None else {"max_context_tokens": cap}))
+        config = RunConfig(max_malformed_retries=budget, max_context_tokens=cap)
         result = run(
             "q?",
             backend=ScriptedBackend(responses=replies),

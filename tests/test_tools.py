@@ -15,15 +15,13 @@ from dagsearch.backend import BackendError, CompletionRequest, ScriptedBackend
 from dagsearch.engine import PromptPack, replay_run, run
 from dagsearch.remote import HttpChatBackend, SearchClient, stable_source_id
 from dagsearch.tools import (
-    ArgumentSchemaViolation,
     Document,
-    DuplicateTool,
     FixtureSearchTool,
     InputError,
+    ToolCallError,
     ToolRegistry,
     ToolResult,
     ToolTransportError,
-    UnknownTool,
     build_registry,
     load_corpus,
     search_spec,
@@ -96,23 +94,23 @@ def json_stub():
 
 class TestRegistry:
     def test_duplicate_registration(self, registry):
-        with pytest.raises(DuplicateTool):
+        with pytest.raises(InputError, match='^tool "search" is already registered$'):
             registry.register(search_spec("search", "again"), lambda args: ToolResult())
 
     def test_unknown_tool(self, registry):
-        with pytest.raises(UnknownTool):
+        with pytest.raises(ToolCallError, match='^unknown tool "crawler"; registered tools: search$'):
             registry.invoke("crawler", {"query": "x"})
 
     def test_missing_required_argument(self, registry):
-        with pytest.raises(ArgumentSchemaViolation):
+        with pytest.raises(ToolCallError):
             registry.invoke("search", {})
 
     def test_unexpected_argument(self, registry):
-        with pytest.raises(ArgumentSchemaViolation):
+        with pytest.raises(ToolCallError):
             registry.invoke("search", {"query": "x", "depth": 2})
 
     def test_wrong_argument_type(self, registry):
-        with pytest.raises(ArgumentSchemaViolation):
+        with pytest.raises(ToolCallError):
             registry.invoke("search", {"query": 42})
 
     def test_empty_result_is_legal_and_logged(self, caplog):
@@ -268,7 +266,7 @@ class TestWebSearchClient:
 
     def test_missing_query_argument_rejected_by_registry(self, json_stub):
         reg = build_registry([{"name": "web", "kind": "web_search", "endpoint": json_stub["url"]}])
-        with pytest.raises(ArgumentSchemaViolation):
+        with pytest.raises(ToolCallError):
             reg.invoke("web", {})
 
     def test_transport_error_after_retries(self, json_stub):
@@ -605,6 +603,16 @@ class TestBuildRegistry:
     def test_a_key_its_kind_does_not_accept_is_rejected(self, entry, key):
         with pytest.raises(InputError, match=f'^tool "w" has an unknown key "{key}"$'):
             build_registry([{"name": "w", **entry}], base_dir=DATA_DIR)
+
+    @pytest.mark.parametrize("value", [None, ""], ids=["unset", "empty"])
+    def test_an_api_key_env_naming_an_unset_or_empty_variable_is_rejected(self, monkeypatch, value):
+        if value is None:
+            monkeypatch.delenv(KEY_ENV, raising=False)
+        else:
+            monkeypatch.setenv(KEY_ENV, value)
+        entry = {"name": "w", "kind": "web_search", "endpoint": "http://127.0.0.1:1/", "api_key_env": KEY_ENV}
+        with pytest.raises(InputError, match=f'^tool "w" reads its API key from {KEY_ENV}, which is unset or empty$'):
+            build_registry([entry])
 
 
 KEY_ENV = "DAGSEARCH_TEST_SEARCH_KEY"
