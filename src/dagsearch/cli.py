@@ -130,7 +130,14 @@ def _build_tools(args: argparse.Namespace, fixtures: dict | None = None) -> Tool
         return build_registry(config["tools"], base_dir=Path(args.tools).parent, top_k=args.top_k, fixtures=fixtures)
 
 
+def _check_top_k(args: argparse.Namespace) -> None:
+    """Reject a ``--top-k`` below 1 before any file is read: the flag, not a tool config, is at fault."""
+    if args.top_k is not None and args.top_k < 1:
+        raise ValueError(f"--top-k must be at least 1, not {args.top_k}")
+
+
 def _cmd_run(args: argparse.Namespace) -> int:
+    _check_top_k(args)
     config, prompts = _build_config(args)
     result = run(
         args.question,
@@ -155,6 +162,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
 def _cmd_eval(args: argparse.Namespace) -> int:
     if args.parallel < 1:
         raise ValueError(f"--parallel must be at least 1, not {args.parallel}")
+    _check_top_k(args)
     config, prompts = _build_config(args)
     dataset = _load_dataset(args.dataset)
     backend = _backend_factory(args.backend)  # a bad spec or scripted file ends the whole call

@@ -6,7 +6,7 @@ calls, and apply each action with deterministic code until a final answer,
 the turn budget, or a context overflow ends the run. Every turn of either
 stage goes through one pipeline (``_turn``) and one token counter, and
 every typed failure is captured into the RunResult at one boundary instead
-of escaping it. The model-input text itself is built in ``register``.
+of escaping it. Every model input is rendered in ``register``.
 """
 
 from __future__ import annotations
@@ -107,27 +107,29 @@ def _turn(
     counter: LineTokenCounter,
     stage: str,
     system: str,
-    context: str,
+    lines: tuple[str, ...],
     check: Callable[[Action], tuple[ToolResult | None, T]],
 ) -> tuple[Action, T]:
     """One turn of either stage: cap, complete, parse, check, execute, apply, record.
 
-    ``context`` is counted once through the run's ``counter``, which
-    tokenizes only lines from the first change on that the previous input
-    lacked there; that one count is both the context-cap check
-    (ContextOverflow over it, before any completion is requested) and the
-    step's ``token_count``, and the step records the counter's ``lines``,
-    whose unchanged head is the previous step's own strings. ``check``
-    takes the parsed action, runs the stage's checks and its tool call, and
-    returns (tool result, applied update). A re-promptable error re-issues
-    the completion with the diagnostic appended to ``context``; once the
-    budget is spent, 0 included, EngineError.
+    The model input comes as its ``lines``. They are counted once through
+    the run's ``counter``, which tokenizes only lines from the first
+    changed line on that the previous input lacked there; that one count is
+    both the context-cap check (ContextOverflow over it, before any
+    completion is requested) and the step's ``token_count``. The step
+    records the counter's ``lines``, whose unchanged head is the previous
+    step's own strings. The lines are joined once into the request text.
+    ``check`` takes the parsed action, runs the stage's checks and its tool
+    call, and returns (tool result, applied update). A re-promptable error
+    re-issues the completion with the diagnostic appended to that text;
+    once the budget is spent, 0 included, EngineError.
     """
-    token_count = counter(context)
+    token_count = counter(lines)
     if token_count > config.max_context_tokens:
         raise ContextOverflow(
             f"rendered context is {token_count} tokens, over the {config.max_context_tokens}-token cap"
         )
+    context = "\n".join(lines)
     diagnostics: list[str] = []
     prompt = context
     while True:
@@ -256,9 +258,9 @@ def run(
 
     try:
         planning = render_planning_context(prompts.holistic, question)
-        _, intent = turn("planning", prompts.holistic, planning, _refined_intent)
+        _, intent = turn("planning", prompts.holistic, tuple(planning.split("\n")), _refined_intent)
         planning = render_planning_context(prompts.holistic, question, intent)
-        _, plan = turn("planning", prompts.holistic, planning, _framing)
+        _, plan = turn("planning", prompts.holistic, tuple(planning.split("\n")), _framing)
         register = init_register(intent, plan, trajectory.version)
         for _ in range(config.max_turns):
             solving = render_context(register, question, prompts.solving)

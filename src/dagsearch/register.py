@@ -109,34 +109,29 @@ def common_prefix_length(a: Sequence, b: Sequence) -> int:
 
 
 class LineTokenCounter:
-    """Token counts of successive texts, paying only for the suffix that changed.
+    """Token counts of successive inputs, given as their lines, paying only for the lines that changed.
 
-    No ``default_tokenizer`` token spans whitespace, so a text's count is
-    the sum of its newline-split lines' counts. The counter keeps the last
-    text it counted, its ``lines``, and their running ``totals``
-    (``totals[i]``: tokens in the first ``i`` lines). A new text is split
-    only from the line holding its first differing character on; the whole
-    lines before that are the previous ``lines``' own strings, and their
-    count is a running total. Each line from there on takes the count of an
-    equal line in the previous text's lines from there on, and only the
-    lines missing there are tokenized.
+    No ``default_tokenizer`` token spans whitespace, so an input's count is
+    the sum of its lines' counts. The counter keeps the last input's
+    ``lines`` and their running ``totals`` (``totals[i]``: tokens in the
+    first ``i`` lines). The head a new input shares with them is found with
+    ``common_prefix_length``, where a line rendered once per value is the
+    same object in both and compares without reading its characters; its
+    count is a running total, and its lines stay the previous ``lines``'
+    own strings. Each line from there on takes the count of an equal line
+    in the previous input's lines from there on, and only the lines missing
+    there are tokenized.
     """
 
     def __init__(self) -> None:
-        self.text: str | None = None  # the last text counted
         self.lines: tuple[str, ...] = ()
         self.totals: list[int] = [0]
 
-    def __call__(self, text: str) -> int:
-        previous = self.text
-        start = same = 0  # where the first changed line starts, and the whole lines before it
-        if previous is not None:
-            start = previous.rfind("\n", 0, common_prefix_length(previous, text)) + 1
-            same = len(self.lines) - 1 - previous.count("\n", start)
-        old = self.lines[same:]
+    def __call__(self, lines: tuple[str, ...]) -> int:
+        same = common_prefix_length(self.lines, lines)
         totals = self.totals
-        known = dict(zip(old, map(sub, totals[same + 1 :], totals[same:])))
-        tail = text[start:].split("\n")
+        known = dict(zip(self.lines[same:], map(sub, totals[same + 1 :], totals[same:])))
+        tail = lines[same:]
         totals = totals[: same + 1]
         total = totals[same]
         for line in tail:
@@ -145,7 +140,7 @@ class LineTokenCounter:
                 count = known[line] = token_length(line)
             total += count
             totals.append(total)
-        self.text, self.lines, self.totals = text, self.lines[:same] + tuple(tail), totals
+        self.lines, self.totals = self.lines[:same] + tail, totals
         return total
 
 
@@ -188,6 +183,13 @@ class ToolLogEntry:
                 lines.append("  facts: (none)")
         return tuple(lines)
 
+    @cached_property
+    def lines(self) -> tuple[str, ...]:
+        """``rendered_lines`` split on the newlines inside them: the lines this entry adds to a solving input."""
+        if any("\n" in line for line in self.rendered_lines):
+            return _split(self.rendered_lines)
+        return self.rendered_lines
+
 
 @dataclass(frozen=True)
 class RevisitRecord:
@@ -200,6 +202,12 @@ class RevisitRecord:
 class PlanSnapshot:
     plan: DagPlan
     reason: str
+
+    @cached_property
+    def lines(self) -> tuple[str, ...]:
+        """This archived plan's block in every later solving input, with its final statuses, rendered once."""
+        heading = f"Plan {self.plan.plan_id} (archived: {self.reason})"
+        return _split([heading, *_plan_lines(self.plan), *_status_lines(self.plan)])
 
 
 @dataclass(frozen=True)
@@ -357,6 +365,8 @@ def _fold(register: Register) -> Register:
         for entry in register.tool_log
         if entry.step_index not in hidden and nodes[entry.task_id].status == planmod.ANSWERED
     ]
+    # Measured on ``rendered_lines``, so a newline inside a fact counts as
+    # a character: the trajectory version pins this measure with the threshold.
     if sum(len(line) for entry in answered for line in entry.rendered_lines) <= threshold:
         return register
     folding = register.tool_log if register.version == 3 else answered
@@ -405,13 +415,9 @@ def _status_lines(plan: DagPlan) -> list[str]:
     return lines
 
 
-def _tool_log_lines(log: Sequence[ToolLogEntry]) -> list[str]:
-    lines: list[str] = []
-    for i, entry in enumerate(log):
-        lines.extend(entry.rendered_lines)
-        if not entry.extracted and i < len(log) - 1:
-            lines.append("  (no facts extracted)")
-    return lines
+def _split(lines: Sequence[str]) -> tuple[str, ...]:
+    """The lines of ``lines`` joined on newlines: each one split on the newlines inside it."""
+    return tuple("\n".join(lines).split("\n"))
 
 
 def _intent_section(intent: IntentPayload) -> str:
@@ -444,60 +450,60 @@ def render_correction(context: str, diagnostic: str) -> str:
     )
 
 
-def render_context(register: Register, question: str, stage_prompt: str) -> str:
-    """Deterministic model input for one solving step, in the layout of the register's version.
+def render_context(register: Register, question: str, stage_prompt: str) -> tuple[str, ...]:
+    """Deterministic model input for one solving step, in the layout of the register's version, as its lines.
 
-    Section order is stable-first: prompt, question, intent, archived plans
-    (each with its final statuses), current plan (tasks and dependencies),
-    revisit history, tool log, then the current plan's "Status:" paragraph,
-    and finally the one-turn raw tool output if a call just happened. A
-    status flip therefore leaves everything before it a prefix of the next
-    input. Version 1 renders the statuses inside the current plan section,
-    before the revisit history. Versions 3 and 4 are version 2 without the
-    folded tool-log entries (``_folded_steps``): the Status line states
-    their answers. Empty sections are omitted entirely.
+    The input's text is the lines joined on newlines. Section order is
+    stable-first: prompt, question, intent, archived plans (each with its
+    final statuses), current plan (tasks and dependencies), revisit
+    history, tool log, then the current plan's "Status:" paragraph, and
+    finally the one-turn raw tool output if a call just happened. A status
+    flip therefore leaves everything before it a prefix of the next input.
+    Version 1 renders the statuses inside the current plan section, before
+    the revisit history. Versions 3 and 4 are version 2 without the folded
+    tool-log entries (``_folded_steps``): the Status line states their
+    answers. Empty sections are omitted entirely, and a blank line
+    separates the sections. Each archived plan's and tool-log entry's lines
+    are rendered once per value and are the same objects on every turn.
     """
     version = register.version
-    sections: list[str] = [stage_prompt.rstrip()]
-    sections.append(f"## Question\n{question}")
-    sections.append(_intent_section(register.intent))
+    head = f"{stage_prompt.rstrip()}\n\n## Question\n{question}\n\n{_intent_section(register.intent)}"
+    lines = head.split("\n")
 
     if register.plan_history:
-        lines = []
+        lines += ("", "## Archived plans")
         for snapshot in register.plan_history:
-            lines.append(f"Plan {snapshot.plan.plan_id} (archived: {snapshot.reason})")
-            lines.extend(_plan_lines(snapshot.plan))
-            lines.extend(_status_lines(snapshot.plan))
-        sections.append("## Archived plans\n" + "\n".join(lines))
+            lines += snapshot.lines
 
     plan_lines = _plan_lines(register.plan)
     status_lines = _status_lines(register.plan)
     if version == 1:
         plan_lines += status_lines
-    sections.append(f"## Current plan {register.plan.plan_id}\n" + "\n".join(plan_lines))
+    lines += ("", f"## Current plan {register.plan.plan_id}", *_split(plan_lines))
 
     if register.revisit_history:
-        lines = [
+        revisits = [
             f'- {rec.task_id}: discarded answer "{rec.discarded_answer}" ({rec.reason})'
             for rec in register.revisit_history
         ]
-        sections.append("## Revisited tasks\n" + "\n".join(lines))
+        lines += ("", "## Revisited tasks", *_split(revisits))
 
     hidden = _folded_steps(register)
     log = [entry for entry in register.tool_log if entry.step_index not in hidden]
     if log:
-        sections.append("## Tool log\n" + "\n".join(_tool_log_lines(log)))
+        lines += ("", "## Tool log")
+        for i, entry in enumerate(log):
+            lines += entry.lines
+            if not entry.extracted and i < len(log) - 1:
+                lines.append("  (no facts extracted)")
 
     if version != 1:
-        sections.append("\n".join(status_lines))
+        lines += ("", *_split(status_lines))
 
     if register.pending_tool_result is not None:
-        lines = []
+        documents: list[str] = []
         for doc in register.pending_tool_result.documents:
-            lines.append(f"[{doc.source_id}] {doc.title}")
-            lines.append(doc.text)
-        if not lines:
-            lines.append("(no documents returned)")
-        sections.append("## Latest tool output\n" + "\n".join(lines))
+            documents += (f"[{doc.source_id}] {doc.title}", doc.text)
+        lines += ("", "## Latest tool output", *_split(documents or ["(no documents returned)"]))
 
-    return "\n\n".join(sections)
+    return tuple(lines)

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import json
-import os
 import random
 from pathlib import Path
 
@@ -25,26 +24,17 @@ def words(rng: random.Random, n: int) -> str:
     return " ".join(rng.choice(WORDS) for _ in range(n))
 
 
-def changed_tails(previous: str | None, current: str) -> tuple[list[str], list[str]]:
-    """Both states' lines from the line holding their first differing character on.
+def lines_to_tokenize(previous: tuple[str, ...], current: tuple[str, ...]) -> list[str]:
+    """The lines a LineTokenCounter tokenizes for the input ``current`` after ``previous``, both as lines, in order.
 
-    With no previous state, the previous tail is empty and the current tail
-    is every line.
+    The distinct lines of ``current`` from its first line that differs from
+    ``previous``'s on that ``previous`` lacks from that line on. With no
+    previous input, ``previous`` is empty and every distinct line counts.
     """
-    if previous is None:
-        return [], current.split("\n")
-    same = os.path.commonprefix([previous, current]).count("\n")
-    return previous.split("\n")[same:], current.split("\n")[same:]
-
-
-def lines_to_tokenize(previous: str | None, current: str) -> list[str]:
-    """The lines a LineTokenCounter tokenizes for ``current`` after ``previous``, in order.
-
-    The distinct lines of ``current`` from its first changed line on that
-    ``previous`` lacks from that line on.
-    """
-    old, new = changed_tails(previous, current)
-    return [line for line in dict.fromkeys(new) if line not in old]
+    same = 0
+    while same < min(len(previous), len(current)) and previous[same] == current[same]:
+        same += 1
+    return [line for line in dict.fromkeys(current[same:]) if line not in previous[same:]]
 
 
 def brute_force_search(corpus, query, top_k):

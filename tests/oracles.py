@@ -12,7 +12,18 @@ from typing import Iterable, Sequence
 
 from dagsearch.plan import build_plan
 from dagsearch.protocol import Action, ActionKind, IntentPayload
-from dagsearch.register import Register, apply_action, init_register, render_context, token_length
+from dagsearch.register import (
+    Register,
+    ToolLogEntry,
+    _folded_steps,
+    _intent_section,
+    _plan_lines,
+    _status_lines,
+    apply_action,
+    init_register,
+    render_context,
+    token_length,
+)
 from dagsearch.trajectory import StepRecord, Trajectory, TrajectoryError
 
 # The retrospection subspace: every kind that is neither planning nor solving.
@@ -28,7 +39,68 @@ def register_tokens(register: Register, question: str, stage_prompt: str) -> int
     one-turn raw tool output and may shrink when that section expires.
     """
     stripped = replace(register, pending_tool_result=None)
-    return token_length(render_context(stripped, question, stage_prompt))
+    return token_length("\n".join(render_context(stripped, question, stage_prompt)))
+
+
+def _tool_log_lines(log: Sequence[ToolLogEntry]) -> list[str]:
+    lines: list[str] = []
+    for i, entry in enumerate(log):
+        lines.extend(entry.rendered_lines)
+        if not entry.extracted and i < len(log) - 1:
+            lines.append("  (no facts extracted)")
+    return lines
+
+
+def reference_render(register: Register, question: str, stage_prompt: str) -> str:
+    """The solving input as one text, built section by section: the reference for ``render_context``'s lines.
+
+    Each section is its lines joined on newlines, and the sections are
+    joined on blank lines; a value holding a newline is never split.
+    """
+    version = register.version
+    sections: list[str] = [stage_prompt.rstrip()]
+    sections.append(f"## Question\n{question}")
+    sections.append(_intent_section(register.intent))
+
+    if register.plan_history:
+        lines = []
+        for snapshot in register.plan_history:
+            lines.append(f"Plan {snapshot.plan.plan_id} (archived: {snapshot.reason})")
+            lines.extend(_plan_lines(snapshot.plan))
+            lines.extend(_status_lines(snapshot.plan))
+        sections.append("## Archived plans\n" + "\n".join(lines))
+
+    plan_lines = _plan_lines(register.plan)
+    status_lines = _status_lines(register.plan)
+    if version == 1:
+        plan_lines += status_lines
+    sections.append(f"## Current plan {register.plan.plan_id}\n" + "\n".join(plan_lines))
+
+    if register.revisit_history:
+        lines = [
+            f'- {rec.task_id}: discarded answer "{rec.discarded_answer}" ({rec.reason})'
+            for rec in register.revisit_history
+        ]
+        sections.append("## Revisited tasks\n" + "\n".join(lines))
+
+    hidden = _folded_steps(register)
+    log = [entry for entry in register.tool_log if entry.step_index not in hidden]
+    if log:
+        sections.append("## Tool log\n" + "\n".join(_tool_log_lines(log)))
+
+    if version != 1:
+        sections.append("\n".join(status_lines))
+
+    if register.pending_tool_result is not None:
+        lines = []
+        for doc in register.pending_tool_result.documents:
+            lines.append(f"[{doc.source_id}] {doc.title}")
+            lines.append(doc.text)
+        if not lines:
+            lines.append("(no documents returned)")
+        sections.append("## Latest tool output\n" + "\n".join(lines))
+
+    return "\n\n".join(sections)
 
 
 def _recorded(step: StepRecord) -> Action:

@@ -812,14 +812,23 @@ def test_replay_of_a_bad_recorded_run_config_exits_2(tmp_path, capsys, value):
 
 
 def test_eval_tool_config_error_exits_2_before_any_report(workdir, capsys):
+    # The tool config sets no top_k: the error names the flag, not the file.
     report = workdir / "report.csv"
     argv = ["eval", "--dataset", str(workdir / "eval_dataset.jsonl"), "--top-k", "0"]
     argv += ["--backend", f"scripted:{workdir / 'eval_scripted.json'}"]
     argv += ["--tools", str(workdir / "tools.json"), "--out", str(report)]
     assert main(argv) == 2
-    problem = 'tool "search" needs a top_k of at least 1, not 0'
-    assert capsys.readouterr().err == f'error: {workdir / "tools.json"}: {problem}\n'
+    assert capsys.readouterr().err == "error: --top-k must be at least 1, not 0\n"
     assert not report.exists()
+
+
+@pytest.mark.parametrize("top_k", ["0", "-3"])
+def test_run_top_k_below_one_exits_2_before_any_file_is_read(workdir, capsys, top_k):
+    # A --config that does not exist would fail its read: the flag is checked first.
+    argv = ["run", "-q", "x", "--config", str(workdir / "missing.json"), "--tools", str(workdir / "tools.json")]
+    argv += ["--backend", f"scripted:{workdir / 'two_hop_responses.json'}", "--top-k", top_k]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"error: --top-k must be at least 1, not {top_k}\n"
 
 
 @pytest.mark.parametrize(

@@ -697,12 +697,12 @@ class TestDeterminism:
         # every step, planning included, tokenizes only the lines from its
         # first changed line on that its previous input lacked from there on
         remaining = calls
-        previous = None
+        previous = ()
         for step in steps:
-            new_lines = lines_to_tokenize(previous, step.state)
+            new_lines = lines_to_tokenize(previous, step.lines)
             assert remaining[: len(new_lines)] == new_lines
             remaining = remaining[len(new_lines) :]
-            previous = step.state
+            previous = step.lines
         assert remaining == []
         monkeypatch.undo()
         assert all(step.token_count == token_length(step.state) for step in steps)

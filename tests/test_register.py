@@ -6,13 +6,15 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import dagsearch.register
-from dagsearch.plan import ANSWERED, PENDING, PlanError, build_plan, is_complete
+from dagsearch.plan import ACTIVE, ANSWERED, PENDING, DagPlan, PlanError, TaskNode, build_plan, is_complete
 from dagsearch.protocol import PLANNING_KINDS, Action, ActionKind, IntentPayload
 from dagsearch.register import (
     FOLD_CHARS,
     LineTokenCounter,
+    PlanSnapshot,
     Register,
     RegisterError,
+    RevisitRecord,
     ToolLogEntry,
     apply_action,
     common_prefix_length,
@@ -23,7 +25,7 @@ from dagsearch.register import (
 )
 from dagsearch.tools import Document, ToolResult
 from dagsearch.trajectory import TRAJECTORY_VERSION
-from oracles import register_tokens
+from oracles import reference_render, register_tokens
 
 QUESTION = "What year was the university founded?"
 PROMPT = "You are a search agent. Emit one action per turn."
@@ -70,6 +72,11 @@ def answer(task_id, text):
     return act(ActionKind.TASK_ANSWER, {"answers": [{"task_id": task_id, "answer": text}]})
 
 
+def render(register):
+    """The solving input of ``register`` as text: its rendered lines joined on newlines."""
+    return "\n".join(render_context(register, QUESTION, PROMPT))
+
+
 def stable_prefix(text):
     """Everything before the current plan's Status: paragraph."""
     return text[: text.index("\n\nStatus:\n")]
@@ -84,10 +91,10 @@ def assert_stable_prefix_extends(setup, steps):
     register = fresh()
     for action, tool_output in setup:
         register = apply_action(register, action, tool_output)
-    before = render_context(register, QUESTION, PROMPT)
+    before = render(register)
     for action, tool_output in steps:
         register = apply_action(register, action, tool_output)
-    after = render_context(register, QUESTION, PROMPT)
+    after = render(register)
     before_stable, after_stable = stable_prefix(before), stable_prefix(after)
     assert after_stable.startswith(before_stable)
     assert len(after_stable) > len(before_stable)
@@ -96,7 +103,7 @@ def assert_stable_prefix_extends(setup, steps):
     assert after_tokens[: len(before_tokens)] == before_tokens
     assert len(after_tokens) > len(before_tokens)
     # only the one-turn raw output follows the Status: paragraph
-    persistent = render_context(replace(register, pending_tool_result=None), QUESTION, PROMPT)
+    persistent = render(replace(register, pending_tool_result=None))
     status = persistent[len(after_stable) :]
     assert status.startswith("\n\nStatus:\n") and status.count("\n\n") == 1
     assert after.startswith(persistent + "\n\n## Latest tool output\n")
@@ -114,7 +121,7 @@ class TestInit:
         assert fresh().plan.plan_id == 0
 
     def test_render_contains_goal_verbatim(self):
-        text = render_context(fresh(), QUESTION, PROMPT)
+        text = render(fresh())
         assert "Find the founding year." in text
 
 
@@ -253,7 +260,7 @@ class TestApply:
 
 class TestRender:
     def test_section_order_and_empty_sections_omitted(self):
-        text = render_context(fresh(), QUESTION, PROMPT)
+        text = render(fresh())
         assert text.startswith(PROMPT)
         expected = ["## Question", "## Refined intent", "## Current plan 0"]
         positions = [text.index(h) for h in expected]
@@ -265,14 +272,14 @@ class TestRender:
 
     def test_raw_documents_render_only_while_pending(self):
         register = apply_action(fresh(), tool_call(), result("uniqueraw"))
-        with_pending = render_context(register, QUESTION, PROMPT)
+        with_pending = render(register)
         assert "uniqueraw" in with_pending
         extraction = act(
             ActionKind.DOC_EXTRACTION,
             {"task_id": "t1", "facts": ["condensed fact"], "source_ids": ["fix:a"]},
         )
         register = apply_action(register, extraction)
-        after = render_context(register, QUESTION, PROMPT)
+        after = render(register)
         assert "uniqueraw" not in after
         assert "condensed fact" in after
 
@@ -294,13 +301,111 @@ class TestRender:
     def test_unextracted_older_entries_are_annotated(self):
         register = apply_action(fresh(), tool_call(), result())
         register = apply_action(register, tool_call(query="second try"), result())
-        text = render_context(register, QUESTION, PROMPT)
+        text = render(register)
         assert "(no facts extracted)" in text
 
     def test_render_is_deterministic(self):
-        a = render_context(fresh(), QUESTION, PROMPT)
-        b = render_context(fresh(), QUESTION, PROMPT)
+        a = render(fresh())
+        b = render(fresh())
         assert a == b
+
+
+# Values a model or a tool puts into a solving input: empty, with newlines
+# that split a line, and with "\r" and U+2028, which do not.
+render_values = st.text(st.sampled_from("ab \u00fc\n\r\u2028"), max_size=6)
+stage_prompts = st.builds(str.__add__, render_values, st.sampled_from(["", " ", " \n\t", "\r\n"]))
+
+
+@st.composite
+def rendered_plans(draw, plan_id):
+    """A plan of one to four tasks in any status, its dependencies pointing from lower to higher ids."""
+    ids = [f"t{i}" for i in range(1, draw(st.integers(1, 4)) + 1)]
+    nodes = {}
+    for tid in ids:
+        status = draw(st.sampled_from((PENDING, ACTIVE, ANSWERED)))
+        answer = draw(render_values) if status == ANSWERED else None
+        nodes[tid] = TaskNode(task_id=tid, description=draw(render_values), status=status, answer=answer)
+    edges = tuple((a, b) for i, a in enumerate(ids) for b in ids[i + 1 :] if draw(st.booleans()))
+    return DagPlan(plan_id=plan_id, nodes=nodes, edges=edges)
+
+
+@st.composite
+def rendered_registers(draw):
+    """A register of any version with archived plans, revisits, tool-log entries, folds and a pending output."""
+    history = tuple(
+        PlanSnapshot(plan=draw(rendered_plans(plan_id)), reason=draw(render_values))
+        for plan_id in range(draw(st.integers(0, 2)))
+    )
+    plan = draw(rendered_plans(len(history)))
+    task_ids = st.sampled_from(sorted(plan.nodes))
+    revisits = draw(st.lists(st.builds(RevisitRecord, task_ids, render_values, render_values), max_size=2))
+    log = []
+    for step in range(1, draw(st.integers(0, 4)) + 1):
+        extracted = draw(st.booleans())
+        values = st.lists(render_values, max_size=2 if extracted else 0)
+        log.append(
+            ToolLogEntry(
+                step_index=step,
+                task_id=draw(task_ids),
+                tool_name=draw(render_values),
+                arguments={"query": draw(render_values)},
+                condensed_facts=tuple(draw(values)),
+                source_ids=tuple(draw(values)),
+                extracted=extracted,
+            )
+        )
+    documents = draw(st.none() | st.lists(st.builds(Document, render_values, render_values, render_values), max_size=2))
+    constraints = tuple(draw(st.lists(render_values, max_size=2)))
+    return Register(
+        intent=IntentPayload(refined_goal=draw(render_values), constraints=constraints),
+        plan_history=history,
+        plan=plan,
+        revisit_history=tuple(revisits),
+        tool_log=tuple(log),
+        version=draw(st.integers(1, 4)),
+        step=len(log),
+        pending_tool_result=None if documents is None else ToolResult(documents=tuple(documents)),
+        folded=frozenset(draw(st.sets(st.integers(1, len(log))))) if log else frozenset(),
+    )
+
+
+# Every section, a multi-line fact and a pending output with no documents.
+EVERY_SECTION = Register(
+    intent=intent(),
+    plan_history=(PlanSnapshot(plan=chain_plan(), reason="split\nthe hop"),),
+    plan=build_plan([("t1", "first\r"), ("t2", "")], [("t1", "t2")], plan_id=1),
+    revisit_history=(RevisitRecord(task_id="t1", discarded_answer="old\u2028answer", reason=""),),
+    tool_log=(
+        ToolLogEntry(1, "t1", "search", {"query": "q"}, ("a fact\nover two lines",), ("fix:a",), True),
+        ToolLogEntry(2, "t2", "search", {"query": "q\n"}),
+        ToolLogEntry(3, "t2", "search", {"query": ""}),
+    ),
+    version=4,
+    step=3,
+    pending_tool_result=ToolResult(documents=()),
+)
+
+
+class TestRenderLines:
+    @given(rendered_registers(), render_values, stage_prompts)
+    @example(EVERY_SECTION, "q\n", "prompt \n\t")
+    def test_lines_are_the_reference_text_split(self, register, question, prompt):
+        lines = render_context(register, question, prompt)
+        assert lines == tuple(reference_render(register, question, prompt).split("\n"))
+
+    def test_archived_plans_and_log_entries_render_as_the_same_lines_on_every_turn(self):
+        register = apply_action(fresh(), tool_call(), result())
+        replan = {"reason": "r", "tasks": [{"task_id": "s1", "description": "d"}], "edges": []}
+        register = apply_action(register, act(ActionKind.REPLANNING, replan))
+        register = apply_action(register, tool_call("s1"), result())
+        before = render_context(register, QUESTION, PROMPT)
+        after = render_context(apply_action(register, tool_call("s1", "again"), result()), QUESTION, PROMPT)
+        start = before.index("## Archived plans") + 1
+        end = start + len(register.plan_history[0].lines)
+        assert before[start:end] == register.plan_history[0].lines
+        assert all(a is b for a, b in zip(before[start:end], after[start:end]))
+        step = before.index("## Tool log") + 1
+        assert before[step] is after[step] is register.tool_log[0].lines[0]
 
 
 class TestTokens:
@@ -327,7 +432,7 @@ class TestTokens:
         counter = LineTokenCounter()
         for lines in texts_as_lines:
             text = "\n".join(lines)
-            assert counter(text) == token_length(text)
+            assert counter(tuple(text.split("\n"))) == token_length(text)
 
     @given(
         st.text(st.sampled_from("ab\nü"), max_size=12),
@@ -351,18 +456,18 @@ class TestTokens:
 
         monkeypatch.setattr(dagsearch.register, "default_tokenizer", spy)
         counter = LineTokenCounter()
-        assert counter("a b\nc\na b") == 5
+        assert counter(("a b", "c", "a b")) == 5
         assert calls == ["a b", "c"]
-        assert counter("a b\nd e f") == 5
+        assert counter(("a b", "d e f")) == 5
         assert calls == ["a b", "c", "d e f"]
-        # only the previous text's lines are kept
-        assert counter("c") == 1
+        # only the previous input's lines are kept
+        assert counter(("c",)) == 1
         assert calls[-1] == "c"
 
     def test_register_tokens_excludes_ephemeral(self):
         register = apply_action(fresh(), tool_call(), result())
         persistent = register_tokens(register, QUESTION, PROMPT)
-        full = token_length(render_context(register, QUESTION, PROMPT))
+        full = token_length(render(register))
         assert persistent < full
 
     def test_register_tokens_non_decreasing_over_updates(self):
@@ -446,7 +551,7 @@ def hidden_steps(register):
 
 def shown_steps(register):
     """Step indices of the tool-log entries that the render shows."""
-    text = render_context(register, QUESTION, PROMPT)
+    text = render(register)
     return {e.step_index for e in register.tool_log if f"Step {e.step_index}: " in text}
 
 
@@ -483,9 +588,9 @@ def check_render_is_v2_without_folded_entries(version, ops):
         hidden_at = hidden_steps(register)
         hidden = [e for e in register.tool_log if e.step_index in hidden_at]
         shown = tuple(e for e in register.tool_log if e.step_index not in hidden_at)
-        v2 = render_context(replace(register, version=2), QUESTION, PROMPT)
-        folded = render_context(register, QUESTION, PROMPT)
-        assert folded == render_context(replace(register, tool_log=shown, version=2), QUESTION, PROMPT)
+        v2 = render(replace(register, version=2))
+        folded = render(register)
+        assert folded == render(replace(register, tool_log=shown, version=2))
         hidden_lines = {line for e in hidden for line in e.rendered_lines} | {"  (no facts extracted)"}
         if not shown:
             hidden_lines.add("## Tool log")
@@ -593,6 +698,21 @@ class TestFold:
         assert persistent_tokens(v3[8]) < persistent_tokens(v3[7])
         assert persistent_tokens(v3[9]) < persistent_tokens(v3[8])
 
+    def test_fold_measures_entry_lines_with_their_newlines(self):
+        # The answered entry renders to one character over FOLD_CHARS only
+        # when its fact's newline counts: split into lines, it does not pass.
+        register = init_register(intent(), chain_plan(), 4)
+        register = apply_action(register, tool_call(), result())
+        base = apply_action(register, extraction())
+        fact = "f\n" + "x" * (FOLD_CHARS[4] - sum(map(len, base.tool_log[0].rendered_lines)))
+        register = apply_action(
+            register, act(ActionKind.DOC_EXTRACTION, {"task_id": "t1", "facts": [fact], "source_ids": []})
+        )
+        lines = register.tool_log[0].rendered_lines
+        assert sum(map(len, lines)) == FOLD_CHARS[4] + 1
+        assert sum(map(len, "\n".join(lines).split("\n"))) == FOLD_CHARS[4]
+        assert apply_action(register, answer("t1", "Oxford")).folded == {1}
+
     def test_no_fold_without_an_open_task(self):
         for version in (3, 4):
             register = init_register(intent(), build_plan([("t1", "a"), ("t2", "b")], []), version)
@@ -605,7 +725,7 @@ class TestFold:
                 register = apply_action(register, answer(task_id, "done"))
             # t1's answer folded its entry while t2 was open; t2's did not fold
             assert hidden_steps(register) == {1}, version
-            text = render_context(register, QUESTION, PROMPT)
+            text = render(register)
             assert "Step 1: " not in text and "Step 4: " in text
 
     @pytest.mark.parametrize("version", (1, 2))
@@ -613,7 +733,7 @@ class TestFold:
         ops = [("call", "t1", [13_000, 13_000]), ("answer", "t1", []), ("call", "t3", [10])]
         *_, (_, _, register) = applied(version, ops)
         assert register.folded == frozenset()
-        assert "Step 1: " in render_context(register, QUESTION, PROMPT)
+        assert "Step 1: " in render(register)
 
 
 class TestSnapshots:

@@ -524,7 +524,7 @@ class TestPersistence:
         counter = LineTokenCounter()
         recorded = []
         for state in states:
-            counter(state)
+            counter(tuple(state.split("\n")))
             assert counter.lines == tuple(state.split("\n"))
             recorded.append(counter.lines)
         shared_heads(list(zip(states, recorded)))
@@ -727,7 +727,7 @@ class TestAnalyses:
     @given(delta_state_sequences)
     def test_line_counter_equals_token_length(self, states):
         counter = LineTokenCounter()
-        assert [counter(state) for state in states] == [token_length(state) for state in states]
+        assert [counter(tuple(state.split("\n"))) for state in states] == [token_length(state) for state in states]
 
     @given(delta_state_sequences, st.sampled_from([1, 2, 3, 4]))
     def test_step_cache_ratios_equal_whole_state_ratios(self, states, version):
