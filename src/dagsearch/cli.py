@@ -123,11 +123,24 @@ def _backend_factory(spec: str) -> Callable[[str], Backend]:
     return scripted
 
 
-def _build_tools(args: argparse.Namespace, fixtures: dict | None = None) -> ToolRegistry:
+def _tools_factory(args: argparse.Namespace) -> Callable[[dict | None], ToolRegistry]:
+    """A fresh tool registry per call, built from a ``--tools`` config read and checked once.
+
+    A malformed config raises here, before any question runs; an entry that
+    ``build_registry`` rejects raises, naming the config, when a registry is
+    built. A call's ``fixtures`` goes to ``build_registry``.
+    """
     config = _load_json(args.tools)
     with located(args.tools):
         check_fields(config, {"tools": (list,)})
-        return build_registry(config["tools"], base_dir=Path(args.tools).parent, top_k=args.top_k, fixtures=fixtures)
+
+    def build(fixtures: dict | None = None) -> ToolRegistry:
+        with located(args.tools):
+            return build_registry(
+                config["tools"], base_dir=Path(args.tools).parent, top_k=args.top_k, fixtures=fixtures
+            )
+
+    return build
 
 
 def _check_top_k(args: argparse.Namespace) -> None:
@@ -142,7 +155,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     result = run(
         args.question,
         backend=_backend_factory(args.backend)(args.question_id),
-        tools=_build_tools(args),
+        tools=_tools_factory(args)(),
         config=config,
         prompts=prompts,
         question_id=args.question_id,
@@ -166,6 +179,7 @@ def _cmd_eval(args: argparse.Namespace) -> int:
     config, prompts = _build_config(args)
     dataset = _load_dataset(args.dataset)
     backend = _backend_factory(args.backend)  # a bad spec or scripted file ends the whole call
+    build_tools = _tools_factory(args)  # so does a bad tool config
     trajectory_dir = Path(args.trajectory_dir) if args.trajectory_dir else None
     if trajectory_dir:
         trajectory_dir.mkdir(parents=True, exist_ok=True)
@@ -176,7 +190,7 @@ def _cmd_eval(args: argparse.Namespace) -> int:
 
     def evaluate(record: dict) -> EvalRecord:
         """One question's row; a question that cannot be set up or saved becomes an ``error`` row."""
-        tools = _build_tools(args, fixtures)  # a bad tool config ends the whole call
+        tools = build_tools(fixtures)  # a tool entry build_registry rejects ends the whole call
         try:
             result = run(
                 record["question"],

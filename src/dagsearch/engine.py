@@ -34,6 +34,7 @@ from .register import (
     apply_action,
     common_prefix_length,
     init_register,
+    prompt_line_counts,
     render_context,
     render_correction,
     render_planning_context,
@@ -114,7 +115,8 @@ def _turn(
 
     The model input comes as its ``lines``. They are counted once through
     the run's ``counter``, which tokenizes only lines from the first
-    changed line on that the previous input lacked there; that one count is
+    changed line on that the previous input lacked there and that are not
+    stage-prompt lines, whose counts it was given; that one count is
     both the context-cap check (ContextOverflow over it, before any
     completion is requested) and the step's ``token_count``. The step
     records the counter's ``lines``, whose unchanged head is the previous
@@ -233,8 +235,9 @@ def run(
         started_at=clock(),
         version=version,
     )
-    # Local to this call: parallel evals run on several threads.
-    counter = LineTokenCounter()
+    # Local to this call: parallel evals run on several threads. It opens
+    # knowing both stage prompts' lines, counted once per prompt text.
+    counter = LineTokenCounter({**prompt_line_counts(prompts.holistic), **prompt_line_counts(prompts.solving)})
 
     turn = partial(_turn, backend, trajectory, config, counter)
 

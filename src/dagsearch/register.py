@@ -18,10 +18,12 @@ block appended after a rejected reply.
 from __future__ import annotations
 
 import re
+import threading
 from dataclasses import dataclass, replace
-from functools import cached_property
+from functools import cached_property, lru_cache
 from operator import sub
-from typing import Sequence
+from types import MappingProxyType
+from typing import Mapping, Sequence
 
 from . import plan as planmod
 from .plan import DagPlan
@@ -108,6 +110,32 @@ def common_prefix_length(a: Sequence, b: Sequence) -> int:
     return low
 
 
+# Distinct prompt texts kept counted: a process uses one pack, or a few.
+_PROMPTS_KEPT = 8
+_prompts_lock = threading.Lock()
+
+
+@lru_cache(maxsize=_PROMPTS_KEPT)
+def _prompt_line_counts(prompt: str) -> Mapping[str, int]:
+    lines = prompt.rstrip().split("\n")
+    return MappingProxyType({line: token_length(line) for line in dict.fromkeys(lines)})
+
+
+def prompt_line_counts(prompt: str) -> Mapping[str, int]:
+    """The token count of each line a model input opens with when ``prompt`` is its stage prompt.
+
+    Those are the lines of ``prompt.rstrip()``, as both renderers put them.
+    Counted once per prompt text for the process, and read-only: eval's
+    threads share the mapping. The lock makes threads that ask for a new
+    prompt at once count it once.
+    """
+    with _prompts_lock:
+        return _prompt_line_counts(prompt)
+
+
+prompt_line_counts.cache_clear = _prompt_line_counts.cache_clear
+
+
 class LineTokenCounter:
     """Token counts of successive inputs, given as their lines, paying only for the lines that changed.
 
@@ -119,25 +147,31 @@ class LineTokenCounter:
     same object in both and compares without reading its characters; its
     count is a running total, and its lines stay the previous ``lines``'
     own strings. Each line from there on takes the count of an equal line
-    in the previous input's lines from there on, and only the lines missing
-    there are tokenized.
+    in the previous input's lines from there on, or else its count in
+    ``known`` (the stage prompts' ``prompt_line_counts``, so that each
+    prompt line is counted once per prompt text, not once per run), and
+    only the lines missing from both are tokenized.
     """
 
-    def __init__(self) -> None:
+    def __init__(self, known: Mapping[str, int] = MappingProxyType({})) -> None:
+        self.known = known
         self.lines: tuple[str, ...] = ()
         self.totals: list[int] = [0]
 
     def __call__(self, lines: tuple[str, ...]) -> int:
         same = common_prefix_length(self.lines, lines)
         totals = self.totals
-        known = dict(zip(self.lines[same:], map(sub, totals[same + 1 :], totals[same:])))
+        seen = dict(zip(self.lines[same:], map(sub, totals[same + 1 :], totals[same:])))
         tail = lines[same:]
         totals = totals[: same + 1]
         total = totals[same]
         for line in tail:
-            count = known.get(line)
+            count = seen.get(line)
             if count is None:
-                count = known[line] = token_length(line)
+                count = self.known.get(line)
+                if count is None:
+                    count = token_length(line)
+                seen[line] = count
             total += count
             totals.append(total)
         self.lines, self.totals = self.lines[:same] + tail, totals

@@ -21,7 +21,7 @@ from pathlib import Path
 from typing import IO, Any, Iterable, Iterator, Mapping, Sequence
 
 from .protocol import ActionKind, subspace_of
-from .register import _TOKEN_RE, common_prefix_length, default_tokenizer, token_length
+from .register import _TOKEN_RE, common_prefix_length, default_tokenizer, prompt_line_counts, token_length
 from .tools import DOCUMENT_FIELDS, InputError, ToolResult, check_fields, check_strings, located, read_json
 
 TRAJECTORY_VERSION = 4
@@ -439,9 +439,12 @@ def step_cache_ratios(trajectory: Trajectory) -> list[float]:
     are extended only as far as a head reaches, and each line's count is
     kept for the pass, so a line is tokenized only when it first enters
     some later input's shared head, however often heads are cut back above
-    it and grow over it again. The shared prefix is the head plus the
-    common token prefix of the two inputs' lines after it, tokenized line
-    by line only up to the first differing token.
+    it and grow over it again. The solving prompt's lines, which open every
+    solving input, start out known from ``prompt_line_counts``: they are
+    counted once per prompt text, not once per trajectory. The shared
+    prefix is the head plus the common token prefix of the two inputs'
+    lines after it, tokenized line by line only up to the first differing
+    token.
 
     Whether an input is empty is decided from its own text. A recorded
     ``token_count`` below the shared prefix, or 0, is a TrajectoryError;
@@ -451,7 +454,8 @@ def step_cache_ratios(trajectory: Trajectory) -> list[float]:
     ratios = []
     lines: tuple[str, ...] = ()  # the previous solving input's
     totals = [0]  # totals[i]: tokens in lines[:i], for as many lines as a head has reached
-    known: dict[str, int] = {}  # the token count of each line a head has reached, for the whole pass
+    # the token count of each prompt line and each line a head has reached, for the whole pass
+    known = dict(prompt_line_counts(trajectory.prompts.get("solving", "")))
     for turn, step in enumerate(trajectory.solving_steps()):
         if turn:
             where = f'trajectory "{trajectory.question_id}" step {step.index}'

@@ -1,5 +1,6 @@
 import contextlib
 import csv
+from collections import Counter
 import gc
 import hashlib
 import io
@@ -16,9 +17,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import dagsearch.cli
+import dagsearch.register
 import dagsearch.tools
 from dagsearch.backend import ScriptedBackend
 from dagsearch.cli import main
+from dagsearch.engine import PromptPack
 from dagsearch.register import default_tokenizer
 from dagsearch.tools import FixtureSearchTool, load_corpus
 from dagsearch.trajectory import Trajectory
@@ -147,6 +150,71 @@ def test_eval_frees_its_fixture_tools_when_it_returns(workdir, capsys, monkeypat
     assert main(eval_argv(workdir, workdir / "report.csv", "--parallel", parallel)) == 0
     assert 1 <= len(tools) <= int(parallel)
     assert [tool() for tool in tools] == [None] * len(tools)
+
+
+def tokenizer_spy(monkeypatch):
+    """Every text ``dagsearch.register`` tokenizes, counted; list appends are safe across threads."""
+    calls = []
+
+    def spy(text):
+        calls.append(text)
+        return default_tokenizer(text)
+
+    monkeypatch.setattr(dagsearch.register, "default_tokenizer", spy)
+    return calls
+
+
+def prompt_line_sets(*prompts):
+    return [set(prompt.rstrip().split("\n")) for prompt in prompts]
+
+
+@pytest.mark.parametrize("parallel", ["1", "2"])
+def test_eval_tokenizes_each_prompt_line_once_per_call(workdir, capsys, monkeypatch, parallel):
+    calls = tokenizer_spy(monkeypatch)
+    report = workdir / "report.csv"
+    assert main(eval_argv(workdir, report, "--parallel", parallel)) == 0
+    assert report.read_bytes() == (DATA_DIR / "eval_report.csv").read_bytes()
+    # Each stage prompt's lines are counted once for all five questions: a
+    # line is tokenized at most once per prompt that holds it ("" is in both).
+    pack = PromptPack.load_default()
+    prompts = prompt_line_sets(pack.holistic, pack.solving)
+    tokenized = Counter(calls)
+    for line in set.union(*prompts):
+        assert 1 <= tokenized[line] <= sum(line in lines for lines in prompts), line
+
+
+def test_stats_tokenizes_each_solving_prompt_line_once(tmp_path, capsys, monkeypatch):
+    fixture = DATA_DIR / "two_hop_trajectory_v2.jsonl"
+    runs = tmp_path / "runs"
+    runs.mkdir()
+    for copy in range(4):
+        shutil.copy(fixture, runs / f"copy{copy}.jsonl")
+    (solving,) = prompt_line_sets(Trajectory.load(fixture).prompts["solving"])
+    calls = tokenizer_spy(monkeypatch)
+    cache = tmp_path / "cache.csv"
+    argv = ["stats", "--trajectories", str(runs), "--curve-out", str(tmp_path / "curve.csv"), "--cache-out", str(cache)]
+    assert main(argv) == 0
+    tokenized = Counter(calls)
+    assert all(tokenized[line] == 1 for line in solving)
+    # four copies of one run's ratios
+    rows = cache.read_text(encoding="utf-8").splitlines()[1:]
+    assert rows and rows == rows[: len(rows) // 4] * 4
+
+
+def test_eval_reads_the_tool_config_once(workdir, capsys, monkeypatch):
+    # The tool config becomes unreadable after the first question: the rest
+    # still run, from the config read before any question ran.
+    run = dagsearch.cli.run
+
+    def run_then_spoil_the_tool_config(*args, **kwargs):
+        result = run(*args, **kwargs)
+        (workdir / "tools.json").write_text("not json", encoding="utf-8")
+        return result
+
+    monkeypatch.setattr(dagsearch.cli, "run", run_then_spoil_the_tool_config)
+    report = workdir / "report.csv"
+    assert main(eval_argv(workdir, report)) == 0
+    assert report.read_bytes() == (DATA_DIR / "eval_report.csv").read_bytes()
 
 
 def test_replay_strict_on_fresh_recording(workdir, capsys):

@@ -691,19 +691,31 @@ class TestDeterminism:
             return default_tokenizer(text)
 
         monkeypatch.setattr(dagsearch.register, "default_tokenizer", spy)
-        steps = run_two_hop().trajectory.steps
-        assert [step.stage for step in steps].count("planning") == 2
-        assert len(steps) == 9
-        # every step, planning included, tokenizes only the lines from its
-        # first changed line on that its previous input lacked from there on
-        remaining = calls
-        previous = ()
-        for step in steps:
-            new_lines = lines_to_tokenize(previous, step.lines)
-            assert remaining[: len(new_lines)] == new_lines
-            remaining = remaining[len(new_lines) :]
-            previous = step.lines
-        assert remaining == []
+        prompts = PromptPack.load_default()
+        prompt_lines = [
+            line
+            for prompt in (prompts.holistic, prompts.solving)
+            for line in dict.fromkeys(prompt.rstrip().split("\n"))
+        ]
+        # The first run counts each stage prompt's distinct lines, once each;
+        # the second finds them counted.
+        for memo in (prompt_lines, []):
+            calls.clear()
+            steps = run_two_hop().trajectory.steps
+            assert [step.stage for step in steps].count("planning") == 2
+            assert len(steps) == 9
+            assert calls[: len(memo)] == memo
+            # every step, planning included, tokenizes only the lines from its
+            # first changed line on that its previous input lacked from there
+            # on and that are not prompt lines
+            remaining = calls[len(memo) :]
+            previous = ()
+            for step in steps:
+                new_lines = lines_to_tokenize(previous, step.lines, prompt_lines)
+                assert remaining[: len(new_lines)] == new_lines
+                remaining = remaining[len(new_lines) :]
+                previous = step.lines
+            assert remaining == []
         monkeypatch.undo()
         assert all(step.token_count == token_length(step.state) for step in steps)
         tokenized = sum(token_length(text) for text in calls)

@@ -1,4 +1,6 @@
 import os
+import sys
+import threading
 from dataclasses import replace
 
 import pytest
@@ -20,7 +22,9 @@ from dagsearch.register import (
     common_prefix_length,
     default_tokenizer,
     init_register,
+    prompt_line_counts,
     render_context,
+    render_planning_context,
     token_length,
 )
 from dagsearch.tools import Document, ToolResult
@@ -408,6 +412,18 @@ class TestRenderLines:
         assert before[step] is after[step] is register.tool_log[0].lines[0]
 
 
+# Prompt texts as a user might write them: trailing spaces and newlines,
+# carriage returns, empty lines and non-ASCII text.
+_PROMPT_LINES = ["", "You are a search agent.", "  - rule one, été", "\r", "step\r", "北京 — café", "\t"]
+prompt_texts = st.builds(
+    lambda lines, tail: "\n".join(lines) + tail,
+    st.lists(st.sampled_from(_PROMPT_LINES) | st.text(max_size=8), max_size=6),
+    st.sampled_from(["", " ", "\n", "\n\n", " \n\t ", "\r\n", "\n\r"]),
+)
+# An input's lines after the prompt: some repeat a prompt line.
+counter_lines = st.sampled_from(_PROMPT_LINES + ["a b", "x, y.", "## Question"]) | st.text(max_size=8)
+
+
 class TestTokens:
     def test_empty_string(self):
         assert token_length("") == 0
@@ -463,6 +479,65 @@ class TestTokens:
         # only the previous input's lines are kept
         assert counter(("c",)) == 1
         assert calls[-1] == "c"
+
+    @given(prompt_texts, st.lists(st.lists(counter_lines, max_size=5), max_size=5))
+    def test_a_counter_given_prompt_counts_counts_as_one_without(self, prompt, tails):
+        head = tuple(prompt.rstrip().split("\n"))
+        # both renderers open an input with exactly these lines
+        assert render_planning_context(prompt, QUESTION).split("\n")[: len(head)] == list(head)
+        given_counts, plain = LineTokenCounter(prompt_line_counts(prompt)), LineTokenCounter()
+        for tail in tails:
+            lines = head + tuple(tail)
+            assert given_counts(lines) == plain(lines) == token_length("\n".join(lines))
+            assert given_counts.totals == plain.totals
+            assert given_counts.lines == plain.lines
+
+    def test_prompt_line_counts_are_kept_read_only(self, monkeypatch):
+        calls = []
+
+        def spy(text):
+            calls.append(text)
+            return default_tokenizer(text)
+
+        monkeypatch.setattr(dagsearch.register, "default_tokenizer", spy)
+        counts = prompt_line_counts("a b\n\nc, d.\na b\n\n")
+        assert dict(counts) == {"a b": 2, "": 0, "c, d.": 4}
+        assert calls == ["a b", "", "c, d."]
+        assert prompt_line_counts("a b\n\nc, d.\na b\n\n") is counts
+        assert len(calls) == 3
+        with pytest.raises(TypeError):
+            counts["a b"] = 0
+
+    def test_threads_asking_for_a_new_prompt_at_once_count_it_once(self, monkeypatch):
+        calls = []
+
+        def spy(text):
+            calls.append(text)
+            return default_tokenizer(text)
+
+        monkeypatch.setattr(dagsearch.register, "default_tokenizer", spy)
+        prompt = "\n".join(f"line {i} of the prompt, with some words." for i in range(200))
+        workers = (os.cpu_count() or 1) + 2
+        start = threading.Barrier(workers)
+        results = []
+
+        def ask():
+            start.wait(timeout=10)
+            results.append(prompt_line_counts(prompt))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=ask) for _ in range(workers)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=10)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert len(results) == workers and all(result is results[0] for result in results)
+        assert sorted(calls) == sorted(prompt.split("\n"))
 
     def test_register_tokens_excludes_ephemeral(self):
         register = apply_action(fresh(), tool_call(), result())
