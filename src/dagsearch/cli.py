@@ -89,19 +89,22 @@ def _build_config(args: argparse.Namespace) -> tuple[RunConfig, PromptPack]:
 
 
 def _backend_factory(spec: str) -> Callable[[str], Backend]:
-    """A fresh backend per question id, from a ``--backend`` spec read once.
+    """A backend per question id, from a ``--backend`` spec read once.
 
-    The spec is ``http`` or ``scripted:<path.json>``. A scripted file holds
-    either {"responses": [...]}, for any question, or {"by_question":
-    {question_id: [...]}} for batch eval fixtures, each reply a string. An
-    unknown spec or a malformed scripted file raises here, before any
-    question runs; a question missing from ``by_question`` raises when its
-    backend is built.
+    The spec is ``http`` or ``scripted:<path.json>``. ``http`` gives every
+    question one chat backend, which keeps no per-run state, so --parallel
+    threads share it. A scripted file holds either {"responses": [...]},
+    for any question, or {"by_question": {question_id: [...]}} for batch
+    eval fixtures, each reply a string; each question gets a fresh backend.
+    An unknown spec, an unset chat endpoint or a malformed scripted file
+    raises here, before any question runs; a question missing from
+    ``by_question`` raises when its backend is built.
     """
     if spec == "http":
         from .remote import HttpChatBackend  # only --backend http loads the HTTP clients
 
-        return lambda question_id: HttpChatBackend()
+        chat = HttpChatBackend()
+        return lambda question_id: chat
     if not spec.startswith("scripted:"):
         raise ValueError(f'unknown backend spec "{spec}" (use "http" or "scripted:<path>")')
     path = spec.split(":", 1)[1]

@@ -19,7 +19,7 @@ from pathlib import Path
 from typing import Callable, TypeVar
 
 from .backend import Backend, BackendError, CompletionRequest, ReplayBackend
-from .plan import DagPlan, PlanError, build_plan, is_complete
+from .plan import DagPlan, build_plan, is_complete
 from .protocol import (
     Action,
     ActionKind,
@@ -30,7 +30,6 @@ from .protocol import (
 from .register import (
     LineTokenCounter,
     Register,
-    RegisterError,
     apply_action,
     common_prefix_length,
     init_register,
@@ -39,7 +38,7 @@ from .register import (
     render_correction,
     render_planning_context,
 )
-from .tools import ScriptedTool, ToolCallError, ToolRegistry, ToolResult, ToolTransportError, search_spec
+from .tools import ScriptedTool, ToolRegistry, ToolResult, ToolTransportError, search_spec
 # RunConfig is re-exported: it describes the header of the trajectory it is recorded in.
 from .trajectory import TRAJECTORY_VERSION, RunConfig, StepRecord, Trajectory
 
@@ -54,9 +53,6 @@ class EngineError(Exception):
 class ContextOverflow(Exception):
     """A rendered input over the context cap: the run ends ``context_overflow``."""
 
-
-# Failures the model can plausibly fix when shown the diagnostic.
-_REPROMPTABLE = (ProtocolError, PlanError, RegisterError, ToolCallError)
 
 # Typed failures captured into an aborted RunResult at the loop boundary.
 _ABORTING = (EngineError, BackendError, ToolTransportError)
@@ -122,8 +118,8 @@ def _turn(
     records the counter's ``lines``, whose unchanged head is the previous
     step's own strings. The lines are joined once into the request text.
     ``check`` takes the parsed action, runs the stage's checks and its tool
-    call, and returns (tool result, applied update). A re-promptable error
-    re-issues the completion with the diagnostic appended to that text;
+    call, and returns (tool result, applied update). A ProtocolError
+    re-issues the completion with its diagnostic appended to that text;
     once the budget is spent, 0 included, EngineError.
     """
     token_count = counter(lines)
@@ -147,7 +143,7 @@ def _turn(
             action = parse_action(raw, strict=config.strict_protocol)
             tool_result, update = check(action)
             break
-        except _REPROMPTABLE as exc:
+        except ProtocolError as exc:
             diagnostics.append(str(exc))
         if len(diagnostics) > config.max_malformed_retries:
             raise EngineError(
@@ -164,7 +160,6 @@ def _turn(
             raw_text=action.raw_text,
             model_text=raw,
             token_count=token_count,
-            retries=len(diagnostics),
             diagnostics=tuple(diagnostics),
             tool_result=tool_result,
         )
@@ -175,7 +170,7 @@ def _turn(
 def _payload_of(kind: ActionKind, action: Action) -> dict:
     """The payload of ``action``, which must be the one kind the stage allows."""
     if action.kind is not kind:
-        raise RegisterError(f"expected a <{kind.value}> action in this stage, got <{action.kind.value}>")
+        raise ProtocolError(f"expected a <{kind.value}> action in this stage, got <{action.kind.value}>")
     return action.payload
 
 
@@ -253,7 +248,7 @@ def run(
                 for tid in sorted(register.plan.nodes)
                 if register.plan.nodes[tid].status != "answered"
             ]
-            raise RegisterError(
+            raise ProtocolError(
                 "final_answer is only legal once every sub-task is answered; "
                 f"still open: {', '.join(pending)}"
             )
@@ -297,10 +292,10 @@ def replay_tools(trajectory: Trajectory) -> ToolRegistry:
 
 
 # Step fields a replay cannot reproduce yet: it re-serves only each step's
-# accepted reply, so every replayed step has no retries. A trajectory
-# version that records the rejected replies (ROADMAP item 2, planned for
-# version 5) deletes this tuple.
-UNREPLAYED_FIELDS = ("retries", "diagnostics")
+# accepted reply, so every replayed step has no diagnostics, and so no
+# retries. A trajectory version that records the rejected replies (ROADMAP
+# item 2, planned for version 5) deletes this tuple.
+UNREPLAYED_FIELDS = ("diagnostics",)
 _REPLAYED_FIELDS = tuple(f.name for f in fields(StepRecord) if f.name not in UNREPLAYED_FIELDS)
 
 

@@ -9,13 +9,11 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Iterable, Mapping, Sequence
 
+from .protocol import ProtocolError
+
 PENDING = "pending"
 ACTIVE = "active"
 ANSWERED = "answered"
-
-
-class PlanError(Exception):
-    """Base for plan failures; ``str(err)`` is a re-prompt-ready diagnostic."""
 
 
 @dataclass(frozen=True)
@@ -36,10 +34,10 @@ class DagPlan:
     edges: tuple[tuple[str, str], ...]
 
     def task(self, task_id: str) -> TaskNode:
-        """The node of ``task_id``; PlanError when this plan has none."""
+        """The node of ``task_id``; ProtocolError when this plan has none."""
         node = self.nodes.get(task_id)
         if node is None:
-            raise PlanError(f'task "{task_id}" is not in the current plan')
+            raise ProtocolError(f'task "{task_id}" is not in the current plan')
         return node
 
     def predecessors(self, task_id: str) -> list[str]:
@@ -96,20 +94,20 @@ def build_plan(
     for task in tasks:
         tid, description = (task["task_id"], task["description"]) if isinstance(task, dict) else task
         if tid in nodes:
-            raise PlanError(f'task "{tid}" is declared more than once')
+            raise ProtocolError(f'task "{tid}" is declared more than once')
         nodes[tid] = TaskNode(task_id=tid, description=description)
     if not nodes:
-        raise PlanError("a plan needs at least one task")
+        raise ProtocolError("a plan needs at least one task")
     edge_set: set[tuple[str, str]] = set()
     for edge in edges:
         src, dst = edge[0], edge[1]
         for endpoint in (src, dst):
             if endpoint not in nodes:
-                raise PlanError(f'edge endpoint "{endpoint}" is not a declared task')
+                raise ProtocolError(f'edge endpoint "{endpoint}" is not a declared task')
         edge_set.add((src, dst))
     cyclic = _find_cycle(nodes, edge_set)
     if cyclic:
-        raise PlanError(f"dependency edges form a cycle through: {', '.join(cyclic)}")
+        raise ProtocolError(f"dependency edges form a cycle through: {', '.join(cyclic)}")
     return DagPlan(plan_id=plan_id, nodes=nodes, edges=tuple(sorted(edge_set)))
 
 
@@ -138,10 +136,10 @@ def apply_task_answer(plan: DagPlan, answers: Sequence[tuple[str, str]]) -> DagP
     for task_id, answer in answers:
         node = plan.task(task_id)
         if node.status == ANSWERED:
-            raise PlanError(f'task "{task_id}" is already answered; use revisit_task to redo it')
+            raise ProtocolError(f'task "{task_id}" is already answered; use revisit_task to redo it')
         unmet = [p for p in plan.predecessors(task_id) if plan.nodes[p].status != ANSWERED]
         if unmet:
-            raise PlanError(f'task "{task_id}" depends on unanswered task(s): {", ".join(unmet)}')
+            raise ProtocolError(f'task "{task_id}" depends on unanswered task(s): {", ".join(unmet)}')
         plan = replace(plan, nodes={**plan.nodes, task_id: replace(node, status=ANSWERED, answer=answer)})
     return plan
 
@@ -173,7 +171,7 @@ def reset_for_revisit(plan: DagPlan, task_id: str) -> tuple[DagPlan, list[dict]]
     """
     node = plan.task(task_id)
     if node.status != ANSWERED:
-        raise PlanError(f'task "{task_id}" has no answer to revisit')
+        raise ProtocolError(f'task "{task_id}" has no answer to revisit')
     to_reset = [task_id] + sorted(
         tid for tid in plan.descendants(task_id) if plan.nodes[tid].status == ANSWERED
     )

@@ -51,7 +51,11 @@ def subspace_of(kind: ActionKind) -> str:
 
 
 class ProtocolError(Exception):
-    """Base for grammar failures; ``str(err)`` is a re-prompt-ready diagnostic."""
+    """A rejected action; ``str(err)`` is a re-prompt-ready diagnostic.
+
+    The action breaks the grammar, its kind's payload fields, a plan rule,
+    the stage's legal kinds or a tool's arguments: the run re-prompts.
+    """
 
 
 @dataclass(frozen=True)
@@ -61,12 +65,6 @@ class Action:
     kind: ActionKind
     payload: dict
     raw_text: str
-
-    @classmethod
-    def create(cls, kind: ActionKind, payload: dict) -> "Action":
-        """Build a validated action whose surface form is the canonical block."""
-        validate_payload(kind, payload)
-        return cls(kind=kind, payload=payload, raw_text=f"<{kind.value}>{canonical_json(payload)}</{kind.value}>")
 
 
 @dataclass(frozen=True)
@@ -202,8 +200,9 @@ def validate_payload(kind: ActionKind, payload: dict) -> None:
 
 _TAG_RE = re.compile(r"<([a-z][a-z0-9_]*)>")
 _DECODER = json.JSONDecoder()
-# A lone surrogate is not valid Unicode: a run holding one could not be saved.
-_SURROGATE_RE = re.compile("[\ud800-\udfff]")
+# A lone surrogate: JSON can escape one, but it is not Unicode, so UTF-8
+# cannot encode it and no trajectory holding one could be saved.
+SURROGATE_RE = re.compile("[\ud800-\udfff]")
 _SURROGATE_DIAGNOSTIC = "the reply holds a lone surrogate (U+D800-U+DFFF); emit valid Unicode text"
 
 
@@ -274,7 +273,7 @@ def parse_action(text: str, strict: bool = False) -> Action:
     model output for audit); with ``strict=True`` any non-whitespace text
     outside the block is an error. A lone surrogate anywhere is malformed.
     """
-    if not text.isascii() and _SURROGATE_RE.search(text):  # isascii is O(1)
+    if not text.isascii() and SURROGATE_RE.search(text):  # isascii is O(1)
         raise ProtocolError(_SURROGATE_DIAGNOSTIC)
     blocks = _scan_blocks(text)
     if not blocks:
@@ -288,7 +287,7 @@ def parse_action(text: str, strict: bool = False) -> Action:
         if outside.strip():
             raise ProtocolError("strict mode: no text is allowed outside the action block")
     raw_text = text[block.start:block.end]
-    if "\\u" in raw_text and _SURROGATE_RE.search(json.dumps(block.payload, ensure_ascii=False)):
+    if "\\u" in raw_text and SURROGATE_RE.search(json.dumps(block.payload, ensure_ascii=False)):
         raise ProtocolError(_SURROGATE_DIAGNOSTIC)
     kind = _KIND_BY_TAG[block.tag]
     validate_payload(kind, block.payload)

@@ -27,7 +27,7 @@ from typing import Mapping, Sequence
 
 from . import plan as planmod
 from .plan import DagPlan
-from .protocol import PLANNING_KINDS, Action, ActionKind, IntentPayload, canonical_json
+from .protocol import PLANNING_KINDS, Action, ActionKind, IntentPayload, ProtocolError, canonical_json
 from .tools import ToolResult
 
 # A task_answer folds the answered tasks' tool-log entries that are still
@@ -58,10 +58,6 @@ from .tools import ToolResult
 # tokenize. The trajectory version pins each value: a new value needs a
 # new version.
 FOLD_CHARS = {3: 12_000, 4: 4_000}
-
-
-class RegisterError(Exception):
-    """An action the register or the stage does not allow; ``str(err)`` is a re-prompt-ready diagnostic."""
 
 
 # ---------------------------------------------------------------------------
@@ -286,7 +282,7 @@ def apply_action(
     """
     kind = action.kind
     if kind in PLANNING_KINDS:
-        raise RegisterError(
+        raise ProtocolError(
             f"<{kind.value}> is a planning action; only task-solving and "
             "retrospection actions are legal while solving"
         )

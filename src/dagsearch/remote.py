@@ -21,7 +21,8 @@ from dataclasses import dataclass, field
 from typing import Any, Mapping
 
 from .backend import Backend, BackendError, CompletionRequest
-from .tools import DEFAULT_TOP_K, SURROGATE_RE, Document, Executor, ToolResult, ToolTransportError
+from .protocol import SURROGATE_RE
+from .tools import DEFAULT_TOP_K, Document, Executor, ToolResult, ToolTransportError
 from .tools import InputError, check_fields, check_tool_keys
 
 logger = logging.getLogger(__name__)

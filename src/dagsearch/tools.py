@@ -17,6 +17,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Callable, Iterator, Mapping, Sequence
 
+from .protocol import SURROGATE_RE, ProtocolError
+
 logger = logging.getLogger(__name__)
 
 DEFAULT_TOP_K = 3
@@ -45,9 +47,7 @@ class located:
             raise error from None
 
 
-# A lone surrogate: JSON can escape one, but it is not Unicode, so UTF-8
-# cannot encode it. Only a line holding a surrogate's escape can hold one.
-SURROGATE_RE = re.compile("[\ud800-\udfff]")
+# Only a line holding a lone surrogate's escape can hold one.
 _SURROGATE_ESCAPE_RE = re.compile(rb"\\u[dD][89a-fA-F]")
 
 
@@ -113,10 +113,6 @@ def check_strings(record: Mapping[str, Any], name: str) -> None:
         raise InputError(f'field "{name}" holds an entry that is not a string')
 
 
-class ToolCallError(Exception):
-    """A tool call naming an unregistered tool or with bad arguments; ``str(err)`` is a re-prompt-ready diagnostic."""
-
-
 class ToolTransportError(Exception):
     """A tool that failed to answer: the run aborts."""
 
@@ -165,12 +161,12 @@ class ToolSpec:
 def validate_arguments(spec: ToolSpec, arguments: Mapping[str, Any]) -> None:
     """Check the one search argument schema: a required string ``query`` and nothing else."""
     if "query" not in arguments:
-        raise ToolCallError(f'tool "{spec.tool_name}" requires argument "query"')
+        raise ProtocolError(f'tool "{spec.tool_name}" requires argument "query"')
     for name, value in arguments.items():
         if name != "query":
-            raise ToolCallError(f'tool "{spec.tool_name}" does not accept argument "{name}"')
+            raise ProtocolError(f'tool "{spec.tool_name}" does not accept argument "{name}"')
         if not isinstance(value, str):
-            raise ToolCallError(f'tool "{spec.tool_name}" argument "query" must be of type string')
+            raise ProtocolError(f'tool "{spec.tool_name}" argument "query" must be of type string')
 
 
 Executor = Callable[[Mapping[str, Any]], ToolResult]
@@ -190,7 +186,7 @@ class ToolRegistry:
 
     def get(self, tool_name: str) -> ToolSpec:
         if tool_name not in self._tools:
-            raise ToolCallError(
+            raise ProtocolError(
                 f'unknown tool "{tool_name}"; registered tools: '
                 + (", ".join(sorted(self._tools)) or "(none)")
             )

@@ -41,7 +41,7 @@ _HEADER_FIELDS = {
 }
 # Every field of a step, with the JSON types of its step line's value. A
 # record holds ``state`` as its ``lines``, ``diagnostics`` as a tuple and
-# ``tool_result`` as a ToolResult.
+# ``tool_result`` as a ToolResult; its ``retries`` is its diagnostics count.
 _STEP_FIELDS = {
     "index": (int,),
     "stage": (str,),
@@ -57,10 +57,6 @@ _STEP_FIELDS = {
 }
 _STAGES = ("planning", "solving")
 _KINDS = frozenset(kind.value for kind in ActionKind)
-
-
-class TrajectoryError(InputError):
-    pass
 
 
 @dataclass(frozen=True)
@@ -108,7 +104,7 @@ class StepRecord:
     ``lines`` is the model input split on ``"\\n"``. The leading lines it
     shares with the previous step's input are that step's own string
     objects, so a trajectory holds each unchanged line once. ``state``
-    joins the lines on every read.
+    joins the lines on every read. Each diagnostic is one rejected reply.
     """
 
     index: int
@@ -119,13 +115,16 @@ class StepRecord:
     raw_text: str
     model_text: str
     token_count: int
-    retries: int = 0
     diagnostics: tuple[str, ...] = ()
     tool_result: ToolResult | None = None
 
     @property
     def state(self) -> str:
         return "\n".join(self.lines)
+
+    @property
+    def retries(self) -> int:
+        return len(self.diagnostics)
 
     def to_dict(self, shared: int = 0) -> dict:
         """The step line's fields, its ``state`` holding the input's lines from line ``shared`` on."""
@@ -138,7 +137,7 @@ class StepRecord:
     @classmethod
     def from_dict(cls, data: dict, lines: tuple[str, ...]) -> "StepRecord":
         """A record of a step line's fields, holding ``lines`` as its input in place of the line's ``state``."""
-        fields = {name: data[name] for name in _STEP_FIELDS if name != "state"}
+        fields = {name: data[name] for name in _STEP_FIELDS if name not in ("state", "retries")}
         fields["diagnostics"] = tuple(fields["diagnostics"])
         fields["tool_result"] = ToolResult.from_dict(fields["tool_result"]) if fields["tool_result"] else None
         return cls(lines=lines, **fields)
@@ -201,7 +200,7 @@ class Trajectory:
         records = read_json(path, _check_record, surrogates=False)
         number, header = next(records, (0, {}))
         if header.get("record") != "trajectory":
-            raise TrajectoryError(f"{path} is not a trajectory file")
+            raise InputError(f"{path} is not a trajectory file")
         fields = {name: header[name] for name in _HEADER_FIELDS}
         with located(path, number):
             fields["config"] = RunConfig.from_dict(fields["config"])
@@ -211,15 +210,15 @@ class Trajectory:
             shared = 0
             with located(path, number):
                 if line.get("record") != "step":
-                    raise TrajectoryError("not a step line; every line after the header is one")
+                    raise InputError("not a step line; every line after the header is one")
                 position = len(trajectory.steps) + 1
                 if line["index"] != position:
-                    raise TrajectoryError(f'field "index" is {line["index"]}, but this is step {position}')
+                    raise InputError(f'field "index" is {line["index"]}, but this is step {position}')
                 if trajectory.version >= 2:
                     check_fields(line, {"state_shared": (int,)})
                     shared = line["state_shared"]
                     if not 0 <= shared <= len(previous):
-                        raise TrajectoryError(
+                        raise InputError(
                             f"step {line['index']} shares {shared} lines with a {len(previous)}-line previous state"
                         )
             previous = previous[:shared] + tuple(line["state"].split("\n"))
@@ -230,8 +229,9 @@ class Trajectory:
 def _check_record(line: dict) -> None:
     """Raise an InputError unless a header or step line holds its fields with their types.
 
-    A tool_call step, and only a tool_call step, holds a tool result, and
-    its payload names its tool with a string.
+    A step's ``retries`` is its diagnostics count. A tool_call step, and
+    only a tool_call step, holds a tool result, and its payload names its
+    tool with a string.
     """
     if line.get("record") == "trajectory":
         _check_version(line.get("version"))
@@ -240,18 +240,21 @@ def _check_record(line: dict) -> None:
     if line.get("record") != "step":
         return
     if line.get("tool_result") is not None and not _is_tool_result(line["tool_result"]):
-        raise TrajectoryError('field "tool_result" is neither null nor an object with a list of documents')
+        raise InputError('field "tool_result" is neither null nor an object with a list of documents')
     check_fields(line, _STEP_FIELDS)
     check_strings(line, "diagnostics")
+    count = len(line["diagnostics"])
+    if line["retries"] != count:
+        raise InputError(f'field "retries" is {line["retries"]}, but field "diagnostics" holds {count} entries')
     if line["stage"] not in _STAGES:
-        raise TrajectoryError(f'field "stage" is not planning or solving: {line["stage"]!r}')
+        raise InputError(f'field "stage" is not planning or solving: {line["stage"]!r}')
     if line["kind"] not in _KINDS:
-        raise TrajectoryError(f'field "kind" is not an action kind: {line["kind"]!r}')
+        raise InputError(f'field "kind" is not an action kind: {line["kind"]!r}')
     is_tool_call = line["kind"] == ActionKind.TOOL_CALL.value
     if (line["tool_result"] is None) == is_tool_call:
-        raise TrajectoryError(f'field "tool_result" is {"null" if is_tool_call else "set"} on a {line["kind"]} step')
+        raise InputError(f'field "tool_result" is {"null" if is_tool_call else "set"} on a {line["kind"]} step')
     if is_tool_call and type(line["payload"].get("tool_name")) is not str:
-        raise TrajectoryError('field "payload" of a tool_call step has no string "tool_name"')
+        raise InputError('field "payload" of a tool_call step has no string "tool_name"')
 
 
 def _is_tool_result(value: object) -> bool:
@@ -265,7 +268,7 @@ def _is_tool_result(value: object) -> bool:
 def _check_version(version: object) -> None:
     # type(): JSON true and 1.0 compare equal to 1, but are not versions.
     if type(version) is not int or version not in _READABLE_VERSIONS:
-        raise TrajectoryError(f"unsupported trajectory version: {version}")
+        raise InputError(f"unsupported trajectory version: {version}")
 
 
 def load_trajectories(directory: str | Path) -> Iterator[Trajectory]:
@@ -400,7 +403,7 @@ def _write_pairs(handle: IO[bytes], trajectory: Trajectory) -> int:
     them are escaped.
     """
     if _structural_fault(trajectory) is not None:
-        raise TrajectoryError(
+        raise InputError(
             f'trajectory "{trajectory.question_id or trajectory.question}" was not accepted by the rejection filter'
         )
     question_id = _json_string(trajectory.question_id)
@@ -447,7 +450,7 @@ def step_cache_ratios(trajectory: Trajectory) -> list[float]:
     token.
 
     Whether an input is empty is decided from its own text. A recorded
-    ``token_count`` below the shared prefix, or 0, is a TrajectoryError;
+    ``token_count`` below the shared prefix, or 0, is an InputError;
     any other wrong count shows only in strict replay, which counts each
     input again.
     """
@@ -460,7 +463,7 @@ def step_cache_ratios(trajectory: Trajectory) -> list[float]:
         if turn:
             where = f'trajectory "{trajectory.question_id}" step {step.index}'
             if not any(map(_TOKEN_RE.search, step.lines)):
-                raise TrajectoryError(f"{where}: current token sequence is empty")
+                raise InputError(f"{where}: current token sequence is empty")
             same = common_prefix_length(lines, step.lines)
             del totals[same + 1 :]
             for line in lines[len(totals) - 1 : same]:
@@ -471,7 +474,7 @@ def step_cache_ratios(trajectory: Trajectory) -> list[float]:
             shared = totals[same] + _common_tokens(lines[same:], step.lines[same:])
             least = max(shared, 1)
             if step.token_count < least:
-                raise TrajectoryError(
+                raise InputError(
                     f"{where}: token_count is {step.token_count}, but the input holds {least} tokens or more"
                 )
             ratios.append(shared / step.token_count)

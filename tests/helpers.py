@@ -8,7 +8,7 @@ from pathlib import Path
 
 from dagsearch.backend import ScriptedBackend
 from dagsearch.engine import PromptPack, RunConfig, RunResult, run
-from dagsearch.protocol import Action, ActionKind
+from dagsearch.protocol import Action, ActionKind, canonical_json, validate_payload
 from dagsearch.tools import Document, ScriptedTool, ToolRegistry, ToolResult, search_spec
 
 DATA_DIR = Path(__file__).parent / "data"
@@ -127,9 +127,15 @@ def random_payload(rng: random.Random, kind: ActionKind) -> dict:
     raise AssertionError(kind)
 
 
+def make_action(kind: ActionKind, payload: dict) -> Action:
+    """A validated action whose surface form is the canonical block."""
+    validate_payload(kind, payload)
+    return Action(kind=kind, payload=payload, raw_text=f"<{kind.value}>{canonical_json(payload)}</{kind.value}>")
+
+
 def random_action(rng: random.Random, kind: ActionKind | None = None) -> Action:
     kind = kind or rng.choice(list(ActionKind))
-    return Action.create(kind, random_payload(rng, kind))
+    return make_action(kind, random_payload(rng, kind))
 
 
 # ---------------------------------------------------------------------------
@@ -416,12 +422,12 @@ _KIND_PAYLOADS = {
 
 
 def make_trajectory(kinds, *, answer="x", outcome="answered", retries_at=()):
-    """Synthetic trajectory whose steps carry the given action kinds."""
+    """Synthetic trajectory whose steps carry the given action kinds; a step in ``retries_at`` holds one diagnostic."""
     from dagsearch.trajectory import StepRecord, Trajectory
 
     steps = []
     for i, kind in enumerate(kinds, start=1):
-        action = Action.create(kind, _KIND_PAYLOADS[kind])
+        action = make_action(kind, _KIND_PAYLOADS[kind])
         steps.append(
             StepRecord(
                 index=i,
@@ -432,7 +438,7 @@ def make_trajectory(kinds, *, answer="x", outcome="answered", retries_at=()):
                 raw_text=action.raw_text,
                 model_text=action.raw_text,
                 token_count=100 + i,
-                retries=1 if i in retries_at else 0,
+                diagnostics=("rejected",) if i in retries_at else (),
             )
         )
     return Trajectory(

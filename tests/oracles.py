@@ -24,7 +24,9 @@ from dagsearch.register import (
     render_context,
     token_length,
 )
-from dagsearch.trajectory import StepRecord, Trajectory, TrajectoryError
+from dagsearch.tools import InputError
+from dagsearch.trajectory import StepRecord, Trajectory
+from helpers import make_action
 
 # The retrospection subspace: every kind that is neither planning nor solving.
 RETROSPECTION_KINDS = frozenset({ActionKind.REVISIT_TASK, ActionKind.REPLANNING})
@@ -105,7 +107,7 @@ def reference_render(register: Register, question: str, stage_prompt: str) -> st
 
 def _recorded(step: StepRecord) -> Action:
     """The action a recorded step took, validated as when it was parsed."""
-    return Action.create(ActionKind(step.kind), step.payload)
+    return make_action(ActionKind(step.kind), step.payload)
 
 
 def rebuild_registers(trajectory: Trajectory) -> list[Register]:
@@ -137,7 +139,7 @@ def rebuild_registers(trajectory: Trajectory) -> list[Register]:
 def cache_ratio(prev_tokens: Sequence, cur_tokens: Sequence) -> float:
     """Longest-common-prefix length over the current sequence length."""
     if len(cur_tokens) == 0:
-        raise TrajectoryError("current token sequence is empty")
+        raise InputError("current token sequence is empty")
     shared = 0
     for a, b in zip(prev_tokens, cur_tokens):
         if a != b:
@@ -192,7 +194,7 @@ def context_compactness(trajectory: Trajectory) -> CompactnessReport:
     """Compare the final register-rendered input against the naive transcript."""
     solving = trajectory.solving_steps()
     if not solving:
-        raise TrajectoryError("trajectory has no solving steps to compare")
+        raise InputError("trajectory has no solving steps to compare")
     final_state = solving[-1].state
     return CompactnessReport(
         register_tokens=token_length(final_state),

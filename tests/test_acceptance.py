@@ -9,12 +9,13 @@ import time
 
 import pytest
 
-from dagsearch.plan import PlanError, apply_task_answer, build_plan, reset_for_revisit
-from dagsearch.protocol import Action, ActionKind, ProtocolError, parse_action
+from dagsearch.plan import apply_task_answer, build_plan, reset_for_revisit
+from dagsearch.protocol import ActionKind, ProtocolError, parse_action
 from dagsearch.trajectory import export_sft, rft_filter, step_cache_ratios
 from helpers import (
     COMPLIANT_KINDS,
     fixture_registry,
+    make_action,
     make_trajectory,
     mutate_action,
     random_action,
@@ -43,7 +44,7 @@ def test_criterion_1_protocol_round_trip_and_mutations():
     rng = random.Random(1001)
     for _ in range(1000):
         action = random_action(rng)
-        assert parse_action(Action.create(action.kind, action.payload).raw_text) == action
+        assert parse_action(make_action(action.kind, action.payload).raw_text) == action
     typed = 0
     for _ in range(200):
         action = random_action(rng)
@@ -88,7 +89,7 @@ def test_criterion_2_dag_oracle_equivalence():
                     try:
                         new_plan = apply_task_answer(plan, [(tid, "a")])
                         accepted = True
-                    except PlanError:
+                    except ProtocolError:
                         accepted = False
                     expected = tid not in answered and preds[tid] <= answered
                     assert accepted == expected, (ids, edges, sorted(answered), tid)

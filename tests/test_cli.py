@@ -659,6 +659,10 @@ def step_index_out_of_place(records):
     records[4]["index"] = 5
 
 
+def retries_not_the_diagnostics_count(records):
+    records[-1]["retries"] = 1
+
+
 def fixture_records(name):
     return [json.loads(text) for text in (DATA_DIR / name).read_text().splitlines()]
 
@@ -690,6 +694,7 @@ def fixture_records(name):
         (lone_surrogate, 3, "holds a lone surrogate (U+D800-U+DFFF), which is not Unicode"),
         (step_without_record, 5, "not a step line; every line after the header is one"),
         (step_index_out_of_place, 5, 'field "index" is 5, but this is step 4'),
+        (retries_not_the_diagnostics_count, 10, 'field "retries" is 1, but field "diagnostics" holds 0 entries'),
     ],
     ids=[
         "version",
@@ -716,6 +721,7 @@ def fixture_records(name):
         "lone-surrogate",
         "step-without-record",
         "step-index",
+        "retries-count",
     ],
 )
 @pytest.mark.parametrize("command", ["replay", "stats", "export"])
@@ -961,6 +967,16 @@ def test_eval_backend_error_exits_2_before_any_question_runs(workdir, capsys, mo
     assert err.startswith("error: ") and problem in err and err.count("\n") == 1
     assert ran == []
     assert not report.exists()
+
+
+def test_eval_with_no_chat_endpoint_exits_2_before_any_question_runs(workdir, capsys, monkeypatch):
+    monkeypatch.delenv("DAGSEARCH_LLM_ENDPOINT", raising=False)
+    report, runs = workdir / "report.csv", workdir / "runs"
+    argv = ["eval", "--dataset", str(workdir / "eval_dataset.jsonl"), "--backend", "http"]
+    argv += ["--tools", str(workdir / "tools.json"), "--out", str(report), "--trajectory-dir", str(runs)]
+    assert main(argv) == 2
+    assert capsys.readouterr() == ("", "error: no chat endpoint configured (set DAGSEARCH_LLM_ENDPOINT)\n")
+    assert not report.exists() and not runs.exists()
 
 
 def test_unsaveable_question_spends_no_turn(workdir, capsys, monkeypatch):

@@ -1,4 +1,5 @@
-"""Every name a package module imports is read in that module, and the HTTP
+"""Every name a package module imports is read in that module, the package
+defines one exception class per way a failure is handled, and the HTTP
 clients load only when a config or ``--backend http`` names one.
 
 A name counts as read if it appears as an identifier anywhere in the
@@ -7,6 +8,7 @@ them in the AST).
 """
 
 import ast
+import builtins
 import os
 import subprocess
 import sys
@@ -49,6 +51,33 @@ def test_rule_flags_an_unread_import():
         "def f(x: Any) -> str:\n    return json.dumps(x)\n"
     )
     assert unused_imports(source) == ["line 1: os", "line 3: Callable"]
+
+
+def exception_classes(sources: list[str]) -> list[str]:
+    """The classes defined in ``sources`` that derive from a built-in exception, directly or through each other."""
+    bases: dict[str, set[str]] = {}
+    for source in sources:
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.ClassDef):
+                bases[node.name] = {getattr(base, "id", getattr(base, "attr", "")) for base in node.bases}
+    found = {
+        name for name, kind in vars(builtins).items() if isinstance(kind, type) and issubclass(kind, BaseException)
+    }
+    while new := {name for name, names in bases.items() if names & found} - found:
+        found |= new
+    return sorted(found & bases.keys())
+
+
+def test_one_exception_class_per_handling():
+    # A rejected action re-prompts (ProtocolError); a spent retry budget
+    # (EngineError), a failed completion (BackendError) or a failed tool
+    # (ToolTransportError) aborts the run; an over-long input ends it
+    # context_overflow (ContextOverflow); a malformed input file exits 2
+    # (InputError).
+    sources = [path.read_text(encoding="utf-8") for path in MODULES]
+    assert exception_classes(sources) == sorted(
+        ["ProtocolError", "EngineError", "BackendError", "ToolTransportError", "ContextOverflow", "InputError"]
+    )
 
 
 def run_python(script: str) -> list[str]:

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 from dagsearch.plan import (
     ANSWERED,
     PENDING,
-    PlanError,
     apply_task_answer,
     attach_evidence,
     build_plan,
@@ -34,23 +33,23 @@ class TestBuild:
         assert all(node.status == PENDING for node in plan.nodes.values())
 
     def test_cycle_rejected(self):
-        with pytest.raises(PlanError, match="^dependency edges form a cycle through: t1, t2$"):
+        with pytest.raises(ProtocolError, match="^dependency edges form a cycle through: t1, t2$"):
             build_plan([("t1", "a"), ("t2", "b")], [("t1", "t2"), ("t2", "t1")])
 
     def test_self_loop_rejected(self):
-        with pytest.raises(PlanError, match="^dependency edges form a cycle through: t1$"):
+        with pytest.raises(ProtocolError, match="^dependency edges form a cycle through: t1$"):
             build_plan([("t1", "a")], [("t1", "t1")])
 
     def test_empty_rejected(self):
-        with pytest.raises(PlanError, match="^a plan needs at least one task$"):
+        with pytest.raises(ProtocolError, match="^a plan needs at least one task$"):
             build_plan([], [])
 
     def test_duplicate_task_id(self):
-        with pytest.raises(PlanError, match='^task "t1" is declared more than once$'):
+        with pytest.raises(ProtocolError, match='^task "t1" is declared more than once$'):
             build_plan([("t1", "a"), ("t1", "b")], [])
 
     def test_unknown_edge_endpoint(self):
-        with pytest.raises(PlanError, match='^edge endpoint "t9" is not a declared task$'):
+        with pytest.raises(ProtocolError, match='^edge endpoint "t9" is not a declared task$'):
             build_plan([("t1", "a")], [("t1", "t9")])
 
     def test_accepts_framing_payload_shape(self):
@@ -86,7 +85,7 @@ class TestFrontier:
 class TestApplyAnswer:
     def test_dependency_unmet(self):
         plan = build_plan([("t1", "a"), ("t3", "b")], [("t1", "t3")])
-        with pytest.raises(PlanError, match=r'^task "t3" depends on unanswered task\(s\): t1$'):
+        with pytest.raises(ProtocolError, match=r'^task "t3" depends on unanswered task\(s\): t1$'):
             apply_task_answer(plan, [("t3", "early")])
 
     def test_answer_root(self):
@@ -96,19 +95,19 @@ class TestApplyAnswer:
         assert frontier(plan) == ["t2"]
 
     def test_unknown_task(self):
-        with pytest.raises(PlanError, match='^task "t9" is not in the current plan$'):
+        with pytest.raises(ProtocolError, match='^task "t9" is not in the current plan$'):
             apply_task_answer(diamond(), [("t9", "x")])
 
     def test_already_answered(self):
         plan = apply_task_answer(diamond(), [("t1", "a")])
-        with pytest.raises(PlanError, match='^task "t1" is already answered; use revisit_task to redo it$'):
+        with pytest.raises(ProtocolError, match='^task "t1" is already answered; use revisit_task to redo it$'):
             apply_task_answer(plan, [("t1", "again")])
 
     def test_batch_is_sequential(self):
         chain = build_plan([("t1", "a"), ("t2", "b")], [("t1", "t2")])
         plan = apply_task_answer(chain, [("t1", "x"), ("t2", "y")])
         assert is_complete(plan)
-        with pytest.raises(PlanError, match=r'^task "t2" depends on unanswered task\(s\): t1$'):
+        with pytest.raises(ProtocolError, match=r'^task "t2" depends on unanswered task\(s\): t1$'):
             apply_task_answer(chain, [("t2", "y"), ("t1", "x")])
 
     def test_input_plan_is_untouched(self):
@@ -130,11 +129,11 @@ class TestRevisit:
         ]
 
     def test_revisit_pending_task(self):
-        with pytest.raises(PlanError, match='^task "t1" has no answer to revisit$'):
+        with pytest.raises(ProtocolError, match='^task "t1" has no answer to revisit$'):
             reset_for_revisit(diamond(), "t1")
 
     def test_revisit_unknown_task(self):
-        with pytest.raises(PlanError, match='^task "t9" is not in the current plan$'):
+        with pytest.raises(ProtocolError, match='^task "t9" is not in the current plan$'):
             reset_for_revisit(diamond(), "t9")
 
     def test_leaf_reset_touches_only_itself(self):
@@ -205,7 +204,7 @@ class TestSmallInstanceOracles:
                     try:
                         new_plan = apply_task_answer(plan, [(tid, "a")])
                         accepted = True
-                    except PlanError:
+                    except ProtocolError:
                         accepted = False
                     expected = tid not in answered and preds[tid] <= answered
                     assert accepted == expected, (ids, edges, sorted(answered), tid)
@@ -297,7 +296,7 @@ def test_graph_rules_accept_exactly_the_oracle_graphs(payload, tag):
     try:
         action = parse_action(f"<{tag}>{canonical_json(payload)}</{tag}>")
         build_plan(action.payload["tasks"], action.payload["edges"])
-    except (ProtocolError, PlanError):
+    except ProtocolError:
         accepted = False
     else:
         accepted = True

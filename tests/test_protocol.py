@@ -22,8 +22,8 @@ from dagsearch.protocol import (
     subspace_of,
     validate_payload,
 )
-from dagsearch.plan import PlanError, build_plan
-from helpers import DATA_DIR, MUTATION_MODES, mutate_action, payload_cases, random_action
+from dagsearch.plan import build_plan
+from helpers import DATA_DIR, MUTATION_MODES, make_action, mutate_action, payload_cases, random_action
 from oracles import RETROSPECTION_KINDS
 
 
@@ -149,8 +149,8 @@ class TestParse:
 
 class TestSchemas:
     def test_empty_final_answer_is_legal(self):
-        action = Action.create(ActionKind.FINAL_ANSWER, {"answer": ""})
-        assert Action.create(action.kind, action.payload).raw_text == '<final_answer>{"answer":""}</final_answer>'
+        action = make_action(ActionKind.FINAL_ANSWER, {"answer": ""})
+        assert make_action(action.kind, action.payload).raw_text == '<final_answer>{"answer":""}</final_answer>'
 
     def test_missing_field(self):
         with pytest.raises(ProtocolError, match='^<final_answer> payload invalid: missing required field "answer"$'):
@@ -169,7 +169,7 @@ class TestSchemas:
             parse_action('<task_answer>{"answers":[]}</task_answer>')
 
     # The graph rules belong to build_plan: these payloads are shape-valid,
-    # and the plan built from them is rejected with a re-promptable PlanError.
+    # and the plan built from them is rejected with a re-promptable ProtocolError.
     def test_framing_duplicate_task_ids(self):
         payload = {
             "tasks": [
@@ -178,8 +178,8 @@ class TestSchemas:
             ],
             "edges": [],
         }
-        action = Action.create(ActionKind.PROBLEM_FRAMING, payload)
-        with pytest.raises(PlanError, match='^task "t1" is declared more than once$'):
+        action = make_action(ActionKind.PROBLEM_FRAMING, payload)
+        with pytest.raises(ProtocolError, match='^task "t1" is declared more than once$'):
             build_plan(action.payload["tasks"], action.payload["edges"])
 
     def test_framing_undeclared_edge_endpoint(self):
@@ -187,8 +187,8 @@ class TestSchemas:
             "tasks": [{"task_id": "t1", "description": "a"}],
             "edges": [["t1", "t9"]],
         }
-        action = Action.create(ActionKind.PROBLEM_FRAMING, payload)
-        with pytest.raises(PlanError, match='^edge endpoint "t9" is not a declared task$'):
+        action = make_action(ActionKind.PROBLEM_FRAMING, payload)
+        with pytest.raises(ProtocolError, match='^edge endpoint "t9" is not a declared task$'):
             build_plan(action.payload["tasks"], action.payload["edges"])
 
     def test_framing_cyclic_edges(self):
@@ -199,8 +199,8 @@ class TestSchemas:
             ],
             "edges": [["t1", "t2"], ["t2", "t1"]],
         }
-        action = Action.create(ActionKind.PROBLEM_FRAMING, payload)
-        with pytest.raises(PlanError, match="^dependency edges form a cycle through: t1, t2$"):
+        action = make_action(ActionKind.PROBLEM_FRAMING, payload)
+        with pytest.raises(ProtocolError, match="^dependency edges form a cycle through: t1, t2$"):
             build_plan(action.payload["tasks"], action.payload["edges"])
 
     @pytest.mark.parametrize(
@@ -316,46 +316,46 @@ def test_shipped_prompt_examples_match_the_payload_table():
 
 class TestRender:
     def test_canonical_key_order(self):
-        action = Action.create(
+        action = make_action(
             ActionKind.REVISIT_TASK, {"task_id": "t2", "reason": "contradiction"}
         )
         assert (
-            Action.create(action.kind, action.payload).raw_text
+            make_action(action.kind, action.payload).raw_text
             == '<revisit_task>{"reason":"contradiction","task_id":"t2"}</revisit_task>'
         )
 
     def test_render_validates(self):
         bogus = Action(kind=ActionKind.FINAL_ANSWER, payload={}, raw_text="")
         with pytest.raises(ProtocolError, match='^<final_answer> payload invalid: missing required field "answer"$'):
-            Action.create(bogus.kind, bogus.payload).raw_text
+            make_action(bogus.kind, bogus.payload).raw_text
 
     def test_round_trip_seeded_sample(self):
         rng = random.Random(7)
         for _ in range(300):
             action = random_action(rng)
-            assert parse_action(Action.create(action.kind, action.payload).raw_text) == action
+            assert parse_action(make_action(action.kind, action.payload).raw_text) == action
 
     def test_parse_then_render_canonicalizes(self):
         loose = '<revisit_task> {"task_id": "t2",  "reason": "contradiction"} </revisit_task>'
         action = parse_action(loose)
         assert (
-            Action.create(action.kind, action.payload).raw_text
+            make_action(action.kind, action.payload).raw_text
             == '<revisit_task>{"reason":"contradiction","task_id":"t2"}</revisit_task>'
         )
         # idempotent once canonical
-        canonical = Action.create(action.kind, action.payload).raw_text
+        canonical = make_action(action.kind, action.payload).raw_text
         reparsed = parse_action(canonical)
-        assert Action.create(reparsed.kind, reparsed.payload).raw_text == canonical
+        assert make_action(reparsed.kind, reparsed.payload).raw_text == canonical
 
     def test_unicode_payload_round_trip(self):
-        action = Action.create(ActionKind.FINAL_ANSWER, {"answer": "北京 café"})
-        parsed = parse_action(Action.create(action.kind, action.payload).raw_text)
+        action = make_action(ActionKind.FINAL_ANSWER, {"answer": "北京 café"})
+        parsed = parse_action(make_action(action.kind, action.payload).raw_text)
         assert parsed.payload["answer"] == "北京 café"
 
     def test_render_is_deterministic(self):
         rng = random.Random(11)
         action = random_action(rng)
-        assert Action.create(action.kind, action.payload).raw_text == Action.create(action.kind, action.payload).raw_text
+        assert make_action(action.kind, action.payload).raw_text == make_action(action.kind, action.payload).raw_text
 
 
 class TestMutations:
@@ -407,7 +407,7 @@ def test_closure_arbitrary_text_never_escapes_typed_errors(text):
 def test_round_trip_property(seed):
     rng = random.Random(seed)
     action = random_action(rng)
-    rendered = Action.create(action.kind, action.payload).raw_text
+    rendered = make_action(action.kind, action.payload).raw_text
     assert parse_action(rendered) == action
     # canonical payload text embeds as valid JSON between the tags
     body = rendered[rendered.index(">") + 1 : rendered.rindex("<")]

@@ -8,14 +8,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import dagsearch.register
-from dagsearch.plan import ACTIVE, ANSWERED, PENDING, DagPlan, PlanError, TaskNode, build_plan, is_complete
-from dagsearch.protocol import PLANNING_KINDS, Action, ActionKind, IntentPayload
+from dagsearch.plan import ACTIVE, ANSWERED, PENDING, DagPlan, TaskNode, build_plan, is_complete
+from dagsearch.protocol import PLANNING_KINDS, ActionKind, IntentPayload, ProtocolError
 from dagsearch.register import (
     FOLD_CHARS,
     LineTokenCounter,
     PlanSnapshot,
     Register,
-    RegisterError,
     RevisitRecord,
     ToolLogEntry,
     apply_action,
@@ -29,6 +28,7 @@ from dagsearch.register import (
 )
 from dagsearch.tools import Document, ToolResult
 from dagsearch.trajectory import TRAJECTORY_VERSION
+from helpers import make_action
 from oracles import reference_render, register_tokens
 
 QUESTION = "What year was the university founded?"
@@ -48,7 +48,7 @@ def fresh():
 
 
 def act(kind, payload):
-    return Action.create(kind, payload)
+    return make_action(kind, payload)
 
 
 def tool_call(task_id="t1", query="university"):
@@ -136,7 +136,7 @@ class TestApply:
             ActionKind.INTENT_REFINEMENT: {"refined_goal": "again", "constraints": []},
             ActionKind.PROBLEM_FRAMING: {"tasks": [{"task_id": "t1", "description": "again"}], "edges": []},
         }
-        with pytest.raises(RegisterError) as info:
+        with pytest.raises(ProtocolError) as info:
             apply_action(fresh(), act(kind, payloads[kind]))
         assert str(info.value) == (
             f"<{kind.value}> is a planning action; only task-solving and retrospection actions are legal while solving"
@@ -608,7 +608,7 @@ def applied(version, ops):
         for action, output in fold_actions(op, number):
             try:
                 after = apply_action(register, action, output)
-            except (RegisterError, PlanError):
+            except ProtocolError:
                 continue
             yield action, register, after
             register = after

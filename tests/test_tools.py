@@ -13,12 +13,12 @@ from hypothesis import strategies as st
 
 from dagsearch.backend import BackendError, CompletionRequest, ScriptedBackend
 from dagsearch.engine import PromptPack, replay_run, run
+from dagsearch.protocol import ProtocolError
 from dagsearch.remote import HttpChatBackend, SearchClient, stable_source_id
 from dagsearch.tools import (
     Document,
     FixtureSearchTool,
     InputError,
-    ToolCallError,
     ToolRegistry,
     ToolResult,
     ToolTransportError,
@@ -98,19 +98,19 @@ class TestRegistry:
             registry.register(search_spec("search", "again"), lambda args: ToolResult())
 
     def test_unknown_tool(self, registry):
-        with pytest.raises(ToolCallError, match='^unknown tool "crawler"; registered tools: search$'):
+        with pytest.raises(ProtocolError, match='^unknown tool "crawler"; registered tools: search$'):
             registry.invoke("crawler", {"query": "x"})
 
     def test_missing_required_argument(self, registry):
-        with pytest.raises(ToolCallError):
+        with pytest.raises(ProtocolError, match='^tool "search" requires argument "query"$'):
             registry.invoke("search", {})
 
     def test_unexpected_argument(self, registry):
-        with pytest.raises(ToolCallError):
+        with pytest.raises(ProtocolError, match='^tool "search" does not accept argument "depth"$'):
             registry.invoke("search", {"query": "x", "depth": 2})
 
     def test_wrong_argument_type(self, registry):
-        with pytest.raises(ToolCallError):
+        with pytest.raises(ProtocolError, match='^tool "search" argument "query" must be of type string$'):
             registry.invoke("search", {"query": 42})
 
     def test_empty_result_is_legal_and_logged(self, caplog):
@@ -266,7 +266,7 @@ class TestWebSearchClient:
 
     def test_missing_query_argument_rejected_by_registry(self, json_stub):
         reg = build_registry([{"name": "web", "kind": "web_search", "endpoint": json_stub["url"]}])
-        with pytest.raises(ToolCallError):
+        with pytest.raises(ProtocolError, match='^tool "web" requires argument "query"$'):
             reg.invoke("web", {})
 
     def test_transport_error_after_retries(self, json_stub):

@@ -17,12 +17,11 @@ import dagsearch.register
 import dagsearch.trajectory
 from dagsearch.protocol import ActionKind
 from dagsearch.register import LineTokenCounter, default_tokenizer, prompt_line_counts, token_length
-from dagsearch.tools import Document, ToolResult
+from dagsearch.tools import Document, InputError, ToolResult
 from dagsearch.trajectory import (
     EvalRecord,
     StepRecord,
     Trajectory,
-    TrajectoryError,
     acc_score,
     context_curve,
     export_sft,
@@ -226,7 +225,7 @@ class TestCacheRatio:
         assert cache_ratio([9, 2], [1, 2]) == 0.0
 
     def test_empty_current(self):
-        with pytest.raises(TrajectoryError, match="^current token sequence is empty$"):
+        with pytest.raises(InputError, match="^current token sequence is empty$"):
             cache_ratio([1], [])
 
     def test_shrinking_current(self):
@@ -356,7 +355,7 @@ class TestExport:
     def test_mixed_input_rejected(self, tmp_path):
         good = make_trajectory(COMPLIANT_KINDS)
         bad = make_trajectory(COMPLIANT_KINDS, retries_at=(4,))
-        with pytest.raises(TrajectoryError, match='^trajectory "[^"]+" was not accepted by the rejection filter$'):
+        with pytest.raises(InputError, match='^trajectory "[^"]+" was not accepted by the rejection filter$'):
             export_sft([good, bad], tmp_path / "corpus.jsonl")
         assert list(tmp_path.iterdir()) == []  # not even the good run's records
 
@@ -480,9 +479,9 @@ class TestPersistence:
         Trajectory(question="q?").save(path)
         header = json.loads(path.read_text(encoding="utf-8"))
         path.write_text(json.dumps({**header, "version": version}) + "\n", encoding="utf-8")
-        with pytest.raises(TrajectoryError, match=f"unsupported trajectory version: {version}$"):
+        with pytest.raises(InputError, match=f"unsupported trajectory version: {version}$"):
             Trajectory.load(path)
-        with pytest.raises(TrajectoryError, match=f"unsupported trajectory version: {version}$"):
+        with pytest.raises(InputError, match=f"unsupported trajectory version: {version}$"):
             Trajectory(question="q?", version=version).save(tmp_path / "unreadable.jsonl")
 
     @pytest.mark.parametrize("existing", [False, True], ids=["new-file", "existing-file"])
@@ -580,7 +579,7 @@ class TestPersistence:
         step["state_shared"] = 1
         lines[1] = json.dumps(step, ensure_ascii=False)
         path.write_text("\n".join(lines), encoding="utf-8")
-        with pytest.raises(TrajectoryError, match="step 1 shares 1 lines with a 0-line previous state"):
+        with pytest.raises(InputError, match="step 1 shares 1 lines with a 0-line previous state"):
             Trajectory.load(path)
 
     @pytest.mark.parametrize("fixture", ["two_hop_trajectory_v1.jsonl", "fold_trajectory_v4.jsonl"])
@@ -611,7 +610,7 @@ class TestPersistence:
             lines[4] = json.dumps(step)
         path = tmp_path / fixture
         path.write_text("\n".join(lines), encoding="utf-8")
-        with pytest.raises(TrajectoryError, match=f"^{re.escape(f'{path} line 5: {message}')}$"):
+        with pytest.raises(InputError, match=f"^{re.escape(f'{path} line 5: {message}')}$"):
             Trajectory.load(path)
 
     def test_load_directory(self, tmp_path):
@@ -627,7 +626,7 @@ class TestPersistence:
         (tmp_path / "b.jsonl").write_text('{"record": "other"}\n')
         loaded = load_trajectories(tmp_path)
         assert next(loaded).steps == trajectory.steps
-        with pytest.raises(TrajectoryError, match="b.jsonl is not a trajectory file"):
+        with pytest.raises(InputError, match="b.jsonl is not a trajectory file"):
             next(loaded)
 
     def test_non_trajectory_file_rejected(self, tmp_path):
@@ -725,7 +724,7 @@ class TestAnalyses:
     def test_step_cache_ratios_empty_later_state_raises(self):
         # an empty first state has no ratio; it shares nothing with the next
         assert step_cache_ratios(solving_trajectory([" \n", "a b"])) == [0.0]
-        with pytest.raises(TrajectoryError, match='^trajectory "" step 3: current token sequence is empty$'):
+        with pytest.raises(InputError, match='^trajectory "" step 3: current token sequence is empty$'):
             step_cache_ratios(solving_trajectory(["a b", "a\nb", "\n \t\n"]))
 
     @given(delta_state_sequences)
@@ -745,9 +744,9 @@ class TestAnalyses:
             loaded = Trajectory.load(path)
         try:
             expected = whole_state_ratios(states)
-        except TrajectoryError:
+        except InputError:
             for run in (trajectory, loaded):
-                with pytest.raises(TrajectoryError, match=": current token sequence is empty$"):
+                with pytest.raises(InputError, match=": current token sequence is empty$"):
                     step_cache_ratios(run)
         else:
             assert step_cache_ratios(trajectory) == step_cache_ratios(loaded) == expected
