@@ -33,7 +33,7 @@ from .register import (
     apply_action,
     common_prefix_length,
     init_register,
-    prompt_line_counts,
+    prompt_lines,
     render_context,
     render_correction,
     render_planning_context,
@@ -232,7 +232,7 @@ def run(
     )
     # Local to this call: parallel evals run on several threads. It opens
     # knowing both stage prompts' lines, counted once per prompt text.
-    counter = LineTokenCounter({**prompt_line_counts(prompts.holistic), **prompt_line_counts(prompts.solving)})
+    counter = LineTokenCounter({**prompt_lines(prompts.holistic).counts, **prompt_lines(prompts.solving).counts})
 
     turn = partial(_turn, backend, trajectory, config, counter)
 
@@ -256,9 +256,9 @@ def run(
 
     try:
         planning = render_planning_context(prompts.holistic, question)
-        _, intent = turn("planning", prompts.holistic, tuple(planning.split("\n")), _refined_intent)
+        _, intent = turn("planning", prompts.holistic, planning, _refined_intent)
         planning = render_planning_context(prompts.holistic, question, intent)
-        _, plan = turn("planning", prompts.holistic, tuple(planning.split("\n")), _framing)
+        _, plan = turn("planning", prompts.holistic, planning, _framing)
         register = init_register(intent, plan, trajectory.version)
         for _ in range(config.max_turns):
             solving = render_context(register, question, prompts.solving)

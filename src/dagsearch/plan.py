@@ -77,22 +77,17 @@ def _find_cycle(nodes: Iterable[str], edges: Iterable[tuple[str, str]]) -> list[
     return sorted(tid for tid, deg in indegree.items() if deg > 0)
 
 
-def build_plan(
-    tasks: Sequence[tuple[str, str]] | Sequence[dict],
-    edges: Iterable[Sequence[str]],
-    plan_id: int = 0,
-) -> DagPlan:
+def build_plan(tasks: Sequence[dict], edges: Iterable[Sequence[str]], plan_id: int = 0) -> DagPlan:
     """Validate and build a fresh plan with every node pending.
 
     This is the one owner of the graph rules: at least one task, unique
-    task ids, declared edge endpoints and no cycle. ``tasks`` may be
-    ``(task_id, description)`` pairs or framing-payload ``{"task_id",
-    "description"}`` objects; edges are (from, to) pairs meaning "to
-    depends on from".
+    task ids, declared edge endpoints and no cycle. ``tasks`` are
+    framing-payload ``{"task_id", "description"}`` objects; edges are
+    (from, to) pairs meaning "to depends on from".
     """
     nodes: dict[str, TaskNode] = {}
     for task in tasks:
-        tid, description = (task["task_id"], task["description"]) if isinstance(task, dict) else task
+        tid, description = task["task_id"], task["description"]
         if tid in nodes:
             raise ProtocolError(f'task "{tid}" is declared more than once')
         nodes[tid] = TaskNode(task_id=tid, description=description)

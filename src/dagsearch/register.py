@@ -23,7 +23,7 @@ from dataclasses import dataclass, replace
 from functools import cached_property, lru_cache
 from operator import sub
 from types import MappingProxyType
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 from . import plan as planmod
 from .plan import DagPlan
@@ -106,30 +106,37 @@ def common_prefix_length(a: Sequence, b: Sequence) -> int:
     return low
 
 
-# Distinct prompt texts kept counted: a process uses one pack, or a few.
+# Distinct prompt texts kept: a process uses one pack, or a few.
 _PROMPTS_KEPT = 8
 _prompts_lock = threading.Lock()
 
 
+class PromptLines(NamedTuple):
+    """The lines of a stage prompt's ``rstrip()``, which open every input of its stage, and their token counts."""
+
+    lines: tuple[str, ...]
+    counts: Mapping[str, int]
+
+
 @lru_cache(maxsize=_PROMPTS_KEPT)
-def _prompt_line_counts(prompt: str) -> Mapping[str, int]:
-    lines = prompt.rstrip().split("\n")
-    return MappingProxyType({line: token_length(line) for line in dict.fromkeys(lines)})
+def _prompt_lines(prompt: str) -> PromptLines:
+    lines = tuple(prompt.rstrip().split("\n"))
+    return PromptLines(lines, MappingProxyType({line: token_length(line) for line in dict.fromkeys(lines)}))
 
 
-def prompt_line_counts(prompt: str) -> Mapping[str, int]:
-    """The token count of each line a model input opens with when ``prompt`` is its stage prompt.
+def prompt_lines(prompt: str) -> PromptLines:
+    """``prompt``'s lines and counts, split and counted once per prompt text for the process.
 
-    Those are the lines of ``prompt.rstrip()``, as both renderers put them.
-    Counted once per prompt text for the process, and read-only: eval's
-    threads share the mapping. The lock makes threads that ask for a new
-    prompt at once count it once.
+    Both renderers open each input with these very string objects, so the
+    head two inputs share compares by identity. Read-only: eval's threads
+    share both. The lock makes threads that ask for a new prompt at once
+    split and count it once.
     """
     with _prompts_lock:
-        return _prompt_line_counts(prompt)
+        return _prompt_lines(prompt)
 
 
-prompt_line_counts.cache_clear = _prompt_line_counts.cache_clear
+prompt_lines.cache_clear = _prompt_lines.cache_clear
 
 
 class LineTokenCounter:
@@ -144,7 +151,7 @@ class LineTokenCounter:
     count is a running total, and its lines stay the previous ``lines``'
     own strings. Each line from there on takes the count of an equal line
     in the previous input's lines from there on, or else its count in
-    ``known`` (the stage prompts' ``prompt_line_counts``, so that each
+    ``known`` (the stage prompts' ``prompt_lines`` counts, so that each
     prompt line is counted once per prompt text, not once per run), and
     only the lines missing from both are tokenized.
     """
@@ -450,26 +457,23 @@ def _split(lines: Sequence[str]) -> tuple[str, ...]:
     return tuple("\n".join(lines).split("\n"))
 
 
-def _intent_section(intent: IntentPayload) -> str:
-    """The refined-intent section, shared by the planning and solving inputs."""
-    lines = [f"Goal: {intent.refined_goal}"]
-    if intent.constraints:
-        lines.append("Constraints:")
-        lines.extend(f"- {c}" for c in intent.constraints)
-    else:
-        lines.append("Constraints: (none)")
-    return "## Refined intent\n" + "\n".join(lines)
+def _head(prompt: str, question: str, intent: IntentPayload | None) -> list[str]:
+    """The lines every model input opens with: the prompt's ``prompt_lines``, the question, the intent if known."""
+    lines = ["", "## Question", question]
+    if intent is not None:
+        lines += ("", "## Refined intent", f"Goal: {intent.refined_goal}")
+        if intent.constraints:
+            lines.append("Constraints:")
+            lines += (f"- {c}" for c in intent.constraints)
+        else:
+            lines.append("Constraints: (none)")
+    return [*prompt_lines(prompt).lines, *_split(lines)]
 
 
-def render_planning_context(prompt: str, question: str, intent: IntentPayload | None = None) -> str:
-    """Model input for a planning turn: intent refinement, or framing once ``intent`` is known."""
-    sections = [prompt.rstrip(), f"## Question\n{question}"]
-    if intent is None:
-        sections.append("Emit exactly one <intent_refinement> action now.")
-    else:
-        sections.append(_intent_section(intent))
-        sections.append("Emit exactly one <problem_framing> action now.")
-    return "\n\n".join(sections)
+def render_planning_context(prompt: str, question: str, intent: IntentPayload | None = None) -> tuple[str, ...]:
+    """Model input for a planning turn, as its lines: intent refinement, or framing once ``intent`` is known."""
+    kind = "intent_refinement" if intent is None else "problem_framing"
+    return (*_head(prompt, question, intent), "", f"Emit exactly one <{kind}> action now.")
 
 
 def render_correction(context: str, diagnostic: str) -> str:
@@ -493,12 +497,12 @@ def render_context(register: Register, question: str, stage_prompt: str) -> tupl
     the revisit history. Versions 3 and 4 are version 2 without the folded
     tool-log entries (``_folded_steps``): the Status line states their
     answers. Empty sections are omitted entirely, and a blank line
-    separates the sections. Each archived plan's and tool-log entry's lines
-    are rendered once per value and are the same objects on every turn.
+    separates the sections. The stage prompt's, each archived plan's and
+    each tool-log entry's lines are rendered once per value and are the
+    same objects on every turn.
     """
     version = register.version
-    head = f"{stage_prompt.rstrip()}\n\n## Question\n{question}\n\n{_intent_section(register.intent)}"
-    lines = head.split("\n")
+    lines = _head(stage_prompt, question, register.intent)
 
     if register.plan_history:
         lines += ("", "## Archived plans")

@@ -21,7 +21,7 @@ from pathlib import Path
 from typing import IO, Any, Iterable, Iterator, Mapping, Sequence
 
 from .protocol import ActionKind, subspace_of
-from .register import _TOKEN_RE, common_prefix_length, default_tokenizer, prompt_line_counts, token_length
+from .register import _TOKEN_RE, common_prefix_length, default_tokenizer, prompt_lines, token_length
 from .tools import DOCUMENT_FIELDS, InputError, ToolResult, check_fields, check_strings, located, read_json
 
 TRAJECTORY_VERSION = 4
@@ -443,11 +443,11 @@ def step_cache_ratios(trajectory: Trajectory) -> list[float]:
     kept for the pass, so a line is tokenized only when it first enters
     some later input's shared head, however often heads are cut back above
     it and grow over it again. The solving prompt's lines, which open every
-    solving input, start out known from ``prompt_line_counts``: they are
-    counted once per prompt text, not once per trajectory. The shared
-    prefix is the head plus the common token prefix of the two inputs'
-    lines after it, tokenized line by line only up to the first differing
-    token.
+    solving input, start out known from the counts in ``prompt_lines``:
+    they are counted once per prompt text, not once per trajectory. The
+    shared prefix is the head plus the common token prefix of the two
+    inputs' lines after it, tokenized line by line only up to the first
+    differing token.
 
     Whether an input is empty is decided from its own text. A recorded
     ``token_count`` below the shared prefix, or 0, is an InputError;
@@ -458,7 +458,7 @@ def step_cache_ratios(trajectory: Trajectory) -> list[float]:
     lines: tuple[str, ...] = ()  # the previous solving input's
     totals = [0]  # totals[i]: tokens in lines[:i], for as many lines as a head has reached
     # the token count of each prompt line and each line a head has reached, for the whole pass
-    known = dict(prompt_line_counts(trajectory.prompts.get("solving", "")))
+    known = dict(prompt_lines(trajectory.prompts.get("solving", "")).counts)
     for turn, step in enumerate(trajectory.solving_steps()):
         if turn:
             where = f'trajectory "{trajectory.question_id}" step {step.index}'

@@ -8,6 +8,7 @@ from pathlib import Path
 
 from dagsearch.backend import ScriptedBackend
 from dagsearch.engine import PromptPack, RunConfig, RunResult, run
+from dagsearch.plan import DagPlan, build_plan
 from dagsearch.protocol import Action, ActionKind, canonical_json, validate_payload
 from dagsearch.tools import Document, ScriptedTool, ToolRegistry, ToolResult, search_spec
 
@@ -131,6 +132,11 @@ def make_action(kind: ActionKind, payload: dict) -> Action:
     """A validated action whose surface form is the canonical block."""
     validate_payload(kind, payload)
     return Action(kind=kind, payload=payload, raw_text=f"<{kind.value}>{canonical_json(payload)}</{kind.value}>")
+
+
+def make_plan(pairs, edges, plan_id: int = 0) -> DagPlan:
+    """``build_plan`` over ``(task_id, description)`` pairs, written as the framing payload's task objects."""
+    return build_plan([{"task_id": tid, "description": description} for tid, description in pairs], edges, plan_id)
 
 
 def random_action(rng: random.Random, kind: ActionKind | None = None) -> Action:

@@ -10,15 +10,12 @@ import json
 from dataclasses import dataclass, replace
 from typing import Iterable, Sequence
 
-from dagsearch.plan import build_plan
+from dagsearch.plan import ANSWERED, DagPlan, build_plan
 from dagsearch.protocol import Action, ActionKind, IntentPayload
 from dagsearch.register import (
     Register,
     ToolLogEntry,
     _folded_steps,
-    _intent_section,
-    _plan_lines,
-    _status_lines,
     apply_action,
     init_register,
     render_context,
@@ -51,6 +48,43 @@ def _tool_log_lines(log: Sequence[ToolLogEntry]) -> list[str]:
         if not entry.extracted and i < len(log) - 1:
             lines.append("  (no facts extracted)")
     return lines
+
+
+def _intent_section(intent: IntentPayload) -> str:
+    lines = [f"Goal: {intent.refined_goal}"]
+    if intent.constraints:
+        lines.append("Constraints:")
+        lines.extend(f"- {c}" for c in intent.constraints)
+    else:
+        lines.append("Constraints: (none)")
+    return "## Refined intent\n" + "\n".join(lines)
+
+
+def _plan_lines(plan: DagPlan) -> list[str]:
+    lines = ["Tasks:"]
+    lines.extend(f"- {tid}: {plan.nodes[tid].description}" for tid in sorted(plan.nodes))
+    lines.append("Dependencies:")
+    lines.extend([f"- {src} -> {dst}" for src, dst in plan.edges] or ["- (none)"])
+    return lines
+
+
+def _status_lines(plan: DagPlan) -> list[str]:
+    lines = ["Status:"]
+    for tid in sorted(plan.nodes):
+        node = plan.nodes[tid]
+        lines.append(f"- {tid}: answered = {node.answer}" if node.status == ANSWERED else f"- {tid}: {node.status}")
+    return lines
+
+
+def reference_planning_render(prompt: str, question: str, intent: IntentPayload | None = None) -> str:
+    """A planning input as one text, sections joined on blank lines: the reference for ``render_planning_context``."""
+    sections = [prompt.rstrip(), f"## Question\n{question}"]
+    if intent is None:
+        sections.append("Emit exactly one <intent_refinement> action now.")
+    else:
+        sections.append(_intent_section(intent))
+        sections.append("Emit exactly one <problem_framing> action now.")
+    return "\n\n".join(sections)
 
 
 def reference_render(register: Register, question: str, stage_prompt: str) -> str:

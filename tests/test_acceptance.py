@@ -9,13 +9,14 @@ import time
 
 import pytest
 
-from dagsearch.plan import apply_task_answer, build_plan, reset_for_revisit
+from dagsearch.plan import apply_task_answer, reset_for_revisit
 from dagsearch.protocol import ActionKind, ProtocolError, parse_action
 from dagsearch.trajectory import export_sft, rft_filter, step_cache_ratios
 from helpers import (
     COMPLIANT_KINDS,
     fixture_registry,
     make_action,
+    make_plan,
     make_trajectory,
     mutate_action,
     random_action,
@@ -76,7 +77,7 @@ def test_criterion_2_dag_oracle_equivalence():
             n = rng.randint(1, 6)
             ids, edges = random_dag(rng, n, p)
             instances += 1
-            plan0 = build_plan([(tid, "d") for tid in ids], edges)
+            plan0 = make_plan([(tid, "d") for tid in ids], edges)
             preds = {tid: {s for s, d in edges if d == tid} for tid in ids}
 
             # every accepted extension from every reachable answered-set must

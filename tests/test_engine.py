@@ -19,7 +19,7 @@ from dagsearch.engine import (
     replay_run,
     run,
 )
-from dagsearch.plan import ACTIVE, ANSWERED, PENDING, build_plan, mark_active
+from dagsearch.plan import ACTIVE, ANSWERED, PENDING, mark_active
 from dagsearch.protocol import IntentPayload, ProtocolError, parse_action
 from dagsearch.register import default_tokenizer, render_planning_context, token_length
 from dagsearch.tools import (
@@ -39,6 +39,7 @@ from helpers import (
     fixed_clock,
     fixture_registry,
     lines_to_tokenize,
+    make_plan,
     mutate_action,
     random_action,
     run_fold,
@@ -318,7 +319,7 @@ class TestSolveEndToEnd:
         assert result.trajectory.steps == []
 
     def test_cap_one_below_an_input_overflows_and_a_cap_equal_to_it_runs_the_turn(self):
-        count = token_length(render_planning_context(PROMPTS.holistic, "q?"))
+        count = token_length("\n".join(render_planning_context(PROMPTS.holistic, "q?")))
         below, at = (
             run(
                 "q?",
@@ -432,7 +433,7 @@ class TestSolveEndToEnd:
         executed = []
         registry = ToolRegistry().register(search_spec("search", "never runs"), executed.append)
         with pytest.raises(ProtocolError, match='^task "t9" is not in the current plan$') as expected:
-            mark_active(build_plan([("t1", "only task")], []), "t9")
+            mark_active(make_plan([("t1", "only task")], []), "t9")
         call = '<tool_call>{"task_id": "t9", "tool_name": "search", "arguments": {"query": "q"}}</tool_call>'
         backend = RecordingBackend([INTENT, FRAMING, call, ANSWER_T1, FINAL])
         result = run(
@@ -545,7 +546,7 @@ def largest_planning_input():
     """The token count of the longer of the two planning inputs."""
     intent = IntentPayload(refined_goal="Find it.", constraints=())
     return max(
-        token_length(render_planning_context(PROMPTS.holistic, "q?", *given)) for given in ((), (intent,))
+        token_length("\n".join(render_planning_context(PROMPTS.holistic, "q?", *given))) for given in ((), (intent,))
     )
 
 
@@ -719,6 +720,19 @@ class TestDeterminism:
         assert all(step.token_count == token_length(step.state) for step in steps)
         tokenized = sum(token_length(text) for text in calls)
         assert tokenized < sum(step.token_count for step in steps)
+
+    def test_every_input_opens_with_its_stage_prompts_memoized_lines(self):
+        prompts = PromptPack.load_default()
+        heads = {
+            "planning": dagsearch.register.prompt_lines(prompts.holistic).lines,
+            "solving": dagsearch.register.prompt_lines(prompts.solving).lines,
+        }
+        # two runs of one pack in one process: both share the memo's strings
+        for _ in range(2):
+            for step in run_two_hop().trajectory.steps:
+                head = heads[step.stage]
+                assert len(step.lines) > len(head)
+                assert all(line is prompt_line for line, prompt_line in zip(step.lines, head))
 
     def test_rebuilt_registers_are_stable(self):
         result = run_two_hop()

@@ -16,11 +16,11 @@ from dagsearch.plan import (
     reset_for_revisit,
 )
 from dagsearch.protocol import ProtocolError, canonical_json, parse_action
-from helpers import random_dag
+from helpers import make_plan, random_dag
 
 
 def diamond():
-    return build_plan(
+    return make_plan(
         [("t1", "first"), ("t2", "second"), ("t3", "join")],
         [("t1", "t3"), ("t2", "t3")],
     )
@@ -34,23 +34,23 @@ class TestBuild:
 
     def test_cycle_rejected(self):
         with pytest.raises(ProtocolError, match="^dependency edges form a cycle through: t1, t2$"):
-            build_plan([("t1", "a"), ("t2", "b")], [("t1", "t2"), ("t2", "t1")])
+            make_plan([("t1", "a"), ("t2", "b")], [("t1", "t2"), ("t2", "t1")])
 
     def test_self_loop_rejected(self):
         with pytest.raises(ProtocolError, match="^dependency edges form a cycle through: t1$"):
-            build_plan([("t1", "a")], [("t1", "t1")])
+            make_plan([("t1", "a")], [("t1", "t1")])
 
     def test_empty_rejected(self):
         with pytest.raises(ProtocolError, match="^a plan needs at least one task$"):
-            build_plan([], [])
+            make_plan([], [])
 
     def test_duplicate_task_id(self):
         with pytest.raises(ProtocolError, match='^task "t1" is declared more than once$'):
-            build_plan([("t1", "a"), ("t1", "b")], [])
+            make_plan([("t1", "a"), ("t1", "b")], [])
 
     def test_unknown_edge_endpoint(self):
         with pytest.raises(ProtocolError, match='^edge endpoint "t9" is not a declared task$'):
-            build_plan([("t1", "a")], [("t1", "t9")])
+            make_plan([("t1", "a")], [("t1", "t9")])
 
     def test_accepts_framing_payload_shape(self):
         plan = build_plan(
@@ -84,7 +84,7 @@ class TestFrontier:
 
 class TestApplyAnswer:
     def test_dependency_unmet(self):
-        plan = build_plan([("t1", "a"), ("t3", "b")], [("t1", "t3")])
+        plan = make_plan([("t1", "a"), ("t3", "b")], [("t1", "t3")])
         with pytest.raises(ProtocolError, match=r'^task "t3" depends on unanswered task\(s\): t1$'):
             apply_task_answer(plan, [("t3", "early")])
 
@@ -104,7 +104,7 @@ class TestApplyAnswer:
             apply_task_answer(plan, [("t1", "again")])
 
     def test_batch_is_sequential(self):
-        chain = build_plan([("t1", "a"), ("t2", "b")], [("t1", "t2")])
+        chain = make_plan([("t1", "a"), ("t2", "b")], [("t1", "t2")])
         plan = apply_task_answer(chain, [("t1", "x"), ("t2", "y")])
         assert is_complete(plan)
         with pytest.raises(ProtocolError, match=r'^task "t2" depends on unanswered task\(s\): t1$'):
@@ -118,7 +118,7 @@ class TestApplyAnswer:
 
 class TestRevisit:
     def test_chain_reset_includes_descendants(self):
-        chain = build_plan([("t1", "a"), ("t2", "b")], [("t1", "t2")])
+        chain = make_plan([("t1", "a"), ("t2", "b")], [("t1", "t2")])
         answered = apply_task_answer(chain, [("t1", "x"), ("t2", "y")])
         plan, discarded = reset_for_revisit(answered, "t1")
         assert plan.nodes["t1"].status == PENDING
@@ -143,14 +143,14 @@ class TestRevisit:
         assert plan.nodes["t1"].status == ANSWERED
 
     def test_unanswered_descendants_stay_untouched(self):
-        chain = build_plan([("t1", "a"), ("t2", "b")], [("t1", "t2")])
+        chain = make_plan([("t1", "a"), ("t2", "b")], [("t1", "t2")])
         answered = apply_task_answer(chain, [("t1", "x")])
         plan, discarded = reset_for_revisit(answered, "t1")
         assert [d["task_id"] for d in discarded] == ["t1"]
         assert plan.nodes["t2"].status == PENDING
 
     def test_evidence_cleared_on_target_only(self):
-        chain = build_plan([("t1", "a"), ("t2", "b")], [("t1", "t2")])
+        chain = make_plan([("t1", "a"), ("t2", "b")], [("t1", "t2")])
         chain = attach_evidence(chain, "t1", ["f1"])
         chain = attach_evidence(chain, "t2", ["f2"])
         answered = apply_task_answer(chain, [("t1", "x"), ("t2", "y")])
@@ -168,7 +168,7 @@ class TestComplete:
         assert is_complete(plan)
 
     def test_one_pending_of_five(self):
-        plan = build_plan([(f"t{i}", "d") for i in range(1, 6)], [])
+        plan = make_plan([(f"t{i}", "d") for i in range(1, 6)], [])
         plan = apply_task_answer(plan, [(f"t{i}", "a") for i in range(1, 5)])
         assert not is_complete(plan)
 
@@ -194,7 +194,7 @@ class TestSmallInstanceOracles:
         for _ in range(60):
             n = rng.randint(1, 6)
             ids, edges = random_dag(rng, n, rng.choice([0.2, 0.5, 0.8]))
-            plan0 = build_plan([(tid, "d") for tid in ids], edges)
+            plan0 = make_plan([(tid, "d") for tid in ids], edges)
             preds = {tid: {s for s, d in edges if d == tid} for tid in ids}
             seen = {frozenset()}
             stack = [(plan0, frozenset())]
@@ -219,7 +219,7 @@ class TestSmallInstanceOracles:
         for _ in range(60):
             n = rng.randint(2, 6)
             ids, edges = random_dag(rng, n, rng.choice([0.3, 0.6]))
-            plan = build_plan([(tid, "d") for tid in ids], edges)
+            plan = make_plan([(tid, "d") for tid in ids], edges)
             # ids order is topological by construction
             k = rng.randint(1, n)
             answered_ids = ids[:k]
@@ -238,7 +238,7 @@ class TestSmallInstanceOracles:
 def test_answered_set_stays_downward_closed(seed):
     rng = random.Random(seed)
     ids, edges = random_dag(rng, rng.randint(1, 6), 0.4)
-    plan = build_plan([(tid, "d") for tid in ids], edges)
+    plan = make_plan([(tid, "d") for tid in ids], edges)
     answered = set()
     for _ in range(rng.randint(0, 8)):
         choices = frontier(plan)

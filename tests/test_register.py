@@ -8,7 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import dagsearch.register
-from dagsearch.plan import ACTIVE, ANSWERED, PENDING, DagPlan, TaskNode, build_plan, is_complete
+from dagsearch.plan import ACTIVE, ANSWERED, PENDING, DagPlan, TaskNode, is_complete
 from dagsearch.protocol import PLANNING_KINDS, ActionKind, IntentPayload, ProtocolError
 from dagsearch.register import (
     FOLD_CHARS,
@@ -21,15 +21,15 @@ from dagsearch.register import (
     common_prefix_length,
     default_tokenizer,
     init_register,
-    prompt_line_counts,
+    prompt_lines,
     render_context,
     render_planning_context,
     token_length,
 )
 from dagsearch.tools import Document, ToolResult
 from dagsearch.trajectory import TRAJECTORY_VERSION
-from helpers import make_action
-from oracles import reference_render, register_tokens
+from helpers import make_action, make_plan
+from oracles import reference_planning_render, reference_render, register_tokens
 
 QUESTION = "What year was the university founded?"
 PROMPT = "You are a search agent. Emit one action per turn."
@@ -40,7 +40,7 @@ def intent():
 
 
 def chain_plan():
-    return build_plan([("t1", "identify the university"), ("t2", "find the founding year")], [("t1", "t2")])
+    return make_plan([("t1", "identify the university"), ("t2", "find the founding year")], [("t1", "t2")])
 
 
 def fresh():
@@ -377,7 +377,7 @@ def rendered_registers(draw):
 EVERY_SECTION = Register(
     intent=intent(),
     plan_history=(PlanSnapshot(plan=chain_plan(), reason="split\nthe hop"),),
-    plan=build_plan([("t1", "first\r"), ("t2", "")], [("t1", "t2")], plan_id=1),
+    plan=make_plan([("t1", "first\r"), ("t2", "")], [("t1", "t2")], plan_id=1),
     revisit_history=(RevisitRecord(task_id="t1", discarded_answer="old\u2028answer", reason=""),),
     tool_log=(
         ToolLogEntry(1, "t1", "search", {"query": "q"}, ("a fact\nover two lines",), ("fix:a",), True),
@@ -390,12 +390,23 @@ EVERY_SECTION = Register(
 )
 
 
+intents = st.builds(IntentPayload, render_values, st.lists(render_values, max_size=3).map(tuple))
+
+
 class TestRenderLines:
     @given(rendered_registers(), render_values, stage_prompts)
     @example(EVERY_SECTION, "q\n", "prompt \n\t")
     def test_lines_are_the_reference_text_split(self, register, question, prompt):
         lines = render_context(register, question, prompt)
         assert lines == tuple(reference_render(register, question, prompt).split("\n"))
+
+    @given(stage_prompts, render_values, st.none() | intents)
+    @example("prompt \n\t", "", None)
+    @example("北京\r\n", "q\r\n", IntentPayload(refined_goal="goal \t", constraints=("", "a\nb ", "café\u2028")))
+    def test_planning_lines_are_the_reference_text(self, prompt, question, intent):
+        lines = render_planning_context(prompt, question, intent)
+        assert type(lines) is tuple
+        assert "\n".join(lines) == reference_planning_render(prompt, question, intent)
 
     def test_archived_plans_and_log_entries_render_as_the_same_lines_on_every_turn(self):
         register = apply_action(fresh(), tool_call(), result())
@@ -484,15 +495,15 @@ class TestTokens:
     def test_a_counter_given_prompt_counts_counts_as_one_without(self, prompt, tails):
         head = tuple(prompt.rstrip().split("\n"))
         # both renderers open an input with exactly these lines
-        assert render_planning_context(prompt, QUESTION).split("\n")[: len(head)] == list(head)
-        given_counts, plain = LineTokenCounter(prompt_line_counts(prompt)), LineTokenCounter()
+        assert prompt_lines(prompt).lines == render_planning_context(prompt, QUESTION)[: len(head)] == head
+        given_counts, plain = LineTokenCounter(prompt_lines(prompt).counts), LineTokenCounter()
         for tail in tails:
             lines = head + tuple(tail)
             assert given_counts(lines) == plain(lines) == token_length("\n".join(lines))
             assert given_counts.totals == plain.totals
             assert given_counts.lines == plain.lines
 
-    def test_prompt_line_counts_are_kept_read_only(self, monkeypatch):
+    def test_prompt_lines_are_kept_read_only(self, monkeypatch):
         calls = []
 
         def spy(text):
@@ -500,13 +511,14 @@ class TestTokens:
             return default_tokenizer(text)
 
         monkeypatch.setattr(dagsearch.register, "default_tokenizer", spy)
-        counts = prompt_line_counts("a b\n\nc, d.\na b\n\n")
-        assert dict(counts) == {"a b": 2, "": 0, "c, d.": 4}
+        memo = prompt_lines("a b\n\nc, d.\na b\n\n")
+        assert memo.lines == ("a b", "", "c, d.", "a b")
+        assert dict(memo.counts) == {"a b": 2, "": 0, "c, d.": 4}
         assert calls == ["a b", "", "c, d."]
-        assert prompt_line_counts("a b\n\nc, d.\na b\n\n") is counts
+        assert prompt_lines("a b\n\nc, d.\na b\n\n") is memo
         assert len(calls) == 3
         with pytest.raises(TypeError):
-            counts["a b"] = 0
+            memo.counts["a b"] = 0
 
     def test_threads_asking_for_a_new_prompt_at_once_count_it_once(self, monkeypatch):
         calls = []
@@ -523,7 +535,7 @@ class TestTokens:
 
         def ask():
             start.wait(timeout=10)
-            results.append(prompt_line_counts(prompt))
+            results.append(prompt_lines(prompt))
 
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
@@ -603,7 +615,7 @@ def fold_actions(op, number):
 
 def applied(version, ops):
     """(action, register before, register after) for each op's pair that the register accepts."""
-    register = init_register(intent(), build_plan([(t, f"do {t}") for t in FOLD_TASKS], FOLD_EDGES), version)
+    register = init_register(intent(), make_plan([(t, f"do {t}") for t in FOLD_TASKS], FOLD_EDGES), version)
     for number, op in enumerate(ops):
         for action, output in fold_actions(op, number):
             try:
@@ -790,7 +802,7 @@ class TestFold:
 
     def test_no_fold_without_an_open_task(self):
         for version in (3, 4):
-            register = init_register(intent(), build_plan([("t1", "a"), ("t2", "b")], []), version)
+            register = init_register(intent(), make_plan([("t1", "a"), ("t2", "b")], []), version)
             for task_id in ("t1", "t2"):
                 register = apply_action(register, tool_call(task_id), result())
                 facts = ["x" * FOLD_CHARS[version]]

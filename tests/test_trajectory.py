@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 import dagsearch.register
 import dagsearch.trajectory
 from dagsearch.protocol import ActionKind
-from dagsearch.register import LineTokenCounter, default_tokenizer, prompt_line_counts, token_length
+from dagsearch.register import LineTokenCounter, default_tokenizer, prompt_lines, token_length
 from dagsearch.tools import Document, InputError, ToolResult
 from dagsearch.trajectory import (
     EvalRecord,
@@ -655,7 +655,7 @@ class TestAnalyses:
         states = [step.state for step in solving]
         # Counting starts from the solving prompt's lines, counted once per
         # prompt text: here the run's, and "" for a trajectory without one.
-        prompt_lines = {prompt: set(prompt_line_counts(prompt)) for prompt in ("", trajectory.prompts["solving"])}
+        prompt_counts = {prompt: set(prompt_lines(prompt).counts) for prompt in ("", trajectory.prompts["solving"])}
         counted, compared = [], []
         monkeypatch.setattr(dagsearch.register, "default_tokenizer", _spy(counted))
         monkeypatch.setattr(dagsearch.trajectory, "default_tokenizer", _spy(compared))
@@ -667,7 +667,7 @@ class TestAnalyses:
             # that it does not know, once each, and nothing after them
             prev_lines, cur_lines = prev.split("\n"), cur.split("\n")
             same = len(os.path.commonprefix([prev_lines, cur_lines]))
-            assert counted == [line for line in dict.fromkeys(cur_lines[:same]) if line not in prompt_lines[""]]
+            assert counted == [line for line in dict.fromkeys(cur_lines[:same]) if line not in prompt_counts[""]]
             # the compare takes each input's non-empty lines in order from
             # the first line after the shared ones, and stops at the first
             # token that differs
@@ -694,7 +694,7 @@ class TestAnalyses:
         lines = [step.lines for step in solving]
         heads = [0] + [len(os.path.commonprefix(pair)) for pair in zip(lines, lines[1:])]
         entering = [line for cur, low, high in zip(lines[1:], heads, heads[1:]) for line in cur[low:high]]
-        known = prompt_lines[trajectory.prompts["solving"]]
+        known = prompt_counts[trajectory.prompts["solving"]]
         assert counted == [line for line in dict.fromkeys(entering) if line not in known]
         documents = {line for step in solving for line in _latest_tool_output(step.lines) if line.strip()}
         assert documents and not documents & set(counted)
