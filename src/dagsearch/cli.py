@@ -146,14 +146,20 @@ def _tools_factory(args: argparse.Namespace) -> Callable[[dict | None], ToolRegi
     return build
 
 
-def _check_top_k(args: argparse.Namespace) -> None:
-    """Reject a ``--top-k`` below 1 before any file is read: the flag, not a tool config, is at fault."""
+def _check_flags(args: argparse.Namespace) -> None:
+    """Reject, before any file is read, a ``--top-k`` below 1 and an ``--out`` that is a directory or in none."""
     if args.top_k is not None and args.top_k < 1:
         raise ValueError(f"--top-k must be at least 1, not {args.top_k}")
+    if args.out is not None:
+        out = Path(args.out)
+        if out.is_dir():
+            raise ValueError(f"--out {out} is a directory")
+        if not out.parent.is_dir():
+            raise ValueError(f"--out {out}: {out.parent} is not a directory")
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    _check_top_k(args)
+    _check_flags(args)
     config, prompts = _build_config(args)
     result = run(
         args.question,
@@ -178,7 +184,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
 def _cmd_eval(args: argparse.Namespace) -> int:
     if args.parallel < 1:
         raise ValueError(f"--parallel must be at least 1, not {args.parallel}")
-    _check_top_k(args)
+    _check_flags(args)
     config, prompts = _build_config(args)
     dataset = _load_dataset(args.dataset)
     backend = _backend_factory(args.backend)  # a bad spec or scripted file ends the whole call

@@ -110,10 +110,9 @@ def _turn(
     """One turn of either stage: cap, complete, parse, check, execute, apply, record.
 
     The model input comes as its ``lines``. They are counted once through
-    the run's ``counter``, which tokenizes only lines from the first
-    changed line on that the previous input lacked there and that are not
-    stage-prompt lines, whose counts it was given; that one count is
-    both the context-cap check (ContextOverflow over it, before any
+    the run's ``counter``, which tokenizes only the lines it has never
+    counted, starting out knowing the stage prompts' lines; that one count
+    is both the context-cap check (ContextOverflow over it, before any
     completion is requested) and the step's ``token_count``. The step
     records the counter's ``lines``, whose unchanged head is the previous
     step's own strings. The lines are joined once into the request text.

@@ -21,7 +21,6 @@ import re
 import threading
 from dataclasses import dataclass, replace
 from functools import cached_property, lru_cache
-from operator import sub
 from types import MappingProxyType
 from typing import Mapping, NamedTuple, Sequence
 
@@ -140,45 +139,49 @@ prompt_lines.cache_clear = _prompt_lines.cache_clear
 
 
 class LineTokenCounter:
-    """Token counts of successive inputs, given as their lines, paying only for the lines that changed.
+    """Token counts of successive inputs, given as their lines, tokenizing each distinct line once.
 
     No ``default_tokenizer`` token spans whitespace, so an input's count is
-    the sum of its lines' counts. The counter keeps the last input's
-    ``lines`` and their running ``totals`` (``totals[i]``: tokens in the
-    first ``i`` lines). The head a new input shares with them is found with
-    ``common_prefix_length``, where a line rendered once per value is the
-    same object in both and compares without reading its characters; its
-    count is a running total, and its lines stay the previous ``lines``'
-    own strings. Each line from there on takes the count of an equal line
-    in the previous input's lines from there on, or else its count in
-    ``known`` (the stage prompts' ``prompt_lines`` counts, so that each
-    prompt line is counted once per prompt text, not once per run), and
-    only the lines missing from both are tokenized.
+    the sum of its lines' counts. The counter keeps the current input's
+    ``lines``, their running ``totals`` (``totals[i]``: tokens in the first
+    ``i`` lines) as far as a count has reached, and ``known``: a copy of its
+    seed (the stage prompts' ``prompt_lines`` counts) plus every line it
+    has counted. The head a new input shares with ``lines``, found with
+    ``common_prefix_length``, keeps its totals and the previous lines' own
+    strings. A call counts the whole input, ``head`` the shared head only.
     """
 
     def __init__(self, known: Mapping[str, int] = MappingProxyType({})) -> None:
-        self.known = known
+        self.known = dict(known)
         self.lines: tuple[str, ...] = ()
         self.totals: list[int] = [0]
 
     def __call__(self, lines: tuple[str, ...]) -> int:
+        """The token count of the input ``lines``, which becomes the current input."""
+        self._follow(lines)
+        return self._total(len(lines))
+
+    def head(self, lines: tuple[str, ...]) -> tuple[int, int]:
+        """How many leading lines ``lines`` shares with the current input, which it becomes, and their tokens."""
+        same = self._follow(lines)
+        return same, self._total(same)
+
+    def _follow(self, lines: tuple[str, ...]) -> int:
+        """Make ``lines`` the current input; returns how many leading lines it shares with the previous one."""
         same = common_prefix_length(self.lines, lines)
-        totals = self.totals
-        seen = dict(zip(self.lines[same:], map(sub, totals[same + 1 :], totals[same:])))
-        tail = lines[same:]
-        totals = totals[: same + 1]
-        total = totals[same]
-        for line in tail:
-            count = seen.get(line)
+        del self.totals[same + 1 :]
+        self.lines = self.lines[:same] + lines[same:]
+        return same
+
+    def _total(self, end: int) -> int:
+        """Tokens in the current input's first ``end`` lines, extending ``totals`` that far."""
+        totals, known = self.totals, self.known
+        for line in self.lines[len(totals) - 1 : end]:
+            count = known.get(line)
             if count is None:
-                count = self.known.get(line)
-                if count is None:
-                    count = token_length(line)
-                seen[line] = count
-            total += count
-            totals.append(total)
-        self.lines, self.totals = self.lines[:same] + tail, totals
-        return total
+                count = known[line] = token_length(line)
+            totals.append(totals[-1] + count)
+        return totals[end]
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,7 @@ from pathlib import Path
 from typing import IO, Any, Iterable, Iterator, Mapping, Sequence
 
 from .protocol import ActionKind, subspace_of
-from .register import _TOKEN_RE, common_prefix_length, default_tokenizer, prompt_lines, token_length
+from .register import _TOKEN_RE, LineTokenCounter, common_prefix_length, default_tokenizer, prompt_lines
 from .tools import DOCUMENT_FIELDS, InputError, ToolResult, check_fields, check_strings, located, read_json
 
 TRAJECTORY_VERSION = 4
@@ -87,14 +87,11 @@ class RunConfig:
 
     @classmethod
     def from_dict(cls, values: Mapping[str, Any]) -> "RunConfig":
-        """A config from ``values``; a key that is not a field is an InputError naming it.
-
-        Version 1 trajectory headers carry a ``top_k`` that tools now own; it is ignored.
-        """
-        unknown = sorted(values.keys() - cls.__dataclass_fields__.keys() - {"top_k"})
+        """A config from ``values``; a key that is not a field is an InputError naming it."""
+        unknown = sorted(values.keys() - cls.__dataclass_fields__.keys())
         if unknown:
             raise InputError(f'unknown run setting "{unknown[0]}"')
-        return cls(**{k: v for k, v in values.items() if k != "top_k"})
+        return cls(**values)
 
 
 @dataclass(frozen=True)
@@ -202,6 +199,8 @@ class Trajectory:
         if header.get("record") != "trajectory":
             raise InputError(f"{path} is not a trajectory file")
         fields = {name: header[name] for name in _HEADER_FIELDS}
+        if header["version"] == 1:  # version 1 recorded a top_k, which tools now own
+            fields["config"] = {k: v for k, v in fields["config"].items() if k != "top_k"}
         with located(path, number):
             fields["config"] = RunConfig.from_dict(fields["config"])
         trajectory = cls(version=header["version"], **fields)
@@ -435,19 +434,13 @@ def step_cache_ratios(trajectory: Trajectory) -> list[float]:
 
     Each is the length of the two inputs' common token prefix over the
     current input's recorded ``token_count``, computed from lines: no token
-    spans a newline. The leading lines the two inputs share are found with
-    ``common_prefix_length`` (a loaded or freshly run step's shared lines
-    are the previous step's own strings), and their token count, the head,
-    comes from running totals over the previous input's lines. The totals
-    are extended only as far as a head reaches, and each line's count is
-    kept for the pass, so a line is tokenized only when it first enters
-    some later input's shared head, however often heads are cut back above
-    it and grow over it again. The solving prompt's lines, which open every
-    solving input, start out known from the counts in ``prompt_lines``:
-    they are counted once per prompt text, not once per trajectory. The
-    shared prefix is the head plus the common token prefix of the two
-    inputs' lines after it, tokenized line by line only up to the first
-    differing token.
+    spans a newline. One ``LineTokenCounter``, seeded with the solving
+    prompt's ``prompt_lines`` counts, follows the inputs: its ``head`` gives
+    the leading lines the two share and their tokens, counting only those,
+    so a line is tokenized when it first enters a shared head, never a tool
+    document that the next input drops. The shared prefix is the head plus
+    the common token prefix of the two inputs' lines after it, tokenized
+    line by line only up to the first differing token.
 
     Whether an input is empty is decided from its own text. A recorded
     ``token_count`` below the shared prefix, or 0, is an InputError;
@@ -455,30 +448,21 @@ def step_cache_ratios(trajectory: Trajectory) -> list[float]:
     input again.
     """
     ratios = []
-    lines: tuple[str, ...] = ()  # the previous solving input's
-    totals = [0]  # totals[i]: tokens in lines[:i], for as many lines as a head has reached
-    # the token count of each prompt line and each line a head has reached, for the whole pass
-    known = dict(prompt_lines(trajectory.prompts.get("solving", "")).counts)
+    counter = LineTokenCounter(prompt_lines(trajectory.prompts.get("solving", "")).counts)
     for turn, step in enumerate(trajectory.solving_steps()):
+        previous = counter.lines
+        same, head = counter.head(step.lines)
         if turn:
             where = f'trajectory "{trajectory.question_id}" step {step.index}'
             if not any(map(_TOKEN_RE.search, step.lines)):
                 raise InputError(f"{where}: current token sequence is empty")
-            same = common_prefix_length(lines, step.lines)
-            del totals[same + 1 :]
-            for line in lines[len(totals) - 1 : same]:
-                count = known.get(line)
-                if count is None:
-                    count = known[line] = token_length(line)
-                totals.append(totals[-1] + count)
-            shared = totals[same] + _common_tokens(lines[same:], step.lines[same:])
+            shared = head + _common_tokens(previous[same:], step.lines[same:])
             least = max(shared, 1)
             if step.token_count < least:
                 raise InputError(
                     f"{where}: token_count is {step.token_count}, but the input holds {least} tokens or more"
                 )
             ratios.append(shared / step.token_count)
-        lines = step.lines
     return ratios
 
 

@@ -25,20 +25,6 @@ def words(rng: random.Random, n: int) -> str:
     return " ".join(rng.choice(WORDS) for _ in range(n))
 
 
-def lines_to_tokenize(previous: tuple[str, ...], current: tuple[str, ...], known=frozenset()) -> list[str]:
-    """The lines a LineTokenCounter given counts for ``known`` tokenizes for the input ``current`` after ``previous``.
-
-    Both inputs come as lines, and the result is in order: the distinct
-    lines of ``current`` from its first line that differs from
-    ``previous``'s on that ``previous`` lacks from that line on and that
-    are not ``known``. With no previous input, ``previous`` is empty.
-    """
-    same = 0
-    while same < min(len(previous), len(current)) and previous[same] == current[same]:
-        same += 1
-    return [line for line in dict.fromkeys(current[same:]) if line not in previous[same:] and line not in known]
-
-
 def brute_force_search(corpus, query, top_k):
     """Score every document against the query, then sort: the reference ranking."""
     query_tokens = set(query.lower().split())

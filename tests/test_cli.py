@@ -438,7 +438,7 @@ def test_config_file_is_read_once_and_top_k_goes_to_the_tools(workdir, monkeypat
     (workdir / "solving.txt").write_text("SOLVING")
     config = workdir / "config.json"
     config.write_text(
-        json.dumps({"run": {"max_turns": 9, "top_k": 5}, "prompts": {"holistic": "holistic.txt", "solving": "solving.txt"}})
+        json.dumps({"run": {"max_turns": 9}, "prompts": {"holistic": "holistic.txt", "solving": "solving.txt"}})
     )
     reads = []
 
@@ -979,19 +979,25 @@ def test_eval_with_no_chat_endpoint_exits_2_before_any_question_runs(workdir, ca
     assert not report.exists() and not runs.exists()
 
 
-def test_unsaveable_question_spends_no_turn(workdir, capsys, monkeypatch):
+@pytest.fixture
+def completions(monkeypatch):
+    """The context of every completion a scripted backend is asked for, in order."""
     contexts = []
     complete = ScriptedBackend.complete
     monkeypatch.setattr(
         ScriptedBackend, "complete", lambda self, request: contexts.append(request.context) or complete(self, request)
     )
+    return contexts
+
+
+def test_unsaveable_question_spends_no_turn(workdir, capsys, completions):
     argv = ["run", "--question", "In which year \udcff", "--tools", str(workdir / "tools.json")]
     argv += ["--backend", f"scripted:{workdir / 'two_hop_responses.json'}", "--out", str(workdir / "run.jsonl")]
     assert main(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == "" and captured.err.startswith("error: 'utf-8' codec can't encode character")
     assert not (workdir / "run.jsonl").exists()
-    assert contexts == []
+    assert completions == []
 
     # The first question keeps its scripted replies, but its text cannot be saved.
     dataset = workdir / "eval_dataset.jsonl"
@@ -1007,15 +1013,10 @@ def test_unsaveable_question_spends_no_turn(workdir, capsys, monkeypatch):
         rows = {row["question_id"]: row for row in csv.DictReader(handle)}
     assert (rows[first["question_id"]]["outcome"], rows[first["question_id"]]["turns"]) == ("error", "0")
     assert "warning: 1 question(s) failed" in capsys.readouterr().out
-    assert contexts and not any(first["question"] in context for context in contexts)
+    assert completions and not any(first["question"] in context for context in completions)
 
 
-def test_a_corpus_holding_a_lone_surrogate_spends_no_turn(workdir, capsys, monkeypatch):
-    contexts = []
-    complete = ScriptedBackend.complete
-    monkeypatch.setattr(
-        ScriptedBackend, "complete", lambda self, request: contexts.append(request.context) or complete(self, request)
-    )
+def test_a_corpus_holding_a_lone_surrogate_spends_no_turn(workdir, capsys, completions):
     corpus = workdir / "corpus.jsonl"
     records = [json.loads(line) for line in corpus.read_text().splitlines()]
     records = [{**record, "text": record["text"] + " \ud800"} for record in records]
@@ -1031,7 +1032,7 @@ def test_a_corpus_holding_a_lone_surrogate_spends_no_turn(workdir, capsys, monke
     assert main(argv + ["--trajectory-dir", str(workdir / "runs")]) == 2
     assert capsys.readouterr() == ("", problem)
     assert not (workdir / "report.csv").exists() and not list(workdir.glob("runs/*"))
-    assert contexts == []
+    assert completions == []
 
 
 def corpus_with(bad):
@@ -1170,6 +1171,8 @@ MALFORMED_INPUTS = {
     "temperature-not-a-number": ("config.json", {"run": {"temperature": "hot"}}, 0, "temperature must be a finite number"),
     "max-turns-zero": ("config.json", {"run": {"max_turns": 0}}, 0, "max_turns must be a positive integer"),
     "header-unknown-run-setting": ("trajectory.jsonl", with_header_config(foo=1), 1, 'unknown run setting "foo"'),
+    # only a version 1 header may carry the top_k that tools now own
+    "header-top-k-after-version-1": ("trajectory.jsonl", with_header_config(top_k=3), 1, 'unknown run setting "top_k"'),
     "header-strict-setting-not-a-boolean": (
         "trajectory.jsonl",
         with_header_config(strict_protocol="no"),
@@ -1263,6 +1266,41 @@ def test_malformed_input_exits_2_naming_the_file(tmp_path, capsys, command, name
     where = f"{tmp_path / name} line {line}" if line else f"{tmp_path / name}"
     assert capsys.readouterr().err == f"error: {where}: {problem}\n"
     assert not (tmp_path / "report.csv").exists()
+    assert not list(tmp_path.glob("runs/*"))
+
+
+@pytest.mark.parametrize("command", ["run", "eval"])
+def test_a_run_config_top_k_exits_2_before_any_completion(tmp_path, capsys, completions, command):
+    # top_k is a tool setting: in a run config it is as unknown as any misspelling
+    argv = write_inputs(tmp_path, command)
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"run": {"top_k": 1}}))
+    assert main(argv) == 2
+    assert capsys.readouterr() == ("", f'error: {config}: unknown run setting "top_k"\n')
+    assert completions == []
+    assert not (tmp_path / "report.csv").exists()
+    assert not list(tmp_path.glob("runs/*"))
+
+
+@pytest.mark.parametrize("command", ["run", "eval"])
+@pytest.mark.parametrize(
+    "out, problem",
+    [
+        ("runs", "{out} is a directory"),
+        ("missing/out.csv", "{out}: {parent} is not a directory"),
+        ("dataset.jsonl/out.csv", "{out}: {parent} is not a directory"),
+    ],
+    ids=["directory", "missing-parent", "file-parent"],
+)
+def test_an_out_that_cannot_be_written_exits_2_before_any_completion(
+    tmp_path, capsys, completions, command, out, problem
+):
+    argv = write_inputs(tmp_path, command)
+    out = tmp_path / out
+    argv[argv.index("--out") + 1] = str(out)
+    assert main(argv) == 2
+    assert capsys.readouterr() == ("", f"error: --out {problem.format(out=out, parent=out.parent)}\n")
+    assert completions == []
     assert not list(tmp_path.glob("runs/*"))
 
 

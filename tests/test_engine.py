@@ -38,7 +38,6 @@ from helpers import (
     TWO_HOP_QUESTION,
     fixed_clock,
     fixture_registry,
-    lines_to_tokenize,
     make_plan,
     mutate_action,
     random_action,
@@ -705,17 +704,10 @@ class TestDeterminism:
             assert [step.stage for step in steps].count("planning") == 2
             assert len(steps) == 9
             assert calls[: len(memo)] == memo
-            # every step, planning included, tokenizes only the lines from its
-            # first changed line on that its previous input lacked from there
-            # on and that are not prompt lines
-            remaining = calls[len(memo) :]
-            previous = ()
-            for step in steps:
-                new_lines = lines_to_tokenize(previous, step.lines, prompt_lines)
-                assert remaining[: len(new_lines)] == new_lines
-                remaining = remaining[len(new_lines) :]
-                previous = step.lines
-            assert remaining == []
+            # the run's counter tokenizes each distinct line that is not a
+            # prompt line once, when it first appears in an input
+            run_lines = dict.fromkeys(line for step in steps for line in step.lines)
+            assert calls[len(memo) :] == [line for line in run_lines if line not in prompt_lines]
         monkeypatch.undo()
         assert all(step.token_count == token_length(step.state) for step in steps)
         tokenized = sum(token_length(text) for text in calls)
@@ -1069,7 +1061,8 @@ class TestRunConfig:
         # tools own top_k; --top-k overrides it in the tool config
         assert not hasattr(config, "top_k")
 
-    def test_from_dict_ignores_keys_that_are_not_fields(self):
-        # a version 1 trajectory header carries "top_k": 3
-        config = RunConfig.from_dict({"max_turns": 5, "top_k": 3})
-        assert config == RunConfig(max_turns=5)
+    def test_from_dict_rejects_top_k_like_any_key_that_is_not_a_field(self):
+        # only Trajectory.load drops the "top_k" a version 1 header carries
+        assert RunConfig.from_dict({"max_turns": 5}) == RunConfig(max_turns=5)
+        with pytest.raises(InputError, match='^unknown run setting "top_k"$'):
+            RunConfig.from_dict({"max_turns": 5, "top_k": 3})

@@ -487,9 +487,46 @@ class TestTokens:
         assert calls == ["a b", "c"]
         assert counter(("a b", "d e f")) == 5
         assert calls == ["a b", "c", "d e f"]
-        # only the previous input's lines are kept
+        # a counted line stays known after the inputs holding it are gone
         assert counter(("c",)) == 1
-        assert calls[-1] == "c"
+        assert counter.head(("c", "a b")) == (1, 1)
+        assert calls == ["a b", "c", "d e f"]
+
+    @given(
+        st.lists(
+            st.tuples(st.booleans(), st.integers(0, 6), st.lists(counter_lines, max_size=5)),
+            max_size=8,
+        )
+    )
+    def test_head_and_call_tokenize_each_distinct_line_once(self, inputs):
+        # Each input keeps some leading lines of the current one and adds
+        # lines from a small pool, so heads and repeats are common; heads
+        # and calls interleave at random.
+        seed = {"a b": 2, "": 0}
+        calls = []
+
+        def spy(text):
+            calls.append(text)
+            return default_tokenizer(text)
+
+        def tokens(lines):
+            return len(default_tokenizer("\n".join(lines)))
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(dagsearch.register, "default_tokenizer", spy)
+            counter, current = LineTokenCounter(seed), ()
+            for is_head, keep, tail in inputs:
+                lines = current[:keep] + tuple(tail)
+                if is_head:
+                    same = len(os.path.commonprefix([current, lines]))
+                    assert counter.head(lines) == (same, tokens(lines[:same]))
+                else:
+                    assert counter(lines) == tokens(lines)
+                assert counter.lines == lines
+                current = lines
+        assert len(calls) == len(set(calls))
+        assert not set(calls) & seed.keys()
+        assert seed == {"a b": 2, "": 0}  # the counter keeps a copy
 
     @given(prompt_texts, st.lists(st.lists(counter_lines, max_size=5), max_size=5))
     def test_a_counter_given_prompt_counts_counts_as_one_without(self, prompt, tails):

@@ -712,7 +712,7 @@ class TestAnalyses:
             for turn in range(1, 13)
         ]
         calls = []
-        monkeypatch.setattr(dagsearch.trajectory, "token_length", lambda line: len(_spy(calls)(line)))
+        monkeypatch.setattr(dagsearch.register, "default_tokenizer", _spy(calls))
         assert step_cache_ratios(solving_trajectory(states)) == whole_state_ratios(states)
         assert sorted(set(calls)) == sorted(calls)
         assert len(calls) <= len({line for state in states for line in state.split("\n")})
