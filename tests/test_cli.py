@@ -635,6 +635,23 @@ def non_object_document(records):
     records[3]["tool_result"]["documents"][0] = 5
 
 
+def document_with_extra_key(records):
+    records[3]["tool_result"]["documents"][0]["url"] = "https://example.org"
+
+
+def null_document_text(records):
+    records[3]["tool_result"]["documents"][0]["text"] = None
+
+
+def documents_not_a_list(records):
+    documents = records[3]["tool_result"]["documents"]
+    records[3]["tool_result"]["documents"] = dict(enumerate(map(str, documents)))
+
+
+def payload_not_an_object(records):
+    records[2]["payload"] = ["goal"]
+
+
 def tool_call_without_tool_name(records):
     del records[3]["payload"]["tool_name"]
 
@@ -657,6 +674,18 @@ def step_without_record(records):
 
 def step_index_out_of_place(records):
     records[4]["index"] = 5
+
+
+def step_without_state_shared(records):
+    del records[2]["state_shared"]
+
+
+def string_state_shared(records):
+    records[2]["state_shared"] = "1"
+
+
+def boolean_state_shared(records):
+    records[2]["state_shared"] = True
 
 
 def retries_not_the_diagnostics_count(records):
@@ -688,12 +717,19 @@ def fixture_records(name):
         (non_string_diagnostic, 3, 'field "diagnostics" holds an entry that is not a string'),
         (non_object_tool_result, 4, 'field "tool_result" is neither null nor an object with a list of documents'),
         (non_object_document, 4, 'field "tool_result" is neither null nor an object with a list of documents'),
+        (document_with_extra_key, 4, 'field "tool_result" is neither null nor an object with a list of documents'),
+        (null_document_text, 4, 'field "tool_result" is neither null nor an object with a list of documents'),
+        (documents_not_a_list, 4, 'field "tool_result" is neither null nor an object with a list of documents'),
+        (payload_not_an_object, 3, 'field "payload" is not an object'),
         (tool_call_without_tool_name, 4, 'field "payload" of a tool_call step has no string "tool_name"'),
         (tool_call_without_tool_result, 4, 'field "tool_result" is null on a tool_call step'),
         (task_answer_with_tool_result, 6, 'field "tool_result" is set on a task_answer step'),
         (lone_surrogate, 3, "holds a lone surrogate (U+D800-U+DFFF), which is not Unicode"),
         (step_without_record, 5, "not a step line; every line after the header is one"),
         (step_index_out_of_place, 5, 'field "index" is 5, but this is step 4'),
+        (step_without_state_shared, 3, "missing field 'state_shared'"),
+        (string_state_shared, 3, 'field "state_shared" is not an integer'),
+        (boolean_state_shared, 3, 'field "state_shared" is not an integer'),
         (retries_not_the_diagnostics_count, 10, 'field "retries" is 1, but field "diagnostics" holds 0 entries'),
     ],
     ids=[
@@ -715,12 +751,19 @@ def fixture_records(name):
         "diagnostics-type",
         "tool-result-type",
         "document-type",
+        "document-extra-key",
+        "document-null-text",
+        "documents-not-a-list",
+        "payload-type",
         "tool-call-without-tool-name",
         "tool-call-without-tool-result",
         "task-answer-with-tool-result",
         "lone-surrogate",
         "step-without-record",
         "step-index",
+        "state-shared-missing",
+        "state-shared-string",
+        "state-shared-true",
         "retries-count",
     ],
 )
