@@ -147,19 +147,24 @@ def _tools_factory(args: argparse.Namespace) -> Callable[[dict | None], ToolRegi
 
 
 def _check_flags(args: argparse.Namespace) -> None:
-    """Reject, before any file is read, a ``--top-k`` below 1 and an ``--out`` that is a directory or in none."""
-    if args.top_k is not None and args.top_k < 1:
+    """Reject, before any file is read, a ``--parallel`` or ``--top-k`` below 1 and an output that cannot be written.
+
+    An output (``--out``, ``--curve-out`` or ``--cache-out``) cannot be written when it is a directory or in none.
+    """
+    if getattr(args, "parallel", 1) < 1:
+        raise ValueError(f"--parallel must be at least 1, not {args.parallel}")
+    if getattr(args, "top_k", None) is not None and args.top_k < 1:
         raise ValueError(f"--top-k must be at least 1, not {args.top_k}")
-    if args.out is not None:
-        out = Path(args.out)
-        if out.is_dir():
-            raise ValueError(f"--out {out} is a directory")
-        if not out.parent.is_dir():
-            raise ValueError(f"--out {out}: {out.parent} is not a directory")
+    for name in ("out", "curve_out", "cache_out"):
+        if getattr(args, name, None) is not None:
+            flag, out = f"--{name.replace('_', '-')}", Path(getattr(args, name))
+            if out.is_dir():
+                raise ValueError(f"{flag} {out} is a directory")
+            if not out.parent.is_dir():
+                raise ValueError(f"{flag} {out}: {out.parent} is not a directory")
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    _check_flags(args)
     config, prompts = _build_config(args)
     result = run(
         args.question,
@@ -182,9 +187,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_eval(args: argparse.Namespace) -> int:
-    if args.parallel < 1:
-        raise ValueError(f"--parallel must be at least 1, not {args.parallel}")
-    _check_flags(args)
     config, prompts = _build_config(args)
     dataset = _load_dataset(args.dataset)
     backend = _backend_factory(args.backend)  # a bad spec or scripted file ends the whole call
@@ -321,7 +323,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_export = sub.add_parser("export", help="export filtered trajectories as an SFT corpus")
     p_export.add_argument("--trajectories", required=True, help="directory of trajectory JSONL files")
-    p_export.add_argument("--gold", required=True, help="JSONL of {question_id, answers}")
+    p_export.add_argument("--gold", required=True, help="JSONL of {question_id, question, answers}")
     p_export.add_argument("--out", required=True, help="corpus JSONL path")
     p_export.set_defaults(func=_cmd_export)
 
@@ -339,6 +341,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     logging.basicConfig(level=logging.DEBUG if args.verbose else logging.WARNING)
     try:
+        _check_flags(args)
         return args.func(args)
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -90,20 +90,20 @@ def read_json(
 _TYPE_NAMES = {
     int: "an integer", float: "a number", str: "a string", dict: "an object", list: "a list", type(None): "null"
 }
+_MISSING = object()  # of no JSON type
 
 
 def check_fields(record: Mapping[str, Any], fields: Mapping[str, tuple[type, ...]], *, optional: bool = False) -> None:
     """Raise an InputError unless each of ``fields`` (required unless ``optional``) has one of its JSON types.
 
-    ``type(...) in``, not isinstance: JSON true and false are not integers.
+    ``type(...) in``, not isinstance: JSON true and false are not integers. Each field costs one test.
     """
     for name, expected in fields.items():
-        if name not in record:
-            if optional:
-                continue
-            raise InputError(f"missing field {name!r}")
-        if type(record[name]) not in expected:
-            raise InputError(f'field "{name}" is not {" or ".join(map(_TYPE_NAMES.get, expected))}')
+        if type(record.get(name, _MISSING)) not in expected:
+            if name in record:
+                raise InputError(f'field "{name}" is not {" or ".join(map(_TYPE_NAMES.get, expected))}')
+            if not optional:
+                raise InputError(f"missing field {name!r}")
 
 
 def check_strings(record: Mapping[str, Any], name: str) -> None:

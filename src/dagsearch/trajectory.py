@@ -22,7 +22,7 @@ from typing import IO, Any, Iterable, Iterator, Mapping, Sequence
 
 from .protocol import ActionKind, subspace_of
 from .register import _TOKEN_RE, LineTokenCounter, common_prefix_length, default_tokenizer, prompt_lines
-from .tools import DOCUMENT_FIELDS, InputError, ToolResult, check_fields, check_strings, located, read_json
+from .tools import DOCUMENT_FIELDS, Document, InputError, ToolResult, check_fields, check_strings, located, read_json
 
 TRAJECTORY_VERSION = 4
 _READABLE_VERSIONS = (1, 2, 3, 4)
@@ -55,6 +55,7 @@ _STEP_FIELDS = {
     "diagnostics": (list,),
     "tool_result": (dict, type(None)),
 }
+_BAD_TOOL_RESULT = 'field "tool_result" is neither null nor an object with a list of documents'
 _STAGES = ("planning", "solving")
 _KINDS = frozenset(kind.value for kind in ActionKind)
 
@@ -131,14 +132,6 @@ class StepRecord:
         fields["tool_result"] = self.tool_result.to_dict() if self.tool_result else None
         return fields
 
-    @classmethod
-    def from_dict(cls, data: dict, lines: tuple[str, ...]) -> "StepRecord":
-        """A record of a step line's fields, holding ``lines`` as its input in place of the line's ``state``."""
-        fields = {name: data[name] for name in _STEP_FIELDS if name not in ("state", "retries")}
-        fields["diagnostics"] = tuple(fields["diagnostics"])
-        fields["tool_result"] = ToolResult.from_dict(fields["tool_result"]) if fields["tool_result"] else None
-        return cls(lines=lines, **fields)
-
 
 @dataclass
 class Trajectory:
@@ -194,74 +187,88 @@ class Trajectory:
         hold, and a line after the header that is not a step line whose
         ``index`` is its position.
         """
-        records = read_json(path, _check_record, surrogates=False)
+        records = read_json(path, surrogates=False)
         number, header = next(records, (0, {}))
+        place = located(path, number)
         if header.get("record") != "trajectory":
+            if header.get("record") == "step":  # its own fault is named first, as on any other line
+                with place:
+                    _read_step(header, header.get("index"), (), 1)
             raise InputError(f"{path} is not a trajectory file")
-        fields = {name: header[name] for name in _HEADER_FIELDS}
-        if header["version"] == 1:  # version 1 recorded a top_k, which tools now own
-            fields["config"] = {k: v for k, v in fields["config"].items() if k != "top_k"}
-        with located(path, number):
+        with place:
+            _check_header(header)
+            fields = {name: header[name] for name in _HEADER_FIELDS}
+            if header["version"] == 1:  # version 1 recorded a top_k, which tools now own
+                fields["config"] = {k: v for k, v in fields["config"].items() if k != "top_k"}
             fields["config"] = RunConfig.from_dict(fields["config"])
-        trajectory = cls(version=header["version"], **fields)
-        previous: tuple[str, ...] = ()
-        for number, line in records:
-            shared = 0
-            with located(path, number):
-                if line.get("record") != "step":
-                    raise InputError("not a step line; every line after the header is one")
-                position = len(trajectory.steps) + 1
-                if line["index"] != position:
-                    raise InputError(f'field "index" is {line["index"]}, but this is step {position}')
-                if trajectory.version >= 2:
-                    check_fields(line, {"state_shared": (int,)})
-                    shared = line["state_shared"]
-                    if not 0 <= shared <= len(previous):
-                        raise InputError(
-                            f"step {line['index']} shares {shared} lines with a {len(previous)}-line previous state"
-                        )
-            previous = previous[:shared] + tuple(line["state"].split("\n"))
-            trajectory.steps.append(StepRecord.from_dict(line, previous))
+            trajectory = cls(version=header["version"], **fields)
+            steps, previous = trajectory.steps, ()
+            for place.line, line in records:
+                steps.append(_read_step(line, len(steps) + 1, previous, trajectory.version))
+                previous = steps[-1].lines
         return trajectory
 
 
-def _check_record(line: dict) -> None:
-    """Raise an InputError unless a header or step line holds its fields with their types.
+def _check_header(line: dict) -> None:
+    _check_version(line.get("version"))
+    check_fields(line, _HEADER_FIELDS)
+    check_strings(line, "prompts")
 
-    A step's ``retries`` is its diagnostics count. A tool_call step, and
-    only a tool_call step, holds a tool result, and its payload names its
-    tool with a string.
+
+def _read_step(line: dict, position: int, previous: tuple[str, ...], version: int) -> StepRecord:
+    """The record of step line ``position``; an InputError names the line's first fault.
+
+    Each field is checked once, as it is read. From version 2 on, the
+    input's leading ``state_shared`` lines are ``previous``'s own. A header
+    line is checked as a header before it is named out of place.
     """
-    if line.get("record") == "trajectory":
-        _check_version(line.get("version"))
-        check_fields(line, _HEADER_FIELDS)
-        check_strings(line, "prompts")
     if line.get("record") != "step":
-        return
-    if line.get("tool_result") is not None and not _is_tool_result(line["tool_result"]):
-        raise InputError('field "tool_result" is neither null nor an object with a list of documents')
+        if line.get("record") == "trajectory":
+            _check_header(line)
+        raise InputError("not a step line; every line after the header is one")
+    tool_result = line.get("tool_result")
+    if tool_result is not None:
+        tool_result = _read_tool_result(tool_result)
     check_fields(line, _STEP_FIELDS)
     check_strings(line, "diagnostics")
-    count = len(line["diagnostics"])
-    if line["retries"] != count:
-        raise InputError(f'field "retries" is {line["retries"]}, but field "diagnostics" holds {count} entries')
+    index, kind, retries, diagnostics = line["index"], line["kind"], line["retries"], tuple(line["diagnostics"])
+    if retries != len(diagnostics):
+        raise InputError(f'field "retries" is {retries}, but field "diagnostics" holds {len(diagnostics)} entries')
     if line["stage"] not in _STAGES:
         raise InputError(f'field "stage" is not planning or solving: {line["stage"]!r}')
-    if line["kind"] not in _KINDS:
-        raise InputError(f'field "kind" is not an action kind: {line["kind"]!r}')
-    is_tool_call = line["kind"] == ActionKind.TOOL_CALL.value
-    if (line["tool_result"] is None) == is_tool_call:
-        raise InputError(f'field "tool_result" is {"null" if is_tool_call else "set"} on a {line["kind"]} step')
+    if kind not in _KINDS:
+        raise InputError(f'field "kind" is not an action kind: {kind!r}')
+    is_tool_call = kind == ActionKind.TOOL_CALL
+    if (tool_result is None) == is_tool_call:
+        raise InputError(f'field "tool_result" is {"null" if is_tool_call else "set"} on a {kind} step')
     if is_tool_call and type(line["payload"].get("tool_name")) is not str:
         raise InputError('field "payload" of a tool_call step has no string "tool_name"')
-
-
-def _is_tool_result(value: object) -> bool:
-    documents = value.get("documents") if type(value) is dict else None
-    return type(documents) is list and all(
-        type(doc) is dict and doc.keys() == DOCUMENT_FIELDS.keys() and all(type(text) is str for text in doc.values())
-        for doc in documents
+    if index != position:
+        raise InputError(f'field "index" is {index}, but this is step {position}')
+    shared = 0
+    if version >= 2:
+        check_fields(line, {"state_shared": (int,)})
+        shared = line["state_shared"]
+        if not 0 <= shared <= len(previous):
+            raise InputError(f"step {index} shares {shared} lines with a {len(previous)}-line previous state")
+    lines = previous[:shared] + tuple(line["state"].split("\n"))
+    return StepRecord(
+        index, line["stage"], lines, kind, line["payload"], line["raw_text"], line["model_text"], line["token_count"],
+        diagnostics, tool_result,
     )
+
+
+def _read_tool_result(value: object) -> ToolResult:
+    """A step line's ``tool_result`` that is not null; each document is built as it is checked."""
+    documents = value.get("documents") if type(value) is dict else None
+    if type(documents) is not list:
+        raise InputError(_BAD_TOOL_RESULT)
+    built = []
+    for doc in documents:
+        if type(doc) is not dict or doc.keys() != DOCUMENT_FIELDS.keys() or {*map(type, doc.values())} != {str}:
+            raise InputError(_BAD_TOOL_RESULT)
+        built.append(Document(**doc))
+    return ToolResult(tuple(built))
 
 
 def _check_version(version: object) -> None:
@@ -296,12 +303,15 @@ def atomic_write(path: str | Path, binary: bool = False) -> Iterator[IO]:
     temporary = Path(f"{path}.{os.getpid()}.{next(_TEMPORARY_NAMES)}.tmp")
     try:
         handle = open(temporary, "wb") if binary else open(temporary, "w", encoding="utf-8", newline="")
-    except OSError as exc:  # name the output, not the temporary file
+    except OSError as exc:  # name the output, not the temporary file, here and at the rename
         raise OSError(exc.errno, exc.strerror, str(path)) from None
     try:
         with handle:
             yield handle
-        os.replace(temporary, path)
+        try:
+            os.replace(temporary, path)
+        except OSError as exc:
+            raise OSError(exc.errno, exc.strerror, str(path)) from None
     except BaseException:
         temporary.unlink(missing_ok=True)
         raise

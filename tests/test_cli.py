@@ -883,8 +883,38 @@ def test_stats_into_a_missing_directory_names_the_output(tmp_path, capsys):
     curve = tmp_path / "missing" / "c.csv"
     argv = ["stats", "--trajectories", str(runs), "--curve-out", str(curve), "--cache-out", str(tmp_path / "r.csv")]
     assert main(argv) == 2
-    assert capsys.readouterr().err == f"error: [Errno 2] No such file or directory: '{curve}'\n"
+    assert capsys.readouterr().err == f"error: --curve-out {curve}: {curve.parent} is not a directory\n"
     assert_unchanged(tmp_path, outputs)
+
+
+@pytest.mark.parametrize("command, flag", [("stats", "--curve-out"), ("stats", "--cache-out"), ("export", "--out")])
+def test_an_output_that_is_a_directory_exits_2_before_any_trajectory_is_read(
+    tmp_path, capsys, monkeypatch, command, flag
+):
+    runs = tmp_path / "runs"
+    runs.mkdir()
+    shutil.copy(DATA_DIR / "two_hop_trajectory_v2.jsonl", runs)
+    loads = []
+    load = Trajectory.load
+    monkeypatch.setattr(Trajectory, "load", lambda path: loads.append(path) or load(path))
+    if command == "stats":
+        argv = ["stats", "--trajectories", str(runs), "--curve-out", str(tmp_path / "c.csv")]
+        argv += ["--cache-out", str(tmp_path / "r.csv")]
+    else:
+        gold = tmp_path / "gold.jsonl"
+        gold.write_text(json.dumps({"question_id": "two-hop-www", "question": "q", "answers": TWO_HOP_GOLD}))
+        argv = ["export", "--trajectories", str(runs), "--gold", str(gold), "--out", str(tmp_path / "sft.jsonl")]
+    directory = tmp_path / "outdir"
+    directory.mkdir()
+    argv[argv.index(flag) + 1] = str(directory)
+    assert main(argv) == 2
+    assert capsys.readouterr() == ("", f"error: {flag} {directory} is a directory\n")
+    assert loads == []
+    assert list(directory.iterdir()) == []
+    assert list(tmp_path.rglob("*.tmp")) == []
+    argv[argv.index(flag) + 1] = str(directory / "written")
+    assert main(argv) == 0
+    assert loads == [runs / "two_hop_trajectory_v2.jsonl"]  # the spy sees each load
 
 
 def test_stats_and_export_hold_one_trajectory_at_a_time(tmp_path, capsys):

@@ -23,6 +23,7 @@ from dagsearch.trajectory import (
     StepRecord,
     Trajectory,
     acc_score,
+    atomic_write,
     context_curve,
     export_sft,
     load_trajectories,
@@ -634,6 +635,20 @@ class TestPersistence:
         path.write_text('{"record": "other"}\n')
         with pytest.raises(Exception):
             Trajectory.load(path)
+
+    @pytest.mark.parametrize("target", ["missing/out.jsonl", "directory"])
+    def test_a_failed_write_names_the_output_and_leaves_no_temporary_file(self, tmp_path, target):
+        # A missing directory fails the open and a directory fails the rename;
+        # both errors name the output, never the temporary file.
+        out = tmp_path / target
+        if target == "directory":
+            out.mkdir()
+        with pytest.raises(OSError) as raised:
+            with atomic_write(out) as handle:
+                handle.write("written\n")
+        assert raised.value.filename == str(out)
+        assert str(out) in str(raised.value) and ".tmp" not in str(raised.value)
+        assert list(tmp_path.rglob("*.tmp")) == []
 
 
 class TestAnalyses:
