@@ -109,7 +109,7 @@ def check_fields(record: Mapping[str, Any], fields: Mapping[str, tuple[type, ...
 def check_strings(record: Mapping[str, Any], name: str) -> None:
     """Raise an InputError unless every entry of the list or object field ``name`` is a string."""
     values = record[name].values() if type(record[name]) is dict else record[name]
-    if not all(type(value) is str for value in values):
+    if values and not all(type(value) is str for value in values):
         raise InputError(f'field "{name}" holds an entry that is not a string')
 
 
@@ -137,7 +137,7 @@ class ToolResult:
 
     Trajectory files up to version 4 write a ``"raw": null`` beside the
     documents; ``to_dict`` keeps it so that files keep their bytes, and
-    ``from_dict`` ignores it.
+    ``from_dict`` and ``Trajectory.load`` ignore it.
     """
 
     documents: tuple[Document, ...] = ()

@@ -202,10 +202,10 @@ class Trajectory:
                 fields["config"] = {k: v for k, v in fields["config"].items() if k != "top_k"}
             fields["config"] = RunConfig.from_dict(fields["config"])
             trajectory = cls(version=header["version"], **fields)
-            steps, previous = trajectory.steps, ()
+            previous: tuple[str, ...] = ()
             for place.line, line in records:
-                steps.append(_read_step(line, len(steps) + 1, previous, trajectory.version))
-                previous = steps[-1].lines
+                trajectory.steps.append(_read_step(line, len(trajectory.steps) + 1, previous, trajectory.version))
+                previous = trajectory.steps[-1].lines
         return trajectory
 
 
@@ -265,9 +265,12 @@ def _read_tool_result(value: object) -> ToolResult:
         raise InputError(_BAD_TOOL_RESULT)
     built = []
     for doc in documents:
-        if type(doc) is not dict or doc.keys() != DOCUMENT_FIELDS.keys() or {*map(type, doc.values())} != {str}:
+        if type(doc) is not dict or doc.keys() != DOCUMENT_FIELDS.keys():
             raise InputError(_BAD_TOOL_RESULT)
-        built.append(Document(**doc))
+        source_id, title, text = doc["source_id"], doc["title"], doc["text"]
+        if type(source_id) is not str or type(title) is not str or type(text) is not str:
+            raise InputError(_BAD_TOOL_RESULT)
+        built.append(Document(source_id, title, text))
     return ToolResult(tuple(built))
 
 
