@@ -16,17 +16,17 @@ class BackendError(Exception):
 
 @dataclass(frozen=True)
 class CompletionRequest:
-    """One completion call: the full context plus decoding parameters.
+    """One completion call: the full context plus decoding parameters, which ``RunConfig`` sets.
 
-    ``system`` optionally names the stage prompt that ``context`` begins
-    with, as rendered there (trailing whitespace stripped), so chat backends
-    can send a proper system/user message pair.
+    ``system`` names the stage prompt that ``context`` begins with, as
+    rendered there (trailing whitespace stripped), or is "" for none, so
+    chat backends can send a proper system/user message pair.
     """
 
     context: str
-    system: str | None = None
-    max_output_tokens: int = 1024
-    temperature: float = 0.0
+    system: str
+    max_output_tokens: int
+    temperature: float
 
 
 class Backend:

@@ -343,7 +343,7 @@ def replay_run(
         backend=ReplayBackend(outputs=[step.model_text for step in trajectory.steps]),
         tools=replay_tools(trajectory),
         config=trajectory.config,
-        prompts=PromptPack(**{stage: trajectory.prompts.get(stage, "") for stage in ("holistic", "solving")}),
+        prompts=PromptPack(**trajectory.prompts),
         question_id=trajectory.question_id,
         clock=clock,
         version=trajectory.version,

@@ -30,14 +30,19 @@ logger = logging.getLogger(__name__)
 ENDPOINT_ENV = "DAGSEARCH_LLM_ENDPOINT"
 MODEL_ENV = "DAGSEARCH_LLM_MODEL"
 API_KEY_ENV = "DAGSEARCH_LLM_API_KEY"
+# The transport policy of every request: a transient failure is retried
+# MAX_RETRIES times, after waits of BACKOFF_S seconds, doubling each time.
+# A search socket times out after SEARCH_TIMEOUT_S, a chat one after CHAT_TIMEOUT_S.
+MAX_RETRIES = 3
+BACKOFF_S = 0.5
+SEARCH_TIMEOUT_S = 15.0
+CHAT_TIMEOUT_S = 120.0
 
 
 def _request_with_retries(
     method: str,
     url: str,
     *,
-    max_retries: int,
-    backoff: float,
     timeout: float,
     error: type[Exception] = ToolTransportError,
     params: Mapping[str, Any] | None = None,
@@ -48,8 +53,8 @@ def _request_with_retries(
 
     ``params`` go in the query string; ``body`` is sent as JSON. Connection
     errors, timeouts, HTTP 429 and 5xx are logged and retried with
-    exponential backoff until the retries are spent; any other failure, a
-    bad URL included, raises ``error`` at once.
+    exponential backoff until ``MAX_RETRIES`` are spent; any other failure,
+    a bad URL included, raises ``error`` at once.
     """
     if params:
         url = f"{url}{'&' if '?' in url else '?'}{urllib.parse.urlencode(params)}"
@@ -59,7 +64,7 @@ def _request_with_retries(
         data = json.dumps(body).encode("utf-8")
         headers.setdefault("Content-Type", "application/json")
     last_error: Exception | None = None
-    for attempt in range(max_retries + 1):
+    for attempt in range(MAX_RETRIES + 1):
         try:
             request = urllib.request.Request(url, data=data, headers=headers, method=method)
             with urllib.request.urlopen(request, timeout=timeout) as response:
@@ -74,10 +79,10 @@ def _request_with_retries(
         except (http.client.HTTPException, OSError) as exc:
             # OSError covers URLError, timeouts and connection resets.
             last_error = exc
-        logger.warning("request attempt %d/%d failed: %s", attempt + 1, max_retries + 1, last_error)
-        if attempt < max_retries:
-            time.sleep(backoff * (2**attempt))
-    raise error(f"request to {url} failed after {max_retries + 1} attempts: {last_error}")
+        logger.warning("request attempt %d/%d failed: %s", attempt + 1, MAX_RETRIES + 1, last_error)
+        if attempt < MAX_RETRIES:
+            time.sleep(BACKOFF_S * (2**attempt))
+    raise error(f"request to {url} failed after {MAX_RETRIES + 1} attempts: {last_error}")
 
 
 # ---------------------------------------------------------------------------
@@ -150,9 +155,6 @@ class SearchClient:
     api_key: str | None = None
     api_key_param: str | None = None
     api_key_header: str | None = None
-    timeout: float = 15.0
-    max_retries: int = 3
-    backoff: float = 0.5
 
     def __call__(self, arguments: Mapping[str, Any]) -> ToolResult:
         params: dict[str, Any] = {**self.extra_params, self.query_key: str(arguments["query"])}
@@ -164,13 +166,11 @@ class SearchClient:
                 headers[self.api_key_header] = self.api_key
             else:
                 params[self.api_key_param or "api_key"] = self.api_key
-        post = self.method.upper() == "POST"
+        post = self.method == "POST"
         response = _request_with_retries(
-            self.method.upper(),
+            self.method,
             self.endpoint,
-            max_retries=self.max_retries,
-            backoff=self.backoff,
-            timeout=self.timeout,
+            timeout=SEARCH_TIMEOUT_S,
             params=None if post else params,
             body=params if post else None,
             headers=headers,
@@ -226,7 +226,8 @@ def search_client(entry: Mapping[str, Any], options: dict[str, Any]) -> tuple[Ex
     """The client a ``web_search`` or ``dense_retriever`` tool entry configures, and its default description.
 
     ``options`` holds the settings ``build_registry`` has already read from
-    the entry (``top_k``). A malformed entry, an unknown key, or an
+    the entry (``top_k``). A malformed entry, an unknown key, a method
+    other than GET or POST in any case (stored upper-cased), or an
     ``api_key_env`` naming an unset or empty variable, is an InputError.
     """
     keys, defaults, description = _KINDS[entry["kind"]]
@@ -237,6 +238,9 @@ def search_client(entry: Mapping[str, Any], options: dict[str, Any]) -> tuple[Ex
     for key, (_, name) in keys.items():
         if key in entry:
             options[name] = os.environ.get(entry[key]) if key == "api_key_env" else entry[key]
+    options["method"] = options["method"].upper()
+    if options["method"] not in ("GET", "POST"):
+        raise InputError(f'tool "{entry["name"]}" has method "{entry["method"]}", which is neither GET nor POST')
     if "api_key_env" in entry and not options["api_key"]:
         variable = entry["api_key_env"]
         raise InputError(f'tool "{entry["name"]}" reads its API key from {variable}, which is unset or empty')
@@ -248,33 +252,24 @@ def search_client(entry: Mapping[str, Any], options: dict[str, Any]) -> tuple[Ex
 # ---------------------------------------------------------------------------
 
 
-@dataclass
 class HttpChatBackend(Backend):
     """OpenAI-compatible chat-completions client.
 
-    Endpoint, model, and key default to the DAGSEARCH_LLM_* environment
+    Endpoint, model, and key come only from the DAGSEARCH_LLM_* environment
     variables (OPENAI_API_KEY is honored as a key fallback). Transient
     transport failures are retried with exponential backoff; a 200 response
     whose body is not a chat completion raises BackendError at once.
     """
 
-    endpoint: str = ""
-    model: str = ""
-    api_key: str | None = None
-    timeout: float = 120.0
-    max_retries: int = 3
-    backoff: float = 0.5
-
-    def __post_init__(self) -> None:
-        self.endpoint = self.endpoint or os.environ.get(ENDPOINT_ENV, "")
-        self.model = self.model or os.environ.get(MODEL_ENV, "")
-        if self.api_key is None:
-            self.api_key = os.environ.get(API_KEY_ENV) or os.environ.get("OPENAI_API_KEY")
+    def __init__(self) -> None:
+        self.endpoint = os.environ.get(ENDPOINT_ENV, "")
+        self.model = os.environ.get(MODEL_ENV, "")
+        self.api_key = os.environ.get(API_KEY_ENV) or os.environ.get("OPENAI_API_KEY")
         if not self.endpoint:
             raise ValueError(f"no chat endpoint configured (set {ENDPOINT_ENV})")
 
     def _messages(self, request: CompletionRequest) -> list[dict]:
-        system = (request.system or "").rstrip()
+        system = request.system.rstrip()
         if system and request.context.startswith(system):
             user = request.context[len(system):].lstrip("\n")
             return [
@@ -296,9 +291,7 @@ class HttpChatBackend(Backend):
         response = _request_with_retries(
             "POST",
             self.endpoint,
-            max_retries=self.max_retries,
-            backoff=self.backoff,
-            timeout=self.timeout,
+            timeout=CHAT_TIMEOUT_S,
             error=BackendError,
             body=payload,
             headers=headers,

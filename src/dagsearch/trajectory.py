@@ -57,6 +57,7 @@ _STEP_FIELDS = {
 }
 _BAD_TOOL_RESULT = 'field "tool_result" is neither null nor an object with a list of documents'
 _STAGES = ("planning", "solving")
+_NO_PROMPTS = {"holistic": "", "solving": ""}  # a header's "prompts" holds exactly these keys
 _KINDS = frozenset(kind.value for kind in ActionKind)
 
 
@@ -143,7 +144,7 @@ class Trajectory:
     error: str | None = None
     started_at: float = 0.0
     finished_at: float = 0.0
-    prompts: dict = field(default_factory=dict)
+    prompts: dict = field(default_factory=_NO_PROMPTS.copy)
     config: RunConfig = field(default_factory=RunConfig)
     version: int = TRAJECTORY_VERSION
 
@@ -213,6 +214,8 @@ def _check_header(line: dict) -> None:
     _check_version(line.get("version"))
     check_fields(line, _HEADER_FIELDS)
     check_strings(line, "prompts")
+    if line["prompts"].keys() != _NO_PROMPTS.keys():
+        raise InputError('field "prompts" does not hold exactly "holistic" and "solving"')
 
 
 def _read_step(line: dict, position: int, previous: tuple[str, ...], version: int) -> StepRecord:
@@ -461,7 +464,7 @@ def step_cache_ratios(trajectory: Trajectory) -> list[float]:
     input again.
     """
     ratios = []
-    counter = LineTokenCounter(prompt_lines(trajectory.prompts.get("solving", "")).counts)
+    counter = LineTokenCounter(prompt_lines(trajectory.prompts["solving"]).counts)
     for turn, step in enumerate(trajectory.solving_steps()):
         previous = counter.lines
         same, head = counter.head(step.lines)
@@ -494,41 +497,6 @@ def _common_tokens(previous: Sequence[str], current: Sequence[str]) -> int:
             break
         shared += 1
     return shared
-
-
-@dataclass(frozen=True)
-class TurnPoint:
-    turn: int
-    mean_tokens: float
-    n: int
-    flagged: bool
-
-
-def context_curve(trajectories: Iterable[Trajectory], min_runs: int = 3) -> list[TurnPoint]:
-    """Per-turn mean context length over solving steps, with sample sizes.
-
-    One pass, keeping per-turn sums and counts, so the trajectories may be
-    read one at a time. Turns contributed by fewer than ``min_runs`` runs are
-    flagged: tail means over few runs are outlier-dominated and should be
-    read with care.
-    """
-    sums: list[int] = []
-    counts: list[int] = []
-
-    def add(trajectory: Trajectory) -> None:
-        for turn, step in enumerate(trajectory.solving_steps()):
-            if turn == len(sums):
-                sums.append(0)
-                counts.append(0)
-            sums[turn] += step.token_count
-            counts[turn] += 1
-
-    for _ in map(add, trajectories):  # map: see export_sft
-        pass
-    return [
-        TurnPoint(turn=turn, mean_tokens=total / n, n=n, flagged=n < min_runs)
-        for turn, (total, n) in enumerate(zip(sums, counts), start=1)
-    ]
 
 
 # ---------------------------------------------------------------------------
@@ -581,29 +549,34 @@ def write_eval_report(records: Sequence[EvalRecord], out_path: str | Path) -> No
 
 
 def write_stats(
-    trajectories: Iterable[Trajectory], curve_path: str | Path, cache_path: str | Path, min_runs: int = 3
+    trajectories: Iterable[Trajectory], curve_path: str | Path, cache_path: str | Path, min_runs: int
 ) -> int:
-    """Write the context-curve and cache-ratio CSVs in one pass; returns the number of runs read.
+    """Write the cache-ratio and context-curve CSVs in one pass; returns the number of runs read.
 
-    The curve has one row per solving turn (see ``context_curve``); the
-    cache ratios one row per (run, turn) from turn 2 on, written as each run
-    is read. Neither file is replaced unless every run is read
-    (``atomic_write``).
+    The cache ratios have one row per (run, turn) from turn 2 on, written as
+    each run is read. The curve has one row per solving turn: the mean
+    ``token_count`` of the runs that reach it, how many do, and whether
+    fewer than ``min_runs`` do, since tail means over few runs are
+    outlier-dominated. A run is dropped before the next is read. Neither
+    file is replaced unless every run is read (``atomic_write``).
     """
     runs = 0
+    sums: dict[int, int] = {}  # per solving turn, the token counts of the runs that reach it
+    counts: dict[int, int] = {}  # and how many runs do, in turn order
     with atomic_write(cache_path) as cache_file, atomic_write(curve_path) as curve_file:
         cache = csv.writer(cache_file)
         cache.writerow(["question_id", "turn", "cache_ratio"])
-
-        def with_cache_rows(trajectory: Trajectory) -> Trajectory:
-            nonlocal runs
+        for trajectory in trajectories:
             runs += 1
             for turn, ratio in enumerate(step_cache_ratios(trajectory), start=2):
                 cache.writerow([trajectory.question_id, turn, f"{ratio:.4f}"])
-            return trajectory
-
+            tokens = [step.token_count for step in trajectory.solving_steps()]
+            del trajectory  # not held while the next one is read
+            for turn, token_count in enumerate(tokens, start=1):
+                sums[turn] = sums.get(turn, 0) + token_count
+                counts[turn] = counts.get(turn, 0) + 1
         curve = csv.writer(curve_file)
         curve.writerow(["turn", "mean_tokens", "n", "low_sample"])
-        for point in context_curve(map(with_cache_rows, trajectories), min_runs):
-            curve.writerow([point.turn, f"{point.mean_tokens:.2f}", point.n, int(point.flagged)])
+        for turn, n in counts.items():
+            curve.writerow([turn, f"{sums[turn] / n:.2f}", n, int(n < min_runs)])
     return runs

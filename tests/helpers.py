@@ -6,7 +6,7 @@ import json
 import random
 from pathlib import Path
 
-from dagsearch.backend import ScriptedBackend
+from dagsearch.backend import CompletionRequest, ScriptedBackend
 from dagsearch.engine import PromptPack, RunConfig, RunResult, run
 from dagsearch.plan import DagPlan, build_plan
 from dagsearch.protocol import Action, ActionKind, canonical_json, validate_payload
@@ -19,6 +19,12 @@ WORDS = (
     "mike november oscar papa quebec romeo sierra tango uniform victor whiskey "
     "xray yankee zulu café münchen 北京 2024"
 ).split()
+
+
+def completion(context: str, system: str = "") -> CompletionRequest:
+    """A request for ``context`` with a default ``RunConfig``'s decoding parameters."""
+    config = RunConfig()
+    return CompletionRequest(context, system, config.max_output_tokens, config.temperature)
 
 
 def words(rng: random.Random, n: int) -> str:

@@ -202,7 +202,7 @@ def naive_transcript(trajectory: Trajectory) -> str:
     Prompt, question, then every raw model output and every raw tool document
     appended in order: the baseline the register rendering is compared to.
     """
-    parts = [trajectory.prompts.get("solving", ""), f"## Question\n{trajectory.question}"]
+    parts = [trajectory.prompts["solving"], f"## Question\n{trajectory.question}"]
     for step in trajectory.steps:
         parts.append(f"### Step {step.index}\n{step.model_text}")
         if step.tool_result is not None:

@@ -692,6 +692,14 @@ def retries_not_the_diagnostics_count(records):
     records[-1]["retries"] = 1
 
 
+def drop_prompts(records):
+    records[0]["prompts"] = {}
+
+
+def extra_prompt(records):
+    records[0]["prompts"]["revisit"] = "Revisit the plan."
+
+
 def fixture_records(name):
     return [json.loads(text) for text in (DATA_DIR / name).read_text().splitlines()]
 
@@ -707,6 +715,8 @@ def fixture_records(name):
         (config_not_an_object, 1, 'field "config" is not an object'),
         (numeric_answer, 1, 'field "answer" is not a string or null'),
         (non_string_prompt, 1, 'field "prompts" holds an entry that is not a string'),
+        (drop_prompts, 1, 'field "prompts" does not hold exactly "holistic" and "solving"'),
+        (extra_prompt, 1, 'field "prompts" does not hold exactly "holistic" and "solving"'),
         (drop_step_field, 3, "missing field 'model_text'"),
         (non_object_step, 3, "not a JSON object"),
         (v1_state_not_a_string, 3, 'field "state" is not a string'),
@@ -741,6 +751,8 @@ def fixture_records(name):
         "header-config-type",
         "header-answer-type",
         "header-prompt-type",
+        "missing-prompts",
+        "extra-prompt",
         "step-field",
         "step-not-object",
         "v1-state-type",
@@ -1195,6 +1207,12 @@ MALFORMED_INPUTS = {
         {"tools": [{**FIXTURE_TOOL, "snipet_field": "body"}]},
         0,
         'tool "search" has an unknown key "snipet_field"',
+    ),
+    "web-search-method": (
+        "tools.json",
+        {"tools": [{"name": "w", "kind": "web_search", "endpoint": "http://127.0.0.1:9/", "method": "GETT"}]},
+        0,
+        'tool "w" has method "GETT", which is neither GET nor POST',
     ),
     "web-search-unknown-key": (
         "tools.json",

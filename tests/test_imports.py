@@ -144,7 +144,7 @@ def test_http_clients_need_no_third_party_package():
     # With ``requests`` unimportable, a search and a chat call still go
     # through a local stub.
     script = """
-import json, sys, threading
+import json, os, sys, threading
 from http.server import BaseHTTPRequestHandler, HTTPServer
 sys.modules["requests"] = None
 
@@ -174,7 +174,8 @@ from dagsearch.remote import HttpChatBackend
 from dagsearch.tools import build_registry
 search = build_registry([{"name": "web", "kind": "web_search", "endpoint": url}])
 print(search.invoke("web", {"query": "q"}).documents[0].title)
-print(HttpChatBackend(endpoint=url, model="m", api_key="k").complete(CompletionRequest(context="x")))
+os.environ["DAGSEARCH_LLM_ENDPOINT"] = url
+print(HttpChatBackend().complete(CompletionRequest(context="x", system="", max_output_tokens=64, temperature=0.0)))
 server.shutdown()
 server.server_close()
 """

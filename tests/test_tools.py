@@ -4,14 +4,13 @@ import threading
 import tracemalloc
 import urllib.parse
 from collections.abc import Sequence
-from dataclasses import replace
 from http.server import BaseHTTPRequestHandler, HTTPServer
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from dagsearch.backend import BackendError, CompletionRequest, ScriptedBackend
+from dagsearch.backend import BackendError, ScriptedBackend
 from dagsearch.engine import PromptPack, replay_run, run
 from dagsearch.protocol import ProtocolError
 from dagsearch.remote import HttpChatBackend, SearchClient, stable_source_id
@@ -27,7 +26,9 @@ from dagsearch.tools import (
     search_spec,
 )
 from dagsearch.trajectory import Trajectory
-from helpers import DATA_DIR, TWO_HOP_QUESTION, brute_force_search, fixed_clock, two_hop_responses
+from helpers import DATA_DIR, TWO_HOP_QUESTION, brute_force_search, completion, fixed_clock, two_hop_responses
+
+pytestmark = pytest.mark.usefixtures("sleeps")
 
 
 @pytest.fixture
@@ -243,9 +244,9 @@ class TestStableSourceIds:
         assert stable_source_id("web", "u1") != stable_source_id("web", "u2")
 
 
-def built(entry, **settings):
-    """The client that tool config ``entry`` builds, with ``settings`` in place of its fields."""
-    return replace(build_registry([entry])._tools[entry["name"]][1], **settings)
+def built(entry):
+    """The client that tool config ``entry`` builds."""
+    return build_registry([entry])._tools[entry["name"]][1]
 
 
 class TestWebSearchClient:
@@ -258,7 +259,7 @@ class TestWebSearchClient:
         }
         entry = {"name": "web", "kind": "web_search", "endpoint": json_stub["url"], "top_k": 3}
         entry |= {"results_path": "organic", "title_field": "name", "url_field": "link", "snippet_field": "blurb"}
-        result = built(entry, backoff=0.01)({"query": "anything"})
+        result = built(entry)({"query": "anything"})
         assert len(result.documents) == 3
         assert result.documents[0].title == "Result 0"
         assert result.documents[0].text == "snippet 0"
@@ -269,18 +270,18 @@ class TestWebSearchClient:
         with pytest.raises(ProtocolError, match='^tool "web" requires argument "query"$'):
             reg.invoke("web", {})
 
-    def test_transport_error_after_retries(self, json_stub):
+    def test_transport_error_after_retries(self, json_stub, sleeps):
         json_stub["fail_next"] = 10
-        client = web_client(json_stub["url"], max_retries=1)
-        with pytest.raises(ToolTransportError):
-            client({"query": "x"})
-        assert len(json_stub["requests"]) == 2
+        with pytest.raises(ToolTransportError, match=r"^request to \S+ failed after 4 attempts: "):
+            web_client(json_stub["url"])({"query": "x"})
+        assert len(json_stub["requests"]) == 4
+        assert sleeps == [0.5, 1.0, 2.0]
 
     def test_api_key_in_header(self, json_stub, monkeypatch):
         monkeypatch.setenv(KEY_ENV, "secret")
         json_stub["payload"] = {"results": []}
         entry = {"name": "web", "kind": "web_search", "endpoint": json_stub["url"]}
-        built(entry | {"api_key_env": KEY_ENV, "api_key_header": "X-API-Key"}, backoff=0.01)({"query": "x"})
+        built(entry | {"api_key_env": KEY_ENV, "api_key_header": "X-API-Key"})({"query": "x"})
         assert json_stub["requests"][0]["headers"]["X-API-Key"] == "secret"
 
 
@@ -295,7 +296,7 @@ class TestDenseRetrieverClient:
             ]
         }
         entry = {"name": "dense", "kind": "dense_retriever", "endpoint": json_stub["url"], "top_k": 3}
-        result = built(entry, backoff=0.01)({"query": "passage"})
+        result = built(entry)({"query": "passage"})
         assert len(result.documents) == 3
         # the client preserves the service's own ranking
         served = json_stub["payload"]["passages"]
@@ -312,14 +313,12 @@ class TestDenseRetrieverClient:
             client({"query": "x"})
 
 
-def web_client(url, **settings):
-    entry = {"name": "web", "kind": "web_search", "endpoint": url}
-    return built(entry, **{"max_retries": 0, "backoff": 0.01, **settings})
+def web_client(url):
+    return built({"name": "web", "kind": "web_search", "endpoint": url})
 
 
-def dense_client(url, **settings):
-    entry = {"name": "dense", "kind": "dense_retriever", "endpoint": url}
-    return built(entry, **{"max_retries": 0, "backoff": 0.01, **settings})
+def dense_client(url):
+    return built({"name": "dense", "kind": "dense_retriever", "endpoint": url})
 
 
 @pytest.mark.parametrize("make_client", [web_client, dense_client], ids=["web", "dense"])
@@ -392,7 +391,7 @@ def test_a_result_field_reads_as_its_string_its_number_or_empty(json_stub, kind,
     # The second result has none of the fields.
     items = [dict.fromkeys(KIND_FIELDS[kind], value), {}]
     json_stub["payload"] = {"results": items, "passages": items}
-    result = built({"name": "s", "kind": kind, "endpoint": json_stub["url"]}, max_retries=0)({"query": "x"})
+    result = built({"name": "s", "kind": kind, "endpoint": json_stub["url"]})({"query": "x"})
     empty = Document(stable_source_id("s", ""), "", "")
     assert result.documents == (Document(stable_source_id("s", text), text, text), empty)
 
@@ -409,40 +408,54 @@ def test_a_result_without_an_id_is_identified_by_its_title_or_else_its_text(json
     ]
     json_stub["payload"] = {"results": items, "passages": items}
     entry = {"name": "s", "kind": kind, "endpoint": json_stub["url"], "top_k": 5}
-    documents = built(entry, max_retries=0)({"query": "x"}).documents
+    documents = built(entry)({"query": "x"}).documents
     assert [doc.source_id for doc in documents] == [stable_source_id("s", key) for key in ("A", "B", "one", "two", "p")]
     assert len({doc.source_id for doc in documents}) == 5
 
 
-def _chat_call(url, max_retries):
-    backend = HttpChatBackend(endpoint=url, model="m", api_key="k", max_retries=max_retries, backoff=0)
-    return lambda: backend.complete(CompletionRequest(context="x")), BackendError
+def _chat_call(url):
+    with pytest.MonkeyPatch.context() as env:
+        env.setenv("DAGSEARCH_LLM_ENDPOINT", url)
+        backend = HttpChatBackend()
+    return lambda: backend.complete(completion("x")), BackendError
 
 
-def _dense_call(url, max_retries):
-    client = dense_client(url, max_retries=max_retries, backoff=0)
+def _dense_call(url):
+    client = dense_client(url)
     return lambda: client({"query": "x"}), ToolTransportError
 
 
 @pytest.mark.parametrize("make_call", [_chat_call, _dense_call], ids=["chat", "dense"])
-@pytest.mark.parametrize("status, transient", [(401, False), (404, False), (429, True), (503, True)])
-def test_only_transient_statuses_are_retried(json_stub, make_call, status, transient):
+def test_a_call_that_keeps_failing_sends_4_requests_waiting_half_then_1_then_2_seconds(json_stub, sleeps, make_call):
     json_stub["fail_next"] = 10
-    json_stub["fail_status"] = status
-    max_retries = 2
-    call, error = make_call(json_stub["url"], max_retries)
-    with pytest.raises(error, match=f"HTTP {status}"):
+    json_stub["fail_status"] = 503
+    call, error = make_call(json_stub["url"])
+    with pytest.raises(error, match=r"^request to (\S+) failed after 4 attempts: \1 answered HTTP 503$"):
         call()
-    assert len(json_stub["requests"]) == (max_retries + 1 if transient else 1)
+    assert len(json_stub["requests"]) == 4
+    assert sleeps == [0.5, 1.0, 2.0]
 
 
 @pytest.mark.parametrize("make_call", [_chat_call, _dense_call], ids=["chat", "dense"])
-def test_invalid_url_fails_at_once(make_call, caplog):
+@pytest.mark.parametrize("status, transient", [(401, False), (404, False), (429, True), (503, True)])
+def test_only_transient_statuses_are_retried(json_stub, sleeps, make_call, status, transient):
+    json_stub["fail_next"] = 10
+    json_stub["fail_status"] = status
+    call, error = make_call(json_stub["url"])
+    with pytest.raises(error, match=f"HTTP {status}"):
+        call()
+    assert len(json_stub["requests"]) == (4 if transient else 1)
+    assert sleeps == ([0.5, 1.0, 2.0] if transient else [])
+
+
+@pytest.mark.parametrize("make_call", [_chat_call, _dense_call], ids=["chat", "dense"])
+def test_invalid_url_fails_at_once(make_call, sleeps, caplog):
     # A URL with no scheme is rejected before any connection is opened.
-    call, error = make_call("no-scheme.invalid/search", max_retries=2)
+    call, error = make_call("no-scheme.invalid/search")
     with caplog.at_level(logging.WARNING), pytest.raises(error, match="Invalid URL"):
         call()
     assert not [rec for rec in caplog.records if "request attempt" in rec.message]
+    assert sleeps == []
 
 
 class TestBuildRegistry:
@@ -603,6 +616,21 @@ class TestBuildRegistry:
     def test_a_key_its_kind_does_not_accept_is_rejected(self, entry, key):
         with pytest.raises(InputError, match=f'^tool "w" has an unknown key "{key}"$'):
             build_registry([{"name": "w", **entry}], base_dir=DATA_DIR)
+
+    @pytest.mark.parametrize("method", ["GETT", "head", "PUT", "", " GET"])
+    def test_a_method_other_than_get_or_post_is_rejected(self, method):
+        entry = {"name": "w", "kind": "web_search", "endpoint": "http://127.0.0.1:1/", "method": method}
+        with pytest.raises(InputError, match=f'^tool "w" has method "{method}", which is neither GET nor POST$'):
+            build_registry([entry])
+
+    @pytest.mark.parametrize("method, stored", [("get", "GET"), ("Post", "POST"), ("POST", "POST")])
+    def test_a_method_is_read_in_any_case_and_stored_upper_cased(self, json_stub, method, stored):
+        json_stub["payload"] = {"results": []}
+        entry = {"name": "w", "kind": "web_search", "endpoint": json_stub["url"], "method": method}
+        client = built(entry)
+        assert client.method == stored
+        client({"query": "x"})
+        assert json_stub["requests"][0]["method"] == stored
 
     @pytest.mark.parametrize("value", [None, ""], ids=["unset", "empty"])
     def test_an_api_key_env_naming_an_unset_or_empty_variable_is_rejected(self, monkeypatch, value):

@@ -6,6 +6,7 @@ import re
 import sys
 import tempfile
 import tracemalloc
+import weakref
 from dataclasses import replace
 from pathlib import Path
 
@@ -24,7 +25,6 @@ from dagsearch.trajectory import (
     Trajectory,
     acc_score,
     atomic_write,
-    context_curve,
     export_sft,
     load_trajectories,
     normalize_answer,
@@ -389,26 +389,47 @@ class TestExport:
         assert (tmp_path / "corpus.jsonl").read_bytes() == sft_corpus(trajectories)
 
 
+def curve_rows(directory, trajectories, min_runs):
+    """The context-curve rows ``write_stats`` writes for ``trajectories``."""
+    curve_path = directory / "curve.csv"
+    assert write_stats(iter(trajectories), curve_path, directory / "cache.csv", min_runs) == len(trajectories)
+    with curve_path.open(encoding="utf-8") as handle:
+        return list(csv.reader(handle))
+
+
 class TestContextCurve:
-    def test_single_run(self):
+    def test_single_run(self, tmp_path):
         result = run_two_hop()
-        curve = context_curve([result.trajectory], min_runs=1)
-        assert [point.turn for point in curve] == list(range(1, 8))
-        assert all(point.n == 1 for point in curve)
-        assert not any(point.flagged for point in curve)
+        header, *rows = curve_rows(tmp_path, [result.trajectory], min_runs=1)
+        assert header == ["turn", "mean_tokens", "n", "low_sample"]
+        assert [row[0] for row in rows] == [str(turn) for turn in range(1, 8)]
+        assert all(row[2:] == ["1", "0"] for row in rows)
 
-    def test_means_and_flags_over_uneven_runs(self):
+    def test_means_and_flags_over_uneven_runs(self, tmp_path):
         t1 = make_trajectory(COMPLIANT_KINDS)  # solving token counts 103..106
-        t2 = make_trajectory(COMPLIANT_KINDS[:2] + [K.TASK_ANSWER, K.FINAL_ANSWER])
-        curve = context_curve([t1, t2], min_runs=2)
-        assert curve[0].n == 2
-        assert curve[0].mean_tokens == (103 + 103) / 2
-        assert not curve[0].flagged
-        assert curve[2].n == 1
-        assert curve[2].flagged
+        t2 = make_trajectory(COMPLIANT_KINDS[:2] + [K.TASK_ANSWER, K.FINAL_ANSWER])  # 103, 104
+        _, *rows = curve_rows(tmp_path, [t1, t2], min_runs=2)
+        assert rows == [["1", "103.00", "2", "0"], ["2", "104.00", "2", "0"], ["3", "105.00", "1", "1"], ["4", "106.00", "1", "1"]]
 
-    def test_empty(self):
-        assert context_curve([]) == []
+    def test_empty(self, tmp_path):
+        assert curve_rows(tmp_path, [], min_runs=3) == [["turn", "mean_tokens", "n", "low_sample"]]
+        assert (tmp_path / "cache.csv").read_text(encoding="utf-8").splitlines() == ["question_id,turn,cache_ratio"]
+
+    def test_each_run_is_dropped_before_the_next_is_read(self, tmp_path):
+        read = []
+
+        def fresh():
+            trajectory = make_trajectory(COMPLIANT_KINDS)
+            read.append(weakref.ref(trajectory))
+            return trajectory
+
+        def runs():
+            for _ in range(3):
+                gc.collect()
+                assert [ref() for ref in read] == [None] * len(read), "a run read before is still held"
+                yield fresh()
+
+        assert write_stats(runs(), tmp_path / "curve.csv", tmp_path / "cache.csv", min_runs=3) == 3
 
 
 _STATE_LINE = st.sampled_from(["", " ", "\r", "tail\r", "\u2028", "a\u2028b", "Ünïcode 日本語", "Status:"]) | st.text(max_size=6)
@@ -471,6 +492,7 @@ class TestPersistence:
         assert [step.state for step in loaded.steps] == [state for _, state in steps]
         assert loaded.steps == trajectory.steps
         assert loaded.version == version
+        assert loaded.prompts == {"holistic": "", "solving": ""}  # a trajectory built with no prompts
         with open(path, encoding="utf-8") as handle:
             assert json.loads(handle.readline())["version"] == version
 
