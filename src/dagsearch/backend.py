@@ -16,17 +16,28 @@ class BackendError(Exception):
 
 @dataclass(frozen=True)
 class CompletionRequest:
-    """One completion call: the full context plus decoding parameters, which ``RunConfig`` sets.
+    """One completion call: the model input as its lines plus decoding parameters, which ``RunConfig`` sets.
 
-    ``system`` names the stage prompt that ``context`` begins with, as
-    rendered there (trailing whitespace stripped), or is "" for none, so
-    chat backends can send a proper system/user message pair.
+    The first ``system_lines`` lines are the stage prompt's ``prompt_lines``,
+    where ``chat_messages`` splits the input into a system/user pair.
     """
 
-    context: str
-    system: str
+    lines: tuple[str, ...]
+    system_lines: int
     max_output_tokens: int
     temperature: float
+
+
+def chat_messages(request: CompletionRequest) -> list[dict]:
+    """The stage prompt as the system message and the rest, leading newlines stripped, as the user message.
+
+    With no prompt text, one user message holds the whole input.
+    """
+    system = "\n".join(request.lines[: request.system_lines])
+    if not system:
+        return [{"role": "user", "content": "\n".join(request.lines)}]
+    user = "\n".join(request.lines[request.system_lines :]).lstrip("\n")
+    return [{"role": "system", "content": system}, {"role": "user", "content": user}]
 
 
 class Backend:

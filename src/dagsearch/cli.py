@@ -16,6 +16,7 @@ from .trajectory import (
     EvalRecord,
     RunConfig,
     Trajectory,
+    check_prompts,
     export_sft,
     load_trajectories,
     rft_filter,
@@ -76,11 +77,12 @@ def _build_config(args: argparse.Namespace) -> tuple[RunConfig, PromptPack]:
             raise InputError(f'unknown key "{unknown[0]}": a run config holds only "run" and "prompts"')
         check_fields(data, {"run": (dict,), "prompts": (dict,)}, optional=True)
         prompts = data.get("prompts")
-        if prompts:
-            check_fields(prompts, {"holistic": (str,), "solving": (str,)})
+        if prompts is not None:
+            check_fields(prompts, {"holistic": (str,), "solving": (str,)}, optional=True)
+            check_prompts(prompts)
         config = RunConfig.from_dict(data.get("run", {}))
     config = replace(config, **{name: value for name, value in flags.items() if value is not None})
-    if prompts:
+    if prompts is not None:
         base = Path(args.config).parent
         pack = PromptPack.load(str(base / prompts["holistic"]), str(base / prompts["solving"]))
     else:

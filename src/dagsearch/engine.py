@@ -36,7 +36,9 @@ from .register import (
     prompt_lines,
     render_context,
     render_correction,
+    render_head,
     render_planning_context,
+    token_length,
 )
 from .tools import ScriptedTool, ToolRegistry, ToolResult, ToolTransportError, search_spec
 # RunConfig is re-exported: it describes the header of the trajectory it is recorded in.
@@ -103,41 +105,31 @@ def _turn(
     config: RunConfig,
     counter: LineTokenCounter,
     stage: str,
-    system: str,
+    system_lines: int,
     lines: tuple[str, ...],
     check: Callable[[Action], tuple[ToolResult | None, T]],
 ) -> tuple[Action, T]:
     """One turn of either stage: cap, complete, parse, check, execute, apply, record.
 
-    The model input comes as its ``lines``. They are counted once through
-    the run's ``counter``, which tokenizes only the lines it has never
-    counted, starting out knowing the stage prompts' lines; that one count
-    is both the context-cap check (ContextOverflow over it, before any
-    completion is requested) and the step's ``token_count``. The step
-    records the counter's ``lines``, whose unchanged head is the previous
-    step's own strings. The lines are joined once into the request text.
-    ``check`` takes the parsed action, runs the stage's checks and its tool
-    call, and returns (tool result, applied update). A ProtocolError
-    re-issues the completion with its diagnostic appended to that text;
-    once the budget is spent, 0 included, EngineError.
+    The model input comes as its ``lines``, the first ``system_lines`` of
+    them the stage prompt's. The run's ``counter``, which tokenizes only
+    lines it has never counted, counts them once for the cap and the
+    step's ``token_count``; the step records, and the request sends, the
+    counter's ``lines``, whose unchanged head is the previous step's own
+    strings. ``check`` takes the parsed action, runs the stage's checks and
+    its tool call, and returns (tool result, applied update). A
+    ProtocolError re-sends the input with ``render_correction``'s lines,
+    whose tokens the cap counts too; once the budget is spent, 0 included,
+    EngineError. An input over the cap raises ContextOverflow before its
+    completion is requested.
     """
-    token_count = counter(lines)
-    if token_count > config.max_context_tokens:
-        raise ContextOverflow(
-            f"rendered context is {token_count} tokens, over the {config.max_context_tokens}-token cap"
-        )
-    context = "\n".join(lines)
+    token_count = count = counter(lines)
+    lines = request = counter.lines
     diagnostics: list[str] = []
-    prompt = context
     while True:
-        raw = backend.complete(
-            CompletionRequest(
-                context=prompt,
-                system=system,
-                max_output_tokens=config.max_output_tokens,
-                temperature=config.temperature,
-            )
-        )
+        if count > config.max_context_tokens:
+            raise ContextOverflow(f"rendered context is {count} tokens, over the {config.max_context_tokens}-token cap")
+        raw = backend.complete(CompletionRequest(request, system_lines, config.max_output_tokens, config.temperature))
         try:
             action = parse_action(raw, strict=config.strict_protocol)
             tool_result, update = check(action)
@@ -148,12 +140,13 @@ def _turn(
             raise EngineError(
                 f"gave up after {len(diagnostics)} rejected responses; last problem: {diagnostics[-1]}"
             )
-        prompt = render_correction(context, diagnostics[-1])
+        correction = render_correction(diagnostics[-1])
+        request, count = lines + correction, token_count + sum(map(token_length, correction))
     trajectory.steps.append(
         StepRecord(
             index=len(trajectory.steps) + 1,
             stage=stage,
-            lines=counter.lines,
+            lines=lines,
             kind=action.kind.value,
             payload=action.payload,
             raw_text=action.raw_text,
@@ -229,9 +222,10 @@ def run(
         started_at=clock(),
         version=version,
     )
+    holistic, solving = prompt_lines(prompts.holistic), prompt_lines(prompts.solving)
     # Local to this call: parallel evals run on several threads. It opens
     # knowing both stage prompts' lines, counted once per prompt text.
-    counter = LineTokenCounter({**prompt_lines(prompts.holistic).counts, **prompt_lines(prompts.solving).counts})
+    counter = LineTokenCounter({**holistic.counts, **solving.counts})
 
     turn = partial(_turn, backend, trajectory, config, counter)
 
@@ -255,13 +249,13 @@ def run(
 
     try:
         planning = render_planning_context(prompts.holistic, question)
-        _, intent = turn("planning", prompts.holistic, planning, _refined_intent)
+        _, intent = turn("planning", len(holistic.lines), planning, _refined_intent)
         planning = render_planning_context(prompts.holistic, question, intent)
-        _, plan = turn("planning", prompts.holistic, planning, _framing)
+        _, plan = turn("planning", len(holistic.lines), planning, _framing)
         register = init_register(intent, plan, trajectory.version)
+        head = render_head(prompts.solving, question, intent)
         for _ in range(config.max_turns):
-            solving = render_context(register, question, prompts.solving)
-            action, register = turn("solving", prompts.solving, solving, solving_check)
+            action, register = turn("solving", len(solving.lines), render_context(register, head), solving_check)
             if action.kind is ActionKind.FINAL_ANSWER:
                 return _finish(trajectory, clock, "answered", answer=action.payload["answer"])
     except ContextOverflow as exc:

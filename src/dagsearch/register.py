@@ -460,8 +460,8 @@ def _split(lines: Sequence[str]) -> tuple[str, ...]:
     return tuple("\n".join(lines).split("\n"))
 
 
-def _head(prompt: str, question: str, intent: IntentPayload | None) -> list[str]:
-    """The lines every model input opens with: the prompt's ``prompt_lines``, the question, the intent if known."""
+def render_head(prompt: str, question: str, intent: IntentPayload | None) -> tuple[str, ...]:
+    """The lines a model input opens with: the prompt's ``prompt_lines``, the question, the intent if known."""
     lines = ["", "## Question", question]
     if intent is not None:
         lines += ("", "## Refined intent", f"Goal: {intent.refined_goal}")
@@ -470,25 +470,23 @@ def _head(prompt: str, question: str, intent: IntentPayload | None) -> list[str]
             lines += (f"- {c}" for c in intent.constraints)
         else:
             lines.append("Constraints: (none)")
-    return [*prompt_lines(prompt).lines, *_split(lines)]
+    return (*prompt_lines(prompt).lines, *_split(lines))
 
 
 def render_planning_context(prompt: str, question: str, intent: IntentPayload | None = None) -> tuple[str, ...]:
     """Model input for a planning turn, as its lines: intent refinement, or framing once ``intent`` is known."""
     kind = "intent_refinement" if intent is None else "problem_framing"
-    return (*_head(prompt, question, intent), "", f"Emit exactly one <{kind}> action now.")
+    return (*render_head(prompt, question, intent), "", f"Emit exactly one <{kind}> action now.")
 
 
-def render_correction(context: str, diagnostic: str) -> str:
-    """``context`` re-sent after a rejected reply, with the ``## Correction`` block appended."""
-    return (
-        f"{context}\n\n## Correction\nYour previous response was rejected: "
-        f"{diagnostic}\nEmit exactly one corrected action block now."
-    )
+def render_correction(diagnostic: str) -> tuple[str, ...]:
+    """The ``## Correction`` block appended to an input re-sent after a rejected reply, as its lines."""
+    rejected = f"Your previous response was rejected: {diagnostic}".split("\n")
+    return ("", "## Correction", *rejected, "Emit exactly one corrected action block now.")
 
 
-def render_context(register: Register, question: str, stage_prompt: str) -> tuple[str, ...]:
-    """Deterministic model input for one solving step, in the layout of the register's version, as its lines.
+def render_context(register: Register, head: tuple[str, ...]) -> tuple[str, ...]:
+    """Deterministic model input for one solving step after its ``render_head``, in the register's version's layout.
 
     The input's text is the lines joined on newlines. Section order is
     stable-first: prompt, question, intent, archived plans (each with its
@@ -500,12 +498,12 @@ def render_context(register: Register, question: str, stage_prompt: str) -> tupl
     the revisit history. Versions 3 and 4 are version 2 without the folded
     tool-log entries (``_folded_steps``): the Status line states their
     answers. Empty sections are omitted entirely, and a blank line
-    separates the sections. The stage prompt's, each archived plan's and
-    each tool-log entry's lines are rendered once per value and are the
-    same objects on every turn.
+    separates the sections. The head (prompt, question and intent) is
+    built once per run, and each archived plan's and each tool-log entry's
+    lines once per value: all are the same objects on every turn.
     """
     version = register.version
-    lines = _head(stage_prompt, question, register.intent)
+    lines = list(head)
 
     if register.plan_history:
         lines += ("", "## Archived plans")

@@ -20,7 +20,7 @@ import urllib.request
 from dataclasses import dataclass, field
 from typing import Any, Mapping
 
-from .backend import Backend, BackendError, CompletionRequest
+from .backend import Backend, BackendError, CompletionRequest, chat_messages
 from .protocol import SURROGATE_RE
 from .tools import DEFAULT_TOP_K, Document, Executor, ToolResult, ToolTransportError
 from .tools import InputError, check_fields, check_tool_keys
@@ -268,20 +268,10 @@ class HttpChatBackend(Backend):
         if not self.endpoint:
             raise ValueError(f"no chat endpoint configured (set {ENDPOINT_ENV})")
 
-    def _messages(self, request: CompletionRequest) -> list[dict]:
-        system = request.system.rstrip()
-        if system and request.context.startswith(system):
-            user = request.context[len(system):].lstrip("\n")
-            return [
-                {"role": "system", "content": system},
-                {"role": "user", "content": user},
-            ]
-        return [{"role": "user", "content": request.context}]
-
     def complete(self, request: CompletionRequest) -> str:
         payload = {
             "model": self.model,
-            "messages": self._messages(request),
+            "messages": chat_messages(request),
             "temperature": request.temperature,
             "max_tokens": request.max_output_tokens,
         }

@@ -214,7 +214,12 @@ def _check_header(line: dict) -> None:
     _check_version(line.get("version"))
     check_fields(line, _HEADER_FIELDS)
     check_strings(line, "prompts")
-    if line["prompts"].keys() != _NO_PROMPTS.keys():
+    check_prompts(line["prompts"])
+
+
+def check_prompts(prompts: dict) -> None:
+    """Raise an InputError unless ``prompts``, a header's or a run config's, holds exactly both stages."""
+    if prompts.keys() != _NO_PROMPTS.keys():
         raise InputError('field "prompts" does not hold exactly "holistic" and "solving"')
 
 

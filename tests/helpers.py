@@ -21,10 +21,10 @@ WORDS = (
 ).split()
 
 
-def completion(context: str, system: str = "") -> CompletionRequest:
-    """A request for ``context`` with a default ``RunConfig``'s decoding parameters."""
+def completion(text: str, system_lines: int = 0) -> CompletionRequest:
+    """A request for ``text``'s lines, the first ``system_lines`` the prompt's, decoded as ``RunConfig`` sets."""
     config = RunConfig()
-    return CompletionRequest(context, system, config.max_output_tokens, config.temperature)
+    return CompletionRequest(tuple(text.split("\n")), system_lines, config.max_output_tokens, config.temperature)
 
 
 def words(rng: random.Random, n: int) -> str:

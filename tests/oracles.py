@@ -19,6 +19,7 @@ from dagsearch.register import (
     apply_action,
     init_register,
     render_context,
+    render_head,
     token_length,
 )
 from dagsearch.tools import InputError
@@ -38,7 +39,7 @@ def register_tokens(register: Register, question: str, stage_prompt: str) -> int
     one-turn raw tool output and may shrink when that section expires.
     """
     stripped = replace(register, pending_tool_result=None)
-    return token_length("\n".join(render_context(stripped, question, stage_prompt)))
+    return token_length("\n".join(render_context(stripped, render_head(stage_prompt, question, register.intent))))
 
 
 def _tool_log_lines(log: Sequence[ToolLogEntry]) -> list[str]:
@@ -137,6 +138,29 @@ def reference_render(register: Register, question: str, stage_prompt: str) -> st
         sections.append("## Latest tool output\n" + "\n".join(lines))
 
     return "\n\n".join(sections)
+
+
+def reference_correction(context: str, diagnostic: str) -> str:
+    """An input re-sent after a rejected reply, as one text: the reference for ``render_correction``'s lines."""
+    return (
+        f"{context}\n\n## Correction\nYour previous response was rejected: "
+        f"{diagnostic}\nEmit exactly one corrected action block now."
+    )
+
+
+def reference_messages(context: str, system: str) -> list[dict]:
+    """The chat messages of an input sent as one text: the reference for ``chat_messages``.
+
+    The stage prompt ``system``, stripped of trailing whitespace, is found
+    again at the start of ``context`` and sent as the system message, and
+    the rest, its leading newlines stripped, as the user message. A prompt
+    that is empty or not found sends ``context`` as one user message.
+    """
+    system = system.rstrip()
+    if system and context.startswith(system):
+        user = context[len(system) :].lstrip("\n")
+        return [{"role": "system", "content": system}, {"role": "user", "content": user}]
+    return [{"role": "user", "content": context}]
 
 
 def _recorded(step: StepRecord) -> Action:

@@ -5,10 +5,10 @@ from http.server import BaseHTTPRequestHandler, HTTPServer
 import pytest
 
 from dagsearch.backend import BackendError, ReplayBackend, ScriptedBackend
-from dagsearch.engine import run
+from dagsearch.engine import PromptPack, run
 from dagsearch.remote import HttpChatBackend
-from dagsearch.tools import ToolRegistry
-from helpers import completion, fixed_clock
+from dagsearch.tools import ToolRegistry, build_registry
+from helpers import DATA_DIR, TWO_HOP_QUESTION, completion, fixed_clock, two_hop_responses
 
 pytestmark = pytest.mark.usefixtures("sleeps")
 
@@ -17,12 +17,14 @@ pytestmark = pytest.mark.usefixtures("sleeps")
 def chat_stub(monkeypatch):
     """Local OpenAI-compatible stub; scriptable status codes and replies.
 
-    ``body``, when set, is sent as the 200 response's JSON in place of a
-    chat completion carrying ``content``. The DAGSEARCH_LLM_* variables
-    point the chat backend at it, with model "test-model" and key "sk-test".
+    A 200 response is a chat completion carrying the next of ``replies``,
+    served in order, or ``content`` once they are spent. ``body``, when
+    set, is sent as its JSON instead. The DAGSEARCH_LLM_* variables point
+    the chat backend at it, with model "test-model" and key "sk-test".
     """
 
-    state = {"requests": [], "fail_next": 0, "content": '<final_answer>{"answer":"ok"}</final_answer>', "body": None}
+    content = '<final_answer>{"answer":"ok"}</final_answer>'
+    state = {"requests": [], "fail_next": 0, "replies": [], "content": content, "body": None}
 
     class Handler(BaseHTTPRequestHandler):
         def do_POST(self):
@@ -34,7 +36,8 @@ def chat_stub(monkeypatch):
                 self.send_response(503)
                 self.end_headers()
                 return
-            reply = {"choices": [{"message": {"role": "assistant", "content": state["content"]}}]}
+            content = state["replies"].pop(0) if state["replies"] else state["content"]
+            reply = {"choices": [{"message": {"role": "assistant", "content": content}}]}
             if state["body"] is not None:
                 reply = state["body"]
             payload = json.dumps(reply).encode("utf-8")
@@ -94,19 +97,57 @@ class TestHttpChat:
 
     def test_system_user_split(self, chat_stub):
         backend = HttpChatBackend()
-        # the register renders a stage prompt without its trailing whitespace
-        for system in ("SYSTEM PROMPT", "SYSTEM PROMPT \n", "SYSTEM PROMPT\n\n\n"):
-            backend.complete(completion("SYSTEM PROMPT\n\nuser part", system))
-        for request in chat_stub["requests"]:
-            messages = request["body"]["messages"]
-            assert [m["role"] for m in messages] == ["system", "user"]
-            assert messages[0]["content"] == "SYSTEM PROMPT"
-            assert messages[1]["content"] == "user part"
+        # the prompt's lines, however many, are the system message; the
+        # user message starts after the blank lines that follow them
+        for text, system_lines in (("SYSTEM PROMPT\n\nuser part", 1), ("SYSTEM\nPROMPT\n\n\nuser\npart", 2)):
+            backend.complete(completion(text, system_lines))
+        assert [request["body"]["messages"] for request in chat_stub["requests"]] == [
+            [{"role": "system", "content": "SYSTEM PROMPT"}, {"role": "user", "content": "user part"}],
+            [{"role": "system", "content": "SYSTEM\nPROMPT"}, {"role": "user", "content": "user\npart"}],
+        ]
 
     def test_single_user_message_without_system(self, chat_stub):
-        HttpChatBackend().complete(completion("plain context"))
-        messages = chat_stub["requests"][0]["body"]["messages"]
-        assert [m["role"] for m in messages] == ["user"]
+        backend = HttpChatBackend()
+        # no prompt lines, or an empty prompt, whose one line is empty
+        for text, system_lines in (("plain context", 0), ("\n\n## Question\nq", 1)):
+            backend.complete(completion(text, system_lines))
+        assert [request["body"]["messages"] for request in chat_stub["requests"]] == [
+            [{"role": "user", "content": "plain context"}],
+            [{"role": "user", "content": "\n\n## Question\nq"}],
+        ]
+
+    def test_a_whole_run_sends_each_recorded_input_as_its_stage_prompt_and_the_rest(self, chat_stub):
+        replies = two_hop_responses()
+        replies.insert(3, "no block here")  # the second solving turn is re-prompted once
+        chat_stub["replies"] = replies
+        tools = json.loads((DATA_DIR / "tools.json").read_text(encoding="utf-8"))["tools"]
+        prompts = PromptPack.load_default()
+        result = run(
+            TWO_HOP_QUESTION,
+            backend=HttpChatBackend(),
+            tools=build_registry(tools, base_dir=DATA_DIR),
+            prompts=prompts,
+            clock=fixed_clock(),
+        )
+        assert result.outcome == "answered"
+        steps = result.trajectory.steps
+        assert [step.retries for step in steps] == [0, 0, 0, 1] + [0] * (len(steps) - 4)
+        stage_prompts = {"planning": prompts.holistic, "solving": prompts.solving}
+        requests = iter(chat_stub["requests"])
+        for step in steps:
+            system = {"role": "system", "content": stage_prompts[step.stage].rstrip()}
+            attempts = [next(requests)["body"]["messages"] for _ in range(step.retries + 1)]
+            assert all(messages[0] == system and messages[1]["role"] == "user" for messages in attempts)
+            first = attempts[0][1]["content"]
+            if step.retries == 0:
+                assert f"{system['content']}\n\n{first}" == step.state
+            # a re-prompt's user message is the first one with the correction block appended
+            for diagnostic, (_, user) in zip(step.diagnostics, attempts[1:]):
+                assert user["content"] == (
+                    f"{first}\n\n## Correction\nYour previous response was rejected: {diagnostic}\n"
+                    "Emit exactly one corrected action block now."
+                )
+        assert next(requests, None) is None
 
     def test_retries_transient_failures(self, chat_stub, sleeps):
         chat_stub["fail_next"] = 2

@@ -1066,12 +1066,15 @@ def test_eval_with_no_chat_endpoint_exits_2_before_any_question_runs(workdir, ca
 
 @pytest.fixture
 def completions(monkeypatch):
-    """The context of every completion a scripted backend is asked for, in order."""
+    """The text of every completion a scripted backend is asked for, in order: its lines joined on newlines."""
     contexts = []
     complete = ScriptedBackend.complete
-    monkeypatch.setattr(
-        ScriptedBackend, "complete", lambda self, request: contexts.append(request.context) or complete(self, request)
-    )
+
+    def recording(self, request):
+        contexts.append("\n".join(request.lines))
+        return complete(self, request)
+
+    monkeypatch.setattr(ScriptedBackend, "complete", recording)
     return contexts
 
 
@@ -1154,6 +1157,8 @@ def with_header_config(**settings):
     return [{**header, "config": {**header["config"], **settings}}, *steps]
 
 
+NOT_BOTH_PROMPTS = 'field "prompts" does not hold exactly "holistic" and "solving"'
+
 # Each case: the input file it writes (a JSON value, or a list of records
 # for a .jsonl file), the line the error names (0: none), and the problem.
 # A trajectory.jsonl case runs replay, stats and export; every other case
@@ -1161,6 +1166,14 @@ def with_header_config(**settings):
 MALFORMED_INPUTS = {
     "config-not-an-object": ("config.json", [], 0, "not a JSON object"),
     "prompt-path-not-a-string": ("config.json", {"prompts": {"holistic": 5}}, 0, 'field "holistic" is not a string'),
+    # a run config's prompts, like a trajectory header's, name exactly both stages
+    "prompts-empty": ("config.json", {"prompts": {}}, 0, NOT_BOTH_PROMPTS),
+    "prompts-extra-stage": (
+        "config.json",
+        {"prompts": {"holistic": "holistic.txt", "solving": "solving.txt", "revisit": "revisit.txt"}},
+        0,
+        NOT_BOTH_PROMPTS,
+    ),
     "unknown-run-setting": ("config.json", {"run": {"max_turn": 5}}, 0, 'unknown run setting "max_turn"'),
     "config-without-run-object": (
         "config.json",

@@ -21,7 +21,7 @@ from dagsearch.engine import (
 )
 from dagsearch.plan import ACTIVE, ANSWERED, PENDING, mark_active
 from dagsearch.protocol import IntentPayload, ProtocolError, parse_action
-from dagsearch.register import default_tokenizer, render_planning_context, token_length
+from dagsearch.register import default_tokenizer, render_correction, render_planning_context, token_length
 from dagsearch.tools import (
     Document,
     InputError,
@@ -66,14 +66,14 @@ GAVE_UP = "EngineError: gave up after 1 rejected responses; last problem: "
 
 
 class RecordingBackend(Backend):
-    """Wraps a scripted backend and keeps every request context."""
+    """Wraps a scripted backend and keeps every request's text: its lines joined on newlines."""
 
     def __init__(self, responses):
         self.inner = ScriptedBackend(responses=responses)
         self.contexts = []
 
     def complete(self, request):
-        self.contexts.append(request.context)
+        self.contexts.append("\n".join(request.lines))
         return self.inner.complete(request)
 
 
@@ -352,6 +352,28 @@ class TestSolveEndToEnd:
         assert f"over the {largest + 1}-token cap" in result.error
         assert len(backend.contexts) == 2
         assert [step.stage for step in result.trajectory.steps] == ["planning", "planning"]
+
+    @pytest.mark.parametrize("stage", ["planning", "solving"])
+    def test_a_correction_over_the_cap_overflows_before_the_re_prompt(self, stage):
+        before = [] if stage == "planning" else [INTENT, FRAMING]
+        replies = before + ["no block here", ANSWER_T1 if before else INTENT, FRAMING, ANSWER_T1, FINAL]
+        # The input that the malformed reply answers, and the correction it earns.
+        _, contexts = run_once(replies, RunConfig(max_malformed_retries=0))
+        cap = token_length(contexts[-1])
+        assert all(token_length(context) <= cap for context in contexts)
+        correction = token_length("\n".join(render_correction(str(protocol_error("no block here")))))
+        assert correction > 0
+        result, contexts = run_once(replies, RunConfig(max_context_tokens=cap))
+        assert result.outcome == "context_overflow"
+        assert result.error == f"rendered context is {cap + correction} tokens, over the {cap}-token cap"
+        assert len(contexts) == len(before) + 1
+        assert len(result.trajectory.steps) == len(before)
+        # At a cap equal to the corrected count, the re-prompt is sent, and
+        # the step records the uncorrected input and count.
+        result, contexts = run_once(replies, RunConfig(max_context_tokens=cap + correction))
+        step = result.trajectory.steps[len(before)]
+        assert contexts[len(before) + 1].startswith(contexts[len(before)] + "\n\n## Correction\n")
+        assert (step.retries, step.token_count, step.state) == (1, cap, contexts[len(before)])
 
     @pytest.mark.parametrize(
         "nested",
@@ -725,6 +747,17 @@ class TestDeterminism:
                 head = heads[step.stage]
                 assert len(step.lines) > len(head)
                 assert all(line is prompt_line for line, prompt_line in zip(step.lines, head))
+
+    def test_the_solving_head_is_built_once_per_run(self, monkeypatch):
+        heads = []
+        render_head = dagsearch.engine.render_head
+        monkeypatch.setattr(dagsearch.engine, "render_head", lambda *args: heads.append(render_head(*args)) or heads[-1])
+        solving = run_two_hop().trajectory.solving_steps()
+        assert len(heads) == 1 and len(solving) == 7
+        # every solving input opens with the head's own line objects
+        for step in solving:
+            assert len(step.lines) > len(heads[0])
+            assert all(line is head_line for line, head_line in zip(step.lines, heads[0]))
 
     def test_rebuilt_registers_are_stable(self):
         result = run_two_hop()

@@ -175,7 +175,7 @@ from dagsearch.tools import build_registry
 search = build_registry([{"name": "web", "kind": "web_search", "endpoint": url}])
 print(search.invoke("web", {"query": "q"}).documents[0].title)
 os.environ["DAGSEARCH_LLM_ENDPOINT"] = url
-print(HttpChatBackend().complete(CompletionRequest(context="x", system="", max_output_tokens=64, temperature=0.0)))
+print(HttpChatBackend().complete(CompletionRequest(("x",), 0, max_output_tokens=64, temperature=0.0)))
 server.shutdown()
 server.server_close()
 """

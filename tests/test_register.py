@@ -8,6 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import dagsearch.register
+from dagsearch.backend import CompletionRequest, chat_messages
 from dagsearch.plan import ACTIVE, ANSWERED, PENDING, DagPlan, TaskNode, is_complete
 from dagsearch.protocol import PLANNING_KINDS, ActionKind, IntentPayload, ProtocolError
 from dagsearch.register import (
@@ -23,13 +24,21 @@ from dagsearch.register import (
     init_register,
     prompt_lines,
     render_context,
+    render_correction,
+    render_head,
     render_planning_context,
     token_length,
 )
 from dagsearch.tools import Document, ToolResult
 from dagsearch.trajectory import TRAJECTORY_VERSION
 from helpers import make_action, make_plan
-from oracles import reference_planning_render, reference_render, register_tokens
+from oracles import (
+    reference_correction,
+    reference_messages,
+    reference_planning_render,
+    reference_render,
+    register_tokens,
+)
 
 QUESTION = "What year was the university founded?"
 PROMPT = "You are a search agent. Emit one action per turn."
@@ -78,7 +87,7 @@ def answer(task_id, text):
 
 def render(register):
     """The solving input of ``register`` as text: its rendered lines joined on newlines."""
-    return "\n".join(render_context(register, QUESTION, PROMPT))
+    return "\n".join(render_context(register, render_head(PROMPT, QUESTION, register.intent)))
 
 
 def stable_prefix(text):
@@ -317,7 +326,8 @@ class TestRender:
 # Values a model or a tool puts into a solving input: empty, with newlines
 # that split a line, and with "\r" and U+2028, which do not.
 render_values = st.text(st.sampled_from("ab \u00fc\n\r\u2028"), max_size=6)
-stage_prompts = st.builds(str.__add__, render_values, st.sampled_from(["", " ", " \n\t", "\r\n"]))
+trailing_space = st.sampled_from(["", " ", " \n\t", "\r\n"])
+stage_prompts = st.builds(str.__add__, render_values, trailing_space)
 
 
 @st.composite
@@ -397,7 +407,7 @@ class TestRenderLines:
     @given(rendered_registers(), render_values, stage_prompts)
     @example(EVERY_SECTION, "q\n", "prompt \n\t")
     def test_lines_are_the_reference_text_split(self, register, question, prompt):
-        lines = render_context(register, question, prompt)
+        lines = render_context(register, render_head(prompt, question, register.intent))
         assert lines == tuple(reference_render(register, question, prompt).split("\n"))
 
     @given(stage_prompts, render_values, st.none() | intents)
@@ -408,13 +418,41 @@ class TestRenderLines:
         assert type(lines) is tuple
         assert "\n".join(lines) == reference_planning_render(prompt, question, intent)
 
+    @given(
+        st.builds(str.__add__, st.text(st.sampled_from("ab \u00fc\n\r\U0001f600"), max_size=6), trailing_space),
+        render_values,
+        st.none() | intents,
+        st.none() | rendered_registers(),
+        st.none() | st.text(st.sampled_from("ab \n\r"), max_size=6),
+    )
+    @example("\U0001f600 \r\n", "q\n", None, EVERY_SECTION, "bad\nreply")
+    @example("", "", None, None, "\n")
+    @example("\n\n", "q", IntentPayload(refined_goal="a\nb", constraints=("c\n",)), None, None)
+    def test_request_is_the_text_a_turn_sent_and_splits_as_the_backend_did(
+        self, prompt, question, intent, register, diagnostic
+    ):
+        # A planning input without a register; a solving input after its head.
+        if register is None:
+            lines = render_planning_context(prompt, question, intent)
+            text = reference_planning_render(prompt, question, intent)
+        else:
+            lines = render_context(register, render_head(prompt, question, register.intent))
+            text = reference_render(register, question, prompt)
+        if diagnostic is not None:
+            lines += render_correction(diagnostic)
+            text = reference_correction(text, diagnostic)
+        assert "\n".join(lines) == text
+        request = CompletionRequest(lines, len(prompt_lines(prompt).lines), 1024, 0.0)
+        assert chat_messages(request) == reference_messages(text, prompt)
+
     def test_archived_plans_and_log_entries_render_as_the_same_lines_on_every_turn(self):
         register = apply_action(fresh(), tool_call(), result())
         replan = {"reason": "r", "tasks": [{"task_id": "s1", "description": "d"}], "edges": []}
         register = apply_action(register, act(ActionKind.REPLANNING, replan))
         register = apply_action(register, tool_call("s1"), result())
-        before = render_context(register, QUESTION, PROMPT)
-        after = render_context(apply_action(register, tool_call("s1", "again"), result()), QUESTION, PROMPT)
+        head = render_head(PROMPT, QUESTION, register.intent)
+        before = render_context(register, head)
+        after = render_context(apply_action(register, tool_call("s1", "again"), result()), head)
         start = before.index("## Archived plans") + 1
         end = start + len(register.plan_history[0].lines)
         assert before[start:end] == register.plan_history[0].lines

@@ -389,6 +389,24 @@ class TestExport:
         assert (tmp_path / "corpus.jsonl").read_bytes() == sft_corpus(trajectories)
 
 
+    def test_each_trajectory_is_dropped_before_the_next_is_read(self, tmp_path):
+        read = []
+
+        def fresh():
+            # built here: a local of the generator below would hold it
+            trajectory = make_trajectory(COMPLIANT_KINDS)
+            read.append(weakref.ref(trajectory))
+            return trajectory
+
+        def trajectories():
+            for _ in range(3):
+                gc.collect()
+                assert [ref() for ref in read] == [None] * len(read), "a trajectory read before is still held"
+                yield fresh()
+
+        assert export_sft(trajectories(), tmp_path / "corpus.jsonl") == 3 * len(COMPLIANT_KINDS)
+
+
 def curve_rows(directory, trajectories, min_runs):
     """The context-curve rows ``write_stats`` writes for ``trajectories``."""
     curve_path = directory / "curve.csv"
