@@ -151,7 +151,8 @@ def _tools_factory(args: argparse.Namespace) -> Callable[[dict | None], ToolRegi
 def _check_flags(args: argparse.Namespace) -> None:
     """Reject, before any file is read, a ``--parallel`` or ``--top-k`` below 1 and an output that cannot be written.
 
-    An output (``--out``, ``--curve-out`` or ``--cache-out``) cannot be written when it is a directory or in none.
+    An output (``--out``, ``--curve-out`` or ``--cache-out``) cannot be written when it is a directory or in none,
+    and ``stats``'s two cannot be written to one file.
     """
     if getattr(args, "parallel", 1) < 1:
         raise ValueError(f"--parallel must be at least 1, not {args.parallel}")
@@ -164,6 +165,8 @@ def _check_flags(args: argparse.Namespace) -> None:
                 raise ValueError(f"{flag} {out} is a directory")
             if not out.parent.is_dir():
                 raise ValueError(f"{flag} {out}: {out.parent} is not a directory")
+    if args.command == "stats" and Path(args.curve_out).resolve() == Path(args.cache_out).resolve():
+        raise ValueError(f"--curve-out {args.curve_out} and --cache-out {args.cache_out} name the same file")
 
 
 def _cmd_run(args: argparse.Namespace) -> int:

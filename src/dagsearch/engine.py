@@ -116,7 +116,8 @@ def _turn(
     lines it has never counted, counts them once for the cap and the
     step's ``token_count``; the step records, and the request sends, the
     counter's ``lines``, whose unchanged head is the previous step's own
-    strings. ``check`` takes the parsed action, runs the stage's checks and
+    strings; the step's ``shared`` is that head's length, found once by
+    the counter. ``check`` takes the parsed action, runs the stage's checks and
     its tool call, and returns (tool result, applied update). A
     ProtocolError re-sends the input with ``render_correction``'s lines,
     whose tokens the cap counts too; once the budget is spent, 0 included,
@@ -125,6 +126,7 @@ def _turn(
     """
     token_count = count = counter(lines)
     lines = request = counter.lines
+    shared = min(counter.same, len(lines) - 1)
     diagnostics: list[str] = []
     while True:
         if count > config.max_context_tokens:
@@ -147,6 +149,7 @@ def _turn(
             index=len(trajectory.steps) + 1,
             stage=stage,
             lines=lines,
+            shared=shared,
             kind=action.kind.value,
             payload=action.payload,
             raw_text=action.raw_text,
@@ -252,7 +255,7 @@ def run(
         _, intent = turn("planning", len(holistic.lines), planning, _refined_intent)
         planning = render_planning_context(prompts.holistic, question, intent)
         _, plan = turn("planning", len(holistic.lines), planning, _framing)
-        register = init_register(intent, plan, trajectory.version)
+        register = init_register(plan, trajectory.version)
         head = render_head(prompts.solving, question, intent)
         for _ in range(config.max_turns):
             action, register = turn("solving", len(solving.lines), render_context(register, head), solving_check)

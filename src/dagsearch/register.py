@@ -1,7 +1,8 @@
 """Context register: the compact, deterministic surrogate for the transcript.
 
-The register holds {refined intent, archived plans, current plan state} and
-is updated by pure code from parsed actions, never by another model call.
+The register holds {archived plans, current plan state}, rendered after a
+head holding the refined intent, and is updated by pure code from parsed
+actions, never by another model call.
 Raw tool documents are visible for exactly one turn (the "latest tool
 output" section) and then vanish; only extracted facts persist, until they
 are folded: from trajectory version 3 on, the tool-log entries of answered
@@ -144,34 +145,36 @@ class LineTokenCounter:
     No ``default_tokenizer`` token spans whitespace, so an input's count is
     the sum of its lines' counts. The counter keeps the current input's
     ``lines``, their running ``totals`` (``totals[i]``: tokens in the first
-    ``i`` lines) as far as a count has reached, and ``known``: a copy of its
-    seed (the stage prompts' ``prompt_lines`` counts) plus every line it
-    has counted. The head a new input shares with ``lines``, found with
-    ``common_prefix_length``, keeps its totals and the previous lines' own
-    strings. A call counts the whole input, ``head`` the shared head only.
+    ``i`` lines) as far as a count has reached, ``same``: how many leading
+    lines ``lines`` shares with the input before it, and ``known``: a copy
+    of its seed (the stage prompts' ``prompt_lines`` counts) plus every line
+    it has counted. The head a new input shares with ``lines``, found with
+    ``common_prefix_length`` by a call and given to ``head``, keeps its
+    totals and the previous lines' own strings. A call counts the whole
+    input, ``head`` the shared head only.
     """
 
     def __init__(self, known: Mapping[str, int] = MappingProxyType({})) -> None:
         self.known = dict(known)
         self.lines: tuple[str, ...] = ()
         self.totals: list[int] = [0]
+        self.same = 0
 
     def __call__(self, lines: tuple[str, ...]) -> int:
         """The token count of the input ``lines``, which becomes the current input."""
-        self._follow(lines)
+        self._follow(lines, common_prefix_length(self.lines, lines))
         return self._total(len(lines))
 
-    def head(self, lines: tuple[str, ...]) -> tuple[int, int]:
-        """How many leading lines ``lines`` shares with the current input, which it becomes, and their tokens."""
-        same = self._follow(lines)
-        return same, self._total(same)
+    def head(self, lines: tuple[str, ...], same: int) -> int:
+        """Tokens in the first ``same`` lines of ``lines``, which must be the current input's; ``lines`` becomes it."""
+        self._follow(lines, same)
+        return self._total(same)
 
-    def _follow(self, lines: tuple[str, ...]) -> int:
-        """Make ``lines`` the current input; returns how many leading lines it shares with the previous one."""
-        same = common_prefix_length(self.lines, lines)
+    def _follow(self, lines: tuple[str, ...], same: int) -> None:
+        """Make ``lines``, whose first ``same`` lines equal the current input's, the current input."""
+        self.same = same
         del self.totals[same + 1 :]
         self.lines = self.lines[:same] + lines[same:]
-        return same
 
     def _total(self, end: int) -> int:
         """Tokens in the current input's first ``end`` lines, extending ``totals`` that far."""
@@ -252,7 +255,6 @@ class PlanSnapshot:
 
 @dataclass(frozen=True)
 class Register:
-    intent: IntentPayload
     plan_history: tuple[PlanSnapshot, ...]
     plan: DagPlan
     revisit_history: tuple[RevisitRecord, ...]
@@ -267,16 +269,9 @@ class Register:
     folded: frozenset[int] = frozenset()
 
 
-def init_register(intent: IntentPayload, plan: DagPlan, version: int) -> Register:
-    """The initial register of a run recorded in trajectory ``version``: intent, plan, empty histories."""
-    return Register(
-        intent=intent,
-        plan_history=(),
-        plan=plan,
-        revisit_history=(),
-        tool_log=(),
-        version=version,
-    )
+def init_register(plan: DagPlan, version: int) -> Register:
+    """The initial register of a run recorded in trajectory ``version``: the plan, empty histories."""
+    return Register(plan_history=(), plan=plan, revisit_history=(), tool_log=(), version=version)
 
 
 def apply_action(

@@ -104,11 +104,16 @@ class StepRecord:
     shares with the previous step's input are that step's own string
     objects, so a trajectory holds each unchanged line once. ``state``
     joins the lines on every read. Each diagnostic is one rejected reply.
+    ``shared`` counts leading lines equal to the previous record's, one
+    short of all of them at most: a version 2+ step line's ``state_shared``.
+    A run records the most there are, a load the file's; save, the cache
+    ratios and export take it as given.
     """
 
     index: int
     stage: str  # "planning" | "solving"
     lines: tuple[str, ...]
+    shared: int
     kind: str
     payload: dict
     raw_text: str
@@ -168,15 +173,13 @@ class Trajectory:
         header = {"record": "trajectory", "version": self.version}
         header.update((name, getattr(self, name)) for name in _HEADER_FIELDS)
         header["config"] = asdict(self.config)
-        previous: tuple[str, ...] = ()  # the first step shares no line
         with atomic_write(path) as handle:
             handle.write(json.dumps(header, ensure_ascii=False, sort_keys=True) + "\n")
             for step in self.steps:
                 line = {"record": "step"}
                 shared = 0
                 if self.version >= 2:
-                    shared = min(common_prefix_length(previous, step.lines), len(step.lines) - 1)
-                    line["state_shared"], previous = shared, step.lines
+                    shared = line["state_shared"] = step.shared
                 line.update(step.to_dict(shared))
                 handle.write(json.dumps(line, ensure_ascii=False, sort_keys=True) + "\n")
 
@@ -260,9 +263,11 @@ def _read_step(line: dict, position: int, previous: tuple[str, ...], version: in
         if not 0 <= shared <= len(previous):
             raise InputError(f"step {index} shares {shared} lines with a {len(previous)}-line previous state")
     lines = previous[:shared] + tuple(line["state"].split("\n"))
+    if version == 1:  # which stores whole inputs
+        shared = min(common_prefix_length(previous, lines), len(lines) - 1)
     return StepRecord(
-        index, line["stage"], lines, kind, line["payload"], line["raw_text"], line["model_text"], line["token_count"],
-        diagnostics, tool_result,
+        index, line["stage"], lines, shared, kind, line["payload"], line["raw_text"], line["model_text"],
+        line["token_count"], diagnostics, tool_result,
     )
 
 
@@ -298,7 +303,7 @@ def load_trajectories(directory: str | Path) -> Iterator[Trajectory]:
     return (Trajectory.load(path) for path in sorted(Path(directory).glob("*.jsonl")))
 
 
-# Each write's own temporary name: two outputs of one command may be given one path.
+# Each write's own temporary name: two writes of one path that overlap in one process never share a file.
 _TEMPORARY_NAMES = count()
 
 
@@ -419,20 +424,17 @@ def _write_pairs(handle: IO[bytes], trajectory: Trajectory) -> int:
 
     Each is ``json.dumps(record, ensure_ascii=False, sort_keys=True)`` to the
     byte, built from UTF-8 JSON escapes. A state's leading lines that are
-    the previous step's reuse that step's escapes, so only the lines after
-    them are escaped.
+    the previous step's (its ``shared`` ones) reuse that step's escapes, so
+    only the lines after them are escaped.
     """
     if _structural_fault(trajectory) is not None:
         raise InputError(
             f'trajectory "{trajectory.question_id or trajectory.question}" was not accepted by the rejection filter'
         )
     question_id = _json_string(trajectory.question_id)
-    lines: tuple[str, ...] = ()
-    escaped: list[bytes] = []  # each of ``lines``, escaped, without its quotes
+    escaped: list[bytes] = []  # each line of the previous input, escaped, without its quotes
     for step in trajectory.steps:
-        shared = common_prefix_length(lines, step.lines)
-        escaped[shared:] = [_json_string(line)[1:-1] for line in step.lines[shared:]]
-        lines = step.lines
+        escaped[step.shared :] = [_json_string(line)[1:-1] for line in step.lines[step.shared :]]
         raw_text = _json_string(step.raw_text)
         handle.write(b'{"action_raw_text": %b, "question_id": %b, "state": "' % (raw_text, question_id))
         handle.write(b"\\n".join(escaped))
@@ -456,12 +458,12 @@ def step_cache_ratios(trajectory: Trajectory) -> list[float]:
     Each is the length of the two inputs' common token prefix over the
     current input's recorded ``token_count``, computed from lines: no token
     spans a newline. One ``LineTokenCounter``, seeded with the solving
-    prompt's ``prompt_lines`` counts, follows the inputs: its ``head`` gives
-    the leading lines the two share and their tokens, counting only those,
-    so a line is tokenized when it first enters a shared head, never a tool
-    document that the next input drops. The shared prefix is the head plus
-    the common token prefix of the two inputs' lines after it, tokenized
-    line by line only up to the first differing token.
+    prompt's ``prompt_lines`` counts, follows the inputs: its ``head``
+    counts the tokens of the step's recorded ``shared`` lines, and only
+    those, so a line is tokenized when it first enters a shared head, never
+    a tool document that the next input drops. The shared prefix is the
+    head plus the common token prefix of the two inputs' lines after it,
+    tokenized line by line only up to the first differing token.
 
     Whether an input is empty is decided from its own text. A recorded
     ``token_count`` below the shared prefix, or 0, is an InputError;
@@ -470,9 +472,12 @@ def step_cache_ratios(trajectory: Trajectory) -> list[float]:
     """
     ratios = []
     counter = LineTokenCounter(prompt_lines(trajectory.prompts["solving"]).counts)
-    for turn, step in enumerate(trajectory.solving_steps()):
+    steps = zip((None, *trajectory.steps), trajectory.steps)
+    for turn, (before, step) in enumerate((before, step) for before, step in steps if step.stage == "solving"):
         previous = counter.lines
-        same, head = counter.head(step.lines)
+        # ``shared`` counts lines of the step before, which the counter holds if it is a solving one
+        same = step.shared if turn and before.stage == "solving" else 0
+        head = counter.head(step.lines, same)
         if turn:
             where = f'trajectory "{trajectory.question_id}" step {step.index}'
             if not any(map(_TOKEN_RE.search, step.lines)):

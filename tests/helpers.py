@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import os
 import random
 from pathlib import Path
 
@@ -419,18 +420,42 @@ _KIND_PAYLOADS = {
 }
 
 
+def shared_counts(inputs):
+    """Each input's ``StepRecord.shared`` as a run records it: its leading lines equal to the previous input's.
+
+    The count stops one line short of the whole input, and the first input shares none.
+    """
+    return [
+        min(len(os.path.commonprefix([before, lines])), len(lines) - 1)
+        for before, lines in zip([()] + inputs, inputs)
+    ]
+
+
+def assert_line_deltas(trajectory, own_strings=True):
+    """Each step's ``shared`` is its ``shared_counts`` value.
+
+    With ``own_strings``, those lines are the step before's own string objects.
+    """
+    assert [step.shared for step in trajectory.steps] == shared_counts([step.lines for step in trajectory.steps])
+    if own_strings:
+        for before, step in zip(trajectory.steps, trajectory.steps[1:]):
+            assert all(line is old for line, old in zip(step.lines[: step.shared], before.lines))
+
+
 def make_trajectory(kinds, *, answer="x", outcome="answered", retries_at=()):
     """Synthetic trajectory whose steps carry the given action kinds; a step in ``retries_at`` holds one diagnostic."""
     from dagsearch.trajectory import StepRecord, Trajectory
 
     steps = []
-    for i, kind in enumerate(kinds, start=1):
+    inputs = [(f"state for step {i}",) for i in range(1, len(kinds) + 1)]
+    for i, (kind, lines, shared) in enumerate(zip(kinds, inputs, shared_counts(inputs)), start=1):
         action = make_action(kind, _KIND_PAYLOADS[kind])
         steps.append(
             StepRecord(
                 index=i,
                 stage="planning" if i <= 2 and kind.value.startswith(("intent", "problem")) else "solving",
-                lines=(f"state for step {i}",),
+                lines=lines,
+                shared=shared,
                 kind=kind.value,
                 payload=action.payload,
                 raw_text=action.raw_text,

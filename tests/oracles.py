@@ -30,7 +30,7 @@ from helpers import make_action
 RETROSPECTION_KINDS = frozenset({ActionKind.REVISIT_TASK, ActionKind.REPLANNING})
 
 
-def register_tokens(register: Register, question: str, stage_prompt: str) -> int:
+def register_tokens(register: Register, question: str, stage_prompt: str, intent: IntentPayload) -> int:
     """Token count of the persistent render (ephemeral tool output excluded).
 
     In the version 1 and 2 layouts this quantity is non-decreasing within a
@@ -39,7 +39,7 @@ def register_tokens(register: Register, question: str, stage_prompt: str) -> int
     one-turn raw tool output and may shrink when that section expires.
     """
     stripped = replace(register, pending_tool_result=None)
-    return token_length("\n".join(render_context(stripped, render_head(stage_prompt, question, register.intent))))
+    return token_length("\n".join(render_context(stripped, render_head(stage_prompt, question, intent))))
 
 
 def _tool_log_lines(log: Sequence[ToolLogEntry]) -> list[str]:
@@ -88,8 +88,10 @@ def reference_planning_render(prompt: str, question: str, intent: IntentPayload 
     return "\n\n".join(sections)
 
 
-def reference_render(register: Register, question: str, stage_prompt: str) -> str:
+def reference_render(register: Register, question: str, stage_prompt: str, intent: IntentPayload | None) -> str:
     """The solving input as one text, built section by section: the reference for ``render_context``'s lines.
+
+    Its head is ``render_head``'s with ``intent``, whose section is left out when it is None.
 
     Each section is its lines joined on newlines, and the sections are
     joined on blank lines; a value holding a newline is never split.
@@ -97,7 +99,8 @@ def reference_render(register: Register, question: str, stage_prompt: str) -> st
     version = register.version
     sections: list[str] = [stage_prompt.rstrip()]
     sections.append(f"## Question\n{question}")
-    sections.append(_intent_section(register.intent))
+    if intent is not None:
+        sections.append(_intent_section(intent))
 
     if register.plan_history:
         lines = []
@@ -180,11 +183,7 @@ def rebuild_registers(trajectory: Trajectory) -> list[Register]:
     if len(planning) < 2:
         raise ValueError("trajectory lacks the two planning steps")
     framing = planning[1].payload
-    register = init_register(
-        IntentPayload.from_payload(planning[0].payload),
-        build_plan(framing["tasks"], framing["edges"], plan_id=0),
-        trajectory.version,
-    )
+    register = init_register(build_plan(framing["tasks"], framing["edges"], plan_id=0), trajectory.version)
     registers = [register]
     for step in trajectory.steps:
         if step.stage != "solving":

@@ -876,17 +876,6 @@ def test_stats_names_the_run_and_step_of_a_token_count_below_the_shared_prefix(t
     assert_unchanged(tmp_path, outputs)
 
 
-def test_stats_into_one_path_for_both_outputs_leaves_the_cache_ratios(tmp_path, capsys):
-    runs = tmp_path / "runs"
-    runs.mkdir()
-    shutil.copy(DATA_DIR / "two_hop_trajectory_v1.jsonl", runs)
-    both = tmp_path / "both.csv"
-    assert main(["stats", "--trajectories", str(runs), "--curve-out", str(both), "--cache-out", str(both)]) == 0
-    # the curve is renamed into place first, then the cache ratios replace it
-    assert both.read_bytes().startswith(b"question_id,turn,cache_ratio\r\n")
-    assert sorted(path.name for path in tmp_path.iterdir()) == ["both.csv", "runs"]
-
-
 def test_stats_into_a_missing_directory_names_the_output(tmp_path, capsys):
     runs = tmp_path / "runs"
     runs.mkdir()
@@ -927,6 +916,25 @@ def test_an_output_that_is_a_directory_exits_2_before_any_trajectory_is_read(
     argv[argv.index(flag) + 1] = str(directory / "written")
     assert main(argv) == 0
     assert loads == [runs / "two_hop_trajectory_v2.jsonl"]  # the spy sees each load
+
+
+@pytest.mark.parametrize("spelling", ["same", "dotted"])
+def test_stats_into_one_file_for_both_outputs_exits_2_before_any_read(
+    tmp_path, capsys, monkeypatch, spelling
+):
+    # Each output is renamed into place, so one file would keep only the last.
+    runs = tmp_path / "runs"
+    runs.mkdir()
+    shutil.copy(DATA_DIR / "two_hop_trajectory_v1.jsonl", runs)
+    loads = []
+    monkeypatch.setattr(Trajectory, "load", loads.append)
+    outputs = write_old_outputs(tmp_path, "both.csv")
+    curve = tmp_path / "both.csv"
+    cache = tmp_path / "runs" / ".." / "both.csv" if spelling == "dotted" else curve
+    assert main(["stats", "--trajectories", str(runs), "--curve-out", str(curve), "--cache-out", str(cache)]) == 2
+    assert capsys.readouterr() == ("", f"error: --curve-out {curve} and --cache-out {cache} name the same file\n")
+    assert loads == []
+    assert_unchanged(tmp_path, outputs)
 
 
 def test_stats_and_export_hold_one_trajectory_at_a_time(tmp_path, capsys):

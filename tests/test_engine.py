@@ -36,6 +36,7 @@ from dagsearch.trajectory import Trajectory
 from helpers import (
     DATA_DIR,
     TWO_HOP_QUESTION,
+    assert_line_deltas,
     fixed_clock,
     fixture_registry,
     make_plan,
@@ -101,7 +102,7 @@ class TestHolisticPlanning:
         assert result.outcome == "answered"
         assert [step.stage for step in result.trajectory.steps[:2]] == ["planning", "planning"]
         initial = rebuild_registers(result.trajectory)[0]
-        assert initial.intent.refined_goal == "Find it."
+        assert "Goal: Find it." in result.trajectory.solving_steps()[0].lines
         assert initial.plan.plan_id == 0
         assert set(initial.plan.nodes) == {"t1"}
 
@@ -700,7 +701,8 @@ class TestDeterminism:
         solving = trajectory.solving_steps()
         # the register each solving step was rendered from
         registers = rebuild_registers(trajectory)[: len(solving)]
-        counts = [register_tokens(r, TWO_HOP_QUESTION, PROMPTS.solving) for r in registers]
+        intent = IntentPayload.from_payload(trajectory.steps[0].payload)
+        counts = [register_tokens(r, TWO_HOP_QUESTION, PROMPTS.solving, intent) for r in registers]
         assert counts == sorted(counts)
         assert all(step.token_count >= count for step, count in zip(solving, counts))
 
@@ -919,7 +921,10 @@ class TestReplay:
         for field in dataclasses.fields(steps[2]):
             if field.name in UNREPLAYED_FIELDS:
                 continue
-            edited.steps[2] = dataclasses.replace(steps[2], **{field.name: getattr(steps[0], field.name)})
+            value = getattr(steps[0], field.name)
+            if field.name == "shared":  # steps 1 and 3 both share no line with the step before
+                value = steps[2].shared + 1
+            edited.steps[2] = dataclasses.replace(steps[2], **{field.name: value})
             name = "state" if field.name == "lines" else field.name  # the input is recorded as text
             assert replay_divergence(recorded, edited, strict=True).startswith(f"step 3: {name} diverges")
         edited.steps[2] = steps[2]
@@ -1052,6 +1057,33 @@ def test_any_reply_sequence_runs_saves_and_replays(tmp_path_factory, cut, noise,
     config = RunConfig(max_malformed_retries=retries, strict_protocol=strict)
     original, again = record_and_replay(tmp_path_factory.getbasetemp(), responses, config)
     assert run_facts(again) == run_facts(original)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    cut=st.integers(0, len(two_hop_responses())),
+    noise=st.lists(replies, max_size=4),
+    retries=st.integers(0, 4),
+    version=st.integers(1, 4),
+)
+def test_every_step_records_its_line_delta_and_a_save_keeps_it(tmp_path_factory, cut, noise, retries, version):
+    # Rejected replies re-send an input, which the next step's delta ignores.
+    script = two_hop_responses()
+    result = run(
+        TWO_HOP_QUESTION,
+        backend=ScriptedBackend(responses=script[:cut] + noise + script[cut:]),
+        tools=fixture_registry(),
+        config=RunConfig(max_malformed_retries=retries),
+        prompts=PROMPTS,
+        clock=fixed_clock(),
+        version=version,
+    )
+    assert_line_deltas(result.trajectory)
+    path = tmp_path_factory.getbasetemp() / "deltas.jsonl"
+    result.trajectory.save(path)
+    loaded = Trajectory.load(path)
+    assert loaded.steps == result.trajectory.steps
+    assert_line_deltas(loaded, own_strings=version >= 2)
 
 
 @pytest.mark.xfail(

@@ -53,7 +53,7 @@ def chain_plan():
 
 
 def fresh():
-    return init_register(intent(), chain_plan(), TRAJECTORY_VERSION)
+    return init_register(chain_plan(), TRAJECTORY_VERSION)
 
 
 def act(kind, payload):
@@ -87,7 +87,7 @@ def answer(task_id, text):
 
 def render(register):
     """The solving input of ``register`` as text: its rendered lines joined on newlines."""
-    return "\n".join(render_context(register, render_head(PROMPT, QUESTION, register.intent)))
+    return "\n".join(render_context(register, render_head(PROMPT, QUESTION, intent())))
 
 
 def stable_prefix(text):
@@ -369,9 +369,7 @@ def rendered_registers(draw):
             )
         )
     documents = draw(st.none() | st.lists(st.builds(Document, render_values, render_values, render_values), max_size=2))
-    constraints = tuple(draw(st.lists(render_values, max_size=2)))
     return Register(
-        intent=IntentPayload(refined_goal=draw(render_values), constraints=constraints),
         plan_history=history,
         plan=plan,
         revisit_history=tuple(revisits),
@@ -385,7 +383,6 @@ def rendered_registers(draw):
 
 # Every section, a multi-line fact and a pending output with no documents.
 EVERY_SECTION = Register(
-    intent=intent(),
     plan_history=(PlanSnapshot(plan=chain_plan(), reason="split\nthe hop"),),
     plan=make_plan([("t1", "first\r"), ("t2", "")], [("t1", "t2")], plan_id=1),
     revisit_history=(RevisitRecord(task_id="t1", discarded_answer="old\u2028answer", reason=""),),
@@ -404,11 +401,11 @@ intents = st.builds(IntentPayload, render_values, st.lists(render_values, max_si
 
 
 class TestRenderLines:
-    @given(rendered_registers(), render_values, stage_prompts)
-    @example(EVERY_SECTION, "q\n", "prompt \n\t")
-    def test_lines_are_the_reference_text_split(self, register, question, prompt):
-        lines = render_context(register, render_head(prompt, question, register.intent))
-        assert lines == tuple(reference_render(register, question, prompt).split("\n"))
+    @given(rendered_registers(), intents, render_values, stage_prompts)
+    @example(EVERY_SECTION, intent(), "q\n", "prompt \n\t")
+    def test_lines_are_the_reference_text_split(self, register, intent, question, prompt):
+        lines = render_context(register, render_head(prompt, question, intent))
+        assert lines == tuple(reference_render(register, question, prompt, intent).split("\n"))
 
     @given(stage_prompts, render_values, st.none() | intents)
     @example("prompt \n\t", "", None)
@@ -436,8 +433,8 @@ class TestRenderLines:
             lines = render_planning_context(prompt, question, intent)
             text = reference_planning_render(prompt, question, intent)
         else:
-            lines = render_context(register, render_head(prompt, question, register.intent))
-            text = reference_render(register, question, prompt)
+            lines = render_context(register, render_head(prompt, question, intent))
+            text = reference_render(register, question, prompt, intent)
         if diagnostic is not None:
             lines += render_correction(diagnostic)
             text = reference_correction(text, diagnostic)
@@ -450,7 +447,7 @@ class TestRenderLines:
         replan = {"reason": "r", "tasks": [{"task_id": "s1", "description": "d"}], "edges": []}
         register = apply_action(register, act(ActionKind.REPLANNING, replan))
         register = apply_action(register, tool_call("s1"), result())
-        head = render_head(PROMPT, QUESTION, register.intent)
+        head = render_head(PROMPT, QUESTION, intent())
         before = render_context(register, head)
         after = render_context(apply_action(register, tool_call("s1", "again"), result()), head)
         start = before.index("## Archived plans") + 1
@@ -527,7 +524,7 @@ class TestTokens:
         assert calls == ["a b", "c", "d e f"]
         # a counted line stays known after the inputs holding it are gone
         assert counter(("c",)) == 1
-        assert counter.head(("c", "a b")) == (1, 1)
+        assert counter.head(("c", "a b"), 1) == 1
         assert calls == ["a b", "c", "d e f"]
 
     @given(
@@ -557,7 +554,7 @@ class TestTokens:
                 lines = current[:keep] + tuple(tail)
                 if is_head:
                     same = len(os.path.commonprefix([current, lines]))
-                    assert counter.head(lines) == (same, tokens(lines[:same]))
+                    assert counter.head(lines, same) == tokens(lines[:same])
                 else:
                     assert counter(lines) == tokens(lines)
                 assert counter.lines == lines
@@ -565,6 +562,31 @@ class TestTokens:
         assert len(calls) == len(set(calls))
         assert not set(calls) & seed.keys()
         assert seed == {"a b": 2, "": 0}  # the counter keeps a copy
+
+    @given(
+        st.lists(
+            st.tuples(st.booleans(), st.integers(0, 6), st.lists(counter_lines, max_size=5), st.integers(0, 6)),
+            max_size=8,
+        )
+    )
+    def test_a_call_finds_the_shared_head_that_a_head_may_be_given(self, inputs):
+        # A call records as ``same`` the most leading lines an input shares
+        # with the one before; ``head`` takes any count up to it as given.
+        def tokens(lines):
+            return len(default_tokenizer("\n".join(lines)))
+
+        counter, current = LineTokenCounter(), ()
+        for is_head, keep, tail, lower in inputs:
+            lines = current[:keep] + tuple(tail)
+            same = len(os.path.commonprefix([current, lines]))
+            known = min(lower, same)
+            if is_head:
+                assert counter.head(lines, known) == tokens(lines[:known])
+            else:
+                assert counter(lines) == tokens(lines)
+                assert counter.same == same
+            assert counter.lines == lines
+            current = lines
 
     @given(prompt_texts, st.lists(st.lists(counter_lines, max_size=5), max_size=5))
     def test_a_counter_given_prompt_counts_counts_as_one_without(self, prompt, tails):
@@ -628,24 +650,24 @@ class TestTokens:
 
     def test_register_tokens_excludes_ephemeral(self):
         register = apply_action(fresh(), tool_call(), result())
-        persistent = register_tokens(register, QUESTION, PROMPT)
+        persistent = register_tokens(register, QUESTION, PROMPT, intent())
         full = token_length(render(register))
         assert persistent < full
 
     def test_register_tokens_non_decreasing_over_updates(self):
         register = fresh()
-        counts = [register_tokens(register, QUESTION, PROMPT)]
+        counts = [register_tokens(register, QUESTION, PROMPT, intent())]
         register = apply_action(register, tool_call(), result())
-        counts.append(register_tokens(register, QUESTION, PROMPT))
+        counts.append(register_tokens(register, QUESTION, PROMPT, intent()))
         register = apply_action(
             register,
             act(ActionKind.DOC_EXTRACTION, {"task_id": "t1", "facts": ["f"], "source_ids": []}),
         )
-        counts.append(register_tokens(register, QUESTION, PROMPT))
+        counts.append(register_tokens(register, QUESTION, PROMPT, intent()))
         register = apply_action(
             register, act(ActionKind.TASK_ANSWER, {"answers": [{"task_id": "t1", "answer": "x"}]})
         )
-        counts.append(register_tokens(register, QUESTION, PROMPT))
+        counts.append(register_tokens(register, QUESTION, PROMPT, intent()))
         assert counts == sorted(counts)
 
 
@@ -690,7 +712,7 @@ def fold_actions(op, number):
 
 def applied(version, ops):
     """(action, register before, register after) for each op's pair that the register accepts."""
-    register = init_register(intent(), make_plan([(t, f"do {t}") for t in FOLD_TASKS], FOLD_EDGES), version)
+    register = init_register(make_plan([(t, f"do {t}") for t in FOLD_TASKS], FOLD_EDGES), version)
     for number, op in enumerate(ops):
         for action, output in fold_actions(op, number):
             try:
@@ -719,7 +741,7 @@ def shown_steps(register):
 
 def persistent_tokens(register, version=None):
     """``register_tokens`` of ``register``, rendered in ``version``'s layout if given."""
-    return register_tokens(replace(register, version=version or register.version), QUESTION, PROMPT)
+    return register_tokens(replace(register, version=version or register.version), QUESTION, PROMPT, intent())
 
 
 def check_render_is_v2_without_folded_entries(version, ops):
@@ -863,7 +885,7 @@ class TestFold:
     def test_fold_measures_entry_lines_with_their_newlines(self):
         # The answered entry renders to one character over FOLD_CHARS only
         # when its fact's newline counts: split into lines, it does not pass.
-        register = init_register(intent(), chain_plan(), 4)
+        register = init_register(chain_plan(), 4)
         register = apply_action(register, tool_call(), result())
         base = apply_action(register, extraction())
         fact = "f\n" + "x" * (FOLD_CHARS[4] - sum(map(len, base.tool_log[0].rendered_lines)))
@@ -877,7 +899,7 @@ class TestFold:
 
     def test_no_fold_without_an_open_task(self):
         for version in (3, 4):
-            register = init_register(intent(), make_plan([("t1", "a"), ("t2", "b")], []), version)
+            register = init_register(make_plan([("t1", "a"), ("t2", "b")], []), version)
             for task_id in ("t1", "t2"):
                 register = apply_action(register, tool_call(task_id), result())
                 facts = ["x" * FOLD_CHARS[version]]

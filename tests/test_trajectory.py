@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 
 import dagsearch.register
 import dagsearch.trajectory
+from dagsearch.engine import replay_divergence, replay_run
 from dagsearch.protocol import ActionKind
 from dagsearch.register import LineTokenCounter, default_tokenizer, prompt_lines, token_length
 from dagsearch.tools import Document, InputError, ToolResult
@@ -37,9 +38,11 @@ from helpers import (
     COMPLIANT_KINDS,
     DATA_DIR,
     acc_oracle,
+    assert_line_deltas,
     make_trajectory,
-    run_two_hop,
     run_twenty_turn,
+    run_two_hop,
+    shared_counts,
 )
 from oracles import cache_ratio, context_compactness, sft_corpus
 
@@ -47,18 +50,20 @@ K = ActionKind
 
 
 def solving_trajectory(states):
+    inputs = [tuple(state.split("\n")) for state in states]
     steps = [
         StepRecord(
             index=i,
             stage="solving",
-            lines=tuple(state.split("\n")),
+            lines=lines,
+            shared=shared,
             kind="doc_extraction",
             payload={},
             raw_text="",
             model_text="",
             token_count=len(default_tokenizer(state)),
         )
-        for i, state in enumerate(states, start=1)
+        for i, (state, lines, shared) in enumerate(zip(states, inputs, shared_counts(inputs)), start=1)
     ]
     return Trajectory(question="q?", steps=steps)
 
@@ -487,20 +492,22 @@ class TestPersistence:
     @example(steps=[("solving", ""), ("solving", "")], version=2)
     @example(steps=[("planning", "P\n"), ("solving", "P\n\n"), ("solving", "P\n\n")], version=2)
     def test_save_load_gives_back_every_state(self, tmp_path_factory, steps, version):
+        inputs = [tuple(state.split("\n")) for _, state in steps]
         trajectory = Trajectory(
             question="q?",
             steps=[
                 StepRecord(
                     index=i,
                     stage=stage,
-                    lines=tuple(state.split("\n")),
+                    lines=lines,
+                    shared=shared,
                     kind="doc_extraction",
                     payload={},
                     raw_text="",
                     model_text="",
                     token_count=0,
                 )
-                for i, (stage, state) in enumerate(steps, start=1)
+                for i, ((stage, _), lines, shared) in enumerate(zip(steps, inputs, shared_counts(inputs)), start=1)
             ],
             version=version,
         )
@@ -582,16 +589,18 @@ class TestPersistence:
         # A register-like input: the same head, one more tool-log line a
         # step, and the newest tool document, whose 北京 makes each whole
         # input string take 2 bytes a character.
-        log, steps = [], []
+        log, steps, previous = [], [], ()
         for index in range(1, 201):
             document = Document(source_id=f"doc:{index}", title=f"Record {index}", text=f"北京 record {index} " * 8)
             log.append(f"Step {index}: search for record {index} -> doc:{index}")
             state = "\n".join(["## Task", "Answer the question.", *log, "## Observation", document.text])
+            lines = tuple(state.split("\n"))
             steps.append(
                 StepRecord(
                     index=index,
                     stage="solving",
-                    lines=tuple(state.split("\n")),
+                    lines=lines,
+                    shared=shared_counts([previous, lines])[1],
                     kind="tool_call",
                     payload={"task_id": "t1", "tool_name": "search", "arguments": {"query": f"record {index}"}},
                     raw_text="",
@@ -600,6 +609,7 @@ class TestPersistence:
                     tool_result=ToolResult(documents=(document,)),
                 )
             )
+            previous = lines
         path = tmp_path / "long.jsonl"
         Trajectory(question="q?", steps=steps).save(path)
         gc.collect()
@@ -805,6 +815,70 @@ class TestAnalyses:
                     step_cache_ratios(run)
         else:
             assert step_cache_ratios(trajectory) == step_cache_ratios(loaded) == expected
+
+
+FIXTURES = {
+    1: "two_hop_trajectory_v1.jsonl",
+    2: "two_hop_trajectory_v2.jsonl",
+    3: "fold_trajectory_v3.jsonl",
+    4: "fold_trajectory_v4.jsonl",
+}
+
+
+class TestRecordedLineDelta:
+    @pytest.mark.parametrize("version", FIXTURES)
+    def test_a_loaded_fixture_records_each_line_delta_and_saves_it_back(self, tmp_path, version):
+        trajectory = Trajectory.load(DATA_DIR / FIXTURES[version])
+        assert trajectory.version == version
+        assert trajectory.steps[0].shared == 0 and any(step.shared for step in trajectory.steps)
+        # version 1 stores whole inputs, so its loaded lines are not shared strings
+        assert_line_deltas(trajectory, own_strings=version >= 2)
+        trajectory.save(tmp_path / "saved.jsonl")
+        assert Trajectory.load(tmp_path / "saved.jsonl").steps == trajectory.steps
+
+    @settings(deadline=None)
+    @given(st.sampled_from([2, 3, 4]), st.data())
+    def test_a_lower_state_shared_changes_no_ratio_or_pair_and_is_saved_back(self, tmp_path_factory, version, data):
+        lines = (DATA_DIR / FIXTURES[version]).read_text(encoding="utf-8").splitlines()
+        records, previous, lowered = [json.loads(line) for line in lines], [], []
+        for record in records[1:]:
+            state = previous[: record["state_shared"]] + record["state"].split("\n")
+            lower = data.draw(st.integers(0, record["state_shared"]), label=f"step {record['index']}")
+            if lower < record["state_shared"]:
+                lowered.append(record["index"])
+            record["state_shared"], record["state"] = lower, "\n".join(state[lower:])
+            previous = state
+        text = "".join(json.dumps(record, ensure_ascii=False, sort_keys=True) + "\n" for record in records)
+        directory = tmp_path_factory.mktemp("lowered")
+        (directory / "lowered.jsonl").write_text(text, encoding="utf-8")
+        trajectory = Trajectory.load(directory / "lowered.jsonl")
+        assert [step.shared for step in trajectory.steps] == [record["state_shared"] for record in records[1:]]
+        assert step_cache_ratios(trajectory) == whole_state_ratios([step.state for step in trajectory.solving_steps()])
+        export_sft([trajectory], directory / "sft.jsonl")
+        assert (directory / "sft.jsonl").read_bytes() == sft_corpus([trajectory])
+        trajectory.save(directory / "saved.jsonl")
+        assert (directory / "saved.jsonl").read_text(encoding="utf-8") == text
+        # a replay records the most lines each input shares, as a run does
+        divergence = replay_divergence(trajectory, replay_run(trajectory).trajectory, strict=True)
+        assert divergence == (f"step {lowered[0]}: shared diverges from the recording" if lowered else None)
+
+    def test_save_cache_ratios_and_export_search_for_no_shared_head(self, tmp_path, monkeypatch):
+        trajectory = Trajectory.load(DATA_DIR / FIXTURES[4])
+        calls = []
+        for module in (dagsearch.register, dagsearch.trajectory):
+            monkeypatch.setattr(module, "common_prefix_length", lambda *pair: calls.append(pair))
+        trajectory.save(tmp_path / "saved.jsonl")
+        assert step_cache_ratios(trajectory)
+        assert export_sft([trajectory], tmp_path / "sft.jsonl") == len(trajectory.steps)
+        assert calls == []
+
+    def test_cache_ratios_take_no_delta_against_a_step_of_the_other_stage(self):
+        # The last input shares two lines with the planning one before it,
+        # but none with the solving input the ratio compares it to.
+        trajectory = solving_trajectory(["x", "a\nb\nc", "a\nb\nd"])
+        trajectory.steps[1] = replace(trajectory.steps[1], stage="planning")
+        assert trajectory.steps[2].shared == 2
+        assert step_cache_ratios(trajectory) == [0.0]
 
 
 class TestEvalRecords:
