@@ -5,6 +5,7 @@ from __future__ import annotations
 import argparse
 import logging
 import sys
+import threading
 from dataclasses import replace
 from pathlib import Path
 from typing import Callable
@@ -133,14 +134,16 @@ def _tools_factory(args: argparse.Namespace) -> Callable[[dict | None], ToolRegi
 
     A malformed config raises here, before any question runs; an entry that
     ``build_registry`` rejects raises, naming the config, when a registry is
-    built. A call's ``fixtures`` goes to ``build_registry``.
+    built. A call's ``fixtures`` goes to ``build_registry``; the lock makes
+    threads that miss a corpus there at once read and index it once.
     """
     config = _load_json(args.tools)
     with located(args.tools):
         check_fields(config, {"tools": (list,)})
+    lock = threading.Lock()
 
     def build(fixtures: dict | None = None) -> ToolRegistry:
-        with located(args.tools):
+        with lock, located(args.tools):
             return build_registry(
                 config["tools"], base_dir=Path(args.tools).parent, top_k=args.top_k, fixtures=fixtures
             )

@@ -20,19 +20,12 @@ from typing import Callable, TypeVar
 
 from .backend import Backend, BackendError, CompletionRequest, ReplayBackend
 from .plan import DagPlan, build_plan, is_complete
-from .protocol import (
-    Action,
-    ActionKind,
-    IntentPayload,
-    ProtocolError,
-    parse_action,
-)
+from .protocol import Action, ActionKind, ProtocolError, parse_action
 from .register import (
     LineTokenCounter,
     Register,
     apply_action,
     common_prefix_length,
-    init_register,
     prompt_lines,
     render_context,
     render_correction,
@@ -169,8 +162,8 @@ def _payload_of(kind: ActionKind, action: Action) -> dict:
     return action.payload
 
 
-def _refined_intent(action: Action) -> tuple[None, IntentPayload]:
-    return None, IntentPayload.from_payload(_payload_of(ActionKind.INTENT_REFINEMENT, action))
+def _refined_intent(action: Action) -> tuple[None, dict]:
+    return None, _payload_of(ActionKind.INTENT_REFINEMENT, action)
 
 
 def _framing(action: Action) -> tuple[None, DagPlan]:
@@ -255,7 +248,7 @@ def run(
         _, intent = turn("planning", len(holistic.lines), planning, _refined_intent)
         planning = render_planning_context(prompts.holistic, question, intent)
         _, plan = turn("planning", len(holistic.lines), planning, _framing)
-        register = init_register(plan, trajectory.version)
+        register = Register(plan, trajectory.version)
         head = render_head(prompts.solving, question, intent)
         for _ in range(config.max_turns):
             action, register = turn("solving", len(solving.lines), render_context(register, head), solving_check)

@@ -16,7 +16,10 @@ from typing import Any, Callable, NoReturn
 
 
 class ActionKind(str, Enum):
-    """The eight legal action tags."""
+    """The eight legal action tags, in the paper's three spaces: planning
+    (``PLANNING_KINDS``), task-solving (tool_call, doc_extraction,
+    task_answer, final_answer) and retrospection (revisit_task, replanning).
+    """
 
     INTENT_REFINEMENT = "intent_refinement"
     PROBLEM_FRAMING = "problem_framing"
@@ -29,25 +32,8 @@ class ActionKind(str, Enum):
 
 
 PLANNING_KINDS = frozenset({ActionKind.INTENT_REFINEMENT, ActionKind.PROBLEM_FRAMING})
-SOLVING_KINDS = frozenset(
-    {
-        ActionKind.TOOL_CALL,
-        ActionKind.DOC_EXTRACTION,
-        ActionKind.TASK_ANSWER,
-        ActionKind.FINAL_ANSWER,
-    }
-)
 
 _KIND_BY_TAG = {kind.value: kind for kind in ActionKind}
-
-
-def subspace_of(kind: ActionKind) -> str:
-    """Map a kind to its subspace: ``plan``, ``sol``, or ``ret``."""
-    if kind in PLANNING_KINDS:
-        return "plan"
-    if kind in SOLVING_KINDS:
-        return "sol"
-    return "ret"
 
 
 class ProtocolError(Exception):
@@ -65,21 +51,6 @@ class Action:
     kind: ActionKind
     payload: dict
     raw_text: str
-
-
-@dataclass(frozen=True)
-class IntentPayload:
-    """Refined user intent: a clarified goal plus explicit constraints."""
-
-    refined_goal: str
-    constraints: tuple[str, ...] = ()
-
-    @classmethod
-    def from_payload(cls, payload: dict) -> "IntentPayload":
-        return cls(
-            refined_goal=payload["refined_goal"],
-            constraints=tuple(payload["constraints"]),
-        )
 
 
 def canonical_json(payload: Any) -> str:

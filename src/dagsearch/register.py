@@ -27,7 +27,7 @@ from typing import Mapping, NamedTuple, Sequence
 
 from . import plan as planmod
 from .plan import DagPlan
-from .protocol import PLANNING_KINDS, Action, ActionKind, IntentPayload, ProtocolError, canonical_json
+from .protocol import PLANNING_KINDS, Action, ActionKind, ProtocolError, canonical_json
 from .tools import ToolResult
 
 # A task_answer folds the answered tasks' tool-log entries that are still
@@ -76,26 +76,17 @@ def token_length(text: str) -> int:
     return len(default_tokenizer(text))
 
 
-_BLOCK = 2048
-
-
 def common_prefix_length(a: Sequence, b: Sequence) -> int:
     """Length of the longest common prefix of ``a`` and ``b``: two strings, or two tuples of lines.
 
-    Compares ``_BLOCK``-item slices until one differs, then bisects inside
-    that block with slice compares: every item is compared in C, none in a
-    Python loop. A line that is the same object in both compares equal
-    without reading its characters.
+    Compares the whole common length once, then bisects with slice
+    compares: every item is compared in C, none in a Python loop. A line
+    that is the same object in both compares equal without reading its
+    characters.
     """
-    end = min(len(a), len(b))
-    low = 0
-    while low < end:
-        high = min(low + _BLOCK, end)
-        if a[low:high] != b[low:high]:
-            break
-        low = high
-    else:
-        return end
+    low, high = 0, min(len(a), len(b))
+    if a[:high] == b[:high]:
+        return high
     # a[:low] == b[:low] and a[:high] != b[:high]
     while high - low > 1:
         middle = (low + high) // 2
@@ -255,11 +246,13 @@ class PlanSnapshot:
 
 @dataclass(frozen=True)
 class Register:
-    plan_history: tuple[PlanSnapshot, ...]
+    """A run's register; ``Register(plan, version)`` opens a run recorded in trajectory ``version``."""
+
     plan: DagPlan
-    revisit_history: tuple[RevisitRecord, ...]
-    tool_log: tuple[ToolLogEntry, ...]
     version: int  # the trajectory version: fold rule and solving-input layout
+    plan_history: tuple[PlanSnapshot, ...] = ()
+    revisit_history: tuple[RevisitRecord, ...] = ()
+    tool_log: tuple[ToolLogEntry, ...] = ()
     step: int = 0
     pending_tool_result: ToolResult | None = None
     # The log keeps every entry; the render leaves out folded ones, by step
@@ -267,11 +260,6 @@ class Register:
     # those whose task is answered now; version 4 folds and hides the
     # entries answered at some fold. A replan empties both log and ``folded``.
     folded: frozenset[int] = frozenset()
-
-
-def init_register(plan: DagPlan, version: int) -> Register:
-    """The initial register of a run recorded in trajectory ``version``: the plan, empty histories."""
-    return Register(plan_history=(), plan=plan, revisit_history=(), tool_log=(), version=version)
 
 
 def apply_action(
@@ -455,20 +443,20 @@ def _split(lines: Sequence[str]) -> tuple[str, ...]:
     return tuple("\n".join(lines).split("\n"))
 
 
-def render_head(prompt: str, question: str, intent: IntentPayload | None) -> tuple[str, ...]:
-    """The lines a model input opens with: the prompt's ``prompt_lines``, the question, the intent if known."""
+def render_head(prompt: str, question: str, intent: dict | None) -> tuple[str, ...]:
+    """The lines a model input opens with: the prompt's ``prompt_lines``, the question, the intent payload if known."""
     lines = ["", "## Question", question]
     if intent is not None:
-        lines += ("", "## Refined intent", f"Goal: {intent.refined_goal}")
-        if intent.constraints:
+        lines += ("", "## Refined intent", f"Goal: {intent['refined_goal']}")
+        if intent["constraints"]:
             lines.append("Constraints:")
-            lines += (f"- {c}" for c in intent.constraints)
+            lines += (f"- {c}" for c in intent["constraints"])
         else:
             lines.append("Constraints: (none)")
     return (*prompt_lines(prompt).lines, *_split(lines))
 
 
-def render_planning_context(prompt: str, question: str, intent: IntentPayload | None = None) -> tuple[str, ...]:
+def render_planning_context(prompt: str, question: str, intent: dict | None = None) -> tuple[str, ...]:
     """Model input for a planning turn, as its lines: intent refinement, or framing once ``intent`` is known."""
     kind = "intent_refinement" if intent is None else "problem_framing"
     return (*render_head(prompt, question, intent), "", f"Emit exactly one <{kind}> action now.")

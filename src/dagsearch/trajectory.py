@@ -20,7 +20,7 @@ from json.encoder import encode_basestring
 from pathlib import Path
 from typing import IO, Any, Iterable, Iterator, Mapping, Sequence
 
-from .protocol import ActionKind, subspace_of
+from .protocol import PLANNING_KINDS, ActionKind
 from .register import _TOKEN_RE, LineTokenCounter, common_prefix_length, default_tokenizer, prompt_lines
 from .tools import DOCUMENT_FIELDS, Document, InputError, ToolResult, check_fields, check_strings, located, read_json
 
@@ -368,13 +368,13 @@ def _positional_ok(trajectory: Trajectory) -> bool:
     steps = trajectory.steps
     if len(steps) < 3:
         return False
-    if any(subspace_of(ActionKind(step.kind)) != "plan" for step in steps[:2]):
+    if any(ActionKind(step.kind) not in PLANNING_KINDS for step in steps[:2]):
         return False
     if steps[-1].kind != ActionKind.FINAL_ANSWER.value:
         return False
     for step in steps[2:-1]:
         kind = ActionKind(step.kind)
-        if subspace_of(kind) == "plan" or kind is ActionKind.FINAL_ANSWER:
+        if kind in PLANNING_KINDS or kind is ActionKind.FINAL_ANSWER:
             return False
     return True
 

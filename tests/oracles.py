@@ -11,13 +11,12 @@ from dataclasses import dataclass, replace
 from typing import Iterable, Sequence
 
 from dagsearch.plan import ANSWERED, DagPlan, build_plan
-from dagsearch.protocol import Action, ActionKind, IntentPayload
+from dagsearch.protocol import Action, ActionKind
 from dagsearch.register import (
     Register,
     ToolLogEntry,
     _folded_steps,
     apply_action,
-    init_register,
     render_context,
     render_head,
     token_length,
@@ -26,11 +25,7 @@ from dagsearch.tools import InputError
 from dagsearch.trajectory import StepRecord, Trajectory
 from helpers import make_action
 
-# The retrospection subspace: every kind that is neither planning nor solving.
-RETROSPECTION_KINDS = frozenset({ActionKind.REVISIT_TASK, ActionKind.REPLANNING})
-
-
-def register_tokens(register: Register, question: str, stage_prompt: str, intent: IntentPayload) -> int:
+def register_tokens(register: Register, question: str, stage_prompt: str, intent: dict) -> int:
     """Token count of the persistent render (ephemeral tool output excluded).
 
     In the version 1 and 2 layouts this quantity is non-decreasing within a
@@ -51,11 +46,11 @@ def _tool_log_lines(log: Sequence[ToolLogEntry]) -> list[str]:
     return lines
 
 
-def _intent_section(intent: IntentPayload) -> str:
-    lines = [f"Goal: {intent.refined_goal}"]
-    if intent.constraints:
+def _intent_section(intent: dict) -> str:
+    lines = [f"Goal: {intent['refined_goal']}"]
+    if intent["constraints"]:
         lines.append("Constraints:")
-        lines.extend(f"- {c}" for c in intent.constraints)
+        lines.extend(f"- {c}" for c in intent["constraints"])
     else:
         lines.append("Constraints: (none)")
     return "## Refined intent\n" + "\n".join(lines)
@@ -77,7 +72,7 @@ def _status_lines(plan: DagPlan) -> list[str]:
     return lines
 
 
-def reference_planning_render(prompt: str, question: str, intent: IntentPayload | None = None) -> str:
+def reference_planning_render(prompt: str, question: str, intent: dict | None = None) -> str:
     """A planning input as one text, sections joined on blank lines: the reference for ``render_planning_context``."""
     sections = [prompt.rstrip(), f"## Question\n{question}"]
     if intent is None:
@@ -88,7 +83,7 @@ def reference_planning_render(prompt: str, question: str, intent: IntentPayload 
     return "\n\n".join(sections)
 
 
-def reference_render(register: Register, question: str, stage_prompt: str, intent: IntentPayload | None) -> str:
+def reference_render(register: Register, question: str, stage_prompt: str, intent: dict | None) -> str:
     """The solving input as one text, built section by section: the reference for ``render_context``'s lines.
 
     Its head is ``render_head``'s with ``intent``, whose section is left out when it is None.
@@ -183,7 +178,7 @@ def rebuild_registers(trajectory: Trajectory) -> list[Register]:
     if len(planning) < 2:
         raise ValueError("trajectory lacks the two planning steps")
     framing = planning[1].payload
-    register = init_register(build_plan(framing["tasks"], framing["edges"], plan_id=0), trajectory.version)
+    register = Register(build_plan(framing["tasks"], framing["edges"], plan_id=0), trajectory.version)
     registers = [register]
     for step in trajectory.steps:
         if step.stage != "solving":

@@ -8,6 +8,7 @@ import json
 import os
 import shutil
 import tempfile
+import time
 import tracemalloc
 import weakref
 from pathlib import Path
@@ -118,11 +119,23 @@ def test_eval_searches_return_the_oracle_ranking(workdir, capsys, parallel):
     assert searches >= 2
 
 
+def slow_loads(monkeypatch):
+    """Every corpus path ``build_registry`` reads; each read sleeps first, so parallel questions overlap it."""
+    loads = []
+
+    def spy(path):
+        loads.append(path)
+        time.sleep(0.1)
+        return load_corpus(path)
+
+    monkeypatch.setattr(dagsearch.tools, "load_corpus", spy)
+    return loads
+
+
 @pytest.mark.parametrize("parallel", ["1", "2"])
 def test_eval_reads_each_corpus_once_per_call(workdir, capsys, monkeypatch, parallel):
-    loads, builds = [], []
-    load_corpus, build_registry = dagsearch.tools.load_corpus, dagsearch.cli.build_registry
-    monkeypatch.setattr(dagsearch.tools, "load_corpus", lambda path: loads.append(path) or load_corpus(path))
+    loads, builds = slow_loads(monkeypatch), []
+    build_registry = dagsearch.cli.build_registry
     monkeypatch.setattr(
         dagsearch.cli, "build_registry", lambda *args, **kwargs: builds.append(1) or build_registry(*args, **kwargs)
     )
@@ -131,8 +144,8 @@ def test_eval_reads_each_corpus_once_per_call(workdir, capsys, monkeypatch, para
         report = workdir / f"report{call}.csv"
         assert main(eval_argv(workdir, report, "--parallel", parallel)) == 0
         reports.append(report.read_bytes())
-        # Each call reads the corpus afresh, once per thread at most.
-        assert 1 <= len(loads) <= int(parallel) and len(builds) == 5
+        # Each call reads the corpus afresh, once whatever its threads.
+        assert len(loads) == 1 and len(builds) == 5
         del loads[:], builds[:]
     serial = workdir / "serial.csv"
     monkeypatch.undo()
@@ -147,9 +160,9 @@ def test_eval_frees_its_fixture_tools_when_it_returns(workdir, capsys, monkeypat
     monkeypatch.setattr(
         FixtureSearchTool, "__post_init__", lambda self: tools.append(weakref.ref(self)) or post_init(self)
     )
+    slow_loads(monkeypatch)
     assert main(eval_argv(workdir, workdir / "report.csv", "--parallel", parallel)) == 0
-    assert 1 <= len(tools) <= int(parallel)
-    assert [tool() for tool in tools] == [None] * len(tools)
+    assert len(tools) == 1 and tools[0]() is None
 
 
 def tokenizer_spy(monkeypatch):

@@ -20,7 +20,7 @@ from dagsearch.engine import (
     run,
 )
 from dagsearch.plan import ACTIVE, ANSWERED, PENDING, mark_active
-from dagsearch.protocol import IntentPayload, ProtocolError, parse_action
+from dagsearch.protocol import ProtocolError, parse_action
 from dagsearch.register import default_tokenizer, render_correction, render_planning_context, token_length
 from dagsearch.tools import (
     Document,
@@ -566,7 +566,7 @@ RECOVERED = ("answered", None, PLANNED + [("task_answer", 1), ("final_answer", 0
 
 def largest_planning_input():
     """The token count of the longer of the two planning inputs."""
-    intent = IntentPayload(refined_goal="Find it.", constraints=())
+    intent = {"refined_goal": "Find it.", "constraints": []}
     return max(
         token_length("\n".join(render_planning_context(PROMPTS.holistic, "q?", *given))) for given in ((), (intent,))
     )
@@ -701,7 +701,7 @@ class TestDeterminism:
         solving = trajectory.solving_steps()
         # the register each solving step was rendered from
         registers = rebuild_registers(trajectory)[: len(solving)]
-        intent = IntentPayload.from_payload(trajectory.steps[0].payload)
+        intent = trajectory.steps[0].payload
         counts = [register_tokens(r, TWO_HOP_QUESTION, PROMPTS.solving, intent) for r in registers]
         assert counts == sorted(counts)
         assert all(step.token_count >= count for step, count in zip(solving, counts))

@@ -14,17 +14,13 @@ from dagsearch.protocol import (
     PAYLOAD_FIELDS,
     Action,
     ActionKind,
-    IntentPayload,
     PLANNING_KINDS,
     ProtocolError,
-    SOLVING_KINDS,
     parse_action,
-    subspace_of,
     validate_payload,
 )
 from dagsearch.plan import build_plan
 from helpers import DATA_DIR, MUTATION_MODES, make_action, mutate_action, payload_cases, random_action
-from oracles import RETROSPECTION_KINDS
 
 
 class TestParse:
@@ -367,28 +363,6 @@ class TestMutations:
             text, expected = mutate_action(rng, action, mode)
             with pytest.raises(ProtocolError, match=re.escape(expected)):
                 parse_action(text)
-
-
-class TestSubspaces:
-    def test_examples(self):
-        assert subspace_of(ActionKind.PROBLEM_FRAMING) == "plan"
-        assert subspace_of(ActionKind.DOC_EXTRACTION) == "sol"
-        assert subspace_of(ActionKind.REPLANNING) == "ret"
-
-    def test_partition_is_total_and_disjoint(self):
-        union = PLANNING_KINDS | SOLVING_KINDS | RETROSPECTION_KINDS
-        assert union == frozenset(ActionKind)
-        assert not (PLANNING_KINDS & SOLVING_KINDS)
-        assert not (PLANNING_KINDS & RETROSPECTION_KINDS)
-        assert not (SOLVING_KINDS & RETROSPECTION_KINDS)
-        for kind in ActionKind:
-            assert subspace_of(kind) in {"plan", "sol", "ret"}
-
-
-class TestIntentPayload:
-    def test_round_trip(self):
-        payload = {"refined_goal": "find x", "constraints": ["a", "b"]}
-        assert IntentPayload.from_payload(payload) == IntentPayload(refined_goal="find x", constraints=("a", "b"))
 
 
 @settings(max_examples=300, deadline=None)

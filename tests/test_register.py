@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 import dagsearch.register
 from dagsearch.backend import CompletionRequest, chat_messages
 from dagsearch.plan import ACTIVE, ANSWERED, PENDING, DagPlan, TaskNode, is_complete
-from dagsearch.protocol import PLANNING_KINDS, ActionKind, IntentPayload, ProtocolError
+from dagsearch.protocol import PLANNING_KINDS, ActionKind, ProtocolError
 from dagsearch.register import (
     FOLD_CHARS,
     LineTokenCounter,
@@ -21,7 +21,6 @@ from dagsearch.register import (
     apply_action,
     common_prefix_length,
     default_tokenizer,
-    init_register,
     prompt_lines,
     render_context,
     render_correction,
@@ -45,7 +44,7 @@ PROMPT = "You are a search agent. Emit one action per turn."
 
 
 def intent():
-    return IntentPayload(refined_goal="Find the founding year.", constraints=("answer is a year",))
+    return {"refined_goal": "Find the founding year.", "constraints": ["answer is a year"]}
 
 
 def chain_plan():
@@ -53,7 +52,7 @@ def chain_plan():
 
 
 def fresh():
-    return init_register(chain_plan(), TRAJECTORY_VERSION)
+    return Register(chain_plan(), TRAJECTORY_VERSION)
 
 
 def act(kind, payload):
@@ -397,7 +396,7 @@ EVERY_SECTION = Register(
 )
 
 
-intents = st.builds(IntentPayload, render_values, st.lists(render_values, max_size=3).map(tuple))
+intents = st.fixed_dictionaries({"refined_goal": render_values, "constraints": st.lists(render_values, max_size=3)})
 
 
 class TestRenderLines:
@@ -409,7 +408,7 @@ class TestRenderLines:
 
     @given(stage_prompts, render_values, st.none() | intents)
     @example("prompt \n\t", "", None)
-    @example("北京\r\n", "q\r\n", IntentPayload(refined_goal="goal \t", constraints=("", "a\nb ", "café\u2028")))
+    @example("北京\r\n", "q\r\n", {"refined_goal": "goal \t", "constraints": ["", "a\nb ", "café\u2028"]})
     def test_planning_lines_are_the_reference_text(self, prompt, question, intent):
         lines = render_planning_context(prompt, question, intent)
         assert type(lines) is tuple
@@ -424,7 +423,7 @@ class TestRenderLines:
     )
     @example("\U0001f600 \r\n", "q\n", None, EVERY_SECTION, "bad\nreply")
     @example("", "", None, None, "\n")
-    @example("\n\n", "q", IntentPayload(refined_goal="a\nb", constraints=("c\n",)), None, None)
+    @example("\n\n", "q", {"refined_goal": "a\nb", "constraints": ["c\n"]}, None, None)
     def test_request_is_the_text_a_turn_sent_and_splits_as_the_backend_did(
         self, prompt, question, intent, register, diagnostic
     ):
@@ -501,12 +500,19 @@ class TestTokens:
         st.sampled_from([0, 2046, 2047, 2048, 2049, 4095, 4096, 4097]),
         st.text(st.sampled_from("ab\nü"), max_size=4),
         st.text(st.sampled_from("ab\nü"), max_size=4),
+        st.lists(st.tuples(st.text(st.sampled_from("ab ü"), max_size=4), st.booleans()), max_size=40),
+        st.lists(st.text(st.sampled_from("ab ü"), max_size=4), max_size=3),
+        st.lists(st.text(st.sampled_from("ab ü"), max_size=4), max_size=3),
     )
-    def test_common_prefix_length_is_the_common_prefix(self, base, at, left, right):
-        # long texts that first differ around the 2,048-character block edges
+    def test_common_prefix_length_is_the_common_prefix(self, base, at, left, right, head, left_lines, right_lines):
         text = (base or "a") * (4200 // len(base or "a") + 1)
         a, b = text[:at] + left, text[:at] + right
-        for x, y in ((a, b), (b, a), (a, a + right), ("", a)):
+        # Tuples of lines, as every caller on a turn passes: a shared head
+        # line is the same object in both, or an equal but distinct string.
+        lines = tuple(line for line, _ in head)
+        copies = tuple(line.encode().decode() if copy else line for line, copy in head)
+        line_pairs = ((lines + tuple(left_lines), copies + tuple(right_lines)), (lines, copies + tuple(right_lines)))
+        for x, y in ((a, b), (b, a), (a, a + right), ("", a), *line_pairs, *(pair[::-1] for pair in line_pairs)):
             assert common_prefix_length(x, y) == len(os.path.commonprefix([x, y]))
 
     def test_line_counter_tokenizes_only_new_lines(self, monkeypatch):
@@ -712,7 +718,7 @@ def fold_actions(op, number):
 
 def applied(version, ops):
     """(action, register before, register after) for each op's pair that the register accepts."""
-    register = init_register(make_plan([(t, f"do {t}") for t in FOLD_TASKS], FOLD_EDGES), version)
+    register = Register(make_plan([(t, f"do {t}") for t in FOLD_TASKS], FOLD_EDGES), version)
     for number, op in enumerate(ops):
         for action, output in fold_actions(op, number):
             try:
@@ -808,6 +814,10 @@ class TestFold:
         # the trajectory version pins each threshold; versions 1 and 2 never fold
         assert FOLD_CHARS == {3: 12_000, 4: 4_000}
 
+    def test_every_version_from_3_has_a_threshold(self):
+        # ``_fold`` reads FOLD_CHARS.get(version): a version without one would never fold
+        assert FOLD_CHARS.keys() >= set(range(3, TRAJECTORY_VERSION + 1))
+
     @settings(max_examples=150, deadline=None)
     @given(ops=fold_ops)
     # t1 and t3 cross FOLD_CHARS and fold while t2 is open; a revisit shows
@@ -885,7 +895,7 @@ class TestFold:
     def test_fold_measures_entry_lines_with_their_newlines(self):
         # The answered entry renders to one character over FOLD_CHARS only
         # when its fact's newline counts: split into lines, it does not pass.
-        register = init_register(chain_plan(), 4)
+        register = Register(chain_plan(), 4)
         register = apply_action(register, tool_call(), result())
         base = apply_action(register, extraction())
         fact = "f\n" + "x" * (FOLD_CHARS[4] - sum(map(len, base.tool_log[0].rendered_lines)))
@@ -899,7 +909,7 @@ class TestFold:
 
     def test_no_fold_without_an_open_task(self):
         for version in (3, 4):
-            register = init_register(make_plan([("t1", "a"), ("t2", "b")], []), version)
+            register = Register(make_plan([("t1", "a"), ("t2", "b")], []), version)
             for task_id in ("t1", "t2"):
                 register = apply_action(register, tool_call(task_id), result())
                 facts = ["x" * FOLD_CHARS[version]]

@@ -862,6 +862,16 @@ class TestRecordedLineDelta:
         divergence = replay_divergence(trajectory, replay_run(trajectory).trajectory, strict=True)
         assert divergence == (f"step {lowered[0]}: shared diverges from the recording" if lowered else None)
 
+    @pytest.mark.parametrize("version", FIXTURES)
+    def test_export_escapes_only_the_lines_a_step_does_not_share(self, tmp_path, monkeypatch, version):
+        trajectory = Trajectory.load(DATA_DIR / FIXTURES[version])
+        escaped, json_string = [], dagsearch.trajectory._json_string
+        monkeypatch.setattr(dagsearch.trajectory, "_json_string", lambda text: escaped.append(text) or json_string(text))
+        export_sft([trajectory], tmp_path / "sft.jsonl")
+        # the question id, then each step's raw text and the lines after its shared ones
+        assert len(escaped) == 1 + sum(1 + len(step.lines) - step.shared for step in trajectory.steps)
+        assert (tmp_path / "sft.jsonl").read_bytes() == sft_corpus([trajectory])
+
     def test_save_cache_ratios_and_export_search_for_no_shared_head(self, tmp_path, monkeypatch):
         trajectory = Trajectory.load(DATA_DIR / FIXTURES[4])
         calls = []
